@@ -47,11 +47,11 @@ print("== control-field robustness ==")
 print("constant z drift on the control commutes with the loop blocks and")
 print("the control flip swaps sectors, so the echo cancels it:")
 for rate in (0.1, 0.3, 1.0):
-    out = reduced_model_deviation(p, (0.0, 0.0, rate), substeps=4096)
+    out = reduced_model_deviation(p, (0.0, 0.0, rate))
     print(f"  z rate {rate:4.1f}: gate deviation {out['gate_deviation']:.2e}")
 print("transverse components break the block structure and leak:")
 for amp in (0.02, 0.05, 0.2):
-    out = reduced_model_deviation(p, (amp, 0.0, 0.0), substeps=4096)
+    out = reduced_model_deviation(p, (amp, 0.0, 0.0))
     print(
         f"  x amp {amp:5.2f}: gate deviation {out['gate_deviation']:.3e}"
         f"  leakage {out['leakage']:.3f}"

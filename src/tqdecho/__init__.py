@@ -48,7 +48,6 @@ from .schedule import (
     write_field_timeline_csv,
 )
 from .propagate import (
-    DEFAULT_POLICY,
     ConvergenceReport,
     StepPolicy,
     Trajectory,

@@ -270,8 +270,10 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Integrator quality: second-order convergence, unitarity at every
-    sample, and bit-identical repeated runs."""
+    """Propagator quality: second-order convergence of the midpoint
+    integrator, unitarity at every sample, bit-identical repeated runs,
+    and agreement of the exact propagator with the midpoint oracle at
+    every sample."""
     t0 = time.perf_counter()
     p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
     sched = build_echo_sequence(p)
@@ -291,6 +293,10 @@ def criterion_8() -> CriterionResult:
     again = propagate_schedule(sched, policy=pol, samples=256)
     identical = traj.propagators.tobytes() == again.propagators.tobytes()
     checks.append(Check("rerun_byte_difference", 0.0 if identical else 1.0, 0.5))
+
+    exact = propagate_schedule(sched, samples=256)
+    agreement = float(np.max(np.abs(exact.propagators - traj.propagators)))
+    checks.append(Check("exact_midpoint_agreement", agreement, 1e-6))
     notes = {
         "observed_order": f"{conv.order:.4f}",
         "order_window": "[1.7, 2.3]",

@@ -3,7 +3,8 @@
 Each subcommand runs one scenario from a small JSON config and writes
 deterministic artifacts (CSV tables, JSON reports) plus a summary.json
 recording every gated check. The process exits 0 only if all checks of
-the scenario passed, so runs can gate pipelines directly.
+the scenario passed, so runs can gate pipelines directly: 1 means a check
+failed, 2 a bad config or input, 3 an internal error.
 
 Config files are flat JSON objects. Keys are validated strictly: unknown
 or duplicate keys, wrong types, and non-finite numbers are rejected
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -44,6 +46,8 @@ from .schedule import (
 )
 
 __all__ = ["main"]
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +87,7 @@ _SCHEMAS = {
         "omega0": (_FLOAT, _REQUIRED),
         "label": (_INT, 0),
         "corrected": (_BOOL, True),
-        "substeps": (_INT, 8192),
+        "substeps": (_INT, None),
         "samples": (_INT, 256),
     },
     "echo": {
@@ -92,7 +96,7 @@ _SCHEMAS = {
         "omega0": (_FLOAT, _REQUIRED),
         "omega_pi": (_FLOAT, None),
         "label": (_INT, 0),
-        "substeps": (_INT, 8192),
+        "substeps": (_INT, None),
         "samples": (_INT, 256),
     },
     "gate": {
@@ -101,20 +105,20 @@ _SCHEMAS = {
         "omega": (_FLOAT, 1.0),
         "omega0": (_FLOAT, 1.0),
         "omega_pi": (_FLOAT, None),
-        "substeps": (_INT, 8192),
+        "substeps": (_INT, None),
     },
     "twoqubit": {
         "omega_i": (_FLOAT, _REQUIRED),
         "coupling": (_FLOAT, _REQUIRED),
         "omega": (_FLOAT, _REQUIRED),
         "omega_pi": (_FLOAT, None),
-        "substeps": (_INT, 8192),
+        "substeps": (_INT, None),
     },
     "expmap": {
         "omega_i": (_FLOAT, _REQUIRED),
         "coupling": (_FLOAT, _REQUIRED),
         "omega": (_FLOAT, _REQUIRED),
-        "substeps": (_INT, 8192),
+        "substeps": (_INT, None),
         "draws": (_INT, 100),
     },
     "scan": {
@@ -122,7 +126,7 @@ _SCHEMAS = {
         "omega0": (_FLOAT, _REQUIRED),
         "ratios": (_FLOATLIST, _REQUIRED),
         "label": (_INT, 0),
-        "substeps": (_INT, 4096),
+        "substeps": (_INT, None),
         "workers": (_INT, 4),
     },
 }
@@ -187,13 +191,11 @@ def load_config(path: str, kind: str) -> dict:
     return out
 
 
-def _policy(params: dict, args) -> StepPolicy:
-    if getattr(args, "tol", None) is not None:
-        return StepPolicy(target_error=args.tol)
-    n = getattr(args, "substeps", None)
-    if n is None:
-        n = params.get("substeps", 8192)
-    return StepPolicy(substeps=n)
+def _policy(params: dict, args) -> StepPolicy | None:
+    """--substeps, else the config's substeps, selects the midpoint
+    integrator; with neither the scenario runs the exact propagator."""
+    n = args.substeps if args.substeps is not None else params.get("substeps")
+    return None if n is None else StepPolicy(substeps=n)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def _write_json(path: Path, obj) -> None:
 class Run:
     """Collects checks and artifacts for one scenario invocation."""
 
-    def __init__(self, kind: str, params: dict, policy: StepPolicy, out: Path):
+    def __init__(self, kind: str, params: dict, policy: StepPolicy | None, out: Path):
         self.kind = kind
         self.params = params
         self.policy = policy
@@ -241,9 +243,9 @@ class Run:
 
     def finish(self) -> int:
         pol = (
-            {"substeps": self.policy.substeps}
-            if self.policy.substeps is not None
-            else {"target_error": self.policy.target_error}
+            {"method": "exact"}
+            if self.policy is None
+            else {"substeps": self.policy.substeps}
         )
         summary = {
             "kind": self.kind,
@@ -268,7 +270,7 @@ class Run:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _run_fields(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_fields(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("fields", params, policy, out)
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     sched = single_loop_schedule(p)
@@ -285,7 +287,7 @@ def _run_fields(params: dict, policy: StepPolicy, out: Path) -> int:
     return run.finish()
 
 
-def _run_evolve(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_evolve(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("evolve", params, policy, out)
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     label = params["label"]
@@ -304,7 +306,7 @@ def _run_evolve(params: dict, policy: StepPolicy, out: Path) -> int:
     return run.finish()
 
 
-def _run_echo(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_echo(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("echo", params, policy, out)
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     label = params["label"]
@@ -333,7 +335,7 @@ def _run_echo(params: dict, policy: StepPolicy, out: Path) -> int:
     return run.finish()
 
 
-def _run_gate(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_gate(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("gate", params, policy, out)
     spec = SingleGateSpec(params["axis_angle"], params["gate_angle"])
     rep = synthesize_single_gate(
@@ -359,7 +361,7 @@ def _run_gate(params: dict, policy: StepPolicy, out: Path) -> int:
     return run.finish()
 
 
-def _run_twoqubit(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_twoqubit(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("twoqubit", params, policy, out)
     p = TwoQubitParams(
         params["omega_i"], params["coupling"], params["omega"], params["omega_pi"]
@@ -381,7 +383,7 @@ def _run_twoqubit(params: dict, policy: StepPolicy, out: Path) -> int:
     return run.finish()
 
 
-def _run_expmap(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_expmap(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("expmap", params, policy, out)
     p = TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
     rep = verify_exp_equivalence(p, policy=policy, field_draws=params["draws"])
@@ -402,7 +404,9 @@ def _run_expmap(params: dict, policy: StepPolicy, out: Path) -> int:
     return run.finish()
 
 
-def _scan_point(theta: float, omega0: float, ratio: float, label: int, policy: StepPolicy):
+def _scan_point(
+    theta: float, omega0: float, ratio: float, label: int, policy: StepPolicy | None
+):
     p = LoopParams(theta=theta, omega=ratio * omega0, omega0=omega0)
     corr = evolve_eigenstate(single_loop_schedule(p), label, policy, samples=64)
     bare = evolve_eigenstate(
@@ -414,7 +418,7 @@ def _scan_point(theta: float, omega0: float, ratio: float, label: int, policy: S
     )
 
 
-def _run_scan(params: dict, policy: StepPolicy, out: Path) -> int:
+def _run_scan(params: dict, policy: StepPolicy | None, out: Path) -> int:
     run = Run("scan", params, policy, out)
     label = params["label"]
     if label not in (0, 1):
@@ -478,14 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(kind, help=f"run the {kind} scenario from a JSON config")
         sp.add_argument("--config", required=True, help="path to the scenario config")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
-        grp = sp.add_mutually_exclusive_group()
-        grp.add_argument(
+        sp.add_argument(
             "--substeps", type=int, default=None,
-            help="override integration substeps per segment",
-        )
-        grp.add_argument(
-            "--tol", type=float, default=None,
-            help="switch to adaptive stepping with this target error",
+            help="run the midpoint integrator with this many substeps per "
+            "segment instead of the exact propagator",
         )
 
     sp = sub.add_parser("verify-all", help="run the full verification suite")
@@ -494,17 +494,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 0 when every check passed, 1 on a failed check, 2 on a bad
+    config or input, 3 on an internal error."""
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
-    if args.command == "verify-all":
-        return _run_verify_all(out)
     try:
-        params = load_config(args.config, args.command)
-        policy = _policy(params, args)
-        return _RUNNERS[args.command](params, policy, out)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.command == "verify-all":
+            return _run_verify_all(out)
+        try:
+            params = load_config(args.config, args.command)
+            return _RUNNERS[args.command](params, _policy(params, args), out)
+        except (ConfigError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    except Exception as exc:  # the process boundary: report, never a traceback
+        _log.debug("%s failed", args.command, exc_info=True)
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,13 +25,8 @@ from .fields import (
     two_qubit_conditional_field,
 )
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
-from .propagate import (
-    StepPolicy,
-    propagate_schedule,
-    _expm_stack,
-    _ordered_product,
-)
-from .qcore import gate_distance, pauli_dot, wrap_angle
+from .propagate import StepPolicy, propagate_schedule, rotating_frame_propagators
+from .qcore import expm_hermitian, gate_distance, pauli_dot, wrap_angle
 from .schedule import (
     SegmentSchedule,
     build_echo_sequence,
@@ -164,6 +159,8 @@ def synthesize_single_gate(
     rotating the whole drive by axis_angle - theta about y, which leaves
     the y pulses untouched. omega sets only the loop rate; the traversal
     orientation is fixed forward so the realized sign matches the target.
+    policy None propagates exactly; StepPolicy(substeps=N) runs the
+    midpoint integrator.
     """
     omega_total = spec.gate_angle
     if not (0.0 < omega_total < 4.0 * np.pi):
@@ -173,8 +170,7 @@ def synthesize_single_gate(
     sched = rotate_schedule(
         build_echo_sequence(loop, omega_pi=omega_pi), spec.axis_angle - theta
     )
-    pol = policy if policy is not None else StepPolicy(substeps=4096)
-    traj = propagate_schedule(sched, policy=pol, samples=16)
+    traj = propagate_schedule(sched, policy=policy, samples=16)
     target = closed_form_single(spec)
     realized = traj.final_propagator
     return SingleGateReport(
@@ -254,11 +250,12 @@ def synthesize_two_qubit_gate(
     diagonal-phase errors after aligning one global phase. The target
     matrix is the closed form conjugated into that eigenbasis, which is
     where this gate lives; it is not a computational-basis diagonal
-    unless omega_i is negligible against the coupling.
+    unless omega_i is negligible against the coupling. policy None
+    propagates exactly; StepPolicy(substeps=N) runs the midpoint
+    integrator.
     """
-    pol = policy if policy is not None else StepPolicy(substeps=8192)
     sched = build_two_qubit_sequence(p)
-    traj = propagate_schedule(sched, policy=pol, samples=16)
+    traj = propagate_schedule(sched, policy=policy, samples=16)
     realized = traj.final_propagator
 
     basis = eigenbasis_matrix(p, 0.0)
@@ -317,7 +314,8 @@ def verify_exp_equivalence(
     while loops run, must match the conditional-model echo. The frame
     term does not commute away pointwise; it cancels over the echo
     because the control flip reverses its sign pairing between the two
-    halves.
+    halves. policy None propagates both echoes exactly;
+    StepPolicy(substeps=N) runs the midpoint integrator.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -330,12 +328,11 @@ def verify_exp_equivalence(
         want = two_qubit_conditional_field(pp, q, t)
         worst = max(worst, float(np.max(np.abs(got - want))))
 
-    pol = policy if policy is not None else StepPolicy(substeps=8192)
     u_cond = propagate_schedule(
-        build_two_qubit_sequence(p), policy=pol, samples=4
+        build_two_qubit_sequence(p), policy=policy, samples=4
     ).final_propagator
     u_exp = propagate_schedule(
-        build_exp_two_qubit_sequence(p, frame_term=True), policy=pol, samples=4
+        build_exp_two_qubit_sequence(p, frame_term=True), policy=policy, samples=4
     ).final_propagator
     return ExpEquivalenceReport(
         params=p,
@@ -345,9 +342,7 @@ def verify_exp_equivalence(
     )
 
 
-def reduced_model_deviation(
-    p: TwoQubitParams, control_field, substeps: int = 4096
-) -> dict:
+def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
     """Exploratory: perturb the echo with a static field on the control
     qubit during the loop segments (pulses stay ideal).
 
@@ -359,28 +354,25 @@ def reduced_model_deviation(
     transverse control field is a different matter: it couples the
     sectors and genuinely degrades the gate. Returns the gate distance to
     the unperturbed echo and the eigenbasis leakage of the perturbed run.
-    Not part of the verified surface; integration here is a plain
-    fixed-step midpoint run.
+    Not part of the verified surface. Both runs are exact: a field on the
+    control commutes with the driven qubit's precession, so the loops keep
+    their rotating-frame closed form.
     """
     sched = build_two_qubit_sequence(p)
     extra = np.kron(np.eye(2), 0.5 * pauli_dot(control_field))
 
-    def run(perturbed: bool) -> np.ndarray:
+    def run(static) -> np.ndarray:
         u = np.eye(4, dtype=complex)
         for seg in sched.segments:
-            if seg.duration == 0.0:
-                continue
-            n = substeps if seg.kind == "two-qubit-loop" else 64
-            dt = seg.duration / n
-            mids = (np.arange(n) + 0.5) * dt
-            hs = seg.generator_batch(mids)
-            if perturbed and seg.kind == "two-qubit-loop":
-                hs = hs + extra
-            u = _ordered_product(_expm_stack(hs, dt)) @ u
+            if seg.kind == "two-qubit-loop":
+                step = rotating_frame_propagators(seg, seg.duration, static)[0]
+            else:
+                step = expm_hermitian(seg.generator(0.0), seg.duration)
+            u = step @ u
         return u
 
-    u_ref = run(False)
-    u_pert = run(True)
+    u_ref = run(None)
+    u_pert = run(extra)
     basis = eigenbasis_matrix(p, 0.0)
     in_eig = basis.conj().T @ u_pert @ basis
     off = in_eig - np.diag(np.diag(in_eig))

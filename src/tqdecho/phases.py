@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, theta_tilde, tqd_correction
-from .propagate import Trajectory, propagate_schedule, StepPolicy, DEFAULT_POLICY
+from .propagate import StepPolicy, Trajectory, propagate_schedule
 from .qcore import expm_hermitian, pauli_dot, wrap_angle
 from .schedule import SegmentSchedule
 
@@ -199,8 +199,7 @@ def _reference_series(traj: Trajectory, label, strict: bool) -> tuple:
         elif seg.kind in _PULSE_KINDS:
             if ref_in is None:
                 raise ValueError("phase analysis needs a schedule that starts with a loop")
-            h = seg.generator(0.0)
-            block = np.stack([expm_hermitian(h, tau) @ ref_in for tau in ts])
+            block = expm_hermitian(seg.generator(0.0), ts) @ ref_in
             seg_labels.append(None)
         else:  # idle
             if ref_in is None:
@@ -215,11 +214,12 @@ def _reference_series(traj: Trajectory, label, strict: bool) -> tuple:
 def evolve_eigenstate(
     s: SegmentSchedule,
     label,
-    policy: StepPolicy = DEFAULT_POLICY,
+    policy: StepPolicy | None = None,
     samples: int = 256,
 ) -> Trajectory:
     """Propagate the schedule starting from the labelled eigenstate of the
-    first loop segment at t=0."""
+    first loop segment at t=0 (exact propagator unless a midpoint policy
+    is given)."""
     first = s.segments[0]
     if first.kind not in _LOOP_KINDS_2 + _LOOP_KINDS_4:
         raise ValueError("schedule must start with a loop segment")

@@ -1,14 +1,33 @@
 """Time evolution of piecewise schedules.
 
-The integrator is a midpoint exponential product: within each segment the
-generator is sampled at substep midpoints and the propagator is the ordered
-product of the exact exponentials exp(-i*H(t_mid)*dt). Each factor is
-unitary, so the product is unitary to machine precision regardless of step
-count, and the scheme is second-order accurate in the step size.
+Two propagators share one interface; `policy` selects between them.
 
-Substeps are reduced in an order-preserving pairwise tree. The reduction
-is deterministic (no threading, fixed association order), so repeated runs
-produce bit-identical propagators.
+Exact (policy=None, the default). Every loop kind is a transverse field
+precessing at a fixed rate omega about an axis n, plus a static part
+along n. With P = n . sigma on the driven qubit (P @ P = 1), the
+generator is H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i*omega*t*P/2),
+and in the frame rotating with the drive it is the static
+K = H(0) - omega*P/2. Hence the closed form
+
+    U(t) = exp(-i*omega*t*P/2) exp(-i*K*t)
+
+(Rabi, Phys. Rev. 51, 652 (1937)): one eigendecomposition of K per
+segment gives U at every sample time at once, with no substeps. The axis
+is z, tilted about y by a single-qubit loop's `rotation`; the exp-loop
+frame term is static and commutes with P, so it stays in K.
+
+Midpoint (StepPolicy(substeps=N)). Within each segment the generator is
+sampled at substep midpoints and the propagator is the ordered product
+of the exact exponentials exp(-i*H(t_mid)*dt). Each factor is unitary, so
+the product is unitary at any step count, and the scheme is second-order
+accurate in the step size. It shares nothing with the exact path but the
+generator, which makes it the independent oracle that the acceptance
+suite and the convergence report run.
+
+Pulses and idles have constant generators and are exponentiated exactly
+under either policy. Substeps are reduced in an order-preserving pairwise
+tree; nothing is threaded and the association order is fixed, so
+repeated runs produce bit-identical propagators.
 """
 from __future__ import annotations
 
@@ -16,50 +35,42 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .qcore import ID2, SIGMA_Z, expm_hermitian, pauli_dot
 from .schedule import Segment, SegmentSchedule
 
 __all__ = [
     "StepPolicy",
-    "DEFAULT_POLICY",
     "Trajectory",
     "ConvergenceReport",
+    "rotating_frame_propagators",
     "propagate_segment",
     "propagate_schedule",
     "convergence_report",
     "trajectory_to_csv",
 ]
 
-_MAX_SUBSTEPS = 2 ** 20
 _CONSTANT_KINDS = ("pi-pulse", "control-flip", "idle")
+_TWO_QUBIT_LOOP_KINDS = ("two-qubit-loop", "exp-loop")
 
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Integration step control. Set exactly one of the two fields.
+    """Midpoint integration with a fixed number of substeps per segment.
 
-    substeps: fixed number of midpoint substeps per segment.
-    target_error: step-doubling ladder; a segment is accepted when the
-        entrywise difference between its propagator at n and 2n substeps
-        falls below this value. Must lie in (0, 1e-3].
+    Pass policy=None instead to use the exact propagator.
     """
 
     substeps: int | None = None
-    target_error: float | None = None
 
     def __post_init__(self):
-        if (self.substeps is None) == (self.target_error is None):
-            raise ValueError("set exactly one of substeps / target_error")
-        if self.substeps is not None and self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        if self.target_error is not None and not (0.0 < self.target_error <= 1e-3):
-            raise ValueError("target_error must lie in (0, 1e-3]")
-
-
-DEFAULT_POLICY = StepPolicy(target_error=1e-10)
+        if self.substeps is None or self.substeps < 1:
+            raise ValueError(
+                "StepPolicy needs substeps >= 1; pass policy=None for the exact propagator"
+            )
 
 
 # ---------------------------------------------------------------------------
-# stacked exponentials
+# midpoint integrator (the oracle)
 # ---------------------------------------------------------------------------
 
 def _expm_stack(h: np.ndarray, dt: float) -> np.ndarray:
@@ -118,15 +129,51 @@ def _round_up(n: int, multiple: int) -> int:
     return ((n + multiple - 1) // multiple) * multiple
 
 
+# ---------------------------------------------------------------------------
+# exact rotating-frame propagator
+# ---------------------------------------------------------------------------
+
+def _precession_axis(seg: Segment) -> np.ndarray:
+    """P = n . sigma on the driven qubit for the axis n the loop drive
+    precesses about; the driven qubit is the first tensor factor."""
+    if seg.kind in _TWO_QUBIT_LOOP_KINDS:
+        return np.kron(SIGMA_Z, ID2)
+    rot = seg.params["rotation"]
+    return pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
+
+
+def rotating_frame_propagators(
+    seg: Segment, ts: np.ndarray, static: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact propagators of a loop segment from its start to each local
+    time in ts, shape (len(ts), dim, dim).
+
+    static is an optional constant Hermitian term added to the generator
+    throughout the segment. It must commute with the precession axis (for
+    example any field on the control qubit of a two-qubit loop), because
+    only then does the rotating-frame closed form still hold.
+    """
+    if seg.kind in _CONSTANT_KINDS:
+        raise ValueError(f"segment kind {seg.kind!r} is not a loop")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    frame = 0.5 * seg.params["omega"] * _precession_axis(seg)
+    h0 = seg.generator(0.0)
+    if static is not None:
+        if np.max(np.abs(static @ frame - frame @ static)) > 1e-12:
+            raise ValueError("static term must commute with the drive's precession axis")
+        h0 = h0 + static
+    return np.matmul(expm_hermitian(frame, ts), expm_hermitian(h0 - frame, ts))
+
+
 def propagate_segment(
-    seg: Segment, policy: StepPolicy = DEFAULT_POLICY, checkpoints: int = 1
+    seg: Segment, policy: StepPolicy | None = None, checkpoints: int = 1
 ) -> tuple:
     """Propagate one segment.
 
     Returns (partials, substeps_used, error_estimate). partials has shape
-    (checkpoints, dim, dim); its last entry is the full segment propagator.
-    error_estimate is the entrywise step-doubling residual, 0.0 for
-    segments integrated exactly, nan in fixed-substep mode.
+    (checkpoints, dim, dim) at equally spaced local times; its last entry
+    is the full segment propagator. Exact segments report error 0.0 and
+    loops on the exact path 0 substeps; midpoint loops report nan.
     """
     if checkpoints < 1:
         raise ValueError("checkpoints must be >= 1")
@@ -134,29 +181,16 @@ def propagate_segment(
         eye = np.broadcast_to(np.eye(seg.dim, dtype=complex), (checkpoints, seg.dim, seg.dim))
         return eye.copy(), 0, 0.0
 
+    ts = seg.duration * np.arange(1, checkpoints + 1) / checkpoints
     if seg.kind in _CONSTANT_KINDS:
-        # constant generator: one exact exponential per checkpoint chunk
-        partials = _segment_partials(seg, checkpoints, checkpoints)
-        return partials, checkpoints, 0.0
+        # constant generator: one exact exponential per checkpoint
+        return expm_hermitian(seg.generator(0.0), ts), checkpoints, 0.0
 
-    if policy.substeps is not None:
-        n = _round_up(max(policy.substeps, checkpoints), checkpoints)
-        return _segment_partials(seg, n, checkpoints), n, float("nan")
+    if policy is None:
+        return rotating_frame_propagators(seg, ts), 0, 0.0
 
-    n = _round_up(max(64, checkpoints), checkpoints)
-    prev = _segment_partials(seg, n, checkpoints)
-    while True:
-        if 2 * n > _MAX_SUBSTEPS:
-            raise RuntimeError(
-                f"step budget exhausted: {n} substeps did not reach "
-                f"target_error={policy.target_error} on segment {seg.label!r}"
-            )
-        n *= 2
-        cur = _segment_partials(seg, n, checkpoints)
-        err = float(np.max(np.abs(cur[-1] - prev[-1])))
-        if err <= policy.target_error:
-            return cur, n, err
-        prev = cur
+    n = _round_up(max(policy.substeps, checkpoints), checkpoints)
+    return _segment_partials(seg, n, checkpoints), n, float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +262,15 @@ def _checkpoint_count(seg: Segment, samples: int) -> int:
 def propagate_schedule(
     s: SegmentSchedule,
     initial_state: np.ndarray | None = None,
-    policy: StepPolicy = DEFAULT_POLICY,
+    policy: StepPolicy | None = None,
     samples: int = 256,
 ) -> Trajectory:
-    """Integrate a schedule and sample its cumulative propagators.
+    """Propagate a schedule and sample its cumulative propagators.
 
-    samples sets the number of checkpoints per driven loop segment (pulses
-    and idles use fewer; the count only affects sampling resolution, not
-    integration accuracy).
+    policy None runs the exact propagator; StepPolicy(substeps=N) runs
+    the midpoint integrator. samples sets the number of checkpoints per
+    driven loop segment (pulses and idles use fewer; the count only
+    affects sampling resolution, not accuracy).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")

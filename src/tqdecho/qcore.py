@@ -82,9 +82,11 @@ def check_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return psi
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
     """exp(-i*h*t) for Hermitian h via eigendecomposition.
 
+    t may be one time or an array of times; an array yields the stack of
+    exponentials with t's shape prepended, from a single eigendecomposition.
     The eigendecomposition route keeps the result unitary to machine
     precision for the small dense matrices used here (dimensions 2 and 4).
 
@@ -98,7 +100,8 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     if defect > 1e-12:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    phase = np.exp(-1j * np.multiply.outer(t, w))
+    return (v * phase[..., None, :]) @ v.conj().T
 
 
 def gate_distance(u: np.ndarray, v: np.ndarray) -> float:

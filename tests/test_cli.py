@@ -219,3 +219,45 @@ def test_verify_all(tmp_path):
     assert all(entry["passed"] for entry in doc)
     names = [entry["index"] for entry in doc]
     assert names == list(range(1, 9))
+
+
+# exact default and exit codes ----------------------------------------------
+
+def test_echo_exact_default_is_deterministic(tmp_path):
+    """Without substeps the echo runs on the exact propagator, passes at a
+    slow loop rate, and writes byte-identical artifacts on a rerun."""
+    cfg = write_config(
+        tmp_path, "echo.json",
+        {"theta": np.pi / 2, "omega": 0.1, "omega0": 1.0, "samples": 128},
+    )
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["echo", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((runs[0] / "summary.json").read_text())
+    assert summary["policy"] == {"method": "exact"}
+    for name in ("summary.json", "trajectory.csv", "phases.json", "gate.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def test_tol_flag_is_gone(tmp_path):
+    cfg = write_config(tmp_path, "f.json", {"theta": 1.0, "omega": 1.0, "omega0": 1.0})
+    with pytest.raises(SystemExit) as exc:
+        main(["fields", "--config", cfg, "--tol", "1e-8"])
+    assert exc.value.code == 2
+
+
+def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    import tqdecho.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("propagator blew up\nsecond line")
+
+    monkeypatch.setitem(cli._RUNNERS, "fields", broken)
+    monkeypatch.setattr(cli, "run_all", broken)
+    cfg = write_config(tmp_path, "f.json", {"theta": 1.0, "omega": 1.0, "omega0": 1.0})
+    for argv in (["fields", "--config", cfg], ["verify-all", "--out", str(tmp_path)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error (RuntimeError): propagator blew up")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -1,39 +1,101 @@
-"""Propagator: step policies, exactness on constant segments, convergence
-order, unitarity, determinism."""
+"""Propagator: the exact rotating-frame path against the midpoint oracle,
+step policies, exactness on constant segments, convergence order,
+unitarity, determinism."""
 import numpy as np
 import pytest
 
-from tqdecho.fields import LoopParams
+from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
     convergence_report,
     propagate_schedule,
+    propagate_segment,
+    rotating_frame_propagators,
     trajectory_to_csv,
 )
-from tqdecho.qcore import SIGMA_Y, expm_hermitian, is_unitary
+from tqdecho.qcore import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, is_unitary
 from tqdecho.schedule import (
     SegmentSchedule,
     build_echo_sequence,
+    build_exp_two_qubit_sequence,
+    exp_loop_segment,
     idle_segment,
+    loop_segment,
     pi_pulse_segment,
+    rotate_schedule,
     single_loop_schedule,
+    two_qubit_loop_segment,
 )
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 LOOP = single_loop_schedule(P)
+P2 = TwoQubitParams(omega_i=1.3, coupling=1.0, omega=0.5)
+
+
+def _loop_cases():
+    cases = []
+    for omega in (0.7, -0.7):
+        lp = LoopParams(theta=1.1, omega=omega, omega0=1.0)
+        cases.append(loop_segment(lp, corrected=True, rotation=0.6))
+        cases.append(loop_segment(lp, corrected=False, rotation=-0.9))
+    for reverse in (False, True):
+        cases.append(two_qubit_loop_segment(P2, reverse=reverse))
+        for frame_term in (True, False):
+            cases.append(exp_loop_segment(P2, reverse=reverse, frame_term=frame_term))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "seg", _loop_cases(),
+    ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
+)
+def test_exact_matches_fine_midpoint(seg):
+    exact, n, err = propagate_segment(seg, None, checkpoints=8)
+    assert (n, err) == (0, 0.0)
+    oracle, _, _ = propagate_segment(seg, StepPolicy(substeps=65536), checkpoints=8)
+    assert np.max(np.abs(exact - oracle)) <= 1e-8
+
+
+def test_exact_unitarity_at_every_sample():
+    schedules = (
+        rotate_schedule(build_echo_sequence(LoopParams(1.1, -0.3, 1.0)), 0.8),
+        build_exp_two_qubit_sequence(P2),
+    )
+    for sched in schedules:
+        us = propagate_schedule(sched).propagators
+        eye = np.eye(sched.dim)
+        defect = np.abs(np.conj(np.swapaxes(us, 1, 2)) @ us - eye)
+        assert np.max(defect) <= 1e-13
+
+
+def test_exact_slow_edge_echo_refocuses_at_defaults():
+    sched = build_echo_sequence(LoopParams(theta=np.pi / 2, omega=0.1, omega0=1.0))
+    dec = echo_phase_decomposition(evolve_eigenstate(sched, 0), 0)
+    assert abs(dec.dynamical) <= 1e-9
+    assert dec.geometric_deviation <= 1e-9
+
+
+def test_exact_two_qubit_exp_echo_at_defaults():
+    sched = build_exp_two_qubit_sequence(P2)
+    dec = echo_phase_decomposition(evolve_eigenstate(sched, (1, 0)), (1, 0))
+    assert abs(dec.dynamical) <= 1e-9
+    assert dec.geometric_deviation <= 1e-9
+
+
+def test_rotating_frame_rejects_bad_inputs():
+    seg = two_qubit_loop_segment(P2)
+    with pytest.raises(ValueError, match="commute"):
+        rotating_frame_propagators(seg, [1.0], static=np.kron(SIGMA_X, ID2))
+    with pytest.raises(ValueError, match="not a loop"):
+        rotating_frame_propagators(pi_pulse_segment(40.0), [0.01])
 
 
 def test_step_policy_validation():
     with pytest.raises(ValueError):
         StepPolicy()
     with pytest.raises(ValueError):
-        StepPolicy(substeps=128, target_error=1e-8)
-    with pytest.raises(ValueError):
         StepPolicy(substeps=0)
-    with pytest.raises(ValueError):
-        StepPolicy(target_error=0.0)
-    with pytest.raises(ValueError):
-        StepPolicy(target_error=1e-2)  # above the allowed ceiling
 
 
 def test_idle_is_identity():
@@ -66,14 +128,6 @@ def test_substeps_round_up_to_checkpoint_multiple():
     traj = propagate_schedule(LOOP, policy=StepPolicy(substeps=65), samples=4)
     n = traj.substeps_used[0]
     assert n >= 65 and n % 4 == 0
-
-
-def test_adaptive_ladder_meets_target():
-    tol = 1e-6
-    traj = propagate_schedule(LOOP, policy=StepPolicy(target_error=tol), samples=2)
-    assert traj.step_errors[0] <= tol
-    n = traj.substeps_used[0]
-    assert n & (n - 1) == 0  # doubling ladder lands on a power of two
 
 
 def test_unitarity_along_trajectory():
@@ -125,10 +179,10 @@ def test_convergence_exact_for_constant_schedule():
 
 
 def test_rerun_is_bit_identical():
-    pol = StepPolicy(substeps=512)
-    a = propagate_schedule(build_echo_sequence(P), policy=pol, samples=16)
-    b = propagate_schedule(build_echo_sequence(P), policy=pol, samples=16)
-    assert a.propagators.tobytes() == b.propagators.tobytes()
+    for pol in (StepPolicy(substeps=512), None):
+        a = propagate_schedule(build_echo_sequence(P), policy=pol, samples=16)
+        b = propagate_schedule(build_echo_sequence(P), policy=pol, samples=16)
+        assert a.propagators.tobytes() == b.propagators.tobytes()
 
 
 def test_trajectory_csv(tmp_path):
