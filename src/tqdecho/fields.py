@@ -15,11 +15,8 @@ Three field families live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
-
-from .qcore import ID2, SIGMA_Z, pauli_dot, tensor_product
 
 __all__ = [
     "LoopParams",
@@ -36,7 +33,6 @@ __all__ = [
     "two_qubit_conditional_field",
     "experimental_params",
     "exp_rotating_field",
-    "build_full_two_qubit_root",
 ]
 
 
@@ -322,31 +318,3 @@ def exp_rotating_field(e: ExpParams, omega: float, q: int, t: float) -> np.ndarr
         transverse * np.sin(wt),
         e.omega_i_prime * np.cos(e.theta_prime) + omega + sign * e.j_zz,
     ])
-
-
-# ---------------------------------------------------------------------------
-# Full two-qubit generator
-# ---------------------------------------------------------------------------
-
-def build_full_two_qubit_root(
-    field_i: Callable[[float], np.ndarray],
-    field_ii: Callable[[float], np.ndarray],
-    coupling: float,
-) -> Callable[[float], np.ndarray]:
-    """Full root generator: per-qubit Zeeman terms plus the Ising coupling.
-
-        H(t) = B_I(t).S x 1 + 1 x B_II(t).S + (J/2) sigma_z x sigma_z
-
-    field_i and field_ii are callables t -> 3-vector (gamma*B in angular
-    frequency units); returns a callable t -> 4x4 Hermitian array.
-    The ordering convention is |ab> with qubit I first, so basis index
-    2a + b; all two-qubit matrices in the package follow it.
-    """
-    zz = 0.5 * coupling * tensor_product(SIGMA_Z, SIGMA_Z)
-
-    def h(t: float) -> np.ndarray:
-        hi = 0.5 * pauli_dot(field_i(t))
-        hii = 0.5 * pauli_dot(field_ii(t))
-        return tensor_product(hi, ID2) + tensor_product(ID2, hii) + zz
-
-    return h

@@ -22,11 +22,14 @@ of the exact exponentials exp(-i*H(t_mid)*dt). Each factor is unitary, so
 the product is unitary at any step count, and the scheme is second-order
 accurate in the step size. It shares nothing with the exact path but the
 generator, which makes it the independent oracle that the acceptance
-suite and the convergence report run.
+suite and the convergence report run. Every loop generator is
+block-diagonal in 2x2 blocks (two-qubit loops in the control basis), so
+each step is a scalar phase times an SU(2) element stored as a real
+quaternion; the steps are multiplied as quaternions and complex matrices
+are built only at the sample times.
 
 Pulses and idles have constant generators and are exponentiated exactly
-under either policy. Substeps are reduced in an order-preserving pairwise
-tree; nothing is threaded and the association order is fixed, so
+under either policy. The association order of every product is fixed, so
 repeated runs produce bit-identical propagators.
 """
 from __future__ import annotations
@@ -73,55 +76,85 @@ class StepPolicy:
 # midpoint integrator (the oracle)
 # ---------------------------------------------------------------------------
 
-def _expm_stack(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i*h*dt) for a stack of Hermitian matrices, shape (n, d, d)."""
-    if h.shape[1] == 2:
-        # Rodrigues form: split off the trace, exponentiate the traceless part.
-        c0 = 0.5 * (h[:, 0, 0] + h[:, 1, 1]).real
-        vx = h[:, 1, 0].real
-        vy = h[:, 1, 0].imag
-        vz = (h[:, 0, 0].real - c0)
-        r = np.sqrt(vx * vx + vy * vy + vz * vz)
-        cos = np.cos(r * dt)
-        safe = np.where(r > 0.0, r, 1.0)
-        snc = np.where(r > 0.0, np.sin(r * dt) / safe, dt)
-        u = np.empty_like(h)
-        u[:, 0, 0] = cos - 1j * snc * vz
-        u[:, 1, 1] = cos + 1j * snc * vz
-        u[:, 0, 1] = -1j * snc * (vx - 1j * vy)
-        u[:, 1, 0] = -1j * snc * (vx + 1j * vy)
-        u *= np.exp(-1j * c0 * dt)[:, None, None]
-        return u
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * w * dt)
-    return np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
+def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product p*q of quaternion arrays, shape (4, ...).
+
+    The quaternion (a, b, c, d) stands for the SU(2) matrix
+    a - i*(b*sx + c*sy + d*sz), so p*q is the matrix product p @ q.
+    """
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return np.stack([
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    ])
 
 
-def _ordered_product(us: np.ndarray) -> np.ndarray:
-    """Product us[-1] @ ... @ us[0] by pairwise tree reduction."""
-    while us.shape[0] > 1:
-        m = us.shape[0] // 2
-        paired = np.matmul(us[1 : 2 * m : 2], us[0 : 2 * m : 2])
-        if us.shape[0] % 2:
-            us = np.concatenate([paired, us[-1:]])
-        else:
-            us = paired
-    return us[0]
+def _step_quaternions(seg: Segment, n: int) -> tuple:
+    """Midpoint steps exp(-i*H(t_mid)*dt) of a loop segment, split into
+    its 2x2 blocks: a dim-2 loop is one block, two-qubit loops are
+    block-diagonal in the control basis (even and odd index pairs).
+
+    Each block h = c0 + v . sigma steps as exp(-i*c0*dt) times the
+    quaternion (cos r*dt, sin(r*dt)/r * v) with r = |v|. Returns the
+    phase angles c0*dt, shape (blocks, n), and the quaternions, shape
+    (4, blocks, n).
+    """
+    dt = seg.duration / n
+    h = seg.generator_batch((np.arange(n) + 0.5) * dt)
+    stride = seg.dim // 2
+    idx = np.arange(seg.dim) % stride
+    if np.any(h[:, idx[:, None] != idx[None, :]]):
+        raise ValueError(f"{seg.kind} generator is not block-diagonal in 2x2 blocks")
+    # block j holds rows and columns j and j + stride; entries as (blocks, n)
+    j = np.arange(stride)
+    h00 = h[:, j, j].T.real
+    h10 = h[:, j + stride, j].T
+    c0 = 0.5 * (h00 + h[:, j + stride, j + stride].T.real)
+    v = np.stack([h10.real, h10.imag, h00 - c0])
+    del h, h00, h10
+    r = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    q = np.empty((4,) + r.shape)
+    np.cos(r * dt, out=q[0])
+    snc = np.divide(np.sin(r * dt), r, out=np.full_like(r, dt), where=r > 0.0)
+    np.multiply(snc, v, out=q[1:])
+    return c0 * dt, q
 
 
 def _segment_partials(seg: Segment, n: int, checkpoints: int) -> np.ndarray:
     """Cumulative propagators from segment start to each of `checkpoints`
     equally spaced interior boundaries (the last one is the segment end).
-    n must be a multiple of checkpoints."""
-    dt = seg.duration / n
-    mids = (np.arange(n) + 0.5) * dt
-    steps = _expm_stack(seg.generator_batch(mids), dt)
-    chunk = n // checkpoints
-    out = np.empty((checkpoints, seg.dim, seg.dim), dtype=complex)
-    acc = np.eye(seg.dim, dtype=complex)
-    for k in range(checkpoints):
-        acc = _ordered_product(steps[k * chunk : (k + 1) * chunk]) @ acc
-        out[k] = acc
+    n must be a multiple of checkpoints.
+
+    The steps of each chunk between checkpoints are multiplied in a
+    pairwise tree, all chunks at once; a doubling prefix scan then turns
+    the chunk products into cumulative ones. Complex matrices are built
+    only for the checkpoint outputs.
+    """
+    phase, q = _step_quaternions(seg, n)
+    blocks = phase.shape[0]
+    q = q.reshape(4, blocks, checkpoints, n // checkpoints)
+    while q.shape[-1] > 1:
+        m = q.shape[-1] // 2
+        paired = _hamilton(q[..., 1 : 2 * m : 2], q[..., 0 : 2 * m : 2])
+        q = np.concatenate([paired, q[..., -1:]], axis=-1) if q.shape[-1] % 2 else paired
+    q = q[..., 0]
+    shift = 1
+    while shift < checkpoints:
+        q[..., shift:] = _hamilton(q[..., shift:], q[..., :-shift])
+        shift *= 2
+    a, b, c, d = q
+    scale = np.exp(-1j * np.cumsum(phase.reshape(blocks, checkpoints, -1).sum(axis=-1), axis=-1))
+    out = np.zeros((checkpoints, seg.dim, seg.dim), dtype=complex)
+    for j in range(blocks):
+        u = out[:, j::blocks, j::blocks]
+        u[:, 0, 0] = a[j] - 1j * d[j]
+        u[:, 0, 1] = -c[j] - 1j * b[j]
+        u[:, 1, 0] = c[j] - 1j * b[j]
+        u[:, 1, 1] = a[j] + 1j * d[j]
+        u *= scale[j, :, None, None]
     return out
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "expm_hermitian",
     "gate_distance",
     "bloch_vector",
-    "density_from_bloch",
     "wrap_angle",
     "is_hermitian",
     "is_unitary",
@@ -130,14 +129,6 @@ def bloch_vector(psi: np.ndarray) -> np.ndarray:
         2 * (a.conjugate() * b).imag,
         abs(a) ** 2 - abs(b) ** 2,
     ])
-
-
-def density_from_bloch(r) -> np.ndarray:
-    """Density matrix (1 + r . sigma) / 2 for |r| <= 1."""
-    r = np.asarray(r, dtype=float)
-    if np.linalg.norm(r) > 1.0 + 1e-12:
-        raise ValueError("Bloch vector must have norm <= 1")
-    return 0.5 * (ID2 + pauli_dot(r))
 
 
 def wrap_angle(x: float) -> float:

@@ -25,6 +25,7 @@ Segment kinds:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,12 +179,52 @@ def _frame_term_diag(omega: float) -> np.ndarray:
 # segments
 # ---------------------------------------------------------------------------
 
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _implied_dim(kind: str, params: dict) -> int:
+    """Check a segment's parameter values and return the dimension they
+    imply. Loop parameters go through LoopParams / TwoQubitParams, so
+    they obey the same ranges as the typed constructors."""
+    for key, value in params.items():
+        if key == "frame_term":
+            if not isinstance(value, bool):
+                raise ValueError(f"frame_term must be a boolean, got {value!r}")
+        elif key == "target":
+            if value not in ("single", "I", "II"):
+                raise ValueError(f'pulse target must be "single", "I" or "II", got {value!r}')
+        elif key == "dim":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"idle dim must be an integer, got {value!r}")
+        else:
+            _check_real(key, value)
+    if kind in _LOOP_KINDS:
+        LoopParams(params["theta"], params["omega"], params["omega0"])
+        return 2
+    if kind in ("two-qubit-loop", "exp-loop"):
+        TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
+        return 4
+    if kind in _PULSE_KINDS:
+        if params["omega_pi"] <= 0.0:
+            raise ValueError("omega_pi must be positive and finite")
+        return 2 if params.get("target") == "single" else 4
+    return params["dim"]  # idle
+
+
 @dataclass(frozen=True)
 class Segment:
     """One schedule segment: a kind, its parameters, and a duration.
 
     The generator is reconstructed from (kind, params) on demand;
     segments with equal fields produce bit-identical generators.
+    Construction rejects parameter values of the wrong type, outside the
+    ranges LoopParams / TwoQubitParams accept, or implying a dimension
+    other than `dim`.
     """
 
     kind: str
@@ -193,17 +234,26 @@ class Segment:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _PARAM_KEYS:
+        if not isinstance(self.kind, str) or self.kind not in _PARAM_KEYS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
         if set(self.params) != _PARAM_KEYS[self.kind]:
             raise ValueError(
                 f"segment kind {self.kind!r} expects parameters "
                 f"{sorted(_PARAM_KEYS[self.kind])}, got {sorted(self.params)}"
             )
-        if self.duration < 0.0 or not np.isfinite(self.duration):
+        _check_real("duration", self.duration)
+        if self.duration < 0.0:
             raise ValueError("segment duration must be finite and >= 0")
         if self.dim not in (2, 4):
             raise ValueError("segment dimension must be 2 or 4")
+        if not isinstance(self.label, str):
+            raise ValueError(f"segment label must be a string, got {self.label!r}")
+        implied = _implied_dim(self.kind, self.params)
+        if implied != self.dim:
+            raise ValueError(
+                f"segment kind {self.kind!r} with these parameters has dimension "
+                f"{implied}, not {self.dim}"
+            )
 
     # -- generators ---------------------------------------------------------
 
@@ -542,19 +592,28 @@ def _expected_duration(kind: str, params: dict, stated: float) -> float:
     return stated  # idle carries its own duration
 
 
+_ENTRY_KEYS = {"kind", "duration", "dim", "label", "params"}
+
+
 def schedule_from_json(text: str) -> SegmentSchedule:
     """Inverse of schedule_to_json, with strict validation.
 
-    Unknown kinds or parameter keys are rejected, and stated durations
-    must match the durations implied by the parameters.
+    Unknown kinds or parameter keys are rejected, parameter values must
+    have the right type and lie in the ranges the typed constructors
+    accept, and stated durations and dimensions must match the ones
+    implied by the parameters.
     """
     doc = json.loads(text)
-    if set(doc) != {"dim", "segments"}:
+    if not isinstance(doc, dict) or set(doc) != {"dim", "segments"}:
         raise ValueError("schedule document must have exactly 'dim' and 'segments'")
+    if not isinstance(doc["segments"], list):
+        raise ValueError("schedule 'segments' must be a list")
     segs = []
     for entry in doc["segments"]:
-        if set(entry) != {"kind", "duration", "dim", "label", "params"}:
-            raise ValueError(f"malformed segment entry: {sorted(entry)}")
+        if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
+            raise ValueError(f"malformed segment entry: {entry!r}")
+        if not isinstance(entry["params"], dict):
+            raise ValueError(f"segment params must be an object, got {entry['params']!r}")
         seg = Segment(
             entry["kind"], entry["duration"], entry["dim"], entry["label"],
             dict(entry["params"]),

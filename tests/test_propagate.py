@@ -8,6 +8,7 @@ from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
+    _segment_partials,
     convergence_report,
     propagate_schedule,
     propagate_segment,
@@ -16,6 +17,7 @@ from tqdecho.propagate import (
 )
 from tqdecho.qcore import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, is_unitary
 from tqdecho.schedule import (
+    Segment,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
@@ -179,10 +181,11 @@ def test_convergence_exact_for_constant_schedule():
 
 
 def test_rerun_is_bit_identical():
-    for pol in (StepPolicy(substeps=512), None):
-        a = propagate_schedule(build_echo_sequence(P), policy=pol, samples=16)
-        b = propagate_schedule(build_echo_sequence(P), policy=pol, samples=16)
-        assert a.propagators.tobytes() == b.propagators.tobytes()
+    for sched in (build_echo_sequence(P), build_exp_two_qubit_sequence(P2)):
+        for pol in (StepPolicy(substeps=512), None):
+            a = propagate_schedule(sched, policy=pol, samples=16)
+            b = propagate_schedule(sched, policy=pol, samples=16)
+            assert a.propagators.tobytes() == b.propagators.tobytes()
 
 
 def test_trajectory_csv(tmp_path):
@@ -200,3 +203,43 @@ def test_trajectory_csv(tmp_path):
     # full precision survives the round trip
     t1 = float(lines[1].split(",")[0])
     assert t1 == traj.times[0]
+
+
+def _dense_midpoint_reference(seg, n, checkpoints):
+    """Sequential product of dense step exponentials, kept at checkpoints."""
+    dt = seg.duration / n
+    acc = np.eye(seg.dim, dtype=complex)
+    out = []
+    for k, h in enumerate(seg.generator_batch((np.arange(n) + 0.5) * dt)):
+        acc = expm_hermitian(h, dt) @ acc
+        if (k + 1) % (n // checkpoints) == 0:
+            out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "seg", _loop_cases(),
+    ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
+)
+def test_midpoint_kernel_matches_dense_reference(seg):
+    # odd chunks, a chunk of one step, and checkpoint counts that are not
+    # powers of two exercise both the pairwise tree and the prefix scan
+    for n, checkpoints in ((1, 1), (7, 7), (60, 12), (96, 3), (4096, 256)):
+        got = _segment_partials(seg, n, checkpoints)
+        ref = _dense_midpoint_reference(seg, n, checkpoints)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_midpoint_kernel_rejects_coupled_blocks():
+    class Coupled(Segment):
+        def generator_batch(self, ts):
+            h = super().generator_batch(ts)
+            h[:, 0, 1] += 0.1
+            h[:, 1, 0] += 0.1
+            return h
+
+    seg = two_qubit_loop_segment(P2)
+    coupled = Coupled(seg.kind, seg.duration, seg.dim, seg.label, seg.params)
+    with pytest.raises(ValueError, match="block-diagonal"):
+        propagate_segment(coupled, StepPolicy(substeps=8))

@@ -186,6 +186,35 @@ def test_json_rejects_unknown_kind():
         schedule_from_json(json.dumps(doc))
 
 
+ECHO = build_echo_sequence(P)
+EXP_ECHO = build_exp_two_qubit_sequence(P2)
+
+
+@pytest.mark.parametrize(
+    "sched, segment, key, value, match",
+    [
+        (ECHO, 0, "theta", "1.0", "finite real number"),
+        (ECHO, 0, "theta", 9.0, "theta must lie in"),
+        (ECHO, 0, "omega0", -5.0, "omega0 must be positive"),
+        (ECHO, 0, "omega0", float("nan"), "finite real number"),
+        (ECHO, 1, "dim", 4, "has dimension 4, not 2"),
+        (ECHO, 2, "target", 3, "pulse target"),
+        (EXP_ECHO, 0, "frame_term", 1, "frame_term must be a boolean"),
+    ],
+    ids=[
+        "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan", "idle-dim",
+        "target-not-string", "frame-term-not-bool",
+    ],
+)
+def test_json_rejects_bad_parameter_values(sched, segment, key, value, match):
+    import json
+
+    doc = json.loads(schedule_to_json(sched))
+    doc["segments"][segment]["params"][key] = value
+    with pytest.raises(ValueError, match=match):
+        schedule_from_json(json.dumps(doc))
+
+
 def test_field_timeline_and_csv(tmp_path):
     s = build_echo_sequence(P)
     data = field_timeline(s, samples_per_segment=8)
