@@ -13,6 +13,7 @@ rather than ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -40,6 +41,7 @@ from .phases import (
 from .propagate import StepPolicy, trajectory_to_csv
 from .qcore import gate_distance
 from .schedule import (
+    _write_csv,
     build_echo_sequence,
     field_timeline,
     single_loop_schedule,
@@ -202,10 +204,6 @@ def _policy(params: dict, args) -> StepPolicy | None:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _matrix(u: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
@@ -277,11 +275,8 @@ def _run_fields(params: dict, policy: StepPolicy | None, out: Path) -> int:
     data = field_timeline(sched, params["samples"])
     mag = np.linalg.norm(data[:, 1:], axis=1)
     expected = tqd_field_magnitude(p)
-    path = run.artifact("fields.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("t,Bx,By,Bz,Bmag\n")
-        for row, m in zip(data, mag):
-            fh.write(",".join(_fmt(v) for v in (*row, m)) + "\n")
+    header = ("t", "Bx", "By", "Bz", "Bmag")
+    _write_csv(run.artifact("fields.csv"), header, [*data.T, mag])
     run.check("field_magnitude_drift", float(np.max(np.abs(mag - expected))), 1e-9)
     run.notes["expected_magnitude"] = expected
     return run.finish()
@@ -432,15 +427,15 @@ def _run_scan(params: dict, policy: StepPolicy | None, out: Path) -> int:
             for r in ratios
         ]
         results = [f.result() for f in futures]  # submission order, deterministic
-    path = run.artifact("scan.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("ratio,min_fidelity_corrected,min_fidelity_uncorrected\n")
-        for r, (fc, fu) in zip(ratios, results):
-            fh.write(f"{_fmt(r)},{_fmt(fc)},{_fmt(fu)}\n")
+    _write_csv(
+        run.artifact("scan.csv"),
+        ("ratio", "min_fidelity_corrected", "min_fidelity_uncorrected"),
+        [ratios, *zip(*results)],
+    )
     worst = max(1.0 - fc for fc, _ in results)
     run.check("tracking_infidelity_worst", worst, 1e-7)
     run.notes["uncorrected_min_fidelities"] = {
-        _fmt(r): fu for r, (_, fu) in zip(ratios, results)
+        f"{r:.17g}": fu for r, (_, fu) in zip(ratios, results)
     }
     return run.finish()
 
@@ -470,6 +465,7 @@ _RUNNERS = {
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tqdecho",

@@ -93,8 +93,8 @@ class TwoQubitParams:
             raise ValueError("omega must be finite and nonzero")
         if self.omega_pi is None:
             object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
-        if self.omega_pi <= 0.0:
-            raise ValueError("omega_pi must be positive")
+        if self.omega_pi <= 0.0 or not np.isfinite(self.omega_pi):
+            raise ValueError("omega_pi must be positive and finite")
 
     @property
     def period(self) -> float:

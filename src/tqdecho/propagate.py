@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .qcore import ID2, SIGMA_Z, expm_hermitian, pauli_dot
-from .schedule import Segment, SegmentSchedule
+from .schedule import Segment, SegmentSchedule, _write_csv
 
 __all__ = [
     "StepPolicy",
@@ -376,36 +376,25 @@ def convergence_report(s: SegmentSchedule, base_substeps: int = 64) -> Convergen
     return ConvergenceReport(base_substeps, d12, d24, float(np.log2(d12 / d24)), False)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def trajectory_to_csv(traj: Trajectory, path, extra_columns: dict | None = None) -> None:
-    """Write sampled states (or propagator columns if no state is attached)
-    to CSV. extra_columns maps header names to arrays aligned with the
-    trajectory samples."""
+    """Write the samples to CSV: columns t,segment,label, then the real
+    and imaginary part of each state amplitude if a state is attached,
+    then extra_columns, which maps header names to arrays aligned with
+    the trajectory samples."""
     extra = extra_columns or {}
     for name, arr in extra.items():
         if len(arr) != len(traj.times):
             raise ValueError(f"extra column {name!r} has wrong length")
     headers = ["t", "segment", "label"]
-    dim = traj.schedule.dim
+    columns = [
+        traj.times,
+        traj.segment_index,
+        np.asarray(traj.schedule.labels())[traj.segment_index],
+    ]
     if traj.states is not None:
-        for k in range(dim):
+        for k in range(traj.schedule.dim):
             headers += [f"re_psi{k}", f"im_psi{k}"]
+            columns += [traj.states[:, k].real, traj.states[:, k].imag]
     headers += list(extra)
-    labels = traj.schedule.labels()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in range(len(traj.times)):
-            cells = [
-                _fmt(traj.times[row]),
-                str(int(traj.segment_index[row])),
-                labels[traj.segment_index[row]],
-            ]
-            if traj.states is not None:
-                for k in range(dim):
-                    amp = traj.states[row, k]
-                    cells += [_fmt(amp.real), _fmt(amp.imag)]
-            cells += [_fmt(extra[name][row]) for name in extra]
-            fh.write(",".join(cells) + "\n")
+    columns += [np.asarray(arr, dtype=float) for arr in extra.values()]
+    _write_csv(path, headers, columns)

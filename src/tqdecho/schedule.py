@@ -662,8 +662,26 @@ def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.nda
     return np.vstack(rows)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_CSV_SPECS = {"f": "%.17g", "i": "%d", "U": "%s"}
+_CSV_CHUNK = 512
+
+
+def _write_csv(path, header: Sequence[str], columns) -> None:
+    """Write equal-length columns as CSV rows below `header`.
+
+    Float columns print at 17 significant digits ("%.17g" % x is the
+    routine behind format(x, ".17g")), integer columns as %d and string
+    columns as they are. Each row is one % on a line template, taken a
+    chunk of rows at a time, so there is no Python call per cell and no
+    string holding the whole file.
+    """
+    cols = [np.asarray(c) for c in columns]
+    line = ",".join(_CSV_SPECS[c.dtype.kind] for c in cols) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(cols[0]), _CSV_CHUNK):
+            rows = zip(*[c[i : i + _CSV_CHUNK].tolist() for c in cols])
+            fh.writelines(map(line.__mod__, rows))
 
 
 def write_field_timeline_csv(
@@ -671,8 +689,4 @@ def write_field_timeline_csv(
 ) -> None:
     """CSV with header t,Bx,By,Bz; floats at full precision for
     reproducible diffs."""
-    data = field_timeline(s, samples_per_segment)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,Bx,By,Bz\n")
-        for row in data:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, ("t", "Bx", "By", "Bz"), field_timeline(s, samples_per_segment).T)

@@ -53,6 +53,12 @@ def test_two_qubit_params_defaults():
     assert p.reversed().omega == -0.5
 
 
+@pytest.mark.parametrize("omega_pi", [0.0, -1.0, float("nan"), float("inf")])
+def test_two_qubit_params_reject_bad_omega_pi(omega_pi):
+    with pytest.raises(ValueError, match="omega_pi must be positive and finite"):
+        TwoQubitParams(omega_i=1.0, coupling=2.0, omega=0.5, omega_pi=omega_pi)
+
+
 def test_exp_params_accepts_acute_and_obtuse_tilts():
     ExpParams(j_xz=-0.25, j_zz=1.0, theta_prime=1.8, omega_i_prime=1.0)
     ExpParams(j_xz=0.25, j_zz=1.0, theta_prime=1.3, omega_i_prime=1.0)
