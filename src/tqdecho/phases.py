@@ -24,7 +24,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams, theta_tilde, tqd_correction
 from .propagate import StepPolicy, Trajectory, propagate_schedule
 from .qcore import expm_hermitian, pauli_dot, wrap_angle
-from .schedule import SegmentSchedule
+from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule
 
 __all__ = [
     "LABELS4",
@@ -48,10 +48,6 @@ __all__ = [
 
 # label order for the two-qubit eigenbasis: (energy label p, control q)
 LABELS4 = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-_LOOP_KINDS_2 = ("tqd-loop", "root-loop")
-_LOOP_KINDS_4 = ("two-qubit-loop", "exp-loop")
-_PULSE_KINDS = ("pi-pulse", "control-flip")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +131,7 @@ def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _segment_eigvec_batch(seg, label, ts: np.ndarray) -> np.ndarray:
-    if seg.kind in _LOOP_KINDS_2:
+    if seg.dim == 2:
         return _loop_eigvec_batch(
             seg.params["theta"], seg.params["omega"], label, ts,
             seg.params.get("rotation", 0.0),
@@ -159,8 +155,7 @@ def _reference_series(traj: Trajectory, label, strict: bool) -> tuple:
     sched = traj.schedule
     dim = sched.dim
     first = sched.segments[0]
-    loop_kinds = _LOOP_KINDS_2 + _LOOP_KINDS_4
-    if first.kind not in loop_kinds:
+    if first.kind not in _LOOP_KINDS:
         raise ValueError("phase analysis needs a schedule that starts with a loop")
     if dim == 2 and not isinstance(label, (int, np.integer)):
         raise ValueError("single-qubit label must be an int")
@@ -174,7 +169,7 @@ def _reference_series(traj: Trajectory, label, strict: bool) -> tuple:
     for i, seg in enumerate(sched.segments):
         rows = traj.segment_rows(i)
         ts = local[rows]
-        if seg.kind in loop_kinds:
+        if seg.kind in _LOOP_KINDS:
             if ref_in is None:
                 detected = label
                 eta = 0.0
@@ -221,7 +216,7 @@ def evolve_eigenstate(
     first loop segment at t=0 (exact propagator unless a midpoint policy
     is given)."""
     first = s.segments[0]
-    if first.kind not in _LOOP_KINDS_2 + _LOOP_KINDS_4:
+    if first.kind not in _LOOP_KINDS:
         raise ValueError("schedule must start with a loop segment")
     if s.dim == 4:
         label = tuple(label)
@@ -394,7 +389,7 @@ def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
     (-1)^(p+q)*2*delta_omega for the two-qubit echo, both modulo 2*pi.
     """
     s = traj.schedule
-    loops = [seg for seg in s.segments if seg.kind in _LOOP_KINDS_2 + _LOOP_KINDS_4]
+    loops = [seg for seg in s.segments if seg.kind in _LOOP_KINDS]
     if not loops:
         raise ValueError("schedule contains no loop segments")
     first = loops[0]

@@ -21,12 +21,13 @@ sampled at substep midpoints and the propagator is the ordered product
 of the exact exponentials exp(-i*H(t_mid)*dt). Each factor is unitary, so
 the product is unitary at any step count, and the scheme is second-order
 accurate in the step size. It shares nothing with the exact path but the
-generator, which makes it the independent oracle that the acceptance
-suite and the convergence report run. Every loop generator is
-block-diagonal in 2x2 blocks (two-qubit loops in the control basis), so
-each step is a scalar phase times an SU(2) element stored as a real
-quaternion; the steps are multiplied as quaternions and complex matrices
-are built only at the sample times.
+drive formulas, which makes it the independent oracle that the
+acceptance suite and the convergence report run. Every loop generator is
+block-diagonal in 2x2 blocks (two-qubit loops in the control basis), and
+the steps read that real block form, Segment.block_fields, directly: no
+dense generator is built. Each step is a scalar phase times an SU(2)
+element stored as a real quaternion; the steps are multiplied as
+quaternions and complex matrices are built only at the sample times.
 
 Pulses and idles have constant generators and are exponentiated exactly
 under either policy. The association order of every product is fixed, so
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .qcore import ID2, SIGMA_Z, expm_hermitian, pauli_dot
-from .schedule import Segment, SegmentSchedule, _write_csv
+from .schedule import _LOOP_KINDS, Segment, SegmentSchedule, _write_csv
 
 __all__ = [
     "StepPolicy",
@@ -51,10 +52,6 @@ __all__ = [
     "convergence_report",
     "trajectory_to_csv",
 ]
-
-_CONSTANT_KINDS = ("pi-pulse", "control-flip", "idle")
-_TWO_QUBIT_LOOP_KINDS = ("two-qubit-loop", "exp-loop")
-
 
 @dataclass(frozen=True)
 class StepPolicy:
@@ -77,25 +74,25 @@ class StepPolicy:
 # ---------------------------------------------------------------------------
 
 def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product p*q of quaternion arrays, shape (4, ...).
+    """Hamilton product p*q of quaternion arrays of equal shape (4, ...).
 
     The quaternion (a, b, c, d) stands for the SU(2) matrix
     a - i*(b*sx + c*sy + d*sz), so p*q is the matrix product p @ q.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
-    return np.stack([
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ])
+    out = np.empty(p.shape)
+    out[0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+    out[1] = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+    out[2] = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+    out[3] = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+    return out
 
 
 def _step_quaternions(seg: Segment, n: int) -> tuple:
-    """Midpoint steps exp(-i*H(t_mid)*dt) of a loop segment, split into
-    its 2x2 blocks: a dim-2 loop is one block, two-qubit loops are
-    block-diagonal in the control basis (even and odd index pairs).
+    """Midpoint steps exp(-i*H(t_mid)*dt) of a loop segment, one per 2x2
+    block of its generator, read from Segment.block_fields; no dense
+    generator is built.
 
     Each block h = c0 + v . sigma steps as exp(-i*c0*dt) times the
     quaternion (cos r*dt, sin(r*dt)/r * v) with r = |v|. Returns the
@@ -103,18 +100,7 @@ def _step_quaternions(seg: Segment, n: int) -> tuple:
     (4, blocks, n).
     """
     dt = seg.duration / n
-    h = seg.generator_batch((np.arange(n) + 0.5) * dt)
-    stride = seg.dim // 2
-    idx = np.arange(seg.dim) % stride
-    if np.any(h[:, idx[:, None] != idx[None, :]]):
-        raise ValueError(f"{seg.kind} generator is not block-diagonal in 2x2 blocks")
-    # block j holds rows and columns j and j + stride; entries as (blocks, n)
-    j = np.arange(stride)
-    h00 = h[:, j, j].T.real
-    h10 = h[:, j + stride, j].T
-    c0 = 0.5 * (h00 + h[:, j + stride, j + stride].T.real)
-    v = np.stack([h10.real, h10.imag, h00 - c0])
-    del h, h00, h10
+    c0, v = seg.block_fields((np.arange(n) + 0.5) * dt)
     r = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     q = np.empty((4,) + r.shape)
     np.cos(r * dt, out=q[0])
@@ -169,7 +155,7 @@ def _round_up(n: int, multiple: int) -> int:
 def _precession_axis(seg: Segment) -> np.ndarray:
     """P = n . sigma on the driven qubit for the axis n the loop drive
     precesses about; the driven qubit is the first tensor factor."""
-    if seg.kind in _TWO_QUBIT_LOOP_KINDS:
+    if seg.dim == 4:
         return np.kron(SIGMA_Z, ID2)
     rot = seg.params["rotation"]
     return pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
@@ -186,7 +172,7 @@ def rotating_frame_propagators(
     example any field on the control qubit of a two-qubit loop), because
     only then does the rotating-frame closed form still hold.
     """
-    if seg.kind in _CONSTANT_KINDS:
+    if seg.kind not in _LOOP_KINDS:
         raise ValueError(f"segment kind {seg.kind!r} is not a loop")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     frame = 0.5 * seg.params["omega"] * _precession_axis(seg)
@@ -215,7 +201,7 @@ def propagate_segment(
         return eye.copy(), 0, 0.0
 
     ts = seg.duration * np.arange(1, checkpoints + 1) / checkpoints
-    if seg.kind in _CONSTANT_KINDS:
+    if seg.kind not in _LOOP_KINDS:
         # constant generator: one exact exponential per checkpoint
         return expm_hermitian(seg.generator(0.0), ts), checkpoints, 0.0
 
@@ -287,7 +273,7 @@ class Trajectory:
 def _checkpoint_count(seg: Segment, samples: int) -> int:
     if seg.duration == 0.0:
         return 1
-    if seg.kind in _CONSTANT_KINDS:
+    if seg.kind not in _LOOP_KINDS:
         return min(16, samples)
     return samples
 

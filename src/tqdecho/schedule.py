@@ -3,7 +3,9 @@
 A schedule is an ordered list of segments. Each segment is defined by a
 `kind` plus a small JSON-serializable parameter dict, from which its
 generator (the Hamiltonian, in angular-frequency units) is reconstructed
-deterministically. Keeping segments parametric rather than storing bare
+deterministically. Every loop generator is defined once, in its real 2x2
+block form (Segment.block_fields); the dense generators pack that form
+and the midpoint oracle reads it directly. Keeping segments parametric rather than storing bare
 callables makes schedules serializable and makes geometric operations
 (axis rotation, orientation reversal) exact parameter updates.
 
@@ -54,7 +56,7 @@ __all__ = [
     "write_field_timeline_csv",
 ]
 
-_LOOP_KINDS = ("tqd-loop", "root-loop")
+_LOOP_KINDS = ("tqd-loop", "root-loop", "two-qubit-loop", "exp-loop")
 _PULSE_KINDS = ("pi-pulse", "control-flip")
 _PARAM_KEYS = {
     "tqd-loop": {"theta", "omega", "omega0", "rotation"},
@@ -68,7 +70,7 @@ _PARAM_KEYS = {
 
 
 # ---------------------------------------------------------------------------
-# batch field / generator assembly
+# loop block fields / generator assembly
 # ---------------------------------------------------------------------------
 
 def _rotation_y(angle: float) -> np.ndarray:
@@ -76,84 +78,68 @@ def _rotation_y(angle: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def _pack_su2(fields: np.ndarray) -> np.ndarray:
-    """(n, 3) real field rows -> (n, 2, 2) Hamiltonians 0.5 * field . sigma."""
-    n = fields.shape[0]
-    h = np.empty((n, 2, 2), dtype=complex)
-    bx, by, bz = fields[:, 0], fields[:, 1], fields[:, 2]
-    h[:, 0, 0] = 0.5 * bz
-    h[:, 1, 1] = -0.5 * bz
-    h[:, 0, 1] = 0.5 * (bx - 1j * by)
-    h[:, 1, 0] = 0.5 * (bx + 1j * by)
-    return h
+def _block_amplitudes(kind: str, params: dict, corrected: bool) -> tuple:
+    """Per-block (transverse, vz, c0) of a loop generator: block j is
+    c0_j + (transverse_j cos wt, transverse_j sin wt, vz_j) . sigma.
+    Two-qubit loops have the control sectors q = 0, 1 as their blocks.
 
-
-def _pack_conditional(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
-    """Assemble control-conditioned blocks into (n, 4, 4).
-
-    Basis order |ab> = 2a + b with the driven qubit first, so the control
-    sectors q=0 / q=1 occupy the even / odd index pairs.
+    A block without a scalar term has c0 = -0.0, the exact additive
+    identity, so c0 +- vz is +-vz to the sign of a zero.
     """
-    n = h0.shape[0]
-    h = np.zeros((n, 4, 4), dtype=complex)
-    h[:, ::2, ::2] = h0
-    h[:, 1::2, 1::2] = h1
-    return h
-
-
-def _loop_field_batch(params: dict, ts: np.ndarray, corrected: bool) -> np.ndarray:
-    theta, omega, omega0 = params["theta"], params["omega"], params["omega0"]
-    s, c = np.sin(theta), np.cos(theta)
-    wt = omega * ts
-    if corrected:
-        transverse = (omega0 - omega * c) * s
-        bz = omega0 * c + omega * s * s
-    else:
-        transverse = omega0 * s
-        bz = omega0 * c
-    out = np.empty((ts.size, 3))
-    out[:, 0] = transverse * np.cos(wt)
-    out[:, 1] = transverse * np.sin(wt)
-    out[:, 2] = bz
-    rot = params.get("rotation", 0.0)
-    if rot != 0.0:
-        out = out @ _rotation_y(rot).T
-    return out
-
-
-def _conditional_field_batch(
-    params: dict, ts: np.ndarray, q: int, corrected: bool
-) -> np.ndarray:
+    if kind in ("tqd-loop", "root-loop"):
+        theta, omega, omega0 = params["theta"], params["omega"], params["omega0"]
+        s, c = np.sin(theta), np.cos(theta)
+        if corrected and kind == "tqd-loop":
+            transverse, bz = (omega0 - omega * c) * s, omega0 * c + omega * s * s
+        else:
+            transverse, bz = omega0 * s, omega0 * c
+        return ((0.5 * transverse, 0.5 * bz, -0.0),)
     omega_i, coupling, omega = params["omega_i"], params["coupling"], params["omega"]
-    sign = 1 - 2 * q
-    rabi = np.hypot(omega_i, coupling)
-    s, c = omega_i / rabi, coupling / rabi
-    wt = omega * ts
-    if corrected:
-        transverse = omega_i - sign * omega * s * c
-        bz = sign * coupling + omega * s * s
+    if kind == "exp-loop" and corrected:
+        e = experimental_params(TwoQubitParams(omega_i, coupling, omega))
+        sectors = [
+            (e.omega_i_prime * np.sin(e.theta_prime) + g * e.j_xz,
+             e.omega_i_prime * np.cos(e.theta_prime) + omega + g * e.j_zz)
+            for g in (1, -1)
+        ]
+    elif corrected:
+        rabi = np.hypot(omega_i, coupling)
+        s, c = omega_i / rabi, coupling / rabi
+        sectors = [(omega_i - g * omega * s * c, g * coupling + omega * s * s) for g in (1, -1)]
     else:
-        transverse = omega_i
-        bz = sign * coupling
-    out = np.empty((ts.size, 3))
-    out[:, 0] = transverse * np.cos(wt)
-    out[:, 1] = transverse * np.sin(wt)
-    out[:, 2] = bz
-    return out
+        sectors = [(omega_i, coupling), (omega_i, -coupling)]
+    # the exp-loop frame term omega * (1 x Sz) is +-omega/2 on the sectors
+    c0 = (0.5 * omega, -0.5 * omega) if params.get("frame_term") else (-0.0, -0.0)
+    return tuple(
+        (0.5 * transverse, 0.5 * bz, c) for (transverse, bz), c in zip(sectors, c0)
+    )
 
 
-def _exp_field_batch(params: dict, ts: np.ndarray, q: int) -> np.ndarray:
-    p = TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
-    e = experimental_params(p)
-    sign = 1 - 2 * q
-    transverse = e.omega_i_prime * np.sin(e.theta_prime) + sign * e.j_xz
-    bz = e.omega_i_prime * np.cos(e.theta_prime) + p.omega + sign * e.j_zz
-    wt = p.omega * ts
-    out = np.empty((ts.size, 3))
-    out[:, 0] = transverse * np.cos(wt)
-    out[:, 1] = transverse * np.sin(wt)
-    out[:, 2] = bz
-    return out
+def _pack_blocks(c0: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Block fields -> (n, dim, dim) Hamiltonians with block j on rows and
+    columns j and j + blocks.
+
+    Each entry kind of the blocks (h00, h11, the real or the imaginary
+    part of h01, h10) is a run with stride dim + 1 in the flattened
+    matrices, so each is written as one slice of a float view. The parts
+    vx -+ 0*vy and 0 -+ vy are those of vx -+ 1j*vy, signed zeros included.
+    """
+    blocks, n = c0.shape
+    dim = 2 * blocks
+    step = 2 * (dim + 1)
+    # float offsets of h11, h01 and h10 of block 0 (h00 is at 0)
+    h11, up, lo = blocks * step, 2 * blocks, 2 * blocks * dim
+    h = np.zeros((n, dim * dim), dtype=complex)
+    f = h.view(float).T
+    vx, vy, vz = v
+    zero = 0.0 * vy
+    np.add(c0, vz, out=f[:h11:step])
+    np.subtract(c0, vz, out=f[h11::step])
+    np.subtract(vx, zero, out=f[up:lo:step])
+    np.subtract(0.0, vy, out=f[up + 1 : lo : step])
+    np.add(vx, zero, out=f[lo::step])
+    np.add(0.0, vy, out=f[lo + 1 :: step])
+    return h.reshape(n, dim, dim)
 
 
 def _constant_pulse(params: dict, kind: str) -> np.ndarray:
@@ -168,11 +154,6 @@ def _constant_pulse(params: dict, kind: str) -> np.ndarray:
     if target == "II":
         return 0.5 * omega_pi * np.kron(ID2, SIGMA_Y)
     raise ValueError(f"unknown pulse target {target!r}")
-
-
-def _frame_term_diag(omega: float) -> np.ndarray:
-    # omega * (1 x Sz) in the |ab> ordering: diag(+, -, +, -) * omega/2
-    return 0.5 * omega * np.array([1.0, -1.0, 1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +184,10 @@ def _implied_dim(kind: str, params: dict) -> int:
                 raise ValueError(f"idle dim must be an integer, got {value!r}")
         else:
             _check_real(key, value)
-    if kind in _LOOP_KINDS:
+    if "theta" in params:
         LoopParams(params["theta"], params["omega"], params["omega0"])
         return 2
-    if kind in ("two-qubit-loop", "exp-loop"):
+    if "omega_i" in params:
         TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
         return 4
     if kind in _PULSE_KINDS:
@@ -257,26 +238,40 @@ class Segment:
 
     # -- generators ---------------------------------------------------------
 
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of a loop generator at the given local times.
+
+        Returns (c0, v), c0 of shape (blocks, len(ts)) and v of shape
+        (3, blocks, len(ts)): block j of the generator is
+        c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
+        dim-2 loop is one block; two-qubit loops are block-diagonal in the
+        control basis, sector q on the index pair (q, q + 2).
+        corrected=False drops the transitionless correction.
+        """
+        if self.kind not in _LOOP_KINDS:
+            raise ValueError(f"segment kind {self.kind!r} is not a loop")
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        amps = _block_amplitudes(self.kind, self.params, corrected)
+        wt = self.params["omega"] * ts
+        cos, sin = np.cos(wt), np.sin(wt)
+        c0 = np.empty((len(amps), ts.size))
+        v = np.empty((3,) + c0.shape)
+        for j, (transverse, vz, c) in enumerate(amps):
+            np.multiply(transverse, cos, out=v[0, j])
+            np.multiply(transverse, sin, out=v[1, j])
+            v[2, j] = vz
+            c0[j] = c
+        rot = self.params.get("rotation", 0.0)
+        if rot != 0.0:
+            v = (_rotation_y(rot) @ v[:, 0])[:, None]
+        return c0, v
+
     def generator_batch(self, ts: np.ndarray) -> np.ndarray:
         """Hamiltonians at the given local times, shape (len(ts), dim, dim)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         k = self.kind
         if k in _LOOP_KINDS:
-            return _pack_su2(_loop_field_batch(self.params, ts, k == "tqd-loop"))
-        if k == "two-qubit-loop":
-            return _pack_conditional(
-                _pack_su2(_conditional_field_batch(self.params, ts, 0, True)),
-                _pack_su2(_conditional_field_batch(self.params, ts, 1, True)),
-            )
-        if k == "exp-loop":
-            h = _pack_conditional(
-                _pack_su2(_exp_field_batch(self.params, ts, 0)),
-                _pack_su2(_exp_field_batch(self.params, ts, 1)),
-            )
-            if self.params["frame_term"]:
-                idx = np.arange(4)
-                h[:, idx, idx] += _frame_term_diag(self.params["omega"])
-            return h
+            return _pack_blocks(*self.block_fields(ts))
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if k in _PULSE_KINDS:
             return np.broadcast_to(
                 _constant_pulse(self.params, k), (ts.size, self.dim, self.dim)
@@ -287,24 +282,8 @@ class Segment:
     def root_generator_batch(self, ts: np.ndarray) -> np.ndarray:
         """Uncorrected Hamiltonians: loops drop their transitionless
         correction; pulses and idles are their own root."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        k = self.kind
-        if k in _LOOP_KINDS:
-            return _pack_su2(_loop_field_batch(self.params, ts, False))
-        if k == "two-qubit-loop":
-            return _pack_conditional(
-                _pack_su2(_conditional_field_batch(self.params, ts, 0, False)),
-                _pack_su2(_conditional_field_batch(self.params, ts, 1, False)),
-            )
-        if k == "exp-loop":
-            h = _pack_conditional(
-                _pack_su2(_conditional_field_batch(self.params, ts, 0, False)),
-                _pack_su2(_conditional_field_batch(self.params, ts, 1, False)),
-            )
-            if self.params["frame_term"]:
-                idx = np.arange(4)
-                h[:, idx, idx] += _frame_term_diag(self.params["omega"])
-            return h
+        if self.kind in _LOOP_KINDS:
+            return _pack_blocks(*self.block_fields(ts, corrected=False))
         return self.generator_batch(ts)
 
     def generator(self, t: float) -> np.ndarray:
@@ -320,7 +299,7 @@ class Segment:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         k = self.kind
         if k in _LOOP_KINDS:
-            return _loop_field_batch(self.params, ts, k == "tqd-loop")
+            return 2.0 * self.block_fields(ts)[1][:, 0].T
         if k == "pi-pulse":
             out = np.zeros((ts.size, 3))
             out[:, 1] = self.params["omega_pi"]
@@ -585,7 +564,7 @@ def schedule_to_json(s: SegmentSchedule, indent: int = 2) -> str:
 
 
 def _expected_duration(kind: str, params: dict, stated: float) -> float:
-    if kind in _LOOP_KINDS or kind in ("two-qubit-loop", "exp-loop"):
+    if kind in _LOOP_KINDS:
         return 2.0 * np.pi / abs(params["omega"])
     if kind in _PULSE_KINDS:
         return np.pi / params["omega_pi"]

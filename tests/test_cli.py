@@ -205,6 +205,12 @@ def test_rejects_domain_errors_with_config_exit(tmp_path):
         tmp_path, "d.json", {"axis_angle": 0.0, "gate_angle": 0.0}
     )
     assert main(["gate", "--config", cfg]) == 2
+    # scan points run serially, but a nonpositive worker count stays a bad config
+    cfg = write_config(
+        tmp_path, "w.json",
+        {"kind": "scan", "theta": THETA, "omega0": 1.0, "ratios": [1.0], "workers": 0},
+    )
+    assert main(["scan", "--config", cfg]) == 2
 
 
 def test_missing_config_file(tmp_path):
