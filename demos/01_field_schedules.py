@@ -9,21 +9,20 @@ import numpy as np
 from tqdecho import (
     LoopParams,
     build_echo_sequence,
-    root_field,
-    tqd_correction,
-    tqd_field,
     tqd_field_magnitude,
     write_field_timeline_csv,
 )
+from tqdecho.schedule import loop_segment
 
 p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 
 print("== root drive and correction ==")
 print(f"cone angle {p.theta:.4f} rad, loop rate {p.omega}, root magnitude {p.omega0}")
-for t in np.linspace(0.0, p.period, 5):
-    b0 = root_field(p, t)
-    bc = tqd_correction(p, t)
-    bt = tqd_field(p, t)
+ts = np.linspace(0.0, p.period, 5)
+roots = loop_segment(p, corrected=False).field_batch(ts)
+totals = loop_segment(p).field_batch(ts)
+for t, b0, bt in zip(ts, roots, totals):
+    bc = bt - b0
     print(
         f"t={t:6.3f}  root=({b0[0]:+.3f},{b0[1]:+.3f},{b0[2]:+.3f})"
         f"  corr=({bc[0]:+.3f},{bc[1]:+.3f},{bc[2]:+.3f})"

@@ -14,25 +14,17 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_vector,
     expm_hermitian,
     gate_distance,
-    tensor_product,
     wrap_angle,
 )
 from .fields import (
     ExpParams,
     LoopParams,
     TwoQubitParams,
-    delta_field,
     experimental_params,
-    exp_rotating_field,
-    root_field,
     theta_tilde,
-    tqd_correction,
-    tqd_field,
     tqd_field_magnitude,
-    two_qubit_conditional_field,
 )
 from .schedule import (
     Segment,
@@ -63,23 +55,19 @@ from .phases import (
     dynamical_phase,
     echo_phase_decomposition,
     evolve_eigenstate,
-    instantaneous_eigenvectors,
     loop_phase_decomposition,
     solid_angle,
     total_phase,
     tracking_fidelity,
-    two_qubit_eigenvectors,
 )
 from .gates import (
     ExpEquivalenceReport,
     SingleGateReport,
     SingleGateSpec,
     TwoQubitGateReport,
-    TwoQubitGateSpec,
     UniversalityReport,
     closed_form_echo_gate,
     closed_form_single,
-    closed_form_two_qubit,
     reduced_model_deviation,
     synthesize_single_gate,
     synthesize_two_qubit_gate,

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    LoopParams,
-    TwoQubitParams,
-    experimental_params,
-    exp_rotating_field,
-    two_qubit_conditional_field,
-)
+from .fields import LoopParams, TwoQubitParams
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
 from .propagate import StepPolicy, propagate_schedule, rotating_frame_propagators
 from .qcore import expm_hermitian, gate_distance, pauli_dot, wrap_angle
@@ -32,23 +26,22 @@ from .schedule import (
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
+    exp_loop_segment,
     rotate_schedule,
+    two_qubit_loop_segment,
 )
 
 __all__ = [
     "SingleGateSpec",
-    "TwoQubitGateSpec",
     "SingleGateReport",
     "TwoQubitGateReport",
     "UniversalityReport",
     "ExpEquivalenceReport",
     "closed_form_single",
     "closed_form_echo_gate",
-    "closed_form_two_qubit",
     "synthesize_single_gate",
     "synthesize_two_qubit_gate",
     "universality_check",
-    "experimental_params",
     "verify_exp_equivalence",
     "reduced_model_deviation",
 ]
@@ -63,17 +56,6 @@ class SingleGateSpec:
     gate_angle: float
 
 
-@dataclass(frozen=True)
-class TwoQubitGateSpec:
-    """Conditional phase gate: the driven qubit acquires
-    exp(+/- i * 2*delta_omega * (n_q . sigma)) depending on the control,
-    with per-sector axes n_q at polar angles axis_angle_q0 / axis_angle_q1."""
-
-    delta_omega: float
-    axis_angle_q0: float = 0.0
-    axis_angle_q1: float = 0.0
-
-
 def _axis(angle: float) -> np.ndarray:
     return np.array([np.sin(angle), 0.0, np.cos(angle)])
 
@@ -83,40 +65,6 @@ def closed_form_single(spec: SingleGateSpec) -> np.ndarray:
     the gate angle."""
     n_sigma = pauli_dot(_axis(spec.axis_angle))
     return np.cos(spec.gate_angle) * np.eye(2) - 1j * np.sin(spec.gate_angle) * n_sigma
-
-
-def closed_form_two_qubit(
-    spec: TwoQubitGateSpec, allow_general_basis: bool = False
-) -> np.ndarray:
-    """Block form A x P0 + B x P1 with A = exp(+2i*ph*(n0.sigma)) and
-    B = exp(-2i*ph*(n1.sigma)).
-
-    With both axis angles zero this is the computational-basis diagonal
-    diag(e^{2i ph}, e^{-2i ph}, e^{-2i ph}, e^{2i ph}). For nonzero axis
-    angles the matrix mixes computational states of the driven qubit; the
-    echo realizes that structure in its conditional eigenbasis, not the
-    computational one, so requesting it as a computational-basis target is
-    almost always a mistake. Pass allow_general_basis=True after reading
-    synthesize_two_qubit_gate to get it anyway.
-    """
-    if not allow_general_basis and (
-        spec.axis_angle_q0 != 0.0 or spec.axis_angle_q1 != 0.0
-    ):
-        raise ValueError(
-            "nonzero axis angles describe a gate in the conditional "
-            "eigenbasis; set allow_general_basis=True if a computational-"
-            "basis matrix of that form is really wanted"
-        )
-    ph = spec.delta_omega
-    a = _rodrigues(+2.0 * ph, spec.axis_angle_q0)
-    b = _rodrigues(-2.0 * ph, spec.axis_angle_q1)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return np.kron(a, p0) + np.kron(b, p1)
-
-
-def _rodrigues(angle: float, axis_angle: float) -> np.ndarray:
-    return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * pauli_dot(_axis(axis_angle))
 
 
 def closed_form_echo_gate(p: LoopParams) -> np.ndarray:
@@ -306,10 +254,11 @@ def verify_exp_equivalence(
 ) -> ExpEquivalenceReport:
     """Check the static-coupling realization against the conditional model.
 
-    Field level: on random (orientation, control, time) draws, the
-    rotating-frame field of the mapped parameters must reproduce the
-    conditional corrected field exactly; the map is algebraic, so the
-    deviation is rounding-level. Gate level: the full echo run from the
+    Field level: on random (orientation, control, time) draws, the exp-loop
+    field of the mapped parameters must reproduce the two-qubit loop's
+    root field plus its Berry correction, the two fields the propagator
+    simulates; the map is algebraic, so the deviation (in field units) is
+    rounding-level. Gate level: the full echo run from the
     mapped parameters, including the control-frame term omega*(1 x Sz)
     while loops run, must match the conditional-model echo. The frame
     term does not commute away pointwise; it cancels over the echo
@@ -318,15 +267,19 @@ def verify_exp_equivalence(
     StepPolicy(substeps=N) runs the midpoint integrator.
     """
     rng = np.random.default_rng(seed)
+    draws = np.array([
+        (rng.integers(2), rng.integers(2), rng.uniform(0.0, p.period))
+        for _ in range(field_draws)
+    ]).reshape(-1, 3)
     worst = 0.0
-    for _ in range(field_draws):
-        pp = p if rng.integers(2) == 0 else p.reversed()
-        q = int(rng.integers(2))
-        t = float(rng.uniform(0.0, pp.period))
-        e = experimental_params(pp)
-        got = exp_rotating_field(e, pp.omega, q, t)
-        want = two_qubit_conditional_field(pp, q, t)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    for reverse in (False, True):
+        _, q, ts = draws[draws[:, 0] == reverse].T
+        got = exp_loop_segment(p, reverse).block_fields(ts)[1]
+        want = two_qubit_loop_segment(p, reverse).block_fields(ts)[1]
+        at = (slice(None), q.astype(int), np.arange(ts.size))
+        # block fields are half the field
+        dev = 2.0 * np.abs(got[at] - want[at])
+        worst = max(worst, float(np.max(dev, initial=0.0)))
 
     u_cond = propagate_schedule(
         build_two_qubit_sequence(p), policy=policy, samples=4

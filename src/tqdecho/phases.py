@@ -21,18 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, theta_tilde, tqd_correction
+from .fields import LoopParams, TwoQubitParams, theta_tilde
 from .propagate import StepPolicy, Trajectory, propagate_schedule
-from .qcore import expm_hermitian, pauli_dot, wrap_angle
-from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule
+from .qcore import PAULI, expm_hermitian, wrap_angle
+from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, loop_segment
 
 __all__ = [
     "LABELS4",
     "PhaseDecomposition",
-    "instantaneous_eigenvectors",
     "loop_eigenvector",
     "two_qubit_eigenvector",
-    "two_qubit_eigenvectors",
     "eigenbasis_matrix",
     "evolve_eigenstate",
     "tracking_fidelity",
@@ -41,7 +39,6 @@ __all__ = [
     "loop_phase_decomposition",
     "echo_phase_decomposition",
     "solid_angle",
-    "conditional_solid_angles",
     "delta_omega",
     "correction_energy_check",
 ]
@@ -90,12 +87,6 @@ def loop_eigenvector(
     return _loop_eigvec_batch(p.theta, p.omega, label, np.array([float(t)]), rotation)[0]
 
 
-def instantaneous_eigenvectors(p: LoopParams, t: float) -> tuple:
-    """Both eigenvectors of the uncorrected drive at time t, in the smooth
-    gauge used throughout the package."""
-    return loop_eigenvector(p, 0, t), loop_eigenvector(p, 1, t)
-
-
 def _cond_eigvec_batch(
     p: TwoQubitParams, label: tuple, ts: np.ndarray
 ) -> np.ndarray:
@@ -115,10 +106,6 @@ def two_qubit_eigenvector(p: TwoQubitParams, label: tuple, t: float) -> np.ndarr
     """phi_{p,q}(t): the driven qubit's eigenvector for the cone selected
     by control state q, tensored with |q>."""
     return _cond_eigvec_batch(p, label, np.array([float(t)]))[0]
-
-
-def two_qubit_eigenvectors(p: TwoQubitParams, t: float) -> dict:
-    return {label: two_qubit_eigenvector(p, label, t) for label in LABELS4}
 
 
 def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
@@ -245,8 +232,8 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
     """Minus the integrated expectation of the reference generator.
 
     root selects what is integrated: "root" (default) uses each segment's
-    uncorrected generator, "full" uses the complete generator including
-    corrections, or pass a callable t -> Hamiltonian on absolute time.
+    uncorrected generator, "full" the complete generator including
+    corrections.
     """
     if traj.states is None:
         raise ValueError("attach an initial state before computing phases")
@@ -257,14 +244,12 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
         ts = local[rows]
         if ts.size < 2:
             continue
-        if callable(root):
-            hs = np.stack([root(t) for t in traj.times[rows]])
-        elif root == "root":
+        if root == "root":
             hs = seg.root_generator_batch(ts)
         elif root == "full":
             hs = seg.generator_batch(ts)
         else:
-            raise ValueError('root must be "root", "full" or a callable')
+            raise ValueError('root must be "root" or "full"')
         psi = traj.states[rows]
         expect = np.einsum("ni,nij,nj->n", psi.conj(), hs, psi).real
         total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
@@ -343,12 +328,6 @@ def solid_angle(theta: float) -> float:
     return float(2.0 * np.pi * (1.0 - np.cos(theta)))
 
 
-def conditional_solid_angles(p: TwoQubitParams) -> tuple:
-    """Solid angles of the two control-conditioned cones."""
-    tt = theta_tilde(p)
-    return solid_angle(tt), solid_angle(np.pi - tt)
-
-
 def delta_omega(p: TwoQubitParams) -> float:
     """Half the difference of the conditional solid angles,
     2*pi*J/sqrt(omega_i^2+J^2). Sets the conditional phase of the echo."""
@@ -417,13 +396,13 @@ def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
 
 def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
     """Largest |<phi_p|H_correction|phi_p>| over one loop period and both
-    labels. The correction never shifts the tracked level's energy, so
-    this should vanish to rounding."""
+    labels, with H_correction the corrected minus the root generator. The
+    correction never shifts the tracked level's energy, so this should
+    vanish to rounding."""
     ts = np.linspace(0.0, p.period, n_samples)
-    worst = 0.0
-    for t in ts:
-        hc = 0.5 * pauli_dot(tqd_correction(p, t))
-        for label in (0, 1):
-            v = loop_eigenvector(p, label, t)
-            worst = max(worst, abs(np.vdot(v, hc @ v).real))
-    return float(worst)
+    seg = loop_segment(p)
+    v = seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1]
+    hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)
+    vecs = np.stack([_loop_eigvec_batch(p.theta, p.omega, label, ts) for label in (0, 1)])
+    energies = np.einsum("lni,nij,lnj->ln", vecs.conj(), hc, vecs).real
+    return float(np.max(np.abs(energies), initial=0.0))

@@ -1,5 +1,5 @@
 """Small dense spin-system linear algebra: Pauli matrices, exact Hermitian
-matrix exponentials, tensor products, and gate/state metrics.
+matrix exponentials, and gate metrics.
 
 Everything works on plain complex numpy arrays. hbar = 1 throughout; all
 energies are angular frequencies.
@@ -14,17 +14,11 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "PAULI",
-    "ket",
-    "basis_state",
     "pauli_dot",
-    "tensor_product",
     "expm_hermitian",
     "gate_distance",
-    "bloch_vector",
     "wrap_angle",
-    "is_hermitian",
     "is_unitary",
-    "check_state",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -36,49 +30,15 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _ALLOWED_DIMS = (2, 4)
 
 
-def ket(*amplitudes) -> np.ndarray:
-    """Column state from amplitudes, normalized."""
-    v = np.asarray(amplitudes, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("zero vector cannot be normalized")
-    return v / n
-
-def basis_state(index: int, dim: int = 2) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def pauli_dot(vec) -> np.ndarray:
     """vec . sigma for a real 3-vector (Hermitian 2x2)."""
     v = np.asarray(vec, dtype=float)
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; first argument is the first tensor factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
     d = m.shape[0]
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(d))) <= tol)
-
-
-def check_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a state vector: dim 2 or 4, unit norm within tol."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.shape[0] not in _ALLOWED_DIMS:
-        raise ValueError(f"state must be a vector of dimension 2 or 4, got shape {psi.shape}")
-    n = np.linalg.norm(psi)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state norm {n} deviates from 1 by more than {tol}")
-    return psi
 
 
 def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
@@ -116,19 +76,6 @@ def gate_distance(u: np.ndarray, v: np.ndarray) -> float:
     d = u.shape[0]
     # |trace| can exceed d by rounding for near-identical unitaries
     return max(0.0, float(1.0 - abs(np.trace(u.conj().T @ v)) / d))
-
-
-def bloch_vector(psi: np.ndarray) -> np.ndarray:
-    """Bloch vector (<sx>, <sy>, <sz>) of a single-qubit pure state."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("bloch_vector takes a single-qubit state")
-    a, b = psi
-    return np.array([
-        2 * (a.conjugate() * b).real,
-        2 * (a.conjugate() * b).imag,
-        abs(a) ** 2 - abs(b) ** 2,
-    ])
 
 
 def wrap_angle(x: float) -> float:

@@ -5,9 +5,13 @@ A schedule is an ordered list of segments. Each segment is defined by a
 generator (the Hamiltonian, in angular-frequency units) is reconstructed
 deterministically. Every loop generator is defined once, in its real 2x2
 block form (Segment.block_fields); the dense generators pack that form
-and the midpoint oracle reads it directly. Keeping segments parametric rather than storing bare
-callables makes schedules serializable and makes geometric operations
-(axis rotation, orientation reversal) exact parameter updates.
+and the midpoint oracle reads it directly. A corrected loop is its root
+drive plus the transitionless correction b x db/dt, derived with Berry's
+formula for a field precessing about z (_berry_corrected); the exp-loop
+takes its field from the static-coupling map instead. Keeping segments
+parametric rather than storing bare callables makes schedules
+serializable and makes geometric operations (axis rotation, orientation
+reversal) exact parameter updates.
 
 Segment kinds:
 
@@ -78,40 +82,54 @@ def _rotation_y(angle: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
+def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
+    """Root field (transverse, 0, bz) plus its transitionless correction
+    b x db/dt (Berry, J. Phys. A 42, 365303 (2009)), as (transverse, bz).
+
+    For a root field precessing rigidly about z at rate omega,
+    b x db/dt = omega (z - (z.b) b) with b = root / |root|. The rule
+    commutes with rotations about z, so correcting the field at wt = 0,
+    where it lies in the xz plane, corrects it at every t.
+    """
+    r = math.hypot(transverse, bz)
+    b_x, b_z = transverse / r, bz / r
+    return transverse - omega * (b_z * b_x), bz + omega * (1.0 - b_z * b_z)
+
+
 def _block_amplitudes(kind: str, params: dict, corrected: bool) -> tuple:
     """Per-block (transverse, vz, c0) of a loop generator: block j is
-    c0_j + (transverse_j cos wt, transverse_j sin wt, vz_j) . sigma.
-    Two-qubit loops have the control sectors q = 0, 1 as their blocks.
+    c0_j + (transverse_j cos wt, transverse_j sin wt, vz_j) . sigma, half
+    the field seen by the driven qubit. Two-qubit loops have the control
+    sectors q = 0, 1 as their blocks.
 
-    A block without a scalar term has c0 = -0.0, the exact additive
-    identity, so c0 +- vz is +-vz to the sign of a zero.
+    Corrected tqd-loop and two-qubit-loop fields are their root fields
+    plus the Berry correction; root-loop is never corrected. The exp-loop
+    field comes from experimental_params, the realization that criterion
+    7 checks against the corrected two-qubit loop. A block without a
+    scalar term has c0 = -0.0, the exact additive identity, so c0 +- vz
+    is +-vz to the sign of a zero.
     """
+    omega = params["omega"]
     if kind in ("tqd-loop", "root-loop"):
-        theta, omega, omega0 = params["theta"], params["omega"], params["omega0"]
-        s, c = np.sin(theta), np.cos(theta)
-        if corrected and kind == "tqd-loop":
-            transverse, bz = (omega0 - omega * c) * s, omega0 * c + omega * s * s
-        else:
-            transverse, bz = omega0 * s, omega0 * c
-        return ((0.5 * transverse, 0.5 * bz, -0.0),)
-    omega_i, coupling, omega = params["omega_i"], params["coupling"], params["omega"]
-    if kind == "exp-loop" and corrected:
+        theta, omega0 = params["theta"], params["omega0"]
+        fields = [(omega0 * np.sin(theta), omega0 * np.cos(theta))]
+        corrected = corrected and kind == "tqd-loop"
+    else:
+        omega_i, coupling = params["omega_i"], params["coupling"]
+        fields = [(omega_i, coupling), (omega_i, -coupling)]
+    if corrected and kind == "exp-loop":
         e = experimental_params(TwoQubitParams(omega_i, coupling, omega))
-        sectors = [
+        fields = [
             (e.omega_i_prime * np.sin(e.theta_prime) + g * e.j_xz,
              e.omega_i_prime * np.cos(e.theta_prime) + omega + g * e.j_zz)
             for g in (1, -1)
         ]
     elif corrected:
-        rabi = np.hypot(omega_i, coupling)
-        s, c = omega_i / rabi, coupling / rabi
-        sectors = [(omega_i - g * omega * s * c, g * coupling + omega * s * s) for g in (1, -1)]
-    else:
-        sectors = [(omega_i, coupling), (omega_i, -coupling)]
+        fields = [_berry_corrected(transverse, bz, omega) for transverse, bz in fields]
     # the exp-loop frame term omega * (1 x Sz) is +-omega/2 on the sectors
     c0 = (0.5 * omega, -0.5 * omega) if params.get("frame_term") else (-0.0, -0.0)
     return tuple(
-        (0.5 * transverse, 0.5 * bz, c) for (transverse, bz), c in zip(sectors, c0)
+        (0.5 * transverse, 0.5 * bz, c) for (transverse, bz), c in zip(fields, c0)
     )
 
 

@@ -1,27 +1,73 @@
 """Field construction: root drive, counterdiabatic correction, conditional
-two-qubit fields, and the static-coupling parameter map."""
+two-qubit fields, and the static-coupling parameter map.
+
+The fields are read from Segment.block_fields / field_batch, the one
+definition the propagator simulates; the closed forms they must match
+live here as references."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqdecho.fields import (
     ExpParams,
     LoopParams,
     TwoQubitParams,
-    conditional_root_field,
-    delta_field,
     experimental_params,
-    exp_rotating_field,
-    field_direction,
-    root_field,
     theta_tilde,
-    tqd_correction,
-    tqd_field,
     tqd_field_magnitude,
-    two_qubit_conditional_field,
+)
+from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
+from tqdecho.schedule import (
+    SegmentSchedule,
+    exp_loop_segment,
+    loop_segment,
+    two_qubit_loop_segment,
 )
 
 SEED = 20260816
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
+
+
+def _correction(seg, ts):
+    """Corrected minus root field of every block, shape (3, blocks, n)."""
+    return 2.0 * (seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1])
+
+
+def _fd_correction(seg, ts, h=1e-3):
+    """b x db/dt of every block's root field direction b, by central
+    differences with step halving until two steps agree to 1e-9 |omega|.
+    Independent of the Berry rule the package applies."""
+    def direction(t):
+        v = seg.block_fields(t, corrected=False)[1]
+        return v / np.linalg.norm(v, axis=0)
+
+    def estimate(step):
+        return np.cross(b, (direction(ts + step) - direction(ts - step)) / (2.0 * step), axis=0)
+
+    b = direction(ts)
+    tol = 1e-9 * abs(seg.params["omega"])
+    prev = estimate(h)
+    for _ in range(24):
+        h *= 0.5
+        cur = estimate(h)
+        if np.max(np.abs(cur - prev)) <= tol:
+            return cur
+        prev = cur
+    raise AssertionError("finite-difference correction did not stabilize")
+
+
+def _cone_correction(p: LoopParams, ts):
+    """Closed form of b x db/dt on the cone, rows (n, 3)."""
+    s, c, wt = np.sin(p.theta), np.cos(p.theta), p.omega * ts
+    return p.omega * s * np.column_stack([-c * np.cos(wt), -c * np.sin(wt), np.full_like(ts, s)])
+
+
+def _rotated(angle, fields):
+    """Rotate field rows (n, 3) by `angle` about y."""
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = fields.T
+    return np.column_stack([c * x + s * z, y, -s * x + c * z])
 
 
 # parameter containers ------------------------------------------------------
@@ -71,77 +117,65 @@ def test_exp_params_accepts_acute_and_obtuse_tilts():
 # single-qubit fields --------------------------------------------------------
 
 def test_root_field_at_origin():
-    b = root_field(P, 0.0)
+    b = loop_segment(P, corrected=False).field_batch(0.0)[0]
     assert np.allclose(b, [np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
 
 
 def test_root_field_magnitude_constant():
     ts = np.linspace(0.0, P.period, 17)
-    mags = [np.linalg.norm(root_field(P, t)) for t in ts]
+    mags = np.linalg.norm(loop_segment(P, corrected=False).field_batch(ts), axis=1)
     assert np.allclose(mags, P.omega0)
 
 
 def test_correction_formula():
-    """b0 x (db0/dt) for the precessing cone, in closed form."""
+    """Corrected minus root field is b0 x (db0/dt) for the precessing cone."""
     rng = np.random.default_rng(SEED)
-    for t in rng.uniform(0.0, P.period, size=8):
-        c = tqd_correction(P, t)
-        s, co, w = np.sin(P.theta), np.cos(P.theta), P.omega
-        expected = w * s * np.array(
-            [-co * np.cos(w * t), -co * np.sin(w * t), s]
-        )
-        assert np.allclose(c, expected, atol=1e-12)
+    ts = rng.uniform(0.0, P.period, size=8)
+    got = _correction(loop_segment(P), ts)[:, 0].T
+    assert np.allclose(got, _cone_correction(P, ts), atol=1e-12)
 
 
 def test_correction_numeric_matches_analytic():
-    """Passing the direction as a bare callable exercises the finite
-    difference path; it must land on the closed form."""
-    def direction(t):
-        return field_direction(P, t)
-
+    """The finite-difference oracle of the Berry-rule property below lands
+    on the closed form."""
     rng = np.random.default_rng(SEED)
-    for t in rng.uniform(0.0, P.period, size=5):
-        numeric = tqd_correction(direction, t)
-        analytic = tqd_correction(P, t)
-        assert np.allclose(numeric, analytic, atol=1e-6)
-
-
-def test_correction_rejects_unnormalized_direction():
-    with pytest.raises(ValueError):
-        tqd_correction(lambda t: np.array([2.0, 0.0, 0.0]), 0.3)
+    ts = rng.uniform(0.0, P.period, size=5)
+    numeric = _fd_correction(loop_segment(P), ts)[:, 0].T
+    assert np.allclose(numeric, _cone_correction(P, ts), atol=1e-8)
 
 
 def test_tqd_field_components():
-    t = 0.77
-    total = tqd_field(P, t)
-    assert np.allclose(total, root_field(P, t) + tqd_correction(P, t), atol=1e-14)
+    t = np.array([0.77])
+    total = loop_segment(P).field_batch(t)
+    root = loop_segment(P, corrected=False).field_batch(t)
+    assert np.allclose(total, root + _cone_correction(P, t), atol=1e-14)
     # z component is time independent
     z = P.omega0 * np.cos(P.theta) + P.omega * np.sin(P.theta) ** 2
-    assert np.isclose(total[2], z)
+    assert np.isclose(total[0, 2], z)
 
 
 def test_tqd_field_magnitude():
     expected = np.sqrt(P.omega0**2 + (P.omega * np.sin(P.theta)) ** 2)
     assert np.isclose(tqd_field_magnitude(P), expected)
     ts = np.linspace(0.0, P.period, 13)
-    mags = [np.linalg.norm(tqd_field(P, t)) for t in ts]
+    mags = np.linalg.norm(loop_segment(P).field_batch(ts), axis=1)
     assert np.allclose(mags, expected)
     # reversing the loop leaves the magnitude unchanged (even in omega)
     assert np.isclose(tqd_field_magnitude(P.reversed()), expected)
 
 
 def test_delta_field_between_orientations():
-    """Forward minus reversed total field, directly and via the formula."""
+    """Forward minus reversed corrected field at the same local time is
+    2 sin(theta) (-omega cos(theta) cos(wt), omega0 sin(wt), omega sin(theta)):
+    replaying the forward waveform does not produce the reversed loop."""
     rng = np.random.default_rng(SEED)
-    rev = P.reversed()
-    for t in rng.uniform(0.0, P.period, size=6):
-        direct = tqd_field(P, t) - tqd_field(rev, t)
-        assert np.allclose(delta_field(P, t), direct, atol=1e-12)
-        s, co, w = np.sin(P.theta), np.cos(P.theta), P.omega
-        formula = 2.0 * s * np.array(
-            [-w * co * np.cos(w * t), P.omega0 * np.sin(w * t), w * s]
-        )
-        assert np.allclose(delta_field(P, t), formula, atol=1e-12)
+    ts = rng.uniform(0.0, P.period, size=6)
+    direct = loop_segment(P).field_batch(ts) - loop_segment(P.reversed()).field_batch(ts)
+    s, co, w = np.sin(P.theta), np.cos(P.theta), P.omega
+    formula = 2.0 * s * np.column_stack(
+        [-w * co * np.cos(w * ts), P.omega0 * np.sin(w * ts), np.full_like(ts, w * s)]
+    )
+    assert np.allclose(direct, formula, atol=1e-12)
 
 
 # conditional two-qubit fields ----------------------------------------------
@@ -153,21 +187,20 @@ def test_theta_tilde_square_coupling():
 
 def test_conditional_root_field_sectors():
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
-    b0 = conditional_root_field(p, 0, 0.0)
-    b1 = conditional_root_field(p, 1, 0.0)
-    assert np.allclose(b0, [1.0, 0.0, 1.0])
-    assert np.allclose(b1, [1.0, 0.0, -1.0])  # control flips the static part
+    v = two_qubit_loop_segment(p).block_fields(0.0, corrected=False)[1]
+    assert np.allclose(2.0 * v[:, 0, 0], [1.0, 0.0, 1.0])
+    assert np.allclose(2.0 * v[:, 1, 0], [1.0, 0.0, -1.0])  # control flips the static part
 
 
 def test_conditional_corrected_field_magnitudes():
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
     rng = np.random.default_rng(SEED)
+    ts = rng.uniform(0.0, p.period, size=4)
+    v = two_qubit_loop_segment(p).block_fields(ts)[1]
     for q in (0, 1):
         tt = theta_tilde(p) if q == 0 else np.pi - theta_tilde(p)
         expected = np.sqrt(p.rabi**2 + (p.omega * np.sin(tt)) ** 2)
-        for t in rng.uniform(0.0, p.period, size=4):
-            b = two_qubit_conditional_field(p, q, t)
-            assert np.isclose(np.linalg.norm(b), expected)
+        assert np.allclose(2.0 * np.linalg.norm(v[:, q], axis=0), expected)
 
 
 def test_experimental_params_frozen_example():
@@ -187,10 +220,76 @@ def test_experimental_params_frozen_example():
 def test_exp_rotating_field_equals_conditional_field():
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
     rng = np.random.default_rng(SEED)
-    for params, omega in ((p, p.omega), (p.reversed(), -p.omega)):
-        e = experimental_params(params)
-        for q in (0, 1):
-            for t in rng.uniform(0.0, p.period, size=4):
-                lhs = exp_rotating_field(e, omega, q, t)
-                rhs = two_qubit_conditional_field(params, q, t)
-                assert np.allclose(lhs, rhs, atol=1e-12)
+    for reverse in (False, True):
+        ts = rng.uniform(0.0, p.period, size=4)
+        lhs = exp_loop_segment(p, reverse).block_fields(ts)[1]
+        rhs = two_qubit_loop_segment(p, reverse).block_fields(ts)[1]
+        assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# the Berry rule across the parameter space ----------------------------------
+
+@st.composite
+def _drawn_drives(draw):
+    """A corrected single-qubit loop (cone angle, signed rate, omega0,
+    rotation) and a two-qubit loop pair (omega_i / J in [0.01, 100], rabi
+    rate omega0, the same signed rate), each in a drawn orientation, plus
+    sample times and an eigenstate label k of LABELS4 (k % 2 on one qubit)."""
+    omega0 = 10.0 ** draw(st.floats(-1.0, 1.0))
+    rate = draw(st.sampled_from([-1.0, 1.0])) * omega0 * 10.0 ** draw(st.floats(-1.0, 1.0))
+    reverse = draw(st.booleans())
+    p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=rate, omega0=omega0)
+    loop = loop_segment(p.reversed() if reverse else p, rotation=draw(st.floats(-np.pi, np.pi)))
+    ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
+    p2 = TwoQubitParams(
+        omega0 * ratio / np.hypot(ratio, 1.0), omega0 / np.hypot(ratio, 1.0), rate
+    )
+    ts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))) * p.period
+    k = draw(st.integers(0, 3))
+    return loop, two_qubit_loop_segment(p2, reverse), exp_loop_segment(p2, reverse), ts, k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_drawn_drives())
+def test_corrections_follow_berry_formula(drives):
+    loop, cond, exp, ts, k = drives
+    omega = loop.params["omega"]
+
+    # (a) corrected minus root fields are b x db/dt of the root direction
+    for seg in (loop, cond):
+        assert np.max(np.abs(_correction(seg, ts) - _fd_correction(seg, ts))) <= 1e-8 * abs(omega)
+
+    # (b) the hand-coded closed forms of the corrected fields
+    theta, omega0 = loop.params["theta"], loop.params["omega0"]
+    s, c, wt = np.sin(theta), np.cos(theta), omega * ts
+    transverse = (omega0 - omega * c) * s
+    cone = np.column_stack([
+        transverse * np.cos(wt), transverse * np.sin(wt), np.full_like(ts, omega0 * c + omega * s * s)
+    ])
+    want = _rotated(loop.params["rotation"], cone)
+    assert np.max(np.abs(loop.field_batch(ts) - want)) <= 1e-12 * (omega0 + abs(omega))
+
+    omega_i, coupling = cond.params["omega_i"], cond.params["coupling"]
+    rabi = np.hypot(omega_i, coupling)
+    s, c = omega_i / rabi, coupling / rabi
+    v = cond.block_fields(ts)[1]
+    for q, g in ((0, 1.0), (1, -1.0)):
+        transverse = omega_i - g * omega * s * c
+        want = np.array([
+            transverse * np.cos(wt), transverse * np.sin(wt),
+            np.full_like(ts, g * coupling + omega * s * s),
+        ])
+        assert np.max(np.abs(2.0 * v[:, q] - want)) <= 1e-12 * (rabi + abs(omega))
+
+    # (c) the static-coupling map realizes the Berry-corrected conditional
+    # field, plus the frame term +-omega/2
+    c0, v_exp = exp.block_fields(ts)
+    assert np.max(np.abs(v_exp - v)) <= 1e-12 * (rabi + abs(omega))
+    assert np.all(c0 == np.array([[0.5 * omega], [-0.5 * omega]]))
+    assert np.all(cond.block_fields(ts)[0] == 0.0)
+
+    # (d) one corrected loop of each kind tracks its eigenstate on the
+    # exact path
+    for seg, label in ((loop, k % 2), (cond, LABELS4[k]), (exp, LABELS4[k])):
+        traj = evolve_eigenstate(SegmentSchedule((seg,)), label, samples=64)
+        assert 1.0 - tracking_fidelity(traj, label).min() <= 1e-12

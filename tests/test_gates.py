@@ -6,17 +6,14 @@ import pytest
 from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.gates import (
     SingleGateSpec,
-    TwoQubitGateSpec,
     closed_form_echo_gate,
     closed_form_single,
-    closed_form_two_qubit,
     reduced_model_deviation,
     synthesize_single_gate,
     synthesize_two_qubit_gate,
     universality_check,
     verify_exp_equivalence,
 )
-from tqdecho.phases import delta_omega
 from tqdecho.propagate import StepPolicy
 from tqdecho.qcore import gate_distance, is_unitary
 
@@ -45,21 +42,6 @@ def test_closed_form_echo_gate_matches_solid_angle():
     p = LoopParams(theta=np.pi / 2, omega=1.0, omega0=1.0)
     # solid angle 2*pi: a full turn, identity up to sign conventions
     assert gate_distance(closed_form_echo_gate(p), np.eye(2)) < 1e-12
-
-
-def test_closed_form_two_qubit_diagonal():
-    spec = TwoQubitGateSpec(delta_omega=np.pi / 8)
-    u = closed_form_two_qubit(spec)
-    expected = np.diag(np.exp(1j * np.array([1, -1, -1, 1]) * np.pi / 4))
-    assert np.allclose(u, expected)
-
-
-def test_closed_form_two_qubit_guards_basis():
-    spec = TwoQubitGateSpec(delta_omega=0.3, axis_angle_q0=0.5)
-    with pytest.raises(ValueError):
-        closed_form_two_qubit(spec)
-    u = closed_form_two_qubit(spec, allow_general_basis=True)
-    assert is_unitary(u)
 
 
 # single-qubit synthesis ---------------------------------------------------------
@@ -130,7 +112,6 @@ def test_synthesize_two_qubit_gate():
 
 def test_two_qubit_target_matches_block_closed_form():
     rep = synthesize_two_qubit_gate(P2, policy=StepPolicy(substeps=1024))
-    spec = TwoQubitGateSpec(delta_omega=rep.delta_omega)
     # same conditional phases, stated in the coupled eigenbasis
     diag = np.exp(1j * np.array([1, -1, -1, 1]) * 2.0 * rep.delta_omega)
     from tqdecho.phases import eigenbasis_matrix
@@ -138,7 +119,6 @@ def test_two_qubit_target_matches_block_closed_form():
     b = eigenbasis_matrix(P2)
     target = b @ np.diag(diag) @ b.conj().T
     assert gate_distance(rep.target, target) < 1e-12
-    assert spec.delta_omega == rep.delta_omega
 
 
 def test_exp_equivalence():

@@ -12,7 +12,6 @@ from tqdecho.phases import (
     echo_phase_decomposition,
     eigenbasis_matrix,
     evolve_eigenstate,
-    instantaneous_eigenvectors,
     loop_eigenvector,
     loop_phase_decomposition,
     solid_angle,
@@ -21,7 +20,7 @@ from tqdecho.phases import (
     two_qubit_eigenvector,
 )
 from tqdecho.propagate import StepPolicy
-from tqdecho.qcore import is_unitary, pauli_dot, wrap_angle
+from tqdecho.qcore import is_unitary, wrap_angle
 from tqdecho.schedule import (
     SegmentSchedule,
     build_echo_sequence,
@@ -40,7 +39,7 @@ POL = StepPolicy(substeps=2048)
 # eigenvector gauges ----------------------------------------------------------
 
 def test_loop_eigenvectors_at_origin():
-    lo, hi = instantaneous_eigenvectors(P, 0.0)
+    lo, hi = loop_eigenvector(P, 0, 0.0), loop_eigenvector(P, 1, 0.0)
     half = P.theta / 2
     assert np.allclose(lo, [np.cos(half), np.sin(half)])
     assert np.allclose(hi, [-np.sin(half), np.cos(half)])
@@ -48,11 +47,12 @@ def test_loop_eigenvectors_at_origin():
 
 def test_loop_eigenvectors_solve_the_root_hamiltonian():
     """H0 phi_p = (+/-)(omega0/2) phi_p along the whole loop."""
-    from tqdecho.fields import root_field
+    from tqdecho.schedule import loop_segment
 
+    seg = loop_segment(P, corrected=False)
     rng = np.random.default_rng(SEED)
     for t in rng.uniform(0.0, P.period, size=6):
-        h0 = 0.5 * pauli_dot(root_field(P, t))
+        h0 = seg.generator(t)
         for label, sign in ((0, 1.0), (1, -1.0)):
             v = loop_eigenvector(P, label, t)
             assert np.allclose(h0 @ v, sign * 0.5 * P.omega0 * v, atol=1e-12)

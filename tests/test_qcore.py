@@ -8,16 +8,10 @@ from tqdecho.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    basis_state,
-    bloch_vector,
-    check_state,
     expm_hermitian,
     gate_distance,
-    is_hermitian,
     is_unitary,
-    ket,
     pauli_dot,
-    tensor_product,
     wrap_angle,
 )
 
@@ -30,7 +24,7 @@ def test_pauli_algebra():
     assert np.allclose(SIGMA_Z @ SIGMA_X, 1j * SIGMA_Y)
     for s in PAULI:
         assert np.allclose(s @ s, ID2)
-        assert is_hermitian(s)
+        assert np.array_equal(s, s.conj().T)
         assert is_unitary(s)
 
 
@@ -43,34 +37,13 @@ def test_pauli_dot_squares_to_identity():
         assert np.allclose(m @ m, ID2, atol=1e-14)
 
 
-def test_basis_states():
-    assert np.allclose(basis_state(0, 2), [1, 0])
-    assert np.allclose(basis_state(3, 4), [0, 0, 0, 1])
-    v = ket(1.0, 1j)
-    assert v.dtype == complex
-    assert np.isclose(np.linalg.norm(v), 1.0)
-    assert np.allclose(v, [1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)])
-    with pytest.raises(ValueError):
-        ket(0.0, 0.0)
-
-
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(SEED)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.allclose(tensor_product(a, b), np.kron(a, b))
-
-
 def test_hermitian_and_unitary_predicates():
-    assert is_hermitian(SIGMA_Z)
-    assert not is_hermitian(SIGMA_Z + 1j * np.eye(2) * 1e-6)
+    # the Hermiticity predicate (tolerance 1e-12) guards expm_hermitian
+    expm_hermitian(SIGMA_Z + 1j * np.eye(2) * 1e-13)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_hermitian(SIGMA_Z + 1j * np.eye(2) * 1e-6)
     assert is_unitary(np.eye(4))
     assert not is_unitary(2.0 * np.eye(2))
-
-
-def test_check_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        check_state(np.array([1.0, 1.0], dtype=complex))
 
 
 # exp(-i H t) conventions ---------------------------------------------------
@@ -107,12 +80,6 @@ def test_gate_distance_basic():
     # global phase must not register
     assert gate_distance(ID2, np.exp(1j * 0.7) * ID2) < 1e-15
     assert gate_distance(SIGMA_Y, SIGMA_Y) >= 0.0
-
-
-def test_bloch_vector_of_tilted_state():
-    theta = 0.8
-    psi = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-    assert np.allclose(bloch_vector(psi), [np.sin(theta), 0.0, np.cos(theta)], atol=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -2,22 +2,14 @@
 import numpy as np
 import pytest
 
-from tqdecho.fields import (
-    LoopParams,
-    TwoQubitParams,
-    conditional_root_field,
-    exp_rotating_field,
-    experimental_params,
-    tqd_field,
-    two_qubit_conditional_field,
-)
+from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.qcore import pauli_dot
 from tqdecho.schedule import (
     Segment,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
-    exp_loop_segment,
     field_timeline,
     idle_segment,
     loop_segment,
@@ -26,12 +18,18 @@ from tqdecho.schedule import (
     schedule_from_json,
     schedule_to_json,
     single_loop_schedule,
-    two_qubit_loop_segment,
     write_field_timeline_csv,
 )
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
+
+
+def _tqd_field(p: LoopParams, t: float) -> np.ndarray:
+    """Closed form of the corrected cone drive."""
+    s, c, wt = np.sin(p.theta), np.cos(p.theta), p.omega * t
+    transverse = (p.omega0 - p.omega * c) * s
+    return np.array([transverse * np.cos(wt), transverse * np.sin(wt), p.omega0 * c + p.omega * s * s])
 
 
 def test_segment_rejects_unknown_param():
@@ -84,7 +82,7 @@ def test_loop_field_batch_matches_closed_form():
     ts = np.linspace(0.0, P.period, 9)
     batch = seg.field_batch(ts)
     for row, t in zip(batch, ts):
-        assert np.allclose(row, tqd_field(P, t), atol=1e-14)
+        assert np.allclose(row, _tqd_field(P, t), atol=1e-14)
 
 
 def test_pulse_field_is_y_only():
@@ -98,42 +96,8 @@ def test_generator_is_half_field_dot_sigma():
     seg = loop_segment(P)
     t = 0.3
     h = seg.generator(t)
-    b = tqd_field(P, t)
-    from tqdecho.qcore import pauli_dot
-
+    b = _tqd_field(P, t)
     assert np.allclose(h, 0.5 * pauli_dot(b), atol=1e-14)
-
-
-def test_two_qubit_block_fields_are_the_fields_module_formulas():
-    """Propagation reads Segment.block_fields, while criterion 7 gates the
-    fields.py formulas; the two must agree on every draw."""
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        ratio = 10.0 ** rng.uniform(-2.0, 2.0)  # omega_i / J
-        coupling = 10.0 ** rng.uniform(-1.0, 1.0)
-        rate = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(np.log10(0.3), 1.0)
-        p = TwoQubitParams(ratio * coupling, coupling, rate * coupling)
-        for reverse in (False, True):
-            q_params = p.reversed() if reverse else p
-            e = experimental_params(q_params)
-            ts = rng.uniform(0.0, p.period, 8)
-            scale = q_params.rabi + abs(q_params.omega)
-            for seg, formula in (
-                (two_qubit_loop_segment(p, reverse),
-                 lambda q, t: two_qubit_conditional_field(q_params, q, t)),
-                (exp_loop_segment(p, reverse),
-                 lambda q, t: exp_rotating_field(e, q_params.omega, q, t)),
-            ):
-                c0, v = seg.block_fields(ts)
-                _, v_root = seg.block_fields(ts, corrected=False)
-                for q in (0, 1):
-                    for k, t in enumerate(ts):
-                        dev = np.abs(v[:, q, k] - 0.5 * formula(q, t))
-                        assert np.max(dev) <= 1e-12 * scale
-                        root = 0.5 * conditional_root_field(q_params, q, t)
-                        assert np.max(np.abs(v_root[:, q, k] - root)) <= 1e-12 * scale
-                frame = 0.5 * q_params.omega if seg.kind == "exp-loop" else 0.0
-                assert np.all(c0 == np.array([[frame], [-frame]]))
 
 
 def test_rotate_schedule_tilts_fields():
