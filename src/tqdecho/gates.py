@@ -264,8 +264,12 @@ def verify_exp_equivalence(
     term does not commute away pointwise; it cancels over the echo
     because the control flip reverses its sign pairing between the two
     halves. policy None propagates both echoes exactly;
-    StepPolicy(substeps=N) runs the midpoint integrator.
+    StepPolicy(substeps=N) runs the midpoint integrator. field_draws
+    must be at least 1: with no draws the field check would pass
+    vacuously.
     """
+    if field_draws < 1:
+        raise ValueError(f"field_draws must be >= 1, got {field_draws}")
     rng = np.random.default_rng(seed)
     draws = np.array([
         (rng.integers(2), rng.integers(2), rng.uniform(0.0, p.period))

@@ -21,8 +21,8 @@ sampled at substep midpoints and the propagator is the ordered product
 of the exact exponentials exp(-i*H(t_mid)*dt). Each factor is unitary, so
 the product is unitary at any step count, and the scheme is second-order
 accurate in the step size. It shares nothing with the exact path but the
-drive formulas, which makes it the independent oracle that the
-acceptance suite and the convergence report run. Every loop generator is
+drive formulas, which makes it the independent oracle that acceptance
+criterion 8 and the convergence report run. Every loop generator is
 block-diagonal in 2x2 blocks (two-qubit loops in the control basis), and
 the steps read that real block form, Segment.block_fields, directly: no
 dense generator is built. Each step is a scalar phase times an SU(2)
@@ -278,6 +278,13 @@ def _checkpoint_count(seg: Segment, samples: int) -> int:
     return samples
 
 
+def _segment_key(seg: Segment) -> tuple:
+    """Everything a segment's propagator depends on; the label is not.
+    Values are compared by repr, so 0.0 and -0.0 stay distinct."""
+    params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
+    return seg.kind, repr(seg.duration), seg.dim, params
+
+
 def propagate_schedule(
     s: SegmentSchedule,
     initial_state: np.ndarray | None = None,
@@ -289,17 +296,24 @@ def propagate_schedule(
     policy None runs the exact propagator; StepPolicy(substeps=N) runs
     the midpoint integrator. samples sets the number of checkpoints per
     driven loop segment (pulses and idles use fewer; the count only
-    affects sampling resolution, not accuracy).
+    affects sampling resolution, not accuracy). A segment equal to one
+    already propagated in this call (same kind, duration, dim and
+    params) reuses its partials, so an echo built as half + half
+    propagates each distinct loop once.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     times, seg_idx, props = [], [], []
     used, errs = [], []
+    done = {}
     cum = np.eye(s.dim, dtype=complex)
     t0 = 0.0
     for i, seg in enumerate(s.segments):
         cps = _checkpoint_count(seg, samples)
-        partials, n_used, err = propagate_segment(seg, policy, cps)
+        key = _segment_key(seg)
+        if key not in done:
+            done[key] = propagate_segment(seg, policy, cps)
+        partials, n_used, err = done[key]
         used.append(n_used)
         errs.append(err)
         if seg.duration == 0.0:

@@ -18,7 +18,7 @@ __all__ = [
     "expm_hermitian",
     "gate_distance",
     "wrap_angle",
-    "is_unitary",
+    "unitarity_defect",
 ]
 
 ID2 = np.eye(2, dtype=complex)
@@ -36,9 +36,12 @@ def pauli_dot(vec) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
-    d = m.shape[0]
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(d))) <= tol)
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |U^dag U - I| over one square matrix or a stack of them,
+    shape (..., d, d)."""
+    u = np.asarray(u)
+    gram = np.swapaxes(u, -1, -2).conj() @ u
+    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
 
 
 def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:

@@ -137,6 +137,17 @@ def test_expmap_run(tmp_path):
     assert doc["max_field_deviation"] < 1e-10
 
 
+def test_expmap_without_field_draws_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "x.json",
+        {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5, "draws": 0},
+    )
+    out = tmp_path / "out"
+    assert main(["expmap", "--config", cfg, "--out", str(out)]) == 2
+    assert "field_draws must be >= 1" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_scan_run(tmp_path):
     ratios = [0.2, 1.0, 5.0]
     cfg = write_config(

@@ -15,7 +15,7 @@ from tqdecho.gates import (
     verify_exp_equivalence,
 )
 from tqdecho.propagate import StepPolicy
-from tqdecho.qcore import gate_distance, is_unitary
+from tqdecho.qcore import gate_distance, unitarity_defect
 
 SEED = 20260816
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
@@ -107,7 +107,7 @@ def test_synthesize_two_qubit_gate():
     assert max(rep.phase_residuals) < 2e-7
     assert rep.distance < 1e-9
     assert len(rep.phase_residuals) == 4
-    assert is_unitary(rep.realized)
+    assert unitarity_defect(rep.realized) <= 1e-9
 
 
 def test_two_qubit_target_matches_block_closed_form():
@@ -128,6 +128,13 @@ def test_exp_equivalence():
     assert rep.max_field_deviation < 1e-12
     assert rep.gate_deviation < 1e-8
     assert rep.field_draws == 25
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_exp_equivalence_rejects_no_field_draws(draws):
+    # no draws would report a field deviation of 0.0: a vacuous pass
+    with pytest.raises(ValueError, match="field_draws must be >= 1"):
+        verify_exp_equivalence(P2, field_draws=draws)
 
 
 def test_control_z_field_refocuses():

@@ -20,7 +20,7 @@ from tqdecho.phases import (
     two_qubit_eigenvector,
 )
 from tqdecho.propagate import StepPolicy
-from tqdecho.qcore import is_unitary, wrap_angle
+from tqdecho.qcore import unitarity_defect, wrap_angle
 from tqdecho.schedule import (
     SegmentSchedule,
     build_echo_sequence,
@@ -82,7 +82,7 @@ def test_two_qubit_eigenvectors():
 
 def test_eigenbasis_matrix_is_unitary():
     b = eigenbasis_matrix(P2)
-    assert is_unitary(b)
+    assert unitarity_defect(b) <= 1e-9
 
 
 # closed-form phase quantities ------------------------------------------------

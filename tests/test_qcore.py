@@ -10,8 +10,8 @@ from tqdecho.qcore import (
     SIGMA_Z,
     expm_hermitian,
     gate_distance,
-    is_unitary,
     pauli_dot,
+    unitarity_defect,
     wrap_angle,
 )
 
@@ -25,7 +25,7 @@ def test_pauli_algebra():
     for s in PAULI:
         assert np.allclose(s @ s, ID2)
         assert np.array_equal(s, s.conj().T)
-        assert is_unitary(s)
+        assert unitarity_defect(s) <= 1e-9
 
 
 def test_pauli_dot_squares_to_identity():
@@ -42,8 +42,14 @@ def test_hermitian_and_unitary_predicates():
     expm_hermitian(SIGMA_Z + 1j * np.eye(2) * 1e-13)
     with pytest.raises(ValueError, match="not Hermitian"):
         expm_hermitian(SIGMA_Z + 1j * np.eye(2) * 1e-6)
-    assert is_unitary(np.eye(4))
-    assert not is_unitary(2.0 * np.eye(2))
+    assert unitarity_defect(np.eye(4)) <= 1e-9
+    assert unitarity_defect(2.0 * np.eye(2)) == pytest.approx(3.0)
+
+
+def test_unitarity_defect_takes_the_worst_of_a_stack():
+    stack = np.stack([ID2, SIGMA_X, 1j * SIGMA_Y, (1.0 + 1e-6) * SIGMA_Z])
+    assert unitarity_defect(stack) == pytest.approx(2e-6 + 1e-12, rel=1e-6)
+    assert unitarity_defect(stack[:3]) == 0.0
 
 
 # exp(-i H t) conventions ---------------------------------------------------
@@ -59,7 +65,7 @@ def test_expm_hermitian_is_unitary_random():
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = a + a.conj().T
         u = expm_hermitian(h, 0.37)
-        assert is_unitary(u)
+        assert unitarity_defect(u) <= 1e-9
         # inverse time gives the adjoint
         assert np.allclose(expm_hermitian(h, -0.37), u.conj().T)
 
