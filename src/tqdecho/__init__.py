@@ -40,10 +40,8 @@ from .schedule import (
     write_field_timeline_csv,
 )
 from .propagate import (
-    ConvergenceReport,
     StepPolicy,
     Trajectory,
-    convergence_report,
     propagate_schedule,
     trajectory_to_csv,
 )

@@ -190,12 +190,11 @@ def criterion_4() -> CriterionResult:
     }
     checks = []
     for name, (p, omega_pi) in variants.items():
-        sched = build_echo_sequence(p, omega_pi=omega_pi)
-        traj = propagate_schedule(sched, samples=256)
+        traj = evolve_eigenstate(build_echo_sequence(p, omega_pi=omega_pi), 0, samples=256)
         checks.append(
             Check(f"echo_gate_distance_{name}", gate_distance(traj.final_propagator, target), 1e-12)
         )
-        dec = echo_phase_decomposition(evolve_eigenstate(sched, 0, samples=256), 0)
+        dec = echo_phase_decomposition(traj, 0)
         checks.append(Check(f"echo_residual_dynamical_{name}", abs(dec.dynamical), 1e-12))
     runtime = time.perf_counter() - t0
     return CriterionResult(4, "echo refocusing and invariance", runtime, checks, dict(_EXACT))

@@ -19,8 +19,8 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
-from .propagate import StepPolicy, propagate_schedule, rotating_frame_propagators
-from .qcore import expm_hermitian, gate_distance, pauli_dot, wrap_angle
+from .propagate import StepPolicy, propagate_schedule, propagate_segment
+from .qcore import SIGMA_Z, expm_hermitian, gate_distance, pauli_dot, wrap_angle
 from .schedule import (
     SegmentSchedule,
     build_echo_sequence,
@@ -312,8 +312,12 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
     sectors and genuinely degrades the gate. Returns the gate distance to
     the unperturbed echo and the eigenbasis leakage of the perturbed run.
     Not part of the verified surface. Both runs are exact: a field on the
-    control commutes with the driven qubit's precession, so the loops keep
-    their rotating-frame closed form.
+    control commutes with the driven qubit's precession P, so each loop
+    keeps its rotating-frame closed form
+    exp(-i*omega*T*P/2) exp(-i*(H(0) + field - omega*P/2)*T). A transverse
+    field couples the control sectors, which the block kernel of
+    propagate does not cover, so the loops here are dense exponentials;
+    pulses and idles come from propagate_segment.
     """
     sched = build_two_qubit_sequence(p)
     extra = np.kron(np.eye(2), 0.5 * pauli_dot(control_field))
@@ -322,13 +326,15 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
         u = np.eye(4, dtype=complex)
         for seg in sched.segments:
             if seg.kind == "two-qubit-loop":
-                step = rotating_frame_propagators(seg, seg.duration, static)[0]
+                frame = 0.5 * seg.params["omega"] * np.kron(SIGMA_Z, np.eye(2))
+                k = seg.generator(0.0) + static - frame
+                step = expm_hermitian(frame, seg.duration) @ expm_hermitian(k, seg.duration)
             else:
-                step = expm_hermitian(seg.generator(0.0), seg.duration)
+                step = propagate_segment(seg)[0][-1]
             u = step @ u
         return u
 
-    u_ref = run(None)
+    u_ref = run(0.0)
     u_pert = run(extra)
     basis = eigenbasis_matrix(p, 0.0)
     in_eig = basis.conj().T @ u_pert @ basis

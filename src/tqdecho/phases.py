@@ -3,9 +3,12 @@
 The central objects are comoving reference vectors: the instantaneous
 eigenstates of the uncorrected drive, continued smoothly through a
 schedule. During loop segments the reference follows the analytic
-eigenvector gauge; through pulses it is transported by the exact pulse
-propagator, so the overlap phase between reference and simulated state
-changes only while a loop is running.
+eigenvector gauge. Through a pulse it is carried by the trajectory's own
+pulse rows, ref(t) = U(t) U(t_start)^dag ref(t_start): that is the exact
+pulse propagator under either policy, and since the state moves by the
+same matrices, the overlap phase between reference and simulated state
+changes only while a loop is running. Idles leave it unchanged. No
+exponential is computed here.
 
 Total phase is the unwrapped overlap phase arg<ref(t)|psi(t)> accumulated
 over the schedule. The dynamical part is minus the time integral of the
@@ -13,7 +16,8 @@ uncorrected-generator expectation; the geometric part is their difference.
 For the drives used here the dynamical integrand is constant on every
 segment (the loop integrand is the tracked eigenenergy, and a constant
 pulse conserves its own expectation), so the trapezoid rule integrates it
-essentially exactly.
+essentially exactly. Loop expectations are read from the real 2x2 block
+fields (Segment.block_fields), with no dense generator built.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, theta_tilde
 from .propagate import StepPolicy, Trajectory, propagate_schedule
-from .qcore import PAULI, expm_hermitian, wrap_angle
+from .qcore import PAULI, wrap_angle
 from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, loop_segment
 
 __all__ = [
@@ -181,7 +185,8 @@ def _reference_series(traj: Trajectory, label, strict: bool) -> tuple:
         elif seg.kind in _PULSE_KINDS:
             if ref_in is None:
                 raise ValueError("phase analysis needs a schedule that starts with a loop")
-            block = expm_hermitian(seg.generator(0.0), ts) @ ref_in
+            u = traj.propagators[rows]
+            block = u @ (u[0].conj().T @ ref_in)
             seg_labels.append(None)
         else:  # idle
             if ref_in is None:
@@ -228,30 +233,43 @@ def tracking_fidelity(traj: Trajectory, label) -> np.ndarray:
 # phases
 # ---------------------------------------------------------------------------
 
+def _block_expectation(seg, ts: np.ndarray, psi: np.ndarray, corrected: bool) -> np.ndarray:
+    """<psi|H|psi> of a loop generator from its block fields: per block,
+    with amplitudes a, b on its index pair,
+    c0 (|a|^2 + |b|^2) + 2 vx Re(a* b) + 2 vy Im(a* b) + vz (|a|^2 - |b|^2)."""
+    c0, (vx, vy, vz) = seg.block_fields(ts, corrected=corrected)
+    blocks = c0.shape[0]
+    a, b = psi[:, :blocks].T, psi[:, blocks:].T
+    pa, pb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    ab = a.conj() * b
+    terms = c0 * (pa + pb) + 2.0 * (vx * ab.real + vy * ab.imag) + vz * (pa - pb)
+    return terms.sum(axis=0)
+
+
 def dynamical_phase(traj: Trajectory, root="root") -> float:
     """Minus the integrated expectation of the reference generator.
 
     root selects what is integrated: "root" (default) uses each segment's
     uncorrected generator, "full" the complete generator including
-    corrections.
+    corrections. Loops are read in block form; a pulse is one constant
+    matrix; idles contribute nothing.
     """
     if traj.states is None:
         raise ValueError("attach an initial state before computing phases")
+    if root not in ("root", "full"):
+        raise ValueError('root must be "root" or "full"')
     local = traj.local_times()
     total = 0.0
     for i, seg in enumerate(traj.schedule.segments):
         rows = traj.segment_rows(i)
         ts = local[rows]
-        if ts.size < 2:
+        if ts.size < 2 or seg.kind == "idle":
             continue
-        if root == "root":
-            hs = seg.root_generator_batch(ts)
-        elif root == "full":
-            hs = seg.generator_batch(ts)
-        else:
-            raise ValueError('root must be "root" or "full"')
         psi = traj.states[rows]
-        expect = np.einsum("ni,nij,nj->n", psi.conj(), hs, psi).real
+        if seg.kind in _LOOP_KINDS:
+            expect = _block_expectation(seg, ts, psi, corrected=root == "full")
+        else:
+            expect = np.einsum("ni,ij,nj->n", psi.conj(), seg.generator(0.0), psi).real
         total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
     return float(-total)
 

@@ -1,6 +1,9 @@
 """Time evolution of piecewise schedules.
 
-Two propagators share one interface; `policy` selects between them.
+Two propagators share one interface; `policy` selects between them. Both
+work on the real 2x2 block form of the generators (Segment.block_fields)
+and store each SU(2) factor as a real quaternion; complex matrices are
+built only at the sample times, by one packer.
 
 Exact (policy=None, the default). Every loop kind is a transverse field
 precessing at a fixed rate omega about an axis n, plus a static part
@@ -11,27 +14,32 @@ K = H(0) - omega*P/2. Hence the closed form
 
     U(t) = exp(-i*omega*t*P/2) exp(-i*K*t)
 
-(Rabi, Phys. Rev. 51, 652 (1937)): one eigendecomposition of K per
-segment gives U at every sample time at once, with no substeps. The axis
-is z, tilted about y by a single-qubit loop's `rotation`; the exp-loop
-frame term is static and commutes with P, so it stays in K.
+(Rabi, Phys. Rev. 51, 652 (1937)). P is n . sigma in the single block of
+a one-qubit loop (n is z tilted about y by the loop's `rotation`) and
+sigma_z in each control sector of a two-qubit loop, so per block both
+factors are rotations, evaluated at every sample time in closed form:
+K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase exp(-i*c0*t)
+times a Rodrigues quaternion, and one Hamilton product per sample joins
+it to the frame rotation. The exp-loop frame term is the scalar c0 of
+each sector. Pulses are constant half-turn generators: a single-qubit
+pulse is one rotation, and a two-qubit pulse is the tensor product of
+one rotation per qubit (the identity on an idle qubit), because terms on
+different qubits commute. Idles are the identity. Pulses and idles take
+this path under either policy. No eigendecomposition runs.
 
-Midpoint (StepPolicy(substeps=N)). Within each segment the generator is
-sampled at substep midpoints and the propagator is the ordered product
-of the exact exponentials exp(-i*H(t_mid)*dt). Each factor is unitary, so
-the product is unitary at any step count, and the scheme is second-order
-accurate in the step size. It shares nothing with the exact path but the
-drive formulas, which makes it the independent oracle that acceptance
-criterion 8 and the convergence report run. Every loop generator is
-block-diagonal in 2x2 blocks (two-qubit loops in the control basis), and
-the steps read that real block form, Segment.block_fields, directly: no
-dense generator is built. Each step is a scalar phase times an SU(2)
-element stored as a real quaternion; the steps are multiplied as
-quaternions and complex matrices are built only at the sample times.
+Midpoint (StepPolicy(substeps=N)). Within each loop segment the
+generator is sampled at substep midpoints and the propagator is the
+ordered product of the exact exponentials exp(-i*H(t_mid)*dt). Each
+factor is unitary, so the product is unitary at any step count, and the
+scheme is second-order accurate in the step size. It shares nothing with
+the exact loop kernel but the drive formulas, the Hamilton product and
+the packer, which makes it the independent oracle that acceptance
+criterion 8 runs; the tests pin both to dense eigendecomposition
+references. Each step is a scalar phase times a per-block quaternion;
+the steps are multiplied as quaternions.
 
-Pulses and idles have constant generators and are exponentiated exactly
-under either policy. The association order of every product is fixed, so
-repeated runs produce bit-identical propagators.
+The association order of every product is fixed, so repeated runs
+produce bit-identical propagators.
 """
 from __future__ import annotations
 
@@ -39,17 +47,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import ID2, SIGMA_Z, expm_hermitian, pauli_dot
-from .schedule import _LOOP_KINDS, Segment, SegmentSchedule, _write_csv
+from .schedule import (
+    _LOOP_KINDS,
+    _PULSE_KINDS,
+    Segment,
+    SegmentSchedule,
+    _pulse_axes,
+    _write_csv,
+)
 
 __all__ = [
     "StepPolicy",
     "Trajectory",
-    "ConvergenceReport",
     "rotating_frame_propagators",
     "propagate_segment",
     "propagate_schedule",
-    "convergence_report",
     "trajectory_to_csv",
 ]
 
@@ -70,7 +82,7 @@ class StepPolicy:
 
 
 # ---------------------------------------------------------------------------
-# midpoint integrator (the oracle)
+# quaternion algebra shared by both propagators
 # ---------------------------------------------------------------------------
 
 def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -88,6 +100,28 @@ def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     out[3] = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
     return out
 
+
+def _pack_quaternions(q: np.ndarray, scale: np.ndarray | None, dim: int) -> np.ndarray:
+    """Per-block quaternions, shape (4, blocks, n), times the per-block
+    phases `scale`, shape (blocks, n) (None for none), as (n, dim, dim)
+    matrices with block j on rows and columns j and j + blocks."""
+    a, b, c, d = q
+    blocks = q.shape[1]
+    out = np.zeros((q.shape[2], dim, dim), dtype=complex)
+    for j in range(blocks):
+        u = out[:, j::blocks, j::blocks]
+        u[:, 0, 0] = a[j] - 1j * d[j]
+        u[:, 0, 1] = -c[j] - 1j * b[j]
+        u[:, 1, 0] = c[j] - 1j * b[j]
+        u[:, 1, 1] = a[j] + 1j * d[j]
+        if scale is not None:
+            u *= scale[j, :, None, None]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# midpoint integrator (the oracle)
+# ---------------------------------------------------------------------------
 
 def _step_quaternions(seg: Segment, n: int) -> tuple:
     """Midpoint steps exp(-i*H(t_mid)*dt) of a loop segment, one per 2x2
@@ -131,17 +165,8 @@ def _segment_partials(seg: Segment, n: int, checkpoints: int) -> np.ndarray:
     while shift < checkpoints:
         q[..., shift:] = _hamilton(q[..., shift:], q[..., :-shift])
         shift *= 2
-    a, b, c, d = q
     scale = np.exp(-1j * np.cumsum(phase.reshape(blocks, checkpoints, -1).sum(axis=-1), axis=-1))
-    out = np.zeros((checkpoints, seg.dim, seg.dim), dtype=complex)
-    for j in range(blocks):
-        u = out[:, j::blocks, j::blocks]
-        u[:, 0, 0] = a[j] - 1j * d[j]
-        u[:, 0, 1] = -c[j] - 1j * b[j]
-        u[:, 1, 0] = c[j] - 1j * b[j]
-        u[:, 1, 1] = a[j] + 1j * d[j]
-        u *= scale[j, :, None, None]
-    return out
+    return _pack_quaternions(q, scale, seg.dim)
 
 
 def _round_up(n: int, multiple: int) -> int:
@@ -149,39 +174,64 @@ def _round_up(n: int, multiple: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rotating-frame propagator
+# exact closed-form propagators
 # ---------------------------------------------------------------------------
 
-def _precession_axis(seg: Segment) -> np.ndarray:
-    """P = n . sigma on the driven qubit for the axis n the loop drive
-    precesses about; the driven qubit is the first tensor factor."""
-    if seg.dim == 4:
-        return np.kron(SIGMA_Z, ID2)
-    rot = seg.params["rotation"]
-    return pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
-
-
-def rotating_frame_propagators(
-    seg: Segment, ts: np.ndarray, static: np.ndarray | None = None
-) -> np.ndarray:
+def rotating_frame_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
     """Exact propagators of a loop segment from its start to each local
     time in ts, shape (len(ts), dim, dim).
 
-    static is an optional constant Hermitian term added to the generator
-    throughout the segment. It must commute with the precession axis (for
-    example any field on the control qubit of a two-qubit loop), because
-    only then does the rotating-frame closed form still hold.
+    Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with
+    K = c0 + w . sigma, w = v(0) - omega*n/2, read from
+    Segment.block_fields at t = 0: the Rodrigues quaternions
+    (cos(omega*t/2), sin(omega*t/2) n) and (cos(|w|t), sin(|w|t) w/|w|)
+    multiplied, times the phase exp(-i*c0*t).
     """
     if seg.kind not in _LOOP_KINDS:
         raise ValueError(f"segment kind {seg.kind!r} is not a loop")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    frame = 0.5 * seg.params["omega"] * _precession_axis(seg)
-    h0 = seg.generator(0.0)
-    if static is not None:
-        if np.max(np.abs(static @ frame - frame @ static)) > 1e-12:
-            raise ValueError("static term must commute with the drive's precession axis")
-        h0 = h0 + static
-    return np.matmul(expm_hermitian(frame, ts), expm_hermitian(h0 - frame, ts))
+    omega = seg.params["omega"]
+    # precession axis on the driven qubit: z tilted about y by the
+    # loop's rotation (two-qubit loops have none: z in each sector)
+    rot = seg.params.get("rotation", 0.0)
+    axis = np.array([np.sin(rot), 0.0, np.cos(rot)])
+    c0, v = seg.block_fields(0.0)
+    w = v[:, :, 0] - (0.5 * omega) * axis[:, None]
+    r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    rt = np.multiply.outer(r, ts)
+    # exp(-i*K*t) without its phase, and the frame rotation
+    inner = np.empty((4,) + rt.shape)
+    np.cos(rt, out=inner[0])
+    snc = np.empty_like(rt)
+    snc[:] = ts
+    np.divide(np.sin(rt), r[:, None], out=snc, where=r[:, None] > 0.0)
+    np.multiply(snc, w[:, :, None], out=inner[1:])
+    half = 0.5 * omega * ts
+    frame = np.empty((4, ts.size))
+    np.cos(half, out=frame[0])
+    np.multiply.outer(axis, np.sin(half), out=frame[1:])
+    q = _hamilton(np.broadcast_to(frame[:, None], inner.shape), inner)
+    return _pack_quaternions(q, np.exp(-1j * np.multiply.outer(c0[:, 0], ts)), seg.dim)
+
+
+def _pulse_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
+    """Exact propagators of a constant half-turn pulse: the rotation
+    exp(-i*omega_pi*t*sigma_k/2) of each turned qubit (the identity on a
+    qubit the pulse leaves alone), tensored in qubit order."""
+    half = 0.5 * seg.params["omega_pi"] * ts
+    turns = []
+    for k in _pulse_axes(seg.kind, seg.params):
+        q = np.zeros((4, 1, ts.size))
+        if k is None:
+            q[0] = 1.0
+        else:
+            np.cos(half, out=q[0, 0])
+            np.sin(half, out=q[1 + k, 0])
+        turns.append(_pack_quaternions(q, None, 2))
+    if len(turns) == 1:
+        return turns[0]
+    driven, control = turns
+    return np.einsum("nac,nbd->nabcd", driven, control).reshape(ts.size, 4, 4)
 
 
 def propagate_segment(
@@ -191,20 +241,20 @@ def propagate_segment(
 
     Returns (partials, substeps_used, error_estimate). partials has shape
     (checkpoints, dim, dim) at equally spaced local times; its last entry
-    is the full segment propagator. Exact segments report error 0.0 and
-    loops on the exact path 0 substeps; midpoint loops report nan.
+    is the full segment propagator. Pulses and idles are exact under
+    either policy and report one substep per checkpoint; loops on the
+    exact path report 0 substeps. Exact segments report error 0.0,
+    midpoint loops nan.
     """
     if checkpoints < 1:
         raise ValueError("checkpoints must be >= 1")
-    if seg.duration == 0.0:
+    if seg.duration == 0.0 or seg.kind == "idle":
         eye = np.broadcast_to(np.eye(seg.dim, dtype=complex), (checkpoints, seg.dim, seg.dim))
-        return eye.copy(), 0, 0.0
+        return eye.copy(), (checkpoints if seg.duration else 0), 0.0
 
     ts = seg.duration * np.arange(1, checkpoints + 1) / checkpoints
-    if seg.kind not in _LOOP_KINDS:
-        # constant generator: one exact exponential per checkpoint
-        return expm_hermitian(seg.generator(0.0), ts), checkpoints, 0.0
-
+    if seg.kind in _PULSE_KINDS:
+        return _pulse_propagators(seg, ts), checkpoints, 0.0
     if policy is None:
         return rotating_frame_propagators(seg, ts), 0, 0.0
 
@@ -265,9 +315,11 @@ class Trajectory:
         return self.times - starts[self.segment_index]
 
     def segment_rows(self, index: int) -> slice:
-        """Row range belonging to schedule segment `index`."""
-        hits = np.nonzero(self.segment_index == index)[0]
-        return slice(int(hits[0]), int(hits[-1]) + 1)
+        """Row range belonging to schedule segment `index`
+        (segment_index is sorted)."""
+        idx = self.segment_index
+        return slice(int(np.searchsorted(idx, index, "left")),
+                     int(np.searchsorted(idx, index, "right")))
 
 
 def _checkpoint_count(seg: Segment, samples: int) -> int:
@@ -326,7 +378,7 @@ def propagate_schedule(
         seg_idx.append(np.full(cps + 1, i))
         block = np.empty((cps + 1, s.dim, s.dim), dtype=complex)
         block[0] = cum
-        block[1:] = np.matmul(partials, cum)
+        block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
         props.append(block)
         cum = block[-1]
         t0 += seg.duration
@@ -344,37 +396,8 @@ def propagate_schedule(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
+# export
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    base_substeps: int
-    diff_base_double: float
-    diff_double_quad: float
-    order: float
-    exact: bool
-
-
-def convergence_report(s: SegmentSchedule, base_substeps: int = 64) -> ConvergenceReport:
-    """Estimate the integrator's convergence order on a schedule.
-
-    Runs the schedule at n, 2n and 4n substeps per segment and compares
-    final propagators entrywise. The observed order is
-    log2(diff(n, 2n) / diff(2n, 4n)); a clean midpoint product shows
-    order 2. Schedules made only of constant segments are integrated
-    exactly and reported with exact=True.
-    """
-    finals = []
-    for mult in (1, 2, 4):
-        pol = StepPolicy(substeps=base_substeps * mult)
-        finals.append(propagate_schedule(s, policy=pol, samples=2).final_propagator)
-    d12 = float(np.max(np.abs(finals[0] - finals[1])))
-    d24 = float(np.max(np.abs(finals[1] - finals[2])))
-    if d24 < 1e-14:
-        return ConvergenceReport(base_substeps, d12, d24, float("nan"), True)
-    return ConvergenceReport(base_substeps, d12, d24, float(np.log2(d12 / d24)), False)
-
 
 def trajectory_to_csv(traj: Trajectory, path, extra_columns: dict | None = None) -> None:
     """Write the samples to CSV: columns t,segment,label, then the real

@@ -5,7 +5,9 @@ A schedule is an ordered list of segments. Each segment is defined by a
 generator (the Hamiltonian, in angular-frequency units) is reconstructed
 deterministically. Every loop generator is defined once, in its real 2x2
 block form (Segment.block_fields); the dense generators pack that form
-and the midpoint oracle reads it directly. A corrected loop is its root
+and both propagators read it directly. Every pulse is defined once too,
+by the axis it turns each qubit about (_pulse_axes), which the dense
+generator and the exact propagator both read. A corrected loop is its root
 drive plus the transitionless correction b x db/dt, derived with Berry's
 formula for a field precessing about z (_berry_corrected); the exp-loop
 takes its field from the static-coupling map instead. Keeping segments
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, experimental_params
-from .qcore import ID2, SIGMA_X, SIGMA_Y
+from .qcore import ID2, PAULI
 
 __all__ = [
     "Segment",
@@ -160,18 +162,33 @@ def _pack_blocks(c0: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h.reshape(n, dim, dim)
 
 
-def _constant_pulse(params: dict, kind: str) -> np.ndarray:
-    omega_pi = params["omega_pi"]
+def _pulse_axes(kind: str, params: dict) -> tuple:
+    """The half turn each qubit of a pulse takes, in qubit order (the
+    driven qubit first): the index into PAULI of its axis, or None for a
+    qubit the pulse leaves alone. A pulse's generator is
+    0.5*omega_pi times the sum of these terms."""
     if kind == "control-flip":
-        return 0.5 * omega_pi * (np.kron(SIGMA_X, ID2) + np.kron(ID2, SIGMA_Y))
+        return (0, 1)
     target = params["target"]
     if target == "single":
-        return 0.5 * omega_pi * SIGMA_Y
+        return (1,)
     if target == "I":
-        return 0.5 * omega_pi * np.kron(SIGMA_Y, ID2)
+        return (1, None)
     if target == "II":
-        return 0.5 * omega_pi * np.kron(ID2, SIGMA_Y)
+        return (None, 1)
     raise ValueError(f"unknown pulse target {target!r}")
+
+
+def _constant_pulse(params: dict, kind: str) -> np.ndarray:
+    axes = _pulse_axes(kind, params)
+    if len(axes) == 1:
+        return 0.5 * params["omega_pi"] * PAULI[axes[0]]
+    terms = [
+        np.kron(PAULI[k], ID2) if qubit == 0 else np.kron(ID2, PAULI[k])
+        for qubit, k in enumerate(axes)
+        if k is not None
+    ]
+    return 0.5 * params["omega_pi"] * sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------

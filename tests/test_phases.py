@@ -6,6 +6,7 @@ import pytest
 from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.phases import (
     LABELS4,
+    _unwrapped_overlap_phase,
     correction_energy_check,
     delta_omega,
     dynamical_phase,
@@ -19,13 +20,17 @@ from tqdecho.phases import (
     tracking_fidelity,
     two_qubit_eigenvector,
 )
-from tqdecho.propagate import StepPolicy
+from tqdecho.propagate import StepPolicy, propagate_schedule
 from tqdecho.qcore import unitarity_defect, wrap_angle
 from tqdecho.schedule import (
     SegmentSchedule,
     build_echo_sequence,
+    build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
+    exp_loop_segment,
+    loop_segment,
     pi_pulse_segment,
+    rotate_schedule,
     single_loop_schedule,
     two_qubit_loop_segment,
 )
@@ -186,6 +191,75 @@ def test_two_qubit_echo_phases():
         sign = 1.0 if (p + q) % 2 == 0 else -1.0
         assert np.isclose(dec.expected_geometric, sign * 2.0 * dphi)
         assert dec.geometric_deviation < 1e-5
+
+
+@pytest.mark.parametrize(
+    "sched,label",
+    [
+        (rotate_schedule(build_echo_sequence(P), 0.4), 1),
+        (build_two_qubit_sequence(P2), (0, 1)),
+        (build_exp_two_qubit_sequence(P2), (1, 0)),
+    ],
+    ids=["single", "two-qubit", "exp"],
+)
+@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "midpoint"])
+def test_overlap_phase_is_constant_through_pulses(sched, label, policy):
+    traj = evolve_eigenstate(sched, label, policy, samples=64)
+    phase = _unwrapped_overlap_phase(traj, label)
+    pulses = [i for i, seg in enumerate(sched.segments) if seg.kind in ("pi-pulse", "control-flip")]
+    assert pulses
+    for i in pulses:
+        rows = phase[traj.segment_rows(i)]
+        assert rows.size > 2
+        assert np.max(np.abs(rows - rows[0])) <= 1e-14
+
+
+def _dense_dynamical_phase(traj, root):
+    """Trapezoid rule over the dense <psi|H|psi> of every segment."""
+    local = traj.local_times()
+    total = 0.0
+    for i, seg in enumerate(traj.schedule.segments):
+        rows = traj.segment_rows(i)
+        ts = local[rows]
+        if ts.size < 2:
+            continue
+        hs = seg.root_generator_batch(ts) if root == "root" else seg.generator_batch(ts)
+        psi = traj.states[rows]
+        expect = np.einsum("ni,nij,nj->n", psi.conj(), hs, psi).real
+        total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
+    return -total
+
+
+def _phase_schedules():
+    out = []
+    for corrected in (True, False):
+        for rotation in (0.0, 0.7):
+            out.append(SegmentSchedule((
+                loop_segment(P, corrected, rotation),
+                pi_pulse_segment(20.0),
+                loop_segment(P.reversed(), corrected, rotation),
+            )))
+    for reverse in (False, True):
+        out.append(SegmentSchedule((two_qubit_loop_segment(P2, reverse),)))
+        for frame_term in (True, False):
+            out.append(SegmentSchedule((exp_loop_segment(P2, reverse, frame_term),)))
+    out.append(build_exp_two_qubit_sequence(P2))
+    return out
+
+
+@pytest.mark.parametrize("root", ["root", "full"])
+@pytest.mark.parametrize(
+    "sched", _phase_schedules(),
+    ids=lambda s: "-".join(f"{seg.kind}{seg.params.get('frame_term', '')}" for seg in s.segments[:3]),
+)
+def test_block_dynamical_phase_matches_dense_generators(sched, root):
+    # a generic state, so every block term contributes
+    rng = np.random.default_rng(SEED)
+    psi = rng.normal(size=sched.dim) + 1j * rng.normal(size=sched.dim)
+    traj = propagate_schedule(sched, psi / np.linalg.norm(psi), samples=64)
+    got = dynamical_phase(traj, root=root)
+    want = _dense_dynamical_phase(traj, root)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 # failure modes -----------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Propagator: the exact rotating-frame path against the midpoint oracle,
-step policies, exactness on constant segments, convergence order,
-unitarity, determinism."""
+"""Propagator: the closed-form SU(2) kernel against dense
+eigendecomposition references and the midpoint oracle, step policies,
+exactness on constant segments, convergence order, unitarity,
+determinism, and no eigendecomposition on the production path."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,18 +12,18 @@ from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
     _segment_partials,
-    convergence_report,
     propagate_schedule,
     propagate_segment,
     rotating_frame_propagators,
     trajectory_to_csv,
 )
-from tqdecho.qcore import ID2, SIGMA_X, SIGMA_Y, expm_hermitian, unitarity_defect
+from tqdecho.qcore import ID2, SIGMA_Y, SIGMA_Z, expm_hermitian, pauli_dot, unitarity_defect
 from tqdecho.schedule import (
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
+    control_flip_segment,
     exp_loop_segment,
     idle_segment,
     loop_segment,
@@ -85,11 +86,53 @@ def test_exact_two_qubit_exp_echo_at_defaults():
 
 
 def test_rotating_frame_rejects_bad_inputs():
-    seg = two_qubit_loop_segment(P2)
-    with pytest.raises(ValueError, match="commute"):
-        rotating_frame_propagators(seg, [1.0], static=np.kron(SIGMA_X, ID2))
     with pytest.raises(ValueError, match="not a loop"):
         rotating_frame_propagators(pi_pulse_segment(40.0), [0.01])
+
+
+def _dense_exact_reference(seg, ts):
+    """exp(-i*omega*t*P/2) exp(-i*K*t) for loops and exp(-i*H*t) for
+    constant segments, by eigendecomposition of dense generators."""
+    if seg.kind not in ("tqd-loop", "root-loop", "two-qubit-loop", "exp-loop"):
+        return expm_hermitian(seg.generator(0.0), ts)
+    if seg.dim == 4:
+        axis = np.kron(SIGMA_Z, ID2)
+    else:
+        rot = seg.params["rotation"]
+        axis = pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
+    frame = 0.5 * seg.params["omega"] * axis
+    return expm_hermitian(frame, ts) @ expm_hermitian(seg.generator(0.0) - frame, ts)
+
+
+def _kernel_cases():
+    flat = LoopParams(theta=0.8, omega=2.3, omega0=1.0)
+    return _loop_cases() + [
+        loop_segment(flat, corrected=True, rotation=0.0),
+        loop_segment(flat.reversed(), corrected=False, rotation=0.0),
+        pi_pulse_segment(40.0, target="single"),
+        pi_pulse_segment(3.3, target="I"),
+        pi_pulse_segment(3.3, target="II"),
+        control_flip_segment(7.1),
+        idle_segment(1.7, dim=4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "seg", _kernel_cases(),
+    ids=lambda s: f"{s.kind}-{s.label}-{s.params.get('rotation', s.params.get('target', ''))}"
+    f"-frame{s.params.get('frame_term', '')}",
+)
+def test_exact_kernel_matches_dense_reference(seg):
+    partials, n, err = propagate_segment(seg, None, checkpoints=512)
+    ts = seg.duration * np.arange(1, 513) / 512
+    assert np.max(np.abs(partials - _dense_exact_reference(seg, ts))) <= 1e-13
+    assert err == 0.0
+    if seg.kind in ("pi-pulse", "control-flip", "idle"):
+        # constant segments are exact under the midpoint policy too
+        mid = propagate_segment(seg, StepPolicy(substeps=8), checkpoints=512)[0]
+        assert mid.tobytes() == partials.tobytes()
+    else:
+        assert rotating_frame_propagators(seg, ts).tobytes() == partials.tobytes()
 
 
 def test_step_policy_validation():
@@ -162,20 +205,6 @@ def test_with_initial_state():
     assert np.allclose(norms, 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         traj.with_initial_state(np.array([1.0, 1.0], dtype=complex))
-
-
-def test_convergence_order_is_two():
-    rep = convergence_report(LOOP, base_substeps=32)
-    assert 1.7 <= rep.order <= 2.3
-    assert rep.diff_base_double > rep.diff_double_quad > 0.0
-    assert not rep.exact
-
-
-def test_convergence_exact_for_constant_schedule():
-    s = SegmentSchedule((idle_segment(1.0), pi_pulse_segment(40.0)))
-    rep = convergence_report(s, base_substeps=32)
-    assert rep.exact
-    assert rep.diff_double_quad < 1e-14
 
 
 def test_rerun_is_bit_identical():
@@ -317,3 +346,33 @@ def test_dense_generators_pack_block_fields(seg):
                 assert np.array_equal(h[:, b, a], v[0, j] + 1j * v[1, j])
                 off_block[np.ix_([a, b], [a, b])] = False
             assert np.all(h[:, off_block] == 0.0)
+
+
+def test_production_path_runs_no_eigendecomposition(monkeypatch):
+    from tqdecho import acceptance
+    from tqdecho.gates import (
+        SingleGateSpec,
+        synthesize_single_gate,
+        synthesize_two_qubit_gate,
+        verify_exp_equivalence,
+    )
+    from tqdecho.phases import tracking_fidelity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called on the production path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(AssertionError, match="production path"):
+        expm_hermitian(SIGMA_Y)
+    rotated = rotate_schedule(build_echo_sequence(LoopParams(1.1, -0.3, 1.0)), 0.8)
+    for sched, label in ((rotated, 1), (build_exp_two_qubit_sequence(P2), (1, 0))):
+        traj = evolve_eigenstate(sched, label)
+        dec = echo_phase_decomposition(traj, label)
+        assert abs(dec.dynamical) <= 1e-12 and dec.geometric_deviation <= 1e-12
+        assert tracking_fidelity(traj, label).min() >= 1.0 - 1e-12
+    assert synthesize_single_gate(SingleGateSpec(0.3, 1.2)).distance <= 1e-12
+    assert synthesize_two_qubit_gate(P2).leakage <= 1e-12
+    assert verify_exp_equivalence(P2, field_draws=4).gate_deviation <= 1e-12
+    for index in range(1, 8):
+        result = acceptance.run_criterion(index)
+        assert result.passed, result.line
