@@ -417,6 +417,8 @@ def _run_scan(params: dict, policy: StepPolicy | None, out: Path) -> int:
     label = params["label"]
     if label not in (0, 1):
         raise ConfigError("scan.label must be 0 or 1")
+    if params["omega0"] <= 0.0:
+        raise ConfigError("scan.omega0 must be positive and finite")
     ratios = params["ratios"]
     if any(r == 0.0 for r in ratios):
         raise ConfigError("scan.ratios must be nonzero")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
-from .propagate import StepPolicy, propagate_schedule, propagate_segment
+from .propagate import StepPolicy, _final_propagator, propagate_segment
 from .qcore import SIGMA_Z, expm_hermitian, gate_distance, pauli_dot, wrap_angle
 from .schedule import (
     SegmentSchedule,
@@ -118,9 +118,8 @@ def synthesize_single_gate(
     sched = rotate_schedule(
         build_echo_sequence(loop, omega_pi=omega_pi), spec.axis_angle - theta
     )
-    traj = propagate_schedule(sched, policy=policy, samples=16)
+    realized, substeps_used = _final_propagator(sched, policy)
     target = closed_form_single(spec)
-    realized = traj.final_propagator
     return SingleGateReport(
         spec=spec,
         cone_angle=theta,
@@ -129,7 +128,7 @@ def synthesize_single_gate(
         realized=realized,
         distance=gate_distance(realized, target),
         schedule=sched,
-        substeps_used=traj.substeps_used,
+        substeps_used=substeps_used,
     )
 
 
@@ -203,8 +202,7 @@ def synthesize_two_qubit_gate(
     integrator.
     """
     sched = build_two_qubit_sequence(p)
-    traj = propagate_schedule(sched, policy=policy, samples=16)
-    realized = traj.final_propagator
+    realized, substeps_used = _final_propagator(sched, policy)
 
     basis = eigenbasis_matrix(p, 0.0)
     in_eig = basis.conj().T @ realized @ basis
@@ -230,7 +228,7 @@ def synthesize_two_qubit_gate(
         leakage=leakage,
         phase_residuals=residuals,
         schedule=sched,
-        substeps_used=traj.substeps_used,
+        substeps_used=substeps_used,
     )
 
 
@@ -271,26 +269,22 @@ def verify_exp_equivalence(
     if field_draws < 1:
         raise ValueError(f"field_draws must be >= 1, got {field_draws}")
     rng = np.random.default_rng(seed)
-    draws = np.array([
-        (rng.integers(2), rng.integers(2), rng.uniform(0.0, p.period))
-        for _ in range(field_draws)
-    ]).reshape(-1, 3)
+    orientation = rng.integers(2, size=field_draws)
+    control = rng.integers(2, size=field_draws)
+    times = rng.uniform(0.0, p.period, size=field_draws)
     worst = 0.0
     for reverse in (False, True):
-        _, q, ts = draws[draws[:, 0] == reverse].T
+        pick = orientation == reverse
+        ts = times[pick]
         got = exp_loop_segment(p, reverse).block_fields(ts)[1]
         want = two_qubit_loop_segment(p, reverse).block_fields(ts)[1]
-        at = (slice(None), q.astype(int), np.arange(ts.size))
+        at = (slice(None), control[pick], np.arange(ts.size))
         # block fields are half the field
         dev = 2.0 * np.abs(got[at] - want[at])
         worst = max(worst, float(np.max(dev, initial=0.0)))
 
-    u_cond = propagate_schedule(
-        build_two_qubit_sequence(p), policy=policy, samples=4
-    ).final_propagator
-    u_exp = propagate_schedule(
-        build_exp_two_qubit_sequence(p, frame_term=True), policy=policy, samples=4
-    ).final_propagator
+    u_cond = _final_propagator(build_two_qubit_sequence(p), policy)[0]
+    u_exp = _final_propagator(build_exp_two_qubit_sequence(p, frame_term=True), policy)[0]
     return ExpEquivalenceReport(
         params=p,
         max_field_deviation=worst,

@@ -337,6 +337,32 @@ def _segment_key(seg: Segment) -> tuple:
     return seg.kind, repr(seg.duration), seg.dim, params
 
 
+def _final_propagator(s: SegmentSchedule, policy: StepPolicy | None = None) -> tuple:
+    """Full propagator of a schedule, with no sampled trajectory.
+
+    Each distinct nonzero-duration segment is propagated once to its end
+    (one checkpoint) and the segment propagators are left-multiplied in
+    schedule order. Zero-duration segments are skipped. Returns
+    (u, substeps_used), the latter per segment as in Trajectory, with 0
+    for each skipped segment.
+    """
+    done = {}
+    used = []
+    u = np.eye(s.dim, dtype=complex)
+    for seg in s.segments:
+        if seg.duration == 0.0:
+            used.append(0)
+            continue
+        key = _segment_key(seg)
+        if key not in done:
+            partials, n_used, _ = propagate_segment(seg, policy)
+            done[key] = partials[-1], n_used
+        full, n_used = done[key]
+        used.append(n_used)
+        u = full @ u
+    return u, tuple(used)
+
+
 def propagate_schedule(
     s: SegmentSchedule,
     initial_state: np.ndarray | None = None,

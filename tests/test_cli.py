@@ -224,6 +224,17 @@ def test_rejects_domain_errors_with_config_exit(tmp_path):
     assert main(["scan", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("omega0", [0, -1.0])
+def test_scan_rejects_nonpositive_omega0(tmp_path, capsys, omega0):
+    # named after the scan key, not the loop rate omega0 * ratio it feeds
+    cfg = write_config(
+        tmp_path, "s.json",
+        {"kind": "scan", "theta": THETA, "omega0": omega0, "ratios": [1.0]},
+    )
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "scan.omega0 must be positive and finite" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["fields", "--config", str(tmp_path / "nope.json")]) == 2
 
