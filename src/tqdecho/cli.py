@@ -422,6 +422,13 @@ def _run_scan(params: dict, policy: StepPolicy | None, out: Path) -> int:
     ratios = params["ratios"]
     if any(r == 0.0 for r in ratios):
         raise ConfigError("scan.ratios must be nonzero")
+    # each point drives its loop at omega0 * ratio, which can overflow or
+    # underflow although both factors are valid
+    rates = [params["omega0"] * r for r in ratios]
+    if not all(np.isfinite(w) and w != 0.0 for w in rates):
+        raise ConfigError(
+            "scan.omega0 * scan.ratios must be finite and nonzero for every ratio"
+        )
     # workers is accepted for old configs but has no effect: a point costs
     # about half a millisecond, less than handing it to a thread
     if params["workers"] < 1:

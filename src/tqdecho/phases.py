@@ -10,8 +10,10 @@ same matrices, the overlap phase between reference and simulated state
 changes only while a loop is running. Idles leave it unchanged. No
 exponential is computed here.
 
-Total phase is the unwrapped overlap phase arg<ref(t)|psi(t)> accumulated
-over the schedule. The dynamical part is minus the time integral of the
+The overlap series <ref(t)|psi(t)> is built once per trajectory and label
+and shared by every function here: tracking fidelity is its squared
+magnitude, and total phase is its unwrapped argument accumulated over the
+schedule. The dynamical part is minus the time integral of the
 uncorrected-generator expectation; the geometric part is their difference.
 For the drives used here the dynamical integrand is constant on every
 segment (the loop integrand is the tracked eigenenergy, and a constant
@@ -60,10 +62,11 @@ def _spin_rotation_y(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _loop_eigvec_batch(
-    theta: float, omega: float, label: int, ts: np.ndarray, rotation: float = 0.0
+def _loop_eigvecs(
+    theta: float, omega: float, labels: tuple, ts: np.ndarray, rotation: float = 0.0
 ) -> np.ndarray:
-    """Smooth-gauge eigenvectors of the cone drive, rows (len(ts), 2).
+    """Smooth-gauge eigenvectors of the cone drive, shape
+    (len(labels), len(ts), 2).
 
     label 0 follows the field direction (energy +omega0/2), label 1 is
     antiparallel. The gauge puts the winding phase exp(i*omega*t) on the
@@ -71,15 +74,16 @@ def _loop_eigvec_batch(
     """
     half = 0.5 * theta
     phase = np.exp(1j * omega * ts)
-    out = np.empty((ts.size, 2), dtype=complex)
-    if label == 0:
-        out[:, 0] = np.cos(half)
-        out[:, 1] = phase * np.sin(half)
-    elif label == 1:
-        out[:, 0] = -np.sin(half)
-        out[:, 1] = phase * np.cos(half)
-    else:
-        raise ValueError("single-qubit label must be 0 or 1")
+    out = np.empty((len(labels), ts.size, 2), dtype=complex)
+    for k, label in enumerate(labels):
+        if label == 0:
+            out[k, :, 0] = np.cos(half)
+            out[k, :, 1] = phase * np.sin(half)
+        elif label == 1:
+            out[k, :, 0] = -np.sin(half)
+            out[k, :, 1] = phase * np.cos(half)
+        else:
+            raise ValueError("single-qubit label must be 0 or 1")
     if rotation != 0.0:
         out = out @ _spin_rotation_y(rotation).T
     return out
@@ -88,114 +92,132 @@ def _loop_eigvec_batch(
 def loop_eigenvector(
     p: LoopParams, label: int, t: float, rotation: float = 0.0
 ) -> np.ndarray:
-    return _loop_eigvec_batch(p.theta, p.omega, label, np.array([float(t)]), rotation)[0]
+    return _loop_eigvecs(p.theta, p.omega, (label,), np.array([float(t)]), rotation)[0, 0]
 
 
-def _cond_eigvec_batch(
-    p: TwoQubitParams, label: tuple, ts: np.ndarray
-) -> np.ndarray:
-    pp, q = label
-    if pp not in (0, 1) or q not in (0, 1):
-        raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
+def _cond_eigvecs(p: TwoQubitParams, labels: tuple, ts: np.ndarray) -> np.ndarray:
+    """Conditional eigenvectors, shape (len(labels), len(ts), 4)."""
     tt = theta_tilde(p)
-    theta_q = tt if q == 0 else np.pi - tt
-    single = _loop_eigvec_batch(theta_q, p.omega, pp, ts)
-    out = np.zeros((ts.size, 4), dtype=complex)
-    out[:, 0 + q] = single[:, 0]
-    out[:, 2 + q] = single[:, 1]
+    out = np.zeros((len(labels), ts.size, 4), dtype=complex)
+    for k, (pp, q) in enumerate(labels):
+        if pp not in (0, 1) or q not in (0, 1):
+            raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
+        single = _loop_eigvecs(tt if q == 0 else np.pi - tt, p.omega, (pp,), ts)[0]
+        out[k, :, 0 + q] = single[:, 0]
+        out[k, :, 2 + q] = single[:, 1]
     return out
 
 
 def two_qubit_eigenvector(p: TwoQubitParams, label: tuple, t: float) -> np.ndarray:
     """phi_{p,q}(t): the driven qubit's eigenvector for the cone selected
     by control state q, tensored with |q>."""
-    return _cond_eigvec_batch(p, label, np.array([float(t)]))[0]
+    return _cond_eigvecs(p, (label,), np.array([float(t)]))[0, 0]
 
 
 def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
     """Columns are the conditional eigenvectors in LABELS4 order."""
-    return np.column_stack([two_qubit_eigenvector(p, lab, t) for lab in LABELS4])
+    return _cond_eigvecs(p, LABELS4, np.array([float(t)]))[:, 0].T.copy()
 
 
 # ---------------------------------------------------------------------------
 # comoving reference series
 # ---------------------------------------------------------------------------
 
-def _segment_eigvec_batch(seg, label, ts: np.ndarray) -> np.ndarray:
+def _segment_eigvecs(seg, labels: tuple, ts: np.ndarray) -> np.ndarray:
     if seg.dim == 2:
-        return _loop_eigvec_batch(
-            seg.params["theta"], seg.params["omega"], label, ts,
+        return _loop_eigvecs(
+            seg.params["theta"], seg.params["omega"], labels, ts,
             seg.params.get("rotation", 0.0),
         )
     p = TwoQubitParams(seg.params["omega_i"], seg.params["coupling"], seg.params["omega"])
-    return _cond_eigvec_batch(p, label, ts)
+    return _cond_eigvecs(p, labels, ts)
 
 
-def _candidate_labels(dim: int) -> tuple:
-    return (0, 1) if dim == 2 else LABELS4
+def _checked_label(sched: SegmentSchedule, label):
+    """The label as a memo key (an int, or a pair for dim 4), after
+    checking that phase analysis applies to the schedule."""
+    if sched.segments[0].kind not in _LOOP_KINDS:
+        raise ValueError("phase analysis needs a schedule that starts with a loop")
+    if sched.dim == 2:
+        if not isinstance(label, (int, np.integer)):
+            raise ValueError("single-qubit label must be an int")
+        return label
+    label = tuple(label)
+    if len(label) != 2 or any(x not in (0, 1) for x in label):
+        raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
+    return label
 
 
-def _reference_series(traj: Trajectory, label, strict: bool) -> tuple:
+# a loop entered with a best eigenvector overlap below this is misaligned
+_ALIGNMENT_FLOOR = 1.0 - 1e-6
+
+
+def _reference_series(traj: Trajectory, label) -> tuple:
     """Comoving reference vectors at every trajectory sample.
 
-    Returns (refs, per_segment_labels). In strict mode, a reference that
-    fails to line up with one eigenvector at a loop-segment start (overlap
-    magnitude below 1 - 1e-6) raises, since phases against a drifting
-    reference are not meaningful.
+    Returns (refs, misaligned). At each loop entry after the first the
+    reference continues on the eigenvector it overlaps most; misaligned
+    is None if every such overlap magnitude reaches _ALIGNMENT_FLOOR,
+    else (segment index, segment label, magnitude) of the first entry
+    that does not.
     """
     sched = traj.schedule
     dim = sched.dim
-    first = sched.segments[0]
-    if first.kind not in _LOOP_KINDS:
-        raise ValueError("phase analysis needs a schedule that starts with a loop")
-    if dim == 2 and not isinstance(label, (int, np.integer)):
-        raise ValueError("single-qubit label must be an int")
-    if dim == 4:
-        label = tuple(label)
-
+    candidates = (0, 1) if dim == 2 else LABELS4
     refs = np.empty((len(traj.times), dim), dtype=complex)
-    seg_labels = []
+    misaligned = None
     ref_in = None
     local = traj.local_times()
     for i, seg in enumerate(sched.segments):
         rows = traj.segment_rows(i)
-        ts = local[rows]
         if seg.kind in _LOOP_KINDS:
+            ts = local[rows]
             if ref_in is None:
                 detected = label
                 eta = 0.0
             else:
-                overlaps = {
-                    cand: complex(
-                        np.vdot(_segment_eigvec_batch(seg, cand, ts[:1])[0], ref_in)
-                    )
-                    for cand in _candidate_labels(dim)
-                }
-                detected = max(overlaps, key=lambda c: abs(overlaps[c]))
-                mag = abs(overlaps[detected])
-                if strict and mag < 1.0 - 1e-6:
-                    raise ValueError(
-                        "reference lost eigenstate alignment entering segment "
-                        f"{i} ({seg.label}): best overlap {mag:.6f}; the pulse "
-                        "between loops does not map eigenstates to eigenstates"
-                    )
-                eta = float(np.angle(overlaps[detected]))
-            block = _segment_eigvec_batch(seg, detected, ts) * np.exp(1j * eta)
-            seg_labels.append(detected)
+                entry = _segment_eigvecs(seg, candidates, ts[:1])[:, 0]
+                overlaps = [np.vdot(v, ref_in) for v in entry]
+                best = int(np.argmax(np.abs(overlaps)))
+                detected = candidates[best]
+                mag = abs(overlaps[best])
+                if misaligned is None and mag < _ALIGNMENT_FLOOR:
+                    misaligned = (i, seg.label, mag)
+                eta = float(np.angle(overlaps[best]))
+            refs[rows] = _segment_eigvecs(seg, (detected,), ts)[0] * np.exp(1j * eta)
         elif seg.kind in _PULSE_KINDS:
-            if ref_in is None:
-                raise ValueError("phase analysis needs a schedule that starts with a loop")
             u = traj.propagators[rows]
-            block = u @ (u[0].conj().T @ ref_in)
-            seg_labels.append(None)
+            refs[rows] = u @ (u[0].conj().T @ ref_in)
         else:  # idle
-            if ref_in is None:
-                raise ValueError("phase analysis needs a schedule that starts with a loop")
-            block = np.broadcast_to(ref_in, (ts.size, dim)).copy()
-            seg_labels.append(None)
-        refs[rows] = block
-        ref_in = block[-1]
-    return refs, seg_labels
+            refs[rows] = ref_in
+        ref_in = refs[rows.stop - 1]
+    return refs, misaligned
+
+
+def _overlap(traj: Trajectory, label, strict: bool) -> np.ndarray:
+    """<ref(t)|psi(t)> against the comoving reference for `label`.
+
+    Built once per trajectory and label, kept in Trajectory._overlaps,
+    and shared by every phase function. Strict callers refuse a
+    reference that lost eigenstate alignment at a loop entry, since
+    phases against a drifting reference are not meaningful.
+    """
+    key = _checked_label(traj.schedule, label)
+    memo = traj._overlaps.get(key)
+    if memo is None:
+        refs, misaligned = _reference_series(traj, key)
+        ov = np.einsum("ni,ni->n", refs.conj(), traj.states)
+        ov.setflags(write=False)
+        memo = traj._overlaps[key] = ov, misaligned
+    ov, misaligned = memo
+    if strict and misaligned is not None:
+        i, seg_label, mag = misaligned
+        raise ValueError(
+            f"reference lost eigenstate alignment entering segment {i} "
+            f"({seg_label}): best overlap {mag:.6f}; the pulse between "
+            "loops does not map eigenstates to eigenstates"
+        )
+    return ov
 
 
 def evolve_eigenstate(
@@ -212,7 +234,7 @@ def evolve_eigenstate(
         raise ValueError("schedule must start with a loop segment")
     if s.dim == 4:
         label = tuple(label)
-    psi0 = _segment_eigvec_batch(first, label, np.array([0.0]))[0]
+    psi0 = _segment_eigvecs(first, (label,), np.array([0.0]))[0, 0]
     return propagate_schedule(s, initial_state=psi0, policy=policy, samples=samples)
 
 
@@ -224,9 +246,7 @@ def tracking_fidelity(traj: Trajectory, label) -> np.ndarray:
     """
     if traj.states is None:
         raise ValueError("attach an initial state before computing fidelities")
-    refs, _ = _reference_series(traj, label, strict=False)
-    ov = np.einsum("ni,ni->n", refs.conj(), traj.states)
-    return np.abs(ov) ** 2
+    return np.abs(_overlap(traj, label, strict=False)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +295,7 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
 
 
 def _unwrapped_overlap_phase(traj: Trajectory, label) -> np.ndarray:
-    refs, _ = _reference_series(traj, label, strict=True)
-    ov = np.einsum("ni,ni->n", refs.conj(), traj.states)
+    ov = _overlap(traj, label, strict=True)
     mag = np.abs(ov)
     if mag.min() < 0.99:
         raise ValueError(
@@ -421,6 +440,6 @@ def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
     seg = loop_segment(p)
     v = seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1]
     hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)
-    vecs = np.stack([_loop_eigvec_batch(p.theta, p.omega, label, ts) for label in (0, 1)])
+    vecs = _loop_eigvecs(p.theta, p.omega, (0, 1), ts)
     energies = np.einsum("lni,nij,lnj->ln", vecs.conj(), hc, vecs).real
     return float(np.max(np.abs(energies), initial=0.0))

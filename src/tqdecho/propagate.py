@@ -43,7 +43,7 @@ produce bit-identical propagators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -273,9 +273,14 @@ class Trajectory:
     times: absolute sample times; segment boundaries appear twice, once
         as the end of a segment and once as the start of the next, so
         per-segment reductions see closed intervals.
-    segment_index: index into schedule.segments for each sample.
+    segment_index: index into schedule.segments for each sample, sorted.
     propagators: cumulative propagators U(0 -> t) at each sample.
     states: propagators applied to initial_state, or None.
+
+    Construction tabulates each segment's row slice and the samples'
+    local times once. `phases` keeps its comoving overlap series per
+    label in `_overlaps`, which starts empty on every new trajectory
+    (with_initial_state and dataclasses.replace included).
     """
 
     schedule: SegmentSchedule
@@ -286,6 +291,17 @@ class Trajectory:
     states: np.ndarray | None = None
     substeps_used: tuple = ()
     step_errors: tuple = ()
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _local: np.ndarray = field(init=False, repr=False, compare=False)
+    _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        idx = self.segment_index
+        edges = np.searchsorted(idx, np.arange(len(self.schedule.segments) + 1)).tolist()
+        object.__setattr__(self, "_rows", tuple(map(slice, edges[:-1], edges[1:])))
+        local = self.times - self.schedule.boundaries[:-1][idx]
+        local.setflags(write=False)
+        object.__setattr__(self, "_local", local)
 
     @property
     def final_propagator(self) -> np.ndarray:
@@ -310,16 +326,13 @@ class Trajectory:
         return replace(self, initial_state=psi, states=states)
 
     def local_times(self) -> np.ndarray:
-        """Sample times relative to the start of their own segment."""
-        starts = self.schedule.boundaries[:-1]
-        return self.times - starts[self.segment_index]
+        """Sample times relative to the start of their own segment
+        (read-only)."""
+        return self._local
 
     def segment_rows(self, index: int) -> slice:
-        """Row range belonging to schedule segment `index`
-        (segment_index is sorted)."""
-        idx = self.segment_index
-        return slice(int(np.searchsorted(idx, index, "left")),
-                     int(np.searchsorted(idx, index, "right")))
+        """Row range belonging to schedule segment `index`."""
+        return self._rows[index]
 
 
 def _checkpoint_count(seg: Segment, samples: int) -> int:

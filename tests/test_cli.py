@@ -235,6 +235,19 @@ def test_scan_rejects_nonpositive_omega0(tmp_path, capsys, omega0):
     assert "scan.omega0 must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega0,ratio", [(1e300, 1e10), (1e300, -1e10), (1e-300, 1e-300)])
+def test_scan_rejects_loop_rate_out_of_range(tmp_path, capsys, omega0, ratio):
+    # both keys are valid alone; their product, the loop rate, is not
+    cfg = write_config(
+        tmp_path, "s.json",
+        {"kind": "scan", "theta": 1.0, "omega0": omega0, "ratios": [1.0, ratio]},
+    )
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "scan.omega0 * scan.ratios must be finite and nonzero" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["fields", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -2,7 +2,10 @@
 echo cancellation, two-qubit conditional phases."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tqdecho import phases
 from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.phases import (
     LABELS4,
@@ -305,3 +308,147 @@ def test_phase_analysis_requires_leading_loop():
     )
     with pytest.raises(ValueError, match="starts with a loop"):
         total_phase(t, 0)
+
+
+# one overlap series per trajectory and label ----------------------------------
+
+def _count_reference_builds(monkeypatch) -> list:
+    calls = []
+    build = phases._reference_series
+
+    def counted(traj, label):
+        calls.append(label)
+        return build(traj, label)
+
+    monkeypatch.setattr(phases, "_reference_series", counted)
+    return calls
+
+
+def test_phase_functions_share_one_reference_build(monkeypatch):
+    calls = _count_reference_builds(monkeypatch)
+    traj = evolve_eigenstate(rotate_schedule(build_echo_sequence(P), 0.4), 1, samples=64)
+    echo_phase_decomposition(traj, 1)
+    tracking_fidelity(traj, 1)
+    total_phase(traj, 1)
+    dynamical_phase(traj)
+    assert calls == [1]
+    # a second label builds its own series once
+    assert tracking_fidelity(traj, 0).max() < 1e-12
+    tracking_fidelity(traj, 0)
+    assert calls == [1, 0]
+
+
+def test_two_qubit_labels_share_one_reference_build(monkeypatch):
+    calls = _count_reference_builds(monkeypatch)
+    traj = evolve_eigenstate(build_two_qubit_sequence(P2), (0, 1), samples=256)
+    tracking_fidelity(traj, (0, 1))
+    echo_phase_decomposition(traj, [0, 1])  # a list names the same label
+    assert calls == [(0, 1)]
+
+
+def _bad_control_pulse_trajectory():
+    bad = SegmentSchedule(
+        (
+            two_qubit_loop_segment(P2),
+            pi_pulse_segment(P2.omega_pi, target="II"),
+            two_qubit_loop_segment(P2, reverse=True),
+        )
+    )
+    return evolve_eigenstate(bad, (0, 0), StepPolicy(substeps=512), samples=16)
+
+
+def test_strict_check_holds_after_a_lenient_call():
+    """tracking_fidelity builds the series without the alignment check;
+    a later total_phase on the same trajectory still refuses it."""
+    traj = _bad_control_pulse_trajectory()
+    fid = tracking_fidelity(traj, (0, 0))
+    assert fid.min() < 0.9
+    with pytest.raises(ValueError, match="does not map eigenstates"):
+        total_phase(traj, (0, 0))
+    with pytest.raises(ValueError, match="does not map eigenstates"):
+        echo_phase_decomposition(traj, (0, 0))
+    # and the lenient call still answers after the strict one refused
+    assert np.array_equal(tracking_fidelity(traj, (0, 0)), fid)
+
+
+def test_lost_tracking_is_refused_after_a_lenient_call():
+    bare = single_loop_schedule(P, corrected=False)
+    traj = evolve_eigenstate(bare, 0, POL, samples=128)
+    assert tracking_fidelity(traj, 0).min() < 0.3
+    with pytest.raises(ValueError, match="overlap"):
+        total_phase(traj, 0)
+
+
+def test_new_initial_state_starts_a_new_series():
+    sched = rotate_schedule(build_echo_sequence(P), -0.9)
+    first = evolve_eigenstate(sched, 0, samples=64)
+    tracking_fidelity(first, 0)
+    echo_phase_decomposition(first, 0)
+    psi1 = loop_eigenvector(P, 1, 0.0, rotation=-0.9)
+    moved = first.with_initial_state(psi1)
+    fresh = evolve_eigenstate(sched, 1, samples=64)
+    for label in (0, 1):
+        assert np.array_equal(tracking_fidelity(moved, label), tracking_fidelity(fresh, label))
+    assert echo_phase_decomposition(moved, 1) == echo_phase_decomposition(fresh, 1)
+    # the original trajectory keeps its own series
+    assert tracking_fidelity(first, 0).min() >= 1.0 - 1e-12
+
+
+def test_segment_rows_and_local_times_are_tabulated():
+    sched = build_echo_sequence(P, gaps=(0.3, 0.0, 0.2))
+    traj = evolve_eigenstate(sched, 0, samples=32)
+    starts = sched.boundaries[:-1]
+    for i in range(len(sched.segments)):
+        rows = traj.segment_rows(i)
+        assert np.all(traj.segment_index[rows] == i)
+        assert rows.stop - rows.start == np.count_nonzero(traj.segment_index == i)
+    assert np.array_equal(traj.local_times(), traj.times - starts[traj.segment_index])
+    assert not traj.local_times().flags.writeable
+
+
+# generated echoes ----------------------------------------------------------------
+
+@st.composite
+def _drawn_echoes(draw):
+    """Cone angle, |omega/omega0| log-uniform in [0.1, 10] with either
+    sign, omega0 log-uniform in [0.2, 5], drive rotation and label."""
+    omega0 = 10.0 ** draw(st.floats(np.log10(0.2), np.log10(5.0)))
+    ratio = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=ratio * omega0, omega0=omega0)
+    return p, draw(st.floats(-np.pi, np.pi)), draw(st.sampled_from([0, 1]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_drawn_echoes())
+def test_echo_keeps_only_the_geometric_phase(draw):
+    # bounds: criterion 2's 1e-11 on the geometric phase, and rounding
+    # level on the residual dynamical phase and the tracking
+    p, rotation, label = draw
+    traj = evolve_eigenstate(rotate_schedule(build_echo_sequence(p), rotation), label)
+    dec = echo_phase_decomposition(traj, label)
+    expected = (1 - 2 * label) * 2.0 * np.pi * np.cos(p.theta)
+    assert abs(wrap_angle(dec.geometric - expected)) <= 1e-11
+    assert abs(dec.dynamical) / (p.omega0 * p.period) <= 1e-12
+    assert 1.0 - tracking_fidelity(traj, label).min() <= 1e-12
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.7])
+def test_echo_keeps_an_inhomogeneous_ensemble_pure(rotation):
+    """41 spins with omega0 spread over [0.5, 1.5], each starting in an
+    equal superposition of the two loop eigenstates: one loop dephases
+    the ensemble, the echo refocuses it."""
+    theta, omega = np.pi / 3, 1.0
+    spins = [LoopParams(theta, omega, omega0) for omega0 in np.linspace(0.5, 1.5, 41)]
+    psi0 = (loop_eigenvector(spins[0], 0, 0.0, rotation)
+            + loop_eigenvector(spins[0], 1, 0.0, rotation)) / np.sqrt(2.0)
+
+    def purity(build):
+        finals = np.array([
+            propagate_schedule(rotate_schedule(build(p), rotation), psi0, samples=2).final_state
+            for p in spins
+        ])
+        rho = np.einsum("ni,nj->ij", finals, finals.conj()) / len(spins)
+        return float(np.trace(rho @ rho).real)
+
+    assert purity(build_echo_sequence) >= 1.0 - 1e-12
+    assert purity(single_loop_schedule) < 0.9
