@@ -14,7 +14,6 @@ from .qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    expm_hermitian,
     gate_distance,
     wrap_angle,
 )
@@ -66,7 +65,6 @@ from .gates import (
     UniversalityReport,
     closed_form_echo_gate,
     closed_form_single,
-    reduced_model_deviation,
     synthesize_single_gate,
     synthesize_two_qubit_gate,
     universality_check,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
-from .propagate import StepPolicy, _final_propagator, propagate_segment
-from .qcore import SIGMA_Z, expm_hermitian, gate_distance, pauli_dot, wrap_angle
+from .propagate import StepPolicy, _final_propagator
+from .qcore import gate_distance, pauli_dot, wrap_angle
 from .schedule import (
     SegmentSchedule,
     build_echo_sequence,
@@ -43,7 +43,6 @@ __all__ = [
     "synthesize_two_qubit_gate",
     "universality_check",
     "verify_exp_equivalence",
-    "reduced_model_deviation",
 ]
 
 
@@ -291,50 +290,3 @@ def verify_exp_equivalence(
         gate_deviation=gate_distance(u_exp, u_cond),
         field_draws=field_draws,
     )
-
-
-def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
-    """Exploratory: perturb the echo with a static field on the control
-    qubit during the loop segments (pulses stay ideal).
-
-    The reduced conditional model treats the control as frozen. A z field
-    on the control only shifts the two sectors' scalar phases, and the
-    control flip between the echo halves swaps the sectors, so any
-    constant z rate refocuses exactly; this is the same cancellation that
-    disposes of the frame term in the experimental realization. A
-    transverse control field is a different matter: it couples the
-    sectors and genuinely degrades the gate. Returns the gate distance to
-    the unperturbed echo and the eigenbasis leakage of the perturbed run.
-    Not part of the verified surface. Both runs are exact: a field on the
-    control commutes with the driven qubit's precession P, so each loop
-    keeps its rotating-frame closed form
-    exp(-i*omega*T*P/2) exp(-i*(H(0) + field - omega*P/2)*T). A transverse
-    field couples the control sectors, which the block kernel of
-    propagate does not cover, so the loops here are dense exponentials;
-    pulses and idles come from propagate_segment.
-    """
-    sched = build_two_qubit_sequence(p)
-    extra = np.kron(np.eye(2), 0.5 * pauli_dot(control_field))
-
-    def run(static) -> np.ndarray:
-        u = np.eye(4, dtype=complex)
-        for seg in sched.segments:
-            if seg.kind == "two-qubit-loop":
-                frame = 0.5 * seg.params["omega"] * np.kron(SIGMA_Z, np.eye(2))
-                k = seg.generator(0.0) + static - frame
-                step = expm_hermitian(frame, seg.duration) @ expm_hermitian(k, seg.duration)
-            else:
-                step = propagate_segment(seg)[0][-1]
-            u = step @ u
-        return u
-
-    u_ref = run(0.0)
-    u_pert = run(extra)
-    basis = eigenbasis_matrix(p, 0.0)
-    in_eig = basis.conj().T @ u_pert @ basis
-    off = in_eig - np.diag(np.diag(in_eig))
-    return {
-        "control_field": [float(v) for v in np.asarray(control_field, dtype=float)],
-        "gate_deviation": gate_distance(u_pert, u_ref),
-        "leakage": float(np.max(np.abs(off))),
-    }

@@ -19,7 +19,8 @@ For the drives used here the dynamical integrand is constant on every
 segment (the loop integrand is the tracked eigenenergy, and a constant
 pulse conserves its own expectation), so the trapezoid rule integrates it
 essentially exactly. Loop expectations are read from the real 2x2 block
-fields (Segment.block_fields), with no dense generator built.
+fields (Segment.block_fields) and pulse expectations from the axis each
+qubit turns about (_pulse_axes), so no dense generator is built.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams, theta_tilde
 from .propagate import StepPolicy, Trajectory, propagate_schedule
 from .qcore import PAULI, wrap_angle
-from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, loop_segment
+from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _pulse_axes, loop_segment
 
 __all__ = [
     "LABELS4",
@@ -266,13 +267,30 @@ def _block_expectation(seg, ts: np.ndarray, psi: np.ndarray, corrected: bool) ->
     return terms.sum(axis=0)
 
 
+def _pulse_expectation(seg, psi: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> of a pulse, H = 0.5*omega_pi times sigma_k on each
+    turned qubit (_pulse_axes): the sum of 0.5*omega_pi*<sigma_k> over
+    those qubits, the driven qubit being the leading tensor factor."""
+    half = 0.5 * seg.params["omega_pi"]
+    axes = _pulse_axes(seg.kind, seg.params)
+    if len(axes) == 1:
+        return np.einsum("ni,ij,nj->n", psi.conj(), half * PAULI[axes[0]], psi).real
+    pair = psi.reshape(-1, 2, 2)
+    per_qubit = ("nac,ab,nbc->n", "nca,ab,ncb->n")
+    return sum(
+        np.einsum(spec, pair.conj(), half * PAULI[k], pair).real
+        for spec, k in zip(per_qubit, axes)
+        if k is not None
+    )
+
+
 def dynamical_phase(traj: Trajectory, root="root") -> float:
     """Minus the integrated expectation of the reference generator.
 
     root selects what is integrated: "root" (default) uses each segment's
     uncorrected generator, "full" the complete generator including
-    corrections. Loops are read in block form; a pulse is one constant
-    matrix; idles contribute nothing.
+    corrections. Loops are read in block form, pulses from the axis each
+    qubit turns about; idles contribute nothing.
     """
     if traj.states is None:
         raise ValueError("attach an initial state before computing phases")
@@ -289,7 +307,7 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
         if seg.kind in _LOOP_KINDS:
             expect = _block_expectation(seg, ts, psi, corrected=root == "full")
         else:
-            expect = np.einsum("ni,ij,nj->n", psi.conj(), seg.generator(0.0), psi).real
+            expect = _pulse_expectation(seg, psi)
         total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
     return float(-total)
 

@@ -2,8 +2,9 @@
 
 Two propagators share one interface; `policy` selects between them. Both
 work on the real 2x2 block form of the generators (Segment.block_fields)
-and store each SU(2) factor as a real quaternion; complex matrices are
-built only at the sample times, by one packer.
+and store each SU(2) factor as a real quaternion; no generator is built
+as a dense matrix, and complex matrices are built only at the sample
+times, by one packer.
 
 Exact (policy=None, the default). Every loop kind is a transverse field
 precessing at a fixed rate omega about an axis n, plus a static part
@@ -34,9 +35,10 @@ factor is unitary, so the product is unitary at any step count, and the
 scheme is second-order accurate in the step size. It shares nothing with
 the exact loop kernel but the drive formulas, the Hamilton product and
 the packer, which makes it the independent oracle that acceptance
-criterion 8 runs; the tests pin both to dense eigendecomposition
-references. Each step is a scalar phase times a per-block quaternion;
-the steps are multiplied as quaternions.
+criterion 8 runs. Each step is a scalar phase times a per-block
+quaternion; the steps are multiplied as quaternions. The tests pin both
+propagators to dense eigendecomposition references, which they pack
+from the same block fields (tests/dense.py).
 
 The association order of every product is fixed, so repeated runs
 produce bit-identical propagators.
@@ -125,8 +127,7 @@ def _pack_quaternions(q: np.ndarray, scale: np.ndarray | None, dim: int) -> np.n
 
 def _step_quaternions(seg: Segment, n: int) -> tuple:
     """Midpoint steps exp(-i*H(t_mid)*dt) of a loop segment, one per 2x2
-    block of its generator, read from Segment.block_fields; no dense
-    generator is built.
+    block of its generator, read from Segment.block_fields.
 
     Each block h = c0 + v . sigma steps as exp(-i*c0*dt) times the
     quaternion (cos r*dt, sin(r*dt)/r * v) with r = |v|. Returns the
@@ -314,15 +315,7 @@ class Trajectory:
         return self.states[-1]
 
     def with_initial_state(self, psi: np.ndarray) -> "Trajectory":
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (self.schedule.dim,):
-            raise ValueError(
-                f"initial state must have dimension {self.schedule.dim}"
-            )
-        n = np.linalg.norm(psi)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("initial state must be normalized")
-        states = np.einsum("nij,j->ni", self.propagators, psi)
+        psi, states = _evolved_states(self.propagators, psi)
         return replace(self, initial_state=psi, states=states)
 
     def local_times(self) -> np.ndarray:
@@ -333,6 +326,19 @@ class Trajectory:
     def segment_rows(self, index: int) -> slice:
         """Row range belonging to schedule segment `index`."""
         return self._rows[index]
+
+
+def _evolved_states(propagators: np.ndarray, psi: np.ndarray) -> tuple:
+    """(psi, propagators applied to psi), after checking that psi is a
+    normalized state of the propagators' dimension."""
+    dim = propagators.shape[-1]
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise ValueError(f"initial state must have dimension {dim}")
+    n = np.linalg.norm(psi)
+    if abs(n - 1.0) > 1e-12:
+        raise ValueError("initial state must be normalized")
+    return psi, np.einsum("nij,j->ni", propagators, psi)
 
 
 def _checkpoint_count(seg: Segment, samples: int) -> int:
@@ -421,17 +427,20 @@ def propagate_schedule(
         props.append(block)
         cum = block[-1]
         t0 += seg.duration
-    traj = Trajectory(
+    props = np.concatenate(props)
+    psi = states = None
+    if initial_state is not None:
+        psi, states = _evolved_states(props, initial_state)
+    return Trajectory(
         schedule=s,
         times=np.concatenate(times),
         segment_index=np.concatenate(seg_idx).astype(int),
-        propagators=np.concatenate(props),
+        propagators=props,
+        initial_state=psi,
+        states=states,
         substeps_used=tuple(used),
         step_errors=tuple(errs),
     )
-    if initial_state is not None:
-        traj = traj.with_initial_state(initial_state)
-    return traj
 
 
 # ---------------------------------------------------------------------------

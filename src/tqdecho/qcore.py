@@ -1,5 +1,6 @@
-"""Small dense spin-system linear algebra: Pauli matrices, exact Hermitian
-matrix exponentials, and gate metrics.
+"""Small spin-system linear algebra: Pauli matrices, the unitarity defect,
+and gate metrics. No matrix exponential lives here; the propagators
+evaluate theirs in closed form.
 
 Everything works on plain complex numpy arrays. hbar = 1 throughout; all
 energies are angular frequencies.
@@ -15,7 +16,6 @@ __all__ = [
     "SIGMA_Z",
     "PAULI",
     "pauli_dot",
-    "expm_hermitian",
     "gate_distance",
     "wrap_angle",
     "unitarity_defect",
@@ -26,8 +26,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-_ALLOWED_DIMS = (2, 4)
 
 
 def pauli_dot(vec) -> np.ndarray:
@@ -42,28 +40,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u)
     gram = np.swapaxes(u, -1, -2).conj() @ u
     return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
-
-
-def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h via eigendecomposition.
-
-    t may be one time or an array of times; an array yields the stack of
-    exponentials with t's shape prepended, from a single eigendecomposition.
-    The eigendecomposition route keeps the result unitary to machine
-    precision for the small dense matrices used here (dimensions 2 and 4).
-
-    Raises ValueError if h is not Hermitian within 1e-12 or has an
-    unsupported dimension.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in _ALLOWED_DIMS:
-        raise ValueError(f"expected a square matrix of dimension 2 or 4, got shape {h.shape}")
-    defect = np.max(np.abs(h - h.conj().T))
-    if defect > 1e-12:
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * np.multiply.outer(t, w))
-    return (v * phase[..., None, :]) @ v.conj().T
 
 
 def gate_distance(u: np.ndarray, v: np.ndarray) -> float:

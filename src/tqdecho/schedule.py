@@ -2,18 +2,19 @@
 
 A schedule is an ordered list of segments. Each segment is defined by a
 `kind` plus a small JSON-serializable parameter dict, from which its
-generator (the Hamiltonian, in angular-frequency units) is reconstructed
-deterministically. Every loop generator is defined once, in its real 2x2
-block form (Segment.block_fields); the dense generators pack that form
-and both propagators read it directly. Every pulse is defined once too,
-by the axis it turns each qubit about (_pulse_axes), which the dense
-generator and the exact propagator both read. A corrected loop is its root
-drive plus the transitionless correction b x db/dt, derived with Berry's
-formula for a field precessing about z (_berry_corrected); the exp-loop
-takes its field from the static-coupling map instead. Keeping segments
-parametric rather than storing bare callables makes schedules
-serializable and makes geometric operations (axis rotation, orientation
-reversal) exact parameter updates.
+generator (the Hamiltonian, in angular-frequency units) follows
+deterministically; no generator is ever built as a dense matrix. Every
+loop generator is defined once, in its real 2x2 block form
+(Segment.block_fields), which both propagators and the phase layer read.
+Every pulse is defined once too, by the axis it turns each qubit about
+(_pulse_axes), which the exact propagator and the dynamical phase both
+read. A corrected loop is its root drive plus the transitionless
+correction b x db/dt, derived with Berry's formula for a field precessing
+about z (_berry_corrected); the exp-loop takes its field from the
+static-coupling map instead. Keeping segments parametric rather than
+storing bare callables makes schedules serializable and makes geometric
+operations (axis rotation, orientation reversal) exact parameter
+updates.
 
 Segment kinds:
 
@@ -40,7 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, experimental_params
-from .qcore import ID2, PAULI
 
 __all__ = [
     "Segment",
@@ -76,7 +76,7 @@ _PARAM_KEYS = {
 
 
 # ---------------------------------------------------------------------------
-# loop block fields / generator assembly
+# loop block fields and pulse axes
 # ---------------------------------------------------------------------------
 
 def _rotation_y(angle: float) -> np.ndarray:
@@ -108,8 +108,8 @@ def _block_amplitudes(kind: str, params: dict, corrected: bool) -> tuple:
     plus the Berry correction; root-loop is never corrected. The exp-loop
     field comes from experimental_params, the realization that criterion
     7 checks against the corrected two-qubit loop. A block without a
-    scalar term has c0 = -0.0, the exact additive identity, so c0 +- vz
-    is +-vz to the sign of a zero.
+    scalar term has c0 = -0.0, the exact additive identity, so its
+    scalar contribution changes no value.
     """
     omega = params["omega"]
     if kind in ("tqd-loop", "root-loop"):
@@ -135,33 +135,6 @@ def _block_amplitudes(kind: str, params: dict, corrected: bool) -> tuple:
     )
 
 
-def _pack_blocks(c0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Block fields -> (n, dim, dim) Hamiltonians with block j on rows and
-    columns j and j + blocks.
-
-    Each entry kind of the blocks (h00, h11, the real or the imaginary
-    part of h01, h10) is a run with stride dim + 1 in the flattened
-    matrices, so each is written as one slice of a float view. The parts
-    vx -+ 0*vy and 0 -+ vy are those of vx -+ 1j*vy, signed zeros included.
-    """
-    blocks, n = c0.shape
-    dim = 2 * blocks
-    step = 2 * (dim + 1)
-    # float offsets of h11, h01 and h10 of block 0 (h00 is at 0)
-    h11, up, lo = blocks * step, 2 * blocks, 2 * blocks * dim
-    h = np.zeros((n, dim * dim), dtype=complex)
-    f = h.view(float).T
-    vx, vy, vz = v
-    zero = 0.0 * vy
-    np.add(c0, vz, out=f[:h11:step])
-    np.subtract(c0, vz, out=f[h11::step])
-    np.subtract(vx, zero, out=f[up:lo:step])
-    np.subtract(0.0, vy, out=f[up + 1 : lo : step])
-    np.add(vx, zero, out=f[lo::step])
-    np.add(0.0, vy, out=f[lo + 1 :: step])
-    return h.reshape(n, dim, dim)
-
-
 def _pulse_axes(kind: str, params: dict) -> tuple:
     """The half turn each qubit of a pulse takes, in qubit order (the
     driven qubit first): the index into PAULI of its axis, or None for a
@@ -177,18 +150,6 @@ def _pulse_axes(kind: str, params: dict) -> tuple:
     if target == "II":
         return (None, 1)
     raise ValueError(f"unknown pulse target {target!r}")
-
-
-def _constant_pulse(params: dict, kind: str) -> np.ndarray:
-    axes = _pulse_axes(kind, params)
-    if len(axes) == 1:
-        return 0.5 * params["omega_pi"] * PAULI[axes[0]]
-    terms = [
-        np.kron(PAULI[k], ID2) if qubit == 0 else np.kron(ID2, PAULI[k])
-        for qubit, k in enumerate(axes)
-        if k is not None
-    ]
-    return 0.5 * params["omega_pi"] * sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +197,9 @@ def _implied_dim(kind: str, params: dict) -> int:
 class Segment:
     """One schedule segment: a kind, its parameters, and a duration.
 
-    The generator is reconstructed from (kind, params) on demand;
-    segments with equal fields produce bit-identical generators.
+    The generator follows from (kind, params) on demand: block_fields
+    for a loop, _pulse_axes for a pulse, zero for an idle. Segments with
+    equal fields produce bit-identical block fields.
     Construction rejects parameter values of the wrong type, outside the
     ranges LoopParams / TwoQubitParams accept, or implying a dimension
     other than `dim`.
@@ -271,7 +233,7 @@ class Segment:
                 f"{implied}, not {self.dim}"
             )
 
-    # -- generators ---------------------------------------------------------
+    # -- fields ---------------------------------------------------------------
 
     def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
         """Real 2x2 block form of a loop generator at the given local times.
@@ -300,32 +262,6 @@ class Segment:
         if rot != 0.0:
             v = (_rotation_y(rot) @ v[:, 0])[:, None]
         return c0, v
-
-    def generator_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Hamiltonians at the given local times, shape (len(ts), dim, dim)."""
-        k = self.kind
-        if k in _LOOP_KINDS:
-            return _pack_blocks(*self.block_fields(ts))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if k in _PULSE_KINDS:
-            return np.broadcast_to(
-                _constant_pulse(self.params, k), (ts.size, self.dim, self.dim)
-            ).copy()
-        # idle
-        return np.zeros((ts.size, self.dim, self.dim), dtype=complex)
-
-    def root_generator_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Uncorrected Hamiltonians: loops drop their transitionless
-        correction; pulses and idles are their own root."""
-        if self.kind in _LOOP_KINDS:
-            return _pack_blocks(*self.block_fields(ts, corrected=False))
-        return self.generator_batch(ts)
-
-    def generator(self, t: float) -> np.ndarray:
-        return self.generator_batch(np.array([t]))[0]
-
-    def root_generator(self, t: float) -> np.ndarray:
-        return self.root_generator_batch(np.array([t]))[0]
 
     def field_batch(self, ts: np.ndarray) -> np.ndarray:
         """Drive field rows (Bx, By, Bz) for dim-2 segments."""

@@ -1,5 +1,9 @@
 """Gate synthesis: closed forms, echo realizations, universality witness,
-two-qubit conditional gate, experimental parameter map."""
+two-qubit conditional gate, experimental parameter map, and the control
+field probe of demo 05."""
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,6 @@ from tqdecho.gates import (
     SingleGateSpec,
     closed_form_echo_gate,
     closed_form_single,
-    reduced_model_deviation,
     synthesize_single_gate,
     synthesize_two_qubit_gate,
     universality_check,
@@ -255,15 +258,20 @@ def test_gates_match_sampled_trajectory(policy):
             assert abs(deviation - gate_distance(u_exp, u_cond)) <= 1e-13
 
 
+def _reduced_model_deviation():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_two_qubit_gate.py"
+    return runpy.run_path(str(demo), run_name="demo05")["reduced_model_deviation"]
+
+
 def test_control_z_field_refocuses():
     """Constant z drift on the control commutes with every loop generator
     block; the echo cancels it to numerical precision."""
-    out = reduced_model_deviation(P2, (0.0, 0.0, 0.3))
+    out = _reduced_model_deviation()(P2, (0.0, 0.0, 0.3))
     assert out["gate_deviation"] < 1e-12
     assert out["leakage"] < 1e-12
 
 
 def test_control_transverse_field_breaks_gate():
-    out = reduced_model_deviation(P2, (0.05, 0.0, 0.0))
+    out = _reduced_model_deviation()(P2, (0.05, 0.0, 0.0))
     assert out["gate_deviation"] > 1e-3
     assert out["leakage"] > 0.05

@@ -2,6 +2,8 @@
 eigendecomposition references and the midpoint oracle, step policies,
 exactness on constant segments, convergence order, unitarity,
 determinism, and no eigendecomposition on the production path."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from tqdecho.propagate import (
     rotating_frame_propagators,
     trajectory_to_csv,
 )
-from tqdecho.qcore import ID2, SIGMA_Y, SIGMA_Z, expm_hermitian, pauli_dot, unitarity_defect
+from tqdecho.qcore import ID2, SIGMA_Y, SIGMA_Z, pauli_dot, unitarity_defect
 from tqdecho.schedule import (
     SegmentSchedule,
     build_echo_sequence,
@@ -32,6 +34,8 @@ from tqdecho.schedule import (
     single_loop_schedule,
     two_qubit_loop_segment,
 )
+
+from dense import expm_hermitian, generator, generator_batch
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 LOOP = single_loop_schedule(P)
@@ -94,14 +98,14 @@ def _dense_exact_reference(seg, ts):
     """exp(-i*omega*t*P/2) exp(-i*K*t) for loops and exp(-i*H*t) for
     constant segments, by eigendecomposition of dense generators."""
     if seg.kind not in ("tqd-loop", "root-loop", "two-qubit-loop", "exp-loop"):
-        return expm_hermitian(seg.generator(0.0), ts)
+        return expm_hermitian(generator(seg, 0.0), ts)
     if seg.dim == 4:
         axis = np.kron(SIGMA_Z, ID2)
     else:
         rot = seg.params["rotation"]
         axis = pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
     frame = 0.5 * seg.params["omega"] * axis
-    return expm_hermitian(frame, ts) @ expm_hermitian(seg.generator(0.0) - frame, ts)
+    return expm_hermitian(frame, ts) @ expm_hermitian(generator(seg, 0.0) - frame, ts)
 
 
 def _kernel_cases():
@@ -207,6 +211,25 @@ def test_with_initial_state():
         traj.with_initial_state(np.array([1.0, 1.0], dtype=complex))
 
 
+def test_evolve_eigenstate_builds_one_trajectory(monkeypatch):
+    import tqdecho.propagate as prop
+
+    real = prop.Trajectory.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(prop.Trajectory, "__post_init__", counting)
+    traj = evolve_eigenstate(build_echo_sequence(P), 0)
+    assert len(calls) == 1 and calls[0] is traj
+    with pytest.raises(ValueError, match="normalized"):
+        propagate_schedule(LOOP, initial_state=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="dimension 2"):
+        propagate_schedule(LOOP, initial_state=np.ones(4) / 2.0)
+
+
 def test_rerun_is_bit_identical():
     for sched in (build_echo_sequence(P), build_exp_two_qubit_sequence(P2)):
         for pol in (StepPolicy(substeps=512), None):
@@ -302,7 +325,7 @@ def _dense_midpoint_reference(seg, n, checkpoints):
     dt = seg.duration / n
     acc = np.eye(seg.dim, dtype=complex)
     out = []
-    for k, h in enumerate(seg.generator_batch((np.arange(n) + 0.5) * dt)):
+    for k, h in enumerate(generator_batch(seg, (np.arange(n) + 0.5) * dt)):
         acc = expm_hermitian(h, dt) @ acc
         if (k + 1) % (n // checkpoints) == 0:
             out.append(acc)
@@ -328,15 +351,15 @@ def test_midpoint_kernel_matches_dense_reference(seg):
     ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
 )
 def test_dense_generators_pack_block_fields(seg):
-    # the midpoint kernel reads block_fields and the dense reference above
-    # reads generator_batch; both must be one formula, entry by entry
+    # the kernels read block_fields and the dense references above pack
+    # them as c0 + v . sigma; both must be one formula, entry by entry
     blocks = seg.dim // 2
     for n in (1, 4096):
         ts = np.linspace(0.0, seg.duration, n)
-        for corrected, dense in ((True, seg.generator_batch), (False, seg.root_generator_batch)):
+        for corrected in (True, False):
             c0, v = seg.block_fields(ts, corrected=corrected)
             assert c0.shape == (blocks, n) and v.shape == (3, blocks, n)
-            h = dense(ts)
+            h = generator_batch(seg, ts, corrected)
             off_block = np.ones((seg.dim, seg.dim), dtype=bool)
             for j in range(blocks):
                 a, b = j, j + blocks
@@ -348,8 +371,8 @@ def test_dense_generators_pack_block_fields(seg):
             assert np.all(h[:, off_block] == 0.0)
 
 
-def test_production_path_runs_no_eigendecomposition(monkeypatch):
-    from tqdecho import acceptance
+def test_production_path_runs_no_eigendecomposition(monkeypatch, tmp_path):
+    from tqdecho.cli import _RUNNERS, main
     from tqdecho.gates import (
         SingleGateSpec,
         synthesize_single_gate,
@@ -373,6 +396,21 @@ def test_production_path_runs_no_eigendecomposition(monkeypatch):
     assert synthesize_single_gate(SingleGateSpec(0.3, 1.2)).distance <= 1e-12
     assert synthesize_two_qubit_gate(P2).leakage <= 1e-12
     assert verify_exp_equivalence(P2, field_draws=4).gate_deviation <= 1e-12
-    for index in range(1, 8):
-        result = acceptance.run_criterion(index)
-        assert result.passed, result.line
+    # one run of every CLI subcommand; verify-all runs criteria 1-8
+    configs = {
+        "fields": {"theta": 1.1, "omega": 1.0, "omega0": 1.0, "samples": 16},
+        "evolve": {"theta": 1.1, "omega": 1.0, "omega0": 1.0},
+        "echo": {"theta": 1.1, "omega": -0.7, "omega0": 1.0, "label": 1},
+        "gate": {"axis_angle": 0.3, "gate_angle": 1.2},
+        "twoqubit": {"omega_i": 1.3, "coupling": 1.0, "omega": 0.5},
+        "expmap": {"omega_i": 1.3, "coupling": 1.0, "omega": 0.5, "draws": 4},
+        "scan": {"theta": 1.1, "omega0": 1.0, "ratios": [0.5, -2.0]},
+    }
+    assert set(configs) == set(_RUNNERS)
+    for kind, config in configs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(config))
+        assert main([kind, "--config", str(path), "--out", str(tmp_path / kind)]) == 0
+    assert main(["verify-all", "--out", str(tmp_path / "verify")]) == 0
+    results = json.loads((tmp_path / "verify" / "acceptance.json").read_text())
+    assert len(results) == 8 and all(r["passed"] for r in results)

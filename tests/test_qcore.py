@@ -8,12 +8,13 @@ from tqdecho.qcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    expm_hermitian,
     gate_distance,
     pauli_dot,
     unitarity_defect,
     wrap_angle,
 )
+
+from dense import expm_hermitian
 
 SEED = 20260816
 

@@ -21,6 +21,8 @@ from tqdecho.schedule import (
     write_field_timeline_csv,
 )
 
+from dense import generator
+
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
 
@@ -95,7 +97,7 @@ def test_pulse_field_is_y_only():
 def test_generator_is_half_field_dot_sigma():
     seg = loop_segment(P)
     t = 0.3
-    h = seg.generator(t)
+    h = generator(seg, t)
     b = _tqd_field(P, t)
     assert np.allclose(h, 0.5 * pauli_dot(b), atol=1e-14)
 
