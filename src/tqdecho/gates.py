@@ -23,6 +23,7 @@ from .propagate import StepPolicy, _final_propagator
 from .qcore import gate_distance, pauli_dot, wrap_angle
 from .schedule import (
     SegmentSchedule,
+    _check_count,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
@@ -70,9 +71,7 @@ def closed_form_echo_gate(p: LoopParams) -> np.ndarray:
     """Gate produced by one full echo on these loop parameters, up to
     global phase: a rotation by the cone's solid angle about the axis
     tilted by theta in the xz plane."""
-    omega_total = solid_angle(p.theta)
-    axis = _axis(p.theta)
-    return np.cos(omega_total) * np.eye(2) - 1j * np.sin(omega_total) * pauli_dot(axis)
+    return closed_form_single(SingleGateSpec(p.theta, solid_angle(p.theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +262,9 @@ def verify_exp_equivalence(
     halves. policy None propagates both echoes exactly;
     StepPolicy(substeps=N) runs the midpoint integrator. field_draws
     must be at least 1: with no draws the field check would pass
-    vacuously.
+    vacuously, and it must be an integer.
     """
-    if field_draws < 1:
-        raise ValueError(f"field_draws must be >= 1, got {field_draws}")
+    _check_count("field_draws", field_draws, 1)
     rng = np.random.default_rng(seed)
     orientation = rng.integers(2, size=field_draws)
     control = rng.integers(2, size=field_draws)

@@ -40,8 +40,9 @@ quaternion; the steps are multiplied as quaternions. The tests pin both
 propagators to dense eigendecomposition references, which they pack
 from the same block fields (tests/dense.py).
 
-The association order of every product is fixed, so repeated runs
-produce bit-identical propagators.
+Gates and trajectories compose a schedule through one walk, which
+propagates each distinct segment once. The association order of every
+product is fixed, so repeated runs produce bit-identical propagators.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ from .schedule import (
     _PULSE_KINDS,
     Segment,
     SegmentSchedule,
+    _check_count,
     _pulse_axes,
     _write_csv,
 )
@@ -77,10 +79,9 @@ class StepPolicy:
     substeps: int | None = None
 
     def __post_init__(self):
-        if self.substeps is None or self.substeps < 1:
-            raise ValueError(
-                "StepPolicy needs substeps >= 1; pass policy=None for the exact propagator"
-            )
+        if self.substeps is None:
+            raise ValueError("StepPolicy needs substeps; pass policy=None for the exact propagator")
+        _check_count("substeps", self.substeps, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +241,27 @@ def propagate_segment(
 ) -> tuple:
     """Propagate one segment.
 
-    Returns (partials, substeps_used, error_estimate). partials has shape
+    Returns (partials, substeps_used). partials has shape
     (checkpoints, dim, dim) at equally spaced local times; its last entry
     is the full segment propagator. Pulses and idles are exact under
-    either policy and report one substep per checkpoint; loops on the
-    exact path report 0 substeps. Exact segments report error 0.0,
-    midpoint loops nan.
+    either policy and report one substep per checkpoint (a zero-duration
+    segment reports 0); loops report 0 on the exact path and the midpoint
+    substep count, N rounded up to a multiple of checkpoints, under
+    StepPolicy(substeps=N).
     """
-    if checkpoints < 1:
-        raise ValueError("checkpoints must be >= 1")
+    _check_count("checkpoints", checkpoints, 1)
     if seg.duration == 0.0 or seg.kind == "idle":
         eye = np.broadcast_to(np.eye(seg.dim, dtype=complex), (checkpoints, seg.dim, seg.dim))
-        return eye.copy(), (checkpoints if seg.duration else 0), 0.0
+        return eye.copy(), (checkpoints if seg.duration else 0)
 
     ts = seg.duration * np.arange(1, checkpoints + 1) / checkpoints
     if seg.kind in _PULSE_KINDS:
-        return _pulse_propagators(seg, ts), checkpoints, 0.0
+        return _pulse_propagators(seg, ts), checkpoints
     if policy is None:
-        return rotating_frame_propagators(seg, ts), 0, 0.0
+        return rotating_frame_propagators(seg, ts), 0
 
     n = _round_up(max(policy.substeps, checkpoints), checkpoints)
-    return _segment_partials(seg, n, checkpoints), n, float("nan")
+    return _segment_partials(seg, n, checkpoints), n
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,8 @@ class Trajectory:
     segment_index: index into schedule.segments for each sample, sorted.
     propagators: cumulative propagators U(0 -> t) at each sample.
     states: propagators applied to initial_state, or None.
+    substeps_used: per segment, the substeps propagate_segment reports
+        (0 for an exact loop and for a zero-duration segment).
 
     Construction tabulates each segment's row slice and the samples'
     local times once. `phases` keeps its comoving overlap series per
@@ -291,7 +294,6 @@ class Trajectory:
     initial_state: np.ndarray | None = None
     states: np.ndarray | None = None
     substeps_used: tuple = ()
-    step_errors: tuple = ()
     _rows: tuple = field(init=False, repr=False, compare=False)
     _local: np.ndarray = field(init=False, repr=False, compare=False)
     _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -341,45 +343,40 @@ def _evolved_states(propagators: np.ndarray, psi: np.ndarray) -> tuple:
     return psi, np.einsum("nij,j->ni", propagators, psi)
 
 
-def _checkpoint_count(seg: Segment, samples: int) -> int:
-    if seg.duration == 0.0:
-        return 1
-    if seg.kind not in _LOOP_KINDS:
-        return min(16, samples)
-    return samples
-
-
-def _segment_key(seg: Segment) -> tuple:
-    """Everything a segment's propagator depends on; the label is not.
-    Values are compared by repr, so 0.0 and -0.0 stay distinct."""
-    params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
-    return seg.kind, repr(seg.duration), seg.dim, params
+def _segment_propagators(
+    s: SegmentSchedule, policy: StepPolicy | None, checkpoints: int
+) -> list:
+    """propagate_segment's (partials, substeps_used) for each segment, at
+    `checkpoints` per loop and min(16, checkpoints) per pulse or idle; a
+    zero-duration segment gets (None, 0). The one walk behind gates and
+    trajectories: segments equal in kind, duration, dim and params (by
+    repr, so 0.0 and -0.0 differ; labels ignored) are propagated once."""
+    done = {}
+    out = []
+    for seg in s.segments:
+        if seg.duration == 0.0:
+            out.append((None, 0))
+            continue
+        params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
+        key = seg.kind, repr(seg.duration), seg.dim, params
+        if key not in done:
+            cps = checkpoints if seg.kind in _LOOP_KINDS else min(16, checkpoints)
+            done[key] = propagate_segment(seg, policy, cps)
+        out.append(done[key])
+    return out
 
 
 def _final_propagator(s: SegmentSchedule, policy: StepPolicy | None = None) -> tuple:
-    """Full propagator of a schedule, with no sampled trajectory.
-
-    Each distinct nonzero-duration segment is propagated once to its end
-    (one checkpoint) and the segment propagators are left-multiplied in
-    schedule order. Zero-duration segments are skipped. Returns
-    (u, substeps_used), the latter per segment as in Trajectory, with 0
-    for each skipped segment.
-    """
-    done = {}
-    used = []
+    """Full propagator of a schedule, with no sampled trajectory: the
+    segment propagators of one checkpoint each, left-multiplied in
+    schedule order. Returns (u, substeps_used), the latter per segment as
+    in Trajectory."""
+    walked = _segment_propagators(s, policy, 1)
     u = np.eye(s.dim, dtype=complex)
-    for seg in s.segments:
-        if seg.duration == 0.0:
-            used.append(0)
-            continue
-        key = _segment_key(seg)
-        if key not in done:
-            partials, n_used, _ = propagate_segment(seg, policy)
-            done[key] = partials[-1], n_used
-        full, n_used = done[key]
-        used.append(n_used)
-        u = full @ u
-    return u, tuple(used)
+    for partials, _ in walked:
+        if partials is not None:
+            u = partials[-1] @ u
+    return u, tuple(n for _, n in walked)
 
 
 def propagate_schedule(
@@ -391,39 +388,25 @@ def propagate_schedule(
     """Propagate a schedule and sample its cumulative propagators.
 
     policy None runs the exact propagator; StepPolicy(substeps=N) runs
-    the midpoint integrator. samples sets the number of checkpoints per
-    driven loop segment (pulses and idles use fewer; the count only
-    affects sampling resolution, not accuracy). A segment equal to one
-    already propagated in this call (same kind, duration, dim and
-    params) reuses its partials, so an echo built as half + half
-    propagates each distinct loop once.
+    the midpoint integrator. samples (an integer >= 2) sets the number of
+    checkpoints per loop segment, min(16, samples) per pulse or idle; a
+    zero-duration segment contributes its start only. The count sets
+    sampling resolution, not accuracy. The segments come from the walk
+    the gates use, which propagates each distinct segment once.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    _check_count("samples", samples, 2)
     times, seg_idx, props = [], [], []
-    used, errs = [], []
-    done = {}
+    walked = _segment_propagators(s, policy, samples)
     cum = np.eye(s.dim, dtype=complex)
     t0 = 0.0
-    for i, seg in enumerate(s.segments):
-        cps = _checkpoint_count(seg, samples)
-        key = _segment_key(seg)
-        if key not in done:
-            done[key] = propagate_segment(seg, policy, cps)
-        partials, n_used, err = done[key]
-        used.append(n_used)
-        errs.append(err)
-        if seg.duration == 0.0:
-            times.append(np.array([t0]))
-            seg_idx.append(np.array([i]))
-            props.append(cum[None, :, :].copy())
-            continue
-        bounds = seg.duration * np.arange(1, cps + 1) / cps
-        times.append(np.concatenate([[t0], t0 + bounds]))
+    for i, (seg, (partials, _)) in enumerate(zip(s.segments, walked)):
+        cps = 0 if partials is None else len(partials)
+        times.append(t0 + seg.duration * np.arange(cps + 1) / max(cps, 1))
         seg_idx.append(np.full(cps + 1, i))
         block = np.empty((cps + 1, s.dim, s.dim), dtype=complex)
         block[0] = cum
-        block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
+        if cps:
+            block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
         props.append(block)
         cum = block[-1]
         t0 += seg.duration
@@ -438,8 +421,7 @@ def propagate_schedule(
         propagators=props,
         initial_state=psi,
         states=states,
-        substeps_used=tuple(used),
-        step_errors=tuple(errs),
+        substeps_used=tuple(n for _, n in walked),
     )
 
 

@@ -164,10 +164,19 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-def _implied_dim(kind: str, params: dict) -> int:
-    """Check a segment's parameter values and return the dimension they
-    imply. Loop parameters go through LoopParams / TwoQubitParams, so
-    they obey the same ranges as the typed constructors."""
+def _check_count(name: str, value, least: int) -> None:
+    """Accept a Python or numpy integer >= least; reject bools and floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _implied(kind: str, params: dict) -> tuple:
+    """Check a segment's parameter values and return the (dim, duration)
+    they imply, with duration None for an idle, which carries its own.
+    Loop parameters go through LoopParams / TwoQubitParams, so they obey
+    the same ranges as the typed constructors."""
     for key, value in params.items():
         if key == "frame_term":
             if not isinstance(value, bool):
@@ -176,21 +185,18 @@ def _implied_dim(kind: str, params: dict) -> int:
             if value not in ("single", "I", "II"):
                 raise ValueError(f'pulse target must be "single", "I" or "II", got {value!r}')
         elif key == "dim":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"idle dim must be an integer, got {value!r}")
+            _check_count("idle dim", value, 2)
         else:
             _check_real(key, value)
     if "theta" in params:
-        LoopParams(params["theta"], params["omega"], params["omega0"])
-        return 2
+        return 2, LoopParams(params["theta"], params["omega"], params["omega0"]).period
     if "omega_i" in params:
-        TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
-        return 4
+        return 4, TwoQubitParams(params["omega_i"], params["coupling"], params["omega"]).period
     if kind in _PULSE_KINDS:
         if params["omega_pi"] <= 0.0:
             raise ValueError("omega_pi must be positive and finite")
-        return 2 if params.get("target") == "single" else 4
-    return params["dim"]  # idle
+        return (2 if params.get("target") == "single" else 4), np.pi / params["omega_pi"]
+    return params["dim"], None
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,8 @@ class Segment:
     equal fields produce bit-identical block fields.
     Construction rejects parameter values of the wrong type, outside the
     ranges LoopParams / TwoQubitParams accept, or implying a dimension
-    other than `dim`.
+    other than the integer `dim` or (to 1e-9) a duration other than
+    `duration`: a loop lasts one period, a pulse one half turn.
     """
 
     kind: str
@@ -214,6 +221,8 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _PARAM_KEYS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"segment params must be a dict, got {self.params!r}")
         if set(self.params) != _PARAM_KEYS[self.kind]:
             raise ValueError(
                 f"segment kind {self.kind!r} expects parameters "
@@ -222,15 +231,22 @@ class Segment:
         _check_real("duration", self.duration)
         if self.duration < 0.0:
             raise ValueError("segment duration must be finite and >= 0")
+        _check_count("segment dim", self.dim, 2)
         if self.dim not in (2, 4):
             raise ValueError("segment dimension must be 2 or 4")
+        object.__setattr__(self, "dim", int(self.dim))
         if not isinstance(self.label, str):
             raise ValueError(f"segment label must be a string, got {self.label!r}")
-        implied = _implied_dim(self.kind, self.params)
-        if implied != self.dim:
+        dim, duration = _implied(self.kind, self.params)
+        if dim != self.dim:
             raise ValueError(
                 f"segment kind {self.kind!r} with these parameters has dimension "
-                f"{implied}, not {self.dim}"
+                f"{dim}, not {self.dim}"
+            )
+        if duration is not None and abs(self.duration - duration) > 1e-9 * max(1.0, duration):
+            raise ValueError(
+                f"segment duration {self.duration} inconsistent with parameters "
+                f"(expected {duration})"
             )
 
     # -- fields ---------------------------------------------------------------
@@ -268,14 +284,13 @@ class Segment:
         if self.dim != 2:
             raise ValueError("field form exists only for dim-2 segments")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        k = self.kind
-        if k in _LOOP_KINDS:
+        if self.kind in _LOOP_KINDS:
             return 2.0 * self.block_fields(ts)[1][:, 0].T
-        if k == "pi-pulse":
-            out = np.zeros((ts.size, 3))
-            out[:, 1] = self.params["omega_pi"]
-            return out
-        return np.zeros((ts.size, 3))
+        out = np.zeros((ts.size, 3))
+        if self.kind in _PULSE_KINDS:
+            (axis,) = _pulse_axes(self.kind, self.params)
+            out[:, axis] = self.params["omega_pi"]
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -316,8 +331,6 @@ def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
     qubit, "I" or "II" for one qubit of a pair."""
     if omega_pi <= 0 or not np.isfinite(omega_pi):
         raise ValueError("omega_pi must be positive and finite")
-    if target not in ("single", "I", "II"):
-        raise ValueError('pulse target must be "single", "I" or "II"')
     dim = 2 if target == "single" else 4
     label = "pi" if target == "single" else f"pi-{target}"
     return Segment(
@@ -437,19 +450,10 @@ def build_echo_sequence(
     """
     if omega_pi is None:
         omega_pi = 50.0 * abs(p.omega)
-    if len(gaps) != 3:
-        raise ValueError("echo sequence takes exactly 3 idle gaps")
     fwd = p if p.omega > 0 else p.reversed()
     pulse = pi_pulse_segment(omega_pi, target="single")
-    return SegmentSchedule((
-        loop_segment(fwd),
-        idle_segment(gaps[0], 2),
-        pulse,
-        idle_segment(gaps[1], 2),
-        loop_segment(fwd.reversed()),
-        idle_segment(gaps[2], 2),
-        pulse,
-    ))
+    core = [loop_segment(fwd), pulse, loop_segment(fwd.reversed()), pulse]
+    return SegmentSchedule(_interleave_idles(core, gaps, 2))
 
 
 def _interleave_idles(core: list, gaps: Sequence[float] | None, dim: int) -> tuple:
@@ -464,6 +468,15 @@ def _interleave_idles(core: list, gaps: Sequence[float] | None, dim: int) -> tup
     return tuple(out)
 
 
+def _two_qubit_echo(p: TwoQubitParams, loop, gaps: Sequence[float] | None) -> SegmentSchedule:
+    """(C, pi-I, Cbar, pi-II) twice with idles interleaved, each loop
+    built as loop(forward params, reverse)."""
+    fwd = p if p.omega > 0 else p.reversed()
+    pulse_i, flip = pi_pulse_segment(fwd.omega_pi, target="I"), control_flip_segment(fwd.omega_pi)
+    half = [loop(fwd, False), pulse_i, loop(fwd, True), flip]
+    return SegmentSchedule(_interleave_idles(half + half, gaps, 4))
+
+
 def build_two_qubit_sequence(
     p: TwoQubitParams, gaps: Sequence[float] | None = None
 ) -> SegmentSchedule:
@@ -475,16 +488,7 @@ def build_two_qubit_sequence(
     control flip (see control_flip_segment). Fifteen segments total with
     the default zero-duration idles.
     """
-    fwd = p if p.omega > 0 else p.reversed()
-    pulse_i = pi_pulse_segment(fwd.omega_pi, target="I")
-    flip = control_flip_segment(fwd.omega_pi)
-    half = [
-        two_qubit_loop_segment(fwd),
-        pulse_i,
-        two_qubit_loop_segment(fwd, reverse=True),
-        flip,
-    ]
-    return SegmentSchedule(_interleave_idles(half + half, gaps, 4))
+    return _two_qubit_echo(p, two_qubit_loop_segment, gaps)
 
 
 def build_exp_two_qubit_sequence(
@@ -493,16 +497,9 @@ def build_exp_two_qubit_sequence(
     gaps: Sequence[float] | None = None,
 ) -> SegmentSchedule:
     """Two-qubit echo with the loops in the static-coupling realization."""
-    fwd = p if p.omega > 0 else p.reversed()
-    pulse_i = pi_pulse_segment(fwd.omega_pi, target="I")
-    flip = control_flip_segment(fwd.omega_pi)
-    half = [
-        exp_loop_segment(fwd, frame_term=frame_term),
-        pulse_i,
-        exp_loop_segment(fwd, reverse=True, frame_term=frame_term),
-        flip,
-    ]
-    return SegmentSchedule(_interleave_idles(half + half, gaps, 4))
+    return _two_qubit_echo(
+        p, lambda q, reverse: exp_loop_segment(q, reverse, frame_term), gaps
+    )
 
 
 def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
@@ -534,14 +531,6 @@ def schedule_to_json(s: SegmentSchedule, indent: int = 2) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def _expected_duration(kind: str, params: dict, stated: float) -> float:
-    if kind in _LOOP_KINDS:
-        return 2.0 * np.pi / abs(params["omega"])
-    if kind in _PULSE_KINDS:
-        return np.pi / params["omega_pi"]
-    return stated  # idle carries its own duration
-
-
 _ENTRY_KEYS = {"kind", "duration", "dim", "label", "params"}
 
 
@@ -550,8 +539,8 @@ def schedule_from_json(text: str) -> SegmentSchedule:
 
     Unknown kinds or parameter keys are rejected, parameter values must
     have the right type and lie in the ranges the typed constructors
-    accept, and stated durations and dimensions must match the ones
-    implied by the parameters.
+    accept, and dimensions must be integers that, like the durations,
+    match the ones the parameters imply (the checks every Segment runs).
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or set(doc) != {"dim", "segments"}:
@@ -562,20 +551,9 @@ def schedule_from_json(text: str) -> SegmentSchedule:
     for entry in doc["segments"]:
         if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
             raise ValueError(f"malformed segment entry: {entry!r}")
-        if not isinstance(entry["params"], dict):
-            raise ValueError(f"segment params must be an object, got {entry['params']!r}")
-        seg = Segment(
-            entry["kind"], entry["duration"], entry["dim"], entry["label"],
-            dict(entry["params"]),
-        )
-        expect = _expected_duration(seg.kind, seg.params, seg.duration)
-        if abs(seg.duration - expect) > 1e-9 * max(1.0, expect):
-            raise ValueError(
-                f"segment duration {seg.duration} inconsistent with parameters "
-                f"(expected {expect})"
-            )
-        segs.append(seg)
+        segs.append(Segment(**entry))
     s = SegmentSchedule(tuple(segs))
+    _check_count("schedule dim", doc["dim"], 2)
     if s.dim != doc["dim"]:
         raise ValueError("schedule dim does not match segment dims")
     return s
@@ -594,8 +572,7 @@ def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.nda
     """
     if s.dim != 2:
         raise ValueError("field timeline is defined for single-qubit schedules")
-    if samples_per_segment < 2:
-        raise ValueError("need at least 2 samples per segment")
+    _check_count("samples_per_segment", samples_per_segment, 2)
     rows = []
     t0 = 0.0
     for seg in s.segments:

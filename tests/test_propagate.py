@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
@@ -21,16 +22,19 @@ from tqdecho.propagate import (
 )
 from tqdecho.qcore import ID2, SIGMA_Y, SIGMA_Z, pauli_dot, unitarity_defect
 from tqdecho.schedule import (
+    Segment,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
     control_flip_segment,
     exp_loop_segment,
+    field_timeline,
     idle_segment,
     loop_segment,
     pi_pulse_segment,
     rotate_schedule,
+    schedule_to_json,
     single_loop_schedule,
     two_qubit_loop_segment,
 )
@@ -60,9 +64,9 @@ def _loop_cases():
     ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
 )
 def test_exact_matches_fine_midpoint(seg):
-    exact, n, err = propagate_segment(seg, None, checkpoints=8)
-    assert (n, err) == (0, 0.0)
-    oracle, _, _ = propagate_segment(seg, StepPolicy(substeps=65536), checkpoints=8)
+    exact, n = propagate_segment(seg, None, checkpoints=8)
+    assert n == 0
+    oracle, _ = propagate_segment(seg, StepPolicy(substeps=65536), checkpoints=8)
     assert np.max(np.abs(exact - oracle)) <= 1e-8
 
 
@@ -127,10 +131,9 @@ def _kernel_cases():
     f"-frame{s.params.get('frame_term', '')}",
 )
 def test_exact_kernel_matches_dense_reference(seg):
-    partials, n, err = propagate_segment(seg, None, checkpoints=512)
+    partials, _ = propagate_segment(seg, None, checkpoints=512)
     ts = seg.duration * np.arange(1, 513) / 512
     assert np.max(np.abs(partials - _dense_exact_reference(seg, ts))) <= 1e-13
-    assert err == 0.0
     if seg.kind in ("pi-pulse", "control-flip", "idle"):
         # constant segments are exact under the midpoint policy too
         mid = propagate_segment(seg, StepPolicy(substeps=8), checkpoints=512)[0]
@@ -146,11 +149,43 @@ def test_step_policy_validation():
         StepPolicy(substeps=0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: StepPolicy(substeps=2.5), "substeps must be an integer"),
+        (lambda: StepPolicy(substeps=True), "substeps must be an integer"),
+        (lambda: StepPolicy(substeps="8"), "substeps must be an integer"),
+        (lambda: propagate_schedule(LOOP, samples=2.5), "samples must be an integer"),
+        (lambda: propagate_segment(LOOP.segments[0], checkpoints=2.5), "checkpoints must be an integer"),
+        (lambda: verify_exp_equivalence(P2, field_draws=2.5), "field_draws must be an integer"),
+        (lambda: idle_segment(1.0, 2.0), "segment dim must be an integer"),
+        (lambda: Segment("idle", 1.0, 2, "idle", None), "segment params must be a dict"),
+        (lambda: field_timeline(LOOP, 2.5), "samples_per_segment must be an integer"),
+    ],
+    ids=[
+        "substeps-float", "substeps-bool", "substeps-string", "samples-float",
+        "checkpoints-float", "field-draws-float", "segment-dim-float", "segment-params-none",
+        "timeline-samples-float",
+    ],
+)
+def test_counts_and_dims_must_be_integers(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    idle = idle_segment(0.0, np.int64(2))
+    assert type(idle.dim) is int
+    assert json.loads(schedule_to_json(SegmentSchedule((idle,))))["dim"] == 2
+    traj = propagate_schedule(LOOP, policy=StepPolicy(np.int64(8)), samples=np.int64(4))
+    assert traj.substeps_used == (8,)
+    assert verify_exp_equivalence(P2, field_draws=np.int64(1)).field_draws == 1
+
+
 def test_idle_is_identity():
     s = SegmentSchedule((idle_segment(2.5),))
     traj = propagate_schedule(s, policy=StepPolicy(substeps=8), samples=4)
     assert np.allclose(traj.final_propagator, np.eye(2))
-    assert traj.step_errors == (0.0,)
 
 
 def test_pulse_is_exact():
@@ -166,10 +201,9 @@ def test_pulse_is_exact():
     assert np.allclose(col, [0.0, 1.0], atol=1e-14)
 
 
-def test_substeps_mode_reports_nan_error():
+def test_substeps_mode_reports_substeps():
     traj = propagate_schedule(LOOP, policy=StepPolicy(substeps=100), samples=4)
     assert traj.substeps_used == (100,)
-    assert np.isnan(traj.step_errors[0])
 
 
 def test_substeps_round_up_to_checkpoint_multiple():
@@ -252,13 +286,11 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
 
     monkeypatch.setattr(prop, "propagate_segment", counting)
     traj = propagate_schedule(sched, policy=policy, samples=8)
-    # half + half: two loops, the pulse, the control flip and the
-    # zero-length idle, each once
+    # half + half: two loops, the pulse and the control flip, each once;
+    # the zero-length idles are not propagated
     assert len(sched.segments) == 15
-    assert sorted(calls) == sorted(
-        ["two-qubit-loop", "two-qubit-loop", "pi-pulse", "control-flip", "idle"]
-    )
-    assert len(traj.substeps_used) == len(traj.step_errors) == 15
+    assert sorted(calls) == sorted(["two-qubit-loop", "two-qubit-loop", "pi-pulse", "control-flip"])
+    assert len(traj.substeps_used) == 15
 
     # reference: every segment propagated on its own, composed in order
     cum = np.eye(4, dtype=complex)
@@ -267,7 +299,7 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
         if seg.duration == 0.0:
             rows.append(cum[None])
             continue
-        partials, _, _ = real(seg, policy, 8)
+        partials, _ = real(seg, policy, 8)
         rows += [cum[None], np.matmul(partials, cum)]
         cum = rows[-1][-1]
     assert traj.propagators.tobytes() == np.concatenate(rows).tobytes()

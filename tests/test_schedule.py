@@ -1,8 +1,14 @@
 """Segment and schedule assembly, JSON round trips, field timelines."""
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.propagate import propagate_schedule
 from tqdecho.qcore import pauli_dot
 from tqdecho.schedule import (
     Segment,
@@ -10,6 +16,7 @@ from tqdecho.schedule import (
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
+    control_flip_segment,
     field_timeline,
     idle_segment,
     loop_segment,
@@ -18,6 +25,7 @@ from tqdecho.schedule import (
     schedule_from_json,
     schedule_to_json,
     single_loop_schedule,
+    two_qubit_loop_segment,
     write_field_timeline_csv,
 )
 
@@ -45,6 +53,29 @@ def test_segment_rejects_unknown_param():
 def test_segment_rejects_missing_param():
     with pytest.raises(ValueError):
         Segment(kind="pi-pulse", duration=1.0, dim=2, label="pi", params={})
+
+
+@pytest.mark.parametrize(
+    "seg",
+    [
+        loop_segment(P, rotation=0.3),
+        loop_segment(P.reversed(), corrected=False),
+        pi_pulse_segment(40.0),
+        pi_pulse_segment(3.3, target="II"),
+        control_flip_segment(7.1),
+        two_qubit_loop_segment(P2, reverse=True),
+    ],
+    ids=lambda s: f"{s.kind}-{s.label}",
+)
+def test_segment_rejects_duration_its_params_do_not_imply(seg):
+    # a loop lasts one period and a pulse one half turn, to 1e-9 times
+    # max(1, duration); an idle carries its own duration
+    d, tol = seg.duration, 1e-9 * max(1.0, seg.duration)
+    for wrong in (1.5 * d, d + 10.0 * tol, d - 10.0 * tol):
+        with pytest.raises(ValueError, match="inconsistent with parameters"):
+            Segment(seg.kind, wrong, seg.dim, seg.label, dict(seg.params))
+    assert Segment(seg.kind, d + 0.1 * tol, seg.dim, seg.label, dict(seg.params)).duration > d
+    assert idle_segment(123.4).duration == 123.4
 
 
 def test_single_loop_schedule_shape():
@@ -199,28 +230,69 @@ EXP_ECHO = build_exp_two_qubit_sequence(P2)
 
 
 @pytest.mark.parametrize(
-    "sched, segment, key, value, match",
+    "sched, path, value, match",
     [
-        (ECHO, 0, "theta", "1.0", "finite real number"),
-        (ECHO, 0, "theta", 9.0, "theta must lie in"),
-        (ECHO, 0, "omega0", -5.0, "omega0 must be positive"),
-        (ECHO, 0, "omega0", float("nan"), "finite real number"),
-        (ECHO, 1, "dim", 4, "has dimension 4, not 2"),
-        (ECHO, 2, "target", 3, "pulse target"),
-        (EXP_ECHO, 0, "frame_term", 1, "frame_term must be a boolean"),
+        (ECHO, ("segments", 0, "params", "theta"), "1.0", "finite real number"),
+        (ECHO, ("segments", 0, "params", "theta"), 9.0, "theta must lie in"),
+        (ECHO, ("segments", 0, "params", "omega0"), -5.0, "omega0 must be positive"),
+        (ECHO, ("segments", 0, "params", "omega0"), float("nan"), "finite real number"),
+        (ECHO, ("segments", 1, "params", "dim"), 4, "has dimension 4, not 2"),
+        (ECHO, ("segments", 2, "params", "target"), 3, "pulse target"),
+        (EXP_ECHO, ("segments", 0, "params", "frame_term"), 1, "frame_term must be a boolean"),
+        (ECHO, ("segments", 0, "dim"), 2.0, "segment dim must be an integer"),
+        (ECHO, ("dim",), 2.0, "schedule dim must be an integer"),
+        (ECHO, ("segments", 0, "params"), [1.0], "params must be a dict"),
     ],
     ids=[
         "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan", "idle-dim",
-        "target-not-string", "frame-term-not-bool",
+        "target-not-string", "frame-term-not-bool", "segment-dim-float", "schedule-dim-float",
+        "params-not-object",
     ],
 )
-def test_json_rejects_bad_parameter_values(sched, segment, key, value, match):
+def test_json_rejects_bad_parameter_values(sched, path, value, match):
     import json
 
     doc = json.loads(schedule_to_json(sched))
-    doc["segments"][segment]["params"][key] = value
+    *where, key = path
+    functools.reduce(operator.getitem, where, doc)[key] = value
     with pytest.raises(ValueError, match=match):
         schedule_from_json(json.dumps(doc))
+
+
+@st.composite
+def _drawn_echoes(draw):
+    """A single-qubit echo (cone angle, signed omega/omega0 log-uniform in
+    +-[0.1, 10], omega0 log-uniform in [0.2, 5], drive rotation, three
+    gaps) or a two-qubit echo (omega_i/J log-uniform in [0.01, 100], signed
+    rate, conditional or exp loops with the frame term on or off, seven
+    gaps). Each gap is zero or drawn from [0, 2]."""
+    gap = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    family = draw(st.sampled_from(["single", "two-qubit", "exp"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if family == "single":
+        omega0 = 10.0 ** draw(st.floats(-0.7, 0.7))
+        ratio = 10.0 ** draw(st.floats(-1.0, 1.0))
+        p = LoopParams(draw(st.floats(0.0, np.pi)), sign * ratio * omega0, omega0)
+        sched = build_echo_sequence(p, gaps=draw(st.tuples(gap, gap, gap)))
+        return rotate_schedule(sched, draw(st.floats(-np.pi, np.pi)))
+    ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
+    p = TwoQubitParams(
+        ratio / np.hypot(ratio, 1.0), 1.0 / np.hypot(ratio, 1.0), sign * draw(st.floats(0.1, 2.0))
+    )
+    gaps = draw(st.lists(gap, min_size=7, max_size=7))
+    if family == "two-qubit":
+        return build_two_qubit_sequence(p, gaps=gaps)
+    return build_exp_two_qubit_sequence(p, frame_term=draw(st.booleans()), gaps=gaps)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_drawn_echoes())
+def test_json_round_trip_keeps_text_and_propagators(sched):
+    text = schedule_to_json(sched)
+    back = schedule_from_json(text)
+    assert schedule_to_json(back) == text
+    want = propagate_schedule(sched, samples=4).propagators
+    assert propagate_schedule(back, samples=4).propagators.tobytes() == want.tobytes()
 
 
 def test_field_timeline_and_csv(tmp_path):
