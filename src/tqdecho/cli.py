@@ -193,8 +193,8 @@ def load_config(path: str, kind: str) -> dict:
 
 
 def _policy(params: dict, args) -> StepPolicy | None:
-    """--substeps, else the config's substeps, selects the midpoint
-    integrator; with neither the scenario runs the exact propagator."""
+    """--substeps, else the config's substeps, selects the Magnus
+    oracle; with neither the scenario runs the exact propagator."""
     n = args.substeps if args.substeps is not None else params.get("substeps")
     return None if n is None else StepPolicy(substeps=n)
 
@@ -489,8 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory (default: .)")
         sp.add_argument(
             "--substeps", type=int, default=None,
-            help="run the midpoint integrator with this many substeps per "
-            "segment instead of the exact propagator",
+            help="run the fourth-order Magnus oracle with this many substeps "
+            "per loop segment (at least samples) instead of the exact propagator",
         )
 
     sp = sub.add_parser("verify-all", help="run the full verification suite")

@@ -20,7 +20,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
 from .propagate import StepPolicy, _final_propagator
-from .qcore import gate_distance, pauli_dot, wrap_angle
+from .qcore import SIGMA_X, SIGMA_Z, gate_distance, wrap_angle
 from .schedule import (
     SegmentSchedule,
     _check_count,
@@ -56,15 +56,19 @@ class SingleGateSpec:
     gate_angle: float
 
 
-def _axis(angle: float) -> np.ndarray:
-    return np.array([np.sin(angle), 0.0, np.cos(angle)])
+def _rotations(axis_angle, gate_angle) -> np.ndarray:
+    """cos(Omega) - i*sin(Omega)*(n.sigma) for arrays of axis and gate
+    angles of one shape, as matrices of that shape + (2, 2)."""
+    axis_angle = np.asarray(axis_angle, dtype=float)[..., None, None]
+    gate_angle = np.asarray(gate_angle, dtype=float)[..., None, None]
+    n_sigma = np.sin(axis_angle) * SIGMA_X + np.cos(axis_angle) * SIGMA_Z
+    return np.cos(gate_angle) * np.eye(2) - 1j * np.sin(gate_angle) * n_sigma
 
 
 def closed_form_single(spec: SingleGateSpec) -> np.ndarray:
     """cos(Omega) - i*sin(Omega)*(n.sigma); exactly 2*pi periodic in
     the gate angle."""
-    n_sigma = pauli_dot(_axis(spec.axis_angle))
-    return np.cos(spec.gate_angle) * np.eye(2) - 1j * np.sin(spec.gate_angle) * n_sigma
+    return _rotations(spec.axis_angle, spec.gate_angle)
 
 
 def closed_form_echo_gate(p: LoopParams) -> np.ndarray:
@@ -106,7 +110,7 @@ def synthesize_single_gate(
     the y pulses untouched. omega sets only the loop rate; the traversal
     orientation is fixed forward so the realized sign matches the target.
     policy None propagates exactly; StepPolicy(substeps=N) runs the
-    midpoint integrator.
+    Magnus oracle.
     """
     omega_total = spec.gate_angle
     if not (0.0 < omega_total < 4.0 * np.pi):
@@ -142,6 +146,19 @@ class UniversalityReport:
         return abs(self.commutator_norm - self.predicted_norm) <= 1e-9
 
 
+def _witness(axis1, angle1, axis2, angle2) -> tuple:
+    """Commutator witness of gate pairs given as arrays of one shape:
+    (w, commutator norm, predicted norm), each of that shape.
+
+    w = sin(O1) sin(O2) sin(axis1 - axis2); the commutator of the two
+    closed-form rotations has Frobenius norm 2*sqrt(2)*|w| identically.
+    """
+    w = np.sin(angle1) * np.sin(angle2) * np.sin(axis1 - axis2)
+    u1, u2 = _rotations(axis1, angle1), _rotations(axis2, angle2)
+    norm = np.linalg.norm(u1 @ u2 - u2 @ u1, axis=(-2, -1))
+    return w, norm, 2.0 * np.sqrt(2.0) * np.abs(w)
+
+
 def universality_check(
     g1: SingleGateSpec, g2: SingleGateSpec, threshold: float = 1e-9
 ) -> UniversalityReport:
@@ -151,18 +168,13 @@ def universality_check(
     SU(2) iff w != 0, and the commutator's Frobenius norm equals
     2*sqrt(2)*|w| identically, which ties the witness to an observable.
     """
-    w = float(
-        np.sin(g1.gate_angle)
-        * np.sin(g2.gate_angle)
-        * np.sin(g1.axis_angle - g2.axis_angle)
+    w, norm, predicted = map(
+        float, _witness(g1.axis_angle, g1.gate_angle, g2.axis_angle, g2.gate_angle)
     )
-    u1, u2 = closed_form_single(g1), closed_form_single(g2)
-    comm = u1 @ u2 - u2 @ u1
-    norm = float(np.linalg.norm(comm))
     return UniversalityReport(
         witness=w,
         commutator_norm=norm,
-        predicted_norm=2.0 * np.sqrt(2.0) * abs(w),
+        predicted_norm=predicted,
         generates_su2=abs(w) > threshold,
     )
 
@@ -196,8 +208,7 @@ def synthesize_two_qubit_gate(
     matrix is the closed form conjugated into that eigenbasis, which is
     where this gate lives; it is not a computational-basis diagonal
     unless omega_i is negligible against the coupling. policy None
-    propagates exactly; StepPolicy(substeps=N) runs the midpoint
-    integrator.
+    propagates exactly; StepPolicy(substeps=N) runs the Magnus oracle.
     """
     sched = build_two_qubit_sequence(p)
     realized, substeps_used = _final_propagator(sched, policy)
@@ -260,7 +271,7 @@ def verify_exp_equivalence(
     term does not commute away pointwise; it cancels over the echo
     because the control flip reverses its sign pairing between the two
     halves. policy None propagates both echoes exactly;
-    StepPolicy(substeps=N) runs the midpoint integrator. field_draws
+    StepPolicy(substeps=N) runs the Magnus oracle. field_draws
     must be at least 1: with no draws the field check would pass
     vacuously, and it must be an integer.
     """

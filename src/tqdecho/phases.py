@@ -228,7 +228,7 @@ def evolve_eigenstate(
     samples: int = 256,
 ) -> Trajectory:
     """Propagate the schedule starting from the labelled eigenstate of the
-    first loop segment at t=0 (exact propagator unless a midpoint policy
+    first loop segment at t=0 (exact propagator unless a StepPolicy
     is given)."""
     first = s.segments[0]
     if first.kind not in _LOOP_KINDS:

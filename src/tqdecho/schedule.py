@@ -208,8 +208,8 @@ class Segment:
     equal fields produce bit-identical block fields.
     Construction rejects parameter values of the wrong type, outside the
     ranges LoopParams / TwoQubitParams accept, or implying a dimension
-    other than the integer `dim` or (to 1e-9) a duration other than
-    `duration`: a loop lasts one period, a pulse one half turn.
+    other than the integer `dim` or (to 1e-9 relative) a duration other
+    than `duration`: a loop lasts one period, a pulse one half turn.
     """
 
     kind: str
@@ -243,7 +243,7 @@ class Segment:
                 f"segment kind {self.kind!r} with these parameters has dimension "
                 f"{dim}, not {self.dim}"
             )
-        if duration is not None and abs(self.duration - duration) > 1e-9 * max(1.0, duration):
+        if duration is not None and abs(self.duration - duration) > 1e-9 * duration:
             raise ValueError(
                 f"segment duration {self.duration} inconsistent with parameters "
                 f"(expected {duration})"

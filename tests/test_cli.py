@@ -67,14 +67,15 @@ def test_evolve_fails_at_coarse_resolution(tmp_path):
     """Loose stepping must surface as a failed check, not get hidden."""
     cfg = write_config(
         tmp_path, "e.json",
-        {"theta": THETA, "omega": 1.0, "omega0": 1.0, "samples": 64},
+        {"theta": THETA, "omega": 1.0, "omega0": 1.0, "samples": 16},
     )
     out = tmp_path / "out"
-    rc = main(["evolve", "--config", cfg, "--out", str(out), "--substeps", "64"])
+    # a run takes at least `samples` steps per loop, so both are 16
+    rc = main(["evolve", "--config", cfg, "--out", str(out), "--substeps", "16"])
     assert rc == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_passed"] is False
-    assert summary["policy"] == {"substeps": 64}
+    assert summary["policy"] == {"substeps": 16}
 
 
 def test_echo_run(tmp_path):

@@ -183,7 +183,7 @@ def test_loop_phases_flip_with_orientation():
 
 
 def test_dynamical_phase_root_choices():
-    # residual shift is integrator state error, second order in step size
+    # residual shift is integrator state error, fourth order in step size
     pol = StepPolicy(substeps=8192)
     traj = evolve_eigenstate(single_loop_schedule(P), 0, pol, samples=128)
     d_root = dynamical_phase(traj, root="root")

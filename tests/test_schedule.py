@@ -69,13 +69,23 @@ def test_segment_rejects_missing_param():
 )
 def test_segment_rejects_duration_its_params_do_not_imply(seg):
     # a loop lasts one period and a pulse one half turn, to 1e-9 times
-    # max(1, duration); an idle carries its own duration
-    d, tol = seg.duration, 1e-9 * max(1.0, seg.duration)
+    # the duration; an idle carries its own duration
+    d, tol = seg.duration, 1e-9 * seg.duration
     for wrong in (1.5 * d, d + 10.0 * tol, d - 10.0 * tol):
         with pytest.raises(ValueError, match="inconsistent with parameters"):
             Segment(seg.kind, wrong, seg.dim, seg.label, dict(seg.params))
     assert Segment(seg.kind, d + 0.1 * tol, seg.dim, seg.label, dict(seg.params)).duration > d
     assert idle_segment(123.4).duration == 123.4
+
+
+@pytest.mark.parametrize("omega_pi", [40.0, 1e6])
+def test_short_pulse_duration_is_checked_relative_to_itself(omega_pi):
+    # a half turn shorter than 1 is held to 1e-9 of its own length, not
+    # to an absolute 1e-9
+    seg = pi_pulse_segment(omega_pi)
+    for rel in (1e-8, -1e-8):
+        with pytest.raises(ValueError, match="inconsistent with parameters"):
+            Segment(seg.kind, seg.duration * (1.0 + rel), seg.dim, seg.label, dict(seg.params))
 
 
 def test_single_loop_schedule_shape():
