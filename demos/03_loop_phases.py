@@ -16,7 +16,7 @@ from tqdecho import (
     solid_angle,
 )
 
-pol = StepPolicy(substeps=16384)
+pol = StepPolicy(substeps=2048)
 
 for theta in (np.pi / 6, np.pi / 3, np.pi / 2):
     print(f"== cone angle {theta:.4f} (solid angle {solid_angle(theta):.4f}) ==")

@@ -21,7 +21,7 @@ from tqdecho import (
     universality_check,
 )
 
-pol = StepPolicy(substeps=8192)
+pol = StepPolicy(substeps=1024)
 p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 
 print("== echo refocusing ==")

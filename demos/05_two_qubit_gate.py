@@ -87,7 +87,7 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
 
 if __name__ == "__main__":
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
-    pol = StepPolicy(substeps=8192)
+    pol = StepPolicy(substeps=4096)
 
     print("== gate synthesis ==")
     rep = synthesize_two_qubit_gate(p, policy=pol)

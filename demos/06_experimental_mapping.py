@@ -29,8 +29,8 @@ for tag, params in (("forward", p), ("reversed", p.reversed())):
 
 print()
 print("== equivalence check ==")
-rep = verify_exp_equivalence(p, policy=StepPolicy(substeps=8192), field_draws=100)
-print(f"max field deviation over {rep.field_draws} random draws: {rep.max_field_deviation:.2e}")
+rep = verify_exp_equivalence(p, policy=StepPolicy(substeps=2048), field_draws=100)
+print(f"max field deviation over {rep.field_draws} lattice draws: {rep.max_field_deviation:.2e}")
 print(f"echo propagator distance, conditional vs mapped drive:  {rep.gate_deviation:.2e}")
 print()
 print("The z ramp on the control has opposite sign on the reversed loop,")

@@ -22,6 +22,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams
 from .gates import (
     SingleGateSpec,
+    _lattice,
     _witness,
     closed_form_echo_gate,
     synthesize_single_gate,
@@ -54,7 +55,6 @@ __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
 
 _THETA_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
 _RATIO_GRID = (0.1, 1.0, 10.0)
-_SEED = 20260816
 _EXACT = {"propagation": "exact"}
 
 
@@ -208,8 +208,8 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Named gates synthesize to their matrices, and the commutator norm
-    identity ties the universality witness to an observable on random
-    gate pairs."""
+    identity ties the universality witness to an observable on 100 gate
+    pairs from a four-dimensional Kronecker lattice."""
     t0 = time.perf_counter()
     named = {
         "z_phase_pi3": (
@@ -230,10 +230,9 @@ def criterion_5() -> CriterionResult:
         rep = synthesize_single_gate(spec)
         checks.append(Check(f"gate_distance_{name}", gate_distance(rep.realized, matrix), 1e-12))
 
-    # each row is (axis1, angle1, axis2, angle2)
-    pairs = np.random.default_rng(_SEED).uniform(
-        [-np.pi, 0.0, -np.pi, 0.0], [np.pi, 2 * np.pi, np.pi, 2 * np.pi], size=(100, 4)
-    )
+    # each row is (axis1, angle1, axis2, angle2), on [-pi, pi) x [0, 2*pi) twice
+    low = np.array([-np.pi, 0.0, -np.pi, 0.0])
+    pairs = low + (2.0 * np.pi) * _lattice(100, 4)
     w, norm, predicted = _witness(*pairs.T)
     worst = float(np.max(np.abs(norm - predicted)))
     checks.append(Check("witness_commutator_identity", worst, 1e-9))
@@ -270,7 +269,7 @@ def criterion_7() -> CriterionResult:
     included."""
     t0 = time.perf_counter()
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
-    rep = verify_exp_equivalence(p, field_draws=100, seed=_SEED)
+    rep = verify_exp_equivalence(p, field_draws=100)
     checks = [
         Check("field_map_deviation", rep.max_field_deviation, 1e-10),
         Check("gate_equivalence_distance", rep.gate_deviation, 1e-12),

@@ -28,6 +28,21 @@ __all__ = [
     "experimental_params",
 ]
 
+# Largest rate magnitude a loop accepts. The propagators square and sum
+# fields built from a few rates; beyond about sqrt(1.8e308) = 1.3e154 the
+# squares overflow and every propagator turns to nan, so rates stop well
+# short of that.
+_MAX_RATE = 1e150
+
+
+def _check_rates(**rates) -> None:
+    for name, value in rates.items():
+        if abs(value) > _MAX_RATE:
+            raise ValueError(
+                f"{name} = {value:g} is out of range: loop rates must not exceed "
+                f"{_MAX_RATE:g} in magnitude, or their squared fields overflow"
+            )
+
 
 @dataclass(frozen=True)
 class LoopParams:
@@ -50,6 +65,7 @@ class LoopParams:
             raise ValueError("omega must be finite and nonzero")
         if self.omega0 <= 0.0 or not np.isfinite(self.omega0):
             raise ValueError("omega0 must be positive and finite")
+        _check_rates(omega=self.omega, omega0=self.omega0)
 
     @property
     def period(self) -> float:
@@ -84,6 +100,7 @@ class TwoQubitParams:
             raise ValueError("coupling must be positive and finite")
         if self.omega == 0.0 or not np.isfinite(self.omega):
             raise ValueError("omega must be finite and nonzero")
+        _check_rates(omega_i=self.omega_i, coupling=self.coupling, omega=self.omega)
         if self.omega_pi is None:
             object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
         if self.omega_pi <= 0.0 or not np.isfinite(self.omega_pi):

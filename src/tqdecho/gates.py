@@ -146,6 +146,22 @@ class UniversalityReport:
         return abs(self.commutator_norm - self.predicted_norm) <= 1e-9
 
 
+def _lattice(count: int, dim: int) -> np.ndarray:
+    """Check points k = 1..count of the Kronecker sequence
+    frac(0.5 + k * phi**-(j+1)), j < dim, with phi the generalized golden
+    ratio, the positive root of x**(dim+1) = x + 1 (for dim 1 the golden
+    ratio), as rows of shape (count, dim) in [0, 1). The points are
+    deterministic and spread evenly over the unit cube at every count
+    (Niederreiter, Random Number Generation and Quasi-Monte Carlo
+    Methods, SIAM 1992).
+    """
+    phi = 2.0
+    for _ in range(64):  # a contraction: converged to rounding long before
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    k = np.arange(1, count + 1)
+    return (0.5 + np.multiply.outer(k, phi ** -np.arange(1.0, dim + 1))) % 1.0
+
+
 def _witness(axis1, angle1, axis2, angle2) -> tuple:
     """Commutator witness of gate pairs given as arrays of one shape:
     (w, commutator norm, predicted norm), each of that shape.
@@ -257,29 +273,31 @@ def verify_exp_equivalence(
     p: TwoQubitParams,
     policy: StepPolicy | None = None,
     field_draws: int = 100,
-    seed: int = 20260816,
 ) -> ExpEquivalenceReport:
     """Check the static-coupling realization against the conditional model.
 
-    Field level: on random (orientation, control, time) draws, the exp-loop
-    field of the mapped parameters must reproduce the two-qubit loop's
-    root field plus its Berry correction, the two fields the propagator
-    simulates; the map is algebraic, so the deviation (in field units) is
-    rounding-level. Gate level: the full echo run from the
+    Field level: on `field_draws` (orientation, control, time) check
+    points, the exp-loop field of the mapped parameters must reproduce
+    the two-qubit loop's root field plus its Berry correction, the two
+    fields the propagator simulates; the map is algebraic, so the
+    deviation (in field units) is rounding-level. Gate level: the full echo run from the
     mapped parameters, including the control-frame term omega*(1 x Sz)
     while loops run, must match the conditional-model echo. The frame
     term does not commute away pointwise; it cancels over the echo
     because the control flip reverses its sign pairing between the two
     halves. policy None propagates both echoes exactly;
-    StepPolicy(substeps=N) runs the Magnus oracle. field_draws
-    must be at least 1: with no draws the field check would pass
-    vacuously, and it must be an integer.
+    StepPolicy(substeps=N) runs the Magnus oracle. Draw k = 1, 2, ...
+    takes orientation k % 2 and control (k // 2) % 2, so any four
+    consecutive draws cover all four sectors, at the time period * x_k
+    of the one-dimensional golden-ratio lattice x_k (_lattice).
+    field_draws must be at least 1: with no draws the field check would
+    pass vacuously, and it must be an integer.
     """
     _check_count("field_draws", field_draws, 1)
-    rng = np.random.default_rng(seed)
-    orientation = rng.integers(2, size=field_draws)
-    control = rng.integers(2, size=field_draws)
-    times = rng.uniform(0.0, p.period, size=field_draws)
+    k = np.arange(1, field_draws + 1)
+    orientation = k % 2
+    control = (k // 2) % 2
+    times = p.period * _lattice(field_draws, 1)[:, 0]
     worst = 0.0
     for reverse in (False, True):
         pick = orientation == reverse

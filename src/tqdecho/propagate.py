@@ -45,8 +45,10 @@ propagators to dense eigendecomposition references, which they pack
 from the same block fields (tests/dense.py).
 
 Gates and trajectories compose a schedule through one walk, which
-propagates each distinct segment once. The association order of every
-product is fixed, so repeated runs produce bit-identical propagators.
+propagates each distinct segment once; under the oracle it multiplies
+the Magnus steps of all its distinct loops in one product tree. The
+association order of every product is fixed, so repeated runs produce
+bit-identical propagators.
 """
 from __future__ import annotations
 
@@ -164,17 +166,22 @@ def _step_quaternions(seg: Segment, n: int) -> tuple:
     return (0.5 * dt) * (c0[:, :n] + c0[:, n:]), q
 
 
-def _segment_partials(seg: Segment, n: int, checkpoints: int) -> np.ndarray:
-    """Cumulative propagators from segment start to each of `checkpoints`
-    equally spaced interior boundaries (the last one is the segment end).
-    n must be a multiple of checkpoints.
+def _segment_partials(segs, n: int, checkpoints: int) -> list:
+    """Cumulative propagators of each loop segment in `segs` (all of one
+    dim) from its start to each of `checkpoints` equally spaced interior
+    boundaries (the last one is the segment end), one (checkpoints, dim,
+    dim) array per segment. n must be a multiple of checkpoints.
 
-    The steps of each chunk between checkpoints are multiplied in a
-    pairwise tree, all chunks at once; a doubling prefix scan then turns
-    the chunk products into cumulative ones. Complex matrices are built
-    only for the checkpoint outputs.
+    Each segment's steps come from _step_quaternions; their blocks are
+    stacked on one axis, so one pairwise tree multiplies the steps of
+    every chunk between checkpoints, of all segments at once, and one
+    doubling prefix scan turns the chunk products into cumulative ones.
+    Each block's products are the same whatever is stacked beside it.
+    Complex matrices are built only for the checkpoint outputs.
     """
-    phase, q = _step_quaternions(seg, n)
+    steps = [_step_quaternions(seg, n) for seg in segs]
+    phase = np.concatenate([angles for angles, _ in steps])
+    q = np.concatenate([quats for _, quats in steps], axis=1)
     blocks = phase.shape[0]
     q = q.reshape(4, blocks, checkpoints, n // checkpoints)
     while q.shape[-1] > 1:
@@ -187,11 +194,17 @@ def _segment_partials(seg: Segment, n: int, checkpoints: int) -> np.ndarray:
         q[..., shift:] = _hamilton(q[..., shift:], q[..., :-shift])
         shift *= 2
     scale = np.exp(-1j * np.cumsum(phase.reshape(blocks, checkpoints, -1).sum(axis=-1), axis=-1))
-    return _pack_quaternions(q, scale, seg.dim)
+    return [
+        _pack_quaternions(qs, phases, seg.dim)
+        for qs, phases, seg in zip(np.split(q, len(segs), axis=1), np.split(scale, len(segs)), segs)
+    ]
 
 
-def _round_up(n: int, multiple: int) -> int:
-    return ((n + multiple - 1) // multiple) * multiple
+def _oracle_steps(policy: StepPolicy, checkpoints: int) -> int:
+    """Magnus steps per loop segment: the policy's substeps, at least one
+    per checkpoint, rounded up to a multiple of checkpoints."""
+    n = max(policy.substeps, checkpoints)
+    return ((n + checkpoints - 1) // checkpoints) * checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +292,8 @@ def propagate_segment(
     if policy is None:
         return rotating_frame_propagators(seg, ts), 0
 
-    n = _round_up(max(policy.substeps, checkpoints), checkpoints)
-    return _segment_partials(seg, n, checkpoints), n
+    n = _oracle_steps(policy, checkpoints)
+    return _segment_partials([seg], n, checkpoints)[0], n
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +382,30 @@ def _segment_propagators(
     `checkpoints` per loop and min(16, checkpoints) per pulse or idle; a
     zero-duration segment gets (None, 0). The one walk behind gates and
     trajectories: segments equal in kind, duration, dim and params (by
-    repr, so 0.0 and -0.0 differ; labels ignored) are propagated once."""
-    done = {}
-    out = []
+    repr, so 0.0 and -0.0 differ; labels ignored) are propagated once.
+    Under a StepPolicy the distinct loops share one step count, so one
+    _segment_partials call multiplies all of their Magnus steps."""
+    distinct = {}
+    keys = []
     for seg in s.segments:
-        if seg.duration == 0.0:
-            out.append((None, 0))
-            continue
-        params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
-        key = seg.kind, repr(seg.duration), seg.dim, params
+        key = None
+        if seg.duration != 0.0:
+            params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
+            key = seg.kind, repr(seg.duration), seg.dim, params
+            distinct.setdefault(key, seg)
+        keys.append(key)
+    done = {None: (None, 0)}
+    if policy is not None:
+        loops = {key: seg for key, seg in distinct.items() if seg.kind in _LOOP_KINDS}
+        if loops:
+            n = _oracle_steps(policy, checkpoints)
+            partials = _segment_partials(list(loops.values()), n, checkpoints)
+            done.update((key, (u, n)) for key, u in zip(loops, partials))
+    for key, seg in distinct.items():
         if key not in done:
             cps = checkpoints if seg.kind in _LOOP_KINDS else min(16, checkpoints)
             done[key] = propagate_segment(seg, policy, cps)
-        out.append(done[key])
-    return out
+    return [done[key] for key in keys]
 
 
 def _final_propagator(s: SegmentSchedule, policy: StepPolicy | None = None) -> tuple:

@@ -6,7 +6,7 @@ import pytest
 import tqdecho.acceptance
 import tqdecho.phases
 import tqdecho.propagate
-from tqdecho.acceptance import _SEED, CRITERIA, run_criterion
+from tqdecho.acceptance import CRITERIA, run_criterion
 from tqdecho.gates import SingleGateSpec, universality_check
 
 ORACLE_FAMILIES = ("rotated_echo", "root_loops", "two_qubit_echo", "exp_echo")
@@ -61,18 +61,20 @@ def test_loop_criteria_propagate_each_loop_once(index, calls, monkeypatch):
     assert len(seen) == calls
 
 
-def _scalar_witness_draws():
-    """The 100 gate pairs drawn one scalar at a time from criterion 5's
-    seed, as rows (axis1, angle1, axis2, angle2)."""
-    rng = np.random.default_rng(_SEED)
-    return np.array([
-        [rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 2 * np.pi),
-         rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 2 * np.pi)]
-        for _ in range(100)
-    ])
+def _lattice_witness_draws():
+    """Criterion 5's 100 gate pairs, rows (axis1, angle1, axis2, angle2),
+    from the Kronecker lattice frac(0.5 + k * phi**-(j+1)), k = 1..100,
+    with phi the root of x**5 = x + 1 found by bisection."""
+    lo, hi = 1.0, 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid**5 < mid + 1.0 else (lo, mid)
+    alpha = lo ** -np.arange(1.0, 5.0)
+    unit = np.array([[(0.5 + k * a) % 1.0 for a in alpha] for k in range(1, 101)])
+    return np.array([-np.pi, 0.0, -np.pi, 0.0]) + 2.0 * np.pi * unit
 
 
-def test_witness_draws_match_the_scalar_stream(monkeypatch):
+def test_witness_draws_are_the_kronecker_lattice(monkeypatch):
     seen = []
     real = tqdecho.acceptance._witness
 
@@ -85,13 +87,14 @@ def test_witness_draws_match_the_scalar_stream(monkeypatch):
     assert result.passed
     assert result.notes["generating_pairs"] == "100/100"
     assert len(seen) == 1
-    assert seen[0].tobytes() == _scalar_witness_draws().tobytes()
+    # k * alpha carries the root's last-bit rounding at most 100-fold
+    assert np.max(np.abs(seen[0] - _lattice_witness_draws())) <= 1e-12
 
 
 def test_universality_check_is_the_array_formula_pair_by_pair():
     from tqdecho.gates import _witness
 
-    pairs = _scalar_witness_draws()
+    pairs = _lattice_witness_draws()
     w, norm, predicted = _witness(*pairs.T)
     for k, (a1, o1, a2, o2) in enumerate(pairs):
         rep = universality_check(SingleGateSpec(a1, o1), SingleGateSpec(a2, o2))

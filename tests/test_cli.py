@@ -1,9 +1,14 @@
 """End-to-end runs of the command line entry point."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tqdecho
 from tqdecho.cli import main
 
 THETA = np.pi / 3
@@ -225,6 +230,22 @@ def test_rejects_domain_errors_with_config_exit(tmp_path):
     assert main(["scan", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, payload, key",
+    [
+        ("evolve", {"theta": 1.0, "omega": 1e300, "omega0": 1.0}, "omega"),
+        ("twoqubit", {"omega_i": 1.0, "coupling": 1e300, "omega": 0.5}, "coupling"),
+    ],
+)
+def test_rates_whose_squares_overflow_are_config_errors(tmp_path, capsys, kind, payload, key):
+    # these ran to nan checks, three RuntimeWarnings and exit 1
+    cfg = write_config(tmp_path, "r.json", {"kind": kind, **payload})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} = 1e+300 is out of range" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("omega0", [0, -1.0])
 def test_scan_rejects_nonpositive_omega0(tmp_path, capsys, omega0):
     # named after the scan key, not the loop rate omega0 * ratio it feeds
@@ -247,6 +268,32 @@ def test_scan_rejects_loop_rate_out_of_range(tmp_path, capsys, omega0, ratio):
     err = capsys.readouterr().err
     assert "scan.omega0 * scan.ratios must be finite and nonzero" in err
     assert "Traceback" not in err
+
+
+def test_verify_all_and_expmap_never_import_numpy_random(tmp_path):
+    # their check points come from deterministic lattices; numpy.random
+    # costs a fresh process about 18 ms to import
+    cfg = write_config(
+        tmp_path, "x.json", {"kind": "expmap", "omega_i": 1.0, "coupling": 1.0, "omega": 0.5}
+    )
+    code = "\n".join([
+        "import sys",
+        "from tqdecho.cli import main",
+        "loaded = []",
+        f"assert main(['verify-all', '--out', {str(tmp_path / 'v')!r}]) == 0",
+        "loaded.append('numpy.random' in sys.modules)",
+        f"assert main(['expmap', '--config', {cfg!r}, '--out', {str(tmp_path / 'x')!r}]) == 0",
+        "loaded.append('numpy.random' in sys.modules)",
+        "print(loaded)",
+    ])
+    src = str(Path(tqdecho.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[False, False]"
 
 
 def test_missing_config_file(tmp_path):

@@ -105,6 +105,40 @@ def test_two_qubit_params_reject_bad_omega_pi(omega_pi):
         TwoQubitParams(omega_i=1.0, coupling=2.0, omega=0.5, omega_pi=omega_pi)
 
 
+@pytest.mark.parametrize("value", [1e300, -1e300, 2e150])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: LoopParams(theta=1.0, omega=x, omega0=1.0),
+        lambda x: LoopParams(theta=1.0, omega=1.0, omega0=abs(x)),
+        lambda x: TwoQubitParams(omega_i=abs(x), coupling=1.0, omega=0.5),
+        lambda x: TwoQubitParams(omega_i=1.0, coupling=abs(x), omega=0.5),
+        lambda x: TwoQubitParams(omega_i=1.0, coupling=1.0, omega=x),
+    ],
+    ids=["omega", "omega0", "omega_i", "coupling", "two-qubit-omega"],
+)
+def test_params_reject_rates_whose_squares_overflow(build, value):
+    # at 1e300 the exact kernel's squared fields overflowed to nan
+    # propagators with numpy RuntimeWarnings
+    with pytest.raises(ValueError, match="out of range"):
+        build(value)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_largest_accepted_rates_give_finite_unitary_propagators(sign):
+    from tqdecho.gates import synthesize_two_qubit_gate
+    from tqdecho.propagate import propagate_schedule
+    from tqdecho.qcore import unitarity_defect
+    from tqdecho.schedule import build_echo_sequence
+
+    # every rate at the bound at once; warnings are errors in this suite
+    p = LoopParams(theta=np.pi / 3, omega=sign * 1e150, omega0=1e150)
+    traj = propagate_schedule(build_echo_sequence(p), samples=16)
+    assert unitarity_defect(traj.propagators) <= 1e-12
+    rep = synthesize_two_qubit_gate(TwoQubitParams(1e150, 1e150, sign * 1e150))
+    assert unitarity_defect(rep.realized) <= 1e-12
+
+
 def test_exp_params_accepts_acute_and_obtuse_tilts():
     ExpParams(j_xz=-0.25, j_zz=1.0, theta_prime=1.8, omega_i_prime=1.0)
     ExpParams(j_xz=0.25, j_zz=1.0, theta_prime=1.3, omega_i_prime=1.0)

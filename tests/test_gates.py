@@ -135,11 +135,12 @@ def test_exp_equivalence():
     assert rep.field_draws == 25
 
 
-def test_exp_equivalence_draws_cover_every_sector(monkeypatch):
-    """The default 100 draws reach both orientations and both control
+@pytest.mark.parametrize("draws", [4, 100])
+def test_exp_equivalence_draws_cover_every_sector(draws, monkeypatch):
+    """Four draws already reach both orientations and both control
     states: a unit error planted in any one of the four exp-loop field
     sectors shows up in the field deviation."""
-    assert verify_exp_equivalence(P2).max_field_deviation <= 1e-10
+    assert verify_exp_equivalence(P2, field_draws=draws).max_field_deviation <= 1e-10
     real = gates.exp_loop_segment
 
     class Planted:
@@ -159,7 +160,8 @@ def test_exp_equivalence_draws_cover_every_sector(monkeypatch):
                 return Planted(seg, control) if rev == reverse else seg
 
             monkeypatch.setattr(gates, "exp_loop_segment", planted)
-            assert verify_exp_equivalence(P2).max_field_deviation >= 0.5, (reverse, control)
+            rep = verify_exp_equivalence(P2, field_draws=draws)
+            assert rep.max_field_deviation >= 0.5, (reverse, control)
 
 
 @pytest.mark.parametrize("draws", [0, -3])
@@ -205,14 +207,22 @@ def test_gate_entry_points_build_no_trajectory(monkeypatch):
 
 @pytest.mark.parametrize("policy", [None, StepPolicy(substeps=64)], ids=["exact", "midpoint"])
 def test_gate_entry_points_propagate_each_distinct_segment_once(policy, monkeypatch):
+    # under a StepPolicy the walk hands all distinct loops to one
+    # _segment_partials call instead of propagate_segment; count both
     calls = []
     real = propagate.propagate_segment
+    real_partials = propagate._segment_partials
 
     def counting(seg, policy=None, checkpoints=1):
         calls.append((seg.kind, checkpoints))
         return real(seg, policy, checkpoints)
 
+    def batched(segs, n, checkpoints):
+        calls.extend((seg.kind, checkpoints) for seg in segs)
+        return real_partials(segs, n, checkpoints)
+
     monkeypatch.setattr(propagate, "propagate_segment", counting)
+    monkeypatch.setattr(propagate, "_segment_partials", batched)
     synthesize_single_gate(SingleGateSpec(0.3, 1.2), policy=policy)
     assert sorted(calls) == [("pi-pulse", 1), ("tqd-loop", 1), ("tqd-loop", 1)]
     calls.clear()

@@ -14,6 +14,7 @@ from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
+    _final_propagator,
     _segment_partials,
     propagate_schedule,
     propagate_segment,
@@ -278,13 +279,20 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
 
     sched = build_two_qubit_sequence(P2)
     real = prop.propagate_segment
+    real_partials = prop._segment_partials
     calls = []
 
     def counting(seg, *args):
         calls.append(seg.kind)
         return real(seg, *args)
 
+    def batched(segs, *args):
+        # under a StepPolicy the walk propagates its distinct loops here
+        calls.extend(seg.kind for seg in segs)
+        return real_partials(segs, *args)
+
     monkeypatch.setattr(prop, "propagate_segment", counting)
+    monkeypatch.setattr(prop, "_segment_partials", batched)
     traj = propagate_schedule(sched, policy=policy, samples=8)
     # half + half: two loops, the pulse and the control flip, each once;
     # the zero-length idles are not propagated
@@ -292,17 +300,54 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     assert sorted(calls) == sorted(["two-qubit-loop", "two-qubit-loop", "pi-pulse", "control-flip"])
     assert len(traj.substeps_used) == 15
 
-    # reference: every segment propagated on its own, composed in order
-    cum = np.eye(4, dtype=complex)
+    monkeypatch.undo()
+    assert traj.propagators.tobytes() == _composed_per_segment(sched, policy, 8).tobytes()
+
+
+def _composed_per_segment(sched, policy, samples):
+    """Cumulative propagators of a schedule with every segment propagated
+    on its own by propagate_segment, composed in order."""
+    cum = np.eye(sched.dim, dtype=complex)
     rows = []
     for seg in sched.segments:
         if seg.duration == 0.0:
             rows.append(cum[None])
             continue
-        partials, _ = real(seg, policy, 8)
+        cps = samples if seg.kind.endswith("loop") else min(16, samples)
+        partials, _ = propagate_segment(seg, policy, cps)
         rows += [cum[None], np.matmul(partials, cum)]
         cum = rows[-1][-1]
-    assert traj.propagators.tobytes() == np.concatenate(rows).tobytes()
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        rotate_schedule(build_echo_sequence(P, gaps=(0.3, 0.0, 0.2)), 0.4),
+        build_two_qubit_sequence(P2),
+        build_exp_two_qubit_sequence(P2, frame_term=True),
+    ],
+    ids=["one-qubit", "two-qubit", "exp-loop"],
+)
+def test_oracle_walk_runs_one_product_tree(sched, monkeypatch):
+    import tqdecho.propagate as prop
+
+    policy = StepPolicy(substeps=100)
+    real = prop._segment_partials
+    batches = []
+
+    def counting(segs, n, checkpoints):
+        batches.append((len(segs), n, checkpoints))
+        return real(segs, n, checkpoints)
+
+    monkeypatch.setattr(prop, "_segment_partials", counting)
+    traj = propagate_schedule(sched, policy=policy, samples=12)
+    u, _ = _final_propagator(sched, policy)
+    # each echo's two distinct loops share one tree and scan per walk
+    assert batches == [(2, 108, 12), (2, 100, 1)]
+    monkeypatch.undo()
+    assert traj.propagators.tobytes() == _composed_per_segment(sched, policy, 12).tobytes()
+    assert u.tobytes() == _composed_per_segment(sched, policy, 1)[-1].tobytes()
 
 
 def test_trajectory_csv(tmp_path):
@@ -381,7 +426,7 @@ def test_midpoint_kernel_matches_dense_reference(seg):
     # odd chunks, a chunk of one step, and checkpoint counts that are not
     # powers of two exercise both the pairwise tree and the prefix scan
     for n, checkpoints in ((1, 1), (7, 7), (60, 12), (96, 3), (4096, 256)):
-        got = _segment_partials(seg, n, checkpoints)
+        (got,) = _segment_partials([seg], n, checkpoints)
         ref = _dense_magnus_reference(seg, n, checkpoints)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
