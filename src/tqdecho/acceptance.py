@@ -5,7 +5,9 @@ The functions here are the authoritative checks; the test suite and the
 CLI `verify-all` subcommand both delegate to them. Each criterion returns
 a CriterionResult whose `checks` list records every gated quantity with
 its bound, so failures state exactly which number went out of range, and
-whose `notes` record the propagation it ran.
+whose `notes` record the propagation it ran; one wrapper (_criterion)
+times each body and builds its result. The CLI records its checks as
+Check too.
 
 Criteria 1-7 test the physics on the exact propagator, so their bounds
 sit near rounding level. Criterion 8 is the one place the oracle runs,
@@ -14,6 +16,7 @@ propagator against it on every schedule family the other criteria use.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -60,6 +63,8 @@ _EXACT = {"propagation": "exact"}
 
 @dataclass(frozen=True)
 class Check:
+    """One gated quantity; it passes when value <= bound."""
+
     name: str
     value: float
     bound: float
@@ -67,6 +72,9 @@ class Check:
     @property
     def passed(self) -> bool:
         return bool(self.value <= self.bound)
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "value": self.value, "bound": self.bound, "passed": self.passed}
 
 
 @dataclass
@@ -97,12 +105,29 @@ class CriterionResult:
             "name": self.name,
             "passed": self.passed,
             "runtime": self.runtime,
-            "checks": [
-                {"name": c.name, "value": c.value, "bound": c.bound, "passed": c.passed}
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
             "notes": self.notes,
         }
+
+
+def _criterion(index: int, name: str, budget: float | None = None):
+    """Make a body returning (checks, notes) criterion `index`: a
+    zero-argument callable that times the body, checks its runtime
+    against `budget` seconds if one is given, and returns the result."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            checks, notes = body()
+            runtime = time.perf_counter() - t0
+            if budget is not None:
+                checks.append(Check("runtime_seconds", runtime, budget))
+            return CriterionResult(index, name, runtime, checks, dict(notes))
+
+        return criterion
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +141,10 @@ def _both_labels(p: LoopParams, samples: int) -> tuple:
     return (0, traj), (1, traj.with_initial_state(loop_eigenvector(p, 1, 0.0)))
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "transitionless tracking", budget=10.0)
+def criterion_1():
     """Corrected driving tracks eigenstates on the full parameter grid;
     the uncorrected drive visibly fails at resonance-scale rates."""
-    t0 = time.perf_counter()
-    checks, notes = [], dict(_EXACT)
     worst = 0.0
     for theta in _THETA_GRID:
         for ratio in _RATIO_GRID:
@@ -128,25 +152,24 @@ def criterion_1() -> CriterionResult:
             for label, traj in _both_labels(p, samples=64):
                 deficit = float(1.0 - tracking_fidelity(traj, label).min())
                 worst = max(worst, deficit)
-    checks.append(Check("tracking_infidelity", worst, 1e-12))
 
     baseline_best = 0.0
     for theta in _THETA_GRID:
         p = LoopParams(theta=theta, omega=1.0, omega0=1.0)
         traj = evolve_eigenstate(single_loop_schedule(p, corrected=False), 0, samples=64)
         baseline_best = max(baseline_best, float(tracking_fidelity(traj, 0).min()))
-    checks.append(Check("uncorrected_min_fidelity", baseline_best, 0.9))
-    notes["grid"] = f"{len(_THETA_GRID)} angles x {len(_RATIO_GRID)} rate ratios x 2 labels"
+    checks = [
+        Check("tracking_infidelity", worst, 1e-12),
+        Check("uncorrected_min_fidelity", baseline_best, 0.9),
+    ]
+    grid = f"{len(_THETA_GRID)} angles x {len(_RATIO_GRID)} rate ratios x 2 labels"
+    return checks, {**_EXACT, "grid": grid}
 
-    runtime = time.perf_counter() - t0
-    checks.append(Check("runtime_seconds", runtime, 10.0))
-    return CriterionResult(1, "transitionless tracking", runtime, checks, notes)
 
-
-def criterion_2() -> CriterionResult:
+@_criterion(2, "one-loop geometric phase")
+def criterion_2():
     """One-loop geometric phase matches (2p-1)*pi*(1-cos theta), modulo
     2*pi, for both labels and both traversal orientations."""
-    t0 = time.perf_counter()
     worst = 0.0
     for theta in _THETA_GRID:
         for orientation in (1.0, -1.0):
@@ -154,16 +177,14 @@ def criterion_2() -> CriterionResult:
             for label, traj in _both_labels(p, samples=512):
                 dec = loop_phase_decomposition(traj, label)
                 worst = max(worst, dec.geometric_deviation)
-    checks = [Check("geometric_phase_deviation_mod_2pi", worst, 1e-11)]
-    runtime = time.perf_counter() - t0
-    return CriterionResult(2, "one-loop geometric phase", runtime, checks, dict(_EXACT))
+    return [Check("geometric_phase_deviation_mod_2pi", worst, 1e-11)], _EXACT
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "correction leaves dynamical phase alone")
+def criterion_3():
     """The correction adds no dynamical phase: integrating the full
     generator or the uncorrected one gives the same value, and the
     correction's diagonal energy vanishes."""
-    t0 = time.perf_counter()
     p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
     worst = 0.0
     for label in (0, 1):
@@ -175,17 +196,14 @@ def criterion_3() -> CriterionResult:
         Check("dynamical_phase_shift_from_correction", worst, 1e-12),
         Check("correction_diagonal_energy", correction_energy_check(p, 128), 1e-10),
     ]
-    runtime = time.perf_counter() - t0
-    return CriterionResult(
-        3, "correction leaves dynamical phase alone", runtime, checks, dict(_EXACT)
-    )
+    return checks, _EXACT
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "echo refocusing and invariance")
+def criterion_4():
     """The echo realizes the closed-form geometric rotation with no
     residual dynamical phase, independent of drive strength and pulse
     rate."""
-    t0 = time.perf_counter()
     base = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
     target = closed_form_echo_gate(base)
 
@@ -202,15 +220,14 @@ def criterion_4() -> CriterionResult:
         )
         dec = echo_phase_decomposition(traj, 0)
         checks.append(Check(f"echo_residual_dynamical_{name}", abs(dec.dynamical), 1e-12))
-    runtime = time.perf_counter() - t0
-    return CriterionResult(4, "echo refocusing and invariance", runtime, checks, dict(_EXACT))
+    return checks, _EXACT
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "gate synthesis and universality witness")
+def criterion_5():
     """Named gates synthesize to their matrices, and the commutator norm
     identity ties the universality witness to an observable on 100 gate
     pairs from a four-dimensional Kronecker lattice."""
-    t0 = time.perf_counter()
     named = {
         "z_phase_pi3": (
             SingleGateSpec(0.0, np.pi / 3),
@@ -237,16 +254,14 @@ def criterion_5() -> CriterionResult:
     worst = float(np.max(np.abs(norm - predicted)))
     checks.append(Check("witness_commutator_identity", worst, 1e-9))
     generating = int(np.count_nonzero(np.abs(w) > 1e-9))
-    notes = {**_EXACT, "generating_pairs": f"{generating}/{len(pairs)}"}
-    runtime = time.perf_counter() - t0
-    return CriterionResult(5, "gate synthesis and universality witness", runtime, checks, notes)
+    return checks, {**_EXACT, "generating_pairs": f"{generating}/{len(pairs)}"}
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "conditional two-qubit phase gate", budget=30.0)
+def criterion_6():
     """Two-qubit echo at omega_i = coupling: diagonal in the conditional
     eigenbasis with phases (-1)^(p+q) * 2*delta_omega, delta_omega =
     2*pi/sqrt(2)."""
-    t0 = time.perf_counter()
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
     rep = synthesize_two_qubit_gate(p)
     checks = [
@@ -258,24 +273,21 @@ def criterion_6() -> CriterionResult:
             1e-12,
         ),
     ]
-    runtime = time.perf_counter() - t0
-    checks.append(Check("runtime_seconds", runtime, 30.0))
-    return CriterionResult(6, "conditional two-qubit phase gate", runtime, checks, dict(_EXACT))
+    return checks, _EXACT
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "experimental parameter map")
+def criterion_7():
     """The static-coupling parametrization reproduces the conditional
     field exactly and the full echo gate once the control-frame term is
     included."""
-    t0 = time.perf_counter()
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
     rep = verify_exp_equivalence(p, field_draws=100)
     checks = [
         Check("field_map_deviation", rep.max_field_deviation, 1e-10),
         Check("gate_equivalence_distance", rep.gate_deviation, 1e-12),
     ]
-    runtime = time.perf_counter() - t0
-    return CriterionResult(7, "experimental parameter map", runtime, checks, dict(_EXACT))
+    return checks, _EXACT
 
 
 def _oracle_families() -> dict:
@@ -304,12 +316,12 @@ def _oracle_error(sched, samples: int, substeps: int, exact) -> tuple:
     return traj, float(np.max(np.abs(traj.propagators - exact.propagators)))
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "exact propagator against the Magnus oracle")
+def criterion_8():
     """The exact propagator against the fourth-order Magnus oracle, on
     every schedule family: agreement at every sample, the oracle's
     fourth-order convergence to the exact propagator, unitarity at every
     sample, and bit-identical repeated runs on both paths."""
-    t0 = time.perf_counter()
     checks, unitarity = [], 0.0
     notes = {
         "propagation": {},
@@ -338,8 +350,7 @@ def criterion_8() -> CriterionResult:
             identical = exact.propagators.tobytes() == again.propagators.tobytes()
             checks.append(Check("exact_rerun_byte_difference", 0.0 if identical else 1.0, 0.5))
     checks.append(Check("unitarity_defect", unitarity, 1e-9))
-    runtime = time.perf_counter() - t0
-    return CriterionResult(8, "exact propagator against the Magnus oracle", runtime, checks, notes)
+    return checks, notes
 
 
 CRITERIA = (
@@ -360,14 +371,10 @@ def run_criterion(index: int) -> CriterionResult:
     return CRITERIA[index - 1]()
 
 
-def run_all(stream=None) -> list:
+def run_all() -> list:
     """Run every criterion, printing one line each. Returns the results."""
     results = []
     for func in CRITERIA:
-        res = func()
-        results.append(res)
-        if stream is not None:
-            print(res.line, file=stream)
-        else:
-            print(res.line)
+        results.append(func())
+        print(results[-1].line)
     return results

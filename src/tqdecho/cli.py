@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import Check, run_all
 from .fields import LoopParams, TwoQubitParams, experimental_params, tqd_field_magnitude
 from .gates import (
     SingleGateSpec,
@@ -68,97 +68,90 @@ def _no_duplicates(pairs):
     return dict(pairs)
 
 
-_FLOAT = "float"
-_INT = "int"
-_BOOL = "bool"
-_FLOATLIST = "float-list"
-
-# kind -> {key: (type, default-or-REQUIRED)}
+# kind -> {key: (type, default-or-REQUIRED)}; a float key takes any finite
+# JSON number, a list key a non-empty list of them
 _REQUIRED = object()
+_CONE = {
+    "theta": (float, _REQUIRED),
+    "omega": (float, _REQUIRED),
+    "omega0": (float, _REQUIRED),
+}
+_TWO_QUBIT = {
+    "omega_i": (float, _REQUIRED),
+    "coupling": (float, _REQUIRED),
+    "omega": (float, _REQUIRED),
+}
+_SUBSTEPS = {"substeps": (int, None)}
 _SCHEMAS = {
     "fields": {
-        "theta": (_FLOAT, _REQUIRED),
-        "omega": (_FLOAT, _REQUIRED),
-        "omega0": (_FLOAT, _REQUIRED),
-        "samples": (_INT, 256),
+        **_CONE,
+        "samples": (int, 256),
     },
     "evolve": {
-        "theta": (_FLOAT, _REQUIRED),
-        "omega": (_FLOAT, _REQUIRED),
-        "omega0": (_FLOAT, _REQUIRED),
-        "label": (_INT, 0),
-        "corrected": (_BOOL, True),
-        "substeps": (_INT, None),
-        "samples": (_INT, 256),
+        **_CONE,
+        "label": (int, 0),
+        "corrected": (bool, True),
+        **_SUBSTEPS,
+        "samples": (int, 256),
     },
     "echo": {
-        "theta": (_FLOAT, _REQUIRED),
-        "omega": (_FLOAT, _REQUIRED),
-        "omega0": (_FLOAT, _REQUIRED),
-        "omega_pi": (_FLOAT, None),
-        "label": (_INT, 0),
-        "substeps": (_INT, None),
-        "samples": (_INT, 256),
+        **_CONE,
+        "omega_pi": (float, None),
+        "label": (int, 0),
+        **_SUBSTEPS,
+        "samples": (int, 256),
     },
     "gate": {
-        "axis_angle": (_FLOAT, _REQUIRED),
-        "gate_angle": (_FLOAT, _REQUIRED),
-        "omega": (_FLOAT, 1.0),
-        "omega0": (_FLOAT, 1.0),
-        "omega_pi": (_FLOAT, None),
-        "substeps": (_INT, None),
+        "axis_angle": (float, _REQUIRED),
+        "gate_angle": (float, _REQUIRED),
+        "omega": (float, 1.0),
+        "omega0": (float, 1.0),
+        "omega_pi": (float, None),
+        **_SUBSTEPS,
     },
     "twoqubit": {
-        "omega_i": (_FLOAT, _REQUIRED),
-        "coupling": (_FLOAT, _REQUIRED),
-        "omega": (_FLOAT, _REQUIRED),
-        "omega_pi": (_FLOAT, None),
-        "substeps": (_INT, None),
+        **_TWO_QUBIT,
+        "omega_pi": (float, None),
+        **_SUBSTEPS,
     },
     "expmap": {
-        "omega_i": (_FLOAT, _REQUIRED),
-        "coupling": (_FLOAT, _REQUIRED),
-        "omega": (_FLOAT, _REQUIRED),
-        "substeps": (_INT, None),
-        "draws": (_INT, 100),
+        **_TWO_QUBIT,
+        **_SUBSTEPS,
+        "draws": (int, 100),
     },
     "scan": {
-        "theta": (_FLOAT, _REQUIRED),
-        "omega0": (_FLOAT, _REQUIRED),
-        "ratios": (_FLOATLIST, _REQUIRED),
-        "label": (_INT, 0),
-        "substeps": (_INT, None),
-        "workers": (_INT, 4),
+        "theta": (float, _REQUIRED),
+        "omega0": (float, _REQUIRED),
+        "ratios": (list, _REQUIRED),
+        "label": (int, 0),
+        **_SUBSTEPS,
+        "workers": (int, 4),
     },
 }
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
-def _coerce(kind_name: str, key: str, typ: str, value):
-    if typ == _BOOL:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{kind_name}.{key} must be a boolean")
-        return value
-    if typ == _INT:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{kind_name}.{key} must be an integer")
-        return value
-    if typ == _FLOAT:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{kind_name}.{key} must be a number")
-        value = float(value)
-        if not np.isfinite(value):
-            raise ConfigError(f"{kind_name}.{key} must be finite")
-        return value
-    if typ == _FLOATLIST:
+def _coerce(kind_name: str, key: str, typ: type, value):
+    where = f"{kind_name}.{key}"
+    if typ is list:
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{kind_name}.{key} must be a non-empty list of numbers")
-        out = []
-        for v in value:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise ConfigError(f"{kind_name}.{key} must contain finite numbers")
-            out.append(float(v))
-        return out
-    raise AssertionError(typ)
+            raise ConfigError(f"{where} must be a non-empty list of numbers")
+        try:
+            return [_coerce(kind_name, key, float, v) for v in value]
+        except ConfigError:
+            raise ConfigError(f"{where} must contain finite numbers") from None
+    # bool subclasses int, but a JSON boolean is never a number
+    accepted = (int, float) if typ is float else typ
+    if isinstance(value, bool) != (typ is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[typ]}")
+    if typ is float:
+        # an exact comparison, so a huge integer literal is caught too
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where} must be finite")
+        value = float(value)
+    if key == "label" and value not in (0, 1):
+        raise ConfigError(f"{where} must be 0 or 1")
+    return value
 
 
 def load_config(path: str, kind: str) -> dict:
@@ -225,10 +218,7 @@ class Run:
         out.mkdir(parents=True, exist_ok=True)
 
     def check(self, name: str, value: float, bound: float) -> None:
-        self.checks.append(
-            {"name": name, "value": float(value), "bound": float(bound),
-             "passed": bool(value <= bound)}
-        )
+        self.checks.append(Check(name, float(value), float(bound)))
 
     def artifact(self, name: str) -> Path:
         self.artifacts.append(name)
@@ -236,7 +226,7 @@ class Run:
 
     @property
     def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def finish(self) -> int:
         pol = (
@@ -248,15 +238,15 @@ class Run:
             "kind": self.kind,
             "params": self.params,
             "policy": pol,
-            "checks": self.checks,
+            "checks": [c.to_dict() for c in self.checks],
             "notes": self.notes,
             "artifacts": sorted(self.artifacts),
             "all_passed": self.all_passed,
         }
         _write_json(self.out / "summary.json", summary)
         for c in self.checks:
-            flag = "ok  " if c["passed"] else "FAIL"
-            print(f"  {flag} {c['name']}: {c['value']:.3e} (bound {c['bound']:.0e})")
+            flag = "ok  " if c.passed else "FAIL"
+            print(f"  {flag} {c.name}: {c.value:.3e} (bound {c.bound:.0e})")
         for name in sorted(self.artifacts + ["summary.json"]):
             print(f"  wrote {self.out / name}")
         print("OK" if self.all_passed else "CHECKS FAILED")
@@ -267,8 +257,8 @@ class Run:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _run_fields(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("fields", params, policy, out)
+def _run_fields(run: Run) -> int:
+    params = run.params
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     sched = single_loop_schedule(p)
     data = field_timeline(sched, params["samples"])
@@ -281,14 +271,11 @@ def _run_fields(params: dict, policy: StepPolicy | None, out: Path) -> int:
     return run.finish()
 
 
-def _run_evolve(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("evolve", params, policy, out)
+def _run_evolve(run: Run) -> int:
+    params, label = run.params, run.params["label"]
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
-    label = params["label"]
-    if label not in (0, 1):
-        raise ConfigError("evolve.label must be 0 or 1")
     sched = single_loop_schedule(p, corrected=params["corrected"])
-    traj = evolve_eigenstate(sched, label, policy, samples=params["samples"])
+    traj = evolve_eigenstate(sched, label, run.policy, samples=params["samples"])
     fid = tracking_fidelity(traj, label)
     trajectory_to_csv(traj, run.artifact("trajectory.csv"), {"fidelity": fid})
     run.notes["min_tracking_fidelity"] = float(fid.min())
@@ -300,14 +287,11 @@ def _run_evolve(params: dict, policy: StepPolicy | None, out: Path) -> int:
     return run.finish()
 
 
-def _run_echo(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("echo", params, policy, out)
+def _run_echo(run: Run) -> int:
+    params, label = run.params, run.params["label"]
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
-    label = params["label"]
-    if label not in (0, 1):
-        raise ConfigError("echo.label must be 0 or 1")
     sched = build_echo_sequence(p, omega_pi=params["omega_pi"])
-    traj = evolve_eigenstate(sched, label, policy, samples=params["samples"])
+    traj = evolve_eigenstate(sched, label, run.policy, samples=params["samples"])
     fid = tracking_fidelity(traj, label)
     trajectory_to_csv(traj, run.artifact("trajectory.csv"), {"fidelity": fid})
 
@@ -329,15 +313,15 @@ def _run_echo(params: dict, policy: StepPolicy | None, out: Path) -> int:
     return run.finish()
 
 
-def _run_gate(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("gate", params, policy, out)
+def _run_gate(run: Run) -> int:
+    params = run.params
     spec = SingleGateSpec(params["axis_angle"], params["gate_angle"])
     rep = synthesize_single_gate(
         spec,
         omega=params["omega"],
         omega0=params["omega0"],
         omega_pi=params["omega_pi"],
-        policy=policy,
+        policy=run.policy,
     )
     _write_json(
         run.artifact("gate.json"),
@@ -355,12 +339,12 @@ def _run_gate(params: dict, policy: StepPolicy | None, out: Path) -> int:
     return run.finish()
 
 
-def _run_twoqubit(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("twoqubit", params, policy, out)
+def _run_twoqubit(run: Run) -> int:
+    params = run.params
     p = TwoQubitParams(
         params["omega_i"], params["coupling"], params["omega"], params["omega_pi"]
     )
-    rep = synthesize_two_qubit_gate(p, policy=policy)
+    rep = synthesize_two_qubit_gate(p, policy=run.policy)
     _write_json(
         run.artifact("gate.json"),
         {
@@ -377,10 +361,10 @@ def _run_twoqubit(params: dict, policy: StepPolicy | None, out: Path) -> int:
     return run.finish()
 
 
-def _run_expmap(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("expmap", params, policy, out)
+def _run_expmap(run: Run) -> int:
+    params = run.params
     p = TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
-    rep = verify_exp_equivalence(p, policy=policy, field_draws=params["draws"])
+    rep = verify_exp_equivalence(p, policy=run.policy, field_draws=params["draws"])
     fwd = experimental_params(p)
     rev = experimental_params(p.reversed())
     _write_json(
@@ -412,18 +396,13 @@ def _scan_point(
     )
 
 
-def _run_scan(params: dict, policy: StepPolicy | None, out: Path) -> int:
-    run = Run("scan", params, policy, out)
-    label = params["label"]
-    if label not in (0, 1):
-        raise ConfigError("scan.label must be 0 or 1")
+def _run_scan(run: Run) -> int:
+    params = run.params
     if params["omega0"] <= 0.0:
         raise ConfigError("scan.omega0 must be positive and finite")
     ratios = params["ratios"]
-    if any(r == 0.0 for r in ratios):
-        raise ConfigError("scan.ratios must be nonzero")
-    # each point drives its loop at omega0 * ratio, which can overflow or
-    # underflow although both factors are valid
+    # each point drives its loop at omega0 * ratio, which is zero for a
+    # zero ratio and can overflow or underflow although both factors are valid
     rates = [params["omega0"] * r for r in ratios]
     if not all(np.isfinite(w) and w != 0.0 for w in rates):
         raise ConfigError(
@@ -434,7 +413,8 @@ def _run_scan(params: dict, policy: StepPolicy | None, out: Path) -> int:
     if params["workers"] < 1:
         raise ConfigError("scan.workers must be >= 1")
     results = [
-        _scan_point(params["theta"], params["omega0"], r, label, policy) for r in ratios
+        _scan_point(params["theta"], params["omega0"], r, params["label"], run.policy)
+        for r in ratios
     ]
     _write_csv(
         run.artifact("scan.csv"),
@@ -508,7 +488,8 @@ def main(argv=None) -> int:
             return _run_verify_all(out)
         try:
             params = load_config(args.config, args.command)
-            return _RUNNERS[args.command](params, _policy(params, args), out)
+            run = Run(args.command, params, _policy(params, args), out)
+            return _RUNNERS[args.command](run)
         except (ConfigError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -15,6 +15,7 @@ those fields are built from:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,19 +34,58 @@ __all__ = [
 # squares overflow and every propagator turns to nan, so rates stop well
 # short of that.
 _MAX_RATE = 1e150
+# Largest angle (rad) a loop's fastest rate turns through in one period
+# 2*pi/|omega|. Its phases carry rounding of about turn * 1e-16, already
+# 1e-4 rad here; the propagators' squared fields, in units of the loop
+# period (propagate._period_unit), stay finite up to it.
+_MAX_TURN = 1e12
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """Reject bools, non-numbers and non-finite values (with `positive`,
+    also values <= 0) with a ValueError naming the parameter."""
+    if (isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value)
+            or (positive and value <= 0.0)):
+        kind = "positive and finite" if positive else "a finite real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _check_rates(**rates) -> None:
+    """Check a loop's rates: `omega` nonzero, the others positive, all
+    finite real numbers within _MAX_RATE and _MAX_TURN."""
     for name, value in rates.items():
+        _check_real(name, value, positive=name != "omega")
+        if name == "omega" and value == 0.0:
+            raise ValueError("omega must be finite and nonzero")
         if abs(value) > _MAX_RATE:
             raise ValueError(
                 f"{name} = {value:g} is out of range: loop rates must not exceed "
                 f"{_MAX_RATE:g} in magnitude, or their squared fields overflow"
             )
+    fastest = max(abs(v) for v in rates.values())
+    if 2.0 * math.pi * fastest > _MAX_TURN * abs(rates["omega"]):
+        raise ValueError(
+            f"rates too far apart: the fastest, {fastest:g}, turns more than "
+            f"{_MAX_TURN:g} rad in one loop period 2*pi/|omega| (omega = {rates['omega']:g})"
+        )
+
+
+class _Loop:
+    """Period and reversal of a loop traversed at the signed rate omega,
+    shared by both loop parameter sets."""
+
+    @property
+    def period(self) -> float:
+        return 2.0 * np.pi / abs(self.omega)
+
+    def reversed(self):
+        """Same loop, opposite traversal orientation."""
+        return replace(self, omega=-self.omega)
 
 
 @dataclass(frozen=True)
-class LoopParams:
+class LoopParams(_Loop):
     """One conical precession loop for a single qubit.
 
     theta: cone opening angle in [0, pi].
@@ -59,25 +99,14 @@ class LoopParams:
     omega0: float = 1.0
 
     def __post_init__(self):
+        _check_real("theta", self.theta)
         if not (0.0 <= self.theta <= np.pi):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.omega == 0.0 or not np.isfinite(self.omega):
-            raise ValueError("omega must be finite and nonzero")
-        if self.omega0 <= 0.0 or not np.isfinite(self.omega0):
-            raise ValueError("omega0 must be positive and finite")
         _check_rates(omega=self.omega, omega0=self.omega0)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi / abs(self.omega)
-
-    def reversed(self) -> "LoopParams":
-        """Same cone, opposite traversal orientation."""
-        return replace(self, omega=-self.omega)
 
 
 @dataclass(frozen=True)
-class TwoQubitParams:
+class TwoQubitParams(_Loop):
     """Control-conditioned loop drive on the target qubit.
 
     omega_i: transverse drive amplitude on the target qubit, > 0.
@@ -94,29 +123,15 @@ class TwoQubitParams:
     omega_pi: float | None = None
 
     def __post_init__(self):
-        if self.omega_i <= 0.0 or not np.isfinite(self.omega_i):
-            raise ValueError("omega_i must be positive and finite")
-        if self.coupling <= 0.0 or not np.isfinite(self.coupling):
-            raise ValueError("coupling must be positive and finite")
-        if self.omega == 0.0 or not np.isfinite(self.omega):
-            raise ValueError("omega must be finite and nonzero")
         _check_rates(omega_i=self.omega_i, coupling=self.coupling, omega=self.omega)
         if self.omega_pi is None:
             object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
-        if self.omega_pi <= 0.0 or not np.isfinite(self.omega_pi):
-            raise ValueError("omega_pi must be positive and finite")
-
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi / abs(self.omega)
+        _check_real("omega_pi", self.omega_pi, positive=True)
 
     @property
     def rabi(self) -> float:
         """Generalized Rabi rate sqrt(omega_i^2 + J^2), the conditional field magnitude."""
         return float(np.hypot(self.omega_i, self.coupling))
-
-    def reversed(self) -> "TwoQubitParams":
-        return replace(self, omega=-self.omega)
 
 
 @dataclass(frozen=True)

@@ -80,11 +80,9 @@ def _loop_eigvecs(
         if label == 0:
             out[k, :, 0] = np.cos(half)
             out[k, :, 1] = phase * np.sin(half)
-        elif label == 1:
+        else:
             out[k, :, 0] = -np.sin(half)
             out[k, :, 1] = phase * np.cos(half)
-        else:
-            raise ValueError("single-qubit label must be 0 or 1")
     if rotation != 0.0:
         out = out @ _spin_rotation_y(rotation).T
     return out
@@ -93,6 +91,7 @@ def _loop_eigvecs(
 def loop_eigenvector(
     p: LoopParams, label: int, t: float, rotation: float = 0.0
 ) -> np.ndarray:
+    label = _label_key(2, label)
     return _loop_eigvecs(p.theta, p.omega, (label,), np.array([float(t)]), rotation)[0, 0]
 
 
@@ -101,8 +100,6 @@ def _cond_eigvecs(p: TwoQubitParams, labels: tuple, ts: np.ndarray) -> np.ndarra
     tt = theta_tilde(p)
     out = np.zeros((len(labels), ts.size, 4), dtype=complex)
     for k, (pp, q) in enumerate(labels):
-        if pp not in (0, 1) or q not in (0, 1):
-            raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
         single = _loop_eigvecs(tt if q == 0 else np.pi - tt, p.omega, (pp,), ts)[0]
         out[k, :, 0 + q] = single[:, 0]
         out[k, :, 2 + q] = single[:, 1]
@@ -112,7 +109,7 @@ def _cond_eigvecs(p: TwoQubitParams, labels: tuple, ts: np.ndarray) -> np.ndarra
 def two_qubit_eigenvector(p: TwoQubitParams, label: tuple, t: float) -> np.ndarray:
     """phi_{p,q}(t): the driven qubit's eigenvector for the cone selected
     by control state q, tensored with |q>."""
-    return _cond_eigvecs(p, (label,), np.array([float(t)]))[0, 0]
+    return _cond_eigvecs(p, (_label_key(4, label),), np.array([float(t)]))[0, 0]
 
 
 def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
@@ -134,19 +131,27 @@ def _segment_eigvecs(seg, labels: tuple, ts: np.ndarray) -> np.ndarray:
     return _cond_eigvecs(p, labels, ts)
 
 
+def _is_bit(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x in (0, 1)
+
+
+def _label_key(dim: int, label):
+    """The one label rule: an int 0 or 1 for one qubit, a pair (p, q) of
+    them for two. Returns the label as a memo key, a pair as a tuple."""
+    if dim == 2 and not _is_bit(label):
+        raise ValueError("single-qubit label must be an int, 0 or 1")
+    pair = isinstance(label, (tuple, list)) and len(label) == 2 and all(map(_is_bit, label))
+    if dim == 4 and not pair:
+        raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
+    return label if dim == 2 else tuple(label)
+
+
 def _checked_label(sched: SegmentSchedule, label):
-    """The label as a memo key (an int, or a pair for dim 4), after
-    checking that phase analysis applies to the schedule."""
+    """The label as a memo key (_label_key), after checking that phase
+    analysis applies to the schedule."""
     if sched.segments[0].kind not in _LOOP_KINDS:
         raise ValueError("phase analysis needs a schedule that starts with a loop")
-    if sched.dim == 2:
-        if not isinstance(label, (int, np.integer)):
-            raise ValueError("single-qubit label must be an int")
-        return label
-    label = tuple(label)
-    if len(label) != 2 or any(x not in (0, 1) for x in label):
-        raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
-    return label
+    return _label_key(sched.dim, label)
 
 
 # a loop entered with a best eigenvector overlap below this is misaligned
@@ -229,13 +234,10 @@ def evolve_eigenstate(
 ) -> Trajectory:
     """Propagate the schedule starting from the labelled eigenstate of the
     first loop segment at t=0 (exact propagator unless a StepPolicy
-    is given)."""
-    first = s.segments[0]
-    if first.kind not in _LOOP_KINDS:
-        raise ValueError("schedule must start with a loop segment")
-    if s.dim == 4:
-        label = tuple(label)
-    psi0 = _segment_eigvecs(first, (label,), np.array([0.0]))[0, 0]
+    is given). The label obeys the rule of every phase function
+    (_checked_label)."""
+    label = _checked_label(s, label)
+    psi0 = _segment_eigvecs(s.segments[0], (label,), np.array([0.0]))[0, 0]
     return propagate_schedule(s, initial_state=psi0, policy=policy, samples=samples)
 
 
@@ -396,23 +398,15 @@ def loop_phase_decomposition(traj: Trajectory, label: int) -> PhaseDecomposition
     geometric sign(omega)*(2p-1)*pi*(1-cos theta) modulo 2*pi.
     """
     s = traj.schedule
+    label = _checked_label(s, label)
     if len(s.segments) != 1 or s.segments[0].kind != "tqd-loop":
         raise ValueError("expects a schedule with exactly one corrected loop")
     seg = s.segments[0]
     theta, omega, omega0 = seg.params["theta"], seg.params["omega"], seg.params["omega0"]
-    total = total_phase(traj, label)
-    dyn = dynamical_phase(traj)
     sgn = 1.0 if omega > 0 else -1.0
     expected_dyn = -(1 - 2 * label) * omega0 * seg.duration / 2.0
     expected_geo = sgn * (2 * label - 1) * np.pi * (1.0 - np.cos(theta))
-    return PhaseDecomposition(
-        label=label,
-        total=total,
-        dynamical=dyn,
-        geometric=total - dyn,
-        expected_geometric=float(expected_geo),
-        expected_dynamical=float(expected_dyn),
-    )
+    return _decomposition(traj, label, expected_geo, expected_dyn)
 
 
 def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
@@ -423,29 +417,27 @@ def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
     (-1)^(p+q)*2*delta_omega for the two-qubit echo, both modulo 2*pi.
     """
     s = traj.schedule
-    loops = [seg for seg in s.segments if seg.kind in _LOOP_KINDS]
-    if not loops:
-        raise ValueError("schedule contains no loop segments")
-    first = loops[0]
-    total = total_phase(traj, label)
-    dyn = dynamical_phase(traj)
+    label = _checked_label(s, label)
+    first = s.segments[0]
     sgn = 1.0 if first.params["omega"] > 0 else -1.0
     if s.dim == 2:
         theta = first.params["theta"]
         expected_geo = sgn * (1 - 2 * label) * 2.0 * np.pi * np.cos(theta)
     else:
-        pp, q = tuple(label)
+        pp, q = label
         p2 = TwoQubitParams(
             first.params["omega_i"], first.params["coupling"], first.params["omega"]
         )
         expected_geo = sgn * ((-1) ** (pp + q)) * 2.0 * delta_omega(p2)
+    return _decomposition(traj, label, expected_geo, 0.0)
+
+
+def _decomposition(traj, label, expected_geo, expected_dyn) -> PhaseDecomposition:
+    """The trajectory's total phase for `label`, split into its dynamical
+    phase and the geometric rest, beside their closed-form values."""
+    total, dyn = total_phase(traj, label), dynamical_phase(traj)
     return PhaseDecomposition(
-        label=tuple(label) if s.dim == 4 else label,
-        total=total,
-        dynamical=dyn,
-        geometric=total - dyn,
-        expected_geometric=float(expected_geo),
-        expected_dynamical=0.0,
+        label, total, dyn, total - dyn, float(expected_geo), float(expected_dyn)
     )
 
 

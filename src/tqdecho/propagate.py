@@ -52,6 +52,7 @@ bit-identical propagators.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,6 +130,17 @@ def _pack_quaternions(q: np.ndarray, scale: np.ndarray | None, dim: int) -> np.n
     return out
 
 
+# Every loop is propagated in units of its own period: its fields times
+# a power of two s near 1/|omega| and its times divided by s, which
+# leaves H*t unchanged. Powers of two scale exactly (and so does the
+# square root of a square), so this moves no byte where the unscaled
+# squares of the fields are finite and normal, and keeps them so where
+# they would underflow or overflow.
+def _period_unit(omega: float) -> float:
+    """The power of two s that brings s*|omega| into [0.5, 1)."""
+    return math.ldexp(1.0, -math.frexp(abs(omega))[1])
+
+
 # ---------------------------------------------------------------------------
 # fourth-order Magnus integrator (the oracle)
 # ---------------------------------------------------------------------------
@@ -151,6 +163,8 @@ def _step_quaternions(seg: Segment, n: int) -> tuple:
     mid = (np.arange(n) + 0.5) * dt
     gap = dt / (2.0 * np.sqrt(3.0))
     c0, v = seg.block_fields(np.concatenate([mid - gap, mid + gap]))
+    scale = _period_unit(seg.params["omega"])
+    c0, v, dt = scale * c0, scale * v, dt / scale
     v1, v2 = v[..., :n], v[..., n:]
     u = 0.5 * (v1 + v2)
     k = (np.sqrt(3.0) / 6.0) * dt
@@ -230,14 +244,16 @@ def rotating_frame_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
     rot = seg.params.get("rotation", 0.0)
     axis = np.array([np.sin(rot), 0.0, np.cos(rot)])
     c0, v = seg.block_fields(0.0)
-    w = v[:, :, 0] - (0.5 * omega) * axis[:, None]
+    # w and ts in the loop's rescaled units
+    scale = _period_unit(omega)
+    w = scale * (v[:, :, 0] - (0.5 * omega) * axis[:, None])
     r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    rt = np.multiply.outer(r, ts)
+    rt = np.multiply.outer(r, ts / scale)
     # exp(-i*K*t) without its phase, and the frame rotation
     inner = np.empty((4,) + rt.shape)
     np.cos(rt, out=inner[0])
     snc = np.empty_like(rt)
-    snc[:] = ts
+    snc[:] = ts / scale
     np.divide(np.sin(rt), r[:, None], out=snc, where=r[:, None] > 0.0)
     np.multiply(snc, w[:, :, None], out=inner[1:])
     half = 0.5 * omega * ts

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, experimental_params
+from .fields import LoopParams, TwoQubitParams, _check_real, experimental_params
 
 __all__ = [
     "Segment",
@@ -156,14 +156,6 @@ def _pulse_axes(kind: str, params: dict) -> tuple:
 # segments
 # ---------------------------------------------------------------------------
 
-_REAL = (int, float, np.integer, np.floating)
-
-
-def _check_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-
-
 def _check_count(name: str, value, least: int) -> None:
     """Accept a Python or numpy integer >= least; reject bools and floats."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -187,14 +179,12 @@ def _implied(kind: str, params: dict) -> tuple:
         elif key == "dim":
             _check_count("idle dim", value, 2)
         else:
-            _check_real(key, value)
+            _check_real(key, value, positive=key == "omega_pi")
     if "theta" in params:
         return 2, LoopParams(params["theta"], params["omega"], params["omega0"]).period
     if "omega_i" in params:
         return 4, TwoQubitParams(params["omega_i"], params["coupling"], params["omega"]).period
     if kind in _PULSE_KINDS:
-        if params["omega_pi"] <= 0.0:
-            raise ValueError("omega_pi must be positive and finite")
         return (2 if params.get("target") == "single" else 4), np.pi / params["omega_pi"]
     return params["dim"], None
 
@@ -329,15 +319,12 @@ def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
     """Half-turn pulse about y with generator 0.5*omega_pi*sigma_y and
     duration pi/omega_pi. target selects the qubit: "single" for a lone
     qubit, "I" or "II" for one qubit of a pair."""
-    if omega_pi <= 0 or not np.isfinite(omega_pi):
-        raise ValueError("omega_pi must be positive and finite")
-    dim = 2 if target == "single" else 4
-    label = "pi" if target == "single" else f"pi-{target}"
+    _check_real("omega_pi", omega_pi, positive=True)
     return Segment(
         "pi-pulse",
         np.pi / omega_pi,
-        dim,
-        label,
+        2 if target == "single" else 4,
+        "pi" if target == "single" else f"pi-{target}",
         {"omega_pi": float(omega_pi), "target": target},
     )
 
@@ -352,15 +339,8 @@ def control_flip_segment(omega_pi: float) -> Segment:
     dynamical phases. A y half turn on the control alone does not do
     this; it scrambles sectors when the drive and coupling are comparable.
     """
-    if omega_pi <= 0 or not np.isfinite(omega_pi):
-        raise ValueError("omega_pi must be positive and finite")
-    return Segment(
-        "control-flip",
-        np.pi / omega_pi,
-        4,
-        "pi-II",
-        {"omega_pi": float(omega_pi)},
-    )
+    _check_real("omega_pi", omega_pi, positive=True)
+    return Segment("control-flip", np.pi / omega_pi, 4, "pi-II", {"omega_pi": float(omega_pi)})
 
 
 def idle_segment(duration: float, dim: int = 2) -> Segment:
@@ -368,14 +348,7 @@ def idle_segment(duration: float, dim: int = 2) -> Segment:
 
 
 def two_qubit_loop_segment(p: TwoQubitParams, reverse: bool = False) -> Segment:
-    q = p.reversed() if reverse else p
-    label = "loop-C" if q.omega > 0 else "loop-Cbar"
-    params = {
-        "omega_i": float(q.omega_i),
-        "coupling": float(q.coupling),
-        "omega": float(q.omega),
-    }
-    return Segment("two-qubit-loop", q.period, 4, label, params)
+    return _conditional_loop("two-qubit-loop", p, reverse, {})
 
 
 def exp_loop_segment(
@@ -387,15 +360,21 @@ def exp_loop_segment(
     its cross coupling and static tilt come from the parameter map
     evaluated at -omega.
     """
+    return _conditional_loop("exp-loop", p, reverse, {"frame_term": bool(frame_term)})
+
+
+def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, extra: dict) -> Segment:
+    """One period of a two-qubit loop of `kind` on p, or on p reversed,
+    with the parameters in `extra` beside the loop rates."""
     q = p.reversed() if reverse else p
     label = "loop-C" if q.omega > 0 else "loop-Cbar"
     params = {
         "omega_i": float(q.omega_i),
         "coupling": float(q.coupling),
         "omega": float(q.omega),
-        "frame_term": bool(frame_term),
+        **extra,
     }
-    return Segment("exp-loop", q.period, 4, label, params)
+    return Segment(kind, q.period, 4, label, params)
 
 
 # ---------------------------------------------------------------------------

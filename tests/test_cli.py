@@ -1,12 +1,17 @@
 """End-to-end runs of the command line entry point."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tqdecho
 from tqdecho.cli import main
@@ -350,3 +355,145 @@ def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys)
         assert err.startswith("error: internal error (RuntimeError): propagator blew up")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["evolve", "echo", "scan"])
+@pytest.mark.parametrize("label", [2, -1])
+def test_bad_label_is_a_config_error_before_any_output(tmp_path, capsys, kind, label):
+    payload = {"theta": THETA, "omega0": 1.0, "label": label}
+    payload.update({"ratios": [1.0]} if kind == "scan" else {"omega": 1.0})
+    cfg = write_config(tmp_path, "l.json", {"kind": kind, **payload})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{kind}.label must be 0 or 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_integer_literals_are_config_errors(tmp_path, capsys):
+    # float() of such a literal raised OverflowError: exit 3
+    path = tmp_path / "h.json"
+    path.write_text('{"kind": "scan", "theta": 1, "omega0": 1%s, "ratios": [1]}' % ("0" * 400))
+    assert main(["scan", "--config", str(path)]) == 2
+    assert "scan.omega0 must be finite" in capsys.readouterr().err
+    path.write_text('{"kind": "scan", "theta": 1, "omega0": 1, "ratios": [1%s]}' % ("0" * 400))
+    assert main(["scan", "--config", str(path)]) == 2
+    assert "scan.ratios must contain finite numbers" in capsys.readouterr().err
+
+
+# generated configs -----------------------------------------------------------
+
+def _rate(scale, signed):
+    """A rate near the config's common scale or anywhere in 1e-300..1e300,
+    negative too when `signed`."""
+    magnitude = st.one_of(
+        st.floats(-1.0, 1.0).map(lambda e: scale * 10.0**e),
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    )
+    sign = st.sampled_from([1.0, -1.0] if signed else [1.0])
+    return st.tuples(sign, magnitude).map(lambda sm: sm[0] * sm[1])
+
+
+KINDS = ["fields", "evolve", "echo", "gate", "twoqubit", "expmap", "scan"]
+
+
+@st.composite
+def _generated_config(draw, kind):
+    """A config of scenario `kind`: rates drawn as magnitudes 10**U(-300,
+    300) around one common scale or on their own, angles in their range,
+    with and without substeps."""
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    theta = st.floats(0.0, np.pi)
+    if kind in ("fields", "evolve", "echo"):
+        config = {"theta": draw(theta), "omega": draw(_rate(scale, True)),
+                  "omega0": draw(_rate(scale, False))}
+    elif kind == "gate":
+        config = {"axis_angle": draw(st.floats(-np.pi, np.pi)),
+                  "gate_angle": draw(st.floats(0.1, 4.0 * np.pi - 0.1)),
+                  "omega": draw(_rate(scale, True)), "omega0": draw(_rate(scale, False))}
+    elif kind == "scan":
+        config = {"theta": draw(theta), "omega0": draw(_rate(scale, False)),
+                  "ratios": draw(st.lists(_rate(1.0, True), min_size=1, max_size=3))}
+    else:
+        config = {"omega_i": draw(_rate(scale, False)), "coupling": draw(_rate(scale, False)),
+                  "omega": draw(_rate(scale, True))}
+    if kind in ("echo", "gate", "twoqubit") and draw(st.booleans()):
+        config["omega_pi"] = draw(_rate(scale, False))
+    if kind == "expmap":
+        config["draws"] = 8
+    if kind != "fields" and draw(st.booleans()):
+        config["substeps"] = draw(st.sampled_from([1, 64, 512]))
+    return config
+
+
+def _no_constants(name):
+    raise AssertionError(f"summary.json holds {name}")
+
+
+def _exits_cleanly(kind, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "c.json", {"kind": kind, **config})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([kind, "--config", cfg, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        summary = Path(tmp) / "out" / "summary.json"
+        if summary.exists():
+            doc = json.loads(summary.read_text(), parse_constant=_no_constants)
+            assert doc["all_passed"] is (code == 0)
+        else:
+            assert code == 2
+    return code
+
+
+@pytest.mark.parametrize(
+    "kind, config, expected",
+    [
+        # these overflowed numpy: exit 3 under -W error, nan checks without;
+        # their rates turn too far apart within one loop period
+        ("evolve", {"theta": 1, "omega": 1, "omega0": 1e150, "substeps": 64}, 2),
+        ("evolve", {"theta": 1, "omega": 1e-200, "omega0": 1e150}, 2),
+        ("echo", {"theta": 1, "omega": -1e-245, "omega0": 1e-218}, 2),
+        ("expmap", {"omega_i": 1e-34, "coupling": 1e-90, "omega": 1e-244, "substeps": 1024}, 2),
+        # these underflowed to a failed check or a lost alignment, and now
+        # run in units of the loop period
+        ("echo", {"theta": 1, "omega": 1e-200, "omega0": 1e-200}, 0),
+        ("echo", {"theta": 1, "omega": 1e-160, "omega0": 1e-160}, 0),
+        ("twoqubit", {"omega_i": 1e-200, "coupling": 1e-200, "omega": 5e-201}, 0),
+    ],
+)
+def test_extreme_rate_configs_exit_cleanly(kind, config, expected):
+    assert _exits_cleanly(kind, config) == expected
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e120])
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        ("echo", {"theta": 1.0, "omega": 1.0, "omega0": 1.0}),
+        ("evolve", {"theta": 1.0, "omega": -0.5, "omega0": 1.0, "substeps": 512}),
+        ("twoqubit", {"omega_i": 1.3, "coupling": 1.0, "omega": -0.5, "substeps": 512}),
+    ],
+)
+def test_rescaled_configs_reproduce_the_unit_scale_checks(tmp_path, kind, config, scale):
+    # every rate times `scale` is the same physics on another time scale
+    # (the field checks of fields and expmap are absolute, in field units)
+    rates = ("omega", "omega0", "omega_i", "coupling")
+    scaled = {k: v * scale if k in rates else v for k, v in config.items()}
+    checks = []
+    for name, cfg in (("unit", config), ("scaled", scaled)):
+        path = write_config(tmp_path, f"{name}.json", {"kind": kind, **cfg})
+        assert main([kind, "--config", path, "--out", str(tmp_path / name)]) == 0
+        checks.append(json.loads((tmp_path / name / "summary.json").read_text())["checks"])
+    unit, rescaled = checks
+    assert [c["name"] for c in unit] == [c["name"] for c in rescaled]
+    for a, b in zip(unit, rescaled):
+        assert abs(a["value"] - b["value"]) <= 1e-12, a["name"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_generated_configs_exit_cleanly(kind, data):
+    # warnings are errors in this suite, so a numpy warning exits 3
+    _exits_cleanly(kind, data.draw(_generated_config(kind)))

@@ -20,8 +20,10 @@ from tqdecho.fields import (
 from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
 from tqdecho.schedule import (
     SegmentSchedule,
+    control_flip_segment,
     exp_loop_segment,
     loop_segment,
+    pi_pulse_segment,
     two_qubit_loop_segment,
 )
 
@@ -122,6 +124,66 @@ def test_params_reject_rates_whose_squares_overflow(build, value):
     # propagators with numpy RuntimeWarnings
     with pytest.raises(ValueError, match="out of range"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: LoopParams("1.0", 1.0), "theta"),
+        (lambda: LoopParams(True, 1.0), "theta"),
+        (lambda: LoopParams(1.0, "1.0"), "omega"),
+        (lambda: LoopParams(1.0, 1.0, None), "omega0"),
+        (lambda: LoopParams(1.0, 1.0, False), "omega0"),
+        (lambda: TwoQubitParams("1", 1, 1), "omega_i"),
+        (lambda: TwoQubitParams(1, [1], 1), "coupling"),
+        (lambda: TwoQubitParams(1, 1, True), "omega"),
+        (lambda: TwoQubitParams(1, 1, 1, "50"), "omega_pi"),
+        (lambda: pi_pulse_segment("3"), "omega_pi"),
+        (lambda: pi_pulse_segment(True), "omega_pi"),
+        (lambda: control_flip_segment(None), "omega_pi"),
+    ],
+)
+def test_constructors_reject_non_numbers_with_value_error(build, name):
+    # strings and None raised TypeError from a comparison, and bools
+    # constructed as 0 or 1
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
+
+
+@pytest.mark.parametrize("omega_pi", [0, -1.0, float("inf")])
+def test_pulse_constructors_reject_bad_rates_through_the_segment_check(omega_pi):
+    for build in (pi_pulse_segment, control_flip_segment):
+        with pytest.raises(ValueError, match="omega_pi must be positive and finite"):
+            build(omega_pi)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LoopParams(1.0, 1.0, 1e150),
+        lambda: LoopParams(1.0, 1e-200, 1e150),
+        lambda: LoopParams(1.0, -1e-245, 1e-218),
+        lambda: TwoQubitParams(1e-34, 1e-90, 1e-244),
+        lambda: TwoQubitParams(1.0, 1e12, 1.0),
+    ],
+)
+def test_params_reject_rates_too_far_apart(build):
+    # each overflowed the exact or the Magnus kernel (numpy RuntimeWarnings)
+    with pytest.raises(ValueError, match="too far apart"):
+        build()
+
+
+def test_turn_bound_is_the_fastest_rate_over_one_period():
+    from tqdecho.fields import _MAX_TURN
+
+    ratio = _MAX_TURN / (2.0 * np.pi)
+    LoopParams(1.0, 1.0, 0.99 * ratio)
+    LoopParams(1.0, -1e-200, 0.99 * ratio * 1e-200)
+    TwoQubitParams(0.99 * ratio, 1.0, 1.0)
+    with pytest.raises(ValueError, match="too far apart"):
+        LoopParams(1.0, 1.0, 1.01 * ratio)
+    with pytest.raises(ValueError, match="too far apart"):
+        TwoQubitParams(1.0, 1.01 * ratio, -1.0)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -347,6 +347,45 @@ def test_phase_analysis_requires_leading_loop():
     )
     with pytest.raises(ValueError, match="starts with a loop"):
         total_phase(t, 0)
+    with pytest.raises(ValueError, match="starts with a loop"):
+        evolve_eigenstate(s, 0)
+
+
+@pytest.mark.parametrize("label", [1.0, True, np.float64(0.0), "1"])
+def test_evolve_eigenstate_takes_the_label_rule_of_every_phase_function(label):
+    # evolve_eigenstate accepted 1.0, which the phase functions reject
+    echo = build_echo_sequence(LoopParams(np.pi / 3, 1.0, 1.0))
+    traj = evolve_eigenstate(echo, 1)
+    loop = evolve_eigenstate(single_loop_schedule(P), 0)
+    for call in (
+        lambda: evolve_eigenstate(echo, label),
+        lambda: tracking_fidelity(traj, label),
+        lambda: total_phase(traj, label),
+        lambda: echo_phase_decomposition(traj, label),
+        lambda: loop_phase_decomposition(loop, label),
+    ):
+        with pytest.raises(ValueError, match="single-qubit label must be an int, 0 or 1"):
+            call()
+
+
+@pytest.mark.parametrize("label", [0, (1.0, 0), (True, 0), (0, 2), (0, 1, 0), "01"])
+def test_two_qubit_labels_are_pairs_of_bits(label):
+    # 0 raised TypeError, and (1.0, True) tracked the (1, 1) eigenstate
+    sched = build_two_qubit_sequence(P2)
+    traj = evolve_eigenstate(sched, [1, 0])
+    for call in (
+        lambda: evolve_eigenstate(sched, label),
+        lambda: tracking_fidelity(traj, label),
+        lambda: two_qubit_eigenvector(P2, label, 0.0),
+    ):
+        with pytest.raises(ValueError, match="two-qubit label must be a pair"):
+            call()
+
+
+@pytest.mark.parametrize("label", [2, -1, 1.0, True])
+def test_loop_eigenvector_takes_the_same_label_rule(label):
+    with pytest.raises(ValueError, match="single-qubit label must be an int, 0 or 1"):
+        loop_eigenvector(P, label, 0.0)
 
 
 # one overlap series per trajectory and label ----------------------------------

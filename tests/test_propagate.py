@@ -273,6 +273,63 @@ def test_rerun_is_bit_identical():
             assert a.propagators.tobytes() == b.propagators.tobytes()
 
 
+# uniformly rescaled rates ------------------------------------------------------
+
+def _scaled_schedules(s):
+    """A rotated one-qubit echo, a root loop and both two-qubit echoes,
+    with every rate times s: the same physics on a time scale 1/s."""
+    p = LoopParams(1.0, s, s)
+    q = TwoQubitParams(1.3 * s, s, 0.5 * s)
+    return (
+        rotate_schedule(build_echo_sequence(p), 0.4),
+        single_loop_schedule(p, corrected=False),
+        build_two_qubit_sequence(q),
+        build_exp_two_qubit_sequence(q),
+    )
+
+
+POLICIES = [None, StepPolicy(substeps=256)]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["exact", "oracle"])
+@pytest.mark.parametrize("exponent", [-1000, -401, -400, -200, 3, 400, 401, 480])
+def test_power_of_two_rescaled_rates_keep_every_propagator_byte(policy, exponent):
+    # a power of two scales exactly, and every loop runs in units of its
+    # own period, so the bytes match wherever the scaled rates lie
+    s = 2.0**exponent
+    for ref, sched in zip(_scaled_schedules(1.0), _scaled_schedules(s)):
+        a = propagate_schedule(ref, policy=policy, samples=8)
+        b = propagate_schedule(sched, policy=policy, samples=8)
+        assert a.propagators.tobytes() == b.propagators.tobytes()
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=["exact", "oracle"])
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-130, 1e100, 1e130, 1e149])
+def test_rescaled_rates_reproduce_the_unit_scale_propagators(policy, s):
+    # below about 1e-154 the squared fields underflowed to 0 and the
+    # small-angle fallback broke unitarity (defect 2.1 at 1e-200)
+    for ref, sched in zip(_scaled_schedules(1.0), _scaled_schedules(s)):
+        a = propagate_schedule(ref, policy=policy, samples=8)
+        b = propagate_schedule(sched, policy=policy, samples=8)
+        assert np.max(np.abs(b.propagators - a.propagators)) <= 1e-12
+        assert unitarity_defect(b.propagators) <= 1e-13
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e-120, 1.0, 1e120, 1e138])
+def test_coarse_oracle_steps_at_the_turn_bound_stay_finite_and_unitary(omega):
+    # one Magnus step over a loop whose fields turn ~6e11 rad per period:
+    # the commutator term grows as field**2 * dt, and its square
+    # overflowed before the turn bound and the period units
+    from tqdecho.fields import _MAX_TURN
+
+    p = LoopParams(1.0, omega, 0.99 * _MAX_TURN / (2.0 * np.pi) * omega)
+    for corrected in (True, False):
+        traj = propagate_schedule(
+            single_loop_schedule(p, corrected), policy=StepPolicy(substeps=1), samples=2
+        )
+        assert unitarity_defect(traj.propagators) <= 1e-13
+
+
 @pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "midpoint"])
 def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     import tqdecho.propagate as prop
