@@ -17,6 +17,7 @@ propagator against it on every schedule family the other criteria use.
 from __future__ import annotations
 
 import functools
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -33,16 +34,16 @@ from .gates import (
     verify_exp_equivalence,
 )
 from .phases import (
+    _evolve_eigenstates,
     correction_energy_check,
     delta_omega,
     dynamical_phase,
     echo_phase_decomposition,
-    evolve_eigenstate,
     loop_eigenvector,
     loop_phase_decomposition,
     tracking_fidelity,
 )
-from .propagate import StepPolicy, propagate_schedule
+from .propagate import StepPolicy, _propagate_schedules, propagate_schedule
 from .qcore import gate_distance, unitarity_defect
 from .schedule import (
     SegmentSchedule,
@@ -59,6 +60,8 @@ __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
 _THETA_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
 _RATIO_GRID = (0.1, 1.0, 10.0)
 _EXACT = {"propagation": "exact"}
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,22 @@ class CriterionResult:
 def _criterion(index: int, name: str, budget: float | None = None):
     """Make a body returning (checks, notes) criterion `index`: a
     zero-argument callable that times the body, checks its runtime
-    against `budget` seconds if one is given, and returns the result."""
+    against `budget` seconds if one is given, and returns the result. A
+    body that raises fails its criterion: the result holds the failed
+    check "raised" and the exception in notes["error"], so the other
+    criteria still run."""
 
     def wrap(body):
         @functools.wraps(body)
         def criterion() -> CriterionResult:
             t0 = time.perf_counter()
-            checks, notes = body()
+            try:
+                checks, notes = body()
+            except Exception as exc:  # one criterion's fault must not stop the rest
+                _log.debug("criterion %d raised", index, exc_info=True)
+                detail = " ".join(str(exc).split())
+                checks = [Check("raised", 1.0, 0.5)]
+                notes = {"error": f"{type(exc).__name__}: {detail}"}
             runtime = time.perf_counter() - t0
             if budget is not None:
                 checks.append(Check("runtime_seconds", runtime, budget))
@@ -134,10 +146,9 @@ def _criterion(index: int, name: str, budget: float | None = None):
 # criteria
 # ---------------------------------------------------------------------------
 
-def _both_labels(p: LoopParams, samples: int) -> tuple:
-    """((0, traj0), (1, traj1)): one corrected loop on p, propagated once
-    and started from each labelled eigenstate."""
-    traj = evolve_eigenstate(single_loop_schedule(p), 0, samples=samples)
+def _both_labels(p: LoopParams, traj) -> tuple:
+    """((0, traj), (1, traj1)): traj, the label-0 trajectory of one
+    corrected loop on p, and its propagators started from label 1."""
     return (0, traj), (1, traj.with_initial_state(loop_eigenvector(p, 1, 0.0)))
 
 
@@ -145,18 +156,26 @@ def _both_labels(p: LoopParams, samples: int) -> tuple:
 def criterion_1():
     """Corrected driving tracks eigenstates on the full parameter grid;
     the uncorrected drive visibly fails at resonance-scale rates."""
+    grid = [
+        LoopParams(theta=theta, omega=ratio, omega0=1.0)
+        for theta in _THETA_GRID
+        for ratio in _RATIO_GRID
+    ]
+    bare = [LoopParams(theta=theta, omega=1.0, omega0=1.0) for theta in _THETA_GRID]
+    trajs = _evolve_eigenstates(
+        [single_loop_schedule(p) for p in grid]
+        + [single_loop_schedule(p, corrected=False) for p in bare],
+        0,
+        samples=64,
+    )
     worst = 0.0
-    for theta in _THETA_GRID:
-        for ratio in _RATIO_GRID:
-            p = LoopParams(theta=theta, omega=ratio, omega0=1.0)
-            for label, traj in _both_labels(p, samples=64):
-                deficit = float(1.0 - tracking_fidelity(traj, label).min())
-                worst = max(worst, deficit)
+    for p, traj in zip(grid, trajs):
+        for label, t in _both_labels(p, traj):
+            deficit = float(1.0 - tracking_fidelity(t, label).min())
+            worst = max(worst, deficit)
 
     baseline_best = 0.0
-    for theta in _THETA_GRID:
-        p = LoopParams(theta=theta, omega=1.0, omega0=1.0)
-        traj = evolve_eigenstate(single_loop_schedule(p, corrected=False), 0, samples=64)
+    for traj in trajs[len(grid):]:
         baseline_best = max(baseline_best, float(tracking_fidelity(traj, 0).min()))
     checks = [
         Check("tracking_infidelity", worst, 1e-12),
@@ -170,13 +189,17 @@ def criterion_1():
 def criterion_2():
     """One-loop geometric phase matches (2p-1)*pi*(1-cos theta), modulo
     2*pi, for both labels and both traversal orientations."""
+    grid = [
+        LoopParams(theta=theta, omega=orientation, omega0=1.0)
+        for theta in _THETA_GRID
+        for orientation in (1.0, -1.0)
+    ]
+    trajs = _evolve_eigenstates([single_loop_schedule(p) for p in grid], 0, samples=512)
     worst = 0.0
-    for theta in _THETA_GRID:
-        for orientation in (1.0, -1.0):
-            p = LoopParams(theta=theta, omega=orientation, omega0=1.0)
-            for label, traj in _both_labels(p, samples=512):
-                dec = loop_phase_decomposition(traj, label)
-                worst = max(worst, dec.geometric_deviation)
+    for p, traj in zip(grid, trajs):
+        for label, t in _both_labels(p, traj):
+            dec = loop_phase_decomposition(t, label)
+            worst = max(worst, dec.geometric_deviation)
     return [Check("geometric_phase_deviation_mod_2pi", worst, 1e-11)], _EXACT
 
 
@@ -186,9 +209,9 @@ def criterion_3():
     generator or the uncorrected one gives the same value, and the
     correction's diagonal energy vanishes."""
     p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
+    (traj,) = _evolve_eigenstates([single_loop_schedule(p)], 0, samples=512)
     worst = 0.0
-    for label in (0, 1):
-        traj = evolve_eigenstate(single_loop_schedule(p), label, samples=512)
+    for _, traj in _both_labels(p, traj):
         d_root = dynamical_phase(traj, root="root")
         d_full = dynamical_phase(traj, root="full")
         worst = max(worst, abs(d_full - d_root))
@@ -212,9 +235,13 @@ def criterion_4():
         "triple_omega0": (LoopParams(base.theta, base.omega, 3.0), None),
         "double_pulse_rate": (base, 100.0 * abs(base.omega)),
     }
+    trajs = _evolve_eigenstates(
+        [build_echo_sequence(p, omega_pi=omega_pi) for p, omega_pi in variants.values()],
+        0,
+        samples=256,
+    )
     checks = []
-    for name, (p, omega_pi) in variants.items():
-        traj = evolve_eigenstate(build_echo_sequence(p, omega_pi=omega_pi), 0, samples=256)
+    for name, traj in zip(variants, trajs):
         checks.append(
             Check(f"echo_gate_distance_{name}", gate_distance(traj.final_propagator, target), 1e-12)
         )
@@ -311,9 +338,27 @@ def _oracle_families() -> dict:
     }
 
 
-def _oracle_error(sched, samples: int, substeps: int, exact) -> tuple:
-    traj = propagate_schedule(sched, policy=StepPolicy(substeps=substeps), samples=samples)
-    return traj, float(np.max(np.abs(traj.propagators - exact.propagators)))
+def _oracle_runs(families: dict) -> dict:
+    """name -> (exact, oracle, coarse oracle) trajectories of each family:
+    the families that share (samples, substeps) run each policy through
+    one walk."""
+    groups = {}
+    for name, (sched, samples, substeps) in families.items():
+        groups.setdefault((samples, substeps), {})[name] = sched
+    runs = {}
+    for (samples, substeps), scheds in groups.items():
+        states = [None] * len(scheds)
+        policies = (None, StepPolicy(substeps=substeps), StepPolicy(substeps=substeps // 4))
+        walks = [
+            _propagate_schedules(list(scheds.values()), states, policy, samples)
+            for policy in policies
+        ]
+        runs.update(zip(scheds, zip(*walks)))
+    return runs
+
+
+def _max_deviation(traj, exact) -> float:
+    return float(np.max(np.abs(traj.propagators - exact.propagators)))
 
 
 @_criterion(8, "exact propagator against the Magnus oracle")
@@ -329,20 +374,22 @@ def criterion_8():
         "order_window": "[3.7, 4.3]",
         "oracle": "two-point Gauss-Legendre Magnus, fourth order",
     }
-    for name, (sched, samples, substeps) in _oracle_families().items():
-        exact = propagate_schedule(sched, samples=samples)
-        oracle, agreement = _oracle_error(sched, samples, substeps, exact)
+    families = _oracle_families()
+    runs = _oracle_runs(families)
+    for name, (sched, samples, substeps) in families.items():
+        exact, oracle, coarse_run = runs[name]
+        agreement = _max_deviation(oracle, exact)
         # the error against the exact propagator shrinks 4**order from
         # substeps/4 to substeps
         coarse = substeps // 4
-        _, coarse_error = _oracle_error(sched, samples, coarse, exact)
-        order = float(np.log2(coarse_error / agreement) / 2.0)
+        order = float(np.log2(_max_deviation(coarse_run, exact) / agreement) / 2.0)
         checks.append(Check(f"convergence_order_offset_{name}", abs(order - 4.0), 0.3))
         checks.append(Check(f"exact_midpoint_agreement_{name}", agreement, 1e-9))
         unitarity = max(unitarity, unitarity_defect(oracle.propagators))
         notes["propagation"][name] = f"exact and Magnus at {coarse} and {substeps} substeps"
         notes["observed_order"][name] = order
         if name == "rotated_echo":
+            # reruns of the family alone, outside the batch
             again = propagate_schedule(sched, policy=StepPolicy(substeps=substeps), samples=samples)
             identical = oracle.propagators.tobytes() == again.propagators.tobytes()
             checks.append(Check("rerun_byte_difference", 0.0 if identical else 1.0, 0.5))

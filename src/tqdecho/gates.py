@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
-from .propagate import StepPolicy, _final_propagator
+from .propagate import StepPolicy, _final_propagator, _final_propagators
 from .qcore import SIGMA_X, SIGMA_Z, gate_distance, wrap_angle
 from .schedule import (
     SegmentSchedule,
@@ -285,11 +285,12 @@ def verify_exp_equivalence(
     while loops run, must match the conditional-model echo. The frame
     term does not commute away pointwise; it cancels over the echo
     because the control flip reverses its sign pairing between the two
-    halves. policy None propagates both echoes exactly;
-    StepPolicy(substeps=N) runs the Magnus oracle. Draw k = 1, 2, ...
-    takes orientation k % 2 and control (k // 2) % 2, so any four
-    consecutive draws cover all four sectors, at the time period * x_k
-    of the one-dimensional golden-ratio lattice x_k (_lattice).
+    halves. Both echoes run through one walk: policy None propagates
+    them exactly, StepPolicy(substeps=N) runs the Magnus oracle. Draw
+    k = 1, 2, ... takes orientation k % 2 and control (k // 2) % 2, so
+    any four consecutive draws cover all four sectors, at the time
+    period * x_k of the one-dimensional golden-ratio lattice x_k
+    (_lattice).
     field_draws must be at least 1: with no draws the field check would
     pass vacuously, and it must be an integer.
     """
@@ -309,8 +310,9 @@ def verify_exp_equivalence(
         dev = 2.0 * np.abs(got[at] - want[at])
         worst = max(worst, float(np.max(dev, initial=0.0)))
 
-    u_cond = _final_propagator(build_two_qubit_sequence(p), policy)[0]
-    u_exp = _final_propagator(build_exp_two_qubit_sequence(p, frame_term=True), policy)[0]
+    (u_cond, _), (u_exp, _) = _final_propagators(
+        [build_two_qubit_sequence(p), build_exp_two_qubit_sequence(p, frame_term=True)], policy
+    )
     return ExpEquivalenceReport(
         params=p,
         max_field_deviation=worst,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, theta_tilde
-from .propagate import StepPolicy, Trajectory, propagate_schedule
+from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
 from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _pulse_axes, loop_segment
 
@@ -236,9 +236,19 @@ def evolve_eigenstate(
     first loop segment at t=0 (exact propagator unless a StepPolicy
     is given). The label obeys the rule of every phase function
     (_checked_label)."""
-    label = _checked_label(s, label)
-    psi0 = _segment_eigvecs(s.segments[0], (label,), np.array([0.0]))[0, 0]
-    return propagate_schedule(s, initial_state=psi0, policy=policy, samples=samples)
+    return _evolve_eigenstates([s], label, policy, samples)[0]
+
+
+def _evolve_eigenstates(
+    scheds, label, policy: StepPolicy | None = None, samples: int = 256
+) -> list:
+    """evolve_eigenstate on each schedule in `scheds` with the one
+    `label`, from one walk: one Trajectory per schedule."""
+    states = []
+    for s in scheds:
+        key = _checked_label(s, label)
+        states.append(_segment_eigvecs(s.segments[0], (key,), np.array([0.0]))[0, 0])
+    return _propagate_schedules(scheds, states, policy, samples)
 
 
 def tracking_fidelity(traj: Trajectory, label) -> np.ndarray:

@@ -44,11 +44,14 @@ quaternion; the steps are multiplied as quaternions. The tests pin both
 propagators to dense eigendecomposition references, which they pack
 from the same block fields (tests/dense.py).
 
-Gates and trajectories compose a schedule through one walk, which
-propagates each distinct segment once; under the oracle it multiplies
-the Magnus steps of all its distinct loops in one product tree. The
-association order of every product is fixed, so repeated runs produce
-bit-identical propagators.
+Gates and trajectories compose schedules through one walk, which may
+span a batch of schedules and propagates each distinct segment of the
+batch once. It stacks the distinct loops of one dim on one block axis:
+the exact path evaluates all of them in one closed-form kernel call,
+and the oracle multiplies all their Magnus steps in one product tree.
+Each entry is the same whatever is stacked beside it, and the
+association order of every product is fixed, so a schedule's
+propagators have the same bytes in any batch and on every rerun.
 """
 from __future__ import annotations
 
@@ -227,7 +230,8 @@ def _oracle_steps(policy: StepPolicy, checkpoints: int) -> int:
 
 def rotating_frame_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
     """Exact propagators of a loop segment from its start to each local
-    time in ts, shape (len(ts), dim, dim).
+    time in ts, shape (len(ts), dim, dim): the one-segment case of
+    _loop_propagators.
 
     Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with
     K = c0 + w . sigma, w = v(0) - omega*n/2, read from
@@ -238,30 +242,54 @@ def rotating_frame_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
     if seg.kind not in _LOOP_KINDS:
         raise ValueError(f"segment kind {seg.kind!r} is not a loop")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    omega = seg.params["omega"]
-    # precession axis on the driven qubit: z tilted about y by the
-    # loop's rotation (two-qubit loops have none: z in each sector)
-    rot = seg.params.get("rotation", 0.0)
-    axis = np.array([np.sin(rot), 0.0, np.cos(rot)])
-    c0, v = seg.block_fields(0.0)
-    # w and ts in the loop's rescaled units
-    scale = _period_unit(omega)
-    w = scale * (v[:, :, 0] - (0.5 * omega) * axis[:, None])
-    r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    rt = np.multiply.outer(r, ts / scale)
+    return _loop_propagators([seg], ts[None])[0]
+
+
+def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
+    """Exact propagators of the loop segments `segs` (all of one dim), each
+    from its start to the local times in its own row of ts, shape
+    (len(segs), ts.shape[1], dim, dim); the formula is
+    rotating_frame_propagators'.
+
+    The blocks of every segment are stacked on one axis, as arrays of
+    shape (blocks, segments, samples), so one pass of each elementwise
+    operation and one packer call serve them all; each entry is the same
+    whatever is stacked beside it.
+    """
+    c0, v, omega, axis, scale = [], [], [], [], []
+    for seg in segs:
+        c, f = seg.block_fields(0.0)
+        c0.append(c[:, 0])
+        v.append(f[:, :, 0])
+        omega.append(seg.params["omega"])
+        # precession axis on the driven qubit: z tilted about y by the
+        # loop's rotation (two-qubit loops have none: z in each sector)
+        rot = seg.params.get("rotation", 0.0)
+        axis.append([np.sin(rot), 0.0, np.cos(rot)])
+        scale.append(_period_unit(omega[-1]))
+    c0, v = np.stack(c0, axis=1), np.stack(v, axis=2)
+    omega, axis, scale = np.array(omega), np.array(axis).T, np.array(scale)
+    # w and ts in each loop's rescaled units
+    w = scale * (v - (0.5 * omega) * axis[:, None])
+    r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])[..., None]
+    local = ts / scale[:, None]
+    rt = r * local
     # exp(-i*K*t) without its phase, and the frame rotation
     inner = np.empty((4,) + rt.shape)
     np.cos(rt, out=inner[0])
     snc = np.empty_like(rt)
-    snc[:] = ts / scale
-    np.divide(np.sin(rt), r[:, None], out=snc, where=r[:, None] > 0.0)
-    np.multiply(snc, w[:, :, None], out=inner[1:])
-    half = 0.5 * omega * ts
-    frame = np.empty((4, ts.size))
+    snc[:] = local
+    np.divide(np.sin(rt), r, out=snc, where=r > 0.0)
+    np.multiply(snc, w[..., None], out=inner[1:])
+    half = (0.5 * omega)[:, None] * ts
+    frame = np.empty((4,) + ts.shape)
     np.cos(half, out=frame[0])
-    np.multiply.outer(axis, np.sin(half), out=frame[1:])
+    np.multiply(axis[:, :, None], np.sin(half), out=frame[1:])
     q = _hamilton(np.broadcast_to(frame[:, None], inner.shape), inner)
-    return _pack_quaternions(q, np.exp(-1j * np.multiply.outer(c0[:, 0], ts)), seg.dim)
+    phase = np.exp(-1j * (c0[..., None] * ts))
+    blocks, count, n = rt.shape
+    packed = _pack_quaternions(q.reshape(4, blocks, -1), phase.reshape(blocks, -1), segs[0].dim)
+    return packed.reshape(count, n, segs[0].dim, segs[0].dim)
 
 
 def _pulse_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
@@ -391,70 +419,85 @@ def _evolved_states(propagators: np.ndarray, psi: np.ndarray) -> tuple:
     return psi, np.einsum("nij,j->ni", propagators, psi)
 
 
-def _segment_propagators(
-    s: SegmentSchedule, policy: StepPolicy | None, checkpoints: int
-) -> list:
-    """propagate_segment's (partials, substeps_used) for each segment, at
-    `checkpoints` per loop and min(16, checkpoints) per pulse or idle; a
-    zero-duration segment gets (None, 0). The one walk behind gates and
-    trajectories: segments equal in kind, duration, dim and params (by
-    repr, so 0.0 and -0.0 differ; labels ignored) are propagated once.
-    Under a StepPolicy the distinct loops share one step count, so one
-    _segment_partials call multiplies all of their Magnus steps."""
+def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) -> list:
+    """propagate_segment's (partials, substeps_used) for each segment of
+    each schedule in `scheds`, one list per schedule, at `checkpoints` per
+    loop and min(16, checkpoints) per pulse or idle; a zero-duration
+    segment gets (None, 0). The one walk behind gates and trajectories:
+    segments equal in kind, duration, dim and params (by repr, so 0.0 and
+    -0.0 differ; labels ignored) are propagated once across the whole
+    batch. The distinct loops of one dim go to one stacked kernel call:
+    _loop_propagators on the exact path, _segment_partials (one Magnus
+    step count for all) under a StepPolicy."""
     distinct = {}
     keys = []
-    for seg in s.segments:
-        key = None
-        if seg.duration != 0.0:
-            params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
-            key = seg.kind, repr(seg.duration), seg.dim, params
-            distinct.setdefault(key, seg)
-        keys.append(key)
+    for s in scheds:
+        row = []
+        for seg in s.segments:
+            key = None
+            if seg.duration != 0.0:
+                params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
+                key = seg.kind, repr(seg.duration), seg.dim, params
+                distinct.setdefault(key, seg)
+            row.append(key)
+        keys.append(row)
     done = {None: (None, 0)}
-    if policy is not None:
-        loops = {key: seg for key, seg in distinct.items() if seg.kind in _LOOP_KINDS}
-        if loops:
+    for dim in (2, 4):
+        loops = {
+            key: seg for key, seg in distinct.items() if seg.kind in _LOOP_KINDS and seg.dim == dim
+        }
+        if not loops:
+            continue
+        segs = list(loops.values())
+        if policy is None:
+            n = 0
+            ts = [seg.duration * np.arange(1, checkpoints + 1) / checkpoints for seg in segs]
+            partials = _loop_propagators(segs, np.array(ts))
+        else:
             n = _oracle_steps(policy, checkpoints)
-            partials = _segment_partials(list(loops.values()), n, checkpoints)
-            done.update((key, (u, n)) for key, u in zip(loops, partials))
+            partials = _segment_partials(segs, n, checkpoints)
+        done.update((key, (u, n)) for key, u in zip(loops, partials))
     for key, seg in distinct.items():
         if key not in done:
-            cps = checkpoints if seg.kind in _LOOP_KINDS else min(16, checkpoints)
-            done[key] = propagate_segment(seg, policy, cps)
-    return [done[key] for key in keys]
+            done[key] = propagate_segment(seg, policy, min(16, checkpoints))
+    return [[done[key] for key in row] for row in keys]
+
+
+def _final_propagators(scheds, policy: StepPolicy | None = None) -> list:
+    """Full propagator of each schedule in `scheds`, with no sampled
+    trajectory, from one walk: the segment propagators of one checkpoint
+    each, left-multiplied in schedule order. Returns one (u,
+    substeps_used) per schedule, the latter per segment as in
+    Trajectory."""
+    out = []
+    for s, walked in zip(scheds, _segment_propagators(scheds, policy, 1)):
+        u = np.eye(s.dim, dtype=complex)
+        for partials, _ in walked:
+            if partials is not None:
+                u = partials[-1] @ u
+        out.append((u, tuple(n for _, n in walked)))
+    return out
 
 
 def _final_propagator(s: SegmentSchedule, policy: StepPolicy | None = None) -> tuple:
-    """Full propagator of a schedule, with no sampled trajectory: the
-    segment propagators of one checkpoint each, left-multiplied in
-    schedule order. Returns (u, substeps_used), the latter per segment as
-    in Trajectory."""
-    walked = _segment_propagators(s, policy, 1)
-    u = np.eye(s.dim, dtype=complex)
-    for partials, _ in walked:
-        if partials is not None:
-            u = partials[-1] @ u
-    return u, tuple(n for _, n in walked)
+    """_final_propagators of the one schedule s."""
+    return _final_propagators([s], policy)[0]
 
 
-def propagate_schedule(
-    s: SegmentSchedule,
-    initial_state: np.ndarray | None = None,
-    policy: StepPolicy | None = None,
-    samples: int = 256,
-) -> Trajectory:
-    """Propagate a schedule and sample its cumulative propagators.
-
-    policy None runs the exact propagator; StepPolicy(substeps=N) runs
-    the fourth-order Magnus oracle. samples (an integer >= 2) sets the
-    number of checkpoints per loop segment, min(16, samples) per pulse or
-    idle; a zero-duration segment contributes its start only. The count
-    sets sampling resolution, not accuracy. The segments come from the
-    walk the gates use, which propagates each distinct segment once.
-    """
+def _propagate_schedules(
+    scheds, initial_states, policy: StepPolicy | None = None, samples: int = 256
+) -> list:
+    """propagate_schedule on each schedule in `scheds`, started from the
+    matching entry of `initial_states` (None for no state), from one walk.
+    Returns one Trajectory per schedule."""
     _check_count("samples", samples, 2)
+    walks = _segment_propagators(scheds, policy, samples)
+    return [_trajectory(*args) for args in zip(scheds, walks, initial_states)]
+
+
+def _trajectory(s: SegmentSchedule, walked: list, initial_state) -> Trajectory:
+    """The Trajectory of schedule s from its walked segments."""
     times, seg_idx, props = [], [], []
-    walked = _segment_propagators(s, policy, samples)
     cum = np.eye(s.dim, dtype=complex)
     t0 = 0.0
     for i, (seg, (partials, _)) in enumerate(zip(s.segments, walked)):
@@ -481,6 +524,24 @@ def propagate_schedule(
         states=states,
         substeps_used=tuple(n for _, n in walked),
     )
+
+
+def propagate_schedule(
+    s: SegmentSchedule,
+    initial_state: np.ndarray | None = None,
+    policy: StepPolicy | None = None,
+    samples: int = 256,
+) -> Trajectory:
+    """Propagate a schedule and sample its cumulative propagators.
+
+    policy None runs the exact propagator; StepPolicy(substeps=N) runs
+    the fourth-order Magnus oracle. samples (an integer >= 2) sets the
+    number of checkpoints per loop segment, min(16, samples) per pulse or
+    idle; a zero-duration segment contributes its start only. The count
+    sets sampling resolution, not accuracy. The segments come from the
+    walk the gates use, which propagates each distinct segment once.
+    """
+    return _propagate_schedules([s], [initial_state], policy, samples)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,21 +44,25 @@ def test_criterion_8_covers_every_schedule_family():
     assert {"unitarity_defect", "rerun_byte_difference", "exact_rerun_byte_difference"} <= names
 
 
-@pytest.mark.parametrize("index, calls", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("index, calls", [(1, 16), (2, 8), (3, 1), (4, 4)])
 def test_loop_criteria_propagate_each_loop_once(index, calls, monkeypatch):
     # criterion 1 runs 12 corrected loops and 4 uncorrected ones,
-    # criterion 2 runs 8 loops; each label reuses its loop's propagators
-    seen = []
-    real = tqdecho.propagate.propagate_schedule
+    # criterion 2 runs 8 loops, criterion 3 one loop and criterion 4 the
+    # four distinct loops of its three echoes; each criterion hands its
+    # loops to one stacked kernel call, and each label reuses its loop's
+    # propagators
+    batches = []
+    real = tqdecho.propagate._loop_propagators
 
-    def counting(*args, **kwargs):
-        seen.append(args[0])
-        return real(*args, **kwargs)
+    def counting(segs, ts):
+        batches.append(segs)
+        return real(segs, ts)
 
-    monkeypatch.setattr(tqdecho.phases, "propagate_schedule", counting)
-    monkeypatch.setattr(tqdecho.acceptance, "propagate_schedule", counting)
+    monkeypatch.setattr(tqdecho.propagate, "_loop_propagators", counting)
     assert run_criterion(index).passed
-    assert len(seen) == calls
+    assert [len(segs) for segs in batches] == [calls]
+    distinct = {(seg.kind, tuple(sorted(seg.params.items()))) for seg in batches[0]}
+    assert len(distinct) == calls
 
 
 def _lattice_witness_draws():

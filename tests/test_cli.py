@@ -156,7 +156,26 @@ def test_expmap_without_field_draws_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["expmap", "--config", cfg, "--out", str(out)]) == 2
     assert "field_draws must be >= 1" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        ("scan", {"theta": 1.0, "omega0": 0.0, "ratios": [1.0]}),
+        ("gate", {"axis_angle": 0.0, "gate_angle": 0.0}),
+        ("evolve", {"theta": 4.0, "omega": 1.0, "omega0": 1.0}),
+        ("twoqubit", {"omega_i": 1.0, "coupling": 1.0, "omega": 0.0}),
+    ],
+)
+def test_runner_config_errors_leave_no_output_directory(tmp_path, capsys, kind, config):
+    # the runners, not the schema, reject these, after the run object
+    # exists but before any file is written
+    cfg = write_config(tmp_path, "c.json", {"kind": kind, **config})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_scan_run(tmp_path):
@@ -313,6 +332,26 @@ def test_verify_all(tmp_path):
     assert all(entry["passed"] for entry in doc)
     names = [entry["index"] for entry in doc]
     assert names == list(range(1, 9))
+
+
+def test_verify_all_records_a_raising_criterion_as_failed(tmp_path, monkeypatch, capsys):
+    # a 1 % pi-pulse over-rotation makes criterion 4's strict alignment
+    # check raise; every criterion must still run and report
+    import tqdecho.propagate as prop
+
+    real = prop._pulse_propagators
+    monkeypatch.setattr(prop, "_pulse_propagators", lambda seg, ts: real(seg, ts * 1.01))
+    out = tmp_path / "v"
+    assert main(["verify-all", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((out / "acceptance.json").read_text())
+    assert [entry["index"] for entry in doc] == list(range(1, 9))
+    c4 = doc[3]
+    assert not c4["passed"]
+    assert [c["name"] for c in c4["checks"]] == ["raised"]
+    assert c4["notes"]["error"].startswith("ValueError: reference lost eigenstate alignment")
+    # the over-rotated pulses spoil the gates of criteria 5 and 6 too
+    assert not doc[4]["passed"] and not doc[5]["passed"]
 
 
 # exact default and exit codes ----------------------------------------------
@@ -477,7 +516,6 @@ def test_extreme_rate_configs_exit_cleanly(kind, config, expected):
 )
 def test_rescaled_configs_reproduce_the_unit_scale_checks(tmp_path, kind, config, scale):
     # every rate times `scale` is the same physics on another time scale
-    # (the field checks of fields and expmap are absolute, in field units)
     rates = ("omega", "omega0", "omega_i", "coupling")
     scaled = {k: v * scale if k in rates else v for k, v in config.items()}
     checks = []
@@ -489,6 +527,30 @@ def test_rescaled_configs_reproduce_the_unit_scale_checks(tmp_path, kind, config
     assert [c["name"] for c in unit] == [c["name"] for c in rescaled]
     for a, b in zip(unit, rescaled):
         assert abs(a["value"] - b["value"]) <= 1e-12, a["name"]
+
+
+@pytest.mark.parametrize("exponent", [-640, -1, 5, 400])
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        ("fields", {"theta": 1.0, "omega": -0.7, "omega0": 1.3, "samples": 64}),
+        ("expmap", {"omega_i": 1.3, "coupling": 1.0, "omega": -0.5, "draws": 40}),
+    ],
+)
+def test_field_checks_are_relative_to_the_field_scale(tmp_path, kind, config, exponent):
+    # a power of two scales every field exactly, so a check relative to
+    # the field scale keeps its bytes; an absolute check would pass at
+    # 2**-640 whatever the fields were
+    rates = ("omega", "omega0", "omega_i", "coupling")
+    scaled = {k: v * 2.0**exponent if k in rates else v for k, v in config.items()}
+    values = []
+    for name, cfg in (("unit", config), ("scaled", scaled)):
+        path = write_config(tmp_path, f"{name}.json", {"kind": kind, **cfg})
+        assert main([kind, "--config", path, "--out", str(tmp_path / name)]) == 0
+        checks = json.loads((tmp_path / name / "summary.json").read_text())["checks"]
+        values.append(checks[0])
+    assert values[0]["name"] == ("field_magnitude_drift" if kind == "fields" else "field_map_deviation")
+    assert values[0] == values[1]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from tqdecho.cli import _scan_point, main
+from tqdecho.cli import main
 from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.phases import evolve_eigenstate, tracking_fidelity
 from tqdecho.propagate import propagate_schedule, trajectory_to_csv
 from tqdecho.schedule import (
     _CSV_CHUNK,
@@ -135,9 +136,16 @@ def test_cli_scan_csv_bytes(tmp_path):
     cfg.write_text(json.dumps({"theta": 1.1, "omega0": 1.0, "ratios": ratios}))
     out = tmp_path / "out"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = [
-        [_fmt(r), *map(_fmt, _scan_point(1.1, 1.0, r, 0, None))] for r in ratios
-    ]
+    # the scan propagates every point in one walk; each row must match
+    # the point's loops propagated on their own
+    rows = []
+    for r in ratios:
+        p = LoopParams(1.1, r, 1.0)
+        fids = [
+            tracking_fidelity(evolve_eigenstate(single_loop_schedule(p, c), 0, samples=64), 0)
+            for c in (True, False)
+        ]
+        rows.append([_fmt(r), *(_fmt(f.min()) for f in fids)])
     header = ["ratio", "min_fidelity_corrected", "min_fidelity_uncorrected"]
     assert (out / "scan.csv").read_bytes() == _reference(header, rows)
     notes = json.loads((out / "summary.json").read_text())["notes"]

@@ -22,6 +22,8 @@ from tqdecho.propagate import StepPolicy, propagate_schedule
 from tqdecho.qcore import gate_distance, unitarity_defect
 from tqdecho.schedule import build_exp_two_qubit_sequence, build_two_qubit_sequence
 
+from spies import count_handed_segments
+
 SEED = 20260816
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
 
@@ -207,30 +209,24 @@ def test_gate_entry_points_build_no_trajectory(monkeypatch):
 
 @pytest.mark.parametrize("policy", [None, StepPolicy(substeps=64)], ids=["exact", "midpoint"])
 def test_gate_entry_points_propagate_each_distinct_segment_once(policy, monkeypatch):
-    # under a StepPolicy the walk hands all distinct loops to one
-    # _segment_partials call instead of propagate_segment; count both
-    calls = []
-    real = propagate.propagate_segment
-    real_partials = propagate._segment_partials
-
-    def counting(seg, policy=None, checkpoints=1):
-        calls.append((seg.kind, checkpoints))
-        return real(seg, policy, checkpoints)
-
-    def batched(segs, n, checkpoints):
-        calls.extend((seg.kind, checkpoints) for seg in segs)
-        return real_partials(segs, n, checkpoints)
-
-    monkeypatch.setattr(propagate, "propagate_segment", counting)
-    monkeypatch.setattr(propagate, "_segment_partials", batched)
+    segments, stacked = count_handed_segments(monkeypatch)
     synthesize_single_gate(SingleGateSpec(0.3, 1.2), policy=policy)
-    assert sorted(calls) == [("pi-pulse", 1), ("tqd-loop", 1), ("tqd-loop", 1)]
-    calls.clear()
+    assert sorted(segments) == [("pi-pulse", 1), ("tqd-loop", 1), ("tqd-loop", 1)]
+    assert stacked == [2]
+    segments.clear()
+    stacked.clear()
     synthesize_two_qubit_gate(P2, policy=policy)
-    assert len(calls) == 4 and all(cps == 1 for _, cps in calls)
-    calls.clear()
+    assert len(segments) == 4 and all(cps == 1 for _, cps in segments)
+    assert stacked == [2]
+    segments.clear()
+    stacked.clear()
+    # both echoes in one walk: their four distinct loops in one stacked
+    # call, and the pulse and the control flip they share once each
     verify_exp_equivalence(P2, policy=policy)
-    assert len(calls) == 8  # four distinct segments per echo, two echoes
+    assert sorted(segments) == sorted(
+        [("two-qubit-loop", 1)] * 2 + [("exp-loop", 1)] * 2 + [("pi-pulse", 1), ("control-flip", 1)]
+    )
+    assert stacked == [4]
 
 
 def test_gate_reports_count_one_checkpoint_per_segment():

@@ -15,6 +15,8 @@ from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
     _final_propagator,
+    _final_propagators,
+    _propagate_schedules,
     _segment_partials,
     propagate_schedule,
     propagate_segment,
@@ -41,6 +43,7 @@ from tqdecho.schedule import (
 )
 
 from dense import expm_hermitian, generator, generator_batch
+from spies import count_handed_segments
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 LOOP = single_loop_schedule(P)
@@ -332,29 +335,16 @@ def test_coarse_oracle_steps_at_the_turn_bound_stay_finite_and_unitary(omega):
 
 @pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "midpoint"])
 def test_repeated_segments_are_propagated_once(policy, monkeypatch):
-    import tqdecho.propagate as prop
-
     sched = build_two_qubit_sequence(P2)
-    real = prop.propagate_segment
-    real_partials = prop._segment_partials
-    calls = []
-
-    def counting(seg, *args):
-        calls.append(seg.kind)
-        return real(seg, *args)
-
-    def batched(segs, *args):
-        # under a StepPolicy the walk propagates its distinct loops here
-        calls.extend(seg.kind for seg in segs)
-        return real_partials(segs, *args)
-
-    monkeypatch.setattr(prop, "propagate_segment", counting)
-    monkeypatch.setattr(prop, "_segment_partials", batched)
+    segments, stacked = count_handed_segments(monkeypatch)
     traj = propagate_schedule(sched, policy=policy, samples=8)
-    # half + half: two loops, the pulse and the control flip, each once;
-    # the zero-length idles are not propagated
+    # half + half: two loops, in one stacked call, and the pulse and the
+    # control flip, each once; the zero-length idles are not propagated
     assert len(sched.segments) == 15
-    assert sorted(calls) == sorted(["two-qubit-loop", "two-qubit-loop", "pi-pulse", "control-flip"])
+    assert sorted(segments) == sorted(
+        [("two-qubit-loop", 8), ("two-qubit-loop", 8), ("pi-pulse", 8), ("control-flip", 8)]
+    )
+    assert stacked == [2]
     assert len(traj.substeps_used) == 15
 
     monkeypatch.undo()
@@ -405,6 +395,54 @@ def test_oracle_walk_runs_one_product_tree(sched, monkeypatch):
     monkeypatch.undo()
     assert traj.propagators.tobytes() == _composed_per_segment(sched, policy, 12).tobytes()
     assert u.tobytes() == _composed_per_segment(sched, policy, 1)[-1].tobytes()
+
+
+@st.composite
+def _drawn_batches(draw):
+    """A batch of 3 to 7 schedules that mixes dims and repeats segments
+    across schedules: at least one one-qubit and one two-qubit schedule
+    drawn from a pool on shared parameters, and one schedule drawn twice.
+    Also the sample count and the policy (None or a few substeps)."""
+    rate = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 10.0))
+    p = LoopParams(theta=draw(st.floats(0.1, 3.0)), omega=rate, omega0=draw(st.floats(0.5, 2.0)))
+    q = TwoQubitParams(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), rate)
+    one = [
+        build_echo_sequence(p),
+        rotate_schedule(build_echo_sequence(p), draw(st.floats(-np.pi, np.pi))),
+        single_loop_schedule(p),
+        single_loop_schedule(p.reversed(), corrected=False),
+    ]
+    two = [
+        build_two_qubit_sequence(q),
+        build_exp_two_qubit_sequence(q, frame_term=draw(st.booleans())),
+        SegmentSchedule((two_qubit_loop_segment(q, reverse=True),)),
+    ]
+    pool = one + two
+    picks = [draw(st.sampled_from(one)), draw(st.sampled_from(two))]
+    picks += draw(st.lists(st.sampled_from(pool), max_size=4))
+    picks.append(draw(st.sampled_from(picks)))
+    batch = draw(st.permutations(picks))
+    policy = draw(st.sampled_from([None, StepPolicy(substeps=1), StepPolicy(substeps=24)]))
+    return batch, draw(st.sampled_from([2, 5, 16, 33])), policy
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_drawn_batches())
+def test_batch_walk_is_byte_identical_to_single_schedule_walks(draw):
+    batch, samples, policy = draw
+    assert {s.dim for s in batch} == {2, 4}
+    trajs = _propagate_schedules(batch, [None] * len(batch), policy, samples)
+    finals = _final_propagators(batch, policy)
+    for sched, traj, (u, substeps) in zip(batch, trajs, finals):
+        alone = propagate_schedule(sched, policy=policy, samples=samples)
+        assert traj.schedule is sched
+        assert traj.propagators.tobytes() == alone.propagators.tobytes()
+        assert alone.propagators.tobytes() == _composed_per_segment(sched, policy, samples).tobytes()
+        assert traj.times.tobytes() == alone.times.tobytes()
+        assert traj.substeps_used == alone.substeps_used
+        u_alone, substeps_alone = _final_propagator(sched, policy)
+        assert u.tobytes() == u_alone.tobytes()
+        assert substeps == substeps_alone
 
 
 def test_trajectory_csv(tmp_path):
