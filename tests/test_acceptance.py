@@ -1,5 +1,7 @@
 """Acceptance gate: each numbered criterion runs at its pinned tolerances
 and must pass on its own pytest line; the criteria share their work."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,11 +46,11 @@ def test_criterion_8_covers_every_schedule_family():
     assert {"unitarity_defect", "rerun_byte_difference", "exact_rerun_byte_difference"} <= names
 
 
-@pytest.mark.parametrize("index, calls", [(1, 16), (2, 8), (3, 1), (4, 4)])
+@pytest.mark.parametrize("index, calls", [(1, 16), (2, 8), (3, 1), (4, 6)])
 def test_loop_criteria_propagate_each_loop_once(index, calls, monkeypatch):
     # criterion 1 runs 12 corrected loops and 4 uncorrected ones,
     # criterion 2 runs 8 loops, criterion 3 one loop and criterion 4 the
-    # four distinct loops of its three echoes; each criterion hands its
+    # six distinct loops of its four echoes; each criterion hands its
     # loops to one stacked kernel call, and each label reuses its loop's
     # propagators
     batches = []
@@ -63,6 +65,27 @@ def test_loop_criteria_propagate_each_loop_once(index, calls, monkeypatch):
     assert [len(segs) for segs in batches] == [calls]
     distinct = {(seg.kind, tuple(sorted(seg.params.items()))) for seg in batches[0]}
     assert len(distinct) == calls
+
+
+def test_generic_echo_variant_sees_a_pulse_over_rotation(monkeypatch):
+    # at theta = pi/3 the echo gate is -1, and at omega = omega0 the
+    # reversed loop cancels any pulse angle, so a 1 % pi-pulse
+    # over-rotation leaves the base variant at rounding; the generic
+    # variant (theta = pi/4, omega = 0.7) must fail on it
+    real = tqdecho.propagate._pulse_propagators
+    monkeypatch.setattr(
+        tqdecho.propagate, "_pulse_propagators", lambda seg, ts: real(seg, ts * 1.01)
+    )
+    # under this injection the strict alignment check of the phase
+    # decomposition raises first (see test_cli); stub it to read the gates
+    monkeypatch.setattr(
+        tqdecho.acceptance, "echo_phase_decomposition",
+        lambda traj, label: SimpleNamespace(dynamical=0.0),
+    )
+    checks = {c.name: c for c in run_criterion(4).checks}
+    assert checks["echo_gate_distance_base"].passed
+    generic = checks["echo_gate_distance_generic"]
+    assert not generic.passed and generic.value > 1e-4
 
 
 def _lattice_witness_draws():

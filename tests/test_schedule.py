@@ -1,5 +1,6 @@
 """Segment and schedule assembly, JSON round trips, field timelines."""
 import functools
+import json
 import operator
 
 import numpy as np
@@ -53,6 +54,25 @@ def test_segment_rejects_unknown_param():
 def test_segment_rejects_missing_param():
     with pytest.raises(ValueError):
         Segment(kind="pi-pulse", duration=1.0, dim=2, label="pi", params={})
+
+
+@pytest.mark.parametrize("label", ['loop,"C"\nx', "a,b", 'say "C"', "cr\r", "lf\n", "nul\0"])
+def test_segment_and_json_reject_a_label_that_breaks_the_csv(label):
+    # the label is written into CSV cells as it is
+    seg = loop_segment(P)
+    with pytest.raises(ValueError, match="segment label"):
+        Segment(seg.kind, seg.duration, seg.dim, label, dict(seg.params))
+    doc = schedule_to_json(SegmentSchedule((seg,))).replace('"loop-C"', json.dumps(label))
+    with pytest.raises(ValueError, match="segment label"):
+        schedule_from_json(doc)
+
+
+def test_segment_accepts_a_non_ascii_label():
+    seg = loop_segment(P)
+    renamed = Segment(seg.kind, seg.duration, seg.dim, "Schleife-Ω", dict(seg.params))
+    assert schedule_from_json(schedule_to_json(SegmentSchedule((renamed,)))).labels() == [
+        "Schleife-Ω"
+    ]
 
 
 @pytest.mark.parametrize(
