@@ -65,7 +65,7 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
         u = np.eye(4, dtype=complex)
         for seg in sched.segments:
             if seg.kind == "two-qubit-loop":
-                frame = 0.5 * seg.params["omega"] * np.kron(SIGMA_Z, np.eye(2))
+                frame = 0.5 * seg.params.omega * np.kron(SIGMA_Z, np.eye(2))
                 k = _start_generator(seg) + static - frame
                 step = _expm_hermitian(frame, seg.duration) @ _expm_hermitian(k, seg.duration)
             else:

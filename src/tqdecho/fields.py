@@ -16,6 +16,7 @@ those fields are built from:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,9 +45,11 @@ _REAL = (int, float, np.integer, np.floating)
 
 def _check_real(name: str, value, positive: bool = False) -> None:
     """Reject bools, non-numbers and non-finite values (with `positive`,
-    also values <= 0) with a ValueError naming the parameter."""
-    if (isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value)
-            or (positive and value <= 0.0)):
+    also values <= 0) with a ValueError naming the parameter. The range
+    test is exact, so an integer beyond the float range is rejected too
+    (math.isfinite raised OverflowError on it)."""
+    if (isinstance(value, bool) or not isinstance(value, _REAL)
+            or not abs(value) <= sys.float_info.max or (positive and value <= 0.0)):
         kind = "positive and finite" if positive else "a finite real number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
@@ -106,32 +109,45 @@ class LoopParams(_Loop):
 
 
 @dataclass(frozen=True)
-class TwoQubitParams(_Loop):
-    """Control-conditioned loop drive on the target qubit.
+class _Conditional(_Loop):
+    """The rates of a control-conditioned loop, which TwoQubitParams and
+    schedule.ConditionalLoopParams share; theta_tilde, experimental_params
+    and the other functions of these rates take either.
 
     omega_i: transverse drive amplitude on the target qubit, > 0.
     coupling: Ising zz coupling strength J to the control qubit, > 0.
     omega: signed precession rate of the transverse drive.
-    omega_pi: pulse rate used for the half-turn pulses of the echo
-        sequence. Defaults to 50*|omega|, fast enough that pulse
-        durations are short against the loop period.
     """
 
     omega_i: float
     coupling: float
     omega: float
-    omega_pi: float | None = None
 
     def __post_init__(self):
         _check_rates(omega_i=self.omega_i, coupling=self.coupling, omega=self.omega)
-        if self.omega_pi is None:
-            object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
-        _check_real("omega_pi", self.omega_pi, positive=True)
 
     @property
     def rabi(self) -> float:
         """Generalized Rabi rate sqrt(omega_i^2 + J^2), the conditional field magnitude."""
         return float(np.hypot(self.omega_i, self.coupling))
+
+
+@dataclass(frozen=True)
+class TwoQubitParams(_Conditional):
+    """Control-conditioned loop drive on the target qubit.
+
+    omega_pi: pulse rate used for the half-turn pulses of the echo
+        sequence. Defaults to 50*|omega|, fast enough that pulse
+        durations are short against the loop period.
+    """
+
+    omega_pi: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.omega_pi is None:
+            object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
+        _check_real("omega_pi", self.omega_pi, positive=True)
 
 
 @dataclass(frozen=True)

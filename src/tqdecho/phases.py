@@ -20,7 +20,8 @@ segment (the loop integrand is the tracked eigenenergy, and a constant
 pulse conserves its own expectation), so the trapezoid rule integrates it
 essentially exactly. Loop expectations are read from the real 2x2 block
 fields (Segment.block_fields) and pulse expectations from the axis each
-qubit turns about (_pulse_axes), so no dense generator is built.
+qubit turns about (the pulse record's `axes`), so no dense generator is
+built.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams, theta_tilde
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _pulse_axes, loop_segment
+from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, loop_segment
 
 __all__ = [
     "LABELS4",
@@ -122,12 +123,9 @@ def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _segment_eigvecs(seg, labels: tuple, ts: np.ndarray) -> np.ndarray:
+    p = seg.params
     if seg.dim == 2:
-        return _loop_eigvecs(
-            seg.params["theta"], seg.params["omega"], labels, ts,
-            seg.params.get("rotation", 0.0),
-        )
-    p = TwoQubitParams(seg.params["omega_i"], seg.params["coupling"], seg.params["omega"])
+        return _loop_eigvecs(p.theta, p.omega, labels, ts, p.rotation)
     return _cond_eigvecs(p, labels, ts)
 
 
@@ -281,10 +279,10 @@ def _block_expectation(seg, ts: np.ndarray, psi: np.ndarray, corrected: bool) ->
 
 def _pulse_expectation(seg, psi: np.ndarray) -> np.ndarray:
     """<psi|H|psi> of a pulse, H = 0.5*omega_pi times sigma_k on each
-    turned qubit (_pulse_axes): the sum of 0.5*omega_pi*<sigma_k> over
+    turned qubit (the record's `axes`): the sum of 0.5*omega_pi*<sigma_k> over
     those qubits, the driven qubit being the leading tensor factor."""
-    half = 0.5 * seg.params["omega_pi"]
-    axes = _pulse_axes(seg.kind, seg.params)
+    half = 0.5 * seg.params.omega_pi
+    axes = seg.params.axes
     if len(axes) == 1:
         return np.einsum("ni,ij,nj->n", psi.conj(), half * PAULI[axes[0]], psi).real
     pair = psi.reshape(-1, 2, 2)
@@ -412,10 +410,10 @@ def loop_phase_decomposition(traj: Trajectory, label: int) -> PhaseDecomposition
     if len(s.segments) != 1 or s.segments[0].kind != "tqd-loop":
         raise ValueError("expects a schedule with exactly one corrected loop")
     seg = s.segments[0]
-    theta, omega, omega0 = seg.params["theta"], seg.params["omega"], seg.params["omega0"]
-    sgn = 1.0 if omega > 0 else -1.0
-    expected_dyn = -(1 - 2 * label) * omega0 * seg.duration / 2.0
-    expected_geo = sgn * (2 * label - 1) * np.pi * (1.0 - np.cos(theta))
+    p = seg.params
+    sgn = 1.0 if p.omega > 0 else -1.0
+    expected_dyn = -(1 - 2 * label) * p.omega0 * seg.duration / 2.0
+    expected_geo = sgn * (2 * label - 1) * np.pi * (1.0 - np.cos(p.theta))
     return _decomposition(traj, label, expected_geo, expected_dyn)
 
 
@@ -428,17 +426,13 @@ def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
     """
     s = traj.schedule
     label = _checked_label(s, label)
-    first = s.segments[0]
-    sgn = 1.0 if first.params["omega"] > 0 else -1.0
+    first = s.segments[0].params
+    sgn = 1.0 if first.omega > 0 else -1.0
     if s.dim == 2:
-        theta = first.params["theta"]
-        expected_geo = sgn * (1 - 2 * label) * 2.0 * np.pi * np.cos(theta)
+        expected_geo = sgn * (1 - 2 * label) * 2.0 * np.pi * np.cos(first.theta)
     else:
         pp, q = label
-        p2 = TwoQubitParams(
-            first.params["omega_i"], first.params["coupling"], first.params["omega"]
-        )
-        expected_geo = sgn * ((-1) ** (pp + q)) * 2.0 * delta_omega(p2)
+        expected_geo = sgn * ((-1) ** (pp + q)) * 2.0 * delta_omega(first)
     return _decomposition(traj, label, expected_geo, 0.0)
 
 

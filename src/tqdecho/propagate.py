@@ -66,7 +66,6 @@ from .schedule import (
     Segment,
     SegmentSchedule,
     _check_count,
-    _pulse_axes,
     _write_csv,
 )
 
@@ -166,7 +165,7 @@ def _step_quaternions(seg: Segment, n: int) -> tuple:
     mid = (np.arange(n) + 0.5) * dt
     gap = dt / (2.0 * np.sqrt(3.0))
     c0, v = seg.block_fields(np.concatenate([mid - gap, mid + gap]))
-    scale = _period_unit(seg.params["omega"])
+    scale = _period_unit(seg.params.omega)
     c0, v, dt = scale * c0, scale * v, dt / scale
     v1, v2 = v[..., :n], v[..., n:]
     u = 0.5 * (v1 + v2)
@@ -261,10 +260,10 @@ def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
         c, f = seg.block_fields(0.0)
         c0.append(c[:, 0])
         v.append(f[:, :, 0])
-        omega.append(seg.params["omega"])
+        omega.append(seg.params.omega)
         # precession axis on the driven qubit: z tilted about y by the
         # loop's rotation (two-qubit loops have none: z in each sector)
-        rot = seg.params.get("rotation", 0.0)
+        rot = seg.params.rotation if seg.dim == 2 else 0.0
         axis.append([np.sin(rot), 0.0, np.cos(rot)])
         scale.append(_period_unit(omega[-1]))
     c0, v = np.stack(c0, axis=1), np.stack(v, axis=2)
@@ -296,9 +295,9 @@ def _pulse_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
     """Exact propagators of a constant half-turn pulse: the rotation
     exp(-i*omega_pi*t*sigma_k/2) of each turned qubit (the identity on a
     qubit the pulse leaves alone), tensored in qubit order."""
-    half = 0.5 * seg.params["omega_pi"] * ts
+    half = 0.5 * seg.params.omega_pi * ts
     turns = []
-    for k in _pulse_axes(seg.kind, seg.params):
+    for k in seg.params.axes:
         q = np.zeros((4, 1, ts.size))
         if k is None:
             q[0] = 1.0
@@ -436,8 +435,7 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
         for seg in s.segments:
             key = None
             if seg.duration != 0.0:
-                params = tuple(sorted((k, repr(v)) for k, v in seg.params.items()))
-                key = seg.kind, repr(seg.duration), seg.dim, params
+                key = seg.kind, repr(seg.duration), seg.dim, repr(seg.params)
                 distinct.setdefault(key, seg)
             row.append(key)
         keys.append(row)

@@ -1,14 +1,15 @@
 """Piecewise drive schedules.
 
 A schedule is an ordered list of segments. Each segment is defined by a
-`kind` plus a small JSON-serializable parameter dict, from which its
-generator (the Hamiltonian, in angular-frequency units) follows
-deterministically; no generator is ever built as a dense matrix. Every
-loop generator is defined once, in its real 2x2 block form
-(Segment.block_fields), which both propagators and the phase layer read.
-Every pulse is defined once too, by the axis it turns each qubit about
-(_pulse_axes), which the exact propagator and the dynamical phase both
-read. A corrected loop is its root drive plus the transitionless
+`kind` plus a frozen parameter record of that kind, whose fields are the
+JSON `params` keys and from which its generator (the Hamiltonian, in
+angular-frequency units) follows deterministically; no generator is ever
+built as a dense matrix. Every loop generator is defined once, in its
+real 2x2 block form (Segment.block_fields, from its record's root
+fields), which both propagators and the phase layer read. Every
+pulse is defined once too, by the axis it turns each qubit about (its
+record's `axes`), which the exact propagator and the dynamical phase
+both read. A corrected loop is its root drive plus the transitionless
 correction b x db/dt, derived with Berry's formula for a field precessing
 about z (_berry_corrected); the exp-loop takes its field from the
 static-coupling map instead. Keeping segments parametric rather than
@@ -16,23 +17,26 @@ storing bare callables makes schedules serializable and makes geometric
 operations (axis rotation, orientation reversal) exact parameter
 updates.
 
-Segment kinds:
+Segment kinds and their records:
 
-* ``tqd-loop`` / ``root-loop``: one full conical precession period of the
-  corrected / uncorrected single-qubit drive.
-* ``pi-pulse``: constant half-turn pulse about y, on a single qubit or on
-  one qubit of a pair.
-* ``control-flip``: simultaneous half turn, x on the driven qubit and y on
-  the control. This is the refocusing pulse of the two-qubit echo.
-* ``idle``: zero generator.
-* ``two-qubit-loop``: control-conditioned corrected loop on the driven
-  qubit (block-diagonal in the control basis).
-* ``exp-loop``: the same conditional loop expressed through static
-  couplings plus a rotating transverse drive, including the
-  control-frame term omega * (1 x Sz) while the drive is on.
+* ``tqd-loop`` / ``root-loop`` (LoopSegmentParams): one full conical
+  precession period of the corrected / uncorrected single-qubit drive.
+* ``pi-pulse`` (PulseParams): constant half-turn pulse about y, on a
+  single qubit or on one qubit of a pair.
+* ``control-flip`` (FlipParams): simultaneous half turn, x on the driven
+  qubit and y on the control. This is the refocusing pulse of the
+  two-qubit echo.
+* ``idle`` (IdleParams): zero generator.
+* ``two-qubit-loop`` (ConditionalLoopParams): control-conditioned
+  corrected loop on the driven qubit (block-diagonal in the control
+  basis).
+* ``exp-loop`` (ExpLoopParams): the same conditional loop expressed
+  through static couplings plus a rotating transverse drive, including
+  the control-frame term omega * (1 x Sz) while the drive is on.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -41,11 +45,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, _check_real, experimental_params
+from .fields import LoopParams, TwoQubitParams, _check_real, _Conditional, experimental_params
 
 __all__ = [
     "Segment",
     "SegmentSchedule",
+    "LoopSegmentParams",
+    "ConditionalLoopParams",
+    "ExpLoopParams",
+    "PulseParams",
+    "FlipParams",
+    "IdleParams",
     "loop_segment",
     "pi_pulse_segment",
     "control_flip_segment",
@@ -65,20 +75,15 @@ __all__ = [
 
 _LOOP_KINDS = ("tqd-loop", "root-loop", "two-qubit-loop", "exp-loop")
 _PULSE_KINDS = ("pi-pulse", "control-flip")
-_PARAM_KEYS = {
-    "tqd-loop": {"theta", "omega", "omega0", "rotation"},
-    "root-loop": {"theta", "omega", "omega0", "rotation"},
-    "pi-pulse": {"omega_pi", "target"},
-    "control-flip": {"omega_pi"},
-    "idle": {"dim"},
-    "two-qubit-loop": {"omega_i", "coupling", "omega"},
-    "exp-loop": {"omega_i", "coupling", "omega", "frame_term"},
-}
 
 
-# ---------------------------------------------------------------------------
-# loop block fields and pulse axes
-# ---------------------------------------------------------------------------
+def _check_count(name: str, value, least: int) -> None:
+    """Accept a Python or numpy integer >= least; reject bools and floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 def _rotation_y(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -99,71 +104,163 @@ def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
     return transverse - omega * (b_z * b_x), bz + omega * (1.0 - b_z * b_z)
 
 
-def _block_amplitudes(kind: str, params: dict, corrected: bool) -> tuple:
-    """Per-block (transverse, vz, c0) of a loop generator: block j is
-    c0_j + (transverse_j cos wt, transverse_j sin wt, vz_j) . sigma, half
-    the field seen by the driven qubit. Two-qubit loops have the control
-    sectors q = 0, 1 as their blocks.
+# ---------------------------------------------------------------------------
+# segment parameter records, one per kind (_RECORDS)
+# ---------------------------------------------------------------------------
 
-    Corrected tqd-loop and two-qubit-loop fields are their root fields
-    plus the Berry correction; root-loop is never corrected. The exp-loop
-    field comes from experimental_params, the realization that criterion
-    7 checks against the corrected two-qubit loop. A block without a
-    scalar term has c0 = -0.0, the exact additive identity, so its
-    scalar contribution changes no value.
-    """
-    omega = params["omega"]
-    if kind in ("tqd-loop", "root-loop"):
-        theta, omega0 = params["theta"], params["omega0"]
-        fields = [(omega0 * np.sin(theta), omega0 * np.cos(theta))]
-        corrected = corrected and kind == "tqd-loop"
-    else:
-        omega_i, coupling = params["omega_i"], params["coupling"]
-        fields = [(omega_i, coupling), (omega_i, -coupling)]
-    if corrected and kind == "exp-loop":
-        e = experimental_params(TwoQubitParams(omega_i, coupling, omega))
-        fields = [
+@functools.cache
+def _float_fields(record_class: type) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(record_class) if f.type in ("float", float))
+
+
+def _real_fields(record, positive: bool = False) -> None:
+    """Check each float field of a record with _check_real, then store it
+    as a Python float, so numpy and integer inputs give the same JSON."""
+    for name in _float_fields(type(record)):
+        value = getattr(record, name)
+        _check_real(name, value, positive)
+        if type(value) is not float:
+            object.__setattr__(record, name, float(value))
+
+
+class _LoopRecord:
+    """What the loop records share: float fields checked before the
+    loop's own checks, a duration of one period, and per block a root
+    field (transverse, bz) at wt = 0 (each record's `root()`), its
+    correction and a scalar term."""
+
+    frame = (-0.0, -0.0)
+    duration = property(lambda self: self.period)
+
+    def __post_init__(self):
+        _real_fields(self)
+        super().__post_init__()
+
+    def corrected(self) -> list:
+        """The root fields plus their Berry correction."""
+        return [_berry_corrected(transverse, bz, self.omega) for transverse, bz in self.root()]
+
+
+@dataclass(frozen=True)
+class LoopSegmentParams(_LoopRecord, LoopParams):
+    """tqd-loop and root-loop: the loop of LoopParams, its field turned
+    by `rotation` rad about y once corrected."""
+
+    rotation: float = 0.0
+    dim = 2
+
+    def root(self) -> list:
+        return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
+
+
+@dataclass(frozen=True)
+class ConditionalLoopParams(_LoopRecord, _Conditional):
+    """two-qubit-loop: TwoQubitParams without its pulse rate. The blocks
+    are the control sectors q = 0, 1, each precessing about z."""
+
+    dim = 4
+
+    def root(self) -> list:
+        return [(self.omega_i, self.coupling), (self.omega_i, -self.coupling)]
+
+
+@dataclass(frozen=True)
+class ExpLoopParams(ConditionalLoopParams):
+    """exp-loop: the conditional loop in its static-coupling realization,
+    with the control-frame term omega * (1 x Sz), +-omega/2 on the
+    sectors, if frame_term (a bool)."""
+
+    frame_term: bool
+
+    def __post_init__(self):
+        if not isinstance(self.frame_term, bool):
+            raise ValueError(f"frame_term must be a boolean, got {self.frame_term!r}")
+        super().__post_init__()
+
+    @property
+    def frame(self) -> tuple:
+        return (0.5 * self.omega, -0.5 * self.omega) if self.frame_term else (-0.0, -0.0)
+
+    def corrected(self) -> list:
+        """The field of experimental_params, the realization criterion 7
+        checks against the corrected two-qubit loop."""
+        e = experimental_params(self)
+        return [
             (e.omega_i_prime * np.sin(e.theta_prime) + g * e.j_xz,
-             e.omega_i_prime * np.cos(e.theta_prime) + omega + g * e.j_zz)
+             e.omega_i_prime * np.cos(e.theta_prime) + self.omega + g * e.j_zz)
             for g in (1, -1)
         ]
-    elif corrected:
-        fields = [_berry_corrected(transverse, bz, omega) for transverse, bz in fields]
-    # the exp-loop frame term omega * (1 x Sz) is +-omega/2 on the sectors
-    c0 = (0.5 * omega, -0.5 * omega) if params.get("frame_term") else (-0.0, -0.0)
-    return tuple(
-        (0.5 * transverse, 0.5 * bz, c) for (transverse, bz), c in zip(fields, c0)
-    )
 
 
-def _pulse_axes(kind: str, params: dict) -> tuple:
-    """The half turn each qubit of a pulse takes, in qubit order (the
-    driven qubit first): the index into PAULI of its axis, or None for a
-    qubit the pulse leaves alone. A pulse's generator is
+@dataclass(frozen=True)
+class _HalfTurn:
+    """What the pulse records share: a half turn at rate omega_pi > 0.
+    `axes` holds the index into PAULI of each qubit's axis, the driven
+    qubit first, or None for a qubit left alone; the generator is
     0.5*omega_pi times the sum of these terms."""
-    if kind == "control-flip":
-        return (0, 1)
-    target = params["target"]
-    if target == "single":
-        return (1,)
-    if target == "I":
-        return (1, None)
-    if target == "II":
-        return (None, 1)
-    raise ValueError(f"unknown pulse target {target!r}")
+
+    omega_pi: float
+    dim = property(lambda self: 2 ** len(self.axes))
+    duration = property(lambda self: np.pi / self.omega_pi)
+
+    def __post_init__(self):
+        _real_fields(self, positive=True)
+
+
+@dataclass(frozen=True)
+class FlipParams(_HalfTurn):
+    """control-flip: x on the driven qubit, y on the control."""
+
+    axes = (0, 1)
+
+
+@dataclass(frozen=True)
+class PulseParams(_HalfTurn):
+    """pi-pulse: a half turn about y on a lone qubit (target "single") or
+    on qubit "I" or "II" of a pair."""
+
+    target: str
+    _AXES = {"single": (1,), "I": (1, None), "II": (None, 1)}
+    axes = property(lambda self: self._AXES[self.target])
+
+    def __post_init__(self):
+        if not isinstance(self.target, str) or self.target not in self._AXES:
+            raise ValueError(f'pulse target must be "single", "I" or "II", got {self.target!r}')
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class IdleParams:
+    """idle: a dimension (an integer); an idle carries its own duration."""
+
+    dim: int
+    duration = None
+
+    def __post_init__(self):
+        _check_count("idle dim", self.dim, 2)
+        object.__setattr__(self, "dim", int(self.dim))
+
+
+_RECORDS = {
+    "tqd-loop": LoopSegmentParams,
+    "root-loop": LoopSegmentParams,
+    "pi-pulse": PulseParams,
+    "control-flip": FlipParams,
+    "idle": IdleParams,
+    "two-qubit-loop": ConditionalLoopParams,
+    "exp-loop": ExpLoopParams,
+}
+
+
+def _record_class(kind) -> type:
+    if not isinstance(kind, str) or kind not in _RECORDS:
+        raise ValueError(f"unknown segment kind {kind!r}")
+    return _RECORDS[kind]
 
 
 # ---------------------------------------------------------------------------
 # segments
 # ---------------------------------------------------------------------------
-
-def _check_count(name: str, value, least: int) -> None:
-    """Accept a Python or numpy integer >= least; reject bools and floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
 
 _CSV_BREAKING = frozenset(',"\r\n\0')
 
@@ -179,63 +276,34 @@ def _check_csv_text(name: str, value) -> None:
         )
 
 
-def _implied(kind: str, params: dict) -> tuple:
-    """Check a segment's parameter values and return the (dim, duration)
-    they imply, with duration None for an idle, which carries its own.
-    Loop parameters go through LoopParams / TwoQubitParams, so they obey
-    the same ranges as the typed constructors."""
-    for key, value in params.items():
-        if key == "frame_term":
-            if not isinstance(value, bool):
-                raise ValueError(f"frame_term must be a boolean, got {value!r}")
-        elif key == "target":
-            if value not in ("single", "I", "II"):
-                raise ValueError(f'pulse target must be "single", "I" or "II", got {value!r}')
-        elif key == "dim":
-            _check_count("idle dim", value, 2)
-        else:
-            _check_real(key, value, positive=key == "omega_pi")
-    if "theta" in params:
-        return 2, LoopParams(params["theta"], params["omega"], params["omega0"]).period
-    if "omega_i" in params:
-        return 4, TwoQubitParams(params["omega_i"], params["coupling"], params["omega"]).period
-    if kind in _PULSE_KINDS:
-        return (2 if params.get("target") == "single" else 4), np.pi / params["omega_pi"]
-    return params["dim"], None
-
-
 @dataclass(frozen=True)
 class Segment:
-    """One schedule segment: a kind, its parameters, and a duration.
+    """One schedule segment: a kind, its parameter record, and a duration.
 
-    The generator follows from (kind, params) on demand: block_fields
-    for a loop, _pulse_axes for a pulse, zero for an idle. Segments with
-    equal fields produce bit-identical block fields.
-    Construction rejects parameter values of the wrong type, outside the
-    ranges LoopParams / TwoQubitParams accept, or implying a dimension
-    other than the integer `dim` or (to 1e-9 relative) a duration other
-    than `duration`: a loop lasts one period, a pulse one half turn.
-    The label is written into CSV cells as it is, so it may not contain
-    a comma, quote, line break or NUL.
+    The generator follows from the record on demand: block_fields for a
+    loop, the record's `axes` for a pulse, zero for an idle. Segments
+    with equal fields produce bit-identical block fields.
+    Construction rejects a `params` other than the kind's record, or one
+    implying a dimension other than the integer `dim` or (to 1e-9
+    relative) a duration other than `duration`: a loop lasts one
+    period, a pulse one half turn. The label is written into CSV cells
+    as it is, so it may not contain a comma, quote, line break or NUL.
     """
 
     kind: str
     duration: float
     dim: int
     label: str
-    params: dict
+    params: LoopSegmentParams | ConditionalLoopParams | PulseParams | FlipParams | IdleParams
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _PARAM_KEYS:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if not isinstance(self.params, dict):
-            raise ValueError(f"segment params must be a dict, got {self.params!r}")
-        if set(self.params) != _PARAM_KEYS[self.kind]:
+        record = _record_class(self.kind)
+        if type(self.params) is not record:
             raise ValueError(
-                f"segment kind {self.kind!r} expects parameters "
-                f"{sorted(_PARAM_KEYS[self.kind])}, got {sorted(self.params)}"
+                f"segment kind {self.kind!r} takes params of type {record.__name__}, "
+                f"got {self.params!r}"
             )
-        _check_real("duration", self.duration)
+        _real_fields(self)
         if self.duration < 0.0:
             raise ValueError("segment duration must be finite and >= 0")
         _check_count("segment dim", self.dim, 2)
@@ -243,7 +311,7 @@ class Segment:
             raise ValueError("segment dimension must be 2 or 4")
         object.__setattr__(self, "dim", int(self.dim))
         _check_csv_text("segment label", self.label)
-        dim, duration = _implied(self.kind, self.params)
+        dim, duration = self.params.dim, self.params.duration
         if dim != self.dim:
             raise ValueError(
                 f"segment kind {self.kind!r} with these parameters has dimension "
@@ -264,25 +332,28 @@ class Segment:
         (3, blocks, len(ts)): block j of the generator is
         c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
         dim-2 loop is one block; two-qubit loops are block-diagonal in the
-        control basis, sector q on the index pair (q, q + 2).
+        control basis, sector q on the index pair (q, q + 2). v[:, j] is
+        half the field of the record's block j, and c0[j] its `frame`
+        term, -0.0 (the exact additive identity) for none.
         corrected=False drops the transitionless correction.
         """
         if self.kind not in _LOOP_KINDS:
             raise ValueError(f"segment kind {self.kind!r} is not a loop")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        amps = _block_amplitudes(self.kind, self.params, corrected)
-        wt = self.params["omega"] * ts
+        p = self.params
+        # a root-loop is never corrected
+        fields = p.corrected() if corrected and self.kind != "root-loop" else p.root()
+        wt = p.omega * ts
         cos, sin = np.cos(wt), np.sin(wt)
-        c0 = np.empty((len(amps), ts.size))
+        c0 = np.empty((len(fields), ts.size))
         v = np.empty((3,) + c0.shape)
-        for j, (transverse, vz, c) in enumerate(amps):
-            np.multiply(transverse, cos, out=v[0, j])
-            np.multiply(transverse, sin, out=v[1, j])
-            v[2, j] = vz
+        for j, ((transverse, bz), c) in enumerate(zip(fields, p.frame)):
+            np.multiply(0.5 * transverse, cos, out=v[0, j])
+            np.multiply(0.5 * transverse, sin, out=v[1, j])
+            v[2, j] = 0.5 * bz
             c0[j] = c
-        rot = self.params.get("rotation", 0.0)
-        if rot != 0.0:
-            v = (_rotation_y(rot) @ v[:, 0])[:, None]
+        if self.dim == 2 and p.rotation != 0.0:
+            v = (_rotation_y(p.rotation) @ v[:, 0])[:, None]
         return c0, v
 
     def field_batch(self, ts: np.ndarray) -> np.ndarray:
@@ -294,18 +365,12 @@ class Segment:
             return 2.0 * self.block_fields(ts)[1][:, 0].T
         out = np.zeros((ts.size, 3))
         if self.kind in _PULSE_KINDS:
-            (axis,) = _pulse_axes(self.kind, self.params)
-            out[:, axis] = self.params["omega_pi"]
+            (axis,) = self.params.axes
+            out[:, axis] = self.params.omega_pi
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "duration": self.duration,
-            "dim": self.dim,
-            "label": self.label,
-            "params": dict(self.params),
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +387,17 @@ def loop_segment(
     """
     kind = "tqd-loop" if corrected else "root-loop"
     label = "loop-C" if p.omega > 0 else "loop-Cbar"
-    params = {
-        "theta": float(p.theta),
-        "omega": float(p.omega),
-        "omega0": float(p.omega0),
-        "rotation": float(rotation),
-    }
-    return Segment(kind, p.period, 2, label, params)
+    params = LoopSegmentParams(p.theta, p.omega, p.omega0, rotation)
+    return Segment(kind, params.duration, 2, label, params)
 
 
 def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
     """Half-turn pulse about y with generator 0.5*omega_pi*sigma_y and
     duration pi/omega_pi. target selects the qubit: "single" for a lone
     qubit, "I" or "II" for one qubit of a pair."""
-    _check_real("omega_pi", omega_pi, positive=True)
-    return Segment(
-        "pi-pulse",
-        np.pi / omega_pi,
-        2 if target == "single" else 4,
-        "pi" if target == "single" else f"pi-{target}",
-        {"omega_pi": float(omega_pi), "target": target},
-    )
+    params = PulseParams(omega_pi, target)
+    label = "pi" if target == "single" else f"pi-{target}"
+    return Segment("pi-pulse", params.duration, params.dim, label, params)
 
 
 def control_flip_segment(omega_pi: float) -> Segment:
@@ -355,16 +410,16 @@ def control_flip_segment(omega_pi: float) -> Segment:
     dynamical phases. A y half turn on the control alone does not do
     this; it scrambles sectors when the drive and coupling are comparable.
     """
-    _check_real("omega_pi", omega_pi, positive=True)
-    return Segment("control-flip", np.pi / omega_pi, 4, "pi-II", {"omega_pi": float(omega_pi)})
+    params = FlipParams(omega_pi)
+    return Segment("control-flip", params.duration, 4, "pi-II", params)
 
 
 def idle_segment(duration: float, dim: int = 2) -> Segment:
-    return Segment("idle", float(duration), dim, "idle", {"dim": int(dim)})
+    return Segment("idle", duration, dim, "idle", IdleParams(dim))
 
 
 def two_qubit_loop_segment(p: TwoQubitParams, reverse: bool = False) -> Segment:
-    return _conditional_loop("two-qubit-loop", p, reverse, {})
+    return _conditional_loop("two-qubit-loop", p, reverse)
 
 
 def exp_loop_segment(
@@ -376,21 +431,16 @@ def exp_loop_segment(
     its cross coupling and static tilt come from the parameter map
     evaluated at -omega.
     """
-    return _conditional_loop("exp-loop", p, reverse, {"frame_term": bool(frame_term)})
+    return _conditional_loop("exp-loop", p, reverse, frame_term)
 
 
-def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, extra: dict) -> Segment:
+def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, *extra) -> Segment:
     """One period of a two-qubit loop of `kind` on p, or on p reversed,
-    with the parameters in `extra` beside the loop rates."""
+    with the record fields in `extra` after the loop rates."""
     q = p.reversed() if reverse else p
     label = "loop-C" if q.omega > 0 else "loop-Cbar"
-    params = {
-        "omega_i": float(q.omega_i),
-        "coupling": float(q.coupling),
-        "omega": float(q.omega),
-        **extra,
-    }
-    return Segment(kind, q.period, 4, label, params)
+    params = _RECORDS[kind](q.omega_i, q.coupling, q.omega, *extra)
+    return Segment(kind, params.duration, 4, label, params)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +556,14 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
     """
     if s.dim != 2:
         raise ValueError("rotate_schedule is defined for single-qubit schedules")
+    _check_real("angle", angle)
     rotated = []
     for seg in s.segments:
         if seg.kind in _LOOP_KINDS:
-            params = dict(seg.params)
-            params["rotation"] = float(params.get("rotation", 0.0) + angle)
-            rotated.append(Segment(seg.kind, seg.duration, 2, seg.label, params))
-        else:
-            rotated.append(seg)
+            p = seg.params
+            params = LoopSegmentParams(p.theta, p.omega, p.omega0, p.rotation + angle)
+            seg = Segment(seg.kind, seg.duration, 2, seg.label, params)
+        rotated.append(seg)
     return SegmentSchedule(tuple(rotated))
 
 
@@ -532,10 +582,11 @@ _ENTRY_KEYS = {"kind", "duration", "dim", "label", "params"}
 def schedule_from_json(text: str) -> SegmentSchedule:
     """Inverse of schedule_to_json, with strict validation.
 
-    Unknown kinds or parameter keys are rejected, parameter values must
-    have the right type and lie in the ranges the typed constructors
-    accept, and dimensions must be integers that, like the durations,
-    match the ones the parameters imply (the checks every Segment runs).
+    Unknown kinds are rejected, and each `params` object must hold
+    exactly the fields of its kind's record, which checks their types
+    and ranges as the typed constructors do. Dimensions must be integers
+    that, like the durations, match the ones the records imply (the
+    checks every Segment runs).
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or set(doc) != {"dim", "segments"}:
@@ -546,7 +597,16 @@ def schedule_from_json(text: str) -> SegmentSchedule:
     for entry in doc["segments"]:
         if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
             raise ValueError(f"malformed segment entry: {entry!r}")
-        segs.append(Segment(**entry))
+        record, params = _record_class(entry["kind"]), entry["params"]
+        if not isinstance(params, dict):
+            raise ValueError(f"segment params must be a dict, got {params!r}")
+        keys = {f.name for f in dataclasses.fields(record)}
+        if set(params) != keys:
+            raise ValueError(
+                f"segment kind {entry['kind']!r} expects parameters {sorted(keys)}, "
+                f"got {sorted(params)}"
+            )
+        segs.append(Segment(**{**entry, "params": record(**params)}))
     s = SegmentSchedule(tuple(segs))
     _check_count("schedule dim", doc["dim"], 2)
     if s.dim != doc["dim"]:

@@ -62,8 +62,8 @@ def generator_batch(seg, ts, corrected: bool = True) -> np.ndarray:
         return pack_blocks(*seg.block_fields(ts, corrected=corrected))
     h = np.zeros((seg.dim, seg.dim), dtype=complex)
     if seg.kind != "idle":
-        pulse = seg.params.get("target", seg.kind)
-        h = 0.5 * seg.params["omega_pi"] * _PULSE_OPERATORS[pulse]
+        pulse = getattr(seg.params, "target", seg.kind)
+        h = 0.5 * seg.params.omega_pi * _PULSE_OPERATORS[pulse]
     return np.broadcast_to(h, (ts.size, seg.dim, seg.dim)).copy()
 
 

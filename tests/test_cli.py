@@ -336,11 +336,18 @@ def test_verify_all(tmp_path):
 
 def test_verify_all_records_a_raising_criterion_as_failed(tmp_path, monkeypatch, capsys):
     # a 1 % pi-pulse over-rotation makes criterion 4's strict alignment
-    # check raise; every criterion must still run and report
+    # check raise in every phase decomposition, and criterion 5's body
+    # is made to raise; every criterion must still run and report, and
+    # criterion 4 keeps the gate distances that name the fault
+    import tqdecho.acceptance
     import tqdecho.propagate as prop
+
+    def broken(*columns):
+        raise RuntimeError("witness\nbroken")
 
     real = prop._pulse_propagators
     monkeypatch.setattr(prop, "_pulse_propagators", lambda seg, ts: real(seg, ts * 1.01))
+    monkeypatch.setattr(tqdecho.acceptance, "_witness", broken)
     out = tmp_path / "v"
     assert main(["verify-all", "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -348,10 +355,24 @@ def test_verify_all_records_a_raising_criterion_as_failed(tmp_path, monkeypatch,
     assert [entry["index"] for entry in doc] == list(range(1, 9))
     c4 = doc[3]
     assert not c4["passed"]
-    assert [c["name"] for c in c4["checks"]] == ["raised"]
-    assert c4["notes"]["error"].startswith("ValueError: reference lost eigenstate alignment")
-    # the over-rotated pulses spoil the gates of criteria 5 and 6 too
-    assert not doc[4]["passed"] and not doc[5]["passed"]
+    variants = ("base", "triple_omega0", "double_pulse_rate", "generic")
+    assert [c["name"] for c in c4["checks"]] == [
+        name for v in variants
+        for name in (f"echo_gate_distance_{v}", f"echo_decomposition_raised_{v}")
+    ]
+    gates = {c["name"]: c for c in c4["checks"] if "gate_distance" in c["name"]}
+    assert all(gates[f"echo_gate_distance_{v}"]["passed"] for v in variants[:3])
+    generic = gates["echo_gate_distance_generic"]
+    assert not generic["passed"] and generic["value"] > 1e-4
+    for v in variants:
+        assert c4["notes"][f"error_{v}"].startswith(
+            "ValueError: reference lost eigenstate alignment"
+        )
+    c5 = doc[4]
+    assert [c["name"] for c in c5["checks"]] == ["raised"]
+    assert c5["notes"]["error"] == "RuntimeError: witness broken"
+    # the over-rotated pulses spoil the gates of criterion 6 too
+    assert not c5["passed"] and not doc[5]["passed"]
 
 
 # exact default and exit codes ----------------------------------------------

@@ -48,7 +48,7 @@ def _fd_correction(seg, ts, h=1e-3):
         return np.cross(b, (direction(ts + step) - direction(ts - step)) / (2.0 * step), axis=0)
 
     b = direction(ts)
-    tol = 1e-9 * abs(seg.params["omega"])
+    tol = 1e-9 * abs(seg.params.omega)
     prev = estimate(h)
     for _ in range(24):
         h *= 0.5
@@ -349,23 +349,23 @@ def _drawn_drives(draw):
 @given(_drawn_drives())
 def test_corrections_follow_berry_formula(drives):
     loop, cond, exp, ts, k = drives
-    omega = loop.params["omega"]
+    omega = loop.params.omega
 
     # (a) corrected minus root fields are b x db/dt of the root direction
     for seg in (loop, cond):
         assert np.max(np.abs(_correction(seg, ts) - _fd_correction(seg, ts))) <= 1e-8 * abs(omega)
 
     # (b) the hand-coded closed forms of the corrected fields
-    theta, omega0 = loop.params["theta"], loop.params["omega0"]
+    theta, omega0 = loop.params.theta, loop.params.omega0
     s, c, wt = np.sin(theta), np.cos(theta), omega * ts
     transverse = (omega0 - omega * c) * s
     cone = np.column_stack([
         transverse * np.cos(wt), transverse * np.sin(wt), np.full_like(ts, omega0 * c + omega * s * s)
     ])
-    want = _rotated(loop.params["rotation"], cone)
+    want = _rotated(loop.params.rotation, cone)
     assert np.max(np.abs(loop.field_batch(ts) - want)) <= 1e-12 * (omega0 + abs(omega))
 
-    omega_i, coupling = cond.params["omega_i"], cond.params["coupling"]
+    omega_i, coupling = cond.params.omega_i, cond.params.coupling
     rabi = np.hypot(omega_i, coupling)
     s, c = omega_i / rabi, coupling / rabi
     v = cond.block_fields(ts)[1]

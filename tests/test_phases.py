@@ -160,7 +160,7 @@ def test_loop_phases_match_closed_form_across_parameters(case):
     # relative to its closed form
     sched, label = case
     (seg,) = sched.segments
-    theta, omega, omega0 = seg.params["theta"], seg.params["omega"], seg.params["omega0"]
+    theta, omega, omega0 = seg.params.theta, seg.params.omega, seg.params.omega0
     dec = loop_phase_decomposition(evolve_eigenstate(sched, label), label)
     dynamical = -(1 - 2 * label) * np.pi * omega0 / abs(omega)
     geometric = np.sign(omega) * (2 * label - 1) * solid_angle(theta) / 2.0
@@ -292,7 +292,7 @@ def _phase_schedules():
 @pytest.mark.parametrize("root", ["root", "full"])
 @pytest.mark.parametrize(
     "sched", _phase_schedules(),
-    ids=lambda s: "-".join(f"{seg.kind}{seg.params.get('frame_term', '')}" for seg in s.segments[:3]),
+    ids=lambda s: "-".join(f"{seg.kind}{getattr(seg.params, 'frame_term', '')}" for seg in s.segments[:3]),
 )
 def test_block_dynamical_phase_matches_dense_generators(sched, root):
     # a generic state, so every block term contributes

@@ -65,7 +65,7 @@ def _loop_cases():
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
 )
 def test_exact_matches_fine_midpoint(seg):
     exact, n = propagate_segment(seg, None, checkpoints=8)
@@ -110,9 +110,9 @@ def _dense_exact_reference(seg, ts):
     if seg.dim == 4:
         axis = np.kron(SIGMA_Z, ID2)
     else:
-        rot = seg.params["rotation"]
+        rot = seg.params.rotation
         axis = pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
-    frame = 0.5 * seg.params["omega"] * axis
+    frame = 0.5 * seg.params.omega * axis
     return expm_hermitian(frame, ts) @ expm_hermitian(generator(seg, 0.0) - frame, ts)
 
 
@@ -131,8 +131,8 @@ def _kernel_cases():
 
 @pytest.mark.parametrize(
     "seg", _kernel_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-{s.params.get('rotation', s.params.get('target', ''))}"
-    f"-frame{s.params.get('frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-{getattr(s.params, 'rotation', getattr(s.params, 'target', ''))}"
+    f"-frame{getattr(s.params, 'frame_term', '')}",
 )
 def test_exact_kernel_matches_dense_reference(seg):
     partials, _ = propagate_segment(seg, None, checkpoints=512)
@@ -162,8 +162,8 @@ def test_step_policy_validation():
         (lambda: propagate_schedule(LOOP, samples=2.5), "samples must be an integer"),
         (lambda: propagate_segment(LOOP.segments[0], checkpoints=2.5), "checkpoints must be an integer"),
         (lambda: verify_exp_equivalence(P2, field_draws=2.5), "field_draws must be an integer"),
-        (lambda: idle_segment(1.0, 2.0), "segment dim must be an integer"),
-        (lambda: Segment("idle", 1.0, 2, "idle", None), "segment params must be a dict"),
+        (lambda: idle_segment(1.0, 2.0), "idle dim must be an integer"),
+        (lambda: Segment("idle", 1.0, 2, "idle", None), "takes params of type IdleParams"),
         (lambda: field_timeline(LOOP, 2.5), "samples_per_segment must be an integer"),
     ],
     ids=[
@@ -515,7 +515,7 @@ def _dense_magnus_reference(seg, n, checkpoints):
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
 )
 def test_midpoint_kernel_matches_dense_reference(seg):
     # odd chunks, a chunk of one step, and checkpoint counts that are not
@@ -529,7 +529,7 @@ def test_midpoint_kernel_matches_dense_reference(seg):
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{s.params.get('frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
 )
 def test_dense_generators_pack_block_fields(seg):
     # the kernels read block_fields and the dense references above pack

@@ -18,6 +18,7 @@ from tqdecho.schedule import (
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
     control_flip_segment,
+    exp_loop_segment,
     field_timeline,
     idle_segment,
     loop_segment,
@@ -61,7 +62,7 @@ def test_segment_and_json_reject_a_label_that_breaks_the_csv(label):
     # the label is written into CSV cells as it is
     seg = loop_segment(P)
     with pytest.raises(ValueError, match="segment label"):
-        Segment(seg.kind, seg.duration, seg.dim, label, dict(seg.params))
+        Segment(seg.kind, seg.duration, seg.dim, label, seg.params)
     doc = schedule_to_json(SegmentSchedule((seg,))).replace('"loop-C"', json.dumps(label))
     with pytest.raises(ValueError, match="segment label"):
         schedule_from_json(doc)
@@ -69,7 +70,7 @@ def test_segment_and_json_reject_a_label_that_breaks_the_csv(label):
 
 def test_segment_accepts_a_non_ascii_label():
     seg = loop_segment(P)
-    renamed = Segment(seg.kind, seg.duration, seg.dim, "Schleife-Ω", dict(seg.params))
+    renamed = Segment(seg.kind, seg.duration, seg.dim, "Schleife-Ω", seg.params)
     assert schedule_from_json(schedule_to_json(SegmentSchedule((renamed,)))).labels() == [
         "Schleife-Ω"
     ]
@@ -93,8 +94,8 @@ def test_segment_rejects_duration_its_params_do_not_imply(seg):
     d, tol = seg.duration, 1e-9 * seg.duration
     for wrong in (1.5 * d, d + 10.0 * tol, d - 10.0 * tol):
         with pytest.raises(ValueError, match="inconsistent with parameters"):
-            Segment(seg.kind, wrong, seg.dim, seg.label, dict(seg.params))
-    assert Segment(seg.kind, d + 0.1 * tol, seg.dim, seg.label, dict(seg.params)).duration > d
+            Segment(seg.kind, wrong, seg.dim, seg.label, seg.params)
+    assert Segment(seg.kind, d + 0.1 * tol, seg.dim, seg.label, seg.params).duration > d
     assert idle_segment(123.4).duration == 123.4
 
 
@@ -105,7 +106,30 @@ def test_short_pulse_duration_is_checked_relative_to_itself(omega_pi):
     seg = pi_pulse_segment(omega_pi)
     for rel in (1e-8, -1e-8):
         with pytest.raises(ValueError, match="inconsistent with parameters"):
-            Segment(seg.kind, seg.duration * (1.0 + rel), seg.dim, seg.label, dict(seg.params))
+            Segment(seg.kind, seg.duration * (1.0 + rel), seg.dim, seg.label, seg.params)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: loop_segment(P, rotation="1"), "rotation"),
+        (lambda: loop_segment(P, rotation=True), "rotation"),
+        (lambda: loop_segment(P, rotation=10**400), "rotation"),
+        (lambda: rotate_schedule(ECHO, True), "angle"),
+        (lambda: rotate_schedule(ECHO, "1"), "angle"),
+        (lambda: exp_loop_segment(P2, frame_term="no"), "frame_term"),
+        (lambda: idle_segment("2.5"), "duration"),
+    ],
+    ids=["rotation-string", "rotation-bool", "rotation-huge-int", "angle-bool", "angle-string",
+         "frame-term-string", "idle-duration-string"],
+)
+def test_constructors_check_values_before_coercing(build, name):
+    # float() and bool() ran before any check: these built a loop turned
+    # by 1 rad, an exp-loop with its frame term on and an idle 2.5 long,
+    # or raised TypeError; an integer beyond the float range raised
+    # OverflowError
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
 
 
 def test_single_loop_schedule_shape():
@@ -131,7 +155,7 @@ def test_echo_sequence_normalizes_orientation():
     s = build_echo_sequence(P.reversed())
     first = s.segments[0]
     assert first.label == "loop-C"
-    assert first.params["omega"] > 0
+    assert first.params.omega > 0
 
 
 def test_echo_gaps():
@@ -205,7 +229,7 @@ def test_exp_two_qubit_sequence_layout():
     assert "exp-loop" in kinds
     loops = [seg for seg in s.segments if seg.kind == "exp-loop"]
     assert len(loops) == 4
-    assert all(seg.params["frame_term"] for seg in loops)
+    assert all(seg.params.frame_term for seg in loops)
 
 
 def test_schedule_requires_consistent_dims():
@@ -232,7 +256,7 @@ def test_json_round_trip():
     assert np.isclose(back.total_duration, s.total_duration)
     for a, b in zip(back.segments, s.segments):
         assert a.kind == b.kind
-        assert a.params == pytest.approx(b.params)
+        assert a.params == b.params
 
 
 def test_json_rejects_tampered_duration():
@@ -323,6 +347,62 @@ def test_json_round_trip_keeps_text_and_propagators(sched):
     assert schedule_to_json(back) == text
     want = propagate_schedule(sched, samples=4).propagators
     assert propagate_schedule(back, samples=4).propagators.tobytes() == want.tobytes()
+
+
+# values no record accepts for a key: beside these, every key rejects a
+# string, None, nan, +-inf and an integer beyond the float range, and
+# every key but frame_term a bool
+_OUT_OF_RANGE = {
+    "theta": [-0.5, 4.0],
+    "omega": [0.0, 1e200],
+    "omega0": [0.0, -1.0, 1e200],
+    "omega_i": [0.0, -1.0, 1e200],
+    "coupling": [0.0, -1.0, 1e200],
+    "rotation": [],
+    "omega_pi": [0.0, -1.0],
+    "target": ["III", 1],
+    "dim": [1, 3, 2.0],
+    "frame_term": [0, 1, 1.0],
+}
+_UNKNOWN_KEYS = ["bogus", *_OUT_OF_RANGE]
+
+
+@st.composite
+def _bad_params(draw, key):
+    """A value the parameter `key` must reject."""
+    bad = ["1.0", None, float("nan"), float("inf"), -float("inf"), 10**400, *_OUT_OF_RANGE[key]]
+    if key != "frame_term":
+        bad += [True, False]
+    return draw(st.sampled_from(bad))
+
+
+@st.composite
+def _tampered_documents(draw):
+    """The JSON document of a drawn echo with one segment's params
+    changed: a value swapped for a bad one, a key dropped, or an unknown
+    key added."""
+    doc = json.loads(schedule_to_json(draw(_drawn_echoes())))
+    params = draw(st.sampled_from(doc["segments"]))["params"]
+    key = draw(st.sampled_from(sorted(params)))
+    change = draw(st.sampled_from(["swap", "drop", "add"]))
+    if change == "swap":
+        params[key] = draw(_bad_params(key))
+    elif change == "drop":
+        del params[key]
+    else:
+        unknown = draw(st.sampled_from([k for k in _UNKNOWN_KEYS if k not in params]))
+        params[unknown] = params[key]
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_tampered_documents())
+def test_json_rejects_generated_bad_params(text):
+    # a record built as Record(**params) without its key check raises
+    # TypeError, and a key read without it KeyError or AttributeError;
+    # pytest.raises(ValueError) lets those through as failures
+    with pytest.raises(ValueError):
+        schedule_from_json(text)
 
 
 def test_field_timeline_and_csv(tmp_path):
