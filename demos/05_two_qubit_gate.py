@@ -9,6 +9,7 @@ refocuses, transverse components do not.
 import numpy as np
 
 from tqdecho import (
+    SegmentSchedule,
     StepPolicy,
     TwoQubitParams,
     delta_omega,
@@ -16,10 +17,10 @@ from tqdecho import (
     evolve_eigenstate,
     build_two_qubit_sequence,
     gate_distance,
+    propagate_schedule,
     synthesize_two_qubit_gate,
 )
 from tqdecho.phases import eigenbasis_matrix
-from tqdecho.propagate import propagate_segment
 from tqdecho.qcore import SIGMA_Z, pauli_dot
 
 
@@ -56,7 +57,8 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
     form exp(-i*omega*T*P/2) exp(-i*(H(0) + field - omega*P/2)*T). A
     transverse field couples the control sectors, which the package's
     block kernel does not cover, so the loops here are dense
-    exponentials; pulses and idles come from propagate_segment.
+    exponentials; pulses and idles come from propagate_schedule, each as
+    a one-segment schedule.
     """
     sched = build_two_qubit_sequence(p)
     extra = np.kron(np.eye(2), 0.5 * pauli_dot(control_field))
@@ -69,7 +71,7 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
                 k = _start_generator(seg) + static - frame
                 step = _expm_hermitian(frame, seg.duration) @ _expm_hermitian(k, seg.duration)
             else:
-                step = propagate_segment(seg)[0][-1]
+                step = propagate_schedule(SegmentSchedule((seg,)), samples=2).final_propagator
             u = step @ u
         return u
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams
+from .fields import LoopParams, TwoQubitParams, _check_real
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
-from .propagate import StepPolicy, _final_propagator, _final_propagators
+from .propagate import StepPolicy, _final_propagators
 from .qcore import SIGMA_X, SIGMA_Z, gate_distance, wrap_angle
 from .schedule import (
     SegmentSchedule,
@@ -120,7 +120,7 @@ def synthesize_single_gate(
     sched = rotate_schedule(
         build_echo_sequence(loop, omega_pi=omega_pi), spec.axis_angle - theta
     )
-    realized, substeps_used = _final_propagator(sched, policy)
+    realized, substeps_used = _final_propagators([sched], policy)[0]
     target = closed_form_single(spec)
     return SingleGateReport(
         spec=spec,
@@ -183,7 +183,11 @@ def universality_check(
     w = sin(O1) sin(O2) sin(axis1 - axis2); the pair generates all of
     SU(2) iff w != 0, and the commutator's Frobenius norm equals
     2*sqrt(2)*|w| identically, which ties the witness to an observable.
+    threshold is a finite real number >= 0.
     """
+    _check_real("threshold", threshold)
+    if threshold < 0.0:
+        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     w, norm, predicted = map(
         float, _witness(g1.axis_angle, g1.gate_angle, g2.axis_angle, g2.gate_angle)
     )
@@ -227,7 +231,7 @@ def synthesize_two_qubit_gate(
     propagates exactly; StepPolicy(substeps=N) runs the Magnus oracle.
     """
     sched = build_two_qubit_sequence(p)
-    realized, substeps_used = _final_propagator(sched, policy)
+    realized, substeps_used = _final_propagators([sched], policy)[0]
 
     basis = eigenbasis_matrix(p, 0.0)
     in_eig = basis.conj().T @ realized @ basis

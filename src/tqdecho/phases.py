@@ -32,7 +32,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams, theta_tilde
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, loop_segment
+from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _check_count, loop_segment
 
 __all__ = [
     "LABELS4",
@@ -449,7 +449,8 @@ def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
     """Largest |<phi_p|H_correction|phi_p>| over one loop period and both
     labels, with H_correction the corrected minus the root generator. The
     correction never shifts the tracked level's energy, so this should
-    vanish to rounding."""
+    vanish to rounding. n_samples is an integer >= 2."""
+    _check_count("n_samples", n_samples, 2)
     ts = np.linspace(0.0, p.period, n_samples)
     seg = loop_segment(p)
     v = seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1]

@@ -15,18 +15,19 @@ K = H(0) - omega*P/2. Hence the closed form
 
     U(t) = exp(-i*omega*t*P/2) exp(-i*K*t)
 
-(Rabi, Phys. Rev. 51, 652 (1937)). P is n . sigma in the single block of
-a one-qubit loop (n is z tilted about y by the loop's `rotation`) and
-sigma_z in each control sector of a two-qubit loop, so per block both
-factors are rotations, evaluated at every sample time in closed form:
-K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase exp(-i*c0*t)
-times a Rodrigues quaternion, and one Hamilton product per sample joins
-it to the frame rotation. The exp-loop frame term is the scalar c0 of
-each sector. Pulses are constant half-turn generators: a single-qubit
-pulse is one rotation, and a two-qubit pulse is the tensor product of
-one rotation per qubit (the identity on an idle qubit), because terms on
-different qubits commute. Idles are the identity. Pulses and idles take
-this path under either policy. No eigendecomposition runs.
+(Rabi, Phys. Rev. 51, 652 (1937)). n is the precession axis the loop's
+record states (its `axis`), and P is n . sigma in the single block of a
+one-qubit loop and in each control sector of a two-qubit loop, so per
+block both factors are rotations, evaluated at every sample time in
+closed form: K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase
+exp(-i*c0*t) times a Rodrigues quaternion, and one Hamilton product per
+sample joins it to the frame rotation. The exp-loop frame term is the
+scalar c0 of each sector. Pulses are constant half-turn generators: a
+single-qubit pulse is one rotation, and a two-qubit pulse is the tensor
+product of one rotation per qubit (the identity on an idle qubit),
+because terms on different qubits commute. Idles are the identity.
+Pulses and idles take this path under either policy. No
+eigendecomposition runs.
 
 Magnus oracle (StepPolicy(substeps=N)). Within each loop segment the
 generator is sampled at the two Gauss-Legendre points of each substep,
@@ -44,12 +45,13 @@ quaternion; the steps are multiplied as quaternions. The tests pin both
 propagators to dense eigendecomposition references, which they pack
 from the same block fields (tests/dense.py).
 
-Gates and trajectories compose schedules through one walk, which may
-span a batch of schedules and propagates each distinct segment of the
-batch once. It stacks the distinct loops of one dim on one block axis:
-the exact path evaluates all of them in one closed-form kernel call,
-and the oracle multiplies all their Magnus steps in one product tree.
-Each entry is the same whatever is stacked beside it, and the
+Gates and trajectories compose schedules through one walk
+(_segment_propagators), the only path from segments to propagators. It
+may span a batch of schedules and propagates each distinct segment of
+the batch once. It stacks the distinct loops of one dim on one block
+axis: the exact path evaluates all of them in one closed-form kernel
+call, and the oracle multiplies all their Magnus steps in one product
+tree. Each entry is the same whatever is stacked beside it, and the
 association order of every product is fixed, so a schedule's
 propagators have the same bytes in any batch and on every rerun.
 """
@@ -72,8 +74,6 @@ from .schedule import (
 __all__ = [
     "StepPolicy",
     "Trajectory",
-    "rotating_frame_propagators",
-    "propagate_segment",
     "propagate_schedule",
     "trajectory_to_csv",
 ]
@@ -227,33 +227,20 @@ def _oracle_steps(policy: StepPolicy, checkpoints: int) -> int:
 # exact closed-form propagators
 # ---------------------------------------------------------------------------
 
-def rotating_frame_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
-    """Exact propagators of a loop segment from its start to each local
-    time in ts, shape (len(ts), dim, dim): the one-segment case of
-    _loop_propagators.
-
-    Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with
-    K = c0 + w . sigma, w = v(0) - omega*n/2, read from
-    Segment.block_fields at t = 0: the Rodrigues quaternions
-    (cos(omega*t/2), sin(omega*t/2) n) and (cos(|w|t), sin(|w|t) w/|w|)
-    multiplied, times the phase exp(-i*c0*t).
-    """
-    if seg.kind not in _LOOP_KINDS:
-        raise ValueError(f"segment kind {seg.kind!r} is not a loop")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _loop_propagators([seg], ts[None])[0]
-
-
 def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
     """Exact propagators of the loop segments `segs` (all of one dim), each
     from its start to the local times in its own row of ts, shape
-    (len(segs), ts.shape[1], dim, dim); the formula is
-    rotating_frame_propagators'.
+    (len(segs), ts.shape[1], dim, dim).
 
-    The blocks of every segment are stacked on one axis, as arrays of
-    shape (blocks, segments, samples), so one pass of each elementwise
-    operation and one packer call serve them all; each entry is the same
-    whatever is stacked beside it.
+    Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with n
+    the record's precession `axis` and K = c0 + w . sigma,
+    w = v(0) - omega*n/2, read from Segment.block_fields at t = 0: the
+    Rodrigues quaternions (cos(omega*t/2), sin(omega*t/2) n) and
+    (cos(|w|t), sin(|w|t) w/|w|) multiplied, times the phase
+    exp(-i*c0*t). The blocks of every segment are stacked on one axis, as
+    arrays of shape (blocks, segments, samples), so one pass of each
+    elementwise operation and one packer call serve them all; each entry
+    is the same whatever is stacked beside it.
     """
     c0, v, omega, axis, scale = [], [], [], [], []
     for seg in segs:
@@ -261,10 +248,7 @@ def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
         c0.append(c[:, 0])
         v.append(f[:, :, 0])
         omega.append(seg.params.omega)
-        # precession axis on the driven qubit: z tilted about y by the
-        # loop's rotation (two-qubit loops have none: z in each sector)
-        rot = seg.params.rotation if seg.dim == 2 else 0.0
-        axis.append([np.sin(rot), 0.0, np.cos(rot)])
+        axis.append(seg.params.axis)
         scale.append(_period_unit(omega[-1]))
     c0, v = np.stack(c0, axis=1), np.stack(v, axis=2)
     omega, axis, scale = np.array(omega), np.array(axis).T, np.array(scale)
@@ -311,34 +295,6 @@ def _pulse_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
     return np.einsum("nac,nbd->nabcd", driven, control).reshape(ts.size, 4, 4)
 
 
-def propagate_segment(
-    seg: Segment, policy: StepPolicy | None = None, checkpoints: int = 1
-) -> tuple:
-    """Propagate one segment.
-
-    Returns (partials, substeps_used). partials has shape
-    (checkpoints, dim, dim) at equally spaced local times; its last entry
-    is the full segment propagator. Pulses and idles are exact under
-    either policy and report one substep per checkpoint (a zero-duration
-    segment reports 0); loops report 0 on the exact path and the Magnus
-    substep count, N rounded up to a multiple of checkpoints, under
-    StepPolicy(substeps=N).
-    """
-    _check_count("checkpoints", checkpoints, 1)
-    if seg.duration == 0.0 or seg.kind == "idle":
-        eye = np.broadcast_to(np.eye(seg.dim, dtype=complex), (checkpoints, seg.dim, seg.dim))
-        return eye.copy(), (checkpoints if seg.duration else 0)
-
-    ts = seg.duration * np.arange(1, checkpoints + 1) / checkpoints
-    if seg.kind in _PULSE_KINDS:
-        return _pulse_propagators(seg, ts), checkpoints
-    if policy is None:
-        return rotating_frame_propagators(seg, ts), 0
-
-    n = _oracle_steps(policy, checkpoints)
-    return _segment_partials([seg], n, checkpoints)[0], n
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -353,7 +309,7 @@ class Trajectory:
     segment_index: index into schedule.segments for each sample, sorted.
     propagators: cumulative propagators U(0 -> t) at each sample.
     states: propagators applied to initial_state, or None.
-    substeps_used: per segment, the substeps propagate_segment reports
+    substeps_used: per segment, the substeps the schedule walk reports
         (0 for an exact loop and for a zero-duration segment).
 
     Construction tabulates each segment's row slice and the samples'
@@ -412,22 +368,27 @@ def _evolved_states(propagators: np.ndarray, psi: np.ndarray) -> tuple:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"initial state must have dimension {dim}")
-    n = np.linalg.norm(psi)
-    if abs(n - 1.0) > 1e-12:
+    # written so that a NaN norm fails the test too
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:
         raise ValueError("initial state must be normalized")
     return psi, np.einsum("nij,j->ni", propagators, psi)
 
 
 def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) -> list:
-    """propagate_segment's (partials, substeps_used) for each segment of
-    each schedule in `scheds`, one list per schedule, at `checkpoints` per
-    loop and min(16, checkpoints) per pulse or idle; a zero-duration
-    segment gets (None, 0). The one walk behind gates and trajectories:
-    segments equal in kind, duration, dim and params (by repr, so 0.0 and
-    -0.0 differ; labels ignored) are propagated once across the whole
-    batch. The distinct loops of one dim go to one stacked kernel call:
-    _loop_propagators on the exact path, _segment_partials (one Magnus
-    step count for all) under a StepPolicy."""
+    """(partials, substeps_used) for each segment of each schedule in
+    `scheds`, one list per schedule: partials holds the propagators from
+    the segment's start to cps equally spaced local times, shape (cps,
+    dim, dim), the last at its end, with cps = checkpoints per loop and
+    min(16, checkpoints) per pulse or idle; a zero-duration segment gets
+    (None, 0). This walk is the only place segments become propagators,
+    behind gates and trajectories alike. Segments equal in kind,
+    duration, dim and params (by repr, so 0.0 and -0.0 differ; labels
+    ignored) are propagated once across the whole batch. Pulses
+    (_pulse_propagators) and idles (the identity) are exact under either
+    policy and report one substep per checkpoint. The distinct loops of
+    one dim go to one stacked kernel call: _loop_propagators on the exact
+    path, reporting 0 substeps, and _segment_partials under a StepPolicy,
+    reporting its one Magnus step count."""
     distinct = {}
     keys = []
     for s in scheds:
@@ -440,24 +401,27 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
             row.append(key)
         keys.append(row)
     done = {None: (None, 0)}
-    for dim in (2, 4):
-        loops = {
-            key: seg for key, seg in distinct.items() if seg.kind in _LOOP_KINDS and seg.dim == dim
-        }
-        if not loops:
+    loops = {2: [], 4: []}
+    for key, seg in distinct.items():
+        cps = checkpoints if seg.kind in _LOOP_KINDS else min(16, checkpoints)
+        ts = seg.duration * np.arange(1, cps + 1) / cps
+        if seg.kind in _LOOP_KINDS:
+            loops[seg.dim].append((key, seg, ts))
+        elif seg.kind in _PULSE_KINDS:
+            done[key] = _pulse_propagators(seg, ts), cps
+        else:
+            done[key] = np.eye(seg.dim, dtype=complex)[None].repeat(cps, axis=0), cps
+    for stacked in loops.values():
+        if not stacked:
             continue
-        segs = list(loops.values())
+        loop_keys, segs, ts = zip(*stacked)
         if policy is None:
             n = 0
-            ts = [seg.duration * np.arange(1, checkpoints + 1) / checkpoints for seg in segs]
             partials = _loop_propagators(segs, np.array(ts))
         else:
             n = _oracle_steps(policy, checkpoints)
             partials = _segment_partials(segs, n, checkpoints)
-        done.update((key, (u, n)) for key, u in zip(loops, partials))
-    for key, seg in distinct.items():
-        if key not in done:
-            done[key] = propagate_segment(seg, policy, min(16, checkpoints))
+        done.update((key, (u, n)) for key, u in zip(loop_keys, partials))
     return [[done[key] for key in row] for row in keys]
 
 
@@ -475,11 +439,6 @@ def _final_propagators(scheds, policy: StepPolicy | None = None) -> list:
                 u = partials[-1] @ u
         out.append((u, tuple(n for _, n in walked)))
     return out
-
-
-def _final_propagator(s: SegmentSchedule, policy: StepPolicy | None = None) -> tuple:
-    """_final_propagators of the one schedule s."""
-    return _final_propagators([s], policy)[0]
 
 
 def _propagate_schedules(

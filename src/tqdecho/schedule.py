@@ -127,7 +127,8 @@ class _LoopRecord:
     """What the loop records share: float fields checked before the
     loop's own checks, a duration of one period, and per block a root
     field (transverse, bz) at wt = 0 (each record's `root()`), its
-    correction and a scalar term."""
+    correction and a scalar term. Each record states the `axis` its
+    field precesses about, on the driven qubit."""
 
     frame = (-0.0, -0.0)
     duration = property(lambda self: self.period)
@@ -148,6 +149,8 @@ class LoopSegmentParams(_LoopRecord, LoopParams):
 
     rotation: float = 0.0
     dim = 2
+    # z turned by `rotation` about y, as block_fields turns the field
+    axis = property(lambda self: (np.sin(self.rotation), 0.0, np.cos(self.rotation)))
 
     def root(self) -> list:
         return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
@@ -159,6 +162,7 @@ class ConditionalLoopParams(_LoopRecord, _Conditional):
     are the control sectors q = 0, 1, each precessing about z."""
 
     dim = 4
+    axis = (0.0, 0.0, 1.0)
 
     def root(self) -> list:
         return [(self.omega_i, self.coupling), (self.omega_i, -self.coupling)]

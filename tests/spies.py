@@ -6,15 +6,16 @@ import tqdecho.propagate as prop
 def count_handed_segments(monkeypatch) -> tuple:
     """Spy on the walk's kernels: each segment handed to the stacked loop
     kernels (_loop_propagators exact, _segment_partials under a
-    StepPolicy) or to propagate_segment (pulses and idles) is recorded as
-    (kind, checkpoints), and each stacked call as its segment count.
+    StepPolicy) or to _pulse_propagators is recorded as (kind,
+    checkpoints), and each stacked loop call as its segment count.
+    Idles are the walk's own identity partials and are not recorded.
     Returns (segments, stacked calls)."""
     segments, stacked = [], []
-    real = prop.propagate_segment, prop._loop_propagators, prop._segment_partials
+    real = prop._pulse_propagators, prop._loop_propagators, prop._segment_partials
 
-    def one(seg, policy=None, checkpoints=1):
-        segments.append((seg.kind, checkpoints))
-        return real[0](seg, policy, checkpoints)
+    def pulse(seg, ts):
+        segments.append((seg.kind, ts.size))
+        return real[0](seg, ts)
 
     def exact(segs, ts):
         stacked.append(len(segs))
@@ -26,7 +27,7 @@ def count_handed_segments(monkeypatch) -> tuple:
         segments.extend((seg.kind, checkpoints) for seg in segs)
         return real[2](segs, n, checkpoints)
 
-    monkeypatch.setattr(prop, "propagate_segment", one)
+    monkeypatch.setattr(prop, "_pulse_propagators", pulse)
     monkeypatch.setattr(prop, "_loop_propagators", exact)
     monkeypatch.setattr(prop, "_segment_partials", oracle)
     return segments, stacked

@@ -96,6 +96,20 @@ def test_universality_witness_degenerate_pair():
     assert rep.commutator_norm < 1e-12
 
 
+@pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf"), True])
+def test_universality_check_rejects_a_threshold_that_voids_it(threshold):
+    # a negative threshold would read two gates on one axis as
+    # generating, and a NaN one every pair as non-generating
+    g = SingleGateSpec(0.3, 1.0)
+    with pytest.raises(ValueError, match="threshold"):
+        universality_check(g, g, threshold=threshold)
+
+
+def test_universality_check_accepts_a_zero_threshold():
+    g = SingleGateSpec(0.3, 1.0)
+    assert universality_check(g, SingleGateSpec(1.3, 1.0), threshold=0).generates_su2
+
+
 def test_universality_norm_identity_random():
     rng = np.random.default_rng(SEED)
     for _ in range(25):

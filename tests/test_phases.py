@@ -197,6 +197,14 @@ def test_dynamical_phase_root_choices():
 
 def test_correction_energy_is_zero_on_eigenstates():
     assert correction_energy_check(P, n_samples=32) < 1e-12
+    assert correction_energy_check(P, n_samples=2) < 1e-12
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, 2.5, True])
+def test_correction_energy_check_rejects_a_sample_count_that_voids_it(n_samples):
+    # zero samples would pass over nothing, and True is no count
+    with pytest.raises(ValueError, match="n_samples"):
+        correction_energy_check(P, n_samples=n_samples)
 
 
 # echo decomposition ------------------------------------------------------------

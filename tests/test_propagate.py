@@ -14,13 +14,11 @@ from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
-    _final_propagator,
     _final_propagators,
     _propagate_schedules,
     _segment_partials,
+    _segment_propagators,
     propagate_schedule,
-    propagate_segment,
-    rotating_frame_propagators,
     trajectory_to_csv,
 )
 from tqdecho.qcore import ID2, SIGMA_Y, SIGMA_Z, pauli_dot, unitarity_defect
@@ -50,6 +48,12 @@ LOOP = single_loop_schedule(P)
 P2 = TwoQubitParams(omega_i=1.3, coupling=1.0, omega=0.5)
 
 
+def _walked(seg, policy=None, checkpoints=1):
+    """(partials, substeps_used) of one segment as the schedule walk gives
+    them, for the segment alone in a one-segment schedule."""
+    return _segment_propagators([SegmentSchedule((seg,))], policy, checkpoints)[0][0]
+
+
 def _loop_cases():
     cases = []
     for omega in (0.7, -0.7):
@@ -68,9 +72,9 @@ def _loop_cases():
     ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
 )
 def test_exact_matches_fine_midpoint(seg):
-    exact, n = propagate_segment(seg, None, checkpoints=8)
+    exact, n = _walked(seg, None, checkpoints=8)
     assert n == 0
-    oracle, _ = propagate_segment(seg, StepPolicy(substeps=2048), checkpoints=8)
+    oracle, _ = _walked(seg, StepPolicy(substeps=2048), checkpoints=8)
     assert np.max(np.abs(exact - oracle)) <= 1e-9
 
 
@@ -95,11 +99,6 @@ def test_exact_two_qubit_exp_echo_at_defaults():
     dec = echo_phase_decomposition(evolve_eigenstate(sched, (1, 0)), (1, 0))
     assert abs(dec.dynamical) <= 1e-9
     assert dec.geometric_deviation <= 1e-9
-
-
-def test_rotating_frame_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="not a loop"):
-        rotating_frame_propagators(pi_pulse_segment(40.0), [0.01])
 
 
 def _dense_exact_reference(seg, ts):
@@ -135,15 +134,21 @@ def _kernel_cases():
     f"-frame{getattr(s.params, 'frame_term', '')}",
 )
 def test_exact_kernel_matches_dense_reference(seg):
-    partials, _ = propagate_segment(seg, None, checkpoints=512)
-    ts = seg.duration * np.arange(1, 513) / 512
+    # the walk samples a loop at all 512 checkpoints and a pulse or idle
+    # at min(16, 512)
+    partials, substeps = _walked(seg, None, checkpoints=512)
+    cps = 512 if seg.kind.endswith("loop") else 16
+    assert len(partials) == cps
+    ts = seg.duration * np.arange(1, cps + 1) / cps
     assert np.max(np.abs(partials - _dense_exact_reference(seg, ts))) <= 1e-13
     if seg.kind in ("pi-pulse", "control-flip", "idle"):
-        # constant segments are exact under the midpoint policy too
-        mid = propagate_segment(seg, StepPolicy(substeps=8), checkpoints=512)[0]
-        assert mid.tobytes() == partials.tobytes()
+        # constant segments are exact under the midpoint policy too, one
+        # substep per checkpoint
+        assert substeps == cps
+        mid = _walked(seg, StepPolicy(substeps=8), checkpoints=512)
+        assert mid[0].tobytes() == partials.tobytes() and mid[1] == cps
     else:
-        assert rotating_frame_propagators(seg, ts).tobytes() == partials.tobytes()
+        assert substeps == 0
 
 
 def test_step_policy_validation():
@@ -160,7 +165,6 @@ def test_step_policy_validation():
         (lambda: StepPolicy(substeps=True), "substeps must be an integer"),
         (lambda: StepPolicy(substeps="8"), "substeps must be an integer"),
         (lambda: propagate_schedule(LOOP, samples=2.5), "samples must be an integer"),
-        (lambda: propagate_segment(LOOP.segments[0], checkpoints=2.5), "checkpoints must be an integer"),
         (lambda: verify_exp_equivalence(P2, field_draws=2.5), "field_draws must be an integer"),
         (lambda: idle_segment(1.0, 2.0), "idle dim must be an integer"),
         (lambda: Segment("idle", 1.0, 2, "idle", None), "takes params of type IdleParams"),
@@ -168,7 +172,7 @@ def test_step_policy_validation():
     ],
     ids=[
         "substeps-float", "substeps-bool", "substeps-string", "samples-float",
-        "checkpoints-float", "field-draws-float", "segment-dim-float", "segment-params-none",
+        "field-draws-float", "segment-dim-float", "segment-params-none",
         "timeline-samples-float",
     ],
 )
@@ -247,6 +251,16 @@ def test_with_initial_state():
     assert np.allclose(norms, 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         traj.with_initial_state(np.array([1.0, 1.0], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_initial_state_with_a_non_finite_norm_is_rejected(bad):
+    # a NaN norm fails every comparison, so the check must fail on it too
+    psi = np.array([bad, 0.0])
+    with pytest.raises(ValueError, match="normalized"):
+        propagate_schedule(LOOP, initial_state=psi)
+    with pytest.raises(ValueError, match="normalized"):
+        propagate_schedule(LOOP).with_initial_state(psi)
 
 
 def test_evolve_eigenstate_builds_one_trajectory(monkeypatch):
@@ -351,17 +365,44 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     assert traj.propagators.tobytes() == _composed_per_segment(sched, policy, 8).tobytes()
 
 
+@pytest.mark.parametrize("policy", POLICIES, ids=["exact", "oracle"])
+@pytest.mark.parametrize("samples", [2, 8, 40])
+def test_nonzero_idle_in_a_batch_is_identity_partials(policy, samples, monkeypatch):
+    # the gapped echo has idles of 0.3 and 0.2; the two-qubit echo's are
+    # zero-length, walked to (None, 0)
+    gapped = build_echo_sequence(P, gaps=(0.3, 0.0, 0.2))
+    batch = [gapped, build_two_qubit_sequence(P2), gapped]
+    segments, _ = count_handed_segments(monkeypatch)
+    walks = _segment_propagators(batch, policy, samples)
+    assert "idle" not in {kind for kind, _ in segments}
+    cps = min(16, samples)
+    idles = [i for i, seg in enumerate(gapped.segments) if seg.kind == "idle"]
+    assert [gapped.segments[i].duration for i in idles] == [0.3, 0.0, 0.2]
+    for walked in (walks[0], walks[2]):
+        for i, duration in zip(idles, (0.3, 0.0, 0.2)):
+            partials, substeps = walked[i]
+            if duration == 0.0:
+                assert partials is None and substeps == 0
+            else:
+                assert substeps == cps
+                assert partials.shape == (cps, 2, 2)
+                eye = np.broadcast_to(np.eye(2, dtype=complex), partials.shape)
+                assert partials.tobytes() == eye.tobytes()
+    monkeypatch.undo()
+    traj = propagate_schedule(gapped, policy=policy, samples=samples)
+    assert [traj.substeps_used[i] for i in idles] == [cps, 0, cps]
+
+
 def _composed_per_segment(sched, policy, samples):
-    """Cumulative propagators of a schedule with every segment propagated
-    on its own by propagate_segment, composed in order."""
+    """Cumulative propagators of a schedule with every segment walked on
+    its own, as a one-segment schedule, composed in order."""
     cum = np.eye(sched.dim, dtype=complex)
     rows = []
     for seg in sched.segments:
         if seg.duration == 0.0:
             rows.append(cum[None])
             continue
-        cps = samples if seg.kind.endswith("loop") else min(16, samples)
-        partials, _ = propagate_segment(seg, policy, cps)
+        partials, _ = _walked(seg, policy, samples)
         rows += [cum[None], np.matmul(partials, cum)]
         cum = rows[-1][-1]
     return np.concatenate(rows)
@@ -389,7 +430,7 @@ def test_oracle_walk_runs_one_product_tree(sched, monkeypatch):
 
     monkeypatch.setattr(prop, "_segment_partials", counting)
     traj = propagate_schedule(sched, policy=policy, samples=12)
-    u, _ = _final_propagator(sched, policy)
+    ((u, _),) = _final_propagators([sched], policy)
     # each echo's two distinct loops share one tree and scan per walk
     assert batches == [(2, 108, 12), (2, 100, 1)]
     monkeypatch.undo()
@@ -440,7 +481,7 @@ def test_batch_walk_is_byte_identical_to_single_schedule_walks(draw):
         assert alone.propagators.tobytes() == _composed_per_segment(sched, policy, samples).tobytes()
         assert traj.times.tobytes() == alone.times.tobytes()
         assert traj.substeps_used == alone.substeps_used
-        u_alone, substeps_alone = _final_propagator(sched, policy)
+        ((u_alone, substeps_alone),) = _final_propagators([sched], policy)
         assert u.tobytes() == u_alone.tobytes()
         assert substeps == substeps_alone
 
@@ -487,9 +528,10 @@ def test_oracle_converges_to_exact_at_fourth_order(seg):
     # third-order one divide it by 8. Draws whose error at 32 substeps is
     # already at the rounding floor (at most 2e-12 over those 400) show
     # no order.
-    exact = propagate_segment(seg, None)[0][-1]
+    alone = [SegmentSchedule((seg,))]
+    ((exact, _),) = _final_propagators(alone, None)
     err = [
-        np.max(np.abs(exact - propagate_segment(seg, StepPolicy(substeps=n))[0][-1]))
+        np.max(np.abs(exact - _final_propagators(alone, StepPolicy(substeps=n))[0][0]))
         for n in (32, 64)
     ]
     assert err[1] <= 0.08 * err[0] or err[0] <= 1e-11

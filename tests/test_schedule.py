@@ -206,6 +206,35 @@ def test_rotate_schedule_tilts_fields():
     assert np.allclose(pulse.field_batch(np.array([0.0])), [[0.0, 50.0, 0.0]])
 
 
+def test_loop_records_state_the_axis_their_fields_precess_about():
+    # each block's field keeps a constant component along the record's
+    # axis over the period; only the part across it turns
+    lp = LoopParams(1.1, -0.7, 1.0)
+    loops = (
+        loop_segment(lp, corrected=True, rotation=0.6),
+        loop_segment(lp, corrected=False, rotation=-0.9),
+        two_qubit_loop_segment(P2),
+        exp_loop_segment(P2, frame_term=True),
+    )
+    for seg in loops:
+        axis = np.array(seg.params.axis)
+        assert np.isclose(axis @ axis, 1.0, rtol=0, atol=1e-15)
+        _, v = seg.block_fields(np.linspace(0.0, seg.duration, 9))
+        along = np.einsum("k,kbn->bn", axis, v)
+        assert np.max(np.abs(along - along[:, :1])) <= 1e-15
+        assert np.ptp(np.linalg.norm(v, axis=0), axis=-1).max() <= 1e-15
+        with pytest.raises(AttributeError):
+            seg.params.axis = (0.0, 0.0, 1.0)
+    assert loops[0].params.axis == (np.sin(0.6), 0.0, np.cos(0.6))
+    assert loops[3].params.axis == (0.0, 0.0, 1.0)
+
+
+def test_block_fields_rejects_a_segment_that_is_not_a_loop():
+    for seg in (pi_pulse_segment(40.0), idle_segment(1.0)):
+        with pytest.raises(ValueError, match="not a loop"):
+            seg.block_fields([0.01])
+
+
 def test_rotate_schedule_rejects_two_qubit():
     s = build_two_qubit_sequence(P2)
     with pytest.raises(ValueError):
