@@ -394,7 +394,7 @@ def criterion_8():
         coarse = substeps // 4
         order = float(np.log2(_max_deviation(coarse_run, exact) / agreement) / 2.0)
         checks.append(Check(f"convergence_order_offset_{name}", abs(order - 4.0), 0.3))
-        checks.append(Check(f"exact_midpoint_agreement_{name}", agreement, 1e-9))
+        checks.append(Check(f"exact_oracle_agreement_{name}", agreement, 1e-9))
         unitarity = max(unitarity, unitarity_defect(oracle.propagators))
         notes["propagation"][name] = f"exact and Magnus at {coarse} and {substeps} substeps"
         notes["observed_order"][name] = order

@@ -2,11 +2,13 @@
 
 The central objects are comoving reference vectors: the instantaneous
 eigenstates of the uncorrected drive, continued smoothly through a
-schedule. During loop segments the reference follows the analytic
-eigenvector gauge. Through a pulse it is carried by the trajectory's own
-pulse rows, ref(t) = U(t) U(t_start)^dag ref(t_start): that is the exact
-pulse propagator under either policy, and since the state moves by the
-same matrices, the overlap phase between reference and simulated state
+schedule. During a loop the reference follows the analytic eigenvector
+gauge of the loop's record, built on its cones in its local frame and
+turned by its orientation, the one frame its fields are built in.
+Through a pulse it is carried by the trajectory's own pulse rows,
+ref(t) = U(t) U(t_start)^dag ref(t_start): that is the exact pulse
+propagator under either policy, and since the state moves by the same
+matrices, the overlap phase between reference and simulated state
 changes only while a loop is running. Idles leave it unchanged. No
 exponential is computed here.
 
@@ -15,13 +17,15 @@ and shared by every function here: tracking fidelity is its squared
 magnitude, and total phase is its unwrapped argument accumulated over the
 schedule. The dynamical part is minus the time integral of the
 uncorrected-generator expectation; the geometric part is their difference.
-For the drives used here the dynamical integrand is constant on every
-segment (the loop integrand is the tracked eigenenergy, and a constant
-pulse conserves its own expectation), so the trapezoid rule integrates it
-essentially exactly. Loop expectations are read from the real 2x2 block
-fields (Segment.block_fields) and pulse expectations from the axis each
-qubit turns about (the pulse record's `axes`), so no dense generator is
-built.
+The trapezoid rule over the samples integrates it exactly to rounding
+only where the integrand is constant on a segment: on a loop tracking an
+eigenstate (its eigenenergy) and on a pulse (which conserves its own
+expectation). Elsewhere it converges as samples^-2: on an uncorrected
+loop at theta = pi/4, omega = 0.3, omega0 = 1 it is off by 1.5e-5 at 256
+samples and 9.4e-7 at 1024 (ROADMAP item 12 states a closed form). Loop
+expectations are read from the real 2x2 block fields
+(Segment.block_fields) and pulse expectations from the axis each qubit
+turns about (the pulse record's `axes`), so no dense generator is built.
 """
 from __future__ import annotations
 
@@ -29,10 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, theta_tilde
+from .fields import LoopParams, TwoQubitParams, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _check_count, loop_segment
+from .schedule import (
+    _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _check_count, loop_segment, two_qubit_loop_segment
+)
 
 __all__ = [
     "LABELS4",
@@ -59,75 +65,58 @@ LABELS4 = ((0, 0), (1, 0), (0, 1), (1, 1))
 # eigenvectors
 # ---------------------------------------------------------------------------
 
-def _spin_rotation_y(angle: float) -> np.ndarray:
-    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _loop_eigvecs(
-    theta: float, omega: float, labels: tuple, ts: np.ndarray, rotation: float = 0.0
-) -> np.ndarray:
-    """Smooth-gauge eigenvectors of the cone drive, shape
-    (len(labels), len(ts), 2).
-
-    label 0 follows the field direction (energy +omega0/2), label 1 is
-    antiparallel. The gauge puts the winding phase exp(i*omega*t) on the
-    second component, which is periodic over a full loop.
-    """
-    half = 0.5 * theta
-    phase = np.exp(1j * omega * ts)
-    out = np.empty((len(labels), ts.size, 2), dtype=complex)
+def _eigvecs(p, labels: tuple, ts: np.ndarray) -> np.ndarray:
+    """Smooth-gauge eigenvectors of loop record p's root field at local
+    times ts, shape (len(labels), len(ts), dim). A label is an energy
+    label, or for two blocks the pair (energy label, block q). In the
+    local frame label 0 follows block q's root field on its cone
+    p.cones()[q] (energy + above the block's frame term), label 1 is
+    antiparallel, and the gauge puts the winding phase exp(i*omega*t),
+    periodic over a loop, on the second component. The record's
+    orientation then turns each vector on the driven qubit."""
+    cones = p.cones()
+    blocks = len(cones)
+    phase = np.exp(1j * p.omega * ts)
+    out = np.zeros((len(labels), ts.size, 2 * blocks), dtype=complex)
     for k, label in enumerate(labels):
-        if label == 0:
-            out[k, :, 0] = np.cos(half)
-            out[k, :, 1] = phase * np.sin(half)
-        else:
-            out[k, :, 0] = -np.sin(half)
-            out[k, :, 1] = phase * np.cos(half)
-    if rotation != 0.0:
-        out = out @ _spin_rotation_y(rotation).T
+        energy, q = (label, 0) if blocks == 1 else label
+        c, s = np.cos(0.5 * cones[q]), np.sin(0.5 * cones[q])
+        a, b = (c, s) if energy == 0 else (-s, c)
+        vec = np.empty((ts.size, 2), dtype=complex)
+        vec[:, 0], vec[:, 1] = a, phase * b
+        if p.orientation is not None:
+            vec = vec @ p.orientation.spin.T
+        out[k, :, q::blocks] = vec
     return out
 
 
-def loop_eigenvector(
-    p: LoopParams, label: int, t: float, rotation: float = 0.0
-) -> np.ndarray:
+def _eigvecs_at(p, labels: tuple, t) -> np.ndarray:
+    """_eigvecs at the one local time t, shape (len(labels), dim)."""
+    _check_real("t", t)
+    return _eigvecs(p, labels, np.array([float(t)]))[:, 0]
+
+
+def loop_eigenvector(p: LoopParams, label: int, t: float, rotation: float = 0.0) -> np.ndarray:
+    """phi_label(t) of loop p turned by `rotation` rad about y."""
     label = _label_key(2, label)
-    return _loop_eigvecs(p.theta, p.omega, (label,), np.array([float(t)]), rotation)[0, 0]
-
-
-def _cond_eigvecs(p: TwoQubitParams, labels: tuple, ts: np.ndarray) -> np.ndarray:
-    """Conditional eigenvectors, shape (len(labels), len(ts), 4)."""
-    tt = theta_tilde(p)
-    out = np.zeros((len(labels), ts.size, 4), dtype=complex)
-    for k, (pp, q) in enumerate(labels):
-        single = _loop_eigvecs(tt if q == 0 else np.pi - tt, p.omega, (pp,), ts)[0]
-        out[k, :, 0 + q] = single[:, 0]
-        out[k, :, 2 + q] = single[:, 1]
-    return out
+    return _eigvecs_at(loop_segment(p, rotation=rotation).params, (label,), t)[0]
 
 
 def two_qubit_eigenvector(p: TwoQubitParams, label: tuple, t: float) -> np.ndarray:
     """phi_{p,q}(t): the driven qubit's eigenvector for the cone selected
     by control state q, tensored with |q>."""
-    return _cond_eigvecs(p, (_label_key(4, label),), np.array([float(t)]))[0, 0]
+    label = _label_key(4, label)
+    return _eigvecs_at(two_qubit_loop_segment(p).params, (label,), t)[0]
 
 
 def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
     """Columns are the conditional eigenvectors in LABELS4 order."""
-    return _cond_eigvecs(p, LABELS4, np.array([float(t)]))[:, 0].T.copy()
+    return _eigvecs_at(two_qubit_loop_segment(p).params, LABELS4, t).T.copy()
 
 
 # ---------------------------------------------------------------------------
 # comoving reference series
 # ---------------------------------------------------------------------------
-
-def _segment_eigvecs(seg, labels: tuple, ts: np.ndarray) -> np.ndarray:
-    p = seg.params
-    if seg.dim == 2:
-        return _loop_eigvecs(p.theta, p.omega, labels, ts, p.rotation)
-    return _cond_eigvecs(p, labels, ts)
-
 
 def _is_bit(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x in (0, 1)
@@ -180,7 +169,7 @@ def _reference_series(traj: Trajectory, label) -> tuple:
                 detected = label
                 eta = 0.0
             else:
-                entry = _segment_eigvecs(seg, candidates, ts[:1])[:, 0]
+                entry = _eigvecs(seg.params, candidates, ts[:1])[:, 0]
                 overlaps = [np.vdot(v, ref_in) for v in entry]
                 best = int(np.argmax(np.abs(overlaps)))
                 detected = candidates[best]
@@ -188,7 +177,7 @@ def _reference_series(traj: Trajectory, label) -> tuple:
                 if misaligned is None and mag < _ALIGNMENT_FLOOR:
                     misaligned = (i, seg.label, mag)
                 eta = float(np.angle(overlaps[best]))
-            refs[rows] = _segment_eigvecs(seg, (detected,), ts)[0] * np.exp(1j * eta)
+            refs[rows] = _eigvecs(seg.params, (detected,), ts)[0] * np.exp(1j * eta)
         elif seg.kind in _PULSE_KINDS:
             u = traj.propagators[rows]
             refs[rows] = u @ (u[0].conj().T @ ref_in)
@@ -245,7 +234,7 @@ def _evolve_eigenstates(
     states = []
     for s in scheds:
         key = _checked_label(s, label)
-        states.append(_segment_eigvecs(s.segments[0], (key,), np.array([0.0]))[0, 0])
+        states.append(_eigvecs(s.segments[0].params, (key,), np.array([0.0]))[0, 0])
     return _propagate_schedules(scheds, states, policy, samples)
 
 
@@ -295,7 +284,8 @@ def _pulse_expectation(seg, psi: np.ndarray) -> np.ndarray:
 
 
 def dynamical_phase(traj: Trajectory, root="root") -> float:
-    """Minus the integrated expectation of the reference generator.
+    """Minus the integrated expectation of the reference generator, by the
+    trapezoid rule: exact on tracking loops and pulses only (module docstring).
 
     root selects what is integrated: "root" (default) uses each segment's
     uncorrected generator, "full" the complete generator including
@@ -455,6 +445,6 @@ def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
     seg = loop_segment(p)
     v = seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1]
     hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)
-    vecs = _loop_eigvecs(p.theta, p.omega, (0, 1), ts)
+    vecs = _eigvecs(seg.params, (0, 1), ts)
     energies = np.einsum("lni,nij,lnj->ln", vecs.conj(), hc, vecs).real
     return float(np.max(np.abs(energies), initial=0.0))

@@ -15,8 +15,9 @@ K = H(0) - omega*P/2. Hence the closed form
 
     U(t) = exp(-i*omega*t*P/2) exp(-i*K*t)
 
-(Rabi, Phys. Rev. 51, 652 (1937)). n is the precession axis the loop's
-record states (its `axis`), and P is n . sigma in the single block of a
+(Rabi, Phys. Rev. 51, 652 (1937)). n is the loop record's `axis`: z
+turned by the orientation that takes its one local frame to the lab
+frame, as its block fields are. P is n . sigma in the single block of a
 one-qubit loop and in each control sector of a two-qubit loop, so per
 block both factors are rotations, evaluated at every sample time in
 closed form: K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase

@@ -6,16 +6,18 @@ JSON `params` keys and from which its generator (the Hamiltonian, in
 angular-frequency units) follows deterministically; no generator is ever
 built as a dense matrix. Every loop generator is defined once, in its
 real 2x2 block form (Segment.block_fields, from its record's root
-fields), which both propagators and the phase layer read. Every
+fields), which both propagators and the phase layer read. Each loop
+record states one frame: its fields precess about z on its `cones()`
+in a local frame, which its `orientation` turns into the lab frame,
+and its block fields, `axis` and eigenvectors all read that turn. Every
 pulse is defined once too, by the axis it turns each qubit about (its
 record's `axes`), which the exact propagator and the dynamical phase
 both read. A corrected loop is its root drive plus the transitionless
-correction b x db/dt, derived with Berry's formula for a field precessing
-about z (_berry_corrected); the exp-loop takes its field from the
+correction b x db/dt, derived in the local frame with Berry's formula
+(_berry_corrected); the exp-loop takes its field from the
 static-coupling map instead. Keeping segments parametric rather than
 storing bare callables makes schedules serializable and makes geometric
-operations (axis rotation, orientation reversal) exact parameter
-updates.
+operations (axis rotation, traversal reversal) exact parameter updates.
 
 Segment kinds and their records:
 
@@ -45,7 +47,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, _check_real, _Conditional, experimental_params
+from .fields import (
+    LoopParams, TwoQubitParams, _check_real, _Conditional, experimental_params, theta_tilde
+)
 
 __all__ = [
     "Segment",
@@ -85,11 +89,6 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _rotation_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
     """Root field (transverse, 0, bz) plus its transitionless correction
     b x db/dt (Berry, J. Phys. A 42, 365303 (2009)), as (transverse, bz).
@@ -123,15 +122,26 @@ def _real_fields(record, positive: bool = False) -> None:
             object.__setattr__(record, name, float(value))
 
 
+class _Orientation(NamedTuple):
+    """A turn of a loop's local frame into the lab frame."""
+    matrix: np.ndarray  # 3x3, on fields
+    spin: np.ndarray  # SU(2), on the driven qubit's states
+
+
 class _LoopRecord:
     """What the loop records share: float fields checked before the
-    loop's own checks, a duration of one period, and per block a root
-    field (transverse, bz) at wt = 0 (each record's `root()`), its
-    correction and a scalar term. Each record states the `axis` its
-    field precesses about, on the driven qubit."""
+    loop's own checks, a duration of one period, and per block, in the
+    loop's local frame, a root field (transverse, bz) at wt = 0 (each
+    record's `root()`) on the cone of `cones()`, its correction and a
+    scalar term. The record's `orientation` turns the local frame into
+    the lab frame (None for none); `axis`, the direction its field
+    precesses about on the driven qubit, is the orientation's image of z."""
 
     frame = (-0.0, -0.0)
+    orientation = None
     duration = property(lambda self: self.period)
+    axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
+                    else tuple(self.orientation.matrix[:, 2]))
 
     def __post_init__(self):
         _real_fields(self)
@@ -144,13 +154,26 @@ class _LoopRecord:
 
 @dataclass(frozen=True)
 class LoopSegmentParams(_LoopRecord, LoopParams):
-    """tqd-loop and root-loop: the loop of LoopParams, its field turned
-    by `rotation` rad about y once corrected."""
+    """tqd-loop and root-loop: the loop of LoopParams, turned by
+    `rotation` rad about y."""
 
     rotation: float = 0.0
     dim = 2
-    # z turned by `rotation` about y, as block_fields turns the field
-    axis = property(lambda self: (np.sin(self.rotation), 0.0, np.cos(self.rotation)))
+
+    @functools.cached_property
+    def orientation(self) -> _Orientation | None:
+        if self.rotation == 0.0:  # no product with the identity, which turns -0.0 into 0.0
+            return None
+        c, s = np.cos(self.rotation), np.sin(self.rotation)
+        hc, hs = np.cos(0.5 * self.rotation), np.sin(0.5 * self.rotation)
+        turn = _Orientation(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
+                            np.array([[hc, -hs], [hs, hc]], dtype=complex))
+        for m in turn:
+            m.flags.writeable = False  # cached: every reader of the record shares it
+        return turn
+
+    def cones(self) -> tuple:
+        return (self.theta,)
 
     def root(self) -> list:
         return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
@@ -159,10 +182,13 @@ class LoopSegmentParams(_LoopRecord, LoopParams):
 @dataclass(frozen=True)
 class ConditionalLoopParams(_LoopRecord, _Conditional):
     """two-qubit-loop: TwoQubitParams without its pulse rate. The blocks
-    are the control sectors q = 0, 1, each precessing about z."""
+    are the control sectors q = 0, 1, on cones theta_tilde and
+    pi - theta_tilde about z."""
 
     dim = 4
-    axis = (0.0, 0.0, 1.0)
+
+    def cones(self) -> tuple:
+        return (theta_tilde(self), np.pi - theta_tilde(self))
 
     def root(self) -> list:
         return [(self.omega_i, self.coupling), (self.omega_i, -self.coupling)]
@@ -337,9 +363,10 @@ class Segment:
         c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
         dim-2 loop is one block; two-qubit loops are block-diagonal in the
         control basis, sector q on the index pair (q, q + 2). v[:, j] is
-        half the field of the record's block j, and c0[j] its `frame`
-        term, -0.0 (the exact additive identity) for none.
-        corrected=False drops the transitionless correction.
+        half the field of the record's block j, turned from its local
+        frame by its `orientation`, and c0[j] its `frame` term, -0.0
+        (the exact additive identity) for none. corrected=False drops
+        the transitionless correction.
         """
         if self.kind not in _LOOP_KINDS:
             raise ValueError(f"segment kind {self.kind!r} is not a loop")
@@ -356,8 +383,8 @@ class Segment:
             np.multiply(0.5 * transverse, sin, out=v[1, j])
             v[2, j] = 0.5 * bz
             c0[j] = c
-        if self.dim == 2 and p.rotation != 0.0:
-            v = (_rotation_y(p.rotation) @ v[:, 0])[:, None]
+        if p.orientation is not None:
+            v = (p.orientation.matrix @ v.reshape(3, -1)).reshape(v.shape)
         return c0, v
 
     def field_batch(self, ts: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ def test_criterion(index):
     assert result.passed, f"{result.line}\n{detail}"
 
 
-def test_physics_criteria_never_run_the_midpoint_oracle(monkeypatch):
+def test_physics_criteria_never_run_the_magnus_oracle(monkeypatch):
     def oracle(*args):
-        raise AssertionError("midpoint oracle ran")
+        raise AssertionError("Magnus oracle ran")
 
     monkeypatch.setattr(tqdecho.propagate, "_segment_partials", oracle)
     for index in range(1, 8):
@@ -38,7 +38,7 @@ def test_criterion_8_covers_every_schedule_family():
     names = {c.name for c in result.checks}
     for family in ORACLE_FAMILIES:
         assert f"convergence_order_offset_{family}" in names
-        assert f"exact_midpoint_agreement_{family}" in names
+        assert f"exact_oracle_agreement_{family}" in names
     assert set(result.notes["propagation"]) == set(ORACLE_FAMILIES)
     assert set(result.notes["observed_order"]) == set(ORACLE_FAMILIES)
     assert {"unitarity_defect", "rerun_byte_difference", "exact_rerun_byte_difference"} <= names

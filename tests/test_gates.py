@@ -257,7 +257,7 @@ def test_gate_reports_count_one_checkpoint_per_segment():
 @pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "midpoint"])
 def test_gates_match_sampled_trajectory(policy):
     """On the exact path every gate is byte-identical to the sampled
-    trajectory's final propagator; under a midpoint policy (a substep
+    trajectory's final propagator; under an oracle policy (a substep
     count both paths use unrounded) it agrees to rounding."""
     def same(a, b):
         if policy is None:

@@ -95,6 +95,54 @@ def test_eigenbasis_matrix_is_unitary():
     assert unitarity_defect(b) <= 1e-9
 
 
+@st.composite
+def _drawn_loops(draw):
+    """A loop of every record kind: a tqd-loop or root-loop (cone angle,
+    |omega/omega0| log-uniform in [0.1, 10] with either sign, omega0
+    log-uniform in [0.2, 5], rotation in [-pi, pi]), a two-qubit-loop, or
+    an exp-loop with or without its frame term (J log-uniform in
+    [0.2, 5], omega_i / J in [0.01, 100], |omega/J| in [0.1, 10] with
+    either sign); and a fraction of its period."""
+    kind = draw(st.sampled_from(["tqd-loop", "root-loop", "two-qubit-loop", "exp-loop"]))
+    scale = 10.0 ** draw(st.floats(np.log10(0.2), np.log10(5.0)))
+    rate = draw(st.sampled_from([-1.0, 1.0])) * scale * 10.0 ** draw(st.floats(-1.0, 1.0))
+    if kind in ("tqd-loop", "root-loop"):
+        p = LoopParams(draw(st.floats(0.0, np.pi)), rate, scale)
+        seg = loop_segment(p, kind == "tqd-loop", draw(st.floats(-np.pi, np.pi)))
+    else:
+        p = TwoQubitParams(scale * 10.0 ** draw(st.floats(-2.0, 2.0)), scale, rate)
+        if kind == "two-qubit-loop":
+            seg = two_qubit_loop_segment(p)
+        else:
+            seg = exp_loop_segment(p, frame_term=draw(st.booleans()))
+    return seg, draw(st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_drawn_loops())
+def test_eigenvectors_solve_every_loop_record(draw):
+    """The one eigenvector path, read from a loop record alone, solves
+    its root block fields: per block c0 + v . sigma, label p = 0 has
+    energy c0 + |v| and p = 1 energy c0 - |v|, at t = 0, at a drawn time
+    and at the period's end, where the gauge has come back to its start."""
+    seg, fraction = draw
+    ts = np.array([0.0, fraction, 1.0]) * seg.duration
+    c0, v = seg.block_fields(ts, corrected=False)
+    h = generator_batch(seg, ts, corrected=False)
+    labels = (0, 1) if seg.dim == 2 else LABELS4
+    vecs = phases._eigvecs(seg.params, labels, ts)
+    scale = np.max(np.abs(c0) + np.linalg.norm(v, axis=0))
+    for label, vec in zip(labels, vecs):
+        energy, q = (label, 0) if seg.dim == 2 else label
+        e = c0[q] + (1 - 2 * energy) * np.linalg.norm(v[:, q], axis=0)
+        # bounds at rounding: residuals up to 5.4e-16 of the field scale
+        # and a gauge mismatch up to 1.1e-15 were measured
+        residual = np.einsum("nij,nj->ni", h, vec) - e[:, None] * vec
+        assert np.max(np.abs(residual)) <= 1e-14 * scale
+        assert np.allclose(np.linalg.norm(vec, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(vec[-1] - vec[0])) <= 1e-14
+
+
 # closed-form phase quantities ------------------------------------------------
 
 def test_solid_angle_values():
@@ -394,6 +442,29 @@ def test_two_qubit_labels_are_pairs_of_bits(label):
 def test_loop_eigenvector_takes_the_same_label_rule(label):
     with pytest.raises(ValueError, match="single-qubit label must be an int, 0 or 1"):
         loop_eigenvector(P, label, 0.0)
+
+
+_EIGENVECTOR_CALLS = {
+    "loop": lambda t: loop_eigenvector(P, 0, t),
+    "loop-rotated": lambda t: loop_eigenvector(P, 1, t, rotation=0.7),
+    "two-qubit": lambda t: two_qubit_eigenvector(P2, (0, 1), t),
+    "basis": lambda t: eigenbasis_matrix(P2, t),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "1", True], ids=repr)
+@pytest.mark.parametrize("function", sorted(_EIGENVECTOR_CALLS))
+def test_eigenvectors_take_a_finite_real_time(function, t):
+    # nan and inf gave NaN components, and "1" was read as 1.0
+    with pytest.raises(ValueError, match="^t must be a finite real number"):
+        _EIGENVECTOR_CALLS[function](t)
+
+
+@pytest.mark.parametrize("rotation", [True, np.nan, np.inf, "1"], ids=repr)
+def test_loop_eigenvector_checks_its_rotation_as_a_loop_does(rotation):
+    # True turned the vector by 1 rad, nan gave NaNs and "1" a TypeError
+    with pytest.raises(ValueError, match="^rotation must be a finite real number"):
+        loop_eigenvector(P, 0, 0.0, rotation=rotation)
 
 
 # one overlap series per trajectory and label ----------------------------------

@@ -142,7 +142,7 @@ def test_exact_kernel_matches_dense_reference(seg):
     ts = seg.duration * np.arange(1, cps + 1) / cps
     assert np.max(np.abs(partials - _dense_exact_reference(seg, ts))) <= 1e-13
     if seg.kind in ("pi-pulse", "control-flip", "idle"):
-        # constant segments are exact under the midpoint policy too, one
+        # constant segments are exact under the Magnus oracle too, one
         # substep per checkpoint
         assert substeps == cps
         mid = _walked(seg, StepPolicy(substeps=8), checkpoints=512)
