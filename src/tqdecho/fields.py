@@ -1,29 +1,36 @@
-"""Drive parameters and the static-coupling parameter map.
+"""Loop records and the static-coupling parameter map.
 
 Fields are gamma*B in angular-frequency units, real 3-vectors (x, y, z);
-the spin couples through H = field . S with S = sigma/2. The drive fields
-themselves are defined once, as the real 2x2 block form of each loop
-generator (schedule.Segment.block_fields), which derives every
-transitionless correction from its root drive. This module holds what
-those fields are built from:
-
-* the parameter dataclasses of the single-qubit cone loop, the
-  control-conditioned two-qubit loop and its static-coupling realization,
-* the conditional cone angle theta_tilde,
-* the map from loop parameters to the static-coupling realization,
-* the closed-form magnitude of the corrected single-qubit field.
+the spin couples through H = field . S with S = sigma/2. Each loop's
+parameter class is its segment record (LoopParams, ConditionalLoopParams,
+ExpLoopParams): frozen and validated, it states per block a root field
+at wt = 0 on the cone of `cones()` in a local frame where the field
+precesses about z, and the `orientation` that turns that frame into the
+lab frame, so a turned loop is one value. The drive fields are defined
+once, as the real 2x2 block form of each loop generator
+(schedule.Segment.block_fields), which derives every transitionless
+correction from the record's root drive (_berry_corrected). This module
+also holds TwoQubitParams (the conditional loop plus its echo's pulse
+rate), the conditional cone angle theta_tilde, the map to the
+static-coupling realization, and the closed-form magnitude of the
+corrected single-qubit field.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "LoopParams",
+    "ConditionalLoopParams",
     "TwoQubitParams",
+    "ExpLoopParams",
     "ExpParams",
     "tqd_field_magnitude",
     "theta_tilde",
@@ -74,9 +81,59 @@ def _check_rates(**rates) -> None:
         )
 
 
+class _Orientation(NamedTuple):
+    """A turn of a loop's local frame into the lab frame."""
+    matrix: np.ndarray  # 3x3, on fields
+    spin: np.ndarray  # SU(2), on the driven qubit's states
+
+
+@functools.cache
+def _float_fields(record_class: type) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(record_class) if f.type in ("float", float))
+
+
+def _real_fields(record, positive: bool = False) -> None:
+    """Check each float field of a record with _check_real, then store it
+    as a Python float, so numpy and integer inputs give the same JSON."""
+    for name in _float_fields(type(record)):
+        value = getattr(record, name)
+        _check_real(name, value, positive)
+        if type(value) is not float:
+            object.__setattr__(record, name, float(value))
+
+
+def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
+    """Root field (transverse, 0, bz) plus its transitionless correction
+    b x db/dt (Berry, J. Phys. A 42, 365303 (2009)), as (transverse, bz).
+
+    For a root field precessing rigidly about z at rate omega,
+    b x db/dt = omega (z - (z.b) b) with b = root / |root|. The rule
+    commutes with rotations about z, so correcting the field at wt = 0,
+    where it lies in the xz plane, corrects it at every t.
+    """
+    r = math.hypot(transverse, bz)
+    b_x, b_z = transverse / r, bz / r
+    return transverse - omega * (b_z * b_x), bz + omega * (1.0 - b_z * b_z)
+
+
 class _Loop:
-    """Period and reversal of a loop traversed at the signed rate omega,
-    shared by both loop parameter sets."""
+    """What the loop records share: float fields checked (and stored as
+    floats) before the loop's own checks, a period 2*pi/|omega| that is
+    also the duration, reversal, and per block, in the loop's local
+    frame, a root field (transverse, bz) at wt = 0 (each record's
+    `root()`) on the cone of `cones()`, its correction and a scalar
+    term. The record's `orientation` turns the local frame into the lab
+    frame (None for none); `axis`, the direction its field precesses
+    about on the driven qubit, is the orientation's image of z."""
+
+    frame = (-0.0, -0.0)
+    orientation = None
+    duration = property(lambda self: self.period)
+    axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
+                    else tuple(self.orientation.matrix[:, 2]))
+
+    def __post_init__(self):
+        _real_fields(self)
 
     @property
     def period(self) -> float:
@@ -86,33 +143,60 @@ class _Loop:
         """Same loop, opposite traversal orientation."""
         return replace(self, omega=-self.omega)
 
+    def corrected(self) -> list:
+        """The root fields plus their Berry correction."""
+        return [_berry_corrected(transverse, bz, self.omega) for transverse, bz in self.root()]
+
 
 @dataclass(frozen=True)
 class LoopParams(_Loop):
-    """One conical precession loop for a single qubit.
+    """One conical precession loop for a single qubit, the record of the
+    tqd-loop (corrected) and root-loop (uncorrected) segments.
 
     theta: cone opening angle in [0, pi].
     omega: signed precession rate; the sign selects the traversal
         orientation and the loop period is 2*pi/|omega|.
     omega0: Larmor rate (field magnitude of the uncorrected drive), > 0.
+    rotation: turn of the whole drive about y, in rad; 0 leaves the
+        cone about z.
     """
 
     theta: float
     omega: float
     omega0: float = 1.0
+    rotation: float = 0.0
+    dim = 2
 
     def __post_init__(self):
-        _check_real("theta", self.theta)
+        super().__post_init__()
         if not (0.0 <= self.theta <= np.pi):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         _check_rates(omega=self.omega, omega0=self.omega0)
 
+    @functools.cached_property
+    def orientation(self) -> _Orientation | None:
+        if self.rotation == 0.0:  # no product with the identity, which turns -0.0 into 0.0
+            return None
+        c, s = np.cos(self.rotation), np.sin(self.rotation)
+        hc, hs = np.cos(0.5 * self.rotation), np.sin(0.5 * self.rotation)
+        turn = _Orientation(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
+                            np.array([[hc, -hs], [hs, hc]], dtype=complex))
+        for m in turn:
+            m.flags.writeable = False  # cached: every reader of the record shares it
+        return turn
+
+    def cones(self) -> tuple:
+        return (self.theta,)
+
+    def root(self) -> list:
+        return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
+
 
 @dataclass(frozen=True)
-class _Conditional(_Loop):
-    """The rates of a control-conditioned loop, which TwoQubitParams and
-    schedule.ConditionalLoopParams share; theta_tilde, experimental_params
-    and the other functions of these rates take either.
+class ConditionalLoopParams(_Loop):
+    """A control-conditioned loop on the driven qubit, the record of the
+    two-qubit-loop segment. The blocks are the control sectors q = 0, 1,
+    on cones theta_tilde and pi - theta_tilde about z.
 
     omega_i: transverse drive amplitude on the target qubit, > 0.
     coupling: Ising zz coupling strength J to the control qubit, > 0.
@@ -122,8 +206,10 @@ class _Conditional(_Loop):
     omega_i: float
     coupling: float
     omega: float
+    dim = 4
 
     def __post_init__(self):
+        super().__post_init__()
         _check_rates(omega_i=self.omega_i, coupling=self.coupling, omega=self.omega)
 
     @property
@@ -131,10 +217,16 @@ class _Conditional(_Loop):
         """Generalized Rabi rate sqrt(omega_i^2 + J^2), the conditional field magnitude."""
         return float(np.hypot(self.omega_i, self.coupling))
 
+    def cones(self) -> tuple:
+        return (theta_tilde(self), np.pi - theta_tilde(self))
+
+    def root(self) -> list:
+        return [(self.omega_i, self.coupling), (self.omega_i, -self.coupling)]
+
 
 @dataclass(frozen=True)
-class TwoQubitParams(_Conditional):
-    """Control-conditioned loop drive on the target qubit.
+class TwoQubitParams(ConditionalLoopParams):
+    """The conditional loop with the pulse rate of its echo.
 
     omega_pi: pulse rate used for the half-turn pulses of the echo
         sequence. Defaults to 50*|omega|, fast enough that pulse
@@ -148,6 +240,34 @@ class TwoQubitParams(_Conditional):
         if self.omega_pi is None:
             object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
         _check_real("omega_pi", self.omega_pi, positive=True)
+
+
+@dataclass(frozen=True)
+class ExpLoopParams(ConditionalLoopParams):
+    """The conditional loop in its static-coupling realization, the
+    record of the exp-loop segment, with the control-frame term
+    omega * (1 x Sz), +-omega/2 on the sectors, if frame_term (a bool)."""
+
+    frame_term: bool
+
+    def __post_init__(self):
+        if not isinstance(self.frame_term, bool):
+            raise ValueError(f"frame_term must be a boolean, got {self.frame_term!r}")
+        super().__post_init__()
+
+    @property
+    def frame(self) -> tuple:
+        return (0.5 * self.omega, -0.5 * self.omega) if self.frame_term else (-0.0, -0.0)
+
+    def corrected(self) -> list:
+        """The field of experimental_params, the realization criterion 7
+        checks against the corrected two-qubit loop."""
+        e = experimental_params(self)
+        return [
+            (e.omega_i_prime * np.sin(e.theta_prime) + g * e.j_xz,
+             e.omega_i_prime * np.cos(e.theta_prime) + self.omega + g * e.j_zz)
+            for g in (1, -1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -187,7 +307,7 @@ def tqd_field_magnitude(p: LoopParams) -> float:
 # Conditional two-qubit drive
 # ---------------------------------------------------------------------------
 
-def theta_tilde(p: TwoQubitParams) -> float:
+def theta_tilde(p: ConditionalLoopParams) -> float:
     """Cone angle of the conditional field: cos = J / sqrt(omega_i^2 + J^2).
 
     The control state q selects the cone angle theta_tilde (q=0) or
@@ -196,7 +316,7 @@ def theta_tilde(p: TwoQubitParams) -> float:
     return float(np.arccos(p.coupling / p.rabi))
 
 
-def experimental_params(p: TwoQubitParams) -> ExpParams:
+def experimental_params(p: ConditionalLoopParams) -> ExpParams:
     """Map loop parameters to the static-coupling realization.
 
     The rotating transverse drive keeps amplitude omega_i; the correction

@@ -28,7 +28,6 @@ from .schedule import (
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
     exp_loop_segment,
-    rotate_schedule,
     two_qubit_loop_segment,
 )
 
@@ -50,10 +49,15 @@ __all__ = [
 @dataclass(frozen=True)
 class SingleGateSpec:
     """Target rotation exp(-i * gate_angle * (n . sigma)) with axis
-    n = (sin(axis_angle), 0, cos(axis_angle)) in the xz plane."""
+    n = (sin(axis_angle), 0, cos(axis_angle)) in the xz plane. Both
+    angles must be finite real numbers."""
 
     axis_angle: float
     gate_angle: float
+
+    def __post_init__(self):
+        _check_real("axis_angle", self.axis_angle)
+        _check_real("gate_angle", self.gate_angle)
 
 
 def _rotations(axis_angle, gate_angle) -> np.ndarray:
@@ -74,8 +78,12 @@ def closed_form_single(spec: SingleGateSpec) -> np.ndarray:
 def closed_form_echo_gate(p: LoopParams) -> np.ndarray:
     """Gate produced by one full echo on these loop parameters, up to
     global phase: a rotation by the cone's solid angle about the axis
-    tilted by theta in the xz plane."""
-    return closed_form_single(SingleGateSpec(p.theta, solid_angle(p.theta)))
+    tilted by theta in the xz plane, turned by the loop's orientation."""
+    gate = closed_form_single(SingleGateSpec(p.theta, solid_angle(p.theta)))
+    if p.orientation is None:
+        return gate
+    spin = p.orientation.spin
+    return spin @ gate @ spin.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +124,14 @@ def synthesize_single_gate(
     if not (0.0 < omega_total < 4.0 * np.pi):
         raise ValueError("gate_angle must lie in the open interval (0, 4*pi)")
     theta = float(np.arccos(1.0 - omega_total / (2.0 * np.pi)))
-    loop = LoopParams(theta=theta, omega=abs(omega), omega0=omega0)
-    sched = rotate_schedule(
-        build_echo_sequence(loop, omega_pi=omega_pi), spec.axis_angle - theta
-    )
+    turn = spec.axis_angle - theta
+    sched = build_echo_sequence(LoopParams(theta, abs(omega), omega0, turn), omega_pi=omega_pi)
     realized, substeps_used = _final_propagators([sched], policy)[0]
     target = closed_form_single(spec)
     return SingleGateReport(
         spec=spec,
         cone_angle=theta,
-        rotation=spec.axis_angle - theta,
+        rotation=turn,
         target=target,
         realized=realized,
         distance=gate_distance(realized, target),

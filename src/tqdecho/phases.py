@@ -36,9 +36,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import (
-    _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _check_count, loop_segment, two_qubit_loop_segment
-)
+from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _check_count, loop_segment
 
 __all__ = [
     "LABELS4",
@@ -90,28 +88,31 @@ def _eigvecs(p, labels: tuple, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigvecs_at(p, labels: tuple, t) -> np.ndarray:
-    """_eigvecs at the one local time t, shape (len(labels), dim)."""
+def _eigvecs_at(p, dim: int, labels: tuple, t) -> np.ndarray:
+    """_eigvecs of loop record p, which must be of dimension dim, for the
+    labels _label_key accepts at that dim, at the one local time t:
+    shape (len(labels), dim)."""
+    labels = tuple(_label_key(dim, label) for label in labels)
     _check_real("t", t)
+    if p.dim != dim:
+        raise ValueError(f"expected a loop record of dimension {dim}, got {p!r}")
     return _eigvecs(p, labels, np.array([float(t)]))[:, 0]
 
 
-def loop_eigenvector(p: LoopParams, label: int, t: float, rotation: float = 0.0) -> np.ndarray:
-    """phi_label(t) of loop p turned by `rotation` rad about y."""
-    label = _label_key(2, label)
-    return _eigvecs_at(loop_segment(p, rotation=rotation).params, (label,), t)[0]
+def loop_eigenvector(p: LoopParams, label: int, t: float) -> np.ndarray:
+    """phi_label(t) of loop p, turned by its orientation."""
+    return _eigvecs_at(p, 2, (label,), t)[0]
 
 
 def two_qubit_eigenvector(p: TwoQubitParams, label: tuple, t: float) -> np.ndarray:
     """phi_{p,q}(t): the driven qubit's eigenvector for the cone selected
     by control state q, tensored with |q>."""
-    label = _label_key(4, label)
-    return _eigvecs_at(two_qubit_loop_segment(p).params, (label,), t)[0]
+    return _eigvecs_at(p, 4, (label,), t)[0]
 
 
 def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:
     """Columns are the conditional eigenvectors in LABELS4 order."""
-    return _eigvecs_at(two_qubit_loop_segment(p).params, LABELS4, t).T.copy()
+    return _eigvecs_at(p, 4, LABELS4, t).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +446,6 @@ def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
     seg = loop_segment(p)
     v = seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1]
     hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)
-    vecs = _eigvecs(seg.params, (0, 1), ts)
+    vecs = _eigvecs(p, (0, 1), ts)
     energies = np.einsum("lni,nij,lnj->ln", vecs.conj(), hc, vecs).real
     return float(np.max(np.abs(energies), initial=0.0))

@@ -4,25 +4,27 @@ A schedule is an ordered list of segments. Each segment is defined by a
 `kind` plus a frozen parameter record of that kind, whose fields are the
 JSON `params` keys and from which its generator (the Hamiltonian, in
 angular-frequency units) follows deterministically; no generator is ever
-built as a dense matrix. Every loop generator is defined once, in its
-real 2x2 block form (Segment.block_fields, from its record's root
-fields), which both propagators and the phase layer read. Each loop
-record states one frame: its fields precess about z on its `cones()`
-in a local frame, which its `orientation` turns into the lab frame,
-and its block fields, `axis` and eigenvectors all read that turn. Every
-pulse is defined once too, by the axis it turns each qubit about (its
-record's `axes`), which the exact propagator and the dynamical phase
-both read. A corrected loop is its root drive plus the transitionless
-correction b x db/dt, derived in the local frame with Berry's formula
-(_berry_corrected); the exp-loop takes its field from the
-static-coupling map instead. Keeping segments parametric rather than
-storing bare callables makes schedules serializable and makes geometric
-operations (axis rotation, traversal reversal) exact parameter updates.
+built as a dense matrix. A loop's record is its parameter class from
+fields (LoopParams, ConditionalLoopParams, ExpLoopParams), which states
+its frame: its root fields precess about z on its `cones()` in a local
+frame, which its `orientation` turns into the lab frame. Every loop
+generator is defined once, in its real 2x2 block form
+(Segment.block_fields, from that record), which both propagators and
+the phase layer read. Every pulse is defined once too, by the axis it
+turns each qubit about (its record's `axes`), which the exact
+propagator and the dynamical phase both read. A corrected loop is its
+root drive plus the transitionless correction b x db/dt, derived in
+the local frame with Berry's formula (fields._berry_corrected); the
+exp-loop takes its field from the static-coupling map instead. Keeping
+segments parametric rather than storing bare callables makes schedules
+serializable and makes geometric operations (axis rotation, traversal
+reversal) exact parameter updates.
 
 Segment kinds and their records:
 
-* ``tqd-loop`` / ``root-loop`` (LoopSegmentParams): one full conical
-  precession period of the corrected / uncorrected single-qubit drive.
+* ``tqd-loop`` / ``root-loop`` (LoopParams): one full conical
+  precession period of the corrected / uncorrected single-qubit drive,
+  turned by the record's `rotation` about y.
 * ``pi-pulse`` (PulseParams): constant half-turn pulse about y, on a
   single qubit or on one qubit of a pair.
 * ``control-flip`` (FlipParams): simultaneous half turn, x on the driven
@@ -41,22 +43,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .fields import (
-    LoopParams, TwoQubitParams, _check_real, _Conditional, experimental_params, theta_tilde
+    ConditionalLoopParams, ExpLoopParams, LoopParams, TwoQubitParams, _check_real, _real_fields
 )
 
 __all__ = [
     "Segment",
     "SegmentSchedule",
-    "LoopSegmentParams",
-    "ConditionalLoopParams",
-    "ExpLoopParams",
     "PulseParams",
     "FlipParams",
     "IdleParams",
@@ -89,138 +87,10 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
-    """Root field (transverse, 0, bz) plus its transitionless correction
-    b x db/dt (Berry, J. Phys. A 42, 365303 (2009)), as (transverse, bz).
-
-    For a root field precessing rigidly about z at rate omega,
-    b x db/dt = omega (z - (z.b) b) with b = root / |root|. The rule
-    commutes with rotations about z, so correcting the field at wt = 0,
-    where it lies in the xz plane, corrects it at every t.
-    """
-    r = math.hypot(transverse, bz)
-    b_x, b_z = transverse / r, bz / r
-    return transverse - omega * (b_z * b_x), bz + omega * (1.0 - b_z * b_z)
-
-
 # ---------------------------------------------------------------------------
-# segment parameter records, one per kind (_RECORDS)
+# segment parameter records, one per kind (_RECORDS); the loop records
+# live in fields
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def _float_fields(record_class: type) -> tuple:
-    return tuple(f.name for f in dataclasses.fields(record_class) if f.type in ("float", float))
-
-
-def _real_fields(record, positive: bool = False) -> None:
-    """Check each float field of a record with _check_real, then store it
-    as a Python float, so numpy and integer inputs give the same JSON."""
-    for name in _float_fields(type(record)):
-        value = getattr(record, name)
-        _check_real(name, value, positive)
-        if type(value) is not float:
-            object.__setattr__(record, name, float(value))
-
-
-class _Orientation(NamedTuple):
-    """A turn of a loop's local frame into the lab frame."""
-    matrix: np.ndarray  # 3x3, on fields
-    spin: np.ndarray  # SU(2), on the driven qubit's states
-
-
-class _LoopRecord:
-    """What the loop records share: float fields checked before the
-    loop's own checks, a duration of one period, and per block, in the
-    loop's local frame, a root field (transverse, bz) at wt = 0 (each
-    record's `root()`) on the cone of `cones()`, its correction and a
-    scalar term. The record's `orientation` turns the local frame into
-    the lab frame (None for none); `axis`, the direction its field
-    precesses about on the driven qubit, is the orientation's image of z."""
-
-    frame = (-0.0, -0.0)
-    orientation = None
-    duration = property(lambda self: self.period)
-    axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
-                    else tuple(self.orientation.matrix[:, 2]))
-
-    def __post_init__(self):
-        _real_fields(self)
-        super().__post_init__()
-
-    def corrected(self) -> list:
-        """The root fields plus their Berry correction."""
-        return [_berry_corrected(transverse, bz, self.omega) for transverse, bz in self.root()]
-
-
-@dataclass(frozen=True)
-class LoopSegmentParams(_LoopRecord, LoopParams):
-    """tqd-loop and root-loop: the loop of LoopParams, turned by
-    `rotation` rad about y."""
-
-    rotation: float = 0.0
-    dim = 2
-
-    @functools.cached_property
-    def orientation(self) -> _Orientation | None:
-        if self.rotation == 0.0:  # no product with the identity, which turns -0.0 into 0.0
-            return None
-        c, s = np.cos(self.rotation), np.sin(self.rotation)
-        hc, hs = np.cos(0.5 * self.rotation), np.sin(0.5 * self.rotation)
-        turn = _Orientation(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
-                            np.array([[hc, -hs], [hs, hc]], dtype=complex))
-        for m in turn:
-            m.flags.writeable = False  # cached: every reader of the record shares it
-        return turn
-
-    def cones(self) -> tuple:
-        return (self.theta,)
-
-    def root(self) -> list:
-        return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
-
-
-@dataclass(frozen=True)
-class ConditionalLoopParams(_LoopRecord, _Conditional):
-    """two-qubit-loop: TwoQubitParams without its pulse rate. The blocks
-    are the control sectors q = 0, 1, on cones theta_tilde and
-    pi - theta_tilde about z."""
-
-    dim = 4
-
-    def cones(self) -> tuple:
-        return (theta_tilde(self), np.pi - theta_tilde(self))
-
-    def root(self) -> list:
-        return [(self.omega_i, self.coupling), (self.omega_i, -self.coupling)]
-
-
-@dataclass(frozen=True)
-class ExpLoopParams(ConditionalLoopParams):
-    """exp-loop: the conditional loop in its static-coupling realization,
-    with the control-frame term omega * (1 x Sz), +-omega/2 on the
-    sectors, if frame_term (a bool)."""
-
-    frame_term: bool
-
-    def __post_init__(self):
-        if not isinstance(self.frame_term, bool):
-            raise ValueError(f"frame_term must be a boolean, got {self.frame_term!r}")
-        super().__post_init__()
-
-    @property
-    def frame(self) -> tuple:
-        return (0.5 * self.omega, -0.5 * self.omega) if self.frame_term else (-0.0, -0.0)
-
-    def corrected(self) -> list:
-        """The field of experimental_params, the realization criterion 7
-        checks against the corrected two-qubit loop."""
-        e = experimental_params(self)
-        return [
-            (e.omega_i_prime * np.sin(e.theta_prime) + g * e.j_xz,
-             e.omega_i_prime * np.cos(e.theta_prime) + self.omega + g * e.j_zz)
-            for g in (1, -1)
-        ]
-
 
 @dataclass(frozen=True)
 class _HalfTurn:
@@ -272,8 +142,8 @@ class IdleParams:
 
 
 _RECORDS = {
-    "tqd-loop": LoopSegmentParams,
-    "root-loop": LoopSegmentParams,
+    "tqd-loop": LoopParams,
+    "root-loop": LoopParams,
     "pi-pulse": PulseParams,
     "control-flip": FlipParams,
     "idle": IdleParams,
@@ -324,7 +194,7 @@ class Segment:
     duration: float
     dim: int
     label: str
-    params: LoopSegmentParams | ConditionalLoopParams | PulseParams | FlipParams | IdleParams
+    params: LoopParams | ConditionalLoopParams | PulseParams | FlipParams | IdleParams
 
     def __post_init__(self):
         record = _record_class(self.kind)
@@ -408,18 +278,16 @@ class Segment:
 # segment constructors
 # ---------------------------------------------------------------------------
 
-def loop_segment(
-    p: LoopParams, corrected: bool = True, rotation: float = 0.0
-) -> Segment:
-    """One full loop period of the (un)corrected single-qubit drive.
+def loop_segment(p: LoopParams, corrected: bool = True) -> Segment:
+    """One full loop period of the (un)corrected single-qubit drive p,
+    turned by its `rotation`.
 
     The label records the traversal orientation: loop-C for omega > 0,
     loop-Cbar for omega < 0.
     """
     kind = "tqd-loop" if corrected else "root-loop"
     label = "loop-C" if p.omega > 0 else "loop-Cbar"
-    params = LoopSegmentParams(p.theta, p.omega, p.omega0, rotation)
-    return Segment(kind, params.duration, 2, label, params)
+    return Segment(kind, p.duration, 2, label, p)
 
 
 def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
@@ -466,8 +334,8 @@ def exp_loop_segment(
 
 
 def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, *extra) -> Segment:
-    """One period of a two-qubit loop of `kind` on p, or on p reversed,
-    with the record fields in `extra` after the loop rates."""
+    """One period of a two-qubit loop of `kind` on p's loop rates, or on
+    p reversed, with the record fields in `extra` after the rates."""
     q = p.reversed() if reverse else p
     label = "loop-C" if q.omega > 0 else "loop-Cbar"
     params = _RECORDS[kind](q.omega_i, q.coupling, q.omega, *extra)
@@ -579,7 +447,8 @@ def build_exp_two_qubit_sequence(
 
 
 def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
-    """Rotate every dim-2 loop field by `angle` about the y axis.
+    """Turn every loop of a single-qubit schedule by `angle` more about
+    the y axis, by adding it to the loop's `rotation`.
 
     Pulses about y and idles are invariant under this rotation, so the
     whole propagator transforms by exact conjugation with the spin-space
@@ -588,14 +457,12 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
     if s.dim != 2:
         raise ValueError("rotate_schedule is defined for single-qubit schedules")
     _check_real("angle", angle)
-    rotated = []
-    for seg in s.segments:
-        if seg.kind in _LOOP_KINDS:
-            p = seg.params
-            params = LoopSegmentParams(p.theta, p.omega, p.omega0, p.rotation + angle)
-            seg = Segment(seg.kind, seg.duration, 2, seg.label, params)
-        rotated.append(seg)
-    return SegmentSchedule(tuple(rotated))
+    return SegmentSchedule(tuple(
+        dataclasses.replace(seg, params=dataclasses.replace(
+            seg.params, rotation=seg.params.rotation + angle))
+        if seg.kind in _LOOP_KINDS else seg
+        for seg in s.segments
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ two-qubit fields, and the static-coupling parameter map.
 The fields are read from Segment.block_fields / field_batch, the one
 definition the propagator simulates; the closed forms they must match
 live here as references."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,7 +337,7 @@ def _drawn_drives(draw):
     rate = draw(st.sampled_from([-1.0, 1.0])) * omega0 * 10.0 ** draw(st.floats(-1.0, 1.0))
     reverse = draw(st.booleans())
     p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=rate, omega0=omega0)
-    loop = loop_segment(p.reversed() if reverse else p, rotation=draw(st.floats(-np.pi, np.pi)))
+    loop = loop_segment(replace(p.reversed() if reverse else p, rotation=draw(st.floats(-np.pi, np.pi))))
     ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     p2 = TwoQubitParams(
         omega0 * ratio / np.hypot(ratio, 1.0), omega0 / np.hypot(ratio, 1.0), rate

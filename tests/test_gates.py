@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqdecho import gates, propagate
 from tqdecho.fields import LoopParams, TwoQubitParams
@@ -65,6 +67,37 @@ def test_synthesize_single_gate(axis, angle):
     assert rep.distance < 1e-9
     assert 0.0 < rep.cone_angle < np.pi
     assert np.isclose(rep.cone_angle, np.arccos(1.0 - angle / (2.0 * np.pi)))
+
+
+@st.composite
+def _drawn_gate_targets(draw):
+    """A target gate (axis in [-pi, pi], gate angle in
+    [1e-3, 4*pi - 1e-3]) and the loop rates that synthesize it: omega0
+    log-uniform in [0.2, 5] and |omega/omega0| log-uniform in [0.1, 10]
+    with either sign."""
+    spec = SingleGateSpec(draw(st.floats(-np.pi, np.pi)), draw(st.floats(1e-3, 4 * np.pi - 1e-3)))
+    omega0 = 10.0 ** draw(st.floats(np.log10(0.2), np.log10(5.0)))
+    ratio = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-1.0, 1.0))
+    return spec, ratio * omega0, omega0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_drawn_gate_targets())
+def test_synthesize_single_gate_reaches_every_target(draw):
+    # worst over 2000 random draws: 4.4e-16
+    spec, omega, omega0 = draw
+    rep = synthesize_single_gate(spec, omega=omega, omega0=omega0)
+    assert rep.distance <= 1e-12
+
+
+@pytest.mark.parametrize("value", [True, "1", np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("name", ["axis_angle", "gate_angle"])
+def test_single_gate_spec_takes_finite_real_angles(name, value):
+    # "1" built and made synthesis raise TypeError, True read as 1 rad,
+    # and an infinite angle gave a NaN matrix
+    angles = {"axis_angle": 0.3, "gate_angle": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+        SingleGateSpec(**angles)
 
 
 def test_synthesize_single_gate_angle_domain():
@@ -221,7 +254,7 @@ def test_gate_entry_points_build_no_trajectory(monkeypatch):
     assert verify_exp_equivalence(P2).gate_deviation <= 1e-12
 
 
-@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=64)], ids=["exact", "midpoint"])
+@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=64)], ids=["exact", "oracle"])
 def test_gate_entry_points_propagate_each_distinct_segment_once(policy, monkeypatch):
     segments, stacked = count_handed_segments(monkeypatch)
     synthesize_single_gate(SingleGateSpec(0.3, 1.2), policy=policy)
@@ -254,7 +287,7 @@ def test_gate_reports_count_one_checkpoint_per_segment():
     assert rep.substeps_used == ((100, 0, 1, 0, 100, 0, 1, 0) * 2)[:15]
 
 
-@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "midpoint"])
+@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "oracle"])
 def test_gates_match_sampled_trajectory(policy):
     """On the exact path every gate is byte-identical to the sampled
     trajectory's final propagator; under an oracle policy (a substep

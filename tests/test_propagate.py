@@ -3,6 +3,7 @@ eigendecomposition references and the Magnus oracle, step policies,
 exactness on constant segments, convergence order, unitarity,
 determinism, and no eigendecomposition on the production path."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +59,8 @@ def _loop_cases():
     cases = []
     for omega in (0.7, -0.7):
         lp = LoopParams(theta=1.1, omega=omega, omega0=1.0)
-        cases.append(loop_segment(lp, corrected=True, rotation=0.6))
-        cases.append(loop_segment(lp, corrected=False, rotation=-0.9))
+        cases.append(loop_segment(replace(lp, rotation=0.6), corrected=True))
+        cases.append(loop_segment(replace(lp, rotation=-0.9), corrected=False))
     for reverse in (False, True):
         cases.append(two_qubit_loop_segment(P2, reverse=reverse))
         for frame_term in (True, False):
@@ -71,7 +72,7 @@ def _loop_cases():
     "seg", _loop_cases(),
     ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
 )
-def test_exact_matches_fine_midpoint(seg):
+def test_exact_matches_fine_oracle(seg):
     exact, n = _walked(seg, None, checkpoints=8)
     assert n == 0
     oracle, _ = _walked(seg, StepPolicy(substeps=2048), checkpoints=8)
@@ -118,8 +119,8 @@ def _dense_exact_reference(seg, ts):
 def _kernel_cases():
     flat = LoopParams(theta=0.8, omega=2.3, omega0=1.0)
     return _loop_cases() + [
-        loop_segment(flat, corrected=True, rotation=0.0),
-        loop_segment(flat.reversed(), corrected=False, rotation=0.0),
+        loop_segment(flat, corrected=True),
+        loop_segment(flat.reversed(), corrected=False),
         pi_pulse_segment(40.0, target="single"),
         pi_pulse_segment(3.3, target="I"),
         pi_pulse_segment(3.3, target="II"),
@@ -347,7 +348,7 @@ def test_coarse_oracle_steps_at_the_turn_bound_stay_finite_and_unitary(omega):
         assert unitarity_defect(traj.propagators) <= 1e-13
 
 
-@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "midpoint"])
+@pytest.mark.parametrize("policy", [None, StepPolicy(substeps=256)], ids=["exact", "oracle"])
 def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     sched = build_two_qubit_sequence(P2)
     segments, stacked = count_handed_segments(monkeypatch)
@@ -511,7 +512,7 @@ def _drawn_loops(draw):
     rate = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 10.0))
     if kind in ("tqd-loop", "root-loop"):
         p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=rate, omega0=1.0)
-        return loop_segment(p, kind == "tqd-loop", draw(st.floats(-np.pi, np.pi)))
+        return loop_segment(replace(p, rotation=draw(st.floats(-np.pi, np.pi))), kind == "tqd-loop")
     ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     p = TwoQubitParams(ratio / np.hypot(ratio, 1.0), 1.0 / np.hypot(ratio, 1.0), rate)
     if kind == "two-qubit-loop":
@@ -559,7 +560,7 @@ def _dense_magnus_reference(seg, n, checkpoints):
     "seg", _loop_cases(),
     ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
 )
-def test_midpoint_kernel_matches_dense_reference(seg):
+def test_oracle_kernel_matches_dense_reference(seg):
     # odd chunks, a chunk of one step, and checkpoint counts that are not
     # powers of two exercise both the pairwise tree and the prefix scan
     for n, checkpoints in ((1, 1), (7, 7), (60, 12), (96, 3), (4096, 256)):

@@ -2,6 +2,7 @@
 import functools
 import json
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_segment_accepts_a_non_ascii_label():
 @pytest.mark.parametrize(
     "seg",
     [
-        loop_segment(P, rotation=0.3),
+        loop_segment(replace(P, rotation=0.3)),
         loop_segment(P.reversed(), corrected=False),
         pi_pulse_segment(40.0),
         pi_pulse_segment(3.3, target="II"),
@@ -112,9 +113,9 @@ def test_short_pulse_duration_is_checked_relative_to_itself(omega_pi):
 @pytest.mark.parametrize(
     "build, name",
     [
-        (lambda: loop_segment(P, rotation="1"), "rotation"),
-        (lambda: loop_segment(P, rotation=True), "rotation"),
-        (lambda: loop_segment(P, rotation=10**400), "rotation"),
+        (lambda: replace(P, rotation="1"), "rotation"),
+        (lambda: replace(P, rotation=True), "rotation"),
+        (lambda: replace(P, rotation=10**400), "rotation"),
         (lambda: rotate_schedule(ECHO, True), "angle"),
         (lambda: rotate_schedule(ECHO, "1"), "angle"),
         (lambda: exp_loop_segment(P2, frame_term="no"), "frame_term"),
@@ -211,8 +212,8 @@ def test_loop_records_state_the_axis_their_fields_precess_about():
     # axis over the period; only the part across it turns
     lp = LoopParams(1.1, -0.7, 1.0)
     loops = (
-        loop_segment(lp, corrected=True, rotation=0.6),
-        loop_segment(lp, corrected=False, rotation=-0.9),
+        loop_segment(replace(lp, rotation=0.6), corrected=True),
+        loop_segment(replace(lp, rotation=-0.9), corrected=False),
         two_qubit_loop_segment(P2),
         exp_loop_segment(P2, frame_term=True),
     )
