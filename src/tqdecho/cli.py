@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import Check, run_all
+from .acceptance import Check, _error, run_all
 from .fields import LoopParams, TwoQubitParams, experimental_params, tqd_field_magnitude
 from .gates import (
     SingleGateSpec,
@@ -231,6 +231,18 @@ class Run:
         self.artifacts.append(name)
         return self._path(name)
 
+    def phases(self, decompose, traj, label):
+        """decompose(traj, label), written to phases.json; None, with the failed
+        check phase_decomposition_raised and the error in notes, if it raises."""
+        try:
+            dec = decompose(traj, label)
+        except ValueError as exc:
+            self.check("phase_decomposition_raised", 1.0, 0.5)
+            self.notes["error"] = _error(exc)
+            return None
+        _write_json(self.artifact("phases.json"), dec.to_dict())
+        return dec
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -291,10 +303,10 @@ def _run_evolve(run: Run) -> int:
     trajectory_to_csv(traj, run.artifact("trajectory.csv"), {"fidelity": fid})
     run.notes["min_tracking_fidelity"] = float(fid.min())
     if params["corrected"]:
-        dec = loop_phase_decomposition(traj, label)
-        _write_json(run.artifact("phases.json"), dec.to_dict())
+        dec = run.phases(loop_phase_decomposition, traj, label)
         run.check("tracking_infidelity", 1.0 - float(fid.min()), 1e-7)
-        run.check("geometric_phase_deviation", dec.geometric_deviation, 1e-6)
+        if dec is not None:
+            run.check("geometric_phase_deviation", dec.geometric_deviation, 1e-6)
     return run.finish()
 
 
@@ -308,8 +320,7 @@ def _run_echo(run: Run) -> int:
 
     target = closed_form_echo_gate(p)
     dist = gate_distance(traj.final_propagator, target)
-    dec = echo_phase_decomposition(traj, label)
-    _write_json(run.artifact("phases.json"), dec.to_dict())
+    dec = run.phases(echo_phase_decomposition, traj, label)
     _write_json(
         run.artifact("gate.json"),
         {
@@ -320,7 +331,8 @@ def _run_echo(run: Run) -> int:
         },
     )
     run.check("echo_gate_distance", dist, 1e-6)
-    run.check("residual_dynamical_phase", abs(dec.dynamical), 1e-6)
+    if dec is not None:
+        run.check("residual_dynamical_phase", abs(dec.dynamical), 1e-6)
     return run.finish()
 
 
@@ -352,10 +364,8 @@ def _run_gate(run: Run) -> int:
 
 def _run_twoqubit(run: Run) -> int:
     params = run.params
-    p = TwoQubitParams(
-        params["omega_i"], params["coupling"], params["omega"], params["omega_pi"]
-    )
-    rep = synthesize_two_qubit_gate(p, policy=run.policy)
+    p = TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
+    rep = synthesize_two_qubit_gate(p, omega_pi=params["omega_pi"], policy=run.policy)
     _write_json(
         run.artifact("gate.json"),
         {

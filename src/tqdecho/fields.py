@@ -2,18 +2,18 @@
 
 Fields are gamma*B in angular-frequency units, real 3-vectors (x, y, z);
 the spin couples through H = field . S with S = sigma/2. Each loop's
-parameter class is its segment record (LoopParams, ConditionalLoopParams,
+parameter class is its segment record (LoopParams, TwoQubitParams,
 ExpLoopParams): frozen and validated, it states per block a root field
 at wt = 0 on the cone of `cones()` in a local frame where the field
 precesses about z, and the `orientation` that turns that frame into the
 lab frame, so a turned loop is one value. The drive fields are defined
 once, as the real 2x2 block form of each loop generator
 (schedule.Segment.block_fields), which derives every transitionless
-correction from the record's root drive (_berry_corrected). This module
-also holds TwoQubitParams (the conditional loop plus its echo's pulse
-rate), the conditional cone angle theta_tilde, the map to the
-static-coupling realization, and the closed-form magnitude of the
-corrected single-qubit field.
+correction from the record's root drive (_berry_corrected). A record
+holds its loop only: the echo builders in schedule take the pulse rate.
+This module also holds the conditional cone angle theta_tilde, the map
+to the static-coupling realization, and the closed-form magnitude of
+the corrected single-qubit field.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "LoopParams",
-    "ConditionalLoopParams",
     "TwoQubitParams",
     "ExpLoopParams",
     "ExpParams",
@@ -193,7 +192,7 @@ class LoopParams(_Loop):
 
 
 @dataclass(frozen=True)
-class ConditionalLoopParams(_Loop):
+class TwoQubitParams(_Loop):
     """A control-conditioned loop on the driven qubit, the record of the
     two-qubit-loop segment. The blocks are the control sectors q = 0, 1,
     on cones theta_tilde and pi - theta_tilde about z.
@@ -225,25 +224,7 @@ class ConditionalLoopParams(_Loop):
 
 
 @dataclass(frozen=True)
-class TwoQubitParams(ConditionalLoopParams):
-    """The conditional loop with the pulse rate of its echo.
-
-    omega_pi: pulse rate used for the half-turn pulses of the echo
-        sequence. Defaults to 50*|omega|, fast enough that pulse
-        durations are short against the loop period.
-    """
-
-    omega_pi: float | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.omega_pi is None:
-            object.__setattr__(self, "omega_pi", 50.0 * abs(self.omega))
-        _check_real("omega_pi", self.omega_pi, positive=True)
-
-
-@dataclass(frozen=True)
-class ExpLoopParams(ConditionalLoopParams):
+class ExpLoopParams(TwoQubitParams):
     """The conditional loop in its static-coupling realization, the
     record of the exp-loop segment, with the control-frame term
     omega * (1 x Sz), +-omega/2 on the sectors, if frame_term (a bool)."""
@@ -307,7 +288,7 @@ def tqd_field_magnitude(p: LoopParams) -> float:
 # Conditional two-qubit drive
 # ---------------------------------------------------------------------------
 
-def theta_tilde(p: ConditionalLoopParams) -> float:
+def theta_tilde(p: TwoQubitParams) -> float:
     """Cone angle of the conditional field: cos = J / sqrt(omega_i^2 + J^2).
 
     The control state q selects the cone angle theta_tilde (q=0) or
@@ -316,7 +297,7 @@ def theta_tilde(p: ConditionalLoopParams) -> float:
     return float(np.arccos(p.coupling / p.rabi))
 
 
-def experimental_params(p: ConditionalLoopParams) -> ExpParams:
+def experimental_params(p: TwoQubitParams) -> ExpParams:
     """Map loop parameters to the static-coupling realization.
 
     The rotating transverse drive keeps amplitude omega_i; the correction

@@ -223,9 +223,10 @@ class TwoQubitGateReport:
 
 
 def synthesize_two_qubit_gate(
-    p: TwoQubitParams, policy: StepPolicy | None = None
+    p: TwoQubitParams, omega_pi: float | None = None, policy: StepPolicy | None = None
 ) -> TwoQubitGateReport:
-    """Run the two-qubit echo and compare against its closed form.
+    """Run the two-qubit echo, its pulses at rate omega_pi (50*|omega|
+    by default), and compare against its closed form.
 
     The realized gate is diagonal in the conditional eigenbasis at t=0
     with phases (-1)^(p+q) * 2*delta_omega; leakage is the largest
@@ -236,7 +237,7 @@ def synthesize_two_qubit_gate(
     unless omega_i is negligible against the coupling. policy None
     propagates exactly; StepPolicy(substeps=N) runs the Magnus oracle.
     """
-    sched = build_two_qubit_sequence(p)
+    sched = build_two_qubit_sequence(p, omega_pi)
     realized, substeps_used = _final_propagators([sched], policy)[0]
 
     basis = eigenbasis_matrix(p, 0.0)
@@ -295,8 +296,9 @@ def verify_exp_equivalence(
     while loops run, must match the conditional-model echo. The frame
     term does not commute away pointwise; it cancels over the echo
     because the control flip reverses its sign pairing between the two
-    halves. Both echoes run through one walk: policy None propagates
-    them exactly, StepPolicy(substeps=N) runs the Magnus oracle. Draw
+    halves. Both echoes pulse at the default rate 50*|omega| and run
+    through one walk: policy None propagates them exactly,
+    StepPolicy(substeps=N) runs the Magnus oracle. Draw
     k = 1, 2, ... takes orientation k % 2 and control (k // 2) % 2, so
     any four consecutive draws cover all four sectors, at the time
     period * x_k of the one-dimensional golden-ratio lattice x_k

@@ -5,7 +5,7 @@ A schedule is an ordered list of segments. Each segment is defined by a
 JSON `params` keys and from which its generator (the Hamiltonian, in
 angular-frequency units) follows deterministically; no generator is ever
 built as a dense matrix. A loop's record is its parameter class from
-fields (LoopParams, ConditionalLoopParams, ExpLoopParams), which states
+fields (LoopParams, TwoQubitParams, ExpLoopParams), which states
 its frame: its root fields precess about z on its `cones()` in a local
 frame, which its `orientation` turns into the lab frame. Every loop
 generator is defined once, in its real 2x2 block form
@@ -31,12 +31,15 @@ Segment kinds and their records:
   qubit and y on the control. This is the refocusing pulse of the
   two-qubit echo.
 * ``idle`` (IdleParams): zero generator.
-* ``two-qubit-loop`` (ConditionalLoopParams): control-conditioned
+* ``two-qubit-loop`` (TwoQubitParams): control-conditioned
   corrected loop on the driven qubit (block-diagonal in the control
   basis).
 * ``exp-loop`` (ExpLoopParams): the same conditional loop expressed
   through static couplings plus a rotating transverse drive, including
   the control-frame term omega * (1 x Sz) while the drive is on.
+
+The echo builders take the rate of their pulses, 50*|omega| by default
+(_pulse_rate); no loop record holds it.
 """
 from __future__ import annotations
 
@@ -48,9 +51,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import (
-    ConditionalLoopParams, ExpLoopParams, LoopParams, TwoQubitParams, _check_real, _real_fields
-)
+from .fields import ExpLoopParams, LoopParams, TwoQubitParams, _check_real, _real_fields
 
 __all__ = [
     "Segment",
@@ -131,13 +132,15 @@ class PulseParams(_HalfTurn):
 
 @dataclass(frozen=True)
 class IdleParams:
-    """idle: a dimension (an integer); an idle carries its own duration."""
+    """idle: a dimension, the integer 2 or 4; an idle carries its own duration."""
 
     dim: int
     duration = None
 
     def __post_init__(self):
         _check_count("idle dim", self.dim, 2)
+        if self.dim not in (2, 4):
+            raise ValueError(f"idle dim must be 2 or 4, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
 
 
@@ -147,7 +150,7 @@ _RECORDS = {
     "pi-pulse": PulseParams,
     "control-flip": FlipParams,
     "idle": IdleParams,
-    "two-qubit-loop": ConditionalLoopParams,
+    "two-qubit-loop": TwoQubitParams,
     "exp-loop": ExpLoopParams,
 }
 
@@ -194,7 +197,7 @@ class Segment:
     duration: float
     dim: int
     label: str
-    params: LoopParams | ConditionalLoopParams | PulseParams | FlipParams | IdleParams
+    params: LoopParams | TwoQubitParams | PulseParams | FlipParams | IdleParams
 
     def __post_init__(self):
         record = _record_class(self.kind)
@@ -207,8 +210,6 @@ class Segment:
         if self.duration < 0.0:
             raise ValueError("segment duration must be finite and >= 0")
         _check_count("segment dim", self.dim, 2)
-        if self.dim not in (2, 4):
-            raise ValueError("segment dimension must be 2 or 4")
         object.__setattr__(self, "dim", int(self.dim))
         _check_csv_text("segment label", self.label)
         dim, duration = self.params.dim, self.params.duration
@@ -382,6 +383,12 @@ def single_loop_schedule(p: LoopParams, corrected: bool = True) -> SegmentSchedu
     return SegmentSchedule((loop_segment(p, corrected=corrected),))
 
 
+def _pulse_rate(p, omega_pi: float | None) -> float:
+    """An echo's pulse rate: omega_pi, or by default 50*|omega|, fast
+    enough that the pulses are short against the loop period."""
+    return 50.0 * abs(p.omega) if omega_pi is None else omega_pi
+
+
 def build_echo_sequence(
     p: LoopParams,
     omega_pi: float | None = None,
@@ -392,10 +399,8 @@ def build_echo_sequence(
     The pulse rate defaults to 50*|omega|. Idle gaps default to zero but
     stay in the schedule so timing offsets can be dialed in.
     """
-    if omega_pi is None:
-        omega_pi = 50.0 * abs(p.omega)
     fwd = p if p.omega > 0 else p.reversed()
-    pulse = pi_pulse_segment(omega_pi, target="single")
+    pulse = pi_pulse_segment(_pulse_rate(p, omega_pi), target="single")
     core = [loop_segment(fwd), pulse, loop_segment(fwd.reversed()), pulse]
     return SegmentSchedule(_interleave_idles(core, gaps, 2))
 
@@ -412,27 +417,27 @@ def _interleave_idles(core: list, gaps: Sequence[float] | None, dim: int) -> tup
     return tuple(out)
 
 
-def _two_qubit_echo(p: TwoQubitParams, loop, gaps: Sequence[float] | None) -> SegmentSchedule:
-    """(C, pi-I, Cbar, pi-II) twice with idles interleaved, each loop
-    built as loop(forward params, reverse)."""
+def _two_qubit_echo(p: TwoQubitParams, rate: float, loop, gaps) -> SegmentSchedule:
+    """(C, pi-I, Cbar, pi-II) twice with idles interleaved, the pulses at
+    `rate`, each loop built as loop(forward params, reverse)."""
     fwd = p if p.omega > 0 else p.reversed()
-    pulse_i, flip = pi_pulse_segment(fwd.omega_pi, target="I"), control_flip_segment(fwd.omega_pi)
+    pulse_i, flip = pi_pulse_segment(rate, target="I"), control_flip_segment(rate)
     half = [loop(fwd, False), pulse_i, loop(fwd, True), flip]
     return SegmentSchedule(_interleave_idles(half + half, gaps, 4))
 
 
 def build_two_qubit_sequence(
-    p: TwoQubitParams, gaps: Sequence[float] | None = None
+    p: TwoQubitParams, omega_pi: float | None = None, gaps: Sequence[float] | None = None
 ) -> SegmentSchedule:
     """Two-qubit echo, eight driven segments with idles interleaved:
 
         C, pi-I, Cbar, pi-II, C, pi-I, Cbar, pi-II
 
     pi-I is a y half turn on the driven qubit; pi-II is the combined
-    control flip (see control_flip_segment). Fifteen segments total with
-    the default zero-duration idles.
+    control flip (see control_flip_segment), both at rate omega_pi, 50*|omega|
+    by default. Fifteen segments total with the default zero-duration idles.
     """
-    return _two_qubit_echo(p, two_qubit_loop_segment, gaps)
+    return _two_qubit_echo(p, _pulse_rate(p, omega_pi), two_qubit_loop_segment, gaps)
 
 
 def build_exp_two_qubit_sequence(
@@ -440,10 +445,10 @@ def build_exp_two_qubit_sequence(
     frame_term: bool = True,
     gaps: Sequence[float] | None = None,
 ) -> SegmentSchedule:
-    """Two-qubit echo with the loops in the static-coupling realization."""
-    return _two_qubit_echo(
-        p, lambda q, reverse: exp_loop_segment(q, reverse, frame_term), gaps
-    )
+    """Two-qubit echo with the loops in the static-coupling realization,
+    its pulses at the default rate 50*|omega|."""
+    loop = functools.partial(exp_loop_segment, frame_term=frame_term)
+    return _two_qubit_echo(p, _pulse_rate(p, None), loop, gaps)
 
 
 def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
@@ -469,9 +474,10 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
 # serialization
 # ---------------------------------------------------------------------------
 
-def schedule_to_json(s: SegmentSchedule, indent: int = 2) -> str:
+def schedule_to_json(s: SegmentSchedule) -> str:
+    """The schedule as JSON text, indented by 2 with sorted keys."""
     doc = {"dim": s.dim, "segments": [seg.to_dict() for seg in s.segments]}
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 _ENTRY_KEYS = {"kind", "duration", "dim", "label", "params"}

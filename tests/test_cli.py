@@ -88,6 +88,31 @@ def test_evolve_fails_at_coarse_resolution(tmp_path):
     assert summary["policy"] == {"substeps": 16}
 
 
+@pytest.mark.parametrize(
+    "kind, omega, passing",
+    [("echo", 0.007, "echo_gate_distance"), ("evolve", 0.003, "tracking_infidelity")],
+)
+def test_a_raising_phase_decomposition_is_a_failed_check(tmp_path, kind, omega, passing):
+    # at 256 samples these slow loops turn more than pi/4 between
+    # samples, so the phase unwrap raises; the run exited 2, as for a bad
+    # config, and wrote no summary.json
+    cfg = write_config(
+        tmp_path, "c.json", {"kind": kind, "theta": np.pi / 4, "omega": omega, "omega0": 1.0}
+    )
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["all_passed"] is False
+    raised, kept = summary["checks"]
+    assert raised == {
+        "name": "phase_decomposition_raised", "value": 1.0, "bound": 0.5, "passed": False
+    }
+    assert kept["name"] == passing and kept["passed"] is True
+    assert summary["notes"]["error"].startswith("ValueError: phase steps between samples")
+    assert "phases.json" not in summary["artifacts"]
+    assert not (out / "phases.json").exists()
+
+
 def test_echo_run(tmp_path):
     cfg = write_config(
         tmp_path, "echo.json",

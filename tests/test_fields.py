@@ -22,6 +22,7 @@ from tqdecho.fields import (
 from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
 from tqdecho.schedule import (
     SegmentSchedule,
+    build_two_qubit_sequence,
     control_flip_segment,
     exp_loop_segment,
     loop_segment,
@@ -98,15 +99,18 @@ def test_loop_params_period_and_reverse():
 def test_two_qubit_params_defaults():
     p = TwoQubitParams(omega_i=1.0, coupling=2.0, omega=0.5)
     assert np.isclose(p.rabi, np.sqrt(5.0))
-    assert np.isclose(p.omega_pi, 25.0)  # 50x the loop rate by default
+    segments = build_two_qubit_sequence(p).segments
+    rates = [s.params.omega_pi for s in segments if s.kind in ("pi-pulse", "control-flip")]
+    assert rates == [25.0] * 4  # 50x the loop rate by default
     assert np.isclose(p.period, 4.0 * np.pi)
     assert p.reversed().omega == -0.5
 
 
 @pytest.mark.parametrize("omega_pi", [0.0, -1.0, float("nan"), float("inf")])
 def test_two_qubit_params_reject_bad_omega_pi(omega_pi):
+    p = TwoQubitParams(omega_i=1.0, coupling=2.0, omega=0.5)
     with pytest.raises(ValueError, match="omega_pi must be positive and finite"):
-        TwoQubitParams(omega_i=1.0, coupling=2.0, omega=0.5, omega_pi=omega_pi)
+        build_two_qubit_sequence(p, omega_pi=omega_pi)
 
 
 @pytest.mark.parametrize("value", [1e300, -1e300, 2e150])
@@ -139,7 +143,7 @@ def test_params_reject_rates_whose_squares_overflow(build, value):
         (lambda: TwoQubitParams("1", 1, 1), "omega_i"),
         (lambda: TwoQubitParams(1, [1], 1), "coupling"),
         (lambda: TwoQubitParams(1, 1, True), "omega"),
-        (lambda: TwoQubitParams(1, 1, 1, "50"), "omega_pi"),
+        (lambda: build_two_qubit_sequence(TwoQubitParams(1, 1, 1), omega_pi="50"), "omega_pi"),
         (lambda: pi_pulse_segment("3"), "omega_pi"),
         (lambda: pi_pulse_segment(True), "omega_pi"),
         (lambda: control_flip_segment(None), "omega_pi"),

@@ -46,6 +46,7 @@ from dense import generator, generator_batch
 SEED = 20260816
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
+P2_PULSE_RATE = 25.0  # the default 50*|omega| of P2's echo
 POL = StepPolicy(substeps=2048)
 
 
@@ -345,7 +346,7 @@ def _phase_schedules():
     # a y half turn on the control alone, so every pulse axis is covered
     out.append(SegmentSchedule((
         two_qubit_loop_segment(P2),
-        pi_pulse_segment(P2.omega_pi, target="II"),
+        pi_pulse_segment(P2_PULSE_RATE, target="II"),
         two_qubit_loop_segment(P2, True),
     )))
     return out
@@ -387,7 +388,7 @@ def test_strict_reference_rejects_bad_control_pulse():
     bad = SegmentSchedule(
         (
             two_qubit_loop_segment(P2),
-            pi_pulse_segment(P2.omega_pi, target="II"),
+            pi_pulse_segment(P2_PULSE_RATE, target="II"),
             two_qubit_loop_segment(P2, reverse=True),
         )
     )
@@ -529,7 +530,7 @@ def _bad_control_pulse_trajectory():
     bad = SegmentSchedule(
         (
             two_qubit_loop_segment(P2),
-            pi_pulse_segment(P2.omega_pi, target="II"),
+            pi_pulse_segment(P2_PULSE_RATE, target="II"),
             two_qubit_loop_segment(P2, reverse=True),
         )
     )

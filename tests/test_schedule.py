@@ -13,6 +13,7 @@ from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.propagate import propagate_schedule
 from tqdecho.qcore import pauli_dot
 from tqdecho.schedule import (
+    IdleParams,
     Segment,
     SegmentSchedule,
     build_echo_sequence,
@@ -108,6 +109,18 @@ def test_short_pulse_duration_is_checked_relative_to_itself(omega_pi):
     for rel in (1e-8, -1e-8):
         with pytest.raises(ValueError, match="inconsistent with parameters"):
             Segment(seg.kind, seg.duration * (1.0 + rel), seg.dim, seg.label, seg.params)
+
+
+@pytest.mark.parametrize("dim", [3, 8, np.int64(6)], ids=repr)
+def test_idle_record_takes_dimension_2_or_4(dim):
+    # IdleParams(3) built; only the Segment it went into rejected it
+    with pytest.raises(ValueError, match="^idle dim must be 2 or 4"):
+        IdleParams(dim)
+    with pytest.raises(ValueError, match="^idle dim must be 2 or 4"):
+        idle_segment(1.0, dim)
+    # a segment of another dim than its record's is still rejected
+    with pytest.raises(ValueError, match="has dimension 2, not"):
+        Segment("idle", 1.0, dim, "idle", IdleParams(2))
 
 
 @pytest.mark.parametrize(
