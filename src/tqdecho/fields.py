@@ -270,6 +270,7 @@ class ExpParams:
     omega_i_prime: float
 
     def __post_init__(self):
+        _real_fields(self)
         if not (0.0 < self.theta_prime < np.pi):
             raise ValueError(
                 f"theta_prime must lie in (0, pi), got {self.theta_prime}"

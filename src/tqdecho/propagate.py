@@ -382,9 +382,9 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     dim, dim), the last at its end, with cps = checkpoints per loop and
     min(16, checkpoints) per pulse or idle; a zero-duration segment gets
     (None, 0). This walk is the only place segments become propagators,
-    behind gates and trajectories alike. Segments equal in kind,
-    duration, dim and params (by repr, so 0.0 and -0.0 differ; labels
-    ignored) are propagated once across the whole batch. Pulses
+    behind gates and trajectories alike. Segments equal in kind and
+    params (by repr, so 0.0 and -0.0 differ; labels ignored), and so in
+    dim and duration, are propagated once across the whole batch. Pulses
     (_pulse_propagators) and idles (the identity) are exact under either
     policy and report one substep per checkpoint. The distinct loops of
     one dim go to one stacked kernel call: _loop_propagators on the exact
@@ -397,7 +397,7 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
         for seg in s.segments:
             key = None
             if seg.duration != 0.0:
-                key = seg.kind, repr(seg.duration), seg.dim, repr(seg.params)
+                key = seg.kind, repr(seg.params)
                 distinct.setdefault(key, seg)
             row.append(key)
         keys.append(row)
@@ -509,12 +509,19 @@ def propagate_schedule(
 def trajectory_to_csv(traj: Trajectory, path, extra_columns: dict | None = None) -> None:
     """Write the samples to CSV: columns t,segment,label, then the real
     and imaginary part of each state amplitude if a state is attached,
-    then extra_columns, which maps header names to arrays aligned with
-    the trajectory samples."""
-    extra = extra_columns or {}
+    then extra_columns, which maps header names to bool, integer or
+    float arrays of one value per sample, written as floats."""
+    extra = {name: np.asarray(arr) for name, arr in (extra_columns or {}).items()}
     for name, arr in extra.items():
-        if len(arr) != len(traj.times):
-            raise ValueError(f"extra column {name!r} has wrong length")
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(
+                f"extra column {name!r} must hold bool, integer or float values, not {arr.dtype}"
+            )
+        if arr.shape != traj.times.shape:
+            raise ValueError(
+                f"extra column {name!r} has shape {arr.shape}, not one value per sample "
+                f"{traj.times.shape}"
+            )
     headers = ["t", "segment", "label"]
     columns = [
         traj.times,

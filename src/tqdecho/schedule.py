@@ -1,14 +1,15 @@
 """Piecewise drive schedules.
 
-A schedule is an ordered list of segments. Each segment is defined by a
-`kind` plus a frozen parameter record of that kind, whose fields are the
-JSON `params` keys and from which its generator (the Hamiltonian, in
-angular-frequency units) follows deterministically; no generator is ever
-built as a dense matrix. A loop's record is its parameter class from
-fields (LoopParams, TwoQubitParams, ExpLoopParams), which states
-its frame: its root fields precess about z on its `cones()` in a local
-frame, which its `orientation` turns into the lab frame. Every loop
-generator is defined once, in its real 2x2 block form
+A schedule is an ordered list of segments. Each segment is a `kind`, a
+label and a frozen parameter record of that kind, whose fields are the
+JSON `params` keys and from which its dimension, its duration and its
+generator (the Hamiltonian, in angular-frequency units) follow
+deterministically; no generator is ever built as a dense matrix. A
+loop's record is its parameter class from fields (LoopParams,
+TwoQubitParams, ExpLoopParams), which states its frame: its root
+fields precess about z on its `cones()` in a local frame, which its
+`orientation` turns into the lab frame. Every loop generator is defined
+once, in its real 2x2 block form
 (Segment.block_fields, from that record), which both propagators and
 the phase layer read. Every pulse is defined once too, by the axis it
 turns each qubit about (its record's `axes`), which the exact
@@ -30,7 +31,7 @@ Segment kinds and their records:
 * ``control-flip`` (FlipParams): simultaneous half turn, x on the driven
   qubit and y on the control. This is the refocusing pulse of the
   two-qubit echo.
-* ``idle`` (IdleParams): zero generator.
+* ``idle`` (IdleParams): zero generator for the record's `duration`.
 * ``two-qubit-loop`` (TwoQubitParams): control-conditioned
   corrected loop on the driven qubit (block-diagonal in the control
   basis).
@@ -132,16 +133,19 @@ class PulseParams(_HalfTurn):
 
 @dataclass(frozen=True)
 class IdleParams:
-    """idle: a dimension, the integer 2 or 4; an idle carries its own duration."""
+    """idle: a dimension, the integer 2 or 4, and a duration >= 0."""
 
     dim: int
-    duration = None
+    duration: float
 
     def __post_init__(self):
         _check_count("idle dim", self.dim, 2)
         if self.dim not in (2, 4):
             raise ValueError(f"idle dim must be 2 or 4, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
+        _real_fields(self)
+        if self.duration < 0.0:
+            raise ValueError(f"idle duration must be finite and >= 0, got {self.duration}")
 
 
 _RECORDS = {
@@ -181,23 +185,24 @@ def _check_csv_text(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule segment: a kind, its parameter record, and a duration.
+    """One schedule segment: a kind, a label and its parameter record.
 
-    The generator follows from the record on demand: block_fields for a
-    loop, the record's `axes` for a pulse, zero for an idle. Segments
-    with equal fields produce bit-identical block fields.
-    Construction rejects a `params` other than the kind's record, or one
-    implying a dimension other than the integer `dim` or (to 1e-9
-    relative) a duration other than `duration`: a loop lasts one
-    period, a pulse one half turn. The label is written into CSV cells
-    as it is, so it may not contain a comma, quote, line break or NUL.
+    The record is the one source of the segment's physics: its generator
+    follows on demand (block_fields for a loop, the record's `axes` for
+    a pulse, zero for an idle), and so do its `dim` and `duration` (a
+    loop lasts one period, a pulse one half turn, an idle what its
+    record states), which construction reads from it and stores.
+    Segments with equal fields produce bit-identical block fields.
+    Construction rejects a `params` other than the kind's record. The
+    label is written into CSV cells as it is, so it may not contain a
+    comma, quote, line break or NUL.
     """
 
     kind: str
-    duration: float
-    dim: int
     label: str
     params: LoopParams | TwoQubitParams | PulseParams | FlipParams | IdleParams
+    dim: int = dataclasses.field(init=False, repr=False, compare=False)
+    duration: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         record = _record_class(self.kind)
@@ -206,23 +211,9 @@ class Segment:
                 f"segment kind {self.kind!r} takes params of type {record.__name__}, "
                 f"got {self.params!r}"
             )
-        _real_fields(self)
-        if self.duration < 0.0:
-            raise ValueError("segment duration must be finite and >= 0")
-        _check_count("segment dim", self.dim, 2)
-        object.__setattr__(self, "dim", int(self.dim))
         _check_csv_text("segment label", self.label)
-        dim, duration = self.params.dim, self.params.duration
-        if dim != self.dim:
-            raise ValueError(
-                f"segment kind {self.kind!r} with these parameters has dimension "
-                f"{dim}, not {self.dim}"
-            )
-        if duration is not None and abs(self.duration - duration) > 1e-9 * duration:
-            raise ValueError(
-                f"segment duration {self.duration} inconsistent with parameters "
-                f"(expected {duration})"
-            )
+        object.__setattr__(self, "dim", self.params.dim)
+        object.__setattr__(self, "duration", self.params.duration)
 
     # -- fields ---------------------------------------------------------------
 
@@ -272,7 +263,7 @@ class Segment:
         return out
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {"kind": self.kind, "label": self.label, "params": dataclasses.asdict(self.params)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,7 @@ def loop_segment(p: LoopParams, corrected: bool = True) -> Segment:
     """
     kind = "tqd-loop" if corrected else "root-loop"
     label = "loop-C" if p.omega > 0 else "loop-Cbar"
-    return Segment(kind, p.duration, 2, label, p)
+    return Segment(kind, label, p)
 
 
 def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
@@ -297,7 +288,7 @@ def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
     qubit, "I" or "II" for one qubit of a pair."""
     params = PulseParams(omega_pi, target)
     label = "pi" if target == "single" else f"pi-{target}"
-    return Segment("pi-pulse", params.duration, params.dim, label, params)
+    return Segment("pi-pulse", label, params)
 
 
 def control_flip_segment(omega_pi: float) -> Segment:
@@ -310,12 +301,11 @@ def control_flip_segment(omega_pi: float) -> Segment:
     dynamical phases. A y half turn on the control alone does not do
     this; it scrambles sectors when the drive and coupling are comparable.
     """
-    params = FlipParams(omega_pi)
-    return Segment("control-flip", params.duration, 4, "pi-II", params)
+    return Segment("control-flip", "pi-II", FlipParams(omega_pi))
 
 
 def idle_segment(duration: float, dim: int = 2) -> Segment:
-    return Segment("idle", duration, dim, "idle", IdleParams(dim))
+    return Segment("idle", "idle", IdleParams(dim, duration))
 
 
 def two_qubit_loop_segment(p: TwoQubitParams, reverse: bool = False) -> Segment:
@@ -339,8 +329,7 @@ def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, *extra) -> Se
     p reversed, with the record fields in `extra` after the rates."""
     q = p.reversed() if reverse else p
     label = "loop-C" if q.omega > 0 else "loop-Cbar"
-    params = _RECORDS[kind](q.omega_i, q.coupling, q.omega, *extra)
-    return Segment(kind, params.duration, 4, label, params)
+    return Segment(kind, label, _RECORDS[kind](q.omega_i, q.coupling, q.omega, *extra))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +347,9 @@ class SegmentSchedule:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("schedule needs at least one segment")
+        for s in segs:
+            if not isinstance(s, Segment):
+                raise ValueError(f"schedule takes segments only, got {s!r}")
         dims = {s.dim for s in segs}
         if len(dims) != 1:
             raise ValueError(f"mixed segment dimensions {sorted(dims)}")
@@ -402,17 +394,17 @@ def build_echo_sequence(
     fwd = p if p.omega > 0 else p.reversed()
     pulse = pi_pulse_segment(_pulse_rate(p, omega_pi), target="single")
     core = [loop_segment(fwd), pulse, loop_segment(fwd.reversed()), pulse]
-    return SegmentSchedule(_interleave_idles(core, gaps, 2))
+    return SegmentSchedule(_interleave_idles(core, gaps))
 
 
-def _interleave_idles(core: list, gaps: Sequence[float] | None, dim: int) -> tuple:
+def _interleave_idles(core: list, gaps: Sequence[float] | None) -> tuple:
     if gaps is None:
         gaps = (0.0,) * (len(core) - 1)
     if len(gaps) != len(core) - 1:
         raise ValueError(f"expected {len(core) - 1} idle gaps, got {len(gaps)}")
     out = [core[0]]
     for seg, g in zip(core[1:], gaps):
-        out.append(idle_segment(g, dim))
+        out.append(idle_segment(g, seg.dim))
         out.append(seg)
     return tuple(out)
 
@@ -423,7 +415,7 @@ def _two_qubit_echo(p: TwoQubitParams, rate: float, loop, gaps) -> SegmentSchedu
     fwd = p if p.omega > 0 else p.reversed()
     pulse_i, flip = pi_pulse_segment(rate, target="I"), control_flip_segment(rate)
     half = [loop(fwd, False), pulse_i, loop(fwd, True), flip]
-    return SegmentSchedule(_interleave_idles(half + half, gaps, 4))
+    return SegmentSchedule(_interleave_idles(half + half, gaps))
 
 
 def build_two_qubit_sequence(
@@ -476,25 +468,26 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
 
 def schedule_to_json(s: SegmentSchedule) -> str:
     """The schedule as JSON text, indented by 2 with sorted keys."""
-    doc = {"dim": s.dim, "segments": [seg.to_dict() for seg in s.segments]}
+    doc = {"segments": [seg.to_dict() for seg in s.segments]}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-_ENTRY_KEYS = {"kind", "duration", "dim", "label", "params"}
+_ENTRY_KEYS = {"kind", "label", "params"}
 
 
 def schedule_from_json(text: str) -> SegmentSchedule:
     """Inverse of schedule_to_json, with strict validation.
 
-    Unknown kinds are rejected, and each `params` object must hold
-    exactly the fields of its kind's record, which checks their types
-    and ranges as the typed constructors do. Dimensions must be integers
-    that, like the durations, match the ones the records imply (the
-    checks every Segment runs).
+    The document holds exactly `segments`, and each entry exactly
+    `kind`, `label` and `params`: a segment's dimension and duration are
+    its record's, so no entry states them again. Unknown kinds are
+    rejected, and each `params` object must hold exactly the fields of
+    its kind's record, which checks their types and ranges as the typed
+    constructors do.
     """
     doc = json.loads(text)
-    if not isinstance(doc, dict) or set(doc) != {"dim", "segments"}:
-        raise ValueError("schedule document must have exactly 'dim' and 'segments'")
+    if not isinstance(doc, dict) or set(doc) != {"segments"}:
+        raise ValueError("schedule document must have exactly 'segments'")
     if not isinstance(doc["segments"], list):
         raise ValueError("schedule 'segments' must be a list")
     segs = []
@@ -510,12 +503,8 @@ def schedule_from_json(text: str) -> SegmentSchedule:
                 f"segment kind {entry['kind']!r} expects parameters {sorted(keys)}, "
                 f"got {sorted(params)}"
             )
-        segs.append(Segment(**{**entry, "params": record(**params)}))
-    s = SegmentSchedule(tuple(segs))
-    _check_count("schedule dim", doc["dim"], 2)
-    if s.dim != doc["dim"]:
-        raise ValueError("schedule dim does not match segment dims")
-    return s
+        segs.append(Segment(entry["kind"], entry["label"], record(**params)))
+    return SegmentSchedule(tuple(segs))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,27 @@ def test_csv_rejects_a_column_name_that_breaks_the_csv(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "column, match",
+    [
+        (lambda n: np.ones(n, dtype=complex), "must hold bool, integer or float"),
+        (lambda n: np.ones(n, dtype=str), "must hold bool, integer or float"),
+        (lambda n: 1.0, "has shape"),
+        (lambda n: np.ones((n, 2)), "has shape"),
+        (lambda n: np.ones(n + 1), "has shape"),
+    ],
+    ids=["complex", "string", "scalar", "two-columns", "too-long"],
+)
+def test_csv_rejects_an_extra_column_that_is_not_one_real_per_sample(tmp_path, column, match):
+    # a complex column lost its imaginary part with only a ComplexWarning,
+    # and a scalar or 2-d column raised TypeError or numpy's shape error
+    traj = _trajectories()["dim2"]
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=f"^extra column 'bad' {match}"):
+        trajectory_to_csv(traj, path, {"bad": column(len(traj.times))})
+    assert not path.exists()
+
+
 def test_non_ascii_label_is_written_as_utf8(tmp_path):
     echo = build_echo_sequence(P)
     renamed = SegmentSchedule(tuple(

@@ -216,6 +216,24 @@ def test_exp_params_accepts_acute_and_obtuse_tilts():
         ExpParams(j_xz=0.0, j_zz=1.0, theta_prime=1.0, omega_i_prime=-1.0)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0, 0, 1, float("nan")), "omega_i_prime"),
+        ((0, 0, 1, float("inf")), "omega_i_prime"),
+        (("a", 0, 1, 1), "j_xz"),
+        ((True, 1, 1.0, 1), "j_xz"),
+    ],
+    ids=["nan", "inf", "string", "bool"],
+)
+def test_exp_params_rejects_what_is_not_a_finite_real(args, name):
+    # the range checks alone let these through: nan and inf compare
+    # false, and a bool or string never reached a comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+        ExpParams(*args)
+    assert type(ExpParams(0, 0, 1, 1).j_xz) is float
+
+
 # single-qubit fields --------------------------------------------------------
 
 def test_root_field_at_origin():

@@ -168,7 +168,7 @@ def test_step_policy_validation():
         (lambda: propagate_schedule(LOOP, samples=2.5), "samples must be an integer"),
         (lambda: verify_exp_equivalence(P2, field_draws=2.5), "field_draws must be an integer"),
         (lambda: idle_segment(1.0, 2.0), "idle dim must be an integer"),
-        (lambda: Segment("idle", 1.0, 2, "idle", None), "takes params of type IdleParams"),
+        (lambda: Segment("idle", "idle", None), "takes params of type IdleParams"),
         (lambda: field_timeline(LOOP, 2.5), "samples_per_segment must be an integer"),
     ],
     ids=[
@@ -185,7 +185,8 @@ def test_counts_and_dims_must_be_integers(call, match):
 def test_numpy_integer_counts_are_accepted():
     idle = idle_segment(0.0, np.int64(2))
     assert type(idle.dim) is int
-    assert json.loads(schedule_to_json(SegmentSchedule((idle,))))["dim"] == 2
+    (entry,) = json.loads(schedule_to_json(SegmentSchedule((idle,))))["segments"]
+    assert entry["params"]["dim"] == 2
     traj = propagate_schedule(LOOP, policy=StepPolicy(np.int64(8)), samples=np.int64(4))
     assert traj.substeps_used == (8,)
     assert verify_exp_equivalence(P2, field_draws=np.int64(1)).field_draws == 1
