@@ -10,7 +10,6 @@ control-conditioned two-qubit phase gate and its static-coupling
 realization.
 """
 from .qcore import (
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -33,8 +32,6 @@ from .schedule import (
     build_two_qubit_sequence,
     field_timeline,
     rotate_schedule,
-    schedule_from_json,
-    schedule_to_json,
     single_loop_schedule,
     write_field_timeline_csv,
 )

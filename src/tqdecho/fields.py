@@ -93,7 +93,10 @@ def _float_fields(record_class: type) -> tuple:
 
 def _real_fields(record, positive: bool = False) -> None:
     """Check each float field of a record with _check_real, then store it
-    as a Python float, so numpy and integer inputs give the same JSON."""
+    as a Python float. Equal values then have one repr, which the walk's
+    dedup key repr(seg.params) needs: under numpy 2, np.float64(1.0)
+    reprs as "np.float64(1.0)" and the integer 1 as "1", either of which
+    would split a loop from its equal twin built with 1.0."""
     for name in _float_fields(type(record)):
         value = getattr(record, name)
         _check_real(name, value, positive)

@@ -120,6 +120,7 @@ def synthesize_single_gate(
     policy None propagates exactly; StepPolicy(substeps=N) runs the
     Magnus oracle.
     """
+    _check_real("omega", omega)
     omega_total = spec.gate_angle
     if not (0.0 < omega_total < 4.0 * np.pi):
         raise ValueError("gate_angle must lie in the open interval (0, 4*pi)")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ID2",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -21,7 +20,6 @@ __all__ = [
     "unitarity_defect",
 ]
 
-ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -1,10 +1,10 @@
 """Piecewise drive schedules.
 
 A schedule is an ordered list of segments. Each segment is a `kind`, a
-label and a frozen parameter record of that kind, whose fields are the
-JSON `params` keys and from which its dimension, its duration and its
-generator (the Hamiltonian, in angular-frequency units) follow
-deterministically; no generator is ever built as a dense matrix. A
+label and a frozen parameter record of that kind, from which its
+dimension, its duration and its generator (the Hamiltonian, in
+angular-frequency units) follow deterministically; no generator is ever
+built as a dense matrix. A
 loop's record is its parameter class from fields (LoopParams,
 TwoQubitParams, ExpLoopParams), which states its frame: its root
 fields precess about z on its `cones()` in a local frame, which its
@@ -17,9 +17,8 @@ propagator and the dynamical phase both read. A corrected loop is its
 root drive plus the transitionless correction b x db/dt, derived in
 the local frame with Berry's formula (fields._berry_corrected); the
 exp-loop takes its field from the static-coupling map instead. Keeping
-segments parametric rather than storing bare callables makes schedules
-serializable and makes geometric operations (axis rotation, traversal
-reversal) exact parameter updates.
+segments parametric rather than storing bare callables makes geometric
+operations (axis rotation, traversal reversal) exact parameter updates.
 
 Segment kinds and their records:
 
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -71,8 +69,6 @@ __all__ = [
     "build_two_qubit_sequence",
     "build_exp_two_qubit_sequence",
     "rotate_schedule",
-    "schedule_to_json",
-    "schedule_from_json",
     "field_timeline",
     "write_field_timeline_csv",
 ]
@@ -159,12 +155,6 @@ _RECORDS = {
 }
 
 
-def _record_class(kind) -> type:
-    if not isinstance(kind, str) or kind not in _RECORDS:
-        raise ValueError(f"unknown segment kind {kind!r}")
-    return _RECORDS[kind]
-
-
 # ---------------------------------------------------------------------------
 # segments
 # ---------------------------------------------------------------------------
@@ -205,7 +195,9 @@ class Segment:
     duration: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        record = _record_class(self.kind)
+        if not isinstance(self.kind, str) or self.kind not in _RECORDS:
+            raise ValueError(f"unknown segment kind {self.kind!r}")
+        record = _RECORDS[self.kind]
         if type(self.params) is not record:
             raise ValueError(
                 f"segment kind {self.kind!r} takes params of type {record.__name__}, "
@@ -261,9 +253,6 @@ class Segment:
             (axis,) = self.params.axes
             out[:, axis] = self.params.omega_pi
         return out
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "label": self.label, "params": dataclasses.asdict(self.params)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,51 +449,6 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
         if seg.kind in _LOOP_KINDS else seg
         for seg in s.segments
     ))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def schedule_to_json(s: SegmentSchedule) -> str:
-    """The schedule as JSON text, indented by 2 with sorted keys."""
-    doc = {"segments": [seg.to_dict() for seg in s.segments]}
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-_ENTRY_KEYS = {"kind", "label", "params"}
-
-
-def schedule_from_json(text: str) -> SegmentSchedule:
-    """Inverse of schedule_to_json, with strict validation.
-
-    The document holds exactly `segments`, and each entry exactly
-    `kind`, `label` and `params`: a segment's dimension and duration are
-    its record's, so no entry states them again. Unknown kinds are
-    rejected, and each `params` object must hold exactly the fields of
-    its kind's record, which checks their types and ranges as the typed
-    constructors do.
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or set(doc) != {"segments"}:
-        raise ValueError("schedule document must have exactly 'segments'")
-    if not isinstance(doc["segments"], list):
-        raise ValueError("schedule 'segments' must be a list")
-    segs = []
-    for entry in doc["segments"]:
-        if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
-            raise ValueError(f"malformed segment entry: {entry!r}")
-        record, params = _record_class(entry["kind"]), entry["params"]
-        if not isinstance(params, dict):
-            raise ValueError(f"segment params must be a dict, got {params!r}")
-        keys = {f.name for f in dataclasses.fields(record)}
-        if set(params) != keys:
-            raise ValueError(
-                f"segment kind {entry['kind']!r} expects parameters {sorted(keys)}, "
-                f"got {sorted(params)}"
-            )
-        segs.append(Segment(entry["kind"], entry["label"], record(**params)))
-    return SegmentSchedule(tuple(segs))
 
 
 # ---------------------------------------------------------------------------

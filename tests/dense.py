@@ -9,15 +9,15 @@ than read from the table the propagator uses.
 """
 import numpy as np
 
-from tqdecho.qcore import ID2, PAULI, SIGMA_X, SIGMA_Y
+from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y
 from tqdecho.schedule import _LOOP_KINDS
 
 # half-turn axes of each pulse, as the operator they turn about
 _PULSE_OPERATORS = {
     "single": SIGMA_Y,
-    "I": np.kron(SIGMA_Y, ID2),
-    "II": np.kron(ID2, SIGMA_Y),
-    "control-flip": np.kron(SIGMA_X, ID2) + np.kron(ID2, SIGMA_Y),
+    "I": np.kron(SIGMA_Y, np.eye(2)),
+    "II": np.kron(np.eye(2), SIGMA_Y),
+    "control-flip": np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_Y),
 }
 
 
@@ -48,7 +48,7 @@ def pack_blocks(c0: np.ndarray, v: np.ndarray) -> np.ndarray:
     h = np.zeros((n, 2 * blocks, 2 * blocks), dtype=complex)
     for j in range(blocks):
         h[:, j::blocks, j::blocks] = (
-            c0[j, :, None, None] * ID2 + np.einsum("kn,kab->nab", v[:, j], PAULI)
+            c0[j, :, None, None] * np.eye(2) + np.einsum("kn,kab->nab", v[:, j], PAULI)
         )
     return h
 

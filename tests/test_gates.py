@@ -22,12 +22,7 @@ from tqdecho.gates import (
 )
 from tqdecho.propagate import StepPolicy, propagate_schedule
 from tqdecho.qcore import gate_distance, unitarity_defect
-from tqdecho.schedule import (
-    build_exp_two_qubit_sequence,
-    build_two_qubit_sequence,
-    schedule_from_json,
-    schedule_to_json,
-)
+from tqdecho.schedule import build_exp_two_qubit_sequence, build_two_qubit_sequence
 
 from spies import count_handed_segments
 
@@ -103,6 +98,14 @@ def test_single_gate_spec_takes_finite_real_angles(name, value):
     angles = {"axis_angle": 0.3, "gate_angle": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
         SingleGateSpec(**angles)
+
+
+@pytest.mark.parametrize("omega", [True, np.array(1.0), "1", None, [1.0], np.nan], ids=repr)
+def test_synthesize_single_gate_takes_a_finite_real_omega(omega):
+    # abs(omega) ran first: True and a 0-d array built a gate at rate 1,
+    # and a string, None or a list raised TypeError
+    with pytest.raises(ValueError, match="^omega must be a finite real number"):
+        synthesize_single_gate(SingleGateSpec(0.3, 1.0), omega=omega)
 
 
 def test_synthesize_single_gate_angle_domain():
@@ -208,17 +211,6 @@ def test_two_qubit_target_matches_block_closed_form():
     b = eigenbasis_matrix(P2)
     target = b @ np.diag(diag) @ b.conj().T
     assert gate_distance(rep.target, target) < 1e-12
-
-
-def test_two_qubit_record_read_from_json_drives_every_entry_point():
-    # the two-qubit-loop record was a class without the echo's pulse
-    # rate, so each of these raised AttributeError on it
-    text = schedule_to_json(build_two_qubit_sequence(P2))
-    record = schedule_from_json(text).segments[0].params
-    assert type(record) is TwoQubitParams and record == P2
-    assert synthesize_two_qubit_gate(record).leakage <= 1e-12
-    assert verify_exp_equivalence(record, field_draws=4).gate_deviation <= 1e-12
-    assert schedule_to_json(build_two_qubit_sequence(record)) == text
 
 
 def test_exp_equivalence():

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from tqdecho.qcore import (
-    ID2,
     PAULI,
     SIGMA_X,
     SIGMA_Y,
@@ -24,7 +23,7 @@ def test_pauli_algebra():
     assert np.allclose(SIGMA_Y @ SIGMA_Z, 1j * SIGMA_X)
     assert np.allclose(SIGMA_Z @ SIGMA_X, 1j * SIGMA_Y)
     for s in PAULI:
-        assert np.allclose(s @ s, ID2)
+        assert np.allclose(s @ s, np.eye(2))
         assert np.array_equal(s, s.conj().T)
         assert unitarity_defect(s) <= 1e-9
 
@@ -35,7 +34,7 @@ def test_pauli_dot_squares_to_identity():
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         m = pauli_dot(n)
-        assert np.allclose(m @ m, ID2, atol=1e-14)
+        assert np.allclose(m @ m, np.eye(2), atol=1e-14)
 
 
 def test_hermitian_and_unitary_predicates():
@@ -48,7 +47,7 @@ def test_hermitian_and_unitary_predicates():
 
 
 def test_unitarity_defect_takes_the_worst_of_a_stack():
-    stack = np.stack([ID2, SIGMA_X, 1j * SIGMA_Y, (1.0 + 1e-6) * SIGMA_Z])
+    stack = np.stack([np.eye(2), SIGMA_X, 1j * SIGMA_Y, (1.0 + 1e-6) * SIGMA_Z])
     assert unitarity_defect(stack) == pytest.approx(2e-6 + 1e-12, rel=1e-6)
     assert unitarity_defect(stack[:3]) == 0.0
 
@@ -82,10 +81,10 @@ def test_expm_hermitian_rejects_odd_dimension():
 
 
 def test_gate_distance_basic():
-    assert gate_distance(ID2, ID2) == 0.0
-    assert np.isclose(gate_distance(ID2, SIGMA_X), 1.0)
+    assert gate_distance(np.eye(2), np.eye(2)) == 0.0
+    assert np.isclose(gate_distance(np.eye(2), SIGMA_X), 1.0)
     # global phase must not register
-    assert gate_distance(ID2, np.exp(1j * 0.7) * ID2) < 1e-15
+    assert gate_distance(np.eye(2), np.exp(1j * 0.7) * np.eye(2)) < 1e-15
     assert gate_distance(SIGMA_Y, SIGMA_Y) >= 0.0
 
 

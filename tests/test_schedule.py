@@ -1,8 +1,5 @@
-"""Segment and schedule assembly, JSON round trips, field timelines."""
-import functools
-import json
-import operator
-from dataclasses import replace
+"""Segment and schedule assembly, record validation, field timelines."""
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho.fields import LoopParams, TwoQubitParams
-from tqdecho.propagate import propagate_schedule
 from tqdecho.qcore import pauli_dot
 from tqdecho.schedule import (
     IdleParams,
@@ -26,8 +22,6 @@ from tqdecho.schedule import (
     loop_segment,
     pi_pulse_segment,
     rotate_schedule,
-    schedule_from_json,
-    schedule_to_json,
     single_loop_schedule,
     two_qubit_loop_segment,
     write_field_timeline_csv,
@@ -62,17 +56,12 @@ def test_segment_and_json_reject_a_label_that_breaks_the_csv(label):
     seg = loop_segment(P)
     with pytest.raises(ValueError, match="segment label"):
         Segment(seg.kind, label, seg.params)
-    doc = schedule_to_json(SegmentSchedule((seg,))).replace('"loop-C"', json.dumps(label))
-    with pytest.raises(ValueError, match="segment label"):
-        schedule_from_json(doc)
 
 
 def test_segment_accepts_a_non_ascii_label():
     seg = loop_segment(P)
     renamed = Segment(seg.kind, "Schleife-Ω", seg.params)
-    assert schedule_from_json(schedule_to_json(SegmentSchedule((renamed,)))).labels() == [
-        "Schleife-Ω"
-    ]
+    assert SegmentSchedule((renamed,)).labels() == ["Schleife-Ω"]
 
 
 @pytest.mark.parametrize(
@@ -289,35 +278,7 @@ def test_boundaries_accumulate():
     assert np.all(np.diff(b) >= 0)
 
 
-# serialization ---------------------------------------------------------------
-
-def test_json_round_trip():
-    s = build_echo_sequence(P, gaps=(0.5, 0.0, 0.125))
-    text = schedule_to_json(s)
-    back = schedule_from_json(text)
-    assert back.labels() == s.labels()
-    assert np.isclose(back.total_duration, s.total_duration)
-    for a, b in zip(back.segments, s.segments):
-        assert a.kind == b.kind
-        assert a.params == b.params
-
-
-@pytest.mark.parametrize(
-    "key", [None, "duration", "dim"], ids=["document-dim", "entry-duration", "entry-dim"]
-)
-def test_json_rejects_the_layout_that_restated_dim_and_duration(key):
-    # a segment's dim and duration are its record's; the old layout
-    # wrote them again beside it, in each entry and for the document
-    doc = json.loads(schedule_to_json(ECHO))
-    assert set(doc) == {"segments"}
-    assert all(set(entry) == {"kind", "label", "params"} for entry in doc["segments"])
-    if key is None:
-        doc["dim"] = 2
-    else:
-        doc["segments"][0][key] = getattr(ECHO.segments[0], key)
-    with pytest.raises(ValueError, match="schedule document|malformed segment entry"):
-        schedule_from_json(json.dumps(doc))
-
+# record validation ---------------------------------------------------------
 
 @pytest.mark.parametrize(
     "items", [[single_loop_schedule(P)], (1, 2)], ids=["a-schedule", "integers"]
@@ -330,13 +291,10 @@ def test_schedule_takes_segments_only(items):
 
 
 def test_json_rejects_unknown_kind():
-    import json
-
-    s = single_loop_schedule(P)
-    doc = json.loads(schedule_to_json(s))
-    doc["segments"][0]["kind"] = "mystery"
-    with pytest.raises(ValueError):
-        schedule_from_json(json.dumps(doc))
+    seg = loop_segment(P)
+    for kind in ("mystery", ["tqd-loop"]):
+        with pytest.raises(ValueError, match="unknown segment kind"):
+            Segment(kind, seg.label, seg.params)
 
 
 ECHO = build_echo_sequence(P)
@@ -344,34 +302,26 @@ EXP_ECHO = build_exp_two_qubit_sequence(P2)
 
 
 @pytest.mark.parametrize(
-    "sched, path, value, match",
+    "record, key, value, match",
     [
-        (ECHO, ("segments", 0, "params", "theta"), "1.0", "finite real number"),
-        (ECHO, ("segments", 0, "params", "theta"), 9.0, "theta must lie in"),
-        (ECHO, ("segments", 0, "params", "omega0"), -5.0, "omega0 must be positive"),
-        (ECHO, ("segments", 0, "params", "omega0"), float("nan"), "finite real number"),
-        (ECHO, ("segments", 1, "params", "dim"), 4, "mixed segment dimensions"),
-        (ECHO, ("segments", 2, "params", "target"), 3, "pulse target"),
-        (EXP_ECHO, ("segments", 0, "params", "frame_term"), 1, "frame_term must be a boolean"),
-        (ECHO, ("segments", 1, "params", "duration"), -1.0, "idle duration must be"),
-        (ECHO, ("segments", 1, "params", "duration"), "1.0", "duration must be a finite"),
-        (ECHO, ("segments", 0, "params"), [1.0], "params must be a dict"),
+        (ECHO.segments[0].params, "theta", "1.0", "finite real number"),
+        (ECHO.segments[0].params, "theta", 9.0, "theta must lie in"),
+        (ECHO.segments[0].params, "omega0", -5.0, "omega0 must be positive"),
+        (ECHO.segments[0].params, "omega0", float("nan"), "finite real number"),
+        (ECHO.segments[2].params, "target", 3, "pulse target"),
+        (EXP_ECHO.segments[0].params, "frame_term", 1, "frame_term must be a boolean"),
+        (ECHO.segments[1].params, "duration", -1.0, "idle duration must be"),
+        (ECHO.segments[1].params, "duration", "1.0", "duration must be a finite"),
     ],
     ids=[
-        "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan", "idle-dim",
-        "target-not-string", "frame-term-not-bool", "segment-dim-float", "schedule-dim-float",
-        "params-not-object",
-    ],  # the two dim-float cases tamper with an idle's duration; their ids
-    # are kept from when entries and documents stated a dim of their own
+        "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan",
+        "target-not-string", "frame-term-not-bool", "idle-duration-negative",
+        "idle-duration-string",
+    ],
 )
-def test_json_rejects_bad_parameter_values(sched, path, value, match):
-    import json
-
-    doc = json.loads(schedule_to_json(sched))
-    *where, key = path
-    functools.reduce(operator.getitem, where, doc)[key] = value
+def test_json_rejects_bad_parameter_values(record, key, value, match):
     with pytest.raises(ValueError, match=match):
-        schedule_from_json(json.dumps(doc))
+        replace(record, **{key: value})
 
 
 @st.composite
@@ -400,16 +350,6 @@ def _drawn_echoes(draw):
     return build_exp_two_qubit_sequence(p, frame_term=draw(st.booleans()), gaps=gaps)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(_drawn_echoes())
-def test_json_round_trip_keeps_text_and_propagators(sched):
-    text = schedule_to_json(sched)
-    back = schedule_from_json(text)
-    assert schedule_to_json(back) == text
-    want = propagate_schedule(sched, samples=4).propagators
-    assert propagate_schedule(back, samples=4).propagators.tobytes() == want.tobytes()
-
-
 # values no record accepts for a key: beside these, every key rejects a
 # string, None, nan, +-inf and an integer beyond the float range, and
 # every key but frame_term a bool
@@ -426,7 +366,6 @@ _OUT_OF_RANGE = {
     "duration": [-1.0],
     "frame_term": [0, 1, 1.0],
 }
-_UNKNOWN_KEYS = ["bogus", *_OUT_OF_RANGE]
 
 
 @st.composite
@@ -439,32 +378,23 @@ def _bad_params(draw, key):
 
 
 @st.composite
-def _tampered_documents(draw):
-    """The JSON document of a drawn echo with one segment's params
-    changed: a value swapped for a bad one, a key dropped, or an unknown
-    key added."""
-    doc = json.loads(schedule_to_json(draw(_drawn_echoes())))
-    params = draw(st.sampled_from(doc["segments"]))["params"]
-    key = draw(st.sampled_from(sorted(params)))
-    change = draw(st.sampled_from(["swap", "drop", "add"]))
-    if change == "swap":
-        params[key] = draw(_bad_params(key))
-    elif change == "drop":
-        del params[key]
-    else:
-        unknown = draw(st.sampled_from([k for k in _UNKNOWN_KEYS if k not in params]))
-        params[unknown] = params[key]
-    return json.dumps(doc)
+def _bad_records(draw):
+    """(record, key, value): the record of a segment of a drawn echo, one
+    of its fields, and a value that field must reject."""
+    record = draw(st.sampled_from(draw(_drawn_echoes()).segments)).params
+    key = draw(st.sampled_from([f.name for f in fields(record)]))
+    return record, key, draw(_bad_params(key))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(_tampered_documents())
-def test_json_rejects_generated_bad_params(text):
-    # a record built as Record(**params) without its key check raises
-    # TypeError, and a key read without it KeyError or AttributeError;
-    # pytest.raises(ValueError) lets those through as failures
+@given(_bad_records())
+def test_records_reject_generated_bad_params(draw):
+    # a value converted before its check raises TypeError (float(None))
+    # or passes (bool(1)); pytest.raises(ValueError) lets a TypeError
+    # through as a failure
+    record, key, bad = draw
     with pytest.raises(ValueError):
-        schedule_from_json(text)
+        replace(record, **{key: bad})
 
 
 def test_field_timeline_and_csv(tmp_path):
