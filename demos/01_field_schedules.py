@@ -8,19 +8,19 @@ import numpy as np
 
 from tqdecho import (
     LoopParams,
+    RootLoopParams,
     build_echo_sequence,
     tqd_field_magnitude,
     write_field_timeline_csv,
 )
-from tqdecho.schedule import loop_segment
 
 p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 
 print("== root drive and correction ==")
 print(f"cone angle {p.theta:.4f} rad, loop rate {p.omega}, root magnitude {p.omega0}")
 ts = np.linspace(0.0, p.period, 5)
-roots = loop_segment(p, corrected=False).field_batch(ts)
-totals = loop_segment(p).field_batch(ts)
+roots = RootLoopParams.of(p).field_batch(ts)
+totals = p.field_batch(ts)
 for t, b0, bt in zip(ts, roots, totals):
     bc = bt - b0
     print(

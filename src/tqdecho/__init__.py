@@ -19,13 +19,13 @@ from .qcore import (
 from .fields import (
     ExpParams,
     LoopParams,
+    RootLoopParams,
     TwoQubitParams,
     experimental_params,
     theta_tilde,
     tqd_field_magnitude,
 )
 from .schedule import (
-    Segment,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,

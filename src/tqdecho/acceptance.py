@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams
+from .fields import LoopParams, RootLoopParams, TwoQubitParams
 from .gates import (
     SingleGateSpec,
     _lattice,
@@ -50,7 +50,6 @@ from .schedule import (
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
-    loop_segment,
     rotate_schedule,
     single_loop_schedule,
 )
@@ -336,10 +335,7 @@ def _oracle_families() -> dict:
     the rounding floor of about 2e-13, so the two runs measure its order."""
     p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
     q = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
-    root = SegmentSchedule((
-        loop_segment(p, corrected=False),
-        loop_segment(p.reversed(), corrected=False),
-    ))
+    root = SegmentSchedule((RootLoopParams.of(p), RootLoopParams.of(p.reversed())))
     return {
         "rotated_echo": (rotate_schedule(build_echo_sequence(p), 0.4), 256, 1024),
         "root_loops": (root, 256, 1024),

@@ -209,9 +209,9 @@ def _write_json(path: Path, obj) -> None:
 class Run:
     """Collects checks and artifacts for one scenario invocation."""
 
-    def __init__(self, kind: str, params: dict, policy: StepPolicy | None, out: Path):
+    def __init__(self, kind: str, config: dict, policy: StepPolicy | None, out: Path):
         self.kind = kind
-        self.params = params
+        self.config = config
         self.policy = policy
         self.out = out
         self.checks = []
@@ -255,7 +255,7 @@ class Run:
         )
         summary = {
             "kind": self.kind,
-            "params": self.params,
+            "params": self.config,
             "policy": pol,
             "checks": [c.to_dict() for c in self.checks],
             "notes": self.notes,
@@ -277,7 +277,7 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def _run_fields(run: Run) -> int:
-    params = run.params
+    params = run.config
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     sched = single_loop_schedule(p)
     data = field_timeline(sched, params["samples"])
@@ -295,7 +295,7 @@ def _run_fields(run: Run) -> int:
 
 
 def _run_evolve(run: Run) -> int:
-    params, label = run.params, run.params["label"]
+    params, label = run.config, run.config["label"]
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     sched = single_loop_schedule(p, corrected=params["corrected"])
     traj = evolve_eigenstate(sched, label, run.policy, samples=params["samples"])
@@ -311,7 +311,7 @@ def _run_evolve(run: Run) -> int:
 
 
 def _run_echo(run: Run) -> int:
-    params, label = run.params, run.params["label"]
+    params, label = run.config, run.config["label"]
     p = LoopParams(params["theta"], params["omega"], params["omega0"])
     sched = build_echo_sequence(p, omega_pi=params["omega_pi"])
     traj = evolve_eigenstate(sched, label, run.policy, samples=params["samples"])
@@ -337,7 +337,7 @@ def _run_echo(run: Run) -> int:
 
 
 def _run_gate(run: Run) -> int:
-    params = run.params
+    params = run.config
     spec = SingleGateSpec(params["axis_angle"], params["gate_angle"])
     rep = synthesize_single_gate(
         spec,
@@ -363,7 +363,7 @@ def _run_gate(run: Run) -> int:
 
 
 def _run_twoqubit(run: Run) -> int:
-    params = run.params
+    params = run.config
     p = TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
     rep = synthesize_two_qubit_gate(p, omega_pi=params["omega_pi"], policy=run.policy)
     _write_json(
@@ -383,7 +383,7 @@ def _run_twoqubit(run: Run) -> int:
 
 
 def _run_expmap(run: Run) -> int:
-    params = run.params
+    params = run.config
     p = TwoQubitParams(params["omega_i"], params["coupling"], params["omega"])
     rep = verify_exp_equivalence(p, policy=run.policy, field_draws=params["draws"])
     fwd = experimental_params(p)
@@ -406,7 +406,7 @@ def _run_expmap(run: Run) -> int:
 
 
 def _run_scan(run: Run) -> int:
-    params = run.params
+    params = run.config
     if params["omega0"] <= 0.0:
         raise ConfigError("scan.omega0 must be positive and finite")
     ratios = params["ratios"]

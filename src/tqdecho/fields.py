@@ -2,13 +2,13 @@
 
 Fields are gamma*B in angular-frequency units, real 3-vectors (x, y, z);
 the spin couples through H = field . S with S = sigma/2. Each loop's
-parameter class is its segment record (LoopParams, TwoQubitParams,
-ExpLoopParams): frozen and validated, it states per block a root field
-at wt = 0 on the cone of `cones()` in a local frame where the field
-precesses about z, and the `orientation` that turns that frame into the
-lab frame, so a turned loop is one value. The drive fields are defined
-once, as the real 2x2 block form of each loop generator
-(schedule.Segment.block_fields), which derives every transitionless
+parameter class is itself a schedule segment (LoopParams,
+RootLoopParams, TwoQubitParams, ExpLoopParams): frozen and validated, it
+states per block a root field at wt = 0 on the cone of `cones()` in a
+local frame where the field precesses about z, and the `orientation`
+that turns that frame into the lab frame, so a turned loop is one value.
+The drive fields are defined once, as the real 2x2 block form of each
+loop generator (_Loop.block_fields), which derives every transitionless
 correction from the record's root drive (_berry_corrected). A record
 holds its loop only: the echo builders in schedule take the pulse rate.
 This module also holds the conditional cone angle theta_tilde, the map
@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "LoopParams",
+    "RootLoopParams",
     "TwoQubitParams",
     "ExpLoopParams",
     "ExpParams",
@@ -58,6 +59,13 @@ def _check_real(name: str, value, positive: bool = False) -> None:
             or not abs(value) <= sys.float_info.max or (positive and value <= 0.0)):
         kind = "positive and finite" if positive else "a finite real number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_flag(name: str, value) -> None:
+    """Reject anything but True or False with a ValueError naming the
+    parameter: a truthy string or number must not pick a branch."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 def _check_rates(**rates) -> None:
@@ -94,7 +102,7 @@ def _float_fields(record_class: type) -> tuple:
 def _real_fields(record, positive: bool = False) -> None:
     """Check each float field of a record with _check_real, then store it
     as a Python float. Equal values then have one repr, which the walk's
-    dedup key repr(seg.params) needs: under numpy 2, np.float64(1.0)
+    dedup key repr(record) needs: under numpy 2, np.float64(1.0)
     reprs as "np.float64(1.0)" and the integer 1 as "1", either of which
     would split a loop from its equal twin built with 1.0."""
     for name in _float_fields(type(record)):
@@ -121,7 +129,8 @@ def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
 class _Loop:
     """What the loop records share: float fields checked (and stored as
     floats) before the loop's own checks, a period 2*pi/|omega| that is
-    also the duration, reversal, and per block, in the loop's local
+    also the duration, reversal, a label loop-C (omega > 0) or loop-Cbar
+    naming the traversal orientation, and per block, in the loop's local
     frame, a root field (transverse, bz) at wt = 0 (each record's
     `root()`) on the cone of `cones()`, its correction and a scalar
     term. The record's `orientation` turns the local frame into the lab
@@ -130,16 +139,20 @@ class _Loop:
 
     frame = (-0.0, -0.0)
     orientation = None
-    duration = property(lambda self: self.period)
+    label = property(lambda self: "loop-C" if self.omega > 0 else "loop-Cbar")
     axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
                     else tuple(self.orientation.matrix[:, 2]))
 
     def __post_init__(self):
         _real_fields(self)
 
-    @property
+    @functools.cached_property
     def period(self) -> float:
         return 2.0 * np.pi / abs(self.omega)
+
+    @functools.cached_property
+    def duration(self) -> float:
+        return self.period
 
     def reversed(self):
         """Same loop, opposite traversal orientation."""
@@ -149,11 +162,40 @@ class _Loop:
         """The root fields plus their Berry correction."""
         return [_berry_corrected(transverse, bz, self.omega) for transverse, bz in self.root()]
 
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of the loop generator at the given local times.
+
+        Returns (c0, v), c0 of shape (blocks, len(ts)) and v of shape
+        (3, blocks, len(ts)): block j of the generator is
+        c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
+        dim-2 loop is one block; two-qubit loops are block-diagonal in the
+        control basis, sector q on the index pair (q, q + 2). v[:, j] is
+        half the field of block j, `corrected()` or with corrected=False
+        (a bool) `root()`, turned from its local frame by the
+        `orientation`, and c0[j] its `frame` term, -0.0 (the exact
+        additive identity) for none.
+        """
+        _check_flag("corrected", corrected)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        fields = self.corrected() if corrected else self.root()
+        wt = self.omega * ts
+        cos, sin = np.cos(wt), np.sin(wt)
+        c0 = np.empty((len(fields), ts.size))
+        v = np.empty((3,) + c0.shape)
+        for j, ((transverse, bz), c) in enumerate(zip(fields, self.frame)):
+            np.multiply(0.5 * transverse, cos, out=v[0, j])
+            np.multiply(0.5 * transverse, sin, out=v[1, j])
+            v[2, j] = 0.5 * bz
+            c0[j] = c
+        if self.orientation is not None:
+            v = (self.orientation.matrix @ v.reshape(3, -1)).reshape(v.shape)
+        return c0, v
+
 
 @dataclass(frozen=True)
 class LoopParams(_Loop):
-    """One conical precession loop for a single qubit, the record of the
-    tqd-loop (corrected) and root-loop (uncorrected) segments.
+    """One period of the corrected conical precession drive on a single
+    qubit, the tqd-loop segment; RootLoopParams is its uncorrected twin.
 
     theta: cone opening angle in [0, pi].
     omega: signed precession rate; the sign selects the traversal
@@ -167,6 +209,7 @@ class LoopParams(_Loop):
     omega: float
     omega0: float = 1.0
     rotation: float = 0.0
+    kind = "tqd-loop"
     dim = 2
 
     def __post_init__(self):
@@ -193,10 +236,30 @@ class LoopParams(_Loop):
     def root(self) -> list:
         return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
 
+    def field_batch(self, ts: np.ndarray) -> np.ndarray:
+        """Drive field rows (Bx, By, Bz) at the given local times."""
+        return 2.0 * self.block_fields(ts)[1][:, 0].T
+
+
+@dataclass(frozen=True)
+class RootLoopParams(LoopParams):
+    """The root-loop segment: the loop of LoopParams without its
+    transitionless correction, so its `corrected()` is its `root()`."""
+
+    kind = "root-loop"
+
+    @classmethod
+    def of(cls, p: LoopParams) -> "RootLoopParams":
+        """The uncorrected twin of loop p."""
+        return cls(p.theta, p.omega, p.omega0, p.rotation)
+
+    def corrected(self) -> list:
+        return self.root()
+
 
 @dataclass(frozen=True)
 class TwoQubitParams(_Loop):
-    """A control-conditioned loop on the driven qubit, the record of the
+    """A corrected control-conditioned loop on the driven qubit, the
     two-qubit-loop segment. The blocks are the control sectors q = 0, 1,
     on cones theta_tilde and pi - theta_tilde about z.
 
@@ -208,6 +271,7 @@ class TwoQubitParams(_Loop):
     omega_i: float
     coupling: float
     omega: float
+    kind = "two-qubit-loop"
     dim = 4
 
     def __post_init__(self):
@@ -229,14 +293,14 @@ class TwoQubitParams(_Loop):
 @dataclass(frozen=True)
 class ExpLoopParams(TwoQubitParams):
     """The conditional loop in its static-coupling realization, the
-    record of the exp-loop segment, with the control-frame term
-    omega * (1 x Sz), +-omega/2 on the sectors, if frame_term (a bool)."""
+    exp-loop segment, with the control-frame term omega * (1 x Sz),
+    +-omega/2 on the sectors, if frame_term (a bool)."""
 
     frame_term: bool
+    kind = "exp-loop"
 
     def __post_init__(self):
-        if not isinstance(self.frame_term, bool):
-            raise ValueError(f"frame_term must be a boolean, got {self.frame_term!r}")
+        _check_flag("frame_term", self.frame_term)
         super().__post_init__()
 
     @property

@@ -24,7 +24,7 @@ expectation). Elsewhere it converges as samples^-2: on an uncorrected
 loop at theta = pi/4, omega = 0.3, omega0 = 1 it is off by 1.5e-5 at 256
 samples and 9.4e-7 at 1024 (ROADMAP item 12 states a closed form). Loop
 expectations are read from the real 2x2 block fields
-(Segment.block_fields) and pulse expectations from the axis each qubit
+(_Loop.block_fields) and pulse expectations from the axis each qubit
 turns about (the pulse record's `axes`), so no dense generator is built.
 """
 from __future__ import annotations
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, _check_real
+from .fields import LoopParams, TwoQubitParams, _Loop, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import _LOOP_KINDS, _PULSE_KINDS, SegmentSchedule, _check_count, loop_segment
+from .schedule import IdleParams, SegmentSchedule, _HalfTurn, _check_count
 
 __all__ = [
     "LABELS4",
@@ -137,7 +137,7 @@ def _label_key(dim: int, label):
 def _checked_label(sched: SegmentSchedule, label):
     """The label as a memo key (_label_key), after checking that phase
     analysis applies to the schedule."""
-    if sched.segments[0].kind not in _LOOP_KINDS:
+    if not isinstance(sched.segments[0], _Loop):
         raise ValueError("phase analysis needs a schedule that starts with a loop")
     return _label_key(sched.dim, label)
 
@@ -164,13 +164,13 @@ def _reference_series(traj: Trajectory, label) -> tuple:
     local = traj.local_times()
     for i, seg in enumerate(sched.segments):
         rows = traj.segment_rows(i)
-        if seg.kind in _LOOP_KINDS:
+        if isinstance(seg, _Loop):
             ts = local[rows]
             if ref_in is None:
                 detected = label
                 eta = 0.0
             else:
-                entry = _eigvecs(seg.params, candidates, ts[:1])[:, 0]
+                entry = _eigvecs(seg, candidates, ts[:1])[:, 0]
                 overlaps = [np.vdot(v, ref_in) for v in entry]
                 best = int(np.argmax(np.abs(overlaps)))
                 detected = candidates[best]
@@ -178,8 +178,8 @@ def _reference_series(traj: Trajectory, label) -> tuple:
                 if misaligned is None and mag < _ALIGNMENT_FLOOR:
                     misaligned = (i, seg.label, mag)
                 eta = float(np.angle(overlaps[best]))
-            refs[rows] = _eigvecs(seg.params, (detected,), ts)[0] * np.exp(1j * eta)
-        elif seg.kind in _PULSE_KINDS:
+            refs[rows] = _eigvecs(seg, (detected,), ts)[0] * np.exp(1j * eta)
+        elif isinstance(seg, _HalfTurn):
             u = traj.propagators[rows]
             refs[rows] = u @ (u[0].conj().T @ ref_in)
         else:  # idle
@@ -235,7 +235,7 @@ def _evolve_eigenstates(
     states = []
     for s in scheds:
         key = _checked_label(s, label)
-        states.append(_eigvecs(s.segments[0].params, (key,), np.array([0.0]))[0, 0])
+        states.append(_eigvecs(s.segments[0], (key,), np.array([0.0]))[0, 0])
     return _propagate_schedules(scheds, states, policy, samples)
 
 
@@ -271,8 +271,8 @@ def _pulse_expectation(seg, psi: np.ndarray) -> np.ndarray:
     """<psi|H|psi> of a pulse, H = 0.5*omega_pi times sigma_k on each
     turned qubit (the record's `axes`): the sum of 0.5*omega_pi*<sigma_k> over
     those qubits, the driven qubit being the leading tensor factor."""
-    half = 0.5 * seg.params.omega_pi
-    axes = seg.params.axes
+    half = 0.5 * seg.omega_pi
+    axes = seg.axes
     if len(axes) == 1:
         return np.einsum("ni,ij,nj->n", psi.conj(), half * PAULI[axes[0]], psi).real
     pair = psi.reshape(-1, 2, 2)
@@ -302,10 +302,10 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
     for i, seg in enumerate(traj.schedule.segments):
         rows = traj.segment_rows(i)
         ts = local[rows]
-        if ts.size < 2 or seg.kind == "idle":
+        if ts.size < 2 or isinstance(seg, IdleParams):
             continue
         psi = traj.states[rows]
-        if seg.kind in _LOOP_KINDS:
+        if isinstance(seg, _Loop):
             expect = _block_expectation(seg, ts, psi, corrected=root == "full")
         else:
             expect = _pulse_expectation(seg, psi)
@@ -398,12 +398,11 @@ def loop_phase_decomposition(traj: Trajectory, label: int) -> PhaseDecomposition
     """
     s = traj.schedule
     label = _checked_label(s, label)
-    if len(s.segments) != 1 or s.segments[0].kind != "tqd-loop":
+    if len(s.segments) != 1 or type(s.segments[0]) is not LoopParams:
         raise ValueError("expects a schedule with exactly one corrected loop")
-    seg = s.segments[0]
-    p = seg.params
+    p = s.segments[0]
     sgn = 1.0 if p.omega > 0 else -1.0
-    expected_dyn = -(1 - 2 * label) * p.omega0 * seg.duration / 2.0
+    expected_dyn = -(1 - 2 * label) * p.omega0 * p.duration / 2.0
     expected_geo = sgn * (2 * label - 1) * np.pi * (1.0 - np.cos(p.theta))
     return _decomposition(traj, label, expected_geo, expected_dyn)
 
@@ -417,7 +416,7 @@ def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
     """
     s = traj.schedule
     label = _checked_label(s, label)
-    first = s.segments[0].params
+    first = s.segments[0]
     sgn = 1.0 if first.omega > 0 else -1.0
     if s.dim == 2:
         expected_geo = sgn * (1 - 2 * label) * 2.0 * np.pi * np.cos(first.theta)
@@ -443,8 +442,7 @@ def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
     vanish to rounding. n_samples is an integer >= 2."""
     _check_count("n_samples", n_samples, 2)
     ts = np.linspace(0.0, p.period, n_samples)
-    seg = loop_segment(p)
-    v = seg.block_fields(ts)[1] - seg.block_fields(ts, corrected=False)[1]
+    v = p.block_fields(ts)[1] - p.block_fields(ts, corrected=False)[1]
     hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)
     vecs = _eigvecs(p, (0, 1), ts)
     energies = np.einsum("lni,nij,lnj->ln", vecs.conj(), hc, vecs).real

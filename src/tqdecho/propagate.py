@@ -1,7 +1,7 @@
 """Time evolution of piecewise schedules.
 
 Two propagators share one interface; `policy` selects between them. Both
-work on the real 2x2 block form of the generators (Segment.block_fields)
+work on the real 2x2 block form of the loop generators (_Loop.block_fields)
 and store each SU(2) factor as a real quaternion; no generator is built
 as a dense matrix, and complex matrices are built only at the sample
 times, by one packer.
@@ -63,14 +63,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .schedule import (
-    _LOOP_KINDS,
-    _PULSE_KINDS,
-    Segment,
-    SegmentSchedule,
-    _check_count,
-    _write_csv,
-)
+from .fields import _Loop
+from .schedule import SegmentSchedule, _HalfTurn, _check_count, _write_csv
 
 __all__ = [
     "StepPolicy",
@@ -148,9 +142,9 @@ def _period_unit(omega: float) -> float:
 # fourth-order Magnus integrator (the oracle)
 # ---------------------------------------------------------------------------
 
-def _step_quaternions(seg: Segment, n: int) -> tuple:
+def _step_quaternions(seg: _Loop, n: int) -> tuple:
     """Fourth-order Magnus steps of a loop segment, one per 2x2 block of
-    its generator, read from Segment.block_fields.
+    its generator, read from its block_fields.
 
     Each step samples the block h = c0 + v . sigma at the two
     Gauss-Legendre points t_mid -+ dt/(2*sqrt(3)), giving (c1, v1) and
@@ -166,7 +160,7 @@ def _step_quaternions(seg: Segment, n: int) -> tuple:
     mid = (np.arange(n) + 0.5) * dt
     gap = dt / (2.0 * np.sqrt(3.0))
     c0, v = seg.block_fields(np.concatenate([mid - gap, mid + gap]))
-    scale = _period_unit(seg.params.omega)
+    scale = _period_unit(seg.omega)
     c0, v, dt = scale * c0, scale * v, dt / scale
     v1, v2 = v[..., :n], v[..., n:]
     u = 0.5 * (v1 + v2)
@@ -235,7 +229,7 @@ def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
 
     Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with n
     the record's precession `axis` and K = c0 + w . sigma,
-    w = v(0) - omega*n/2, read from Segment.block_fields at t = 0: the
+    w = v(0) - omega*n/2, read from the record's block_fields at t = 0: the
     Rodrigues quaternions (cos(omega*t/2), sin(omega*t/2) n) and
     (cos(|w|t), sin(|w|t) w/|w|) multiplied, times the phase
     exp(-i*c0*t). The blocks of every segment are stacked on one axis, as
@@ -248,8 +242,8 @@ def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
         c, f = seg.block_fields(0.0)
         c0.append(c[:, 0])
         v.append(f[:, :, 0])
-        omega.append(seg.params.omega)
-        axis.append(seg.params.axis)
+        omega.append(seg.omega)
+        axis.append(seg.axis)
         scale.append(_period_unit(omega[-1]))
     c0, v = np.stack(c0, axis=1), np.stack(v, axis=2)
     omega, axis, scale = np.array(omega), np.array(axis).T, np.array(scale)
@@ -276,13 +270,13 @@ def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
     return packed.reshape(count, n, segs[0].dim, segs[0].dim)
 
 
-def _pulse_propagators(seg: Segment, ts: np.ndarray) -> np.ndarray:
+def _pulse_propagators(seg: _HalfTurn, ts: np.ndarray) -> np.ndarray:
     """Exact propagators of a constant half-turn pulse: the rotation
     exp(-i*omega_pi*t*sigma_k/2) of each turned qubit (the identity on a
     qubit the pulse leaves alone), tensored in qubit order."""
-    half = 0.5 * seg.params.omega_pi * ts
+    half = 0.5 * seg.omega_pi * ts
     turns = []
-    for k in seg.params.axes:
+    for k in seg.axes:
         q = np.zeros((4, 1, ts.size))
         if k is None:
             q[0] = 1.0
@@ -382,9 +376,10 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     dim, dim), the last at its end, with cps = checkpoints per loop and
     min(16, checkpoints) per pulse or idle; a zero-duration segment gets
     (None, 0). This walk is the only place segments become propagators,
-    behind gates and trajectories alike. Segments equal in kind and
-    params (by repr, so 0.0 and -0.0 differ; labels ignored), and so in
-    dim and duration, are propagated once across the whole batch. Pulses
+    behind gates and trajectories alike. Segments of equal repr (record
+    class and fields, so tqd and root loops differ and so do 0.0 and
+    -0.0), and so of equal dim and duration, are propagated once across
+    the whole batch. Pulses
     (_pulse_propagators) and idles (the identity) are exact under either
     policy and report one substep per checkpoint. The distinct loops of
     one dim go to one stacked kernel call: _loop_propagators on the exact
@@ -397,18 +392,19 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
         for seg in s.segments:
             key = None
             if seg.duration != 0.0:
-                key = seg.kind, repr(seg.params)
+                key = repr(seg)
                 distinct.setdefault(key, seg)
             row.append(key)
         keys.append(row)
     done = {None: (None, 0)}
     loops = {2: [], 4: []}
     for key, seg in distinct.items():
-        cps = checkpoints if seg.kind in _LOOP_KINDS else min(16, checkpoints)
+        loop = isinstance(seg, _Loop)
+        cps = checkpoints if loop else min(16, checkpoints)
         ts = seg.duration * np.arange(1, cps + 1) / cps
-        if seg.kind in _LOOP_KINDS:
+        if loop:
             loops[seg.dim].append((key, seg, ts))
-        elif seg.kind in _PULSE_KINDS:
+        elif isinstance(seg, _HalfTurn):
             done[key] = _pulse_propagators(seg, ts), cps
         else:
             done[key] = np.eye(seg.dim, dtype=complex)[None].repeat(cps, axis=0), cps

@@ -1,44 +1,43 @@
 """Piecewise drive schedules.
 
-A schedule is an ordered list of segments. Each segment is a `kind`, a
-label and a frozen parameter record of that kind, from which its
-dimension, its duration and its generator (the Hamiltonian, in
-angular-frequency units) follow deterministically; no generator is ever
-built as a dense matrix. A
-loop's record is its parameter class from fields (LoopParams,
-TwoQubitParams, ExpLoopParams), which states its frame: its root
-fields precess about z on its `cones()` in a local frame, which its
-`orientation` turns into the lab frame. Every loop generator is defined
-once, in its real 2x2 block form
-(Segment.block_fields, from that record), which both propagators and
-the phase layer read. Every pulse is defined once too, by the axis it
-turns each qubit about (its record's `axes`), which the exact
-propagator and the dynamical phase both read. A corrected loop is its
-root drive plus the transitionless correction b x db/dt, derived in
-the local frame with Berry's formula (fields._berry_corrected); the
-exp-loop takes its field from the static-coupling map instead. Keeping
-segments parametric rather than storing bare callables makes geometric
-operations (axis rotation, traversal reversal) exact parameter updates.
+A schedule is an ordered list of segments, and each segment is a frozen,
+validated drive record: a loop record from fields (LoopParams,
+RootLoopParams, TwoQubitParams, ExpLoopParams), a pulse (PulseParams,
+FlipParams) or an idle (IdleParams). Its dimension, duration, `kind`,
+`label` and generator (the Hamiltonian, in angular-frequency units)
+follow from its fields; no generator is ever built as a dense matrix. A
+loop record states its frame: its root fields precess about z on its
+`cones()` in a local frame, which its `orientation` turns into the lab
+frame. Every loop generator is defined once, in its real 2x2 block form
+(_Loop.block_fields), which both propagators and the phase layer read.
+Every pulse is defined once too, by the axis it turns each qubit about
+(its record's `axes`), which the exact propagator and the dynamical
+phase both read. A corrected loop is its root drive plus the
+transitionless correction b x db/dt, derived in the local frame with
+Berry's formula (fields._berry_corrected); the exp-loop takes its field
+from the static-coupling map instead. Keeping segments parametric rather
+than storing bare callables makes geometric operations (axis rotation,
+traversal reversal) exact parameter updates.
 
-Segment kinds and their records:
+Segment records, their kinds and labels:
 
-* ``tqd-loop`` / ``root-loop`` (LoopParams): one full conical
-  precession period of the corrected / uncorrected single-qubit drive,
-  turned by the record's `rotation` about y.
-* ``pi-pulse`` (PulseParams): constant half-turn pulse about y, on a
-  single qubit or on one qubit of a pair.
-* ``control-flip`` (FlipParams): simultaneous half turn, x on the driven
-  qubit and y on the control. This is the refocusing pulse of the
-  two-qubit echo.
-* ``idle`` (IdleParams): zero generator for the record's `duration`.
-* ``two-qubit-loop`` (TwoQubitParams): control-conditioned
-  corrected loop on the driven qubit (block-diagonal in the control
-  basis).
-* ``exp-loop`` (ExpLoopParams): the same conditional loop expressed
+* LoopParams ``tqd-loop`` / RootLoopParams ``root-loop``: one full
+  conical precession period of the corrected / uncorrected single-qubit
+  drive, turned by the record's `rotation` about y.
+* PulseParams ``pi-pulse``: constant half-turn pulse about y, on a
+  single qubit (label pi) or on one qubit of a pair (pi-I, pi-II).
+* FlipParams ``control-flip``: simultaneous half turn, x on the driven
+  qubit and y on the control, labelled pi-II. This is the refocusing
+  pulse of the two-qubit echo.
+* IdleParams ``idle``: zero generator for the record's `duration`.
+* TwoQubitParams ``two-qubit-loop``: control-conditioned corrected loop
+  on the driven qubit (block-diagonal in the control basis).
+* ExpLoopParams ``exp-loop``: the same conditional loop expressed
   through static couplings plus a rotating transverse drive, including
   the control-frame term omega * (1 x Sz) while the drive is on.
 
-The echo builders take the rate of their pulses, 50*|omega| by default
+A loop is labelled loop-C for omega > 0 and loop-Cbar for omega < 0. The
+echo builders take the rate of their pulses, 50*|omega| by default
 (_pulse_rate); no loop record holds it.
 """
 from __future__ import annotations
@@ -50,20 +49,22 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import ExpLoopParams, LoopParams, TwoQubitParams, _check_real, _real_fields
+from .fields import (
+    ExpLoopParams,
+    LoopParams,
+    RootLoopParams,
+    TwoQubitParams,
+    _Loop,
+    _check_flag,
+    _check_real,
+    _real_fields,
+)
 
 __all__ = [
-    "Segment",
     "SegmentSchedule",
     "PulseParams",
     "FlipParams",
     "IdleParams",
-    "loop_segment",
-    "pi_pulse_segment",
-    "control_flip_segment",
-    "idle_segment",
-    "two_qubit_loop_segment",
-    "exp_loop_segment",
     "single_loop_schedule",
     "build_echo_sequence",
     "build_two_qubit_sequence",
@@ -72,9 +73,6 @@ __all__ = [
     "field_timeline",
     "write_field_timeline_csv",
 ]
-
-_LOOP_KINDS = ("tqd-loop", "root-loop", "two-qubit-loop", "exp-loop")
-_PULSE_KINDS = ("pi-pulse", "control-flip")
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -85,54 +83,88 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _zero_fields(record, ts: np.ndarray) -> np.ndarray:
+    """Zero drive field rows at the given local times, for a dim-2 record."""
+    if record.dim != 2:
+        raise ValueError("field form exists only for dim-2 segments")
+    return np.zeros((np.atleast_1d(ts).size, 3))
+
+
 # ---------------------------------------------------------------------------
-# segment parameter records, one per kind (_RECORDS); the loop records
-# live in fields
+# pulse and idle records; the loop records live in fields
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _HalfTurn:
-    """What the pulse records share: a half turn at rate omega_pi > 0.
-    `axes` holds the index into PAULI of each qubit's axis, the driven
-    qubit first, or None for a qubit left alone; the generator is
-    0.5*omega_pi times the sum of these terms."""
+    """What the pulse records share: a half turn at rate omega_pi > 0,
+    lasting pi/omega_pi. `axes` holds the index into PAULI of each
+    qubit's axis, the driven qubit first, or None for a qubit left alone;
+    the generator is 0.5*omega_pi times the sum of these terms."""
 
     omega_pi: float
-    dim = property(lambda self: 2 ** len(self.axes))
-    duration = property(lambda self: np.pi / self.omega_pi)
 
     def __post_init__(self):
         _real_fields(self, positive=True)
 
+    @functools.cached_property
+    def dim(self) -> int:
+        return 2 ** len(self.axes)
+
+    @functools.cached_property
+    def duration(self) -> float:
+        return np.pi / self.omega_pi
+
 
 @dataclass(frozen=True)
 class FlipParams(_HalfTurn):
-    """control-flip: x on the driven qubit, y on the control."""
+    """The control flip: x on the driven qubit, y on the control, with
+    generator 0.5*omega_pi*(sx x 1 + 1 x sy).
 
+    In the conditional eigenbasis this swaps the control sectors while
+    preserving the energy label of the driven qubit, which is what lets
+    the second half of the two-qubit echo undo the sector-dependent
+    dynamical phases. A y half turn on the control alone does not do
+    this; it scrambles sectors when the drive and coupling are comparable.
+    """
+
+    kind = "control-flip"
+    label = "pi-II"
     axes = (0, 1)
 
 
 @dataclass(frozen=True)
 class PulseParams(_HalfTurn):
-    """pi-pulse: a half turn about y on a lone qubit (target "single") or
-    on qubit "I" or "II" of a pair."""
+    """A half turn about y, generator 0.5*omega_pi*sigma_y, on a lone
+    qubit (target "single", label pi) or on qubit "I" or "II" of a pair
+    (label pi-I or pi-II)."""
 
     target: str
+    kind = "pi-pulse"
     _AXES = {"single": (1,), "I": (1, None), "II": (None, 1)}
     axes = property(lambda self: self._AXES[self.target])
+    label = property(lambda self: "pi" if self.target == "single" else f"pi-{self.target}")
 
     def __post_init__(self):
         if not isinstance(self.target, str) or self.target not in self._AXES:
             raise ValueError(f'pulse target must be "single", "I" or "II", got {self.target!r}')
         super().__post_init__()
 
+    def field_batch(self, ts: np.ndarray) -> np.ndarray:
+        """Drive field rows (Bx, By, Bz) of a single-qubit pulse."""
+        out = _zero_fields(self, ts)
+        (axis,) = self.axes
+        out[:, axis] = self.omega_pi
+        return out
+
 
 @dataclass(frozen=True)
 class IdleParams:
-    """idle: a dimension, the integer 2 or 4, and a duration >= 0."""
+    """An idle: a dimension, the integer 2 or 4, and a duration >= 0."""
 
     dim: int
     duration: float
+    kind = "idle"
+    label = "idle"
 
     def __post_init__(self):
         _check_count("idle dim", self.dim, 2)
@@ -143,182 +175,12 @@ class IdleParams:
         if self.duration < 0.0:
             raise ValueError(f"idle duration must be finite and >= 0, got {self.duration}")
 
-
-_RECORDS = {
-    "tqd-loop": LoopParams,
-    "root-loop": LoopParams,
-    "pi-pulse": PulseParams,
-    "control-flip": FlipParams,
-    "idle": IdleParams,
-    "two-qubit-loop": TwoQubitParams,
-    "exp-loop": ExpLoopParams,
-}
-
-
-# ---------------------------------------------------------------------------
-# segments
-# ---------------------------------------------------------------------------
-
-_CSV_BREAKING = frozenset(',"\r\n\0')
-
-
-def _check_csv_text(name: str, value) -> None:
-    """Accept a string that fits in one unquoted CSV cell: no comma,
-    quote, line break or NUL."""
-    if not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, got {value!r}")
-    if not _CSV_BREAKING.isdisjoint(value):
-        raise ValueError(
-            f"{name} must not contain a comma, quote, line break or NUL, got {value!r}"
-        )
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One schedule segment: a kind, a label and its parameter record.
-
-    The record is the one source of the segment's physics: its generator
-    follows on demand (block_fields for a loop, the record's `axes` for
-    a pulse, zero for an idle), and so do its `dim` and `duration` (a
-    loop lasts one period, a pulse one half turn, an idle what its
-    record states), which construction reads from it and stores.
-    Segments with equal fields produce bit-identical block fields.
-    Construction rejects a `params` other than the kind's record. The
-    label is written into CSV cells as it is, so it may not contain a
-    comma, quote, line break or NUL.
-    """
-
-    kind: str
-    label: str
-    params: LoopParams | TwoQubitParams | PulseParams | FlipParams | IdleParams
-    dim: int = dataclasses.field(init=False, repr=False, compare=False)
-    duration: float = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _RECORDS:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        record = _RECORDS[self.kind]
-        if type(self.params) is not record:
-            raise ValueError(
-                f"segment kind {self.kind!r} takes params of type {record.__name__}, "
-                f"got {self.params!r}"
-            )
-        _check_csv_text("segment label", self.label)
-        object.__setattr__(self, "dim", self.params.dim)
-        object.__setattr__(self, "duration", self.params.duration)
-
-    # -- fields ---------------------------------------------------------------
-
-    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
-        """Real 2x2 block form of a loop generator at the given local times.
-
-        Returns (c0, v), c0 of shape (blocks, len(ts)) and v of shape
-        (3, blocks, len(ts)): block j of the generator is
-        c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
-        dim-2 loop is one block; two-qubit loops are block-diagonal in the
-        control basis, sector q on the index pair (q, q + 2). v[:, j] is
-        half the field of the record's block j, turned from its local
-        frame by its `orientation`, and c0[j] its `frame` term, -0.0
-        (the exact additive identity) for none. corrected=False drops
-        the transitionless correction.
-        """
-        if self.kind not in _LOOP_KINDS:
-            raise ValueError(f"segment kind {self.kind!r} is not a loop")
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        p = self.params
-        # a root-loop is never corrected
-        fields = p.corrected() if corrected and self.kind != "root-loop" else p.root()
-        wt = p.omega * ts
-        cos, sin = np.cos(wt), np.sin(wt)
-        c0 = np.empty((len(fields), ts.size))
-        v = np.empty((3,) + c0.shape)
-        for j, ((transverse, bz), c) in enumerate(zip(fields, p.frame)):
-            np.multiply(0.5 * transverse, cos, out=v[0, j])
-            np.multiply(0.5 * transverse, sin, out=v[1, j])
-            v[2, j] = 0.5 * bz
-            c0[j] = c
-        if p.orientation is not None:
-            v = (p.orientation.matrix @ v.reshape(3, -1)).reshape(v.shape)
-        return c0, v
-
     def field_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Drive field rows (Bx, By, Bz) for dim-2 segments."""
-        if self.dim != 2:
-            raise ValueError("field form exists only for dim-2 segments")
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.kind in _LOOP_KINDS:
-            return 2.0 * self.block_fields(ts)[1][:, 0].T
-        out = np.zeros((ts.size, 3))
-        if self.kind in _PULSE_KINDS:
-            (axis,) = self.params.axes
-            out[:, axis] = self.params.omega_pi
-        return out
+        """Drive field rows (Bx, By, Bz) of a single-qubit idle: zero."""
+        return _zero_fields(self, ts)
 
 
-# ---------------------------------------------------------------------------
-# segment constructors
-# ---------------------------------------------------------------------------
-
-def loop_segment(p: LoopParams, corrected: bool = True) -> Segment:
-    """One full loop period of the (un)corrected single-qubit drive p,
-    turned by its `rotation`.
-
-    The label records the traversal orientation: loop-C for omega > 0,
-    loop-Cbar for omega < 0.
-    """
-    kind = "tqd-loop" if corrected else "root-loop"
-    label = "loop-C" if p.omega > 0 else "loop-Cbar"
-    return Segment(kind, label, p)
-
-
-def pi_pulse_segment(omega_pi: float, target: str = "single") -> Segment:
-    """Half-turn pulse about y with generator 0.5*omega_pi*sigma_y and
-    duration pi/omega_pi. target selects the qubit: "single" for a lone
-    qubit, "I" or "II" for one qubit of a pair."""
-    params = PulseParams(omega_pi, target)
-    label = "pi" if target == "single" else f"pi-{target}"
-    return Segment("pi-pulse", label, params)
-
-
-def control_flip_segment(omega_pi: float) -> Segment:
-    """Simultaneous half turn: x on the driven qubit, y on the control.
-
-    One constant segment with generator 0.5*omega_pi*(sx x 1 + 1 x sy).
-    In the conditional eigenbasis this swaps the control sectors while
-    preserving the energy label of the driven qubit, which is what lets
-    the second half of the two-qubit echo undo the sector-dependent
-    dynamical phases. A y half turn on the control alone does not do
-    this; it scrambles sectors when the drive and coupling are comparable.
-    """
-    return Segment("control-flip", "pi-II", FlipParams(omega_pi))
-
-
-def idle_segment(duration: float, dim: int = 2) -> Segment:
-    return Segment("idle", "idle", IdleParams(dim, duration))
-
-
-def two_qubit_loop_segment(p: TwoQubitParams, reverse: bool = False) -> Segment:
-    return _conditional_loop("two-qubit-loop", p, reverse)
-
-
-def exp_loop_segment(
-    p: TwoQubitParams, reverse: bool = False, frame_term: bool = True
-) -> Segment:
-    """Conditional loop realized via the static-coupling parameters.
-
-    The reversed segment is built from the reversed loop parameters, so
-    its cross coupling and static tilt come from the parameter map
-    evaluated at -omega.
-    """
-    return _conditional_loop("exp-loop", p, reverse, frame_term)
-
-
-def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, *extra) -> Segment:
-    """One period of a two-qubit loop of `kind` on p's loop rates, or on
-    p reversed, with the record fields in `extra` after the rates."""
-    q = p.reversed() if reverse else p
-    label = "loop-C" if q.omega > 0 else "loop-Cbar"
-    return Segment(kind, label, _RECORDS[kind](q.omega_i, q.coupling, q.omega, *extra))
+_SEGMENTS = (_Loop, _HalfTurn, IdleParams)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +189,7 @@ def _conditional_loop(kind: str, p: TwoQubitParams, reverse: bool, *extra) -> Se
 
 @dataclass(frozen=True)
 class SegmentSchedule:
-    """Ordered segments of equal dimension."""
+    """Ordered segments (drive records) of equal dimension."""
 
     segments: tuple
 
@@ -337,7 +199,7 @@ class SegmentSchedule:
         if not segs:
             raise ValueError("schedule needs at least one segment")
         for s in segs:
-            if not isinstance(s, Segment):
+            if not isinstance(s, _SEGMENTS):
                 raise ValueError(f"schedule takes segments only, got {s!r}")
         dims = {s.dim for s in segs}
         if len(dims) != 1:
@@ -361,7 +223,9 @@ class SegmentSchedule:
 
 
 def single_loop_schedule(p: LoopParams, corrected: bool = True) -> SegmentSchedule:
-    return SegmentSchedule((loop_segment(p, corrected=corrected),))
+    """One loop p, or with corrected=False (a bool) its uncorrected twin."""
+    _check_flag("corrected", corrected)
+    return SegmentSchedule((p if corrected else RootLoopParams.of(p),))
 
 
 def _pulse_rate(p, omega_pi: float | None) -> float:
@@ -381,8 +245,8 @@ def build_echo_sequence(
     stay in the schedule so timing offsets can be dialed in.
     """
     fwd = p if p.omega > 0 else p.reversed()
-    pulse = pi_pulse_segment(_pulse_rate(p, omega_pi), target="single")
-    core = [loop_segment(fwd), pulse, loop_segment(fwd.reversed()), pulse]
+    pulse = PulseParams(_pulse_rate(p, omega_pi), "single")
+    core = [fwd, pulse, fwd.reversed(), pulse]
     return SegmentSchedule(_interleave_idles(core, gaps))
 
 
@@ -393,17 +257,16 @@ def _interleave_idles(core: list, gaps: Sequence[float] | None) -> tuple:
         raise ValueError(f"expected {len(core) - 1} idle gaps, got {len(gaps)}")
     out = [core[0]]
     for seg, g in zip(core[1:], gaps):
-        out.append(idle_segment(g, seg.dim))
+        out.append(IdleParams(seg.dim, g))
         out.append(seg)
     return tuple(out)
 
 
-def _two_qubit_echo(p: TwoQubitParams, rate: float, loop, gaps) -> SegmentSchedule:
+def _two_qubit_echo(p: TwoQubitParams, rate: float, gaps) -> SegmentSchedule:
     """(C, pi-I, Cbar, pi-II) twice with idles interleaved, the pulses at
-    `rate`, each loop built as loop(forward params, reverse)."""
+    `rate`, from the loop record p traversed forward (omega > 0) first."""
     fwd = p if p.omega > 0 else p.reversed()
-    pulse_i, flip = pi_pulse_segment(rate, target="I"), control_flip_segment(rate)
-    half = [loop(fwd, False), pulse_i, loop(fwd, True), flip]
+    half = [fwd, PulseParams(rate, "I"), fwd.reversed(), FlipParams(rate)]
     return SegmentSchedule(_interleave_idles(half + half, gaps))
 
 
@@ -415,10 +278,10 @@ def build_two_qubit_sequence(
         C, pi-I, Cbar, pi-II, C, pi-I, Cbar, pi-II
 
     pi-I is a y half turn on the driven qubit; pi-II is the combined
-    control flip (see control_flip_segment), both at rate omega_pi, 50*|omega|
+    control flip (see FlipParams), both at rate omega_pi, 50*|omega|
     by default. Fifteen segments total with the default zero-duration idles.
     """
-    return _two_qubit_echo(p, _pulse_rate(p, omega_pi), two_qubit_loop_segment, gaps)
+    return _two_qubit_echo(p, _pulse_rate(p, omega_pi), gaps)
 
 
 def build_exp_two_qubit_sequence(
@@ -427,9 +290,11 @@ def build_exp_two_qubit_sequence(
     gaps: Sequence[float] | None = None,
 ) -> SegmentSchedule:
     """Two-qubit echo with the loops in the static-coupling realization,
-    its pulses at the default rate 50*|omega|."""
-    loop = functools.partial(exp_loop_segment, frame_term=frame_term)
-    return _two_qubit_echo(p, _pulse_rate(p, None), loop, gaps)
+    its pulses at the default rate 50*|omega|. Each reversed loop is the
+    forward one at -omega, so its cross coupling and static tilt come
+    from the parameter map evaluated there."""
+    exp = ExpLoopParams(p.omega_i, p.coupling, p.omega, frame_term)
+    return _two_qubit_echo(exp, _pulse_rate(p, None), gaps)
 
 
 def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
@@ -444,9 +309,7 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
         raise ValueError("rotate_schedule is defined for single-qubit schedules")
     _check_real("angle", angle)
     return SegmentSchedule(tuple(
-        dataclasses.replace(seg, params=dataclasses.replace(
-            seg.params, rotation=seg.params.rotation + angle))
-        if seg.kind in _LOOP_KINDS else seg
+        dataclasses.replace(seg, rotation=seg.rotation + angle) if isinstance(seg, _Loop) else seg
         for seg in s.segments
     ))
 
@@ -484,6 +347,20 @@ def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.nda
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
+
+_CSV_BREAKING = frozenset(',"\r\n\0')
+
+
+def _check_csv_text(name: str, value) -> None:
+    """Accept a string that fits in one unquoted CSV cell: no comma,
+    quote, line break or NUL."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    if not _CSV_BREAKING.isdisjoint(value):
+        raise ValueError(
+            f"{name} must not contain a comma, quote, line break or NUL, got {value!r}"
+        )
+
 
 _CSV_CHUNK = 512  # rows formatted and written at a time
 _KERNEL_MIN = 128  # below this many floats, per-cell '%.17g' is cheaper
@@ -728,7 +605,7 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
     integer columns as %d and string columns as they are, each run of
     equal values formatted once. A header name holding a comma, quote,
     line break or NUL is rejected; string cells are segment labels,
-    which Segment holds to the same rule. The file is streamed
+    fixed strings of the records that hold none of these. The file is streamed
     _CSV_CHUNK rows at a time, so no string holds the whole file.
     """
     for name in header:

@@ -3,14 +3,15 @@ and their exponentials by eigendecomposition.
 
 The package never builds a dense generator. These are the independent
 forms the tests check its block-field kernels against: loop generators
-are packed from Segment.block_fields as c0 + v . sigma per block, and
-pulse generators are written out from the physics of each pulse rather
-than read from the table the propagator uses.
+are packed from the loop records' block_fields as c0 + v . sigma per
+block, and pulse generators are written out from the physics of each
+pulse rather than read from the table the propagator uses.
 """
 import numpy as np
 
 from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y
-from tqdecho.schedule import _LOOP_KINDS
+from tqdecho.fields import _Loop
+from tqdecho.schedule import IdleParams
 
 # half-turn axes of each pulse, as the operator they turn about
 _PULSE_OPERATORS = {
@@ -58,12 +59,12 @@ def generator_batch(seg, ts, corrected: bool = True) -> np.ndarray:
     (len(ts), dim, dim). corrected=False drops a loop's transitionless
     correction; pulses and idles are their own root."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if seg.kind in _LOOP_KINDS:
+    if isinstance(seg, _Loop):
         return pack_blocks(*seg.block_fields(ts, corrected=corrected))
     h = np.zeros((seg.dim, seg.dim), dtype=complex)
-    if seg.kind != "idle":
-        pulse = getattr(seg.params, "target", seg.kind)
-        h = 0.5 * seg.params.omega_pi * _PULSE_OPERATORS[pulse]
+    if not isinstance(seg, IdleParams):
+        pulse = getattr(seg, "target", seg.kind)
+        h = 0.5 * seg.omega_pi * _PULSE_OPERATORS[pulse]
     return np.broadcast_to(h, (ts.size, seg.dim, seg.dim)).copy()
 
 

@@ -325,10 +325,17 @@ def test_csv_rejects_an_extra_column_that_is_not_one_real_per_sample(tmp_path, c
     assert not path.exists()
 
 
+@dataclasses.dataclass(frozen=True)
+class _Schleife(LoopParams):
+    """A loop record whose label is not ASCII."""
+
+    label = property(lambda self: LoopParams.label.fget(self).replace("loop", "Schleife-Ω"))
+
+
 def test_non_ascii_label_is_written_as_utf8(tmp_path):
     echo = build_echo_sequence(P)
     renamed = SegmentSchedule(tuple(
-        dataclasses.replace(seg, label=seg.label.replace("loop", "Schleife-Ω"))
+        _Schleife(seg.theta, seg.omega, seg.omega0) if isinstance(seg, LoopParams) else seg
         for seg in echo.segments
     ))
     traj = propagate_schedule(renamed, initial_state=np.array([0.6, 0.8j]), samples=24)

@@ -1,8 +1,8 @@
 """Field construction: root drive, counterdiabatic correction, conditional
 two-qubit fields, and the static-coupling parameter map.
 
-The fields are read from Segment.block_fields / field_batch, the one
-definition the propagator simulates; the closed forms they must match
+The fields are read from the loop records' block_fields / field_batch,
+the one definition the propagator simulates; the closed forms they must match
 live here as references."""
 from dataclasses import replace
 
@@ -12,23 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho.fields import (
+    ExpLoopParams,
     ExpParams,
     LoopParams,
+    RootLoopParams,
     TwoQubitParams,
     experimental_params,
     theta_tilde,
     tqd_field_magnitude,
 )
 from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
-from tqdecho.schedule import (
-    SegmentSchedule,
-    build_two_qubit_sequence,
-    control_flip_segment,
-    exp_loop_segment,
-    loop_segment,
-    pi_pulse_segment,
-    two_qubit_loop_segment,
-)
+from tqdecho.schedule import FlipParams, PulseParams, SegmentSchedule, build_two_qubit_sequence
 
 SEED = 20260816
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -51,7 +45,7 @@ def _fd_correction(seg, ts, h=1e-3):
         return np.cross(b, (direction(ts + step) - direction(ts - step)) / (2.0 * step), axis=0)
 
     b = direction(ts)
-    tol = 1e-9 * abs(seg.params.omega)
+    tol = 1e-9 * abs(seg.omega)
     prev = estimate(h)
     for _ in range(24):
         h *= 0.5
@@ -100,7 +94,7 @@ def test_two_qubit_params_defaults():
     p = TwoQubitParams(omega_i=1.0, coupling=2.0, omega=0.5)
     assert np.isclose(p.rabi, np.sqrt(5.0))
     segments = build_two_qubit_sequence(p).segments
-    rates = [s.params.omega_pi for s in segments if s.kind in ("pi-pulse", "control-flip")]
+    rates = [s.omega_pi for s in segments if s.kind in ("pi-pulse", "control-flip")]
     assert rates == [25.0] * 4  # 50x the loop rate by default
     assert np.isclose(p.period, 4.0 * np.pi)
     assert p.reversed().omega == -0.5
@@ -144,9 +138,9 @@ def test_params_reject_rates_whose_squares_overflow(build, value):
         (lambda: TwoQubitParams(1, [1], 1), "coupling"),
         (lambda: TwoQubitParams(1, 1, True), "omega"),
         (lambda: build_two_qubit_sequence(TwoQubitParams(1, 1, 1), omega_pi="50"), "omega_pi"),
-        (lambda: pi_pulse_segment("3"), "omega_pi"),
-        (lambda: pi_pulse_segment(True), "omega_pi"),
-        (lambda: control_flip_segment(None), "omega_pi"),
+        (lambda: PulseParams("3", "single"), "omega_pi"),
+        (lambda: PulseParams(True, "single"), "omega_pi"),
+        (lambda: FlipParams(None), "omega_pi"),
     ],
 )
 def test_constructors_reject_non_numbers_with_value_error(build, name):
@@ -158,7 +152,7 @@ def test_constructors_reject_non_numbers_with_value_error(build, name):
 
 @pytest.mark.parametrize("omega_pi", [0, -1.0, float("inf")])
 def test_pulse_constructors_reject_bad_rates_through_the_segment_check(omega_pi):
-    for build in (pi_pulse_segment, control_flip_segment):
+    for build in (lambda rate: PulseParams(rate, "single"), FlipParams):
         with pytest.raises(ValueError, match="omega_pi must be positive and finite"):
             build(omega_pi)
 
@@ -237,13 +231,13 @@ def test_exp_params_rejects_what_is_not_a_finite_real(args, name):
 # single-qubit fields --------------------------------------------------------
 
 def test_root_field_at_origin():
-    b = loop_segment(P, corrected=False).field_batch(0.0)[0]
+    b = RootLoopParams.of(P).field_batch(0.0)[0]
     assert np.allclose(b, [np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
 
 
 def test_root_field_magnitude_constant():
     ts = np.linspace(0.0, P.period, 17)
-    mags = np.linalg.norm(loop_segment(P, corrected=False).field_batch(ts), axis=1)
+    mags = np.linalg.norm(RootLoopParams.of(P).field_batch(ts), axis=1)
     assert np.allclose(mags, P.omega0)
 
 
@@ -251,7 +245,7 @@ def test_correction_formula():
     """Corrected minus root field is b0 x (db0/dt) for the precessing cone."""
     rng = np.random.default_rng(SEED)
     ts = rng.uniform(0.0, P.period, size=8)
-    got = _correction(loop_segment(P), ts)[:, 0].T
+    got = _correction(P, ts)[:, 0].T
     assert np.allclose(got, _cone_correction(P, ts), atol=1e-12)
 
 
@@ -260,14 +254,14 @@ def test_correction_numeric_matches_analytic():
     on the closed form."""
     rng = np.random.default_rng(SEED)
     ts = rng.uniform(0.0, P.period, size=5)
-    numeric = _fd_correction(loop_segment(P), ts)[:, 0].T
+    numeric = _fd_correction(P, ts)[:, 0].T
     assert np.allclose(numeric, _cone_correction(P, ts), atol=1e-8)
 
 
 def test_tqd_field_components():
     t = np.array([0.77])
-    total = loop_segment(P).field_batch(t)
-    root = loop_segment(P, corrected=False).field_batch(t)
+    total = P.field_batch(t)
+    root = RootLoopParams.of(P).field_batch(t)
     assert np.allclose(total, root + _cone_correction(P, t), atol=1e-14)
     # z component is time independent
     z = P.omega0 * np.cos(P.theta) + P.omega * np.sin(P.theta) ** 2
@@ -278,7 +272,7 @@ def test_tqd_field_magnitude():
     expected = np.sqrt(P.omega0**2 + (P.omega * np.sin(P.theta)) ** 2)
     assert np.isclose(tqd_field_magnitude(P), expected)
     ts = np.linspace(0.0, P.period, 13)
-    mags = np.linalg.norm(loop_segment(P).field_batch(ts), axis=1)
+    mags = np.linalg.norm(P.field_batch(ts), axis=1)
     assert np.allclose(mags, expected)
     # reversing the loop leaves the magnitude unchanged (even in omega)
     assert np.isclose(tqd_field_magnitude(P.reversed()), expected)
@@ -290,7 +284,7 @@ def test_delta_field_between_orientations():
     replaying the forward waveform does not produce the reversed loop."""
     rng = np.random.default_rng(SEED)
     ts = rng.uniform(0.0, P.period, size=6)
-    direct = loop_segment(P).field_batch(ts) - loop_segment(P.reversed()).field_batch(ts)
+    direct = P.field_batch(ts) - P.reversed().field_batch(ts)
     s, co, w = np.sin(P.theta), np.cos(P.theta), P.omega
     formula = 2.0 * s * np.column_stack(
         [-w * co * np.cos(w * ts), P.omega0 * np.sin(w * ts), np.full_like(ts, w * s)]
@@ -307,7 +301,7 @@ def test_theta_tilde_square_coupling():
 
 def test_conditional_root_field_sectors():
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
-    v = two_qubit_loop_segment(p).block_fields(0.0, corrected=False)[1]
+    v = p.block_fields(0.0, corrected=False)[1]
     assert np.allclose(2.0 * v[:, 0, 0], [1.0, 0.0, 1.0])
     assert np.allclose(2.0 * v[:, 1, 0], [1.0, 0.0, -1.0])  # control flips the static part
 
@@ -316,7 +310,7 @@ def test_conditional_corrected_field_magnitudes():
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
     rng = np.random.default_rng(SEED)
     ts = rng.uniform(0.0, p.period, size=4)
-    v = two_qubit_loop_segment(p).block_fields(ts)[1]
+    v = p.block_fields(ts)[1]
     for q in (0, 1):
         tt = theta_tilde(p) if q == 0 else np.pi - theta_tilde(p)
         expected = np.sqrt(p.rabi**2 + (p.omega * np.sin(tt)) ** 2)
@@ -342,8 +336,9 @@ def test_exp_rotating_field_equals_conditional_field():
     rng = np.random.default_rng(SEED)
     for reverse in (False, True):
         ts = rng.uniform(0.0, p.period, size=4)
-        lhs = exp_loop_segment(p, reverse).block_fields(ts)[1]
-        rhs = two_qubit_loop_segment(p, reverse).block_fields(ts)[1]
+        q = p.reversed() if reverse else p
+        lhs = ExpLoopParams(q.omega_i, q.coupling, q.omega, True).block_fields(ts)[1]
+        rhs = q.block_fields(ts)[1]
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -359,37 +354,39 @@ def _drawn_drives(draw):
     rate = draw(st.sampled_from([-1.0, 1.0])) * omega0 * 10.0 ** draw(st.floats(-1.0, 1.0))
     reverse = draw(st.booleans())
     p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=rate, omega0=omega0)
-    loop = loop_segment(replace(p.reversed() if reverse else p, rotation=draw(st.floats(-np.pi, np.pi))))
+    loop = replace(p.reversed() if reverse else p, rotation=draw(st.floats(-np.pi, np.pi)))
     ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     p2 = TwoQubitParams(
         omega0 * ratio / np.hypot(ratio, 1.0), omega0 / np.hypot(ratio, 1.0), rate
     )
     ts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))) * p.period
     k = draw(st.integers(0, 3))
-    return loop, two_qubit_loop_segment(p2, reverse), exp_loop_segment(p2, reverse), ts, k
+    cond = p2.reversed() if reverse else p2
+    exp = ExpLoopParams(cond.omega_i, cond.coupling, cond.omega, True)
+    return loop, cond, exp, ts, k
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(_drawn_drives())
 def test_corrections_follow_berry_formula(drives):
     loop, cond, exp, ts, k = drives
-    omega = loop.params.omega
+    omega = loop.omega
 
     # (a) corrected minus root fields are b x db/dt of the root direction
     for seg in (loop, cond):
         assert np.max(np.abs(_correction(seg, ts) - _fd_correction(seg, ts))) <= 1e-8 * abs(omega)
 
     # (b) the hand-coded closed forms of the corrected fields
-    theta, omega0 = loop.params.theta, loop.params.omega0
+    theta, omega0 = loop.theta, loop.omega0
     s, c, wt = np.sin(theta), np.cos(theta), omega * ts
     transverse = (omega0 - omega * c) * s
     cone = np.column_stack([
         transverse * np.cos(wt), transverse * np.sin(wt), np.full_like(ts, omega0 * c + omega * s * s)
     ])
-    want = _rotated(loop.params.rotation, cone)
+    want = _rotated(loop.rotation, cone)
     assert np.max(np.abs(loop.field_batch(ts) - want)) <= 1e-12 * (omega0 + abs(omega))
 
-    omega_i, coupling = cond.params.omega_i, cond.params.coupling
+    omega_i, coupling = cond.omega_i, cond.coupling
     rabi = np.hypot(omega_i, coupling)
     s, c = omega_i / rabi, coupling / rabi
     v = cond.block_fields(ts)[1]

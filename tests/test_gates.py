@@ -193,7 +193,7 @@ def test_two_qubit_gates_hold_across_rates(draw):
     # 1.1e-15, field deviation 9.4e-15 of the largest rate
     p, omega_pi = draw
     rep = synthesize_two_qubit_gate(p, omega_pi=omega_pi)
-    assert rep.schedule.segments[2].params.omega_pi == omega_pi
+    assert rep.schedule.segments[2].omega_pi == omega_pi
     assert rep.leakage <= 1e-13
     assert rep.distance <= 1e-13
     assert max(rep.phase_residuals) <= 1e-11
@@ -228,25 +228,26 @@ def test_exp_equivalence_draws_cover_every_sector(draws, monkeypatch):
     states: a unit error planted in any one of the four exp-loop field
     sectors shows up in the field deviation."""
     assert verify_exp_equivalence(P2, field_draws=draws).max_field_deviation <= 1e-10
-    real = gates.exp_loop_segment
+    real = gates.ExpLoopParams
 
     class Planted:
-        def __init__(self, seg, block):
-            self.seg, self.block = seg, block
+        def __init__(self, record, block):
+            self.record, self.block = record, block
 
         def block_fields(self, ts):
-            c0, v = self.seg.block_fields(ts)
+            c0, v = self.record.block_fields(ts)
             v = v.copy()
             v[0, self.block] += 0.5  # block units: a unit field error
             return c0, v
 
     for reverse in (False, True):
         for control in (0, 1):
-            def planted(p, rev, reverse=reverse, control=control):
-                seg = real(p, rev)
-                return Planted(seg, control) if rev == reverse else seg
+            def planted(*fields, reverse=reverse, control=control):
+                record = real(*fields)
+                # P2 turns forward, so its reversed loop has omega < 0
+                return Planted(record, control) if (record.omega < 0) == reverse else record
 
-            monkeypatch.setattr(gates, "exp_loop_segment", planted)
+            monkeypatch.setattr(gates, "ExpLoopParams", planted)
             rep = verify_exp_equivalence(P2, field_draws=draws)
             assert rep.max_field_deviation >= 0.5, (reverse, control)
 

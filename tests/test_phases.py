@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho import phases
-from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
 from tqdecho.gates import closed_form_echo_gate
 from tqdecho.phases import (
     LABELS4,
@@ -29,16 +29,14 @@ from tqdecho.phases import (
 from tqdecho.propagate import StepPolicy, propagate_schedule
 from tqdecho.qcore import gate_distance, unitarity_defect, wrap_angle
 from tqdecho.schedule import (
+    IdleParams,
+    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
-    exp_loop_segment,
-    loop_segment,
-    pi_pulse_segment,
     rotate_schedule,
     single_loop_schedule,
-    two_qubit_loop_segment,
 )
 
 from dense import generator, generator_batch
@@ -61,9 +59,7 @@ def test_loop_eigenvectors_at_origin():
 
 def test_loop_eigenvectors_solve_the_root_hamiltonian():
     """H0 phi_p = (+/-)(omega0/2) phi_p along the whole loop."""
-    from tqdecho.schedule import loop_segment
-
-    seg = loop_segment(P, corrected=False)
+    seg = RootLoopParams.of(P)
     rng = np.random.default_rng(SEED)
     for t in rng.uniform(0.0, P.period, size=6):
         h0 = generator(seg, t)
@@ -80,12 +76,9 @@ def test_loop_eigenvector_gauge_is_periodic():
 
 
 def test_two_qubit_eigenvectors():
-    from tqdecho.schedule import two_qubit_loop_segment
-
-    seg = two_qubit_loop_segment(P2)
     rng = np.random.default_rng(SEED)
     for t in rng.uniform(0.0, P2.period, size=4):
-        h0 = generator(seg, t, corrected=False)
+        h0 = generator(P2, t, corrected=False)
         for p, q in LABELS4:
             v = two_qubit_eigenvector(P2, (p, q), t)
             hv = h0 @ v
@@ -111,14 +104,12 @@ def _drawn_loops(draw):
     scale = 10.0 ** draw(st.floats(np.log10(0.2), np.log10(5.0)))
     rate = draw(st.sampled_from([-1.0, 1.0])) * scale * 10.0 ** draw(st.floats(-1.0, 1.0))
     if kind in ("tqd-loop", "root-loop"):
-        p = LoopParams(draw(st.floats(0.0, np.pi)), rate, scale)
-        seg = loop_segment(replace(p, rotation=draw(st.floats(-np.pi, np.pi))), kind == "tqd-loop")
+        p = LoopParams(draw(st.floats(0.0, np.pi)), rate, scale, draw(st.floats(-np.pi, np.pi)))
+        seg = p if kind == "tqd-loop" else RootLoopParams.of(p)
     else:
-        p = TwoQubitParams(scale * 10.0 ** draw(st.floats(-2.0, 2.0)), scale, rate)
-        if kind == "two-qubit-loop":
-            seg = two_qubit_loop_segment(p)
-        else:
-            seg = exp_loop_segment(p, frame_term=draw(st.booleans()))
+        seg = TwoQubitParams(scale * 10.0 ** draw(st.floats(-2.0, 2.0)), scale, rate)
+        if kind == "exp-loop":
+            seg = ExpLoopParams(seg.omega_i, seg.coupling, seg.omega, draw(st.booleans()))
     return seg, draw(st.floats(0.0, 1.0))
 
 
@@ -134,7 +125,7 @@ def test_eigenvectors_solve_every_loop_record(draw):
     c0, v = seg.block_fields(ts, corrected=False)
     h = generator_batch(seg, ts, corrected=False)
     labels = (0, 1) if seg.dim == 2 else LABELS4
-    vecs = phases._eigvecs(seg.params, labels, ts)
+    vecs = phases._eigvecs(seg, labels, ts)
     scale = np.max(np.abs(c0) + np.linalg.norm(v, axis=0))
     for label, vec in zip(labels, vecs):
         energy, q = (label, 0) if seg.dim == 2 else label
@@ -201,7 +192,7 @@ def _drawn_single_loops(draw):
     omega0 = 10.0 ** draw(st.floats(np.log10(0.2), np.log10(5.0)))
     ratio = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-1.0, 1.0))
     p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=ratio * omega0, omega0=omega0)
-    loop = loop_segment(replace(p, rotation=draw(st.floats(-np.pi, np.pi))))
+    loop = replace(p, rotation=draw(st.floats(-np.pi, np.pi)))
     return SegmentSchedule((loop,)), draw(st.integers(0, 1))
 
 
@@ -212,10 +203,10 @@ def test_loop_phases_match_closed_form_across_parameters(case):
     # relative to its closed form
     sched, label = case
     (seg,) = sched.segments
-    theta, omega, omega0 = seg.params.theta, seg.params.omega, seg.params.omega0
+    theta, omega, omega0 = seg.theta, seg.omega, seg.omega0
     traj = evolve_eigenstate(sched, label)
     # the turned record's own eigenvector is the state the evolution starts from
-    assert np.array_equal(loop_eigenvector(seg.params, label, 0.0), traj.initial_state)
+    assert np.array_equal(loop_eigenvector(seg, label, 0.0), traj.initial_state)
     dec = loop_phase_decomposition(traj, label)
     dynamical = -(1 - 2 * label) * np.pi * omega0 / abs(omega)
     geometric = np.sign(omega) * (2 * label - 1) * solid_angle(theta) / 2.0
@@ -333,21 +324,18 @@ def _phase_schedules():
     out = []
     for corrected in (True, False):
         for rotation in (0.0, 0.7):
-            out.append(SegmentSchedule((
-                loop_segment(replace(P, rotation=rotation), corrected),
-                pi_pulse_segment(20.0),
-                loop_segment(replace(P.reversed(), rotation=rotation), corrected),
-            )))
-    for reverse in (False, True):
-        out.append(SegmentSchedule((two_qubit_loop_segment(P2, reverse),)))
+            loop = single_loop_schedule(replace(P, rotation=rotation), corrected).segments[0]
+            out.append(SegmentSchedule((loop, PulseParams(20.0, "single"), loop.reversed())))
+    for q in (P2, P2.reversed()):
+        out.append(SegmentSchedule((q,)))
         for frame_term in (True, False):
-            out.append(SegmentSchedule((exp_loop_segment(P2, reverse, frame_term),)))
+            out.append(SegmentSchedule((ExpLoopParams(q.omega_i, q.coupling, q.omega, frame_term),)))
     out.append(build_exp_two_qubit_sequence(P2))
     # a y half turn on the control alone, so every pulse axis is covered
     out.append(SegmentSchedule((
-        two_qubit_loop_segment(P2),
-        pi_pulse_segment(P2_PULSE_RATE, target="II"),
-        two_qubit_loop_segment(P2, True),
+        P2,
+        PulseParams(P2_PULSE_RATE, "II"),
+        P2.reversed(),
     )))
     return out
 
@@ -355,7 +343,7 @@ def _phase_schedules():
 @pytest.mark.parametrize("root", ["root", "full"])
 @pytest.mark.parametrize(
     "sched", _phase_schedules(),
-    ids=lambda s: "-".join(f"{seg.kind}{getattr(seg.params, 'frame_term', '')}" for seg in s.segments[:3]),
+    ids=lambda s: "-".join(f"{seg.kind}{getattr(seg, 'frame_term', '')}" for seg in s.segments[:3]),
 )
 def test_block_dynamical_phase_matches_dense_generators(sched, root):
     # a generic state, so every block term contributes
@@ -387,9 +375,9 @@ def test_strict_reference_rejects_bad_control_pulse():
     aligning eigenstates, so the comoving reference refuses to continue."""
     bad = SegmentSchedule(
         (
-            two_qubit_loop_segment(P2),
-            pi_pulse_segment(P2_PULSE_RATE, target="II"),
-            two_qubit_loop_segment(P2, reverse=True),
+            P2,
+            PulseParams(P2_PULSE_RATE, "II"),
+            P2.reversed(),
         )
     )
     traj = evolve_eigenstate(bad, (0, 0), StepPolicy(substeps=512), samples=16)
@@ -399,9 +387,8 @@ def test_strict_reference_rejects_bad_control_pulse():
 
 def test_phase_analysis_requires_leading_loop():
     from tqdecho.propagate import propagate_schedule
-    from tqdecho.schedule import idle_segment
 
-    s = SegmentSchedule((idle_segment(1.0),))
+    s = SegmentSchedule((IdleParams(2, 1.0),))
     t = propagate_schedule(
         s,
         initial_state=np.array([1.0, 0.0], dtype=complex),
@@ -529,9 +516,9 @@ def test_two_qubit_labels_share_one_reference_build(monkeypatch):
 def _bad_control_pulse_trajectory():
     bad = SegmentSchedule(
         (
-            two_qubit_loop_segment(P2),
-            pi_pulse_segment(P2_PULSE_RATE, target="II"),
-            two_qubit_loop_segment(P2, reverse=True),
+            P2,
+            PulseParams(P2_PULSE_RATE, "II"),
+            P2.reversed(),
         )
     )
     return evolve_eigenstate(bad, (0, 0), StepPolicy(substeps=512), samples=16)

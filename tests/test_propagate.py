@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
 from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
@@ -24,20 +24,16 @@ from tqdecho.propagate import (
 )
 from tqdecho.qcore import SIGMA_Y, SIGMA_Z, pauli_dot, unitarity_defect
 from tqdecho.schedule import (
-    Segment,
+    FlipParams,
+    IdleParams,
+    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
-    control_flip_segment,
-    exp_loop_segment,
     field_timeline,
-    idle_segment,
-    loop_segment,
-    pi_pulse_segment,
     rotate_schedule,
     single_loop_schedule,
-    two_qubit_loop_segment,
 )
 
 from dense import expm_hermitian, generator, generator_batch
@@ -58,18 +54,18 @@ def _loop_cases():
     cases = []
     for omega in (0.7, -0.7):
         lp = LoopParams(theta=1.1, omega=omega, omega0=1.0)
-        cases.append(loop_segment(replace(lp, rotation=0.6), corrected=True))
-        cases.append(loop_segment(replace(lp, rotation=-0.9), corrected=False))
-    for reverse in (False, True):
-        cases.append(two_qubit_loop_segment(P2, reverse=reverse))
+        cases.append(replace(lp, rotation=0.6))
+        cases.append(RootLoopParams.of(replace(lp, rotation=-0.9)))
+    for q in (P2, P2.reversed()):
+        cases.append(q)
         for frame_term in (True, False):
-            cases.append(exp_loop_segment(P2, reverse=reverse, frame_term=frame_term))
+            cases.append(ExpLoopParams(q.omega_i, q.coupling, q.omega, frame_term))
     return cases
 
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s, 'frame_term', '')}",
 )
 def test_exact_matches_fine_oracle(seg):
     exact, n = _walked(seg, None, checkpoints=8)
@@ -109,29 +105,29 @@ def _dense_exact_reference(seg, ts):
     if seg.dim == 4:
         axis = np.kron(SIGMA_Z, np.eye(2))
     else:
-        rot = seg.params.rotation
+        rot = seg.rotation
         axis = pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
-    frame = 0.5 * seg.params.omega * axis
+    frame = 0.5 * seg.omega * axis
     return expm_hermitian(frame, ts) @ expm_hermitian(generator(seg, 0.0) - frame, ts)
 
 
 def _kernel_cases():
     flat = LoopParams(theta=0.8, omega=2.3, omega0=1.0)
     return _loop_cases() + [
-        loop_segment(flat, corrected=True),
-        loop_segment(flat.reversed(), corrected=False),
-        pi_pulse_segment(40.0, target="single"),
-        pi_pulse_segment(3.3, target="I"),
-        pi_pulse_segment(3.3, target="II"),
-        control_flip_segment(7.1),
-        idle_segment(1.7, dim=4),
+        flat,
+        RootLoopParams.of(flat.reversed()),
+        PulseParams(40.0, "single"),
+        PulseParams(3.3, "I"),
+        PulseParams(3.3, "II"),
+        FlipParams(7.1),
+        IdleParams(4, 1.7),
     ]
 
 
 @pytest.mark.parametrize(
     "seg", _kernel_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-{getattr(s.params, 'rotation', getattr(s.params, 'target', ''))}"
-    f"-frame{getattr(s.params, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-{getattr(s, 'rotation', getattr(s, 'target', ''))}"
+    f"-frame{getattr(s, 'frame_term', '')}",
 )
 def test_exact_kernel_matches_dense_reference(seg):
     # the walk samples a loop at all 512 checkpoints and a pulse or idle
@@ -166,14 +162,12 @@ def test_step_policy_validation():
         (lambda: StepPolicy(substeps="8"), "substeps must be an integer"),
         (lambda: propagate_schedule(LOOP, samples=2.5), "samples must be an integer"),
         (lambda: verify_exp_equivalence(P2, field_draws=2.5), "field_draws must be an integer"),
-        (lambda: idle_segment(1.0, 2.0), "idle dim must be an integer"),
-        (lambda: Segment("idle", "idle", None), "takes params of type IdleParams"),
+        (lambda: IdleParams(2.0, 1.0), "idle dim must be an integer"),
         (lambda: field_timeline(LOOP, 2.5), "samples_per_segment must be an integer"),
     ],
     ids=[
         "substeps-float", "substeps-bool", "substeps-string", "samples-float",
-        "field-draws-float", "segment-dim-float", "segment-params-none",
-        "timeline-samples-float",
+        "field-draws-float", "segment-dim-float", "timeline-samples-float",
     ],
 )
 def test_counts_and_dims_must_be_integers(call, match):
@@ -182,15 +176,15 @@ def test_counts_and_dims_must_be_integers(call, match):
 
 
 def test_numpy_integer_counts_are_accepted():
-    idle = idle_segment(0.0, np.int64(2))
-    assert type(idle.dim) is int and type(idle.params.dim) is int
+    idle = IdleParams(np.int64(2), 0.0)
+    assert type(idle.dim) is int
     traj = propagate_schedule(LOOP, policy=StepPolicy(np.int64(8)), samples=np.int64(4))
     assert traj.substeps_used == (8,)
     assert verify_exp_equivalence(P2, field_draws=np.int64(1)).field_draws == 1
 
 
 def test_idle_is_identity():
-    s = SegmentSchedule((idle_segment(2.5),))
+    s = SegmentSchedule((IdleParams(2, 2.5),))
     traj = propagate_schedule(s, policy=StepPolicy(substeps=8), samples=4)
     assert np.allclose(traj.final_propagator, np.eye(2))
 
@@ -198,7 +192,7 @@ def test_idle_is_identity():
 def test_pulse_is_exact():
     """Constant segments use the closed-form exponential, not substeps."""
     omega_pi = 40.0
-    s = SegmentSchedule((pi_pulse_segment(omega_pi),))
+    s = SegmentSchedule((PulseParams(omega_pi, "single"),))
     traj = propagate_schedule(s, policy=StepPolicy(substeps=4096), samples=4)
     h = 0.5 * omega_pi * SIGMA_Y
     exact = expm_hermitian(h, np.pi / omega_pi)
@@ -455,7 +449,7 @@ def _drawn_batches(draw):
     two = [
         build_two_qubit_sequence(q),
         build_exp_two_qubit_sequence(q, frame_term=draw(st.booleans())),
-        SegmentSchedule((two_qubit_loop_segment(q, reverse=True),)),
+        SegmentSchedule((q.reversed(),)),
     ]
     pool = one + two
     picks = [draw(st.sampled_from(one)), draw(st.sampled_from(two))]
@@ -509,13 +503,13 @@ def _drawn_loops(draw):
     kind = draw(st.sampled_from(["tqd-loop", "root-loop", "two-qubit-loop", "exp-loop"]))
     rate = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 10.0))
     if kind in ("tqd-loop", "root-loop"):
-        p = LoopParams(theta=draw(st.floats(0.0, np.pi)), omega=rate, omega0=1.0)
-        return loop_segment(replace(p, rotation=draw(st.floats(-np.pi, np.pi))), kind == "tqd-loop")
+        p = LoopParams(draw(st.floats(0.0, np.pi)), rate, 1.0, draw(st.floats(-np.pi, np.pi)))
+        return p if kind == "tqd-loop" else RootLoopParams.of(p)
     ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     p = TwoQubitParams(ratio / np.hypot(ratio, 1.0), 1.0 / np.hypot(ratio, 1.0), rate)
     if kind == "two-qubit-loop":
-        return two_qubit_loop_segment(p)
-    return exp_loop_segment(p, frame_term=draw(st.booleans()))
+        return p
+    return ExpLoopParams(p.omega_i, p.coupling, p.omega, draw(st.booleans()))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -556,7 +550,7 @@ def _dense_magnus_reference(seg, n, checkpoints):
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s, 'frame_term', '')}",
 )
 def test_oracle_kernel_matches_dense_reference(seg):
     # odd chunks, a chunk of one step, and checkpoint counts that are not
@@ -570,7 +564,7 @@ def test_oracle_kernel_matches_dense_reference(seg):
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s.params, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s, 'frame_term', '')}",
 )
 def test_dense_generators_pack_block_fields(seg):
     # the kernels read block_fields and the dense references above pack

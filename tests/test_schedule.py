@@ -1,29 +1,25 @@
-"""Segment and schedule assembly, record validation, field timelines."""
-from dataclasses import fields, replace
+"""Schedule assembly from the drive records, record validation, field
+timelines."""
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
 from tqdecho.qcore import pauli_dot
 from tqdecho.schedule import (
+    FlipParams,
     IdleParams,
-    Segment,
+    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,
-    control_flip_segment,
-    exp_loop_segment,
     field_timeline,
-    idle_segment,
-    loop_segment,
-    pi_pulse_segment,
     rotate_schedule,
     single_loop_schedule,
-    two_qubit_loop_segment,
     write_field_timeline_csv,
 )
 
@@ -31,6 +27,16 @@ from dense import generator
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
+# each segment record with a valid value for every field
+RECORD_FIELDS = (
+    (LoopParams, {"theta": 1.0, "omega": 1.0, "omega0": 1.0, "rotation": 0.0}),
+    (RootLoopParams, {"theta": 1.0, "omega": 1.0, "omega0": 1.0, "rotation": 0.0}),
+    (TwoQubitParams, {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5}),
+    (ExpLoopParams, {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5, "frame_term": True}),
+    (PulseParams, {"omega_pi": 40.0, "target": "single"}),
+    (FlipParams, {"omega_pi": 40.0}),
+    (IdleParams, {"dim": 2, "duration": 1.0}),
+)
 
 
 def _tqd_field(p: LoopParams, t: float) -> np.ndarray:
@@ -41,60 +47,103 @@ def _tqd_field(p: LoopParams, t: float) -> np.ndarray:
 
 
 def test_segment_rejects_unknown_param():
-    with pytest.raises(ValueError):
-        Segment(kind="idle", label="idle", params={"dim": 2, "duration": 1.0, "bogus": 1.0})
+    # every record takes its own fields only, and its constructor names
+    # the one it does not know
+    for record, values in RECORD_FIELDS:
+        assert [f.name for f in fields(record)] == list(values)
+        record(**values)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            record(**values, bogus=1.0)
 
 
 def test_segment_rejects_missing_param():
-    with pytest.raises(ValueError):
-        Segment(kind="pi-pulse", label="pi", params={})
+    # every field without a default must be given, and the constructor
+    # names the missing one
+    for record, values in RECORD_FIELDS:
+        for f in fields(record):
+            if f.default is not MISSING:
+                continue
+            rest = {k: v for k, v in values.items() if k != f.name}
+            with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{f.name}'"):
+                record(**rest)
 
 
-@pytest.mark.parametrize("label", ['loop,"C"\nx', "a,b", 'say "C"', "cr\r", "lf\n", "nul\0"])
-def test_segment_and_json_reject_a_label_that_breaks_the_csv(label):
-    # the label is written into CSV cells as it is
-    seg = loop_segment(P)
-    with pytest.raises(ValueError, match="segment label"):
-        Segment(seg.kind, label, seg.params)
+@pytest.mark.parametrize(
+    "seg, kind, label",
+    [
+        (P, "tqd-loop", "loop-C"),
+        (RootLoopParams.of(P.reversed()), "root-loop", "loop-Cbar"),
+        (P2.reversed(), "two-qubit-loop", "loop-Cbar"),
+        (ExpLoopParams(1.0, 1.0, 0.5, False), "exp-loop", "loop-C"),
+        (PulseParams(40.0, "single"), "pi-pulse", "pi"),
+        (PulseParams(40.0, "I"), "pi-pulse", "pi-I"),
+        (PulseParams(40.0, "II"), "pi-pulse", "pi-II"),
+        (FlipParams(40.0), "control-flip", "pi-II"),
+        (IdleParams(4, 1.0), "idle", "idle"),
+    ],
+    ids=["tqd-loop", "root-loop", "two-qubit-loop", "exp-loop", "pi", "pi-I", "pi-II",
+         "control-flip", "idle"],
+)
+def test_records_state_their_kind_and_label(seg, kind, label):
+    # a loop's label names its traversal orientation, a pulse's the qubit
+    # it turns
+    assert (seg.kind, seg.label) == (kind, label)
+    assert SegmentSchedule((seg,)).labels() == [label]
 
 
-def test_segment_accepts_a_non_ascii_label():
-    seg = loop_segment(P)
-    renamed = Segment(seg.kind, "Schleife-Ω", seg.params)
-    assert SegmentSchedule((renamed,)).labels() == ["Schleife-Ω"]
+def test_root_loop_is_the_loop_without_its_correction():
+    root = RootLoopParams.of(replace(P, rotation=0.4))
+    assert type(root) is RootLoopParams and root.corrected() == root.root()
+    assert (root.theta, root.omega, root.omega0, root.rotation) == (P.theta, P.omega, P.omega0, 0.4)
+    # the same root fields, bit for bit, whichever `corrected` is asked for
+    ts = np.linspace(0.0, P.period, 7)
+    bare = replace(P, rotation=0.4).block_fields(ts, corrected=False)
+    for corrected in (True, False):
+        for got, want in zip(root.block_fields(ts, corrected=corrected), bare):
+            assert got.tobytes() == want.tobytes()
+    # a root loop and its corrected twin are different segments
+    assert root != replace(P, rotation=0.4) and root.reversed() == RootLoopParams.of(
+        replace(P.reversed(), rotation=0.4))
+
+
+@pytest.mark.parametrize("corrected", ["no", 2, np.True_, None, 0.0, []], ids=repr)
+def test_corrected_must_be_a_bool(corrected):
+    # any truthy value built a corrected loop and any falsy one a root loop
+    with pytest.raises(ValueError, match="^corrected must be a boolean"):
+        single_loop_schedule(P, corrected=corrected)
+    with pytest.raises(ValueError, match="^corrected must be a boolean"):
+        P.block_fields([0.0], corrected=corrected)
 
 
 @pytest.mark.parametrize(
     "seg, rate",
     [
-        (loop_segment(replace(P, rotation=0.3)), "omega"),
-        (loop_segment(P.reversed(), corrected=False), "omega"),
-        (pi_pulse_segment(40.0), "omega_pi"),
-        (pi_pulse_segment(3.3, target="II"), "omega_pi"),
-        (control_flip_segment(7.1), "omega_pi"),
-        (two_qubit_loop_segment(P2, reverse=True), "omega"),
-        (exp_loop_segment(P2, frame_term=False), "omega"),
-        (idle_segment(123.4, 4), None),
+        (replace(P, rotation=0.3), "omega"),
+        (RootLoopParams.of(P.reversed()), "omega"),
+        (PulseParams(40.0, "single"), "omega_pi"),
+        (PulseParams(3.3, "II"), "omega_pi"),
+        (FlipParams(7.1), "omega_pi"),
+        (P2.reversed(), "omega"),
+        (ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, False), "omega"),
+        (IdleParams(4, 123.4), None),
     ],
     ids=["tqd-loop", "root-loop", "pi-pulse", "pi-pulse-II", "control-flip", "two-qubit-loop",
          "exp-loop", "idle"],
 )
 def test_segment_dim_and_duration_are_its_records(seg, rate):
-    assert (seg.dim, seg.duration) == (seg.params.dim, seg.params.duration)
     assert type(seg.dim) is int and type(seg.duration) is float
-    # a changed record brings its own duration along: a doubled rate
-    # halves a loop or pulse, and an idle states its duration
-    p = seg.params
+    # a changed record brings its own duration along, never the one the
+    # old record cached: a doubled rate halves a loop or pulse, and an
+    # idle states its duration
     if rate is None:
-        changed, want = replace(p, duration=2.0 * p.duration), 2.0 * seg.duration
+        changed, want = replace(seg, duration=2.0 * seg.duration), 2.0 * seg.duration
     else:
-        changed, want = replace(p, **{rate: 2.0 * getattr(p, rate)}), seg.duration / 2
-    assert replace(seg, params=changed).duration == want
-    assert replace(seg, label="renamed").duration == seg.duration
+        changed, want = replace(seg, **{rate: 2.0 * getattr(seg, rate)}), seg.duration / 2
+    assert changed.duration == want and changed.dim == seg.dim
 
 
 def test_idle_carries_its_duration():
-    assert idle_segment(123.4).duration == 123.4
+    assert IdleParams(2, 123.4).duration == 123.4
     assert IdleParams(4, 0).duration == 0.0
 
 
@@ -108,8 +157,6 @@ def test_idle_record_rejects_a_bad_duration(duration):
 def test_idle_record_takes_dimension_2_or_4(dim):
     with pytest.raises(ValueError, match="^idle dim must be 2 or 4"):
         IdleParams(dim, 1.0)
-    with pytest.raises(ValueError, match="^idle dim must be 2 or 4"):
-        idle_segment(1.0, dim)
 
 
 @pytest.mark.parametrize(
@@ -120,8 +167,8 @@ def test_idle_record_takes_dimension_2_or_4(dim):
         (lambda: replace(P, rotation=10**400), "rotation"),
         (lambda: rotate_schedule(ECHO, True), "angle"),
         (lambda: rotate_schedule(ECHO, "1"), "angle"),
-        (lambda: exp_loop_segment(P2, frame_term="no"), "frame_term"),
-        (lambda: idle_segment("2.5"), "duration"),
+        (lambda: ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, "no"), "frame_term"),
+        (lambda: IdleParams(2, "2.5"), "duration"),
     ],
     ids=["rotation-string", "rotation-bool", "rotation-huge-int", "angle-bool", "angle-string",
          "frame-term-string", "idle-duration-string"],
@@ -138,9 +185,10 @@ def test_constructors_check_values_before_coercing(build, name):
 def test_single_loop_schedule_shape():
     s = single_loop_schedule(P)
     assert len(s.segments) == 1
-    assert s.segments[0].kind == "tqd-loop"
+    assert s.segments[0] is P
     assert np.isclose(s.total_duration, 2.0 * np.pi)
     bare = single_loop_schedule(P, corrected=False)
+    assert bare.segments == (RootLoopParams.of(P),)
     assert bare.segments[0].kind == "root-loop"
 
 
@@ -158,7 +206,9 @@ def test_echo_sequence_normalizes_orientation():
     s = build_echo_sequence(P.reversed())
     first = s.segments[0]
     assert first.label == "loop-C"
-    assert first.params.omega > 0
+    assert first.omega > 0
+    # a forward loop is the echo's first segment as it is
+    assert build_echo_sequence(P).segments[0] is P
 
 
 def test_echo_gaps():
@@ -168,24 +218,22 @@ def test_echo_gaps():
 
 
 def test_loop_field_batch_matches_closed_form():
-    seg = loop_segment(P)
     ts = np.linspace(0.0, P.period, 9)
-    batch = seg.field_batch(ts)
+    batch = P.field_batch(ts)
     for row, t in zip(batch, ts):
         assert np.allclose(row, _tqd_field(P, t), atol=1e-14)
 
 
 def test_pulse_field_is_y_only():
-    seg = pi_pulse_segment(40.0)
+    seg = PulseParams(40.0, "single")
     ts = np.array([0.0, seg.duration / 2])
     assert np.allclose(seg.field_batch(ts), [[0.0, 40.0, 0.0]] * 2)
     assert np.isclose(seg.duration, np.pi / 40.0)
 
 
 def test_generator_is_half_field_dot_sigma():
-    seg = loop_segment(P)
     t = 0.3
-    h = generator(seg, t)
+    h = generator(P, t)
     b = _tqd_field(P, t)
     assert np.allclose(h, 0.5 * pauli_dot(b), atol=1e-14)
 
@@ -214,27 +262,28 @@ def test_loop_records_state_the_axis_their_fields_precess_about():
     # axis over the period; only the part across it turns
     lp = LoopParams(1.1, -0.7, 1.0)
     loops = (
-        loop_segment(replace(lp, rotation=0.6), corrected=True),
-        loop_segment(replace(lp, rotation=-0.9), corrected=False),
-        two_qubit_loop_segment(P2),
-        exp_loop_segment(P2, frame_term=True),
+        replace(lp, rotation=0.6),
+        RootLoopParams.of(replace(lp, rotation=-0.9)),
+        P2,
+        ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, True),
     )
     for seg in loops:
-        axis = np.array(seg.params.axis)
+        axis = np.array(seg.axis)
         assert np.isclose(axis @ axis, 1.0, rtol=0, atol=1e-15)
         _, v = seg.block_fields(np.linspace(0.0, seg.duration, 9))
         along = np.einsum("k,kbn->bn", axis, v)
         assert np.max(np.abs(along - along[:, :1])) <= 1e-15
         assert np.ptp(np.linalg.norm(v, axis=0), axis=-1).max() <= 1e-15
         with pytest.raises(AttributeError):
-            seg.params.axis = (0.0, 0.0, 1.0)
-    assert loops[0].params.axis == (np.sin(0.6), 0.0, np.cos(0.6))
-    assert loops[3].params.axis == (0.0, 0.0, 1.0)
+            seg.axis = (0.0, 0.0, 1.0)
+    assert loops[0].axis == (np.sin(0.6), 0.0, np.cos(0.6))
+    assert loops[3].axis == (0.0, 0.0, 1.0)
 
 
 def test_block_fields_rejects_a_segment_that_is_not_a_loop():
-    for seg in (pi_pulse_segment(40.0), idle_segment(1.0)):
-        with pytest.raises(ValueError, match="not a loop"):
+    # only the loop records have a block form
+    for seg in (PulseParams(40.0, "single"), FlipParams(40.0), IdleParams(2, 1.0)):
+        with pytest.raises(AttributeError, match="block_fields"):
             seg.block_fields([0.01])
 
 
@@ -261,12 +310,12 @@ def test_exp_two_qubit_sequence_layout():
     assert "exp-loop" in kinds
     loops = [seg for seg in s.segments if seg.kind == "exp-loop"]
     assert len(loops) == 4
-    assert all(seg.params.frame_term for seg in loops)
+    assert all(seg.frame_term for seg in loops)
 
 
 def test_schedule_requires_consistent_dims():
     with pytest.raises(ValueError):
-        SegmentSchedule((loop_segment(P), idle_segment(1.0, dim=4)))
+        SegmentSchedule((P, IdleParams(4, 1.0)))
 
 
 def test_boundaries_accumulate():
@@ -290,13 +339,6 @@ def test_schedule_takes_segments_only(items):
         SegmentSchedule(items)
 
 
-def test_json_rejects_unknown_kind():
-    seg = loop_segment(P)
-    for kind in ("mystery", ["tqd-loop"]):
-        with pytest.raises(ValueError, match="unknown segment kind"):
-            Segment(kind, seg.label, seg.params)
-
-
 ECHO = build_echo_sequence(P)
 EXP_ECHO = build_exp_two_qubit_sequence(P2)
 
@@ -304,14 +346,14 @@ EXP_ECHO = build_exp_two_qubit_sequence(P2)
 @pytest.mark.parametrize(
     "record, key, value, match",
     [
-        (ECHO.segments[0].params, "theta", "1.0", "finite real number"),
-        (ECHO.segments[0].params, "theta", 9.0, "theta must lie in"),
-        (ECHO.segments[0].params, "omega0", -5.0, "omega0 must be positive"),
-        (ECHO.segments[0].params, "omega0", float("nan"), "finite real number"),
-        (ECHO.segments[2].params, "target", 3, "pulse target"),
-        (EXP_ECHO.segments[0].params, "frame_term", 1, "frame_term must be a boolean"),
-        (ECHO.segments[1].params, "duration", -1.0, "idle duration must be"),
-        (ECHO.segments[1].params, "duration", "1.0", "duration must be a finite"),
+        (ECHO.segments[0], "theta", "1.0", "finite real number"),
+        (ECHO.segments[0], "theta", 9.0, "theta must lie in"),
+        (ECHO.segments[0], "omega0", -5.0, "omega0 must be positive"),
+        (ECHO.segments[0], "omega0", float("nan"), "finite real number"),
+        (ECHO.segments[2], "target", 3, "pulse target"),
+        (EXP_ECHO.segments[0], "frame_term", 1, "frame_term must be a boolean"),
+        (ECHO.segments[1], "duration", -1.0, "idle duration must be"),
+        (ECHO.segments[1], "duration", "1.0", "duration must be a finite"),
     ],
     ids=[
         "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan",
@@ -319,7 +361,7 @@ EXP_ECHO = build_exp_two_qubit_sequence(P2)
         "idle-duration-string",
     ],
 )
-def test_json_rejects_bad_parameter_values(record, key, value, match):
+def test_records_reject_bad_parameter_values(record, key, value, match):
     with pytest.raises(ValueError, match=match):
         replace(record, **{key: value})
 
@@ -381,7 +423,7 @@ def _bad_params(draw, key):
 def _bad_records(draw):
     """(record, key, value): the record of a segment of a drawn echo, one
     of its fields, and a value that field must reject."""
-    record = draw(st.sampled_from(draw(_drawn_echoes()).segments)).params
+    record = draw(st.sampled_from(draw(_drawn_echoes()).segments))
     key = draw(st.sampled_from([f.name for f in fields(record)]))
     return record, key, draw(_bad_params(key))
 
