@@ -25,6 +25,7 @@ import numpy as np
 
 from .fields import LoopParams, RootLoopParams, TwoQubitParams
 from .gates import (
+    _MIN_WITNESS,
     SingleGateSpec,
     _lattice,
     _witness,
@@ -220,7 +221,7 @@ def criterion_3():
         worst = max(worst, abs(d_full - d_root))
     checks = [
         Check("dynamical_phase_shift_from_correction", worst, 1e-12),
-        Check("correction_diagonal_energy", correction_energy_check(p, 128), 1e-10),
+        Check("correction_diagonal_energy", correction_energy_check(p), 1e-10),
     ]
     return checks, _EXACT
 
@@ -289,7 +290,7 @@ def criterion_5():
     w, norm, predicted = _witness(*pairs.T)
     worst = float(np.max(np.abs(norm - predicted)))
     checks.append(Check("witness_commutator_identity", worst, 1e-9))
-    generating = int(np.count_nonzero(np.abs(w) > 1e-9))
+    generating = int(np.count_nonzero(np.abs(w) > _MIN_WITNESS))
     return checks, {**_EXACT, "generating_pairs": f"{generating}/{len(pairs)}"}
 
 
@@ -340,7 +341,7 @@ def _oracle_families() -> dict:
         "rotated_echo": (rotate_schedule(build_echo_sequence(p), 0.4), 256, 1024),
         "root_loops": (root, 256, 1024),
         "two_qubit_echo": (build_two_qubit_sequence(q), 16, 2048),
-        "exp_echo": (build_exp_two_qubit_sequence(q, frame_term=True), 16, 2048),
+        "exp_echo": (build_exp_two_qubit_sequence(q), 16, 2048),
     }
 
 

@@ -69,8 +69,9 @@ def _check_flag(name: str, value) -> None:
 
 
 def _check_rates(**rates) -> None:
-    """Check a loop's rates: `omega` nonzero, the others positive, all
-    finite real numbers within _MAX_RATE and _MAX_TURN."""
+    """Check a loop's rates: `omega` nonzero with a finite period, the
+    others positive, all finite real numbers within _MAX_RATE and
+    _MAX_TURN."""
     for name, value in rates.items():
         _check_real(name, value, positive=name != "omega")
         if name == "omega" and value == 0.0:
@@ -80,6 +81,10 @@ def _check_rates(**rates) -> None:
                 f"{name} = {value:g} is out of range: loop rates must not exceed "
                 f"{_MAX_RATE:g} in magnitude, or their squared fields overflow"
             )
+    if not math.isfinite(2.0 * math.pi / abs(rates["omega"])):
+        raise ValueError(
+            f"omega = {rates['omega']:g} is too slow: its loop period 2*pi/|omega| overflows"
+        )
     fastest = max(abs(v) for v in rates.values())
     if 2.0 * math.pi * fastest > _MAX_TURN * abs(rates["omega"]):
         raise ValueError(
@@ -294,18 +299,13 @@ class TwoQubitParams(_Loop):
 class ExpLoopParams(TwoQubitParams):
     """The conditional loop in its static-coupling realization, the
     exp-loop segment, with the control-frame term omega * (1 x Sz),
-    +-omega/2 on the sectors, if frame_term (a bool)."""
+    +-omega/2 on the sectors."""
 
-    frame_term: bool
     kind = "exp-loop"
-
-    def __post_init__(self):
-        _check_flag("frame_term", self.frame_term)
-        super().__post_init__()
 
     @property
     def frame(self) -> tuple:
-        return (0.5 * self.omega, -0.5 * self.omega) if self.frame_term else (-0.0, -0.0)
+        return (0.5 * self.omega, -0.5 * self.omega)
 
     def corrected(self) -> list:
         """The field of experimental_params, the realization criterion 7

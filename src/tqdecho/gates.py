@@ -167,6 +167,11 @@ def _lattice(count: int, dim: int) -> np.ndarray:
     return (0.5 + np.multiply.outer(k, phi ** -np.arange(1.0, dim + 1))) % 1.0
 
 
+# a pair generates SU(2) when |w| exceeds this; below it, w is rounding
+# of a commutator that vanishes
+_MIN_WITNESS = 1e-9
+
+
 def _witness(axis1, angle1, axis2, angle2) -> tuple:
     """Commutator witness of gate pairs given as arrays of one shape:
     (w, commutator norm, predicted norm), each of that shape.
@@ -180,19 +185,14 @@ def _witness(axis1, angle1, axis2, angle2) -> tuple:
     return w, norm, 2.0 * np.sqrt(2.0) * np.abs(w)
 
 
-def universality_check(
-    g1: SingleGateSpec, g2: SingleGateSpec, threshold: float = 1e-9
-) -> UniversalityReport:
+def universality_check(g1: SingleGateSpec, g2: SingleGateSpec) -> UniversalityReport:
     """Commutator witness for two synthesized rotations.
 
     w = sin(O1) sin(O2) sin(axis1 - axis2); the pair generates all of
-    SU(2) iff w != 0, and the commutator's Frobenius norm equals
-    2*sqrt(2)*|w| identically, which ties the witness to an observable.
-    threshold is a finite real number >= 0.
+    SU(2) iff w != 0, read as |w| > _MIN_WITNESS, and the commutator's
+    Frobenius norm equals 2*sqrt(2)*|w| identically, which ties the
+    witness to an observable.
     """
-    _check_real("threshold", threshold)
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     w, norm, predicted = map(
         float, _witness(g1.axis_angle, g1.gate_angle, g2.axis_angle, g2.gate_angle)
     )
@@ -200,7 +200,7 @@ def universality_check(
         witness=w,
         commutator_norm=norm,
         predicted_norm=predicted,
-        generates_su2=abs(w) > threshold,
+        generates_su2=abs(w) > _MIN_WITNESS,
     )
 
 
@@ -315,7 +315,7 @@ def verify_exp_equivalence(
         pick = orientation == reverse
         ts = times[pick]
         q = p.reversed() if reverse else p
-        got = ExpLoopParams(q.omega_i, q.coupling, q.omega, True).block_fields(ts)[1]
+        got = ExpLoopParams(q.omega_i, q.coupling, q.omega).block_fields(ts)[1]
         want = q.block_fields(ts)[1]
         at = (slice(None), control[pick], np.arange(ts.size))
         # block fields are half the field
@@ -323,7 +323,7 @@ def verify_exp_equivalence(
         worst = max(worst, float(np.max(dev, initial=0.0)))
 
     (u_cond, _), (u_exp, _) = _final_propagators(
-        [build_two_qubit_sequence(p), build_exp_two_qubit_sequence(p, frame_term=True)], policy
+        [build_two_qubit_sequence(p), build_exp_two_qubit_sequence(p)], policy
     )
     return ExpEquivalenceReport(
         params=p,

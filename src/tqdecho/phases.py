@@ -36,7 +36,7 @@ import numpy as np
 from .fields import LoopParams, TwoQubitParams, _Loop, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import IdleParams, SegmentSchedule, _HalfTurn, _check_count
+from .schedule import IdleParams, SegmentSchedule, _HalfTurn
 
 __all__ = [
     "LABELS4",
@@ -435,13 +435,12 @@ def _decomposition(traj, label, expected_geo, expected_dyn) -> PhaseDecompositio
     )
 
 
-def correction_energy_check(p: LoopParams, n_samples: int = 64) -> float:
-    """Largest |<phi_p|H_correction|phi_p>| over one loop period and both
-    labels, with H_correction the corrected minus the root generator. The
-    correction never shifts the tracked level's energy, so this should
-    vanish to rounding. n_samples is an integer >= 2."""
-    _check_count("n_samples", n_samples, 2)
-    ts = np.linspace(0.0, p.period, n_samples)
+def correction_energy_check(p: LoopParams) -> float:
+    """Largest |<phi_p|H_correction|phi_p>| at 128 times over one loop
+    period, for both labels, with H_correction the corrected minus the
+    root generator. The correction never shifts the tracked level's
+    energy, so this should vanish to rounding."""
+    ts = np.linspace(0.0, p.period, 128)
     v = p.block_fields(ts)[1] - p.block_fields(ts, corrected=False)[1]
     hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)
     vecs = _eigvecs(p, (0, 1), ts)

@@ -384,7 +384,8 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     policy and report one substep per checkpoint. The distinct loops of
     one dim go to one stacked kernel call: _loop_propagators on the exact
     path, reporting 0 substeps, and _segment_partials under a StepPolicy,
-    reporting its one Magnus step count."""
+    reporting its one Magnus step count. A segment whose last sample
+    time, duration * cps, overflows raises ValueError."""
     distinct = {}
     keys = []
     for s in scheds:
@@ -401,6 +402,11 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     for key, seg in distinct.items():
         loop = isinstance(seg, _Loop)
         cps = checkpoints if loop else min(16, checkpoints)
+        if not math.isfinite(seg.duration * cps):
+            raise ValueError(
+                f"sample times overflow: {cps} samples of a {seg.kind} segment lasting "
+                f"{seg.duration:g} reach past the float range"
+            )
         ts = seg.duration * np.arange(1, cps + 1) / cps
         if loop:
             loops[seg.dim].append((key, seg, ts))

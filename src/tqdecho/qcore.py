@@ -7,6 +7,8 @@ energies are angular frequencies.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -50,9 +52,10 @@ def gate_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"incompatible gate shapes {u.shape} vs {v.shape}")
-    d = u.shape[0]
-    # |trace| can exceed d by rounding for near-identical unitaries
-    return max(0.0, float(1.0 - abs(np.trace(u.conj().T @ v)) / d))
+    dist = float(1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0])
+    # |trace| can exceed d by rounding for near-identical unitaries; a
+    # nan or infinite trace stays a nan or +inf distance, which no bound passes
+    return max(0.0, dist) if math.isfinite(dist) else abs(dist)
 
 
 def wrap_angle(x: float) -> float:

@@ -25,7 +25,7 @@ Segment records, their kinds and labels:
   conical precession period of the corrected / uncorrected single-qubit
   drive, turned by the record's `rotation` about y.
 * PulseParams ``pi-pulse``: constant half-turn pulse about y, on a
-  single qubit (label pi) or on one qubit of a pair (pi-I, pi-II).
+  single qubit (label pi) or on the driven qubit of a pair (pi-I).
 * FlipParams ``control-flip``: simultaneous half turn, x on the driven
   qubit and y on the control, labelled pi-II. This is the refocusing
   pulse of the two-qubit echo.
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -105,6 +106,10 @@ class _HalfTurn:
 
     def __post_init__(self):
         _real_fields(self, positive=True)
+        if not math.isfinite(self.duration):
+            raise ValueError(
+                f"omega_pi = {self.omega_pi:g} is too slow: its half turn pi/omega_pi overflows"
+            )
 
     @functools.cached_property
     def dim(self) -> int:
@@ -135,18 +140,18 @@ class FlipParams(_HalfTurn):
 @dataclass(frozen=True)
 class PulseParams(_HalfTurn):
     """A half turn about y, generator 0.5*omega_pi*sigma_y, on a lone
-    qubit (target "single", label pi) or on qubit "I" or "II" of a pair
-    (label pi-I or pi-II)."""
+    qubit (target "single", label pi) or on the driven qubit "I" of a
+    pair (label pi-I)."""
 
     target: str
     kind = "pi-pulse"
-    _AXES = {"single": (1,), "I": (1, None), "II": (None, 1)}
+    _AXES = {"single": (1,), "I": (1, None)}
     axes = property(lambda self: self._AXES[self.target])
     label = property(lambda self: "pi" if self.target == "single" else f"pi-{self.target}")
 
     def __post_init__(self):
         if not isinstance(self.target, str) or self.target not in self._AXES:
-            raise ValueError(f'pulse target must be "single", "I" or "II", got {self.target!r}')
+            raise ValueError(f'pulse target must be "single" or "I", got {self.target!r}')
         super().__post_init__()
 
     def field_batch(self, ts: np.ndarray) -> np.ndarray:
@@ -204,6 +209,8 @@ class SegmentSchedule:
         dims = {s.dim for s in segs}
         if len(dims) != 1:
             raise ValueError(f"mixed segment dimensions {sorted(dims)}")
+        if not math.isfinite(self.total_duration):
+            raise ValueError("schedule duration overflows: its segments' durations sum to inf")
 
     @property
     def dim(self) -> int:
@@ -246,55 +253,38 @@ def build_echo_sequence(
     """
     fwd = p if p.omega > 0 else p.reversed()
     pulse = PulseParams(_pulse_rate(p, omega_pi), "single")
-    core = [fwd, pulse, fwd.reversed(), pulse]
-    return SegmentSchedule(_interleave_idles(core, gaps))
+    if len(gaps) != 3:
+        raise ValueError(f"expected 3 idle gaps, got {len(gaps)}")
+    idle = [IdleParams(2, g) for g in gaps]
+    return SegmentSchedule((fwd, idle[0], pulse, idle[1], fwd.reversed(), idle[2], pulse))
 
 
-def _interleave_idles(core: list, gaps: Sequence[float] | None) -> tuple:
-    if gaps is None:
-        gaps = (0.0,) * (len(core) - 1)
-    if len(gaps) != len(core) - 1:
-        raise ValueError(f"expected {len(core) - 1} idle gaps, got {len(gaps)}")
-    out = [core[0]]
-    for seg, g in zip(core[1:], gaps):
-        out.append(IdleParams(seg.dim, g))
-        out.append(seg)
-    return tuple(out)
-
-
-def _two_qubit_echo(p: TwoQubitParams, rate: float, gaps) -> SegmentSchedule:
-    """(C, pi-I, Cbar, pi-II) twice with idles interleaved, the pulses at
-    `rate`, from the loop record p traversed forward (omega > 0) first."""
+def _two_qubit_echo(p: TwoQubitParams, rate: float) -> SegmentSchedule:
+    """(C, pi-I, Cbar, pi-II) twice, the pulses at `rate`, from the loop
+    record p traversed forward (omega > 0) first."""
     fwd = p if p.omega > 0 else p.reversed()
-    half = [fwd, PulseParams(rate, "I"), fwd.reversed(), FlipParams(rate)]
-    return SegmentSchedule(_interleave_idles(half + half, gaps))
+    half = (fwd, PulseParams(rate, "I"), fwd.reversed(), FlipParams(rate))
+    return SegmentSchedule(half + half)
 
 
-def build_two_qubit_sequence(
-    p: TwoQubitParams, omega_pi: float | None = None, gaps: Sequence[float] | None = None
-) -> SegmentSchedule:
-    """Two-qubit echo, eight driven segments with idles interleaved:
+def build_two_qubit_sequence(p: TwoQubitParams, omega_pi: float | None = None) -> SegmentSchedule:
+    """Two-qubit echo, eight driven segments:
 
         C, pi-I, Cbar, pi-II, C, pi-I, Cbar, pi-II
 
     pi-I is a y half turn on the driven qubit; pi-II is the combined
     control flip (see FlipParams), both at rate omega_pi, 50*|omega|
-    by default. Fifteen segments total with the default zero-duration idles.
+    by default.
     """
-    return _two_qubit_echo(p, _pulse_rate(p, omega_pi), gaps)
+    return _two_qubit_echo(p, _pulse_rate(p, omega_pi))
 
 
-def build_exp_two_qubit_sequence(
-    p: TwoQubitParams,
-    frame_term: bool = True,
-    gaps: Sequence[float] | None = None,
-) -> SegmentSchedule:
+def build_exp_two_qubit_sequence(p: TwoQubitParams) -> SegmentSchedule:
     """Two-qubit echo with the loops in the static-coupling realization,
     its pulses at the default rate 50*|omega|. Each reversed loop is the
     forward one at -omega, so its cross coupling and static tilt come
     from the parameter map evaluated there."""
-    exp = ExpLoopParams(p.omega_i, p.coupling, p.omega, frame_term)
-    return _two_qubit_echo(exp, _pulse_rate(p, None), gaps)
+    return _two_qubit_echo(ExpLoopParams(p.omega_i, p.coupling, p.omega), _pulse_rate(p, None))
 
 
 def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:

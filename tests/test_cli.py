@@ -545,6 +545,17 @@ def _exits_cleanly(kind, config):
         ("echo", {"theta": 1, "omega": 1e-200, "omega0": 1e-200}, 0),
         ("echo", {"theta": 1, "omega": 1e-160, "omega0": 1e-160}, 0),
         ("twoqubit", {"omega_i": 1e-200, "coupling": 1e-200, "omega": 5e-201}, 0),
+        # periods, half turns and sample times past the float range: an
+        # OverflowError (exit 3), or a nan gate that passed its check
+        ("evolve", {"theta": 1, "omega": 1e-320, "omega0": 1e-320}, 2),
+        ("echo", {"theta": 1, "omega": 1e-320, "omega0": 1e-320}, 2),
+        ("twoqubit", {"omega_i": 1e-320, "coupling": 1e-320, "omega": 1e-320}, 2),
+        ("expmap", {"omega_i": 1e-320, "coupling": 1e-320, "omega": 1e-320}, 2),
+        ("scan", {"theta": 1, "omega0": 1e-320, "ratios": [1.0]}, 2),
+        ("echo", {"theta": 1, "omega": 1, "omega0": 1, "omega_pi": 1e-320}, 2),
+        ("twoqubit", {"omega_i": 1, "coupling": 1, "omega": 0.5, "omega_pi": 1e-320}, 2),
+        ("gate", {"axis_angle": 1.0, "gate_angle": 1.0, "omega_pi": 1e-320}, 2),
+        ("evolve", {"theta": 1, "omega": 1e-305, "omega0": 1e-305, "samples": 4096}, 2),
     ],
 )
 def test_extreme_rate_configs_exit_cleanly(kind, config, expected):

@@ -337,7 +337,7 @@ def test_exp_rotating_field_equals_conditional_field():
     for reverse in (False, True):
         ts = rng.uniform(0.0, p.period, size=4)
         q = p.reversed() if reverse else p
-        lhs = ExpLoopParams(q.omega_i, q.coupling, q.omega, True).block_fields(ts)[1]
+        lhs = ExpLoopParams(q.omega_i, q.coupling, q.omega).block_fields(ts)[1]
         rhs = q.block_fields(ts)[1]
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -362,7 +362,7 @@ def _drawn_drives(draw):
     ts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))) * p.period
     k = draw(st.integers(0, 3))
     cond = p2.reversed() if reverse else p2
-    exp = ExpLoopParams(cond.omega_i, cond.coupling, cond.omega, True)
+    exp = ExpLoopParams(cond.omega_i, cond.coupling, cond.omega)
     return loop, cond, exp, ts, k
 
 

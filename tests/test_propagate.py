@@ -36,7 +36,7 @@ from tqdecho.schedule import (
     single_loop_schedule,
 )
 
-from dense import expm_hermitian, generator, generator_batch
+from dense import ControlHalfTurn, expm_hermitian, generator, generator_batch
 from spies import count_handed_segments
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -58,14 +58,19 @@ def _loop_cases():
         cases.append(RootLoopParams.of(replace(lp, rotation=-0.9)))
     for q in (P2, P2.reversed()):
         cases.append(q)
-        for frame_term in (True, False):
-            cases.append(ExpLoopParams(q.omega_i, q.coupling, q.omega, frame_term))
+        cases.append(ExpLoopParams(q.omega_i, q.coupling, q.omega))
     return cases
+
+
+def _frame(seg) -> str:
+    """'True' for a record with a scalar frame term (the exp loop), as
+    the case ids name it."""
+    return "True" if any(getattr(seg, "frame", ())) else ""
 
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{_frame(s)}",
 )
 def test_exact_matches_fine_oracle(seg):
     exact, n = _walked(seg, None, checkpoints=8)
@@ -118,7 +123,7 @@ def _kernel_cases():
         RootLoopParams.of(flat.reversed()),
         PulseParams(40.0, "single"),
         PulseParams(3.3, "I"),
-        PulseParams(3.3, "II"),
+        ControlHalfTurn(3.3),
         FlipParams(7.1),
         IdleParams(4, 1.7),
     ]
@@ -127,7 +132,7 @@ def _kernel_cases():
 @pytest.mark.parametrize(
     "seg", _kernel_cases(),
     ids=lambda s: f"{s.kind}-{s.label}-{getattr(s, 'rotation', getattr(s, 'target', ''))}"
-    f"-frame{getattr(s, 'frame_term', '')}",
+    f"-frame{_frame(s)}",
 )
 def test_exact_kernel_matches_dense_reference(seg):
     # the walk samples a loop at all 512 checkpoints and a pulse or idle
@@ -346,13 +351,13 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     segments, stacked = count_handed_segments(monkeypatch)
     traj = propagate_schedule(sched, policy=policy, samples=8)
     # half + half: two loops, in one stacked call, and the pulse and the
-    # control flip, each once; the zero-length idles are not propagated
-    assert len(sched.segments) == 15
+    # control flip, each once
+    assert len(sched.segments) == 8
     assert sorted(segments) == sorted(
         [("two-qubit-loop", 8), ("two-qubit-loop", 8), ("pi-pulse", 8), ("control-flip", 8)]
     )
     assert stacked == [2]
-    assert len(traj.substeps_used) == 15
+    assert len(traj.substeps_used) == 8
 
     monkeypatch.undo()
     assert traj.propagators.tobytes() == _composed_per_segment(sched, policy, 8).tobytes()
@@ -361,17 +366,21 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
 @pytest.mark.parametrize("policy", POLICIES, ids=["exact", "oracle"])
 @pytest.mark.parametrize("samples", [2, 8, 40])
 def test_nonzero_idle_in_a_batch_is_identity_partials(policy, samples, monkeypatch):
-    # the gapped echo has idles of 0.3 and 0.2; the two-qubit echo's are
-    # zero-length, walked to (None, 0)
+    # the gapped echo has idles of 0.3, 0.0 (walked to (None, 0)) and
+    # 0.2; the hand-built two-qubit schedule one of 0.4
     gapped = build_echo_sequence(P, gaps=(0.3, 0.0, 0.2))
-    batch = [gapped, build_two_qubit_sequence(P2), gapped]
+    paused = SegmentSchedule((P2, IdleParams(4, 0.4), P2.reversed()))
+    batch = [gapped, build_two_qubit_sequence(P2), paused, gapped]
     segments, _ = count_handed_segments(monkeypatch)
     walks = _segment_propagators(batch, policy, samples)
     assert "idle" not in {kind for kind, _ in segments}
     cps = min(16, samples)
+    partials, substeps = walks[2][1]
+    assert substeps == cps and partials.shape == (cps, 4, 4)
+    assert partials.tobytes() == np.broadcast_to(np.eye(4, dtype=complex), partials.shape).tobytes()
     idles = [i for i, seg in enumerate(gapped.segments) if seg.kind == "idle"]
     assert [gapped.segments[i].duration for i in idles] == [0.3, 0.0, 0.2]
-    for walked in (walks[0], walks[2]):
+    for walked in (walks[0], walks[3]):
         for i, duration in zip(idles, (0.3, 0.0, 0.2)):
             partials, substeps = walked[i]
             if duration == 0.0:
@@ -406,7 +415,7 @@ def _composed_per_segment(sched, policy, samples):
     [
         rotate_schedule(build_echo_sequence(P, gaps=(0.3, 0.0, 0.2)), 0.4),
         build_two_qubit_sequence(P2),
-        build_exp_two_qubit_sequence(P2, frame_term=True),
+        build_exp_two_qubit_sequence(P2),
     ],
     ids=["one-qubit", "two-qubit", "exp-loop"],
 )
@@ -448,7 +457,7 @@ def _drawn_batches(draw):
     ]
     two = [
         build_two_qubit_sequence(q),
-        build_exp_two_qubit_sequence(q, frame_term=draw(st.booleans())),
+        build_exp_two_qubit_sequence(q),
         SegmentSchedule((q.reversed(),)),
     ]
     pool = one + two
@@ -499,7 +508,7 @@ def test_trajectory_csv(tmp_path):
 @st.composite
 def _drawn_loops(draw):
     """A loop segment of any kind: cone angle, signed rate ratio in
-    +-[0.3, 10], drive rotation, omega_i / J in [0.01, 100], frame term."""
+    +-[0.3, 10], drive rotation, omega_i / J in [0.01, 100]."""
     kind = draw(st.sampled_from(["tqd-loop", "root-loop", "two-qubit-loop", "exp-loop"]))
     rate = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 10.0))
     if kind in ("tqd-loop", "root-loop"):
@@ -509,7 +518,7 @@ def _drawn_loops(draw):
     p = TwoQubitParams(ratio / np.hypot(ratio, 1.0), 1.0 / np.hypot(ratio, 1.0), rate)
     if kind == "two-qubit-loop":
         return p
-    return ExpLoopParams(p.omega_i, p.coupling, p.omega, draw(st.booleans()))
+    return ExpLoopParams(p.omega_i, p.coupling, p.omega)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -550,7 +559,7 @@ def _dense_magnus_reference(seg, n, checkpoints):
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{_frame(s)}",
 )
 def test_oracle_kernel_matches_dense_reference(seg):
     # odd chunks, a chunk of one step, and checkpoint counts that are not
@@ -564,7 +573,7 @@ def test_oracle_kernel_matches_dense_reference(seg):
 
 @pytest.mark.parametrize(
     "seg", _loop_cases(),
-    ids=lambda s: f"{s.kind}-{s.label}-frame{getattr(s, 'frame_term', '')}",
+    ids=lambda s: f"{s.kind}-{s.label}-frame{_frame(s)}",
 )
 def test_dense_generators_pack_block_fields(seg):
     # the kernels read block_fields and the dense references above pack

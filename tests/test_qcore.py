@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tqdecho.acceptance import Check
 from tqdecho.qcore import (
     PAULI,
     SIGMA_X,
@@ -86,6 +87,16 @@ def test_gate_distance_basic():
     # global phase must not register
     assert gate_distance(np.eye(2), np.exp(1j * 0.7) * np.eye(2)) < 1e-15
     assert gate_distance(SIGMA_Y, SIGMA_Y) >= 0.0
+
+
+def test_gate_distance_of_a_non_finite_gate_fails_every_bound():
+    # max(0.0, nan) is 0.0, so a nan gate read as a perfect match and
+    # passed its check
+    d = gate_distance(np.full((2, 2), np.nan, dtype=complex), np.eye(2))
+    assert np.isnan(d) and not Check("gate_distance", d, 1e-6).passed
+    with np.errstate(invalid="ignore"):  # inf * 0
+        d = gate_distance(np.diag([np.inf, 1.0]), np.eye(2))
+    assert not np.isfinite(d) and not Check("gate_distance", d, 1e-6).passed
 
 
 @pytest.mark.parametrize(

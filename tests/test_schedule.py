@@ -32,7 +32,7 @@ RECORD_FIELDS = (
     (LoopParams, {"theta": 1.0, "omega": 1.0, "omega0": 1.0, "rotation": 0.0}),
     (RootLoopParams, {"theta": 1.0, "omega": 1.0, "omega0": 1.0, "rotation": 0.0}),
     (TwoQubitParams, {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5}),
-    (ExpLoopParams, {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5, "frame_term": True}),
+    (ExpLoopParams, {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5}),
     (PulseParams, {"omega_pi": 40.0, "target": "single"}),
     (FlipParams, {"omega_pi": 40.0}),
     (IdleParams, {"dim": 2, "duration": 1.0}),
@@ -74,15 +74,14 @@ def test_segment_rejects_missing_param():
         (P, "tqd-loop", "loop-C"),
         (RootLoopParams.of(P.reversed()), "root-loop", "loop-Cbar"),
         (P2.reversed(), "two-qubit-loop", "loop-Cbar"),
-        (ExpLoopParams(1.0, 1.0, 0.5, False), "exp-loop", "loop-C"),
+        (ExpLoopParams(1.0, 1.0, 0.5), "exp-loop", "loop-C"),
         (PulseParams(40.0, "single"), "pi-pulse", "pi"),
         (PulseParams(40.0, "I"), "pi-pulse", "pi-I"),
-        (PulseParams(40.0, "II"), "pi-pulse", "pi-II"),
         (FlipParams(40.0), "control-flip", "pi-II"),
         (IdleParams(4, 1.0), "idle", "idle"),
     ],
-    ids=["tqd-loop", "root-loop", "two-qubit-loop", "exp-loop", "pi", "pi-I", "pi-II",
-         "control-flip", "idle"],
+    ids=["tqd-loop", "root-loop", "two-qubit-loop", "exp-loop", "pi", "pi-I", "control-flip",
+         "idle"],
 )
 def test_records_state_their_kind_and_label(seg, kind, label):
     # a loop's label names its traversal orientation, a pulse's the qubit
@@ -121,14 +120,13 @@ def test_corrected_must_be_a_bool(corrected):
         (replace(P, rotation=0.3), "omega"),
         (RootLoopParams.of(P.reversed()), "omega"),
         (PulseParams(40.0, "single"), "omega_pi"),
-        (PulseParams(3.3, "II"), "omega_pi"),
         (FlipParams(7.1), "omega_pi"),
         (P2.reversed(), "omega"),
-        (ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, False), "omega"),
+        (ExpLoopParams(P2.omega_i, P2.coupling, P2.omega), "omega"),
         (IdleParams(4, 123.4), None),
     ],
-    ids=["tqd-loop", "root-loop", "pi-pulse", "pi-pulse-II", "control-flip", "two-qubit-loop",
-         "exp-loop", "idle"],
+    ids=["tqd-loop", "root-loop", "pi-pulse", "control-flip", "two-qubit-loop", "exp-loop",
+         "idle"],
 )
 def test_segment_dim_and_duration_are_its_records(seg, rate):
     assert type(seg.dim) is int and type(seg.duration) is float
@@ -167,17 +165,15 @@ def test_idle_record_takes_dimension_2_or_4(dim):
         (lambda: replace(P, rotation=10**400), "rotation"),
         (lambda: rotate_schedule(ECHO, True), "angle"),
         (lambda: rotate_schedule(ECHO, "1"), "angle"),
-        (lambda: ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, "no"), "frame_term"),
         (lambda: IdleParams(2, "2.5"), "duration"),
     ],
     ids=["rotation-string", "rotation-bool", "rotation-huge-int", "angle-bool", "angle-string",
-         "frame-term-string", "idle-duration-string"],
+         "idle-duration-string"],
 )
 def test_constructors_check_values_before_coercing(build, name):
-    # float() and bool() ran before any check: these built a loop turned
-    # by 1 rad, an exp-loop with its frame term on and an idle 2.5 long,
-    # or raised TypeError; an integer beyond the float range raised
-    # OverflowError
+    # float() ran before any check: these built a loop turned by 1 rad
+    # and an idle 2.5 long, or raised TypeError; an integer beyond the
+    # float range raised OverflowError
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build()
 
@@ -265,7 +261,7 @@ def test_loop_records_state_the_axis_their_fields_precess_about():
         replace(lp, rotation=0.6),
         RootLoopParams.of(replace(lp, rotation=-0.9)),
         P2,
-        ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, True),
+        ExpLoopParams(P2.omega_i, P2.coupling, P2.omega),
     )
     for seg in loops:
         axis = np.array(seg.axis)
@@ -301,16 +297,25 @@ def test_two_qubit_sequence_layout():
         "loop-C", "pi-I", "loop-Cbar", "pi-II",
         "loop-C", "pi-I", "loop-Cbar", "pi-II",
     ]
-    assert len(s.segments) == 15  # idles interleaved between driven segments
+    assert s.labels() == driven  # no idles between driven segments
 
 
 def test_exp_two_qubit_sequence_layout():
     s = build_exp_two_qubit_sequence(P2)
-    kinds = {seg.kind for seg in s.segments}
-    assert "exp-loop" in kinds
+    assert s.labels() == build_two_qubit_sequence(P2).labels()
     loops = [seg for seg in s.segments if seg.kind == "exp-loop"]
     assert len(loops) == 4
-    assert all(seg.frame_term for seg in loops)
+    # each loop carries the control-frame term omega * (1 x Sz)
+    assert all(seg.frame == (0.5 * seg.omega, -0.5 * seg.omega) for seg in loops)
+
+
+def test_two_qubit_builders_take_no_gaps_and_exp_loops_no_frame_flag():
+    with pytest.raises(TypeError):
+        build_two_qubit_sequence(P2, None, [0.0] * 7)
+    with pytest.raises(TypeError):
+        build_exp_two_qubit_sequence(P2, True)
+    with pytest.raises(TypeError):
+        ExpLoopParams(P2.omega_i, P2.coupling, P2.omega, True)
 
 
 def test_schedule_requires_consistent_dims():
@@ -351,14 +356,17 @@ EXP_ECHO = build_exp_two_qubit_sequence(P2)
         (ECHO.segments[0], "omega0", -5.0, "omega0 must be positive"),
         (ECHO.segments[0], "omega0", float("nan"), "finite real number"),
         (ECHO.segments[2], "target", 3, "pulse target"),
-        (EXP_ECHO.segments[0], "frame_term", 1, "frame_term must be a boolean"),
         (ECHO.segments[1], "duration", -1.0, "idle duration must be"),
         (ECHO.segments[1], "duration", "1.0", "duration must be a finite"),
+        # periods and half turns past the float range
+        (ECHO.segments[0], "omega", 1e-320, "^omega = .* is too slow: its loop period"),
+        (EXP_ECHO.segments[0], "omega", -1e-320, "^omega = .* is too slow: its loop period"),
+        (ECHO.segments[2], "omega_pi", 1e-320, "^omega_pi = .* is too slow: its half turn"),
     ],
     ids=[
         "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan",
-        "target-not-string", "frame-term-not-bool", "idle-duration-negative",
-        "idle-duration-string",
+        "target-not-string", "idle-duration-negative",
+        "idle-duration-string", "period-overflow", "exp-period-overflow", "half-turn-overflow",
     ],
 )
 def test_records_reject_bad_parameter_values(record, key, value, match):
@@ -366,13 +374,22 @@ def test_records_reject_bad_parameter_values(record, key, value, match):
         replace(record, **{key: value})
 
 
+def test_schedule_rejects_a_total_duration_that_overflows():
+    # each loop lasts 1.3e308, so two of them are no float
+    slow = LoopParams(1.0, 5e-308, 5e-308)
+    assert np.isfinite(slow.duration)
+    with pytest.raises(ValueError, match="^schedule duration overflows"):
+        build_echo_sequence(slow)
+    with pytest.raises(ValueError, match="^schedule duration overflows"):
+        SegmentSchedule((slow, slow))
+
+
 @st.composite
 def _drawn_echoes(draw):
     """A single-qubit echo (cone angle, signed omega/omega0 log-uniform in
     +-[0.1, 10], omega0 log-uniform in [0.2, 5], drive rotation, three
-    gaps) or a two-qubit echo (omega_i/J log-uniform in [0.01, 100], signed
-    rate, conditional or exp loops with the frame term on or off, seven
-    gaps). Each gap is zero or drawn from [0, 2]."""
+    gaps, each zero or drawn from [0, 2]) or a two-qubit echo (omega_i/J
+    log-uniform in [0.01, 100], signed rate, conditional or exp loops)."""
     gap = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     family = draw(st.sampled_from(["single", "two-qubit", "exp"]))
     sign = draw(st.sampled_from([-1.0, 1.0]))
@@ -386,27 +403,24 @@ def _drawn_echoes(draw):
     p = TwoQubitParams(
         ratio / np.hypot(ratio, 1.0), 1.0 / np.hypot(ratio, 1.0), sign * draw(st.floats(0.1, 2.0))
     )
-    gaps = draw(st.lists(gap, min_size=7, max_size=7))
     if family == "two-qubit":
-        return build_two_qubit_sequence(p, gaps=gaps)
-    return build_exp_two_qubit_sequence(p, frame_term=draw(st.booleans()), gaps=gaps)
+        return build_two_qubit_sequence(p)
+    return build_exp_two_qubit_sequence(p)
 
 
 # values no record accepts for a key: beside these, every key rejects a
-# string, None, nan, +-inf and an integer beyond the float range, and
-# every key but frame_term a bool
+# string, None, nan, +-inf, an integer beyond the float range and a bool
 _OUT_OF_RANGE = {
     "theta": [-0.5, 4.0],
-    "omega": [0.0, 1e200],
+    "omega": [0.0, 1e200, 1e-320],
     "omega0": [0.0, -1.0, 1e200],
     "omega_i": [0.0, -1.0, 1e200],
     "coupling": [0.0, -1.0, 1e200],
     "rotation": [],
-    "omega_pi": [0.0, -1.0],
-    "target": ["III", 1],
+    "omega_pi": [0.0, -1.0, 1e-320],
+    "target": ["II", "III", 1],
     "dim": [1, 3, 2.0],
     "duration": [-1.0],
-    "frame_term": [0, 1, 1.0],
 }
 
 
@@ -414,9 +428,7 @@ _OUT_OF_RANGE = {
 def _bad_params(draw, key):
     """A value the parameter `key` must reject."""
     bad = ["1.0", None, float("nan"), float("inf"), -float("inf"), 10**400, *_OUT_OF_RANGE[key]]
-    if key != "frame_term":
-        bad += [True, False]
-    return draw(st.sampled_from(bad))
+    return draw(st.sampled_from(bad + [True, False]))
 
 
 @st.composite

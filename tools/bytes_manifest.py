@@ -14,17 +14,22 @@ PYTHONPATH, and records a digest for each item:
   --substeps 1024;
 * demo: the stdout of each demo under -W error, and the CSV demo 01
   writes;
-* family: the exact and StepPolicy(substeps=64) propagators, states,
-  substeps_used and phase values of a seeded family of rotated gapped
-  echoes, corrected and root loops, gapped two-qubit echoes and exp
-  echoes with the frame term on and off.
+* family: for each member of a seeded family of rotated gapped echoes,
+  corrected and root loops, two-qubit echoes and exp echoes, run
+  exact and with StepPolicy(substeps=64), two digests: `trajectory`
+  (sample times, segment index, propagators, states, tracking
+  fidelity and substeps_used) and `values` (final propagator, phase
+  values or the message a decomposition raised, and minimum tracking
+  fidelity). A schedule that gains or loses a zero-length segment
+  moves its trajectory rows, not its values.
 
-Every command runs in a fresh process, as CI runs it. `compare` runs
-`write` in each tree (cwd = the tree, PYTHONPATH = its src) and names
-every item that differs. The script uses only names that every recent
-tree exports, so it also runs on older checkouts. Digests depend on
-numpy, BLAS and libm, so compare two trees on one machine; none is
-committed.
+Every command runs in a fresh process, as CI runs it, with each
+PYTHONPATH entry made absolute, and prints its stderr if it fails.
+`compare` runs `write` in each tree (cwd = the tree, PYTHONPATH = its
+src) and names every item that differs. The script uses only names that
+every recent tree exports, so it also runs on older checkouts. Digests
+depend on numpy, BLAS and libm, so compare two trees on one machine;
+none is committed.
 """
 from __future__ import annotations
 
@@ -58,17 +63,33 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _absolute_pythonpath(env: dict, first=None) -> dict:
+    """env with each PYTHONPATH entry made absolute, `first` (a path)
+    ahead of them: the children run in other directories, where a
+    relative entry such as `src` resolves to nothing."""
+    entries = [first] if first is not None else []
+    entries += [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**env, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in entries)}
+
+
 def _run(argv: list, cwd) -> subprocess.CompletedProcess:
     """A fresh Python process with warnings as errors; its exit code is
-    part of what it produced, so a failure is recorded, not raised."""
-    return subprocess.run([sys.executable, "-W", "error", *argv], cwd=cwd,
+    part of what it produced, so a failure is recorded, not raised, and
+    its stderr printed."""
+    done = subprocess.run([sys.executable, "-W", "error", *argv], cwd=cwd,
+                          env=_absolute_pythonpath(dict(os.environ)),
                           capture_output=True, check=False)
+    if done.returncode != 0:
+        print(f"{' '.join(map(str, argv))} exited {done.returncode}:", file=sys.stderr)
+        sys.stderr.write(done.stderr.decode(errors="replace"))
+    return done
 
 
 def _acceptance_items(tmp: Path) -> dict:
     done = _run(["-m", "tqdecho.cli", "verify-all", "--out", str(tmp)], tmp)
     items = {"verify-all/exit": _sha(str(done.returncode).encode())}
-    for entry in json.loads((tmp / "acceptance.json").read_text()):
+    written = tmp / "acceptance.json"
+    for entry in json.loads(written.read_text()) if written.exists() else []:
         entry.pop("runtime")
         entry["checks"] = [c for c in entry["checks"] if c["name"] != "runtime_seconds"]
         key = f"verify-all/c{entry['index']}"
@@ -130,16 +151,12 @@ def _family() -> dict:
 
         q = tq.TwoQubitParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
                               rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0))
-        gaps = tuple(rng.uniform(0.0, 1.0, 7))
         pair = tuple(int(b) for b in rng.integers(2, size=2))
         members[f"two-qubit-echo-{i}"] = (
-            tq.build_two_qubit_sequence(q, omega_pi=rng.uniform(20.0, 80.0) * abs(q.omega),
-                                        gaps=gaps),
+            tq.build_two_qubit_sequence(q, omega_pi=rng.uniform(20.0, 80.0) * abs(q.omega)),
             pair, tq.echo_phase_decomposition)
-        for frame_term in (True, False):
-            members[f"exp-echo-{'frame' if frame_term else 'noframe'}-{i}"] = (
-                tq.build_exp_two_qubit_sequence(q, frame_term=frame_term, gaps=gaps),
-                pair, tq.echo_phase_decomposition)
+        members[f"exp-echo-{i}"] = (tq.build_exp_two_qubit_sequence(q), pair,
+                                    tq.echo_phase_decomposition)
     return members
 
 
@@ -153,21 +170,24 @@ def _family_items() -> dict:
         for policy_name, policy in (("exact", None),
                                     ("oracle", tq.StepPolicy(substeps=FAMILY_SUBSTEPS))):
             traj = tq.evolve_eigenstate(sched, label, policy, samples=FAMILY_SAMPLES)
+            fidelity = tq.tracking_fidelity(traj, label)
             h = hashlib.sha256()
-            for arr in (traj.times, traj.segment_index, traj.propagators, traj.states,
-                        tq.tracking_fidelity(traj, label)):
+            for arr in (traj.times, traj.segment_index, traj.propagators, traj.states, fidelity):
                 h.update(np.ascontiguousarray(arr).tobytes())
             h.update(repr(traj.substeps_used).encode())
+            items[f"family/{name}/{policy_name}/trajectory"] = h.hexdigest()
             values = {"dynamical": tq.dynamical_phase(traj),
-                      "dynamical_full": tq.dynamical_phase(traj, "full")}
+                      "dynamical_full": tq.dynamical_phase(traj, "full"),
+                      "min_fidelity": float(fidelity.min())}
             try:
                 values["total"] = tq.total_phase(traj, label)
                 if decompose is not None:
                     values["decomposition"] = decompose(traj, label).to_dict()
             except ValueError as exc:
                 values["error"] = str(exc)
+            h = hashlib.sha256(np.ascontiguousarray(traj.final_propagator).tobytes())
             h.update(json.dumps(values, sort_keys=True).encode())
-            items[f"family/{name}/{policy_name}"] = h.hexdigest()
+            items[f"family/{name}/{policy_name}/values"] = h.hexdigest()
     return items
 
 
@@ -197,11 +217,9 @@ def compare(tree_a: Path, tree_b: Path) -> int:
         for i, tree in enumerate((tree_a, tree_b)):
             tree = tree.resolve()
             out = Path(tmp) / f"manifest-{i}.json"
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(tree / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
             subprocess.run([sys.executable, str(Path(__file__).resolve()), "write", str(out)],
-                           cwd=tree, env=env, check=True)
+                           cwd=tree, env=_absolute_pythonpath(dict(os.environ), tree / "src"),
+                           check=True)
             docs.append(json.loads(out.read_text()))
     a, b = (d["items"] for d in docs)
     differ = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
