@@ -9,10 +9,12 @@ import numpy as np
 from tqdecho import (
     LoopParams,
     RootLoopParams,
+    SegmentSchedule,
     build_echo_sequence,
     tqd_field_magnitude,
     write_field_timeline_csv,
 )
+from tqdecho.schedule import IdleParams
 
 p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 
@@ -37,7 +39,10 @@ print(f"  reversed magnitude                   = {tqd_field_magnitude(p.reversed
 
 print()
 print("== echo sequence ==")
-sched = build_echo_sequence(p, gaps=(0.2, 0.2, 0.0))
+# the echo's four driven segments, with idles of 0.2 after the first
+# loop and after the first pulse
+fwd, pulse, rev, _ = build_echo_sequence(p).segments
+sched = SegmentSchedule((fwd, IdleParams(2, 0.2), pulse, IdleParams(2, 0.2), rev, pulse))
 for seg in sched.segments:
     print(f"  {seg.label:10s} kind={seg.kind:12s} duration={seg.duration:.4f}")
 print(f"total duration {sched.total_duration:.4f}")

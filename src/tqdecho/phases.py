@@ -300,11 +300,10 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
     local = traj.local_times()
     total = 0.0
     for i, seg in enumerate(traj.schedule.segments):
-        rows = traj.segment_rows(i)
-        ts = local[rows]
-        if ts.size < 2 or isinstance(seg, IdleParams):
+        if isinstance(seg, IdleParams):
             continue
-        psi = traj.states[rows]
+        rows = traj.segment_rows(i)
+        ts, psi = local[rows], traj.states[rows]
         if isinstance(seg, _Loop):
             expect = _block_expectation(seg, ts, psi, corrected=root == "full")
         else:

@@ -305,7 +305,7 @@ class Trajectory:
     propagators: cumulative propagators U(0 -> t) at each sample.
     states: propagators applied to initial_state, or None.
     substeps_used: per segment, the substeps the schedule walk reports
-        (0 for an exact loop and for a zero-duration segment).
+        (0 for an exact loop).
 
     Construction tabulates each segment's row slice and the samples'
     local times once. `phases` keeps its comoving overlap series per
@@ -374,8 +374,7 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     `scheds`, one list per schedule: partials holds the propagators from
     the segment's start to cps equally spaced local times, shape (cps,
     dim, dim), the last at its end, with cps = checkpoints per loop and
-    min(16, checkpoints) per pulse or idle; a zero-duration segment gets
-    (None, 0). This walk is the only place segments become propagators,
+    min(16, checkpoints) per pulse or idle. This walk is the only place segments become propagators,
     behind gates and trajectories alike. Segments of equal repr (record
     class and fields, so tqd and root loops differ and so do 0.0 and
     -0.0), and so of equal dim and duration, are propagated once across
@@ -389,15 +388,10 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     distinct = {}
     keys = []
     for s in scheds:
-        row = []
-        for seg in s.segments:
-            key = None
-            if seg.duration != 0.0:
-                key = repr(seg)
-                distinct.setdefault(key, seg)
-            row.append(key)
+        row = [repr(seg) for seg in s.segments]
+        distinct.update(zip(row, s.segments))
         keys.append(row)
-    done = {None: (None, 0)}
+    done = {}
     loops = {2: [], 4: []}
     for key, seg in distinct.items():
         loop = isinstance(seg, _Loop)
@@ -438,8 +432,7 @@ def _final_propagators(scheds, policy: StepPolicy | None = None) -> list:
     for s, walked in zip(scheds, _segment_propagators(scheds, policy, 1)):
         u = np.eye(s.dim, dtype=complex)
         for partials, _ in walked:
-            if partials is not None:
-                u = partials[-1] @ u
+            u = partials[-1] @ u
         out.append((u, tuple(n for _, n in walked)))
     return out
 
@@ -461,13 +454,12 @@ def _trajectory(s: SegmentSchedule, walked: list, initial_state) -> Trajectory:
     cum = np.eye(s.dim, dtype=complex)
     t0 = 0.0
     for i, (seg, (partials, _)) in enumerate(zip(s.segments, walked)):
-        cps = 0 if partials is None else len(partials)
-        times.append(t0 + seg.duration * np.arange(cps + 1) / max(cps, 1))
+        cps = len(partials)
+        times.append(t0 + seg.duration * np.arange(cps + 1) / cps)
         seg_idx.append(np.full(cps + 1, i))
         block = np.empty((cps + 1, s.dim, s.dim), dtype=complex)
         block[0] = cum
-        if cps:
-            block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
+        block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
         props.append(block)
         cum = block[-1]
         t0 += seg.duration
@@ -497,8 +489,7 @@ def propagate_schedule(
     policy None runs the exact propagator; StepPolicy(substeps=N) runs
     the fourth-order Magnus oracle. samples (an integer >= 2) sets the
     number of checkpoints per loop segment, min(16, samples) per pulse or
-    idle; a zero-duration segment contributes its start only. The count
-    sets sampling resolution, not accuracy. The segments come from the
+    idle. The count sets sampling resolution, not accuracy. The segments come from the
     walk the gates use, which propagates each distinct segment once.
     """
     return _propagate_schedules([s], [initial_state], policy, samples)[0]

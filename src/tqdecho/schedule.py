@@ -164,7 +164,7 @@ class PulseParams(_HalfTurn):
 
 @dataclass(frozen=True)
 class IdleParams:
-    """An idle: a dimension, the integer 2 or 4, and a duration >= 0."""
+    """An idle: a dimension, the integer 2 or 4, and a duration > 0."""
 
     dim: int
     duration: float
@@ -176,9 +176,7 @@ class IdleParams:
         if self.dim not in (2, 4):
             raise ValueError(f"idle dim must be 2 or 4, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
-        _real_fields(self)
-        if self.duration < 0.0:
-            raise ValueError(f"idle duration must be finite and >= 0, got {self.duration}")
+        _real_fields(self, positive=True)
 
     def field_batch(self, ts: np.ndarray) -> np.ndarray:
         """Drive field rows (Bx, By, Bz) of a single-qubit idle: zero."""
@@ -241,22 +239,13 @@ def _pulse_rate(p, omega_pi: float | None) -> float:
     return 50.0 * abs(p.omega) if omega_pi is None else omega_pi
 
 
-def build_echo_sequence(
-    p: LoopParams,
-    omega_pi: float | None = None,
-    gaps: Sequence[float] = (0.0, 0.0, 0.0),
-) -> SegmentSchedule:
-    """Single-qubit echo: loop-C, idle, pi, idle, loop-Cbar, idle, pi.
-
-    The pulse rate defaults to 50*|omega|. Idle gaps default to zero but
-    stay in the schedule so timing offsets can be dialed in.
-    """
+def build_echo_sequence(p: LoopParams, omega_pi: float | None = None) -> SegmentSchedule:
+    """Single-qubit echo, four driven segments: loop-C, pi, loop-Cbar, pi,
+    the pulses at rate omega_pi, 50*|omega| by default. A schedule with
+    idles between them is built from the records (IdleParams)."""
     fwd = p if p.omega > 0 else p.reversed()
     pulse = PulseParams(_pulse_rate(p, omega_pi), "single")
-    if len(gaps) != 3:
-        raise ValueError(f"expected 3 idle gaps, got {len(gaps)}")
-    idle = [IdleParams(2, g) for g in gaps]
-    return SegmentSchedule((fwd, idle[0], pulse, idle[1], fwd.reversed(), idle[2], pulse))
+    return SegmentSchedule((fwd, pulse, fwd.reversed(), pulse))
 
 
 def _two_qubit_echo(p: TwoQubitParams, rate: float) -> SegmentSchedule:
@@ -311,9 +300,9 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
 def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.ndarray:
     """Sample the drive field over the schedule. Rows (t, Bx, By, Bz).
 
-    Zero-duration segments contribute a single row; boundaries are
-    duplicated (end of one segment, start of the next) so segmentwise
-    consumers see closed intervals. Single-qubit schedules only.
+    Boundaries are duplicated (end of one segment, start of the next) so
+    segmentwise consumers see closed intervals. Single-qubit schedules
+    only.
     """
     if s.dim != 2:
         raise ValueError("field timeline is defined for single-qubit schedules")
@@ -321,10 +310,7 @@ def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.nda
     rows = []
     t0 = 0.0
     for seg in s.segments:
-        if seg.duration == 0.0:
-            local = np.array([0.0])
-        else:
-            local = np.linspace(0.0, seg.duration, samples_per_segment)
+        local = np.linspace(0.0, seg.duration, samples_per_segment)
         fields = seg.field_batch(local)
         block = np.empty((local.size, 4))
         block[:, 0] = t0 + local

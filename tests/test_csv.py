@@ -32,6 +32,8 @@ from tqdecho.schedule import (
     write_field_timeline_csv,
 )
 
+from echoes import gapped_echo
+
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.3, coupling=1.0, omega=0.5)
 SPECIAL = [
@@ -119,10 +121,8 @@ def test_trajectory_csv_bytes_across_chunks(tmp_path):
 
 
 def test_field_timeline_csv_bytes(tmp_path):
-    sched = rotate_schedule(build_echo_sequence(P, gaps=(0.25, 0.0, 1.5)), 0.7)
-    assert {seg.duration for seg in sched.segments if seg.kind == "idle"} == {
-        0.0, 0.25, 1.5
-    }
+    sched = rotate_schedule(gapped_echo(P, (0.25, 0.0, 1.5)), 0.7)
+    assert [seg.duration for seg in sched.segments if seg.kind == "idle"] == [0.25, 1.5]
     path = tmp_path / "timeline.csv"
     write_field_timeline_csv(path, sched, samples_per_segment=9)
     data = field_timeline(sched, 9)

@@ -313,11 +313,11 @@ def test_gate_entry_points_propagate_each_distinct_segment_once(policy, monkeypa
 
 
 def test_gate_reports_count_one_checkpoint_per_segment():
-    # the single-qubit echo: loop, idle, pulse, idle, loop, idle, pulse
+    # the single-qubit echo: loop, pulse, loop, pulse
     rep = synthesize_single_gate(SingleGateSpec(0.3, 1.2))
-    assert rep.substeps_used == (0, 0, 1, 0, 0, 0, 1)
+    assert rep.substeps_used == (0, 1, 0, 1)
     rep = synthesize_single_gate(SingleGateSpec(0.3, 1.2), policy=StepPolicy(substeps=100))
-    assert rep.substeps_used == (100, 0, 1, 0, 100, 0, 1)
+    assert rep.substeps_used == (100, 1, 100, 1)
     # the two-qubit echo: (loop, pulse, loop, control flip) twice
     rep = synthesize_two_qubit_gate(P2, policy=StepPolicy(substeps=100))
     assert rep.substeps_used == (100, 1, 100, 1) * 2

@@ -40,6 +40,7 @@ from tqdecho.schedule import (
 )
 
 from dense import ControlHalfTurn, generator, generator_batch
+from echoes import gapped_echo
 
 SEED = 20260816
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -304,8 +305,6 @@ def _dense_dynamical_phase(traj, root):
     for i, seg in enumerate(traj.schedule.segments):
         rows = traj.segment_rows(i)
         ts = local[rows]
-        if ts.size < 2:
-            continue
         hs = generator_batch(seg, ts, corrected=root == "full")
         psi = traj.states[rows]
         expect = np.einsum("ni,nij,nj->n", psi.conj(), hs, psi).real
@@ -559,7 +558,7 @@ def test_new_initial_state_starts_a_new_series():
 
 
 def test_segment_rows_and_local_times_are_tabulated():
-    sched = build_echo_sequence(P, gaps=(0.3, 0.0, 0.2))
+    sched = gapped_echo(P, (0.3, 0.0, 0.2))
     traj = evolve_eigenstate(sched, 0, samples=32)
     starts = sched.boundaries[:-1]
     for i in range(len(sched.segments)):

@@ -37,6 +37,7 @@ from tqdecho.schedule import (
 )
 
 from dense import ControlHalfTurn, expm_hermitian, generator, generator_batch
+from echoes import gapped_echo
 from spies import count_handed_segments
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -181,7 +182,7 @@ def test_counts_and_dims_must_be_integers(call, match):
 
 
 def test_numpy_integer_counts_are_accepted():
-    idle = IdleParams(np.int64(2), 0.0)
+    idle = IdleParams(np.int64(2), 1.0)
     assert type(idle.dim) is int
     traj = propagate_schedule(LOOP, policy=StepPolicy(np.int64(8)), samples=np.int64(4))
     assert traj.substeps_used == (8,)
@@ -366,9 +367,9 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
 @pytest.mark.parametrize("policy", POLICIES, ids=["exact", "oracle"])
 @pytest.mark.parametrize("samples", [2, 8, 40])
 def test_nonzero_idle_in_a_batch_is_identity_partials(policy, samples, monkeypatch):
-    # the gapped echo has idles of 0.3, 0.0 (walked to (None, 0)) and
-    # 0.2; the hand-built two-qubit schedule one of 0.4
-    gapped = build_echo_sequence(P, gaps=(0.3, 0.0, 0.2))
+    # the gapped echo has idles of 0.3 and 0.2; the hand-built two-qubit
+    # schedule one of 0.4
+    gapped = gapped_echo(P, (0.3, 0.0, 0.2))
     paused = SegmentSchedule((P2, IdleParams(4, 0.4), P2.reversed()))
     batch = [gapped, build_two_qubit_sequence(P2), paused, gapped]
     segments, _ = count_handed_segments(monkeypatch)
@@ -379,20 +380,17 @@ def test_nonzero_idle_in_a_batch_is_identity_partials(policy, samples, monkeypat
     assert substeps == cps and partials.shape == (cps, 4, 4)
     assert partials.tobytes() == np.broadcast_to(np.eye(4, dtype=complex), partials.shape).tobytes()
     idles = [i for i, seg in enumerate(gapped.segments) if seg.kind == "idle"]
-    assert [gapped.segments[i].duration for i in idles] == [0.3, 0.0, 0.2]
+    assert [gapped.segments[i].duration for i in idles] == [0.3, 0.2]
     for walked in (walks[0], walks[3]):
-        for i, duration in zip(idles, (0.3, 0.0, 0.2)):
+        for i in idles:
             partials, substeps = walked[i]
-            if duration == 0.0:
-                assert partials is None and substeps == 0
-            else:
-                assert substeps == cps
-                assert partials.shape == (cps, 2, 2)
-                eye = np.broadcast_to(np.eye(2, dtype=complex), partials.shape)
-                assert partials.tobytes() == eye.tobytes()
+            assert substeps == cps
+            assert partials.shape == (cps, 2, 2)
+            eye = np.broadcast_to(np.eye(2, dtype=complex), partials.shape)
+            assert partials.tobytes() == eye.tobytes()
     monkeypatch.undo()
     traj = propagate_schedule(gapped, policy=policy, samples=samples)
-    assert [traj.substeps_used[i] for i in idles] == [cps, 0, cps]
+    assert [traj.substeps_used[i] for i in idles] == [cps, cps]
 
 
 def _composed_per_segment(sched, policy, samples):
@@ -401,9 +399,6 @@ def _composed_per_segment(sched, policy, samples):
     cum = np.eye(sched.dim, dtype=complex)
     rows = []
     for seg in sched.segments:
-        if seg.duration == 0.0:
-            rows.append(cum[None])
-            continue
         partials, _ = _walked(seg, policy, samples)
         rows += [cum[None], np.matmul(partials, cum)]
         cum = rows[-1][-1]
@@ -413,7 +408,7 @@ def _composed_per_segment(sched, policy, samples):
 @pytest.mark.parametrize(
     "sched",
     [
-        rotate_schedule(build_echo_sequence(P, gaps=(0.3, 0.0, 0.2)), 0.4),
+        rotate_schedule(gapped_echo(P, (0.3, 0.0, 0.2)), 0.4),
         build_two_qubit_sequence(P2),
         build_exp_two_qubit_sequence(P2),
     ],

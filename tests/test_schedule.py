@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
-from tqdecho.qcore import pauli_dot
+from tqdecho.gates import closed_form_echo_gate
+from tqdecho.propagate import propagate_schedule
+from tqdecho.qcore import gate_distance, pauli_dot
 from tqdecho.schedule import (
     FlipParams,
     IdleParams,
@@ -24,6 +26,7 @@ from tqdecho.schedule import (
 )
 
 from dense import generator
+from echoes import gapped_echo
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
@@ -142,12 +145,15 @@ def test_segment_dim_and_duration_are_its_records(seg, rate):
 
 def test_idle_carries_its_duration():
     assert IdleParams(2, 123.4).duration == 123.4
-    assert IdleParams(4, 0).duration == 0.0
+    assert type(IdleParams(4, 2).duration) is float
 
 
-@pytest.mark.parametrize("duration", [-1.0, float("nan"), "1.0", True], ids=repr)
+@pytest.mark.parametrize(
+    "duration", [-1.0, 0.0, -0.0, 0, float("nan"), float("inf"), "1.0", True], ids=repr
+)
 def test_idle_record_rejects_a_bad_duration(duration):
-    with pytest.raises(ValueError, match="duration must be"):
+    # every segment lasts some time: a zero-length idle is no segment
+    with pytest.raises(ValueError, match="^duration must be positive and finite"):
         IdleParams(2, duration)
 
 
@@ -190,8 +196,9 @@ def test_single_loop_schedule_shape():
 
 def test_echo_sequence_layout():
     s = build_echo_sequence(P)
-    assert s.labels() == ["loop-C", "idle", "pi", "idle", "loop-Cbar", "idle", "pi"]
-    # zero gaps contribute no time; pulse lasts pi/omega_pi
+    assert s.labels() == ["loop-C", "pi", "loop-Cbar", "pi"]
+    assert s.segments[1] is s.segments[3] and s.segments[2] == P.reversed()
+    # each pulse lasts pi/omega_pi
     omega_pi = 50.0 * abs(P.omega)
     expected = 2.0 * P.period + 2.0 * np.pi / omega_pi
     assert np.isclose(s.total_duration, expected)
@@ -208,9 +215,18 @@ def test_echo_sequence_normalizes_orientation():
 
 
 def test_echo_gaps():
-    s = build_echo_sequence(P, gaps=(0.5, 0.25, 0.125))
+    # the echo takes no gaps; idles between its segments are records of
+    # their own, and as identities they leave the echo's gate alone
+    with pytest.raises(TypeError):
+        build_echo_sequence(P, None, (0.5, 0.25, 0.125))
+    s = gapped_echo(P, (0.5, 0.25, 0.125))
+    assert s.labels() == ["loop-C", "idle", "pi", "idle", "loop-Cbar", "idle", "pi"]
     idles = [seg.duration for seg in s.segments if seg.kind == "idle"]
     assert idles == [0.5, 0.25, 0.125]
+    assert np.isclose(s.total_duration, build_echo_sequence(P).total_duration + 0.875)
+    turned = replace(P, rotation=0.4)
+    gate = propagate_schedule(gapped_echo(turned, (0.5, 0.0, 0.125))).final_propagator
+    assert gate_distance(gate, closed_form_echo_gate(turned)) <= 1e-12
 
 
 def test_loop_field_batch_matches_closed_form():
@@ -324,7 +340,7 @@ def test_schedule_requires_consistent_dims():
 
 
 def test_boundaries_accumulate():
-    s = build_echo_sequence(P, gaps=(0.1, 0.2, 0.3))
+    s = gapped_echo(P, (0.1, 0.2, 0.3))
     b = s.boundaries
     assert len(b) == len(s.segments) + 1
     assert b[0] == 0.0
@@ -346,6 +362,7 @@ def test_schedule_takes_segments_only(items):
 
 ECHO = build_echo_sequence(P)
 EXP_ECHO = build_exp_two_qubit_sequence(P2)
+IDLE = IdleParams(2, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -355,17 +372,18 @@ EXP_ECHO = build_exp_two_qubit_sequence(P2)
         (ECHO.segments[0], "theta", 9.0, "theta must lie in"),
         (ECHO.segments[0], "omega0", -5.0, "omega0 must be positive"),
         (ECHO.segments[0], "omega0", float("nan"), "finite real number"),
-        (ECHO.segments[2], "target", 3, "pulse target"),
-        (ECHO.segments[1], "duration", -1.0, "idle duration must be"),
-        (ECHO.segments[1], "duration", "1.0", "duration must be a finite"),
+        (ECHO.segments[1], "target", 3, "pulse target"),
+        (IDLE, "duration", -1.0, "^duration must be positive"),
+        (IDLE, "duration", 0.0, "^duration must be positive"),
+        (IDLE, "duration", "1.0", "^duration must be positive"),
         # periods and half turns past the float range
         (ECHO.segments[0], "omega", 1e-320, "^omega = .* is too slow: its loop period"),
         (EXP_ECHO.segments[0], "omega", -1e-320, "^omega = .* is too slow: its loop period"),
-        (ECHO.segments[2], "omega_pi", 1e-320, "^omega_pi = .* is too slow: its half turn"),
+        (ECHO.segments[1], "omega_pi", 1e-320, "^omega_pi = .* is too slow: its half turn"),
     ],
     ids=[
         "theta-string", "theta-out-of-range", "omega0-negative", "omega0-nan",
-        "target-not-string", "idle-duration-negative",
+        "target-not-string", "idle-duration-negative", "idle-duration-zero",
         "idle-duration-string", "period-overflow", "exp-period-overflow", "half-turn-overflow",
     ],
 )
@@ -388,16 +406,16 @@ def test_schedule_rejects_a_total_duration_that_overflows():
 def _drawn_echoes(draw):
     """A single-qubit echo (cone angle, signed omega/omega0 log-uniform in
     +-[0.1, 10], omega0 log-uniform in [0.2, 5], drive rotation, three
-    gaps, each zero or drawn from [0, 2]) or a two-qubit echo (omega_i/J
+    gaps, each drawn from (0, 2]) or a two-qubit echo (omega_i/J
     log-uniform in [0.01, 100], signed rate, conditional or exp loops)."""
-    gap = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    gap = st.floats(0.0, 2.0, exclude_min=True)
     family = draw(st.sampled_from(["single", "two-qubit", "exp"]))
     sign = draw(st.sampled_from([-1.0, 1.0]))
     if family == "single":
         omega0 = 10.0 ** draw(st.floats(-0.7, 0.7))
         ratio = 10.0 ** draw(st.floats(-1.0, 1.0))
         p = LoopParams(draw(st.floats(0.0, np.pi)), sign * ratio * omega0, omega0)
-        sched = build_echo_sequence(p, gaps=draw(st.tuples(gap, gap, gap)))
+        sched = gapped_echo(p, draw(st.tuples(gap, gap, gap)))
         return rotate_schedule(sched, draw(st.floats(-np.pi, np.pi)))
     ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     p = TwoQubitParams(
@@ -420,7 +438,7 @@ _OUT_OF_RANGE = {
     "omega_pi": [0.0, -1.0, 1e-320],
     "target": ["II", "III", 1],
     "dim": [1, 3, 2.0],
-    "duration": [-1.0],
+    "duration": [-1.0, 0.0],
 }
 
 

@@ -20,8 +20,8 @@ PYTHONPATH, and records a digest for each item:
   (sample times, segment index, propagators, states, tracking
   fidelity and substeps_used) and `values` (final propagator, phase
   values or the message a decomposition raised, and minimum tracking
-  fidelity). A schedule that gains or loses a zero-length segment
-  moves its trajectory rows, not its values.
+  fidelity). The gapped echoes are built from their records, so the
+  family is the same whatever segments build_echo_sequence returns.
 
 Every command runs in a fresh process, as CI runs it, with each
 PYTHONPATH entry made absolute, and prints its stderr if it fails.
@@ -131,14 +131,20 @@ def _family() -> dict:
     import numpy as np
 
     import tqdecho as tq
+    from tqdecho.schedule import IdleParams
 
     rng = np.random.default_rng(FAMILY_SEED)
     members = {}
     for i in range(FAMILY_SIZE):
         sign = rng.choice([-1.0, 1.0])
         p = tq.LoopParams(rng.uniform(0.2, 2.9), sign * rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0))
-        echo = tq.build_echo_sequence(p, omega_pi=rng.uniform(20.0, 80.0) * abs(p.omega),
-                                      gaps=tuple(rng.uniform(0.0, 1.0, 3)))
+        # a gapped echo from its records, built alike from the four- and
+        # the older seven-segment echo
+        segs = tq.build_echo_sequence(p, omega_pi=rng.uniform(20.0, 80.0) * abs(p.omega)).segments
+        pulse = next(seg for seg in segs if seg.kind == "pi-pulse")
+        gaps = [IdleParams(2, g) for g in rng.uniform(0.0, 1.0, 3)]
+        echo = tq.SegmentSchedule((segs[0], gaps[0], pulse, gaps[1], segs[0].reversed(), gaps[2],
+                                   pulse))
         label = int(rng.integers(2))
         members[f"rotated-echo-{i}"] = (
             tq.rotate_schedule(echo, rng.uniform(-np.pi, np.pi)), label,
