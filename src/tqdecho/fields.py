@@ -357,12 +357,14 @@ def tqd_field_magnitude(p: LoopParams) -> float:
 # ---------------------------------------------------------------------------
 
 def theta_tilde(p: TwoQubitParams) -> float:
-    """Cone angle of the conditional field: cos = J / sqrt(omega_i^2 + J^2).
+    """Cone angle of the conditional field: tan = omega_i / J, so
+    cos = J / sqrt(omega_i^2 + J^2). Taken by atan2, which keeps every
+    digit when omega_i << J, where arccos(J / rabi) rounds to 0.
 
     The control state q selects the cone angle theta_tilde (q=0) or
     pi - theta_tilde (q=1).
     """
-    return float(np.arccos(p.coupling / p.rabi))
+    return math.atan2(p.omega_i, p.coupling)
 
 
 def experimental_params(p: TwoQubitParams) -> ExpParams:

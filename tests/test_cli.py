@@ -173,6 +173,16 @@ def test_expmap_run(tmp_path):
     assert doc["max_field_deviation"] < 1e-10
 
 
+def test_expmap_at_a_weak_drive_keeps_the_field_map_exact(tmp_path):
+    # theta_tilde by arccos read 0 at omega_i/J = 1e-8, so the field check
+    # read 5.0e-9 against its bound of 1e-10 and the run exited 1
+    cfg = write_config(tmp_path, "x.json", {"omega_i": 1e-8, "coupling": 1.0, "omega": 0.5})
+    out = tmp_path / "out"
+    assert main(["expmap", "--config", cfg, "--out", str(out)]) == 0
+    checks = {c["name"]: c["value"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+    assert checks["field_map_deviation"] <= 1e-15
+
+
 def test_expmap_without_field_draws_is_a_config_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "x.json",

@@ -4,6 +4,7 @@ two-qubit fields, and the static-coupling parameter map.
 The fields are read from the loop records' block_fields / field_batch,
 the one definition the propagator simulates; the closed forms they must match
 live here as references."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from tqdecho.fields import (
     theta_tilde,
     tqd_field_magnitude,
 )
+from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
 from tqdecho.schedule import FlipParams, PulseParams, SegmentSchedule, build_two_qubit_sequence
 
@@ -297,6 +299,19 @@ def test_delta_field_between_orientations():
 def test_theta_tilde_square_coupling():
     p = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
     assert np.isclose(theta_tilde(p), np.pi / 4)
+
+
+@pytest.mark.parametrize("ratio", [1e-12, 1e-8, 1e-5, 1.0, 1e5], ids=repr)
+@pytest.mark.parametrize("omega", [0.5, -0.5], ids=repr)
+def test_theta_tilde_keeps_its_digits_at_any_drive_to_coupling_ratio(ratio, omega):
+    # arccos(J / rabi) read 0.0 at omega_i/J = 1e-8 (true value 1e-8), and
+    # the exp map built on it was off by 5e-9 in field units
+    p = TwoQubitParams(omega_i=ratio, coupling=1.0, omega=omega)
+    assert theta_tilde(p) == math.atan2(ratio, 1.0)
+    rep = verify_exp_equivalence(p, field_draws=8)
+    scale = max(p.rabi, abs(p.omega))
+    assert rep.max_field_deviation <= 4.0 * np.finfo(float).eps * scale
+    assert rep.gate_deviation <= 1e-14
 
 
 def test_conditional_root_field_sectors():
