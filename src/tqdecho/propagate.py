@@ -308,7 +308,9 @@ class Trajectory:
         (0 for an exact loop).
 
     Construction tabulates each segment's row slice and the samples'
-    local times once. `phases` keeps its comoving overlap series per
+    local times once, each from its segment's own grid duration*k/cps
+    (cps + 1 rows, k = 0..cps), so a long segment before a loop costs
+    the loop no time resolution. `phases` keeps its comoving overlap series per
     label in `_overlaps`, which starts empty on every new trajectory
     (with_initial_state and dataclasses.replace included).
     """
@@ -326,9 +328,11 @@ class Trajectory:
 
     def __post_init__(self):
         idx = self.segment_index
-        edges = np.searchsorted(idx, np.arange(len(self.schedule.segments) + 1)).tolist()
-        object.__setattr__(self, "_rows", tuple(map(slice, edges[:-1], edges[1:])))
-        local = self.times - self.schedule.boundaries[:-1][idx]
+        edges = np.searchsorted(idx, np.arange(len(self.schedule.segments) + 1))
+        object.__setattr__(self, "_rows", tuple(map(slice, edges[:-1].tolist(), edges[1:].tolist())))
+        durations = np.array([seg.duration for seg in self.schedule.segments])
+        k = np.arange(idx.size) - edges[idx]
+        local = durations[idx] * k / (np.diff(edges) - 1)[idx]
         local.setflags(write=False)
         object.__setattr__(self, "_local", local)
 
@@ -347,8 +351,8 @@ class Trajectory:
         return replace(self, initial_state=psi, states=states)
 
     def local_times(self) -> np.ndarray:
-        """Sample times relative to the start of their own segment
-        (read-only)."""
+        """Sample times relative to the start of their own segment, on
+        its grid duration*k/cps (read-only)."""
         return self._local
 
     def segment_rows(self, index: int) -> slice:

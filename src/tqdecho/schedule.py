@@ -218,11 +218,6 @@ class SegmentSchedule:
     def total_duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
 
-    @property
-    def boundaries(self) -> np.ndarray:
-        """Start times of each segment plus the final end time."""
-        return np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
-
     def labels(self) -> list:
         return [s.label for s in self.segments]
 

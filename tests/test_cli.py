@@ -132,6 +132,22 @@ def test_echo_run(tmp_path):
     assert abs(phases["dynamical"]) < 1e-6
 
 
+@pytest.mark.parametrize("omega_pi", [1e-6, 1e-30], ids=repr)
+def test_echo_with_long_pulses_keeps_the_loops_time_resolution(tmp_path, omega_pi):
+    # local times were absolute time minus the segment's start, so after
+    # a pulse lasting pi/omega_pi the second loop lost its resolution: the
+    # residual read 7.4e-11 at 1e-6, and at 1e-30 the decomposition raised
+    # ("min overlap 0.7071") while the gate held to 1.1e-16
+    cfg = write_config(
+        tmp_path, "echo.json",
+        {"theta": 0.7853981633974483, "omega": 0.7, "omega0": 1.0, "omega_pi": omega_pi},
+    )
+    out = tmp_path / "out"
+    assert main(["echo", "--config", cfg, "--out", str(out)]) == 0
+    checks = {c["name"]: c["value"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+    assert checks["residual_dynamical_phase"] <= 1e-14
+
+
 def test_gate_run(tmp_path):
     cfg = write_config(
         tmp_path, "g.json",

@@ -560,12 +560,16 @@ def test_new_initial_state_starts_a_new_series():
 def test_segment_rows_and_local_times_are_tabulated():
     sched = gapped_echo(P, (0.3, 0.0, 0.2))
     traj = evolve_eigenstate(sched, 0, samples=32)
-    starts = sched.boundaries[:-1]
-    for i in range(len(sched.segments)):
+    for i, seg in enumerate(sched.segments):
         rows = traj.segment_rows(i)
         assert np.all(traj.segment_index[rows] == i)
         assert rows.stop - rows.start == np.count_nonzero(traj.segment_index == i)
-    assert np.array_equal(traj.local_times(), traj.times - starts[traj.segment_index])
+        # a segment's local times are its own grid, not absolute time minus
+        # its start, and its absolute times are that grid from its start
+        cps = rows.stop - rows.start - 1
+        grid = seg.duration * np.arange(cps + 1) / cps
+        assert traj.local_times()[rows].tobytes() == grid.tobytes()
+        assert np.array_equal(traj.times[rows], traj.times[rows.start] + grid)
     assert not traj.local_times().flags.writeable
 
 

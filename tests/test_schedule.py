@@ -339,15 +339,6 @@ def test_schedule_requires_consistent_dims():
         SegmentSchedule((P, IdleParams(4, 1.0)))
 
 
-def test_boundaries_accumulate():
-    s = gapped_echo(P, (0.1, 0.2, 0.3))
-    b = s.boundaries
-    assert len(b) == len(s.segments) + 1
-    assert b[0] == 0.0
-    assert np.isclose(b[-1], s.total_duration)
-    assert np.all(np.diff(b) >= 0)
-
-
 # record validation ---------------------------------------------------------
 
 @pytest.mark.parametrize(
