@@ -310,9 +310,9 @@ class Trajectory:
     Construction tabulates each segment's row slice and the samples'
     local times once, each from its segment's own grid duration*k/cps
     (cps + 1 rows, k = 0..cps), so a long segment before a loop costs
-    the loop no time resolution. `phases` keeps its comoving overlap series per
-    label in `_overlaps`, which starts empty on every new trajectory
-    (with_initial_state and dataclasses.replace included).
+    the loop no time resolution. `phases` keeps its comoving overlap
+    series per label in `_overlaps`, which starts empty on every new
+    trajectory (with_initial_state and dataclasses.replace included).
     """
 
     schedule: SegmentSchedule
@@ -329,7 +329,8 @@ class Trajectory:
     def __post_init__(self):
         idx = self.segment_index
         edges = np.searchsorted(idx, np.arange(len(self.schedule.segments) + 1))
-        object.__setattr__(self, "_rows", tuple(map(slice, edges[:-1].tolist(), edges[1:].tolist())))
+        bounds = edges.tolist()
+        object.__setattr__(self, "_rows", tuple(map(slice, bounds[:-1], bounds[1:])))
         durations = np.array([seg.duration for seg in self.schedule.segments])
         k = np.arange(idx.size) - edges[idx]
         local = durations[idx] * k / (np.diff(edges) - 1)[idx]
@@ -378,11 +379,11 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     `scheds`, one list per schedule: partials holds the propagators from
     the segment's start to cps equally spaced local times, shape (cps,
     dim, dim), the last at its end, with cps = checkpoints per loop and
-    min(16, checkpoints) per pulse or idle. This walk is the only place segments become propagators,
-    behind gates and trajectories alike. Segments of equal repr (record
-    class and fields, so tqd and root loops differ and so do 0.0 and
-    -0.0), and so of equal dim and duration, are propagated once across
-    the whole batch. Pulses
+    min(16, checkpoints) per pulse or idle. This walk is the only place
+    segments become propagators, behind gates and trajectories alike.
+    Segments of equal repr (record class and fields, so tqd and root
+    loops differ and so do 0.0 and -0.0), and so of equal dim and
+    duration, are propagated once across the whole batch. Pulses
     (_pulse_propagators) and idles (the identity) are exact under either
     policy and report one substep per checkpoint. The distinct loops of
     one dim go to one stacked kernel call: _loop_propagators on the exact
@@ -493,8 +494,9 @@ def propagate_schedule(
     policy None runs the exact propagator; StepPolicy(substeps=N) runs
     the fourth-order Magnus oracle. samples (an integer >= 2) sets the
     number of checkpoints per loop segment, min(16, samples) per pulse or
-    idle. The count sets sampling resolution, not accuracy. The segments come from the
-    walk the gates use, which propagates each distinct segment once.
+    idle. The count sets sampling resolution, not accuracy. The segments
+    come from the walk the gates use, which propagates each distinct
+    segment once.
     """
     return _propagate_schedules([s], [initial_state], policy, samples)[0]
 

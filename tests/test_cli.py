@@ -144,7 +144,8 @@ def test_echo_with_long_pulses_keeps_the_loops_time_resolution(tmp_path, omega_p
     )
     out = tmp_path / "out"
     assert main(["echo", "--config", cfg, "--out", str(out)]) == 0
-    checks = {c["name"]: c["value"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+    summary = json.loads((out / "summary.json").read_text())
+    checks = {c["name"]: c["value"] for c in summary["checks"]}
     assert checks["residual_dynamical_phase"] <= 1e-14
 
 
@@ -195,7 +196,8 @@ def test_expmap_at_a_weak_drive_keeps_the_field_map_exact(tmp_path):
     cfg = write_config(tmp_path, "x.json", {"omega_i": 1e-8, "coupling": 1.0, "omega": 0.5})
     out = tmp_path / "out"
     assert main(["expmap", "--config", cfg, "--out", str(out)]) == 0
-    checks = {c["name"]: c["value"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+    summary = json.loads((out / "summary.json").read_text())
+    checks = {c["name"]: c["value"] for c in summary["checks"]}
     assert checks["field_map_deviation"] <= 1e-15
 
 

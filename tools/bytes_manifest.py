@@ -140,11 +140,11 @@ def _family() -> dict:
         p = tq.LoopParams(rng.uniform(0.2, 2.9), sign * rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0))
         # a gapped echo from its records, built alike from the four- and
         # the older seven-segment echo
-        segs = tq.build_echo_sequence(p, omega_pi=rng.uniform(20.0, 80.0) * abs(p.omega)).segments
-        pulse = next(seg for seg in segs if seg.kind == "pi-pulse")
-        gaps = [IdleParams(2, g) for g in rng.uniform(0.0, 1.0, 3)]
-        echo = tq.SegmentSchedule((segs[0], gaps[0], pulse, gaps[1], segs[0].reversed(), gaps[2],
-                                   pulse))
+        omega_pi = rng.uniform(20.0, 80.0) * abs(p.omega)
+        segs = tq.build_echo_sequence(p, omega_pi=omega_pi).segments
+        fwd, pulse = segs[0], next(seg for seg in segs if seg.kind == "pi-pulse")
+        idle = [IdleParams(2, g) for g in rng.uniform(0.0, 1.0, 3)]
+        echo = tq.SegmentSchedule((fwd, idle[0], pulse, idle[1], fwd.reversed(), idle[2], pulse))
         label = int(rng.integers(2))
         members[f"rotated-echo-{i}"] = (
             tq.rotate_schedule(echo, rng.uniform(-np.pi, np.pi)), label,
