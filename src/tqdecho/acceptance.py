@@ -420,7 +420,8 @@ CRITERIA = (
 
 
 def run_criterion(index: int) -> CriterionResult:
-    if not 1 <= index <= len(CRITERIA):
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) \
+            or not 1 <= index <= len(CRITERIA):
         raise ValueError(f"criterion index must be 1..{len(CRITERIA)}")
     return CRITERIA[index - 1]()
 

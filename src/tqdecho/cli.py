@@ -188,9 +188,9 @@ def load_config(path: str, kind: str) -> dict:
 
 
 def _policy(params: dict, args) -> StepPolicy | None:
-    """--substeps, else the config's substeps, selects the Magnus
-    oracle; with neither the scenario runs the exact propagator."""
-    n = args.substeps if args.substeps is not None else params.get("substeps")
+    """--substeps, else the config's substeps, selects the Magnus oracle;
+    with neither (as in fields) the scenario runs the exact propagator."""
+    n = params.get("substeps") if getattr(args, "substeps", None) is None else args.substeps
     return None if n is None else StepPolicy(substeps=n)
 
 
@@ -200,6 +200,13 @@ def _policy(params: dict, args) -> StepPolicy | None:
 
 def _matrix(u: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in u]
+
+
+def _make_out(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path below one: bad input
+        raise ConfigError(f"cannot write to --out {out}: {exc.strerror}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -221,7 +228,7 @@ class Run:
     def _path(self, name: str) -> Path:
         # the directory appears with the first file, so a run that fails
         # on its config leaves none
-        self.out.mkdir(parents=True, exist_ok=True)
+        _make_out(self.out)
         return self.out / name
 
     def check(self, name: str, value: float, bound: float) -> None:
@@ -441,7 +448,7 @@ def _run_scan(run: Run) -> int:
 
 
 def _run_verify_all(out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     results = run_all()
     _write_json(out / "acceptance.json", [r.to_dict() for r in results])
     print(f"  wrote {out / 'acceptance.json'}")
@@ -478,11 +485,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(kind, help=f"run the {kind} scenario from a JSON config")
         sp.add_argument("--config", required=True, help="path to the scenario config")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
-        sp.add_argument(
-            "--substeps", type=int, default=None,
-            help="run the fourth-order Magnus oracle with this many substeps "
-            "per loop segment (at least samples) instead of the exact propagator",
-        )
+        if kind != "fields":  # fields propagates nothing
+            sp.add_argument(
+                "--substeps", type=int, default=None,
+                help="run the fourth-order Magnus oracle with this many substeps "
+                "per loop segment (at least samples) instead of the exact propagator",
+            )
 
     sp = sub.add_parser("verify-all", help="run the full verification suite")
     sp.add_argument("--out", default=".", help="output directory (default: .)")
@@ -491,17 +499,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Exit 0 when every check passed, 1 on a failed check, 2 on a bad
-    config or input, 3 on an internal error."""
+    config or input (verify-all reads none but --out), 3 on an internal error."""
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
+    bad_input = ConfigError if args.command == "verify-all" else (ConfigError, ValueError)
     try:
-        if args.command == "verify-all":
-            return _run_verify_all(out)
         try:
+            if args.command == "verify-all":
+                return _run_verify_all(out)
             params = load_config(args.config, args.command)
             run = Run(args.command, params, _policy(params, args), out)
             return _RUNNERS[args.command](run)
-        except (ConfigError, ValueError) as exc:
+        except bad_input as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     except Exception as exc:  # the process boundary: report, never a traceback

@@ -22,6 +22,14 @@ def test_criterion(index):
     assert result.passed, f"{result.line}\n{detail}"
 
 
+@pytest.mark.parametrize("index", [True, 2.0, "1", 0, 3], ids=repr)
+def test_run_criterion_takes_an_integer_index_in_range(monkeypatch, index):
+    monkeypatch.setattr(tqdecho.acceptance, "CRITERIA", (lambda: "first", lambda: "second"))
+    assert run_criterion(np.int64(2)) == "second"
+    with pytest.raises(ValueError, match=r"criterion index must be 1\.\.2"):
+        run_criterion(index)
+
+
 def test_physics_criteria_never_run_the_magnus_oracle(monkeypatch):
     def oracle(*args):
         raise AssertionError("Magnus oracle ran")

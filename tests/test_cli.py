@@ -470,6 +470,30 @@ def test_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys)
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["fields", "verify-all"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_an_out_that_cannot_be_a_directory_is_bad_input(tmp_path, capsys, command, below):
+    blocker = tmp_path / "F"
+    blocker.write_text("a file")
+    out = blocker / "sub" if below else blocker
+    argv = [command, "--out", str(out)]
+    if command == "fields":
+        argv += ["--config", write_config(tmp_path, "f.json", {"theta": 1.0, "omega": 1.0,
+                                                               "omega0": 1.0})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write to --out {out}: ")
+    assert blocker.read_text() == "a file"
+
+
+def test_fields_takes_no_substeps(tmp_path):
+    # fields propagates nothing, so an oracle setting would only be recorded
+    cfg = write_config(tmp_path, "f.json", {"theta": 1.0, "omega": 1.0, "omega0": 1.0})
+    with pytest.raises(SystemExit) as exc:
+        main(["fields", "--config", cfg, "--substeps", "5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["evolve", "echo", "scan"])
 @pytest.mark.parametrize("label", [2, -1])
 def test_bad_label_is_a_config_error_before_any_output(tmp_path, capsys, kind, label):
