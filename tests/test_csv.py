@@ -142,6 +142,17 @@ def test_cli_fields_csv_bytes(tmp_path):
     assert (out / "fields.csv").read_bytes() == expected
 
 
+def test_cli_echo_trajectory_csv_bytes(tmp_path):
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({"theta": 1.1, "omega": -0.4, "omega0": 1.3, "label": 1,
+                               "samples": 90}))
+    out = tmp_path / "out"
+    assert main(["echo", "--config", str(cfg), "--out", str(out)]) == 0
+    traj = evolve_eigenstate(build_echo_sequence(LoopParams(1.1, -0.4, 1.3)), 1, samples=90)
+    expected = _reference_trajectory(traj, {"fidelity": tracking_fidelity(traj, 1)})
+    assert (out / "trajectory.csv").read_bytes() == expected
+
+
 def test_cli_scan_csv_bytes(tmp_path):
     ratios = [0.2, 1.0, 5.0, 1.0 / 3.0]
     cfg = tmp_path / "s.json"
