@@ -9,9 +9,9 @@ PYTHONPATH, and records a digest for each item:
 
 * verify-all: each criterion of acceptance.json, with `runtime` and the
   `runtime_seconds` check dropped;
-* cli: every artifact and summary.json of the seven scenario configs
-  the CI determinism step runs, each with the exact propagator and with
-  --substeps 1024;
+* cli: every artifact and summary.json of one config per scenario,
+  each with the exact propagator and, but for fields, which propagates
+  nothing, with --substeps 1024;
 * demo: the stdout of each demo under -W error, and the CSV demo 01
   writes;
 * family: for each member of a seeded family of rotated gapped echoes,
@@ -23,13 +23,17 @@ PYTHONPATH, and records a digest for each item:
   fidelity). The gapped echoes are built from their records, so the
   family is the same whatever segments build_echo_sequence returns.
 
-Every command runs in a fresh process, as CI runs it, with each
+Every command runs in a fresh process under -W error, with each
 PYTHONPATH entry made absolute, and prints its stderr if it fails.
-`compare` runs `write` in each tree (cwd = the tree, PYTHONPATH = its
-src) and names every item that differs. The script uses only names that
-every recent tree exports, so it also runs on older checkouts. Digests
-depend on numpy, BLAS and libm, so compare two trees on one machine;
-none is committed.
+`write` records each exit code as an item and, after writing the
+manifest, exits 1 if any command exited non-zero. `compare` runs
+`write` in each tree (cwd = the tree, PYTHONPATH = its src), names
+every item that differs, and fails if either tree's `write` failed, so
+a failure that repeats identically still fails. CI runs
+`compare . .`: the tree against itself, each result made twice in
+fresh processes. The script uses only names that every recent tree
+exports, so it also runs on older checkouts. Digests depend on numpy,
+BLAS and libm, so compare two trees on one machine; none is committed.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the configs of the CI step "Artifact determinism across processes"
 CONFIGS = {
     "evolve": {"theta": 1.0471975511965976, "omega": 1.0, "omega0": 1.0},
     "echo": {"theta": 0.7853981633974483, "omega": 0.7, "omega0": 1.0, "label": 1},
@@ -102,12 +105,15 @@ def _cli_items(tmp: Path) -> dict:
     for kind, config in CONFIGS.items():
         path = tmp / f"{kind}.json"
         path.write_text(json.dumps({"kind": kind, **config}))
-        for name, extra in (("exact", []), ("oracle", ["--substeps", str(ORACLE_SUBSTEPS)])):
+        runs = {"exact": []}
+        if kind != "fields":  # fields propagates nothing and takes no --substeps
+            runs["oracle"] = ["--substeps", str(ORACLE_SUBSTEPS)]
+        for name, extra in runs.items():
             out = tmp / f"{kind}-{name}"
             done = _run(["-m", "tqdecho.cli", kind, "--config", str(path), "--out", str(out),
                          *extra], tmp)
             items[f"cli/{kind}-{name}/exit"] = _sha(str(done.returncode).encode())
-            for artifact in sorted(out.iterdir()):
+            for artifact in sorted(out.iterdir()) if out.exists() else []:
                 items[f"cli/{kind}-{name}/{artifact.name}"] = _sha(artifact.read_bytes())
     return items
 
@@ -197,7 +203,7 @@ def _family_items() -> dict:
     return items
 
 
-def write(out: Path) -> None:
+def write(out: Path) -> int:
     import numpy as np
 
     import tqdecho
@@ -215,17 +221,27 @@ def write(out: Path) -> None:
     doc = {"python": sys.version.split()[0], "numpy": np.__version__, "items": items}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{len(items)} items written to {out}")
+    failed = sorted(k for k, v in items.items() if k.endswith("/exit") and v != _sha(b"0"))
+    for key in failed:
+        print(f"exited non-zero: {key}")
+    return 1 if failed else 0
 
 
 def compare(tree_a: Path, tree_b: Path) -> int:
-    docs = []
+    docs, failed = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, tree in enumerate((tree_a, tree_b)):
             tree = tree.resolve()
             out = Path(tmp) / f"manifest-{i}.json"
-            subprocess.run([sys.executable, str(Path(__file__).resolve()), "write", str(out)],
-                           cwd=tree, env=_absolute_pythonpath(dict(os.environ), tree / "src"),
-                           check=True)
+            done = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "write", str(out)],
+                cwd=tree, env=_absolute_pythonpath(dict(os.environ), tree / "src"), check=False)
+            if not out.exists():
+                print(f"write in {tree} exited {done.returncode} and wrote no manifest")
+                return 1
+            if done.returncode != 0:
+                failed.append(f"write in {'AB'[i]} ({tree}) exited {done.returncode}: "
+                              "a command failed")
             docs.append(json.loads(out.read_text()))
     a, b = (d["items"] for d in docs)
     differ = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
@@ -237,9 +253,11 @@ def compare(tree_a: Path, tree_b: Path) -> int:
     if differ or only:
         print(f"{len(differ)} of {len(a.keys() & b.keys())} items differ, "
               f"{len(only)} are in one tree only")
-        return 1
-    print(f"all {len(a)} items identical")
-    return 0
+    else:
+        print(f"all {len(a)} items identical")
+    for line in failed:
+        print(line)
+    return 1 if differ or only or failed else 0
 
 
 def main(argv=None) -> int:
@@ -252,8 +270,7 @@ def main(argv=None) -> int:
     sp.add_argument("tree_b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "write":
-        write(args.out)
-        return 0
+        return write(args.out)
     return compare(args.tree_a, args.tree_b)
 
 
