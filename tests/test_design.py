@@ -15,13 +15,19 @@ from tqdecho.schedule import IdleParams
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tqdecho"
 
 
+def _sources(names=None, exclude=()) -> list:
+    """The package files `names`, default every *.py file but those in
+    `exclude`."""
+    if names is not None:
+        return [PACKAGE / name for name in names]
+    return [p for p in sorted(PACKAGE.rglob("*.py")) if p.name not in exclude]
+
+
 def _hits(pattern: str, names=None, exclude=()) -> list:
-    """`file:line: text` of each line matching `pattern` in the package
-    files `names`, default every *.py file but those in `exclude`."""
-    paths = ([PACKAGE / name for name in names] if names is not None
-             else [p for p in sorted(PACKAGE.rglob("*.py")) if p.name not in exclude])
+    """`file:line: text` of each line of _sources(names, exclude) that
+    matches `pattern`."""
     return [f"{path.name}:{n}: {line.strip()}"
-            for path in paths
+            for path in _sources(names, exclude)
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if re.search(pattern, line)]
 
@@ -58,8 +64,7 @@ def test_one_class_per_loop():
     # second class and no rotation argument on the loop builders
     assert _hits(r"LoopSegmentParams|_LoopRecord|\b_Conditional\b") == []
     turned = re.compile(r"def (loop_segment|loop_eigenvector)\([^)]*\brotation\b")
-    assert [p.name for p in sorted(PACKAGE.rglob("*.py"))
-            if turned.search(p.read_text(encoding="utf-8"))] == []
+    assert [p.name for p in _sources() if turned.search(p.read_text(encoding="utf-8"))] == []
 
 
 def test_one_class_per_two_qubit_loop():
