@@ -140,13 +140,15 @@ class _Loop:
     `root()`) on the cone of `cones()`, its correction and a scalar
     term. The record's `orientation` turns the local frame into the lab
     frame (None for none); `axis`, the direction its field precesses
-    about on the driven qubit, is the orientation's image of z."""
+    about on the driven qubit, is the orientation's image of z, and
+    `_frame_rate`, the rate it precesses at, is omega."""
 
     frame = (-0.0, -0.0)
     orientation = None
     label = property(lambda self: "loop-C" if self.omega > 0 else "loop-Cbar")
     axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
                     else tuple(self.orientation.matrix[:, 2]))
+    _frame_rate = property(lambda self: self.omega)
 
     def __post_init__(self):
         _real_fields(self)
@@ -322,7 +324,7 @@ class ExpLoopParams(TwoQubitParams):
 class ExpParams:
     """Static-coupling realization of the conditional drive.
 
-    j_xz: cross coupling between control z and target x axes.
+    j_xz: cross coupling between the control's z and the target's x.
     j_zz: Ising zz coupling.
     theta_prime: polar angle of the static target field, in (0, pi) so
         the transverse component stays positive. Forward traversal maps

@@ -5,8 +5,8 @@ generated purely by the loop geometry. For a single qubit the echo
 realizes exp(-i*Omega*(n.sigma)) up to global phase, where Omega is the
 solid angle of the traversed cone and n its axis. Dialing the cone angle
 sets the rotation angle; rotating the whole drive about y steers the
-axis. Two such rotations with distinct axes and generic angles generate
-all of SU(2), which the commutator witness below quantifies.
+axis. Two such rotations about distinct directions, at generic angles,
+generate all of SU(2), which the commutator witness below quantifies.
 
 The two-qubit echo produces a control-conditioned phase gate, diagonal in
 the conditional eigenbasis with phases (-1)^(p+q) * 2*delta_omega.

@@ -22,10 +22,11 @@ only where the integrand is constant on a segment: on a loop tracking an
 eigenstate (its eigenenergy) and on a pulse (which conserves its own
 expectation). Elsewhere it converges as samples^-2: on an uncorrected
 loop at theta = pi/4, omega = 0.3, omega0 = 1 it is off by 1.5e-5 at 256
-samples and 9.4e-7 at 1024 (ROADMAP item 12 states a closed form). Loop
-expectations are read from the real 2x2 block fields
-(_Loop.block_fields) and pulse expectations from the axis each qubit
-turns about (the pulse record's `axes`), so no dense generator is built.
+samples and 9.4e-7 at 1024 (ROADMAP item 12 states a closed form).
+Loop and y-pulse expectations are read from their real 2x2 block fields
+(_Loop.block_fields; a y pulse is a frame turn at its own rate, with
+K = 0), and the control flip's, the one record outside block form, from
+its two terms, so no dense generator is built.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, _Loop, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
-from .qcore import PAULI, wrap_angle
-from .schedule import IdleParams, SegmentSchedule, _HalfTurn
+from .qcore import PAULI, SIGMA_X, SIGMA_Y, wrap_angle
+from .schedule import FlipParams, SegmentSchedule, _HalfTurn
 
 __all__ = [
     "LABELS4",
@@ -267,21 +268,14 @@ def _block_expectation(seg, ts: np.ndarray, psi: np.ndarray, corrected: bool) ->
     return terms.sum(axis=0)
 
 
-def _pulse_expectation(seg, psi: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> of a pulse, H = 0.5*omega_pi times sigma_k on each
-    turned qubit (the record's `axes`): the sum of 0.5*omega_pi*<sigma_k> over
-    those qubits, the driven qubit being the leading tensor factor."""
+def _pulse_expectation(seg: FlipParams, psi: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> of the control flip, H = 0.5*omega_pi*(sx x 1 + 1 x sy):
+    0.5*omega_pi*<sigma_x> on the driven qubit, the leading tensor
+    factor, plus 0.5*omega_pi*<sigma_y> on the control."""
     half = 0.5 * seg.omega_pi
-    axes = seg.axes
-    if len(axes) == 1:
-        return np.einsum("ni,ij,nj->n", psi.conj(), half * PAULI[axes[0]], psi).real
     pair = psi.reshape(-1, 2, 2)
-    per_qubit = ("nac,ab,nbc->n", "nca,ab,ncb->n")
-    return sum(
-        np.einsum(spec, pair.conj(), half * PAULI[k], pair).real
-        for spec, k in zip(per_qubit, axes)
-        if k is not None
-    )
+    return sum(np.einsum(spec, pair.conj(), half * sigma, pair).real
+               for spec, sigma in (("nac,ab,nbc->n", SIGMA_X), ("nca,ab,ncb->n", SIGMA_Y)))
 
 
 def dynamical_phase(traj: Trajectory, root="root") -> float:
@@ -290,8 +284,8 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
 
     root selects what is integrated: "root" (default) uses each segment's
     uncorrected generator, "full" the complete generator including
-    corrections. Loops are read in block form, pulses from the axis each
-    qubit turns about; idles contribute nothing.
+    corrections. The control flip is read from its two terms, every
+    other record in block form (an idle's fields are zero).
     """
     if traj.states is None:
         raise ValueError("attach an initial state before computing phases")
@@ -300,14 +294,12 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
     local = traj.local_times()
     total = 0.0
     for i, seg in enumerate(traj.schedule.segments):
-        if isinstance(seg, IdleParams):
-            continue
         rows = traj.segment_rows(i)
         ts, psi = local[rows], traj.states[rows]
-        if isinstance(seg, _Loop):
-            expect = _block_expectation(seg, ts, psi, corrected=root == "full")
-        else:
+        if isinstance(seg, FlipParams):
             expect = _pulse_expectation(seg, psi)
+        else:
+            expect = _block_expectation(seg, ts, psi, corrected=root == "full")
         total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
     return float(-total)
 

@@ -1,7 +1,7 @@
 """Time evolution of piecewise schedules.
 
 Two propagators share one interface; `policy` selects between them. Both
-work on the real 2x2 block form of the loop generators (_Loop.block_fields)
+work on the real 2x2 block form of the generators (_Loop.block_fields)
 and store each SU(2) factor as a real quaternion; no generator is built
 as a dense matrix, and complex matrices are built only at the sample
 times, by one packer.
@@ -23,12 +23,13 @@ block both factors are rotations, evaluated at every sample time in
 closed form: K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase
 exp(-i*c0*t) times a Rodrigues quaternion, and one Hamilton product per
 sample joins it to the frame rotation. The exp-loop frame term is the
-scalar c0 of each sector. Pulses are constant half-turn generators: a
-single-qubit pulse is one rotation, and a two-qubit pulse is the tensor
-product of one rotation per qubit (the identity on an idle qubit),
-because terms on different qubits commute. Idles are the identity.
-Pulses and idles take this path under either policy. No
-eigendecomposition runs.
+scalar c0 of each sector. A y pulse is a frame turn: its block field
+0.5*omega_pi*y, turning about its `axis` y at its own rate omega_pi,
+gives K = 0, so the inner factor is exactly 1. The control flip, whose
+control term couples the control sectors, is the one record outside
+block form: an x turn on the driven qubit tensored with a y turn on the
+control. Idles are the identity. Pulses and idles take this path under
+either policy. No eigendecomposition runs.
 
 Magnus oracle (StepPolicy(substeps=N)). Within each loop segment the
 generator is sampled at the two Gauss-Legendre points of each substep,
@@ -49,10 +50,11 @@ from the same block fields (tests/dense.py).
 Gates and trajectories compose schedules through one walk
 (_segment_propagators), the only path from segments to propagators. It
 may span a batch of schedules and propagates each distinct segment of
-the batch once. It stacks the distinct loops of one dim on one block
-axis: the exact path evaluates all of them in one closed-form kernel
-call, and the oracle multiplies all their Magnus steps in one product
-tree. Each entry is the same whatever is stacked beside it, and the
+the batch once. It stacks the distinct records of one dim: one
+closed-form kernel call evaluates the y pulses, and on the exact path
+the loops, each on its own row of sample times, and the oracle
+multiplies all the loops' Magnus steps in one product tree. Each entry
+is the same whatever is stacked beside it, and the
 association order of every product is fixed, so a schedule's
 propagators have the same bytes in any batch and on every rerun.
 """
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import _Loop
-from .schedule import SegmentSchedule, _HalfTurn, _check_count, _write_csv
+from .schedule import FlipParams, IdleParams, SegmentSchedule, _check_count, _write_csv
 
 __all__ = [
     "StepPolicy",
@@ -222,70 +224,72 @@ def _oracle_steps(policy: StepPolicy, checkpoints: int) -> int:
 # exact closed-form propagators
 # ---------------------------------------------------------------------------
 
-def _loop_propagators(segs, ts: np.ndarray) -> np.ndarray:
-    """Exact propagators of the loop segments `segs` (all of one dim), each
-    from its start to the local times in its own row of ts, shape
-    (len(segs), ts.shape[1], dim, dim).
+def _loop_propagators(segs, ts) -> list:
+    """Exact propagators of the block-form records `segs` (loops and y
+    pulses, all of one dim), each from its start to the local times of
+    its own row of ts, the rows of any lengths: one (len(row), dim, dim)
+    array per record.
 
-    Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with n
-    the record's precession `axis` and K = c0 + w . sigma,
+    Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with
+    omega the record's `_frame_rate`, n its `axis` and K = c0 + w . sigma,
     w = v(0) - omega*n/2, read from the record's block_fields at t = 0: the
     Rodrigues quaternions (cos(omega*t/2), sin(omega*t/2) n) and
     (cos(|w|t), sin(|w|t) w/|w|) multiplied, times the phase
-    exp(-i*c0*t). The blocks of every segment are stacked on one axis, as
-    arrays of shape (blocks, segments, samples), so one pass of each
+    exp(-i*c0*t); a y pulse has w = 0, so its inner factor is exactly 1.
+    The per-record values form one small table that one np.repeat
+    gathers to the samples of all records, so one pass of each
     elementwise operation and one packer call serve them all; each entry
     is the same whatever is stacked beside it.
     """
-    c0, v, omega, axis, scale = [], [], [], [], []
-    for seg in segs:
-        c, f = seg.block_fields(0.0)
-        c0.append(c[:, 0])
-        v.append(f[:, :, 0])
-        omega.append(seg.omega)
-        axis.append(seg.axis)
-        scale.append(_period_unit(omega[-1]))
-    c0, v = np.stack(c0, axis=1), np.stack(v, axis=2)
-    omega, axis, scale = np.array(omega), np.array(axis).T, np.array(scale)
-    # w and ts in each loop's rescaled units
-    w = scale * (v - (0.5 * omega) * axis[:, None])
-    r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])[..., None]
-    local = ts / scale[:, None]
+    fields = [seg.block_fields(0.0) for seg in segs]
+    c0 = np.stack([c[:, 0] for c, _ in fields], axis=1)
+    v = np.stack([f[:, :, 0] for _, f in fields], axis=2)
+    rate = [seg._frame_rate for seg in segs]
+    scale = np.array([_period_unit(omega) for omega in rate])
+    rate, axis = np.array(rate), np.array([seg.axis for seg in segs]).T
+    # w in each record's rescaled units, and |w|
+    w = scale * (v - (0.5 * rate) * axis[:, None])
+    r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    blocks = r.shape[0]
+    counts = [len(row) for row in ts]
+    table = np.concatenate([[scale, 0.5 * rate], axis, c0, r, w.reshape(3 * blocks, -1)])
+    # the gathered table is the working storage (at thousands of samples,
+    # fresh arrays measured slower): each row is overwritten once read, so
+    # frame and inner end as the frame rotation and exp(-i*K*t) unphased
+    gathered = np.repeat(table, counts, axis=1)
+    local, frame, c0 = gathered[0], gathered[1:5], gathered[5 : 5 + blocks]
+    inner = gathered[5 + blocks :].reshape(4, blocks, -1)
+    r = inner[0]
+    ts = np.concatenate(ts)
+    np.divide(ts, local, out=local)
     rt = r * local
-    # exp(-i*K*t) without its phase, and the frame rotation
-    inner = np.empty((4,) + rt.shape)
-    np.cos(rt, out=inner[0])
     snc = np.empty_like(rt)
     snc[:] = local
     np.divide(np.sin(rt), r, out=snc, where=r > 0.0)
-    np.multiply(snc, w[..., None], out=inner[1:])
-    half = (0.5 * omega)[:, None] * ts
-    frame = np.empty((4,) + ts.shape)
-    np.cos(half, out=frame[0])
-    np.multiply(axis[:, :, None], np.sin(half), out=frame[1:])
+    np.cos(rt, out=r)
+    np.multiply(inner[1:], snc, out=inner[1:])
+    half = np.multiply(frame[0], ts, out=frame[0])
+    sin_half = np.sin(half)
+    np.cos(half, out=half)
+    np.multiply(frame[1:], sin_half, out=frame[1:])
     q = _hamilton(np.broadcast_to(frame[:, None], inner.shape), inner)
-    phase = np.exp(-1j * (c0[..., None] * ts))
-    blocks, count, n = rt.shape
-    packed = _pack_quaternions(q.reshape(4, blocks, -1), phase.reshape(blocks, -1), segs[0].dim)
-    return packed.reshape(count, n, segs[0].dim, segs[0].dim)
+    phase = np.exp(-1j * np.multiply(c0, ts, out=c0))
+    packed = _pack_quaternions(q, phase, segs[0].dim)
+    edges = np.cumsum([0] + counts).tolist()
+    return [packed[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _pulse_propagators(seg: _HalfTurn, ts: np.ndarray) -> np.ndarray:
-    """Exact propagators of a constant half-turn pulse: the rotation
-    exp(-i*omega_pi*t*sigma_k/2) of each turned qubit (the identity on a
-    qubit the pulse leaves alone), tensored in qubit order."""
+def _flip_propagators(seg: FlipParams, ts: np.ndarray) -> np.ndarray:
+    """Exact propagators of the control flip: the rotations
+    exp(-i*omega_pi*t*sigma_x/2) of the driven qubit and
+    exp(-i*omega_pi*t*sigma_y/2) of the control, tensored."""
     half = 0.5 * seg.omega_pi * ts
     turns = []
-    for k in seg.axes:
+    for k in (1, 2):  # the quaternion component of x, then of y
         q = np.zeros((4, 1, ts.size))
-        if k is None:
-            q[0] = 1.0
-        else:
-            np.cos(half, out=q[0, 0])
-            np.sin(half, out=q[1 + k, 0])
+        np.cos(half, out=q[0, 0])
+        np.sin(half, out=q[k, 0])
         turns.append(_pack_quaternions(q, None, 2))
-    if len(turns) == 1:
-        return turns[0]
     driven, control = turns
     return np.einsum("nac,nbd->nabcd", driven, control).reshape(ts.size, 4, 4)
 
@@ -383,21 +387,22 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     segments become propagators, behind gates and trajectories alike.
     Segments of equal repr (record class and fields, so tqd and root
     loops differ and so do 0.0 and -0.0), and so of equal dim and
-    duration, are propagated once across the whole batch. Pulses
-    (_pulse_propagators) and idles (the identity) are exact under either
-    policy and report one substep per checkpoint. The distinct loops of
-    one dim go to one stacked kernel call: _loop_propagators on the exact
-    path, reporting 0 substeps, and _segment_partials under a StepPolicy,
-    reporting its one Magnus step count. A segment whose last sample
-    time, duration * cps, overflows raises ValueError."""
+    duration, are propagated once across the whole batch. Pulses and
+    idles (the identity) are exact under either policy and report one
+    substep per checkpoint. The control flip has a kernel of its own
+    (_flip_propagators); every other record of one dim goes to one
+    stacked _loop_propagators call, with its own row of sample times: the
+    y pulses, and the loops, which report 0 substeps, on the exact path.
+    Under a StepPolicy the loops of one dim go to one _segment_partials
+    call and report its one Magnus step count. A segment whose last
+    sample time, duration * cps, overflows raises ValueError."""
     distinct = {}
     keys = []
     for s in scheds:
         row = [repr(seg) for seg in s.segments]
         distinct.update(zip(row, s.segments))
         keys.append(row)
-    done = {}
-    loops = {2: [], 4: []}
+    done, stacks = {}, {}
     for key, seg in distinct.items():
         loop = isinstance(seg, _Loop)
         cps = checkpoints if loop else min(16, checkpoints)
@@ -407,23 +412,21 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
                 f"{seg.duration:g} reach past the float range"
             )
         ts = seg.duration * np.arange(1, cps + 1) / cps
-        if loop:
-            loops[seg.dim].append((key, seg, ts))
-        elif isinstance(seg, _HalfTurn):
-            done[key] = _pulse_propagators(seg, ts), cps
-        else:
+        if isinstance(seg, IdleParams):
             done[key] = np.eye(seg.dim, dtype=complex)[None].repeat(cps, axis=0), cps
-    for stacked in loops.values():
-        if not stacked:
-            continue
-        loop_keys, segs, ts = zip(*stacked)
-        if policy is None:
-            n = 0
-            partials = _loop_propagators(segs, np.array(ts))
+        elif isinstance(seg, FlipParams):
+            done[key] = _flip_propagators(seg, ts), cps
         else:
+            oracle = loop and policy is not None
+            stacks.setdefault((oracle, seg.dim), []).append((key, seg, ts, 0 if loop else cps))
+    for (oracle, _), stacked in stacks.items():
+        stack_keys, segs, ts, substeps = zip(*stacked)
+        if oracle:
             n = _oracle_steps(policy, checkpoints)
-            partials = _segment_partials(segs, n, checkpoints)
-        done.update((key, (u, n)) for key, u in zip(loop_keys, partials))
+            partials, substeps = _segment_partials(segs, n, checkpoints), [n] * len(segs)
+        else:
+            partials = _loop_propagators(segs, ts)
+        done.update(zip(stack_keys, zip(partials, substeps)))
     return [[done[key] for key in row] for row in keys]
 
 

@@ -38,7 +38,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I| over one square matrix or a stack of them,
     shape (..., d, d)."""
     u = np.asarray(u)
-    gram = np.swapaxes(u, -1, -2).conj() @ u
+    gram = np.moveaxis(u, -1, -2).conj() @ u
     return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
 
 

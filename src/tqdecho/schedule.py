@@ -10,14 +10,15 @@ loop record states its frame: its root fields precess about z on its
 `cones()` in a local frame, which its `orientation` turns into the lab
 frame. Every loop generator is defined once, in its real 2x2 block form
 (_Loop.block_fields), which both propagators and the phase layer read.
-Every pulse is defined once too, by the axis it turns each qubit about
-(its record's `axes`), which the exact propagator and the dynamical
-phase both read. A corrected loop is its root drive plus the
-transitionless correction b x db/dt, derived in the local frame with
-Berry's formula (fields._berry_corrected); the exp-loop takes its field
-from the static-coupling map instead. Keeping segments parametric rather
-than storing bare callables makes geometric operations (axis rotation,
-traversal reversal) exact parameter updates.
+So is a y pulse, a frame turning about its `axis` y at its own rate
+omega_pi with rotating-frame generator K = 0, and an idle, with zero
+fields. The control flip, whose control term couples the control
+sectors, is the one record outside block form. A corrected loop is its
+root drive plus the transitionless correction b x db/dt, derived in the
+local frame with Berry's formula (fields._berry_corrected); the exp-loop
+takes its field from the static-coupling map instead. Keeping segments
+parametric rather than storing bare callables makes geometric
+operations (axis rotation, traversal reversal) exact parameter updates.
 
 Segment records, their kinds and labels:
 
@@ -84,11 +85,14 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _zero_fields(record, ts: np.ndarray) -> np.ndarray:
-    """Zero drive field rows at the given local times, for a dim-2 record."""
-    if record.dim != 2:
-        raise ValueError("field form exists only for dim-2 segments")
-    return np.zeros((np.atleast_1d(ts).size, 3))
+def _steady_fields(dim: int, ts, corrected: bool, by: float) -> tuple:
+    """_Loop.block_fields of the constant generator by*sigma_y on the
+    driven qubit: c0 -0.0 and v = (0, by, 0) in each of dim // 2 blocks."""
+    _check_flag("corrected", corrected)
+    c0 = np.full((dim // 2, np.atleast_1d(ts).size), -0.0)
+    v = np.zeros((3,) + c0.shape)
+    v[1] = by
+    return c0, v
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +102,7 @@ def _zero_fields(record, ts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _HalfTurn:
     """What the pulse records share: a half turn at rate omega_pi > 0,
-    lasting pi/omega_pi. `axes` holds the index into PAULI of each
-    qubit's axis, the driven qubit first, or None for a qubit left alone;
-    the generator is 0.5*omega_pi times the sum of these terms."""
+    lasting pi/omega_pi."""
 
     omega_pi: float
 
@@ -110,10 +112,6 @@ class _HalfTurn:
             raise ValueError(
                 f"omega_pi = {self.omega_pi:g} is too slow: its half turn pi/omega_pi overflows"
             )
-
-    @functools.cached_property
-    def dim(self) -> int:
-        return 2 ** len(self.axes)
 
     @functools.cached_property
     def duration(self) -> float:
@@ -130,36 +128,39 @@ class FlipParams(_HalfTurn):
     the second half of the two-qubit echo undo the sector-dependent
     dynamical phases. A y half turn on the control alone does not do
     this; it scrambles sectors when the drive and coupling are comparable.
+    Its control term couples the sectors, so it has no block form.
     """
 
     kind = "control-flip"
     label = "pi-II"
-    axes = (0, 1)
+    dim = 4
 
 
 @dataclass(frozen=True)
 class PulseParams(_HalfTurn):
     """A half turn about y, generator 0.5*omega_pi*sigma_y, on a lone
     qubit (target "single", label pi) or on the driven qubit "I" of a
-    pair (label pi-I)."""
+    pair (label pi-I).
+
+    In block form its field 0.5*omega_pi*y is a frame turning about its
+    `axis` y at its own rate omega_pi: K = 0 in the loop kernel."""
 
     target: str
     kind = "pi-pulse"
-    _AXES = {"single": (1,), "I": (1, None)}
-    axes = property(lambda self: self._AXES[self.target])
-    label = property(lambda self: "pi" if self.target == "single" else f"pi-{self.target}")
+    axis = (0.0, 1.0, 0.0)
+    dim = property(lambda self: 2 if self.target == "single" else 4)
+    label = property(lambda self: "pi" if self.target == "single" else "pi-I")
+    _frame_rate = property(lambda self: self.omega_pi)
 
     def __post_init__(self):
-        if not isinstance(self.target, str) or self.target not in self._AXES:
+        if not isinstance(self.target, str) or self.target not in ("single", "I"):
             raise ValueError(f'pulse target must be "single" or "I", got {self.target!r}')
         super().__post_init__()
 
-    def field_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Drive field rows (Bx, By, Bz) of a single-qubit pulse."""
-        out = _zero_fields(self, ts)
-        (axis,) = self.axes
-        out[:, axis] = self.omega_pi
-        return out
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of the pulse generator at the given local
+        times, as _Loop.block_fields; a pulse has no correction."""
+        return _steady_fields(self.dim, ts, corrected, 0.5 * self.omega_pi)
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,9 @@ class IdleParams:
         object.__setattr__(self, "dim", int(self.dim))
         _real_fields(self, positive=True)
 
-    def field_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Drive field rows (Bx, By, Bz) of a single-qubit idle: zero."""
-        return _zero_fields(self, ts)
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of the zero generator, as _Loop.block_fields."""
+        return _steady_fields(self.dim, ts, corrected, 0.0)
 
 
 _SEGMENTS = (_Loop, _HalfTurn, IdleParams)
@@ -293,7 +294,8 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
 # ---------------------------------------------------------------------------
 
 def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.ndarray:
-    """Sample the drive field over the schedule. Rows (t, Bx, By, Bz).
+    """Sample the drive field over the schedule. Rows (t, Bx, By, Bz),
+    the field twice the block vector v of each record's block_fields.
 
     Boundaries are duplicated (end of one segment, start of the next) so
     segmentwise consumers see closed intervals. Single-qubit schedules
@@ -306,10 +308,9 @@ def field_timeline(s: SegmentSchedule, samples_per_segment: int = 256) -> np.nda
     t0 = 0.0
     for seg in s.segments:
         local = np.linspace(0.0, seg.duration, samples_per_segment)
-        fields = seg.field_batch(local)
         block = np.empty((local.size, 4))
         block[:, 0] = t0 + local
-        block[:, 1:] = fields
+        block[:, 1:] = 2.0 * seg.block_fields(local)[1][:, 0].T
         rows.append(block)
         t0 += seg.duration
     return np.vstack(rows)

@@ -5,37 +5,23 @@ The package never builds a dense generator. These are the independent
 forms the tests check its block-field kernels against: loop generators
 are packed from the loop records' block_fields as c0 + v . sigma per
 block, and pulse generators are written out from the physics of each
-pulse rather than read from the table the propagator uses.
+pulse rather than read from the records. In the package a y pulse is a
+block-form record whose frame turns at its own rate, with K = 0, and
+the control flip is the one record outside block form; here both are
+plain operators.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y
 from tqdecho.fields import _Loop
-from tqdecho.schedule import IdleParams, _HalfTurn
+from tqdecho.schedule import IdleParams
 
 # half-turn axes of each pulse, as the operator they turn about
 _PULSE_OPERATORS = {
     "single": SIGMA_Y,
     "I": np.kron(SIGMA_Y, np.eye(2)),
-    "II": np.kron(np.eye(2), SIGMA_Y),
     "control-flip": np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_Y),
 }
-
-
-@dataclass(frozen=True)
-class ControlHalfTurn(_HalfTurn):
-    """A y half turn on the control qubit alone, generator
-    0.5*omega_pi*(1 x sy). No echo uses it and the package builds none,
-    but the walk and the phase layer take any pulse axes, an untouched
-    driven qubit included; this record keeps that case under test, and
-    it permutes the control sectors without aligning eigenstates."""
-
-    kind = "pi-pulse"
-    label = "pi-II"
-    target = "II"
-    axes = (None, 1)
 
 
 def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:

@@ -9,6 +9,8 @@ import tqdecho.propagate
 from tqdecho.acceptance import CRITERIA, run_criterion
 from tqdecho.gates import SingleGateSpec, universality_check
 
+from spies import over_rotate_pulses
+
 ORACLE_FAMILIES = ("rotated_echo", "root_loops", "two_qubit_echo", "exp_echo")
 
 
@@ -56,9 +58,9 @@ def test_criterion_8_covers_every_schedule_family():
 def test_loop_criteria_propagate_each_loop_once(index, calls, monkeypatch):
     # criterion 1 runs 12 corrected loops and 4 uncorrected ones,
     # criterion 2 runs 8 loops, criterion 3 one loop and criterion 4 the
-    # six distinct loops of its four echoes; each criterion hands its
-    # loops to one stacked kernel call, and each label reuses its loop's
-    # propagators
+    # six distinct loops of its four echoes, beside their three distinct
+    # y pulses; each criterion hands its loops and pulses to one stacked
+    # kernel call, and each label reuses its loop's propagators
     batches = []
     real = tqdecho.propagate._loop_propagators
 
@@ -68,8 +70,10 @@ def test_loop_criteria_propagate_each_loop_once(index, calls, monkeypatch):
 
     monkeypatch.setattr(tqdecho.propagate, "_loop_propagators", counting)
     assert run_criterion(index).passed
-    assert [len(segs) for segs in batches] == [calls]
-    assert len(set(batches[0])) == calls
+    assert len(batches) == 1
+    assert len(set(batches[0])) == len(batches[0])
+    pulses = sum(seg.kind == "pi-pulse" for seg in batches[0])
+    assert (len(batches[0]) - pulses, pulses) == (calls, 3 if index == 4 else 0)
 
 
 def test_generic_echo_variant_sees_a_pulse_over_rotation(monkeypatch):
@@ -77,10 +81,7 @@ def test_generic_echo_variant_sees_a_pulse_over_rotation(monkeypatch):
     # reversed loop cancels any pulse angle, so a 1 % pi-pulse
     # over-rotation leaves the base variant at rounding; the generic
     # variant (theta = pi/4, omega = 0.7) must fail on it
-    real = tqdecho.propagate._pulse_propagators
-    monkeypatch.setattr(
-        tqdecho.propagate, "_pulse_propagators", lambda seg, ts: real(seg, ts * 1.01)
-    )
+    over_rotate_pulses(monkeypatch, 1.01)
     checks = {c.name: c for c in run_criterion(4).checks}
     assert checks["echo_gate_distance_base"].passed
     generic = checks["echo_gate_distance_generic"]

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import tqdecho
 from tqdecho.cli import main
 
+from spies import over_rotate_pulses
+
 THETA = np.pi / 3
 
 
@@ -393,13 +395,11 @@ def test_verify_all_records_a_raising_criterion_as_failed(tmp_path, monkeypatch,
     # is made to raise; every criterion must still run and report, and
     # criterion 4 keeps the gate distances that name the fault
     import tqdecho.acceptance
-    import tqdecho.propagate as prop
 
     def broken(*columns):
         raise RuntimeError("witness\nbroken")
 
-    real = prop._pulse_propagators
-    monkeypatch.setattr(prop, "_pulse_propagators", lambda seg, ts: real(seg, ts * 1.01))
+    over_rotate_pulses(monkeypatch, 1.01)
     monkeypatch.setattr(tqdecho.acceptance, "_witness", broken)
     out = tmp_path / "v"
     assert main(["verify-all", "--out", str(out)]) == 1

@@ -46,8 +46,14 @@ def test_segment_parameters_read_by_field_only():
 def test_one_propagation_path_in_the_package():
     # the segment kernels are named in propagate.py only; everything else
     # propagates through the schedule walk
-    assert _hits(r"_loop_propagators|_segment_partials|_pulse_propagators",
+    assert _hits(r"_loop_propagators|_segment_partials|_flip_propagators",
                  exclude=("propagate.py",)) == []
+
+
+def test_no_pulse_axis_tables():
+    # a y pulse is a block-form record that states its frame axis; no
+    # record holds indices into PAULI, and no kernel reads them
+    assert _hits(r"\baxes\b|_AXES|PAULI\[", ("schedule.py", "fields.py", "propagate.py")) == []
 
 
 def test_one_frame_per_loop_record():

@@ -39,7 +39,7 @@ from tqdecho.schedule import (
     single_loop_schedule,
 )
 
-from dense import ControlHalfTurn, generator, generator_batch
+from dense import generator, generator_batch
 from echoes import gapped_echo
 
 SEED = 20260816
@@ -47,6 +47,16 @@ P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 P2 = TwoQubitParams(omega_i=1.0, coupling=1.0, omega=0.5)
 P2_PULSE_RATE = 25.0  # the default 50*|omega| of P2's echo
 POL = StepPolicy(substeps=2048)
+
+
+def _misaligned_schedule() -> SegmentSchedule:
+    """P2, its pi-I pulse, then a reversed loop on the cones atan(0.1)
+    and pi - atan(0.1), where P2's are pi/4 and 3*pi/4: the pulse maps
+    P2's eigenstates onto none of the second loop's (best overlap
+    0.94)."""
+    return SegmentSchedule(
+        (P2, PulseParams(P2_PULSE_RATE, "I"), TwoQubitParams(0.1, 1.0, P2.omega).reversed())
+    )
 
 
 # eigenvector gauges ----------------------------------------------------------
@@ -324,12 +334,8 @@ def _phase_schedules():
     # the exp echo keeps the id it had when zero-length idles sat between
     # its loops and pulses, so its cases stay under one name
     out.append(pytest.param(build_exp_two_qubit_sequence(P2), id="exp-loopTrue-idle-pi-pulse"))
-    # a y half turn on the control alone, so every pulse axis is covered
-    out.append(SegmentSchedule((
-        P2,
-        ControlHalfTurn(P2_PULSE_RATE),
-        P2.reversed(),
-    )))
+    # a pi-I pulse into a loop on other cones, which misaligns the reference
+    out.append(_misaligned_schedule())
     return out
 
 
@@ -367,16 +373,10 @@ def test_total_phase_rejects_sparse_sampling():
 
 
 def test_strict_reference_rejects_bad_control_pulse():
-    """A bare y pulse on the control alone permutes sectors without
-    aligning eigenstates, so the comoving reference refuses to continue."""
-    bad = SegmentSchedule(
-        (
-            P2,
-            ControlHalfTurn(P2_PULSE_RATE),
-            P2.reversed(),
-        )
-    )
-    traj = evolve_eigenstate(bad, (0, 0), StepPolicy(substeps=512), samples=16)
+    """A pi-I pulse into a loop whose cones differ from the first loop's
+    maps no eigenstate to an eigenstate, so the comoving reference
+    refuses to continue."""
+    traj = evolve_eigenstate(_misaligned_schedule(), (0, 0), StepPolicy(substeps=512), samples=16)
     with pytest.raises(ValueError, match="does not map eigenstates"):
         total_phase(traj, (0, 0))
 
@@ -510,14 +510,7 @@ def test_two_qubit_labels_share_one_reference_build(monkeypatch):
 
 
 def _bad_control_pulse_trajectory():
-    bad = SegmentSchedule(
-        (
-            P2,
-            ControlHalfTurn(P2_PULSE_RATE),
-            P2.reversed(),
-        )
-    )
-    return evolve_eigenstate(bad, (0, 0), StepPolicy(substeps=512), samples=16)
+    return evolve_eigenstate(_misaligned_schedule(), (0, 0), StepPolicy(substeps=512), samples=16)
 
 
 def test_strict_check_holds_after_a_lenient_call():

@@ -16,6 +16,7 @@ from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
     StepPolicy,
     _final_propagators,
+    _loop_propagators,
     _propagate_schedules,
     _segment_partials,
     _segment_propagators,
@@ -36,7 +37,7 @@ from tqdecho.schedule import (
     single_loop_schedule,
 )
 
-from dense import ControlHalfTurn, expm_hermitian, generator, generator_batch
+from dense import expm_hermitian, generator, generator_batch
 from echoes import gapped_echo
 from spies import count_handed_segments
 
@@ -124,7 +125,6 @@ def _kernel_cases():
         RootLoopParams.of(flat.reversed()),
         PulseParams(40.0, "single"),
         PulseParams(3.3, "I"),
-        ControlHalfTurn(3.3),
         FlipParams(7.1),
         IdleParams(4, 1.7),
     ]
@@ -351,13 +351,14 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     sched = build_two_qubit_sequence(P2)
     segments, stacked = count_handed_segments(monkeypatch)
     traj = propagate_schedule(sched, policy=policy, samples=8)
-    # half + half: two loops, in one stacked call, and the pulse and the
-    # control flip, each once
+    # half + half: two loops and the pulse, each once, the pulse stacked
+    # beside the loops on the exact path and in a call of its own under
+    # the oracle, and the control flip once
     assert len(sched.segments) == 8
     assert sorted(segments) == sorted(
         [("two-qubit-loop", 8), ("two-qubit-loop", 8), ("pi-pulse", 8), ("control-flip", 8)]
     )
-    assert stacked == [2]
+    assert stacked == ([3] if policy is None else [2, 1])
     assert len(traj.substeps_used) == 8
 
     monkeypatch.undo()
@@ -403,6 +404,53 @@ def _composed_per_segment(sched, policy, samples):
         rows += [cum[None], np.matmul(partials, cum)]
         cum = rows[-1][-1]
     return np.concatenate(rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    st.floats(-6.0, 150.0),
+    st.sampled_from(["single", "I"]),
+    st.sampled_from([1, 16]),
+    st.sampled_from([None, StepPolicy(substeps=64)]),
+)
+def test_pulse_partials_are_the_literal_closed_form(exponent, target, checkpoints, policy):
+    # a y pulse reaches the loop kernel as a frame turning about y at its
+    # own rate omega_pi, where K = 0 makes the inner factor exactly 1, so
+    # its partials are cos(omega_pi*t/2) - i*sin(omega_pi*t/2)*sigma_y to
+    # the byte; a static field (frame rate 0) moves most rates by an ulp
+    omega_pi = 10.0**exponent
+    seg = PulseParams(omega_pi, target)
+    partials, substeps = _walked(seg, policy, checkpoints)
+    ts = seg.duration * np.arange(1, checkpoints + 1) / checkpoints
+    half = 0.5 * omega_pi * ts
+    turn = np.zeros((checkpoints, 2, 2), dtype=complex)
+    turn[:, 0, 0] = turn[:, 1, 1] = np.cos(half)
+    turn[:, 1, 0] = np.sin(half)
+    turn[:, 0, 1] = -np.sin(half)
+    want = turn
+    if target == "I":  # the identity on the control: one copy per control state
+        want = np.zeros((checkpoints, 4, 4), dtype=complex)
+        for q in (0, 1):
+            want[:, q::2, q::2] = turn
+    assert partials.tobytes() == want.tobytes()
+    assert substeps == checkpoints
+
+
+@pytest.mark.parametrize(
+    "loop, pulse", [(P, PulseParams(35.0, "single")), (P2, PulseParams(25.0, "I"))],
+    ids=["pi", "pi-I"],
+)
+def test_rows_of_different_lengths_stack_without_moving_a_byte(loop, pulse):
+    # the exact walk hands a loop its 256 samples and a pulse its 16 in
+    # one kernel call; each record keeps the bytes it has alone
+    ts = [seg.duration * np.arange(1, n + 1) / n for seg, n in ((loop, 256), (pulse, 16))]
+    both = _loop_propagators([loop, pulse], ts)
+    assert [u.shape[0] for u in both] == [256, 16]
+    assert both[0].tobytes() == _loop_propagators([loop], ts[:1])[0].tobytes()
+    assert both[1].tobytes() == _loop_propagators([pulse], ts[1:])[0].tobytes()
+    sched = SegmentSchedule((loop, pulse, loop.reversed(), pulse))
+    traj = propagate_schedule(sched, samples=256)
+    assert traj.propagators.tobytes() == _composed_per_segment(sched, None, 256).tobytes()
 
 
 @pytest.mark.parametrize(

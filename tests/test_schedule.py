@@ -238,8 +238,8 @@ def test_loop_field_batch_matches_closed_form():
 
 def test_pulse_field_is_y_only():
     seg = PulseParams(40.0, "single")
-    ts = np.array([0.0, seg.duration / 2])
-    assert np.allclose(seg.field_batch(ts), [[0.0, 40.0, 0.0]] * 2)
+    rows = field_timeline(SegmentSchedule((seg,)), samples_per_segment=3)
+    assert np.array_equal(rows[:, 1:], [[0.0, 40.0, 0.0]] * 3)
     assert np.isclose(seg.duration, np.pi / 40.0)
 
 
@@ -266,7 +266,7 @@ def test_rotate_schedule_tilts_fields():
     expected[:, 2] = -si * orig[:, 0] + c * orig[:, 2]
     assert np.allclose(rot, expected, atol=1e-12)
     pulse = [seg for seg in r.segments if seg.kind == "pi-pulse"][0]
-    assert np.allclose(pulse.field_batch(np.array([0.0])), [[0.0, 50.0, 0.0]])
+    assert np.array_equal(2.0 * pulse.block_fields(0.0)[1][:, 0, 0], [0.0, 50.0, 0.0])
 
 
 def test_loop_records_state_the_axis_their_fields_precess_about():
@@ -292,11 +292,23 @@ def test_loop_records_state_the_axis_their_fields_precess_about():
     assert loops[3].axis == (0.0, 0.0, 1.0)
 
 
-def test_block_fields_rejects_a_segment_that_is_not_a_loop():
-    # only the loop records have a block form
-    for seg in (PulseParams(40.0, "single"), FlipParams(40.0), IdleParams(2, 1.0)):
-        with pytest.raises(AttributeError, match="block_fields"):
-            seg.block_fields([0.01])
+def test_block_fields_reject_the_control_flip():
+    # the control flip couples the control sectors, so it is the one
+    # record with no block form; a y pulse and an idle have one, constant
+    # in time: 0.5*omega_pi*y and zero in every block, with c0 = -0.0
+    with pytest.raises(AttributeError, match="block_fields"):
+        FlipParams(40.0).block_fields([0.01])
+    ts = [0.0, 0.01, 0.5]
+    for seg, by in ((PulseParams(40.0, "single"), 20.0), (PulseParams(40.0, "I"), 20.0),
+                    (IdleParams(2, 1.0), 0.0), (IdleParams(4, 1.0), 0.0)):
+        c0, v = seg.block_fields(ts)
+        blocks = seg.dim // 2
+        assert c0.shape == (blocks, 3) and v.shape == (3, blocks, 3)
+        assert np.all(np.signbit(c0)) and not c0.any()
+        assert np.array_equal(v[1], np.full((blocks, 3), by))
+        assert not v[0].any() and not v[2].any()
+        with pytest.raises(ValueError, match="corrected must be a boolean"):
+            seg.block_fields(ts, corrected=1)
 
 
 def test_rotate_schedule_rejects_two_qubit():
