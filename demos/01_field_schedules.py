@@ -8,9 +8,10 @@ import numpy as np
 
 from tqdecho import (
     LoopParams,
-    RootLoopParams,
     SegmentSchedule,
     build_echo_sequence,
+    field_timeline,
+    single_loop_schedule,
     tqd_field_magnitude,
     write_field_timeline_csv,
 )
@@ -20,10 +21,10 @@ p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 
 print("== root drive and correction ==")
 print(f"cone angle {p.theta:.4f} rad, loop rate {p.omega}, root magnitude {p.omega0}")
-ts = np.linspace(0.0, p.period, 5)
-roots = RootLoopParams.of(p).field_batch(ts)
-totals = p.field_batch(ts)
-for t, b0, bt in zip(ts, roots, totals):
+# rows (t, Bx, By, Bz) at five instants of one loop
+totals = field_timeline(single_loop_schedule(p), 5)
+roots = field_timeline(single_loop_schedule(p, corrected=False), 5)
+for t, b0, bt in zip(totals[:, 0], roots[:, 1:], totals[:, 1:]):
     bc = bt - b0
     print(
         f"t={t:6.3f}  root=({b0[0]:+.3f},{b0[1]:+.3f},{b0[2]:+.3f})"

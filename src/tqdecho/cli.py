@@ -83,7 +83,6 @@ _TWO_QUBIT = {
     "coupling": (float, _REQUIRED),
     "omega": (float, _REQUIRED),
 }
-_SUBSTEPS = {"substeps": (int, None)}
 _SCHEMAS = {
     "fields": {
         **_CONE,
@@ -93,14 +92,12 @@ _SCHEMAS = {
         **_CONE,
         "label": (int, 0),
         "corrected": (bool, True),
-        **_SUBSTEPS,
         "samples": (int, 256),
     },
     "echo": {
         **_CONE,
         "omega_pi": (float, None),
         "label": (int, 0),
-        **_SUBSTEPS,
         "samples": (int, 256),
     },
     "gate": {
@@ -109,16 +106,13 @@ _SCHEMAS = {
         "omega": (float, 1.0),
         "omega0": (float, 1.0),
         "omega_pi": (float, None),
-        **_SUBSTEPS,
     },
     "twoqubit": {
         **_TWO_QUBIT,
         "omega_pi": (float, None),
-        **_SUBSTEPS,
     },
     "expmap": {
         **_TWO_QUBIT,
-        **_SUBSTEPS,
         "draws": (int, 100),
     },
     "scan": {
@@ -126,7 +120,6 @@ _SCHEMAS = {
         "omega0": (float, _REQUIRED),
         "ratios": (list, _REQUIRED),
         "label": (int, 0),
-        **_SUBSTEPS,
         "workers": (int, 4),
     },
 }
@@ -187,10 +180,10 @@ def load_config(path: str, kind: str) -> dict:
     return out
 
 
-def _policy(params: dict, args) -> StepPolicy | None:
-    """--substeps, else the config's substeps, selects the Magnus oracle;
-    with neither (as in fields) the scenario runs the exact propagator."""
-    n = params.get("substeps") if getattr(args, "substeps", None) is None else args.substeps
+def _policy(args) -> StepPolicy | None:
+    """--substeps selects the Magnus oracle; without it (and always in
+    fields) the scenario runs the exact propagator."""
+    n = getattr(args, "substeps", None)
     return None if n is None else StepPolicy(substeps=n)
 
 
@@ -508,7 +501,7 @@ def main(argv=None) -> int:
             if args.command == "verify-all":
                 return _run_verify_all(out)
             params = load_config(args.config, args.command)
-            run = Run(args.command, params, _policy(params, args), out)
+            run = Run(args.command, params, _policy(args), out)
             return _RUNNERS[args.command](run)
         except bad_input as exc:
             print(f"error: {exc}", file=sys.stderr)

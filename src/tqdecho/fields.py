@@ -243,10 +243,6 @@ class LoopParams(_Loop):
     def root(self) -> list:
         return [(self.omega0 * np.sin(self.theta), self.omega0 * np.cos(self.theta))]
 
-    def field_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Drive field rows (Bx, By, Bz) at the given local times."""
-        return 2.0 * self.block_fields(ts)[1][:, 0].T
-
 
 @dataclass(frozen=True)
 class RootLoopParams(LoopParams):

@@ -146,10 +146,6 @@ class UniversalityReport:
     predicted_norm: float
     generates_su2: bool
 
-    @property
-    def formula_consistent(self) -> bool:
-        return abs(self.commutator_norm - self.predicted_norm) <= 1e-9
-
 
 def _lattice(count: int, dim: int) -> np.ndarray:
     """Check points k = 1..count of the Kronecker sequence

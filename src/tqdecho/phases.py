@@ -43,7 +43,6 @@ __all__ = [
     "LABELS4",
     "PhaseDecomposition",
     "loop_eigenvector",
-    "two_qubit_eigenvector",
     "eigenbasis_matrix",
     "evolve_eigenstate",
     "tracking_fidelity",
@@ -103,12 +102,6 @@ def _eigvecs_at(p, dim: int, labels: tuple, t) -> np.ndarray:
 def loop_eigenvector(p: LoopParams, label: int, t: float) -> np.ndarray:
     """phi_label(t) of loop p, turned by its orientation."""
     return _eigvecs_at(p, 2, (label,), t)[0]
-
-
-def two_qubit_eigenvector(p: TwoQubitParams, label: tuple, t: float) -> np.ndarray:
-    """phi_{p,q}(t): the driven qubit's eigenvector for the cone selected
-    by control state q, tensored with |q>."""
-    return _eigvecs_at(p, 4, (label,), t)[0]
 
 
 def eigenbasis_matrix(p: TwoQubitParams, t: float = 0.0) -> np.ndarray:

@@ -345,12 +345,6 @@ class Trajectory:
     def final_propagator(self) -> np.ndarray:
         return self.propagators[-1]
 
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("trajectory has no initial state attached")
-        return self.states[-1]
-
     def with_initial_state(self, psi: np.ndarray) -> "Trajectory":
         psi, states = _evolved_states(self.propagators, psi)
         return replace(self, initial_state=psi, states=states)

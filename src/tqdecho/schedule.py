@@ -576,12 +576,15 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
     format(x, ".17g")) through the vectorized kernel _g17_cells,
     integer columns as %d and string columns as they are, each run of
     equal values formatted once. A header name holding a comma, quote,
-    line break or NUL is rejected; string cells are segment labels,
-    fixed strings of the records that hold none of these. The file is streamed
-    _CSV_CHUNK rows at a time, so no string holds the whole file.
+    line break or NUL, or one named twice, is rejected; string cells are
+    segment labels, fixed strings of the records that hold none of these.
+    The file is streamed _CSV_CHUNK rows at a time, so no string holds the
+    whole file.
     """
-    for name in header:
+    for k, name in enumerate(header):
         _check_csv_text("CSV column name", name)
+        if name in header[:k]:
+            raise ValueError(f"CSV column name {name!r} is repeated")
     cols = [np.asarray(c) for c in columns]
     for c in cols:
         if c.dtype.kind not in "fiU":

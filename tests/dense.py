@@ -73,3 +73,9 @@ def generator_batch(seg, ts, corrected: bool = True) -> np.ndarray:
 def generator(seg, t: float, corrected: bool = True) -> np.ndarray:
     """Dense generator of a segment at one local time."""
     return generator_batch(seg, [t], corrected)[0]
+
+
+def field_rows(seg, ts, corrected: bool = True) -> np.ndarray:
+    """Field rows (Bx, By, Bz) of a single-qubit record at local times
+    ts: twice the vector v of its one block_fields block."""
+    return 2.0 * seg.block_fields(ts, corrected)[1][:, 0].T

@@ -27,6 +27,14 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def case_argv(tmp_path, name, kind, case):
+    """The arguments of main for a test case: its keys that start with
+    "--" are command-line flags, the others its config."""
+    config = {k: v for k, v in case.items() if not k.startswith("--")}
+    flags = [str(x) for k, v in case.items() if k.startswith("--") for x in (k, v)]
+    return [kind, "--config", write_config(tmp_path, name, {"kind": kind, **config}), *flags]
+
+
 def test_fields_run(tmp_path):
     cfg = write_config(
         tmp_path, "f.json",
@@ -48,11 +56,10 @@ def test_fields_run(tmp_path):
 def test_evolve_run_and_phase_report(tmp_path):
     cfg = write_config(
         tmp_path, "e.json",
-        {"theta": THETA, "omega": 1.0, "omega0": 1.0,
-         "substeps": 4096, "samples": 64},
+        {"theta": THETA, "omega": 1.0, "omega0": 1.0, "samples": 64},
     )
     out = tmp_path / "out"
-    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--substeps", "4096"]) == 0
     phases = json.loads((out / "phases.json").read_text())
     assert np.isclose(phases["total"], -1.5 * np.pi, atol=1e-5)
     assert np.isclose(phases["dynamical"], -np.pi, atol=1e-8)
@@ -64,11 +71,10 @@ def test_evolve_run_and_phase_report(tmp_path):
 def test_evolve_uncorrected_has_no_gates(tmp_path):
     cfg = write_config(
         tmp_path, "e.json",
-        {"theta": THETA, "omega": 1.0, "omega0": 1.0, "corrected": False,
-         "substeps": 1024, "samples": 64},
+        {"theta": THETA, "omega": 1.0, "omega0": 1.0, "corrected": False, "samples": 64},
     )
     out = tmp_path / "out"
-    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--substeps", "1024"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"] == []
     assert summary["notes"]["min_tracking_fidelity"] < 0.3
@@ -88,6 +94,7 @@ def test_evolve_fails_at_coarse_resolution(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_passed"] is False
     assert summary["policy"] == {"substeps": 16}
+    assert "substeps" not in summary["params"]  # the flag is no config key
 
 
 @pytest.mark.parametrize(
@@ -118,11 +125,10 @@ def test_a_raising_phase_decomposition_is_a_failed_check(tmp_path, kind, omega, 
 def test_echo_run(tmp_path):
     cfg = write_config(
         tmp_path, "echo.json",
-        {"theta": THETA, "omega": 1.0, "omega0": 1.0,
-         "substeps": 4096, "samples": 64},
+        {"theta": THETA, "omega": 1.0, "omega0": 1.0, "samples": 64},
     )
     out = tmp_path / "out"
-    assert main(["echo", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["echo", "--config", cfg, "--out", str(out), "--substeps", "4096"]) == 0
     gate = json.loads((out / "gate.json").read_text())
     assert gate["distance"] <= 1e-6
     realized = np.array(
@@ -154,10 +160,10 @@ def test_echo_with_long_pulses_keeps_the_loops_time_resolution(tmp_path, omega_p
 def test_gate_run(tmp_path):
     cfg = write_config(
         tmp_path, "g.json",
-        {"axis_angle": np.pi / 2, "gate_angle": np.pi / 2, "substeps": 2048},
+        {"axis_angle": np.pi / 2, "gate_angle": np.pi / 2},
     )
     out = tmp_path / "out"
-    assert main(["gate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["gate", "--config", cfg, "--out", str(out), "--substeps", "2048"]) == 0
     gate = json.loads((out / "gate.json").read_text())
     realized = np.array(
         [[complex(re, im) for re, im in row] for row in gate["realized"]]
@@ -168,10 +174,10 @@ def test_gate_run(tmp_path):
 def test_twoqubit_run(tmp_path):
     cfg = write_config(
         tmp_path, "t.json",
-        {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5, "substeps": 8192},
+        {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5},
     )
     out = tmp_path / "out"
-    assert main(["twoqubit", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["twoqubit", "--config", cfg, "--out", str(out), "--substeps", "8192"]) == 0
     gate = json.loads((out / "gate.json").read_text())
     assert np.isclose(gate["delta_omega"], 2.0 * np.pi / np.sqrt(2.0))
     assert gate["leakage"] <= 1e-6
@@ -180,11 +186,10 @@ def test_twoqubit_run(tmp_path):
 def test_expmap_run(tmp_path):
     cfg = write_config(
         tmp_path, "x.json",
-        {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5,
-         "substeps": 4096, "draws": 20},
+        {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5, "draws": 20},
     )
     out = tmp_path / "out"
-    assert main(["expmap", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["expmap", "--config", cfg, "--out", str(out), "--substeps", "4096"]) == 0
     doc = json.loads((out / "expmap.json").read_text())
     assert np.isclose(doc["forward"]["j_xz"], -0.25)
     assert doc["forward"]["theta_prime"] > np.pi / 2
@@ -237,11 +242,10 @@ def test_scan_run(tmp_path):
     ratios = [0.2, 1.0, 5.0]
     cfg = write_config(
         tmp_path, "s.json",
-        {"theta": THETA, "omega0": 1.0, "ratios": ratios,
-         "substeps": 2048, "workers": 2},
+        {"theta": THETA, "omega0": 1.0, "ratios": ratios, "workers": 2},
     )
     out = tmp_path / "out"
-    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["scan", "--config", cfg, "--out", str(out), "--substeps", "2048"]) == 0
     lines = (out / "scan.csv").read_text().splitlines()
     assert lines[0] == "ratio,min_fidelity_corrected,min_fidelity_uncorrected"
     rows = [[float(x) for x in l.split(",")] for l in lines[1:]]
@@ -494,6 +498,28 @@ def test_fields_takes_no_substeps(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# a valid config of each scenario that takes --substeps
+ORACLE_CONFIGS = {
+    "evolve": {"theta": 1.0, "omega": 1.0, "omega0": 1.0},
+    "echo": {"theta": 1.0, "omega": 1.0, "omega0": 1.0},
+    "gate": {"axis_angle": 1.0, "gate_angle": 1.0},
+    "twoqubit": {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5},
+    "expmap": {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5},
+    "scan": {"theta": 1.0, "omega0": 1.0, "ratios": [1.0]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CONFIGS))
+def test_substeps_is_a_flag_not_a_config_key(tmp_path, capsys, kind):
+    # with a config key beside the flag, summary.json recorded the key's
+    # substeps in params and the flag's in policy
+    cfg = write_config(tmp_path, "c.json", {**ORACLE_CONFIGS[kind], "substeps": 512})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown keys ['substeps']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["evolve", "echo", "scan"])
 @pytest.mark.parametrize("label", [2, -1])
 def test_bad_label_is_a_config_error_before_any_output(tmp_path, capsys, kind, label):
@@ -537,7 +563,7 @@ KINDS = ["fields", "evolve", "echo", "gate", "twoqubit", "expmap", "scan"]
 def _generated_config(draw, kind):
     """A config of scenario `kind`: rates drawn as magnitudes 10**U(-300,
     300) around one common scale or on their own, angles in their range,
-    with and without substeps."""
+    with and without a --substeps flag (a case_argv key)."""
     scale = 10.0 ** draw(st.floats(-300.0, 300.0))
     theta = st.floats(0.0, np.pi)
     if kind in ("fields", "evolve", "echo"):
@@ -558,7 +584,7 @@ def _generated_config(draw, kind):
     if kind == "expmap":
         config["draws"] = 8
     if kind != "fields" and draw(st.booleans()):
-        config["substeps"] = draw(st.sampled_from([1, 64, 512]))
+        config["--substeps"] = draw(st.sampled_from([1, 64, 512]))
     return config
 
 
@@ -568,10 +594,10 @@ def _no_constants(name):
 
 def _exits_cleanly(kind, config):
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(Path(tmp), "c.json", {"kind": kind, **config})
+        argv = case_argv(Path(tmp), "c.json", kind, config)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([kind, "--config", cfg, "--out", str(Path(tmp) / "out")])
+            code = main([*argv, "--out", str(Path(tmp) / "out")])
         assert code in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
         summary = Path(tmp) / "out" / "summary.json"
@@ -588,10 +614,10 @@ def _exits_cleanly(kind, config):
     [
         # these overflowed numpy: exit 3 under -W error, nan checks without;
         # their rates turn too far apart within one loop period
-        ("evolve", {"theta": 1, "omega": 1, "omega0": 1e150, "substeps": 64}, 2),
+        ("evolve", {"theta": 1, "omega": 1, "omega0": 1e150, "--substeps": 64}, 2),
         ("evolve", {"theta": 1, "omega": 1e-200, "omega0": 1e150}, 2),
         ("echo", {"theta": 1, "omega": -1e-245, "omega0": 1e-218}, 2),
-        ("expmap", {"omega_i": 1e-34, "coupling": 1e-90, "omega": 1e-244, "substeps": 1024}, 2),
+        ("expmap", {"omega_i": 1e-34, "coupling": 1e-90, "omega": 1e-244, "--substeps": 1024}, 2),
         # these underflowed to a failed check or a lost alignment, and now
         # run in units of the loop period
         ("echo", {"theta": 1, "omega": 1e-200, "omega0": 1e-200}, 0),
@@ -619,8 +645,8 @@ def test_extreme_rate_configs_exit_cleanly(kind, config, expected):
     "kind, config",
     [
         ("echo", {"theta": 1.0, "omega": 1.0, "omega0": 1.0}),
-        ("evolve", {"theta": 1.0, "omega": -0.5, "omega0": 1.0, "substeps": 512}),
-        ("twoqubit", {"omega_i": 1.3, "coupling": 1.0, "omega": -0.5, "substeps": 512}),
+        ("evolve", {"theta": 1.0, "omega": -0.5, "omega0": 1.0, "--substeps": 512}),
+        ("twoqubit", {"omega_i": 1.3, "coupling": 1.0, "omega": -0.5, "--substeps": 512}),
     ],
 )
 def test_rescaled_configs_reproduce_the_unit_scale_checks(tmp_path, kind, config, scale):
@@ -629,8 +655,8 @@ def test_rescaled_configs_reproduce_the_unit_scale_checks(tmp_path, kind, config
     scaled = {k: v * scale if k in rates else v for k, v in config.items()}
     checks = []
     for name, cfg in (("unit", config), ("scaled", scaled)):
-        path = write_config(tmp_path, f"{name}.json", {"kind": kind, **cfg})
-        assert main([kind, "--config", path, "--out", str(tmp_path / name)]) == 0
+        argv = case_argv(tmp_path, f"{name}.json", kind, cfg)
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
         checks.append(json.loads((tmp_path / name / "summary.json").read_text())["checks"])
     unit, rescaled = checks
     assert [c["name"] for c in unit] == [c["name"] for c in rescaled]

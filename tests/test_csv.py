@@ -315,6 +315,19 @@ def test_csv_rejects_a_column_name_that_breaks_the_csv(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("name", ["t", "re_psi0"])
+def test_csv_rejects_a_repeated_column_name(tmp_path, name):
+    # the header read t,segment,label,re_psi0,im_psi0,re_psi1,im_psi1,t,
+    # and a reader keyed by name saw one of the two columns
+    traj = _trajectories()["dim2-state"]
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=f"^CSV column name '{name}' is repeated$"):
+        trajectory_to_csv(traj, path, {name: np.zeros(len(traj.times))})
+    with pytest.raises(ValueError, match="^CSV column name 'Bx' is repeated$"):
+        _write_csv(path, ("t", "Bx", "By", "Bx"), [np.zeros(2)] * 4)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "column, match",
     [

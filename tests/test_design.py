@@ -10,24 +10,26 @@ from pathlib import Path
 import pytest
 
 import tqdecho
+import tqdecho.cli
 from tqdecho.schedule import IdleParams
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tqdecho"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tqdecho"
 
 
-def _sources(names=None, exclude=()) -> list:
-    """The package files `names`, default every *.py file but those in
+def _sources(names=None, exclude=(), root=PACKAGE) -> list:
+    """The files `names` of `root`, default every *.py file but those in
     `exclude`."""
     if names is not None:
-        return [PACKAGE / name for name in names]
-    return [p for p in sorted(PACKAGE.rglob("*.py")) if p.name not in exclude]
+        return [root / name for name in names]
+    return [p for p in sorted(root.rglob("*.py")) if p.name not in exclude]
 
 
-def _hits(pattern: str, names=None, exclude=()) -> list:
-    """`file:line: text` of each line of _sources(names, exclude) that
-    matches `pattern`."""
+def _hits(pattern: str, names=None, exclude=(), root=PACKAGE) -> list:
+    """`file:line: text` of each line of _sources(names, exclude, root)
+    that matches `pattern`."""
     return [f"{path.name}:{n}: {line.strip()}"
-            for path in _sources(names, exclude)
+            for path in _sources(names, exclude, root)
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if re.search(pattern, line)]
 
@@ -120,3 +122,13 @@ def test_lattice_check_points_only_in_the_package():
     # the package draws no random numbers; check points come from a
     # deterministic lattice (gates._lattice)
     assert _hits(r"random") == []
+
+
+def test_one_spelling_per_capability():
+    # the field rows are field_timeline's, the universality bound is
+    # criterion 5's, the two-qubit eigenvectors are eigenbasis_matrix
+    # columns, the final state is states[-1], and --substeps alone selects
+    # the CLI's oracle
+    restated = r"\b(field_batch|formula_consistent|two_qubit_eigenvector|final_state)\b"
+    assert _hits(restated) + _hits(restated, root=ROOT / "demos") == []
+    assert [kind for kind, schema in tqdecho.cli._SCHEMAS.items() if "substeps" in schema] == []

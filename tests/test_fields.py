@@ -1,9 +1,9 @@
 """Field construction: root drive, counterdiabatic correction, conditional
 two-qubit fields, and the static-coupling parameter map.
 
-The fields are read from the loop records' block_fields / field_batch,
-the one definition the propagator simulates; the closed forms they must match
-live here as references."""
+The fields are read from the loop records' block_fields (as rows by
+dense.field_rows), the one definition the propagator simulates; the
+closed forms they must match live here as references."""
 import math
 from dataclasses import replace
 
@@ -16,7 +16,6 @@ from tqdecho.fields import (
     ExpLoopParams,
     ExpParams,
     LoopParams,
-    RootLoopParams,
     TwoQubitParams,
     experimental_params,
     theta_tilde,
@@ -25,6 +24,8 @@ from tqdecho.fields import (
 from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
 from tqdecho.schedule import FlipParams, PulseParams, SegmentSchedule, build_two_qubit_sequence
+
+from dense import field_rows
 
 SEED = 20260816
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -233,13 +234,13 @@ def test_exp_params_rejects_what_is_not_a_finite_real(args, name):
 # single-qubit fields --------------------------------------------------------
 
 def test_root_field_at_origin():
-    b = RootLoopParams.of(P).field_batch(0.0)[0]
+    b = field_rows(P, 0.0, corrected=False)[0]
     assert np.allclose(b, [np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
 
 
 def test_root_field_magnitude_constant():
     ts = np.linspace(0.0, P.period, 17)
-    mags = np.linalg.norm(RootLoopParams.of(P).field_batch(ts), axis=1)
+    mags = np.linalg.norm(field_rows(P, ts, corrected=False), axis=1)
     assert np.allclose(mags, P.omega0)
 
 
@@ -262,8 +263,8 @@ def test_correction_numeric_matches_analytic():
 
 def test_tqd_field_components():
     t = np.array([0.77])
-    total = P.field_batch(t)
-    root = RootLoopParams.of(P).field_batch(t)
+    total = field_rows(P, t)
+    root = field_rows(P, t, corrected=False)
     assert np.allclose(total, root + _cone_correction(P, t), atol=1e-14)
     # z component is time independent
     z = P.omega0 * np.cos(P.theta) + P.omega * np.sin(P.theta) ** 2
@@ -274,7 +275,7 @@ def test_tqd_field_magnitude():
     expected = np.sqrt(P.omega0**2 + (P.omega * np.sin(P.theta)) ** 2)
     assert np.isclose(tqd_field_magnitude(P), expected)
     ts = np.linspace(0.0, P.period, 13)
-    mags = np.linalg.norm(P.field_batch(ts), axis=1)
+    mags = np.linalg.norm(field_rows(P, ts), axis=1)
     assert np.allclose(mags, expected)
     # reversing the loop leaves the magnitude unchanged (even in omega)
     assert np.isclose(tqd_field_magnitude(P.reversed()), expected)
@@ -286,7 +287,7 @@ def test_delta_field_between_orientations():
     replaying the forward waveform does not produce the reversed loop."""
     rng = np.random.default_rng(SEED)
     ts = rng.uniform(0.0, P.period, size=6)
-    direct = P.field_batch(ts) - P.reversed().field_batch(ts)
+    direct = field_rows(P, ts) - field_rows(P.reversed(), ts)
     s, co, w = np.sin(P.theta), np.cos(P.theta), P.omega
     formula = 2.0 * s * np.column_stack(
         [-w * co * np.cos(w * ts), P.omega0 * np.sin(w * ts), np.full_like(ts, w * s)]
@@ -399,7 +400,7 @@ def test_corrections_follow_berry_formula(drives):
         transverse * np.cos(wt), transverse * np.sin(wt), np.full_like(ts, omega0 * c + omega * s * s)
     ])
     want = _rotated(loop.rotation, cone)
-    assert np.max(np.abs(loop.field_batch(ts) - want)) <= 1e-12 * (omega0 + abs(omega))
+    assert np.max(np.abs(field_rows(loop, ts) - want)) <= 1e-12 * (omega0 + abs(omega))
 
     omega_i, coupling = cond.omega_i, cond.coupling
     rabi = np.hypot(omega_i, coupling)

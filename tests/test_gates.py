@@ -123,7 +123,7 @@ def test_universality_witness_frozen_pair():
     )
     assert np.isclose(rep.witness, -np.sin(np.pi / 3))
     assert np.isclose(rep.predicted_norm, 2.0 * np.sqrt(2.0) * np.sin(np.pi / 3))
-    assert rep.formula_consistent
+    assert abs(rep.commutator_norm - rep.predicted_norm) <= 1e-12
     assert rep.generates_su2
 
 

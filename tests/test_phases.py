@@ -24,7 +24,6 @@ from tqdecho.phases import (
     solid_angle,
     total_phase,
     tracking_fidelity,
-    two_qubit_eigenvector,
 )
 from tqdecho.propagate import StepPolicy, propagate_schedule
 from tqdecho.qcore import gate_distance, unitarity_defect, wrap_angle
@@ -90,8 +89,8 @@ def test_two_qubit_eigenvectors():
     rng = np.random.default_rng(SEED)
     for t in rng.uniform(0.0, P2.period, size=4):
         h0 = generator(P2, t, corrected=False)
-        for p, q in LABELS4:
-            v = two_qubit_eigenvector(P2, (p, q), t)
+        # the columns of the eigenbasis, in LABELS4 order
+        for v in eigenbasis_matrix(P2, t).T:
             hv = h0 @ v
             e = np.vdot(v, hv).real
             assert np.allclose(hv, e * v, atol=1e-12)
@@ -422,7 +421,6 @@ def test_two_qubit_labels_are_pairs_of_bits(label):
     for call in (
         lambda: evolve_eigenstate(sched, label),
         lambda: tracking_fidelity(traj, label),
-        lambda: two_qubit_eigenvector(P2, label, 0.0),
     ):
         with pytest.raises(ValueError, match="two-qubit label must be a pair"):
             call()
@@ -438,7 +436,7 @@ def test_loop_eigenvector_takes_the_same_label_rule(label):
     "call",
     [
         lambda: loop_eigenvector(P2, 0, 0.0),
-        lambda: two_qubit_eigenvector(P, (0, 1), 0.0),
+        lambda: eigenbasis_matrix(P, 0.0)[:, LABELS4.index((0, 1))],
         lambda: eigenbasis_matrix(P, 0.0),
     ],
     ids=["loop-of-two-qubit", "two-qubit-of-loop", "basis-of-loop"],
@@ -453,7 +451,7 @@ def test_eigenvectors_take_a_record_of_their_dimension(call):
 _EIGENVECTOR_CALLS = {
     "loop": lambda t: loop_eigenvector(P, 0, t),
     "loop-rotated": lambda t: loop_eigenvector(replace(P, rotation=0.7), 1, t),
-    "two-qubit": lambda t: two_qubit_eigenvector(P2, (0, 1), t),
+    "two-qubit": lambda t: eigenbasis_matrix(P2, t)[:, LABELS4.index((0, 1))],
     "basis": lambda t: eigenbasis_matrix(P2, t),
 }
 
@@ -608,7 +606,7 @@ def test_echo_keeps_an_inhomogeneous_ensemble_pure(rotation):
 
     def purity(build):
         finals = np.array([
-            propagate_schedule(rotate_schedule(build(p), rotation), psi0, samples=2).final_state
+            propagate_schedule(rotate_schedule(build(p), rotation), psi0, samples=2).states[-1]
             for p in spins
         ])
         rho = np.einsum("ni,nj->ij", finals, finals.conj()) / len(spins)

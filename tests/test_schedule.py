@@ -25,7 +25,7 @@ from tqdecho.schedule import (
     write_field_timeline_csv,
 )
 
-from dense import generator
+from dense import field_rows, generator
 from echoes import gapped_echo
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -229,10 +229,9 @@ def test_echo_gaps():
     assert gate_distance(gate, closed_form_echo_gate(turned)) <= 1e-12
 
 
-def test_loop_field_batch_matches_closed_form():
+def test_loop_block_fields_match_closed_form():
     ts = np.linspace(0.0, P.period, 9)
-    batch = P.field_batch(ts)
-    for row, t in zip(batch, ts):
+    for row, t in zip(field_rows(P, ts), ts):
         assert np.allclose(row, _tqd_field(P, t), atol=1e-14)
 
 
@@ -257,8 +256,8 @@ def test_rotate_schedule_tilts_fields():
     s = build_echo_sequence(P)
     r = rotate_schedule(s, angle)
     ts = np.linspace(0.0, P.period, 7)
-    orig = s.segments[0].field_batch(ts)
-    rot = r.segments[0].field_batch(ts)
+    orig = field_rows(s.segments[0], ts)
+    rot = field_rows(r.segments[0], ts)
     c, si = np.cos(angle), np.sin(angle)
     expected = np.empty_like(orig)
     expected[:, 0] = c * orig[:, 0] + si * orig[:, 2]
