@@ -21,7 +21,7 @@ from tqdecho import (
     synthesize_two_qubit_gate,
 )
 from tqdecho.phases import eigenbasis_matrix
-from tqdecho.qcore import SIGMA_Z, pauli_dot
+from tqdecho.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def _expm_hermitian(h, t):
@@ -30,13 +30,19 @@ def _expm_hermitian(h, t):
     return (v * np.exp(-1j * (t * w))) @ v.conj().T
 
 
+def _dot_sigma(vec):
+    """vec . sigma for a real 3-vector (Hermitian 2x2)."""
+    v = np.asarray(vec, dtype=float)
+    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
 def _start_generator(seg):
     """Dense H(0) of a two-qubit loop, packed from its block fields: the
     control sector q is c0 + v . sigma on rows and columns q and q + 2."""
     c0, v = seg.block_fields(0.0)
     h = np.zeros((4, 4), dtype=complex)
     for q in (0, 1):
-        h[q::2, q::2] = c0[q, 0] * np.eye(2) + pauli_dot(v[:, q, 0])
+        h[q::2, q::2] = c0[q, 0] * np.eye(2) + _dot_sigma(v[:, q, 0])
     return h
 
 
@@ -61,7 +67,7 @@ def reduced_model_deviation(p: TwoQubitParams, control_field) -> dict:
     a one-segment schedule.
     """
     sched = build_two_qubit_sequence(p)
-    extra = np.kron(np.eye(2), 0.5 * pauli_dot(control_field))
+    extra = np.kron(np.eye(2), 0.5 * _dot_sigma(control_field))
 
     def run(static) -> np.ndarray:
         u = np.eye(4, dtype=complex)

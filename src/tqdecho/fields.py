@@ -141,10 +141,12 @@ class _Loop:
     term. The record's `orientation` turns the local frame into the lab
     frame (None for none); `axis`, the direction its field precesses
     about on the driven qubit, is the orientation's image of z, and
-    `_frame_rate`, the rate it precesses at, is omega."""
+    `_frame_rate`, the rate it precesses at, is omega. Its blocks need no
+    turn of the control, so its `_control_frame` is None."""
 
     frame = (-0.0, -0.0)
     orientation = None
+    _control_frame = None
     label = property(lambda self: "loop-C" if self.omega > 0 else "loop-Cbar")
     axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
                     else tuple(self.orientation.matrix[:, 2]))
@@ -322,10 +324,11 @@ class ExpParams:
 
     j_xz: cross coupling between the control's z and the target's x.
     j_zz: Ising zz coupling.
-    theta_prime: polar angle of the static target field, in (0, pi) so
-        the transverse component stays positive. Forward traversal maps
-        to an obtuse angle (negative static z); the reversed loop's map
-        reflects it to an acute one.
+    theta_prime: polar angle of the static target field, in [0, pi].
+        Forward traversal maps to an obtuse angle (negative static z);
+        the reversed loop's map reflects it to an acute one. The
+        transverse component omega_i is positive, but where it is below
+        about 2e-16 of the static z the angle rounds to pi (or 0).
     omega_i_prime: magnitude of the static target field, > 0.
     """
 
@@ -336,10 +339,8 @@ class ExpParams:
 
     def __post_init__(self):
         _real_fields(self)
-        if not (0.0 < self.theta_prime < np.pi):
-            raise ValueError(
-                f"theta_prime must lie in (0, pi), got {self.theta_prime}"
-            )
+        if not (0.0 <= self.theta_prime <= np.pi):
+            raise ValueError(f"theta_prime must lie in [0, pi], got {self.theta_prime}")
         if self.omega_i_prime <= 0.0:
             raise ValueError("omega_i_prime must be positive")
 
@@ -371,7 +372,7 @@ def experimental_params(p: TwoQubitParams) -> ExpParams:
     The rotating transverse drive keeps amplitude omega_i; the correction
     is absorbed into a cross coupling j_xz and a tilted static field of
     magnitude omega_i_prime at polar angle theta_prime. theta_prime lands
-    in (pi/2, pi) because the static z component is -omega*cos^2(theta_tilde),
+    in (pi/2, pi] because the static z component is -omega*cos^2(theta_tilde),
     negative for forward traversal.
 
     The reversed-orientation loop uses this map evaluated on the reversed

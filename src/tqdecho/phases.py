@@ -23,10 +23,10 @@ eigenstate (its eigenenergy) and on a pulse (which conserves its own
 expectation). Elsewhere it converges as samples^-2: on an uncorrected
 loop at theta = pi/4, omega = 0.3, omega0 = 1 it is off by 1.5e-5 at 256
 samples and 9.4e-7 at 1024 (ROADMAP item 12 states a closed form).
-Loop and y-pulse expectations are read from their real 2x2 block fields
-(_Loop.block_fields; a y pulse is a frame turn at its own rate, with
-K = 0), and the control flip's, the one record outside block form, from
-its two terms, so no dense generator is built.
+Every expectation is read from the record's real 2x2 block fields
+(_Loop.block_fields; a pulse is a frame turn at its own rate, with
+K = 0), the control flip's in its control's y basis, so no dense
+generator is built.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ import numpy as np
 
 from .fields import LoopParams, TwoQubitParams, _Loop, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
-from .qcore import PAULI, SIGMA_X, SIGMA_Y, wrap_angle
-from .schedule import FlipParams, SegmentSchedule, _HalfTurn
+from .qcore import PAULI, wrap_angle
+from .schedule import SegmentSchedule, _HalfTurn
 
 __all__ = [
     "LABELS4",
@@ -249,10 +249,13 @@ def tracking_fidelity(traj: Trajectory, label) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _block_expectation(seg, ts: np.ndarray, psi: np.ndarray, corrected: bool) -> np.ndarray:
-    """<psi|H|psi> of a loop generator from its block fields: per block,
-    with amplitudes a, b on its index pair,
-    c0 (|a|^2 + |b|^2) + 2 vx Re(a* b) + 2 vy Im(a* b) + vz (|a|^2 - |b|^2)."""
+    """<psi|H|psi> of a record's generator from its block fields: per
+    block, with amplitudes a, b on its index pair,
+    c0 (|a|^2 + |b|^2) + 2 vx Re(a* b) + 2 vy Im(a* b) + vz (|a|^2 - |b|^2),
+    the states first mapped by F^dag if the record has a `_control_frame` F."""
     c0, (vx, vy, vz) = seg.block_fields(ts, corrected=corrected)
+    if seg._control_frame is not None:
+        psi = psi @ seg._control_frame.conj()
     blocks = c0.shape[0]
     a, b = psi[:, :blocks].T, psi[:, blocks:].T
     pa, pb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
@@ -261,24 +264,14 @@ def _block_expectation(seg, ts: np.ndarray, psi: np.ndarray, corrected: bool) ->
     return terms.sum(axis=0)
 
 
-def _pulse_expectation(seg: FlipParams, psi: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> of the control flip, H = 0.5*omega_pi*(sx x 1 + 1 x sy):
-    0.5*omega_pi*<sigma_x> on the driven qubit, the leading tensor
-    factor, plus 0.5*omega_pi*<sigma_y> on the control."""
-    half = 0.5 * seg.omega_pi
-    pair = psi.reshape(-1, 2, 2)
-    return sum(np.einsum(spec, pair.conj(), half * sigma, pair).real
-               for spec, sigma in (("nac,ab,nbc->n", SIGMA_X), ("nca,ab,ncb->n", SIGMA_Y)))
-
-
 def dynamical_phase(traj: Trajectory, root="root") -> float:
     """Minus the integrated expectation of the reference generator, by the
     trapezoid rule: exact on tracking loops and pulses only (module docstring).
 
     root selects what is integrated: "root" (default) uses each segment's
     uncorrected generator, "full" the complete generator including
-    corrections. The control flip is read from its two terms, every
-    other record in block form (an idle's fields are zero).
+    corrections. Every record is read in block form (an idle's fields are
+    zero).
     """
     if traj.states is None:
         raise ValueError("attach an initial state before computing phases")
@@ -288,11 +281,8 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
     total = 0.0
     for i, seg in enumerate(traj.schedule.segments):
         rows = traj.segment_rows(i)
-        ts, psi = local[rows], traj.states[rows]
-        if isinstance(seg, FlipParams):
-            expect = _pulse_expectation(seg, psi)
-        else:
-            expect = _block_expectation(seg, ts, psi, corrected=root == "full")
+        ts = local[rows]
+        expect = _block_expectation(seg, ts, traj.states[rows], corrected=root == "full")
         total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
     return float(-total)
 

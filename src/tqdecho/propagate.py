@@ -23,13 +23,13 @@ block both factors are rotations, evaluated at every sample time in
 closed form: K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase
 exp(-i*c0*t) times a Rodrigues quaternion, and one Hamilton product per
 sample joins it to the frame rotation. The exp-loop frame term is the
-scalar c0 of each sector. A y pulse is a frame turn: its block field
-0.5*omega_pi*y, turning about its `axis` y at its own rate omega_pi,
-gives K = 0, so the inner factor is exactly 1. The control flip, whose
-control term couples the control sectors, is the one record outside
-block form: an x turn on the driven qubit tensored with a y turn on the
-control. Idles are the identity. Pulses and idles take this path under
-either policy. No eigendecomposition runs.
+scalar c0 of each sector. A pulse is a frame turn: its block field
+0.5*omega_pi*n, turning about its `axis` n at its own rate omega_pi,
+gives K = 0, so the inner factor is exactly 1. The control flip is in
+block form in its control's y basis (c0 = +-omega_pi/2, n = x), so its
+packed propagators are turned back by its `_control_frame` F, as
+F U F^dag. Idles are the identity. Pulses and idles take this path
+under either policy. No eigendecomposition runs.
 
 Magnus oracle (StepPolicy(substeps=N)). Within each loop segment the
 generator is sampled at the two Gauss-Legendre points of each substep,
@@ -51,7 +51,7 @@ Gates and trajectories compose schedules through one walk
 (_segment_propagators), the only path from segments to propagators. It
 may span a batch of schedules and propagates each distinct segment of
 the batch once. It stacks the distinct records of one dim: one
-closed-form kernel call evaluates the y pulses, and on the exact path
+closed-form kernel call evaluates the pulses, and on the exact path
 the loops, each on its own row of sample times, and the oracle
 multiplies all the loops' Magnus steps in one product tree. Each entry
 is the same whatever is stacked beside it, and the
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import _Loop
-from .schedule import FlipParams, IdleParams, SegmentSchedule, _check_count, _write_csv
+from .schedule import IdleParams, SegmentSchedule, _check_count, _write_csv
 
 __all__ = [
     "StepPolicy",
@@ -225,7 +225,7 @@ def _oracle_steps(policy: StepPolicy, checkpoints: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _loop_propagators(segs, ts) -> list:
-    """Exact propagators of the block-form records `segs` (loops and y
+    """Exact propagators of the block-form records `segs` (loops and
     pulses, all of one dim), each from its start to the local times of
     its own row of ts, the rows of any lengths: one (len(row), dim, dim)
     array per record.
@@ -235,11 +235,12 @@ def _loop_propagators(segs, ts) -> list:
     w = v(0) - omega*n/2, read from the record's block_fields at t = 0: the
     Rodrigues quaternions (cos(omega*t/2), sin(omega*t/2) n) and
     (cos(|w|t), sin(|w|t) w/|w|) multiplied, times the phase
-    exp(-i*c0*t); a y pulse has w = 0, so its inner factor is exactly 1.
+    exp(-i*c0*t); a pulse has w = 0, so its inner factor is exactly 1.
     The per-record values form one small table that one np.repeat
     gathers to the samples of all records, so one pass of each
     elementwise operation and one packer call serve them all; each entry
-    is the same whatever is stacked beside it.
+    is the same whatever is stacked beside it. A record with a
+    `_control_frame` F has its packed rows turned to F U F^dag.
     """
     fields = [seg.block_fields(0.0) for seg in segs]
     c0 = np.stack([c[:, 0] for c, _ in fields], axis=1)
@@ -276,22 +277,11 @@ def _loop_propagators(segs, ts) -> list:
     phase = np.exp(-1j * np.multiply(c0, ts, out=c0))
     packed = _pack_quaternions(q, phase, segs[0].dim)
     edges = np.cumsum([0] + counts).tolist()
-    return [packed[a:b] for a, b in zip(edges, edges[1:])]
-
-
-def _flip_propagators(seg: FlipParams, ts: np.ndarray) -> np.ndarray:
-    """Exact propagators of the control flip: the rotations
-    exp(-i*omega_pi*t*sigma_x/2) of the driven qubit and
-    exp(-i*omega_pi*t*sigma_y/2) of the control, tensored."""
-    half = 0.5 * seg.omega_pi * ts
-    turns = []
-    for k in (1, 2):  # the quaternion component of x, then of y
-        q = np.zeros((4, 1, ts.size))
-        np.cos(half, out=q[0, 0])
-        np.sin(half, out=q[k, 0])
-        turns.append(_pack_quaternions(q, None, 2))
-    driven, control = turns
-    return np.einsum("nac,nbd->nabcd", driven, control).reshape(ts.size, 4, 4)
+    out = [packed[a:b] for a, b in zip(edges, edges[1:])]
+    for k, frame in enumerate(seg._control_frame for seg in segs):
+        if frame is not None:
+            out[k] = frame @ out[k] @ frame.conj().T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +372,11 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
     Segments of equal repr (record class and fields, so tqd and root
     loops differ and so do 0.0 and -0.0), and so of equal dim and
     duration, are propagated once across the whole batch. Pulses and
-    idles (the identity) are exact under either policy and report one
-    substep per checkpoint. The control flip has a kernel of its own
-    (_flip_propagators); every other record of one dim goes to one
-    stacked _loop_propagators call, with its own row of sample times: the
-    y pulses, and the loops, which report 0 substeps, on the exact path.
+    idles are exact under either policy and report one substep per
+    checkpoint; an idle's partials are the walk's own identity. Every
+    other record of one dim goes to one stacked _loop_propagators call,
+    with its own row of sample times: the pulses (the control flip
+    included), and the loops, which report 0 substeps, on the exact path.
     Under a StepPolicy the loops of one dim go to one _segment_partials
     call and report its one Magnus step count. A segment whose last
     sample time, duration * cps, overflows raises ValueError."""
@@ -408,8 +398,6 @@ def _segment_propagators(scheds, policy: StepPolicy | None, checkpoints: int) ->
         ts = seg.duration * np.arange(1, cps + 1) / cps
         if isinstance(seg, IdleParams):
             done[key] = np.eye(seg.dim, dtype=complex)[None].repeat(cps, axis=0), cps
-        elif isinstance(seg, FlipParams):
-            done[key] = _flip_propagators(seg, ts), cps
         else:
             oracle = loop and policy is not None
             stacks.setdefault((oracle, seg.dim), []).append((key, seg, ts, 0 if loop else cps))

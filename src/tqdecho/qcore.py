@@ -16,7 +16,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "PAULI",
-    "pauli_dot",
     "gate_distance",
     "wrap_angle",
     "unitarity_defect",
@@ -26,12 +25,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-
-def pauli_dot(vec) -> np.ndarray:
-    """vec . sigma for a real 3-vector (Hermitian 2x2)."""
-    v = np.asarray(vec, dtype=float)
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -10,15 +10,16 @@ loop record states its frame: its root fields precess about z on its
 `cones()` in a local frame, which its `orientation` turns into the lab
 frame. Every loop generator is defined once, in its real 2x2 block form
 (_Loop.block_fields), which both propagators and the phase layer read.
-So is a y pulse, a frame turning about its `axis` y at its own rate
+So is a pulse, a frame turning about its `axis` at its own rate
 omega_pi with rotating-frame generator K = 0, and an idle, with zero
-fields. The control flip, whose control term couples the control
-sectors, is the one record outside block form. A corrected loop is its
-root drive plus the transitionless correction b x db/dt, derived in the
-local frame with Berry's formula (fields._berry_corrected); the exp-loop
-takes its field from the static-coupling map instead. Keeping segments
-parametric rather than storing bare callables makes geometric
-operations (axis rotation, traversal reversal) exact parameter updates.
+fields. The control flip is in block form in its control's y basis, to
+which its `_control_frame` turns it; every other record's is None. A
+corrected loop is its root drive plus the transitionless correction
+b x db/dt, derived in the local frame with Berry's formula
+(fields._berry_corrected); the exp-loop takes its field from the
+static-coupling map instead. Keeping segments parametric rather than
+storing bare callables makes geometric operations (axis rotation,
+traversal reversal) exact parameter updates.
 
 Segment records, their kinds and labels:
 
@@ -85,14 +86,15 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _steady_fields(dim: int, ts, corrected: bool, by: float) -> tuple:
-    """_Loop.block_fields of the constant generator by*sigma_y on the
-    driven qubit: c0 -0.0 and v = (0, by, 0) in each of dim // 2 blocks."""
+def _steady_fields(dim: int, ts, corrected: bool, v: tuple, c0=-0.0) -> tuple:
+    """_Loop.block_fields of a constant generator: c0 (one value, or one
+    per block) plus v . sigma in each of dim // 2 blocks."""
     _check_flag("corrected", corrected)
-    c0 = np.full((dim // 2, np.atleast_1d(ts).size), -0.0)
-    v = np.zeros((3,) + c0.shape)
-    v[1] = by
-    return c0, v
+    c = np.empty((dim // 2, np.atleast_1d(ts).size))
+    field = np.empty((3,) + c.shape)
+    c.T[:] = c0
+    field.T[:] = v
+    return c, field
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +104,12 @@ def _steady_fields(dim: int, ts, corrected: bool, by: float) -> tuple:
 @dataclass(frozen=True)
 class _HalfTurn:
     """What the pulse records share: a half turn at rate omega_pi > 0,
-    lasting pi/omega_pi."""
+    lasting pi/omega_pi. In block form each is a frame turning about its
+    `axis` at its own rate omega_pi: K = 0 in the loop kernel."""
 
     omega_pi: float
+    _control_frame = None
+    _frame_rate = property(lambda self: self.omega_pi)
 
     def __post_init__(self):
         _real_fields(self, positive=True)
@@ -118,6 +123,14 @@ class _HalfTurn:
         return np.pi / self.omega_pi
 
 
+# 1 x C with C = exp(i*pi*sigma_x/4) on the control, by its entries:
+# C sigma_z C^dag = sigma_y, so it turns the control's z basis into its y
+# basis.
+_CONTROL_FRAME = math.sqrt(0.5) * np.array([[1, 1j, 0, 0], [1j, 1, 0, 0],
+                                            [0, 0, 1, 1j], [0, 0, 1j, 1]])
+_CONTROL_FRAME.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FlipParams(_HalfTurn):
     """The control flip: x on the driven qubit, y on the control, with
@@ -128,29 +141,36 @@ class FlipParams(_HalfTurn):
     the second half of the two-qubit echo undo the sector-dependent
     dynamical phases. A y half turn on the control alone does not do
     this; it scrambles sectors when the drive and coupling are comparable.
-    Its control term couples the sectors, so it has no block form.
+    Its generator is F (0.5*omega_pi*(sx x 1 + 1 x sz)) F^dag with F its
+    `_control_frame` 1 x C, so its block form is the middle factor's:
+    c0 = +-0.5*omega_pi on the control sectors and v = 0.5*omega_pi*x, a
+    frame turning about its `axis` x.
     """
 
     kind = "control-flip"
     label = "pi-II"
     dim = 4
+    axis = (1.0, 0.0, 0.0)
+    _control_frame = _CONTROL_FRAME
+
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of the flip generator in its control's y
+        basis, as _Loop.block_fields; a pulse has no correction."""
+        half = 0.5 * self.omega_pi
+        return _steady_fields(4, ts, corrected, (half, 0.0, 0.0), (half, -half))
 
 
 @dataclass(frozen=True)
 class PulseParams(_HalfTurn):
     """A half turn about y, generator 0.5*omega_pi*sigma_y, on a lone
     qubit (target "single", label pi) or on the driven qubit "I" of a
-    pair (label pi-I).
-
-    In block form its field 0.5*omega_pi*y is a frame turning about its
-    `axis` y at its own rate omega_pi: K = 0 in the loop kernel."""
+    pair (label pi-I). Its block field is 0.5*omega_pi*y."""
 
     target: str
     kind = "pi-pulse"
     axis = (0.0, 1.0, 0.0)
     dim = property(lambda self: 2 if self.target == "single" else 4)
     label = property(lambda self: "pi" if self.target == "single" else "pi-I")
-    _frame_rate = property(lambda self: self.omega_pi)
 
     def __post_init__(self):
         if not isinstance(self.target, str) or self.target not in ("single", "I"):
@@ -160,7 +180,7 @@ class PulseParams(_HalfTurn):
     def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
         """Real 2x2 block form of the pulse generator at the given local
         times, as _Loop.block_fields; a pulse has no correction."""
-        return _steady_fields(self.dim, ts, corrected, 0.5 * self.omega_pi)
+        return _steady_fields(self.dim, ts, corrected, (0.0, 0.5 * self.omega_pi, 0.0))
 
 
 @dataclass(frozen=True)
@@ -171,6 +191,7 @@ class IdleParams:
     duration: float
     kind = "idle"
     label = "idle"
+    _control_frame = None
 
     def __post_init__(self):
         _check_count("idle dim", self.dim, 2)
@@ -181,7 +202,7 @@ class IdleParams:
 
     def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
         """Real 2x2 block form of the zero generator, as _Loop.block_fields."""
-        return _steady_fields(self.dim, ts, corrected, 0.0)
+        return _steady_fields(self.dim, ts, corrected, (0.0, 0.0, 0.0))
 
 
 _SEGMENTS = (_Loop, _HalfTurn, IdleParams)

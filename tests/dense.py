@@ -5,10 +5,10 @@ The package never builds a dense generator. These are the independent
 forms the tests check its block-field kernels against: loop generators
 are packed from the loop records' block_fields as c0 + v . sigma per
 block, and pulse generators are written out from the physics of each
-pulse rather than read from the records. In the package a y pulse is a
-block-form record whose frame turns at its own rate, with K = 0, and
-the control flip is the one record outside block form; here both are
-plain operators.
+pulse rather than read from the records. In the package every pulse is
+a block-form record whose frame turns at its own rate, with K = 0, the
+control flip in its control's y basis (its _control_frame turns it
+back); here each is a plain operator.
 """
 import numpy as np
 

@@ -208,6 +208,19 @@ def test_expmap_at_a_weak_drive_keeps_the_field_map_exact(tmp_path):
     assert checks["field_map_deviation"] <= 1e-15
 
 
+@pytest.mark.parametrize("omega", [1.0, -1.0], ids=repr)
+def test_expmap_maps_a_drive_below_rounding(tmp_path, omega):
+    # the forward theta_prime rounds to pi at omega_i = 1e-17; expmap
+    # exited 2 naming that angle, a value the config never set
+    cfg = write_config(tmp_path, "x.json", {"omega_i": 1e-17, "coupling": 1.0, "omega": omega})
+    out = tmp_path / "out"
+    assert main(["expmap", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "expmap.json").read_text())
+    angles = {doc["forward"]["theta_prime"], doc["reversed"]["theta_prime"]}
+    assert angles == {np.pi, 1e-17}
+    assert json.loads((out / "summary.json").read_text())["all_passed"]
+
+
 def test_expmap_without_field_draws_is_a_config_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "x.json",

@@ -11,7 +11,8 @@ import pytest
 
 import tqdecho
 import tqdecho.cli
-from tqdecho.schedule import IdleParams
+from tqdecho.fields import _Loop
+from tqdecho.schedule import IdleParams, _HalfTurn
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tqdecho"
@@ -48,8 +49,35 @@ def test_segment_parameters_read_by_field_only():
 def test_one_propagation_path_in_the_package():
     # the segment kernels are named in propagate.py only; everything else
     # propagates through the schedule walk
-    assert _hits(r"_loop_propagators|_segment_partials|_flip_propagators",
-                 exclude=("propagate.py",)) == []
+    assert _hits(r"_loop_propagators|_segment_partials", exclude=("propagate.py",)) == []
+
+
+def _subclasses(base) -> list:
+    """The package's subclasses of `base`, at any depth (tests may define
+    their own)."""
+    subs = [c for sub in base.__subclasses__() for c in [sub] + _subclasses(sub)]
+    return [c for c in subs if c.__module__.startswith("tqdecho.")]
+
+
+def test_every_driven_record_is_in_block_form():
+    # the control flip is in block form in its control's y basis, so it
+    # has no kernel or expectation of its own, and the walk and the phase
+    # layer read each record's attributes, never the flip's class; its
+    # control frame is written out by its entries (np.kron is kept out by
+    # test_block_fields_only_in_the_package)
+    assert _hits(r"_flip_propagators|_pulse_expectation") == []
+    assert _hits(r"\bFlipParams\b", ("propagate.py", "phases.py")) == []
+    records = _subclasses(_Loop) + _subclasses(_HalfTurn)
+    assert {c.__name__ for c in records} == {
+        "LoopParams", "RootLoopParams", "TwoQubitParams", "ExpLoopParams",
+        "PulseParams", "FlipParams",
+    }
+    for record in records:
+        for name in ("block_fields", "axis", "_frame_rate", "_control_frame"):
+            assert hasattr(record, name), (record.__name__, name)
+    assert [c.__name__ for c in records + [IdleParams] if c._control_frame is not None] == [
+        "FlipParams"
+    ]
 
 
 def test_no_pulse_axis_tables():

@@ -207,8 +207,13 @@ def test_largest_accepted_rates_give_finite_unitary_propagators(sign):
 def test_exp_params_accepts_acute_and_obtuse_tilts():
     ExpParams(j_xz=-0.25, j_zz=1.0, theta_prime=1.8, omega_i_prime=1.0)
     ExpParams(j_xz=0.25, j_zz=1.0, theta_prime=1.3, omega_i_prime=1.0)
-    with pytest.raises(ValueError):
-        ExpParams(j_xz=0.0, j_zz=1.0, theta_prime=0.0, omega_i_prime=1.0)
+    # the ends are where the map's atan2 rounds a drive far below the
+    # static z; past them the angle is not the map's
+    for end in (0.0, np.pi):
+        ExpParams(j_xz=0.0, j_zz=1.0, theta_prime=end, omega_i_prime=1.0)
+    for outside in (-1e-300, np.nextafter(np.pi, 4.0)):
+        with pytest.raises(ValueError, match=r"^theta_prime must lie in \[0, pi\]"):
+            ExpParams(j_xz=0.0, j_zz=1.0, theta_prime=outside, omega_i_prime=1.0)
     with pytest.raises(ValueError):
         ExpParams(j_xz=0.0, j_zz=1.0, theta_prime=1.0, omega_i_prime=-1.0)
 
@@ -312,6 +317,20 @@ def test_theta_tilde_keeps_its_digits_at_any_drive_to_coupling_ratio(ratio, omeg
     rep = verify_exp_equivalence(p, field_draws=8)
     scale = max(p.rabi, abs(p.omega))
     assert rep.max_field_deviation <= 4.0 * np.finfo(float).eps * scale
+    assert rep.gate_deviation <= 1e-14
+
+
+@pytest.mark.parametrize("omega", [1.0, -1.0], ids=repr)
+def test_exp_map_takes_a_drive_below_rounding(omega):
+    # at omega_i = 1e-17 the forward map's theta_prime = atan2(omega_i,
+    # -omega*cos^2) rounds to pi, which the map's own record rejected, so
+    # a record TwoQubitParams accepts had no static-coupling realization
+    p = TwoQubitParams(omega_i=1e-17, coupling=1.0, omega=omega)
+    forward = p if omega > 0 else p.reversed()
+    assert experimental_params(forward).theta_prime == np.pi
+    assert experimental_params(forward.reversed()).theta_prime == 1e-17
+    rep = verify_exp_equivalence(p, field_draws=8)
+    assert rep.max_field_deviation <= 4.0 * np.finfo(float).eps
     assert rep.gate_deviation <= 1e-14
 
 

@@ -292,21 +292,21 @@ def test_gate_entry_points_build_no_trajectory(monkeypatch):
 
 @pytest.mark.parametrize("policy", [None, StepPolicy(substeps=64)], ids=["exact", "oracle"])
 def test_gate_entry_points_propagate_each_distinct_segment_once(policy, monkeypatch):
-    # the exact path stacks the y pulses beside the loops in one kernel
-    # call; under a StepPolicy the loops take one Magnus product tree and
-    # the pulses that kernel call alone
-    def calls(loops):
-        return [loops + 1] if policy is None else [loops, 1]
+    # the exact path stacks the pulses (the control flip included) beside
+    # the loops in one kernel call; under a StepPolicy the loops take one
+    # Magnus product tree and the pulses that kernel call alone
+    def calls(loops, pulses):
+        return [loops + pulses] if policy is None else [loops, pulses]
 
     segments, stacked = count_handed_segments(monkeypatch)
     synthesize_single_gate(SingleGateSpec(0.3, 1.2), policy=policy)
     assert sorted(segments) == [("pi-pulse", 1), ("tqd-loop", 1), ("tqd-loop", 1)]
-    assert stacked == calls(2)
+    assert stacked == calls(2, 1)
     segments.clear()
     stacked.clear()
     synthesize_two_qubit_gate(P2, policy=policy)
     assert len(segments) == 4 and all(cps == 1 for _, cps in segments)
-    assert stacked == calls(2)
+    assert stacked == calls(2, 2)
     segments.clear()
     stacked.clear()
     # both echoes in one walk: their four distinct loops in one stacked
@@ -315,7 +315,7 @@ def test_gate_entry_points_propagate_each_distinct_segment_once(policy, monkeypa
     assert sorted(segments) == sorted(
         [("two-qubit-loop", 1)] * 2 + [("exp-loop", 1)] * 2 + [("pi-pulse", 1), ("control-flip", 1)]
     )
-    assert stacked == calls(4)
+    assert stacked == calls(4, 2)
 
 
 def test_gate_reports_count_one_checkpoint_per_segment():

@@ -436,10 +436,9 @@ def test_loop_eigenvector_takes_the_same_label_rule(label):
     "call",
     [
         lambda: loop_eigenvector(P2, 0, 0.0),
-        lambda: eigenbasis_matrix(P, 0.0)[:, LABELS4.index((0, 1))],
         lambda: eigenbasis_matrix(P, 0.0),
     ],
-    ids=["loop-of-two-qubit", "two-qubit-of-loop", "basis-of-loop"],
+    ids=["loop-of-two-qubit", "basis-of-loop"],
 )
 def test_eigenvectors_take_a_record_of_their_dimension(call):
     # read from the record directly, a LoopParams gave the two-qubit
@@ -451,7 +450,6 @@ def test_eigenvectors_take_a_record_of_their_dimension(call):
 _EIGENVECTOR_CALLS = {
     "loop": lambda t: loop_eigenvector(P, 0, t),
     "loop-rotated": lambda t: loop_eigenvector(replace(P, rotation=0.7), 1, t),
-    "two-qubit": lambda t: eigenbasis_matrix(P2, t)[:, LABELS4.index((0, 1))],
     "basis": lambda t: eigenbasis_matrix(P2, t),
 }
 

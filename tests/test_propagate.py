@@ -23,7 +23,7 @@ from tqdecho.propagate import (
     propagate_schedule,
     trajectory_to_csv,
 )
-from tqdecho.qcore import SIGMA_Y, SIGMA_Z, pauli_dot, unitarity_defect
+from tqdecho.qcore import PAULI, SIGMA_Y, SIGMA_Z, unitarity_defect
 from tqdecho.schedule import (
     FlipParams,
     IdleParams,
@@ -113,7 +113,7 @@ def _dense_exact_reference(seg, ts):
         axis = np.kron(SIGMA_Z, np.eye(2))
     else:
         rot = seg.rotation
-        axis = pauli_dot((np.sin(rot), 0.0, np.cos(rot)))
+        axis = np.einsum("k,kij->ij", (np.sin(rot), 0.0, np.cos(rot)), PAULI)
     frame = 0.5 * seg.omega * axis
     return expm_hermitian(frame, ts) @ expm_hermitian(generator(seg, 0.0) - frame, ts)
 
@@ -351,14 +351,14 @@ def test_repeated_segments_are_propagated_once(policy, monkeypatch):
     sched = build_two_qubit_sequence(P2)
     segments, stacked = count_handed_segments(monkeypatch)
     traj = propagate_schedule(sched, policy=policy, samples=8)
-    # half + half: two loops and the pulse, each once, the pulse stacked
-    # beside the loops on the exact path and in a call of its own under
-    # the oracle, and the control flip once
+    # half + half: two loops, the pulse and the control flip, each once,
+    # the pulse and the flip stacked beside the loops on the exact path and
+    # in a call of their own under the oracle
     assert len(sched.segments) == 8
     assert sorted(segments) == sorted(
         [("two-qubit-loop", 8), ("two-qubit-loop", 8), ("pi-pulse", 8), ("control-flip", 8)]
     )
-    assert stacked == ([3] if policy is None else [2, 1])
+    assert stacked == ([4] if policy is None else [2, 2])
     assert len(traj.substeps_used) == 8
 
     monkeypatch.undo()

@@ -9,7 +9,6 @@ from tqdecho.qcore import (
     SIGMA_Y,
     SIGMA_Z,
     gate_distance,
-    pauli_dot,
     unitarity_defect,
     wrap_angle,
 )
@@ -29,12 +28,13 @@ def test_pauli_algebra():
         assert unitarity_defect(s) <= 1e-9
 
 
-def test_pauli_dot_squares_to_identity():
+def test_unit_pauli_combination_squares_to_identity():
+    # the Paulis anticommute, so n . sigma squares to |n|^2 = 1
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        m = pauli_dot(n)
+        m = np.einsum("k,kij->ij", n, PAULI)
         assert np.allclose(m @ m, np.eye(2), atol=1e-14)
 
 

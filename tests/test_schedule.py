@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
 from tqdecho.gates import closed_form_echo_gate
-from tqdecho.propagate import propagate_schedule
-from tqdecho.qcore import gate_distance, pauli_dot
+from tqdecho.propagate import StepPolicy, _segment_propagators, propagate_schedule
+from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, gate_distance
 from tqdecho.schedule import (
     FlipParams,
     IdleParams,
@@ -25,7 +25,7 @@ from tqdecho.schedule import (
     write_field_timeline_csv,
 )
 
-from dense import field_rows, generator
+from dense import _PULSE_OPERATORS, expm_hermitian, field_rows, generator, pack_blocks
 from echoes import gapped_echo
 
 P = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
@@ -246,7 +246,7 @@ def test_generator_is_half_field_dot_sigma():
     t = 0.3
     h = generator(P, t)
     b = _tqd_field(P, t)
-    assert np.allclose(h, 0.5 * pauli_dot(b), atol=1e-14)
+    assert np.allclose(h, 0.5 * np.einsum("k,kij->ij", b, PAULI), atol=1e-14)
 
 
 def test_rotate_schedule_tilts_fields():
@@ -291,12 +291,32 @@ def test_loop_records_state_the_axis_their_fields_precess_about():
     assert loops[3].axis == (0.0, 0.0, 1.0)
 
 
-def test_block_fields_reject_the_control_flip():
-    # the control flip couples the control sectors, so it is the one
-    # record with no block form; a y pulse and an idle have one, constant
-    # in time: 0.5*omega_pi*y and zero in every block, with c0 = -0.0
-    with pytest.raises(AttributeError, match="block_fields"):
-        FlipParams(40.0).block_fields([0.01])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.floats(-6.0, 150.0), st.sampled_from([None, StepPolicy(substeps=64)]))
+def test_control_flip_in_its_frame_is_the_physics_operator(exponent, policy):
+    # in its control's y basis the flip is block diagonal, c0 = +-omega_pi/2
+    # and v = 0.5*omega_pi*x in the sectors, a frame turning about its
+    # axis x at its own rate; turned back by its control frame it is
+    # 0.5*omega_pi*(sx x 1 + 1 x sy), and the walk's partials under either
+    # policy are that generator's exponentials at the sample times
+    seg = FlipParams(10.0**exponent)
+    frame = seg._control_frame
+    turn = expm_hermitian(SIGMA_X, -np.pi / 4)  # C = exp(i*pi*sigma_x/4)
+    assert np.max(np.abs(turn @ SIGMA_Z @ turn.conj().T - SIGMA_Y)) <= 1e-15
+    assert np.max(np.abs(frame - np.kron(np.eye(2), turn))) <= 1e-15
+    assert seg.axis == (1.0, 0.0, 0.0) and seg._frame_rate == seg.omega_pi
+    h = frame @ pack_blocks(*seg.block_fields([0.0, 0.3])) @ frame.conj().T
+    physics = 0.5 * seg.omega_pi * _PULSE_OPERATORS["control-flip"]
+    assert np.max(np.abs(h - physics)) <= 1e-15 * seg.omega_pi
+    ((partials, substeps),) = _segment_propagators([SegmentSchedule((seg,))], policy, 16)[0]
+    ts = seg.duration * np.arange(1, 17) / 16
+    assert substeps == 16
+    assert np.max(np.abs(partials - expm_hermitian(generator(seg, 0.0), ts))) <= 1e-14
+
+
+def test_pulse_and_idle_block_fields_are_constant():
+    # a y pulse and an idle are constant in time: 0.5*omega_pi*y and zero
+    # in every block, with c0 = -0.0
     ts = [0.0, 0.01, 0.5]
     for seg, by in ((PulseParams(40.0, "single"), 20.0), (PulseParams(40.0, "I"), 20.0),
                     (IdleParams(2, 1.0), 0.0), (IdleParams(4, 1.0), 0.0)):
@@ -306,8 +326,11 @@ def test_block_fields_reject_the_control_flip():
         assert np.all(np.signbit(c0)) and not c0.any()
         assert np.array_equal(v[1], np.full((blocks, 3), by))
         assert not v[0].any() and not v[2].any()
+        assert seg._control_frame is None
         with pytest.raises(ValueError, match="corrected must be a boolean"):
             seg.block_fields(ts, corrected=1)
+    with pytest.raises(ValueError, match="corrected must be a boolean"):
+        FlipParams(40.0).block_fields(ts, corrected=1)
 
 
 def test_rotate_schedule_rejects_two_qubit():
