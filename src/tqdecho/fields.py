@@ -45,7 +45,7 @@ _MAX_RATE = 1e150
 # Largest angle (rad) a loop's fastest rate turns through in one period
 # 2*pi/|omega|. Its phases carry rounding of about turn * 1e-16, already
 # 1e-4 rad here; the propagators' squared fields, in units of the loop
-# period (propagate._period_unit), stay finite up to it.
+# period (_period_unit), stay finite up to it.
 _MAX_TURN = 1e12
 _REAL = (int, float, np.integer, np.floating)
 
@@ -131,6 +131,35 @@ def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:
     return transverse - omega * (b_z * b_x), bz + omega * (1.0 - b_z * b_z)
 
 
+# Every loop is propagated in units of its own period: its fields times
+# a power of two s near 1/|omega| and its times divided by s, which
+# leaves H*t unchanged. Powers of two scale exactly (and so does the
+# square root of a square), so this moves no byte where the unscaled
+# squares of the fields are finite and normal, and keeps them so where
+# they would underflow or overflow.
+def _period_unit(omega: float) -> float:
+    """The power of two s that brings s*|omega| into [0.5, 1)."""
+    return math.ldexp(1.0, -math.frexp(abs(omega))[1])
+
+
+def _rotating_frame(record) -> np.ndarray:
+    """The rotating-frame row of a block-form record (a loop or a pulse),
+    read from its block_fields at t = 0, as the exact propagator's table
+    holds it: the period unit s of its `_frame_rate` omega, omega/2, its
+    `axis` n, then per block c0, |w| and w = s*(v(0) - omega*n/2), the
+    x components of w first, block by block, then y, then z. Read-only:
+    the record caches it as `_frame_row`. The few values are Python
+    floats, each operation rounded once as numpy rounds it."""
+    c0, v = record.block_fields(0.0)
+    rate, axis = record._frame_rate, record.axis
+    scale, half = _period_unit(rate), 0.5 * rate
+    x, y, z = ([scale * (vj - half * n) for vj in comp] for comp, n in zip(v[..., 0].tolist(), axis))
+    r = [math.sqrt(wx * wx + wy * wy + wz * wz) for wx, wy, wz in zip(x, y, z)]
+    row = np.array([scale, half, *axis, *c0[:, 0].tolist(), *r, *x, *y, *z])
+    row.flags.writeable = False
+    return row
+
+
 class _Loop:
     """What the loop records share: float fields checked (and stored as
     floats) before the loop's own checks, a period 2*pi/|omega| that is
@@ -141,16 +170,18 @@ class _Loop:
     term. The record's `orientation` turns the local frame into the lab
     frame (None for none); `axis`, the direction its field precesses
     about on the driven qubit, is the orientation's image of z, and
-    `_frame_rate`, the rate it precesses at, is omega. Its blocks need no
-    turn of the control, so its `_control_frame` is None."""
+    `_frame_rate`, the rate it precesses at, is omega, and `_frame_row`
+    is its rotating frame (_rotating_frame). Its blocks need no turn of
+    the control, so its `_control_frame` is None."""
 
     frame = (-0.0, -0.0)
     orientation = None
     _control_frame = None
     label = property(lambda self: "loop-C" if self.omega > 0 else "loop-Cbar")
     axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
-                    else tuple(self.orientation.matrix[:, 2]))
+                    else tuple(self.orientation.matrix[:, 2].tolist()))
     _frame_rate = property(lambda self: self.omega)
+    _frame_row = functools.cached_property(_rotating_frame)
 
     def __post_init__(self):
         _real_fields(self)

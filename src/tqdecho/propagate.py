@@ -22,13 +22,15 @@ one-qubit loop and in each control sector of a two-qubit loop, so per
 block both factors are rotations, evaluated at every sample time in
 closed form: K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase
 exp(-i*c0*t) times a Rodrigues quaternion, and one Hamilton product per
-sample joins it to the frame rotation. The exp-loop frame term is the
-scalar c0 of each sector. A pulse is a frame turn: its block field
-0.5*omega_pi*n, turning about its `axis` n at its own rate omega_pi,
-gives K = 0, so the inner factor is exactly 1. The control flip is in
-block form in its control's y basis (c0 = +-omega_pi/2, n = x), so its
-packed propagators are turned back by its `_control_frame` F, as
-F U F^dag. Idles are the identity. Pulses and idles take this path
+sample joins it to the frame rotation. Each record states these values
+once, as its cached rotating-frame row (`_frame_row`, read from its
+block fields at t = 0), so the kernel reads no block fields. The
+exp-loop frame term is the scalar c0 of each sector. A pulse is a frame
+turn: its block field 0.5*omega_pi*n, turning about its `axis` n at its
+own rate omega_pi, gives K = 0, so the inner factor is exactly 1. The
+control flip is in block form in its control's y basis
+(c0 = +-omega_pi/2, n = x), so its packed propagators are turned back
+by its `_control_frame` F, as F U F^dag. Idles are the identity. Pulses and idles take this path
 under either policy. No eigendecomposition runs.
 
 Magnus oracle (StepPolicy(substeps=N)). Within each loop segment the
@@ -51,21 +53,29 @@ Gates and trajectories compose schedules through one walk
 (_segment_propagators), the only path from segments to propagators. It
 may span a batch of schedules and propagates each distinct segment of
 the batch once. It stacks the distinct records of one dim: one
-closed-form kernel call evaluates the pulses, and on the exact path
-the loops, each on its own row of sample times, and the oracle
-multiplies all the loops' Magnus steps in one product tree. Each entry
-is the same whatever is stacked beside it, and the
-association order of every product is fixed, so a schedule's
-propagators have the same bytes in any batch and on every rerun.
+closed-form kernel call gathers their frame rows to the samples with
+one np.repeat and evaluates the pulses, and on the exact path the
+loops, each on its own row of sample times, in one pass of each
+elementwise operation, one Hamilton product into one preallocated output
+and one packer call; the oracle multiplies all the loops' Magnus steps
+in one product tree. A trajectory fills one preallocated propagator
+array, each segment's rows by one product written in place, and takes
+its sample times and segment index from one per-segment table. Each
+entry is the same whatever is stacked beside it, and the association
+order of every product is fixed, so a schedule's propagators have the
+same bytes in any batch and on every rerun; the tests keep the
+per-segment forms these passes replaced and match them byte for byte
+(tests/dense.py).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .fields import _Loop
+from .fields import _Loop, _period_unit
 from .schedule import IdleParams, SegmentSchedule, _check_count, _write_csv
 
 __all__ = [
@@ -95,49 +105,57 @@ class StepPolicy:
 # quaternion algebra shared by both propagators
 # ---------------------------------------------------------------------------
 
-def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product p*q of quaternion arrays of equal shape (4, ...).
+# out[k] of the Hamilton product p*q is p[0]*q[k] combined with
+# p[m]*q[j] for m = 1, 2, 3 in this order, each term a pair (j, np.add
+# or np.subtract)
+_HAMILTON_TERMS = (
+    ((1, np.subtract), (2, np.subtract), (3, np.subtract)),
+    ((0, np.add), (3, np.add), (2, np.subtract)),
+    ((3, np.subtract), (0, np.add), (1, np.add)),
+    ((2, np.add), (1, np.subtract), (0, np.add)),
+)
+
+
+def _hamilton(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Hamilton product p*q of quaternion arrays of shape (4, ...),
+    written into `out` of their broadcast shape, which must not overlap
+    p or q; returns out.
 
     The quaternion (a, b, c, d) stands for the SU(2) matrix
-    a - i*(b*sx + c*sy + d*sz), so p*q is the matrix product p @ q.
+    a - i*(b*sx + c*sy + d*sz), so p*q is the matrix product p @ q. Every
+    product and sum is one ufunc call into `out` or one scratch row, in
+    the order of the written-out formula (a1*a2 - b1*b2 - c1*c2 - d1*d2
+    for out[0]).
     """
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    out = np.empty(p.shape)
-    out[0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
-    out[1] = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
-    out[2] = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
-    out[3] = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+    term = np.empty(out.shape[1:])
+    first, *rest = p
+    for k, terms in enumerate(_HAMILTON_TERMS):
+        row = np.multiply(first, q[k], out[k])
+        for pm, (j, combine) in zip(rest, terms):
+            combine(row, np.multiply(pm, q[j], term), row)
     return out
 
 
-def _pack_quaternions(q: np.ndarray, scale: np.ndarray | None, dim: int) -> np.ndarray:
+def _pack_quaternions(q: np.ndarray, scale: np.ndarray, dim: int) -> np.ndarray:
     """Per-block quaternions, shape (4, blocks, n), times the per-block
-    phases `scale`, shape (blocks, n) (None for none), as (n, dim, dim)
-    matrices with block j on rows and columns j and j + blocks."""
+    phases `scale`, shape (blocks, n), as (n, dim, dim) matrices with
+    block j on rows and columns j and j + blocks.
+
+    The entries are a - i*d, -c - i*b, c - i*b and a + i*d, each formed
+    as that complex expression (so -0.0 and 0.0 land as they do in it)
+    and written straight into its place."""
     a, b, c, d = q
     blocks = q.shape[1]
+    ib, id_, minus_c = 1j * b, 1j * d, -c
     out = np.zeros((q.shape[2], dim, dim), dtype=complex)
     for j in range(blocks):
         u = out[:, j::blocks, j::blocks]
-        u[:, 0, 0] = a[j] - 1j * d[j]
-        u[:, 0, 1] = -c[j] - 1j * b[j]
-        u[:, 1, 0] = c[j] - 1j * b[j]
-        u[:, 1, 1] = a[j] + 1j * d[j]
-        if scale is not None:
-            u *= scale[j, :, None, None]
+        np.subtract(a[j], id_[j], out=u[:, 0, 0])
+        np.subtract(minus_c[j], ib[j], out=u[:, 0, 1])
+        np.subtract(c[j], ib[j], out=u[:, 1, 0])
+        np.add(a[j], id_[j], out=u[:, 1, 1])
+        u *= scale[j, :, None, None]
     return out
-
-
-# Every loop is propagated in units of its own period: its fields times
-# a power of two s near 1/|omega| and its times divided by s, which
-# leaves H*t unchanged. Powers of two scale exactly (and so does the
-# square root of a square), so this moves no byte where the unscaled
-# squares of the fields are finite and normal, and keeps them so where
-# they would underflow or overflow.
-def _period_unit(omega: float) -> float:
-    """The power of two s that brings s*|omega| into [0.5, 1)."""
-    return math.ldexp(1.0, -math.frexp(abs(omega))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +217,15 @@ def _segment_partials(segs, n: int, checkpoints: int) -> list:
     q = q.reshape(4, blocks, checkpoints, n // checkpoints)
     while q.shape[-1] > 1:
         m = q.shape[-1] // 2
-        paired = _hamilton(q[..., 1 : 2 * m : 2], q[..., 0 : 2 * m : 2])
+        later = q[..., 1 : 2 * m : 2]
+        paired = _hamilton(later, q[..., 0 : 2 * m : 2], np.empty(later.shape))
         q = np.concatenate([paired, q[..., -1:]], axis=-1) if q.shape[-1] % 2 else paired
     q = q[..., 0]
     shift = 1
     while shift < checkpoints:
-        q[..., shift:] = _hamilton(q[..., shift:], q[..., :-shift])
+        # the slices overlap, so the product goes to fresh storage first
+        later = q[..., shift:]
+        later[:] = _hamilton(later, q[..., :-shift], np.empty(later.shape))
         shift *= 2
     scale = np.exp(-1j * np.cumsum(phase.reshape(blocks, checkpoints, -1).sum(axis=-1), axis=-1))
     return [
@@ -232,28 +253,21 @@ def _loop_propagators(segs, ts) -> list:
 
     Per 2x2 block, U(t) = exp(-i*omega*t*n.sigma/2) exp(-i*K*t) with
     omega the record's `_frame_rate`, n its `axis` and K = c0 + w . sigma,
-    w = v(0) - omega*n/2, read from the record's block_fields at t = 0: the
-    Rodrigues quaternions (cos(omega*t/2), sin(omega*t/2) n) and
-    (cos(|w|t), sin(|w|t) w/|w|) multiplied, times the phase
-    exp(-i*c0*t); a pulse has w = 0, so its inner factor is exactly 1.
-    The per-record values form one small table that one np.repeat
-    gathers to the samples of all records, so one pass of each
-    elementwise operation and one packer call serve them all; each entry
-    is the same whatever is stacked beside it. A record with a
-    `_control_frame` F has its packed rows turned to F U F^dag.
+    w = v(0) - omega*n/2: the Rodrigues quaternions
+    (cos(omega*t/2), sin(omega*t/2) n) and (cos(|w|t), sin(|w|t) w/|w|)
+    multiplied, times the phase exp(-i*c0*t); a pulse has w = 0, so its
+    inner factor is exactly 1. Each record states these values once, in
+    its rescaled units, as its cached `_frame_row`
+    (fields._rotating_frame), so the kernel reads no block fields. The
+    rows form one small table that one np.repeat gathers to the samples
+    of all records, so one pass of each elementwise operation, one
+    Hamilton product into one output and one packer call serve them all;
+    each entry is the same whatever is stacked beside it. A record with
+    a `_control_frame` F has its packed rows turned to F U F^dag.
     """
-    fields = [seg.block_fields(0.0) for seg in segs]
-    c0 = np.stack([c[:, 0] for c, _ in fields], axis=1)
-    v = np.stack([f[:, :, 0] for _, f in fields], axis=2)
-    rate = [seg._frame_rate for seg in segs]
-    scale = np.array([_period_unit(omega) for omega in rate])
-    rate, axis = np.array(rate), np.array([seg.axis for seg in segs]).T
-    # w in each record's rescaled units, and |w|
-    w = scale * (v - (0.5 * rate) * axis[:, None])
-    r = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    blocks = r.shape[0]
+    blocks = segs[0].dim // 2
     counts = [len(row) for row in ts]
-    table = np.concatenate([[scale, 0.5 * rate], axis, c0, r, w.reshape(3 * blocks, -1)])
+    table = np.array([seg._frame_row for seg in segs]).T
     # the gathered table is the working storage (at thousands of samples,
     # fresh arrays measured slower): each row is overwritten once read, so
     # frame and inner end as the frame rotation and exp(-i*K*t) unphased
@@ -264,19 +278,20 @@ def _loop_propagators(segs, ts) -> list:
     ts = np.concatenate(ts)
     np.divide(ts, local, out=local)
     rt = r * local
-    snc = np.empty_like(rt)
-    snc[:] = local
-    np.divide(np.sin(rt), r, out=snc, where=r > 0.0)
+    # sin(|w|t)/|w|, and where |w| = 0 (a pulse) sin(0*t), a zero of the
+    # sign of t, so that w times it is the same signed zero as w*t
+    snc = np.sin(rt)
+    np.divide(snc, r, out=snc, where=r > 0.0)
     np.cos(rt, out=r)
     np.multiply(inner[1:], snc, out=inner[1:])
     half = np.multiply(frame[0], ts, out=frame[0])
     sin_half = np.sin(half)
     np.cos(half, out=half)
     np.multiply(frame[1:], sin_half, out=frame[1:])
-    q = _hamilton(np.broadcast_to(frame[:, None], inner.shape), inner)
+    q = _hamilton(np.broadcast_to(frame[:, None], inner.shape), inner, np.empty(inner.shape))
     phase = np.exp(-1j * np.multiply(c0, ts, out=c0))
     packed = _pack_quaternions(q, phase, segs[0].dim)
-    edges = np.cumsum([0] + counts).tolist()
+    edges = [0, *accumulate(counts)]
     out = [packed[a:b] for a, b in zip(edges, edges[1:])]
     for k, frame in enumerate(seg._control_frame for seg in segs):
         if frame is not None:
@@ -321,13 +336,11 @@ class Trajectory:
     _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = self.segment_index
-        edges = np.searchsorted(idx, np.arange(len(self.schedule.segments) + 1))
-        bounds = edges.tolist()
+        segments = self.schedule.segments
+        bounds = np.searchsorted(self.segment_index, np.arange(len(segments) + 1)).tolist()
         object.__setattr__(self, "_rows", tuple(map(slice, bounds[:-1], bounds[1:])))
-        durations = np.array([seg.duration for seg in self.schedule.segments])
-        k = np.arange(idx.size) - edges[idx]
-        local = durations[idx] * k / (np.diff(edges) - 1)[idx]
+        counts = [b - a for a, b in zip(bounds, bounds[1:])]
+        local = _local_grid([seg.duration for seg in segments], counts)
         local.setflags(write=False)
         object.__setattr__(self, "_local", local)
 
@@ -347,6 +360,15 @@ class Trajectory:
     def segment_rows(self, index: int) -> slice:
         """Row range belonging to schedule segment `index`."""
         return self._rows[index]
+
+
+def _local_grid(durations: list, counts: list) -> np.ndarray:
+    """The local sample times duration*k/cps, k = 0..cps, of segments of
+    the given durations and row counts cps + 1, gathered from one table
+    by one np.repeat."""
+    firsts = [0, *accumulate(counts)][:-1]
+    table = np.repeat(np.array([durations, firsts, counts], dtype=float), counts, axis=1)
+    return table[0] * (np.arange(table.shape[1]) - table[1]) / (table[2] - 1.0)
 
 
 def _evolved_states(propagators: np.ndarray, psi: np.ndarray) -> tuple:
@@ -439,28 +461,33 @@ def _propagate_schedules(
 
 
 def _trajectory(s: SegmentSchedule, walked: list, initial_state) -> Trajectory:
-    """The Trajectory of schedule s from its walked segments."""
-    times, seg_idx, props = [], [], []
-    cum = np.eye(s.dim, dtype=complex)
-    t0 = 0.0
-    for i, (seg, (partials, _)) in enumerate(zip(s.segments, walked)):
-        cps = len(partials)
-        times.append(t0 + seg.duration * np.arange(cps + 1) / cps)
-        seg_idx.append(np.full(cps + 1, i))
-        block = np.empty((cps + 1, s.dim, s.dim), dtype=complex)
-        block[0] = cum
-        block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
-        props.append(block)
-        cum = block[-1]
-        t0 += seg.duration
-    props = np.concatenate(props)
+    """The Trajectory of schedule s from its walked segments.
+
+    One table of the segments' row counts and durations gives every
+    sample time and segment index (_local_grid). The propagators fill one
+    preallocated array: each segment's rows are its start, then its
+    partials times that start, one (cps*dim, dim) @ (dim, dim) product
+    written in place.
+    """
+    dim = s.dim
+    counts = [len(partials) + 1 for partials, _ in walked]
+    durations = [seg.duration for seg in s.segments]
+    edges = [0, *accumulate(counts)]
+    starts = [0.0, *accumulate(durations[:-1])]
+    times = np.repeat(starts, counts) + _local_grid(durations, counts)
+    props = np.empty((edges[-1], dim, dim), dtype=complex)
+    cum = np.eye(dim, dtype=complex)
+    for (partials, _), a, b in zip(walked, edges, edges[1:]):
+        props[a] = cum
+        np.matmul(partials.reshape(-1, dim), cum, out=props[a + 1 : b].reshape(-1, dim))
+        cum = props[b - 1]
     psi = states = None
     if initial_state is not None:
         psi, states = _evolved_states(props, initial_state)
     return Trajectory(
         schedule=s,
-        times=np.concatenate(times),
-        segment_index=np.concatenate(seg_idx).astype(int),
+        times=times,
+        segment_index=np.repeat(np.arange(len(counts)), counts),
         propagators=props,
         initial_state=psi,
         states=states,

@@ -61,6 +61,7 @@ from .fields import (
     _check_flag,
     _check_real,
     _real_fields,
+    _rotating_frame,
 )
 
 __all__ = [
@@ -105,11 +106,13 @@ def _steady_fields(dim: int, ts, corrected: bool, v: tuple, c0=-0.0) -> tuple:
 class _HalfTurn:
     """What the pulse records share: a half turn at rate omega_pi > 0,
     lasting pi/omega_pi. In block form each is a frame turning about its
-    `axis` at its own rate omega_pi: K = 0 in the loop kernel."""
+    `axis` at its own rate omega_pi: K = 0 in the loop kernel, which
+    reads its `_frame_row` (fields._rotating_frame)."""
 
     omega_pi: float
     _control_frame = None
     _frame_rate = property(lambda self: self.omega_pi)
+    _frame_row = functools.cached_property(_rotating_frame)
 
     def __post_init__(self):
         _real_fields(self, positive=True)

@@ -9,12 +9,20 @@ pulse rather than read from the records. In the package every pulse is
 a block-form record whose frame turns at its own rate, with K = 0, the
 control flip in its control's y basis (its _control_frame turns it
 back); here each is a plain operator.
+
+The module also keeps the per-segment forms of the layers the package
+now runs in one pass over all segments: the trapezoid dynamical phase,
+the comoving reference series, the trajectory, the Hamilton product and
+the quaternion packer. The package's forms must match them byte for
+byte.
 """
 import numpy as np
 
 from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y
 from tqdecho.fields import _Loop
-from tqdecho.schedule import IdleParams
+from tqdecho.phases import LABELS4, _ALIGNMENT_FLOOR, _eigvecs
+from tqdecho.propagate import Trajectory, _evolved_states
+from tqdecho.schedule import IdleParams, _HalfTurn
 
 # half-turn axes of each pulse, as the operator they turn about
 _PULSE_OPERATORS = {
@@ -79,3 +87,130 @@ def field_rows(seg, ts, corrected: bool = True) -> np.ndarray:
     """Field rows (Bx, By, Bz) of a single-qubit record at local times
     ts: twice the vector v of its one block_fields block."""
     return 2.0 * seg.block_fields(ts, corrected)[1][:, 0].T
+
+
+# ---------------------------------------------------------------------------
+# per-segment forms of the gathered layers
+# ---------------------------------------------------------------------------
+
+def block_expectation(seg, ts, psi, corrected: bool) -> np.ndarray:
+    """<psi|H|psi> of one segment's samples from its block fields, the
+    states first mapped by F^dag if the record has a `_control_frame` F."""
+    c0, (vx, vy, vz) = seg.block_fields(ts, corrected=corrected)
+    if seg._control_frame is not None:
+        psi = psi @ seg._control_frame.conj()
+    blocks = c0.shape[0]
+    a, b = psi[:, :blocks].T, psi[:, blocks:].T
+    pa, pb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+    ab = a.conj() * b
+    terms = c0 * (pa + pb) + 2.0 * (vx * ab.real + vy * ab.imag) + vz * (pa - pb)
+    return terms.sum(axis=0)
+
+
+def dynamical_phase(traj, root="root") -> float:
+    """The trapezoid dynamical phase, one segment at a time: each
+    segment's fields read and its expectation evaluated on its own."""
+    local = traj.local_times()
+    total = 0.0
+    for i, seg in enumerate(traj.schedule.segments):
+        rows = traj.segment_rows(i)
+        ts = local[rows]
+        expect = block_expectation(seg, ts, traj.states[rows], corrected=root == "full")
+        total += np.sum(0.5 * (expect[1:] + expect[:-1]) * np.diff(ts))
+    return float(-total)
+
+
+def reference_series(traj, label) -> tuple:
+    """The comoving reference series and the first misaligned loop entry,
+    one segment at a time, each pulse's rows a fresh product."""
+    sched = traj.schedule
+    dim = sched.dim
+    candidates = (0, 1) if dim == 2 else LABELS4
+    refs = np.empty((len(traj.times), dim), dtype=complex)
+    misaligned = None
+    ref_in = None
+    local = traj.local_times()
+    for i, seg in enumerate(sched.segments):
+        rows = traj.segment_rows(i)
+        if isinstance(seg, _Loop):
+            ts = local[rows]
+            if ref_in is None:
+                detected = label
+                eta = 0.0
+            else:
+                entry = _eigvecs(seg, candidates, ts[:1])[:, 0]
+                overlaps = [np.vdot(v, ref_in) for v in entry]
+                best = int(np.argmax(np.abs(overlaps)))
+                detected = candidates[best]
+                mag = abs(overlaps[best])
+                if misaligned is None and mag < _ALIGNMENT_FLOOR:
+                    misaligned = (i, seg.label, mag)
+                eta = float(np.angle(overlaps[best]))
+            refs[rows] = _eigvecs(seg, (detected,), ts)[0] * np.exp(1j * eta)
+        elif isinstance(seg, _HalfTurn):
+            u = traj.propagators[rows]
+            refs[rows] = u @ (u[0].conj().T @ ref_in)
+        else:  # idle
+            refs[rows] = ref_in
+        ref_in = refs[rows.stop - 1]
+    return refs, misaligned
+
+
+def trajectory(s, walked, initial_state) -> Trajectory:
+    """The Trajectory of schedule s from its walked segments, built one
+    segment at a time: its times, indices and propagator block each a
+    fresh array, concatenated at the end."""
+    times, seg_idx, props = [], [], []
+    cum = np.eye(s.dim, dtype=complex)
+    t0 = 0.0
+    for i, (seg, (partials, _)) in enumerate(zip(s.segments, walked)):
+        cps = len(partials)
+        times.append(t0 + seg.duration * np.arange(cps + 1) / cps)
+        seg_idx.append(np.full(cps + 1, i))
+        block = np.empty((cps + 1, s.dim, s.dim), dtype=complex)
+        block[0] = cum
+        block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
+        props.append(block)
+        cum = block[-1]
+        t0 += seg.duration
+    props = np.concatenate(props)
+    psi = states = None
+    if initial_state is not None:
+        psi, states = _evolved_states(props, initial_state)
+    return Trajectory(
+        schedule=s,
+        times=np.concatenate(times),
+        segment_index=np.concatenate(seg_idx).astype(int),
+        propagators=props,
+        initial_state=psi,
+        states=states,
+        substeps_used=tuple(n for _, n in walked),
+    )
+
+
+def hamilton(p, q) -> np.ndarray:
+    """The Hamilton product p*q of quaternion arrays, written out."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+    out[1] = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+    out[2] = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+    out[3] = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+    return out
+
+
+def pack_quaternions(q, scale, dim) -> np.ndarray:
+    """Per-block quaternions times per-block phases as (n, dim, dim)
+    matrices, each block's entries fresh complex arrays."""
+    a, b, c, d = q
+    blocks = q.shape[1]
+    out = np.zeros((q.shape[2], dim, dim), dtype=complex)
+    for j in range(blocks):
+        u = out[:, j::blocks, j::blocks]
+        u[:, 0, 0] = a[j] - 1j * d[j]
+        u[:, 0, 1] = -c[j] - 1j * b[j]
+        u[:, 1, 0] = c[j] - 1j * b[j]
+        u[:, 1, 1] = a[j] + 1j * d[j]
+        u *= scale[j, :, None, None]
+    return out

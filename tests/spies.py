@@ -1,9 +1,11 @@
-"""Spies on the schedule walk's kernels, shared by the tests that count
-how often each distinct segment is propagated."""
+"""Spies on the schedule walk's kernels and on the records' block
+fields, shared by the tests that count how often each distinct segment
+is propagated or read."""
 from dataclasses import replace
 
 import tqdecho.propagate as prop
-from tqdecho.schedule import _HalfTurn
+from tqdecho.fields import _Loop
+from tqdecho.schedule import FlipParams, IdleParams, PulseParams, _HalfTurn
 
 
 def count_handed_segments(monkeypatch) -> tuple:
@@ -44,3 +46,19 @@ def over_rotate_pulses(monkeypatch, factor: float) -> None:
         return real(segs, ts)
 
     monkeypatch.setattr(prop, "_loop_propagators", exact)
+
+
+def count_field_reads(monkeypatch) -> list:
+    """Spy on block_fields of every record class: each read appends the
+    record it read to the returned list."""
+    reads = []
+
+    def spy(real):
+        def read(self, ts, corrected=True):
+            reads.append(self)
+            return real(self, ts, corrected)
+        return read
+
+    for record in (_Loop, PulseParams, FlipParams, IdleParams):
+        monkeypatch.setattr(record, "block_fields", spy(record.block_fields))
+    return reads
