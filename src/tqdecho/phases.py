@@ -78,15 +78,14 @@ def _eigvecs(p, labels: tuple, ts: np.ndarray) -> np.ndarray:
     blocks = len(cones)
     phase = np.exp(1j * p.omega * ts)
     out = np.zeros((len(labels), ts.size, 2 * blocks), dtype=complex)
+    vec = np.empty((ts.size, 2), dtype=complex)
     for k, label in enumerate(labels):
         energy, q = (label, 0) if blocks == 1 else label
         c, s = np.cos(0.5 * cones[q]), np.sin(0.5 * cones[q])
         a, b = (c, s) if energy == 0 else (-s, c)
-        vec = np.empty((ts.size, 2), dtype=complex)
-        vec[:, 0], vec[:, 1] = a, phase * b
-        if p.orientation is not None:
-            vec = vec @ p.orientation.spin.T
-        out[k, :, q::blocks] = vec
+        vec[:, 0] = a
+        np.multiply(phase, b, out=vec[:, 1])
+        out[k, :, q::blocks] = vec if p.orientation is None else vec @ p.orientation.spin.T
     return out
 
 
@@ -311,10 +310,11 @@ def _unwrapped_overlap_phase(traj: Trajectory, label) -> np.ndarray:
             f"state does not track the labelled eigenstate (min overlap "
             f"{mag.min():.4f}); total phase against it is not defined"
         )
-    raw = np.angle(ov)
-    steps = np.diff(raw)
+    # np.angle and np.diff, as the ufuncs they call
+    raw = np.arctan2(ov.imag, ov.real)
+    steps = raw[1:] - raw[:-1]
     wrapped = np.pi - np.mod(np.pi - steps, 2.0 * np.pi)
-    if wrapped.size and not np.max(np.abs(wrapped)) <= 0.25 * np.pi:
+    if wrapped.size and not np.abs(wrapped).max() <= 0.25 * np.pi:
         raise ValueError(
             "phase steps between samples exceed pi/4; raise `samples` to "
             "unwrap the overlap phase reliably"
