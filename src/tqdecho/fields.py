@@ -50,15 +50,23 @@ _MAX_TURN = 1e12
 _REAL = (int, float, np.integer, np.floating)
 
 
-def _check_real(name: str, value, positive: bool = False) -> None:
-    """Reject bools, non-numbers and non-finite values (with `positive`,
-    also values <= 0) with a ValueError naming the parameter. The range
-    test is exact, so an integer beyond the float range is rejected too
-    (math.isfinite raised OverflowError on it)."""
-    if (isinstance(value, bool) or not isinstance(value, _REAL)
-            or not abs(value) <= sys.float_info.max or (positive and value <= 0.0)):
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """`value` as a Python float, the one form in which the package uses
+    a checked real. Rejects bools, non-numbers and non-finite values
+    (with `positive`, also values <= 0) with a ValueError naming the
+    parameter. A Python int is range-tested exactly, so one beyond the
+    float range is rejected too (float() raises OverflowError on it); any
+    other real is tested once converted, as comparing a float32 or
+    float16 with the float64 bound would cast the bound and overflow."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or (
+            isinstance(value, int) and not abs(value) <= sys.float_info.max):
+        x = math.nan
+    else:
+        x = float(value)
+    if not math.isfinite(x) or (positive and x <= 0.0):
         kind = "positive and finite" if positive else "a finite real number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return x
 
 
 def _check_flag(name: str, value) -> None:
@@ -69,11 +77,12 @@ def _check_flag(name: str, value) -> None:
 
 
 def _check_rates(**rates) -> None:
-    """Check a loop's rates: `omega` nonzero with a finite period, the
-    others positive, all finite real numbers within _MAX_RATE and
-    _MAX_TURN."""
+    """Check a loop's rates, finite Python floats already (_real_fields):
+    `omega` nonzero with a finite period, the others positive, all within
+    _MAX_RATE and _MAX_TURN."""
     for name, value in rates.items():
-        _check_real(name, value, positive=name != "omega")
+        if name != "omega" and not value > 0.0:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if name == "omega" and value == 0.0:
             raise ValueError("omega must be finite and nonzero")
         if abs(value) > _MAX_RATE:
@@ -105,16 +114,13 @@ def _float_fields(record_class: type) -> tuple:
 
 
 def _real_fields(record, positive: bool = False) -> None:
-    """Check each float field of a record with _check_real, then store it
-    as a Python float. Equal values then have one repr, which the walk's
-    dedup key repr(record) needs: under numpy 2, np.float64(1.0)
+    """Check each float field of a record with _check_real, and store the
+    Python float it returns. Equal values then have one repr, which the
+    walk's dedup key repr(record) needs: under numpy 2, np.float64(1.0)
     reprs as "np.float64(1.0)" and the integer 1 as "1", either of which
     would split a loop from its equal twin built with 1.0."""
     for name in _float_fields(type(record)):
-        value = getattr(record, name)
-        _check_real(name, value, positive)
-        if type(value) is not float:
-            object.__setattr__(record, name, float(value))
+        object.__setattr__(record, name, _check_real(name, getattr(record, name), positive))
 
 
 def _berry_corrected(transverse: float, bz: float, omega: float) -> tuple:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ExpLoopParams, LoopParams, TwoQubitParams, _check_real
+from .fields import ExpLoopParams, LoopParams, TwoQubitParams, _check_real, _real_fields
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
 from .propagate import StepPolicy, _final_propagators
 from .qcore import SIGMA_X, SIGMA_Z, gate_distance, wrap_angle
@@ -48,14 +48,14 @@ __all__ = [
 class SingleGateSpec:
     """Target rotation exp(-i * gate_angle * (n . sigma)) with axis
     n = (sin(axis_angle), 0, cos(axis_angle)) in the xz plane. Both
-    angles must be finite real numbers."""
+    angles must be finite real numbers; they are stored as Python
+    floats."""
 
     axis_angle: float
     gate_angle: float
 
     def __post_init__(self):
-        _check_real("axis_angle", self.axis_angle)
-        _check_real("gate_angle", self.gate_angle)
+        _real_fields(self)
 
 
 def _rotations(axis_angle, gate_angle) -> np.ndarray:
@@ -118,7 +118,7 @@ def synthesize_single_gate(
     policy None propagates exactly; StepPolicy(substeps=N) runs the
     Magnus oracle.
     """
-    _check_real("omega", omega)
+    omega = _check_real("omega", omega)
     omega_total = spec.gate_angle
     if not (0.0 < omega_total < 4.0 * np.pi):
         raise ValueError("gate_angle must lie in the open interval (0, 4*pi)")
@@ -299,9 +299,11 @@ def verify_exp_equivalence(
     period * x_k of the one-dimensional golden-ratio lattice x_k
     (_lattice).
     field_draws must be at least 1: with no draws the field check would
-    pass vacuously, and it must be an integer.
+    pass vacuously, and it must be an integer. p must be a TwoQubitParams
+    proper: an ExpLoopParams would compare the exp echo with itself.
     """
     _check_count("field_draws", field_draws, 1)
+    cond = build_two_qubit_sequence(p)
     k = np.arange(1, field_draws + 1)
     orientation = k % 2
     control = (k // 2) % 2
@@ -319,7 +321,7 @@ def verify_exp_equivalence(
         worst = max(worst, float(np.max(dev, initial=0.0)))
 
     (u_cond, _), (u_exp, _) = _final_propagators(
-        [build_two_qubit_sequence(p), build_exp_two_qubit_sequence(p)], policy
+        [cond, build_exp_two_qubit_sequence(p)], policy
     )
     return ExpEquivalenceReport(
         params=p,

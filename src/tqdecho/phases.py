@@ -94,10 +94,10 @@ def _eigvecs_at(p, dim: int, labels: tuple, t) -> np.ndarray:
     labels _label_key accepts at that dim, at the one local time t:
     shape (len(labels), dim)."""
     labels = tuple(_label_key(dim, label) for label in labels)
-    _check_real("t", t)
+    t = _check_real("t", t)
     if p.dim != dim:
         raise ValueError(f"expected a loop record of dimension {dim}, got {p!r}")
-    return _eigvecs(p, labels, np.array([float(t)]))[:, 0]
+    return _eigvecs(p, labels, np.array([t]))[:, 0]
 
 
 def loop_eigenvector(p: LoopParams, label: int, t: float) -> np.ndarray:
@@ -120,13 +120,14 @@ def _is_bit(x) -> bool:
 
 def _label_key(dim: int, label):
     """The one label rule: an int 0 or 1 for one qubit, a pair (p, q) of
-    them for two. Returns the label as a memo key, a pair as a tuple."""
+    them for two. Returns the label as a memo key of Python ints, a pair
+    as a tuple, so a numpy integer label serializes like any other."""
     if dim == 2 and not _is_bit(label):
         raise ValueError("single-qubit label must be an int, 0 or 1")
     pair = isinstance(label, (tuple, list)) and len(label) == 2 and all(map(_is_bit, label))
     if dim == 4 and not pair:
         raise ValueError("two-qubit label must be a pair from {0,1} x {0,1}")
-    return label if dim == 2 else tuple(label)
+    return int(label) if dim == 2 else tuple(map(int, label))
 
 
 def _checked_label(sched: SegmentSchedule, label):

@@ -60,7 +60,8 @@ elementwise operation, one Hamilton product into one preallocated output
 and one packer call; the oracle multiplies all the loops' Magnus steps
 in one product tree. A trajectory fills one preallocated propagator
 array, each segment's rows by one product written in place, and takes
-its sample times and segment index from one per-segment table. Each
+its sample times, segment index, row slices and local times from one
+per-segment table. Each
 entry is the same whatever is stacked beside it, and the association
 order of every product is fixed, so a schedule's propagators have the
 same bytes in any batch and on every rerun; the tests keep the
@@ -316,12 +317,13 @@ class Trajectory:
     substeps_used: per segment, the substeps the schedule walk reports
         (0 for an exact loop).
 
-    Construction tabulates each segment's row slice and the samples'
-    local times once, each from its segment's own grid duration*k/cps
-    (cps + 1 rows, k = 0..cps), so a long segment before a loop costs
-    the loop no time resolution. `phases` keeps its comoving overlap
-    series per label in `_overlaps`, which starts empty on every new
-    trajectory (with_initial_state and dataclasses.replace included).
+    The builder hands each trajectory its per-segment table: the row
+    slices `_rows` and the read-only local times `_local`, each segment
+    on its own grid duration*k/cps (cps + 1 rows, k = 0..cps), so a long
+    segment before a loop costs the loop no time resolution.
+    dataclasses.replace, and so with_initial_state, carries the table
+    over, while the comoving overlap series that `phases` keeps per
+    label in `_overlaps` starts empty on every new trajectory.
     """
 
     schedule: SegmentSchedule
@@ -331,18 +333,9 @@ class Trajectory:
     initial_state: np.ndarray | None = None
     states: np.ndarray | None = None
     substeps_used: tuple = ()
-    _rows: tuple = field(init=False, repr=False, compare=False)
-    _local: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(kw_only=True, repr=False, compare=False)
+    _local: np.ndarray = field(kw_only=True, repr=False, compare=False)
     _overlaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        segments = self.schedule.segments
-        bounds = np.searchsorted(self.segment_index, np.arange(len(segments) + 1)).tolist()
-        object.__setattr__(self, "_rows", tuple(map(slice, bounds[:-1], bounds[1:])))
-        counts = [b - a for a, b in zip(bounds, bounds[1:])]
-        local = _local_grid([seg.duration for seg in segments], counts)
-        local.setflags(write=False)
-        object.__setattr__(self, "_local", local)
 
     @property
     def final_propagator(self) -> np.ndarray:
@@ -464,7 +457,8 @@ def _trajectory(s: SegmentSchedule, walked: list, initial_state) -> Trajectory:
     """The Trajectory of schedule s from its walked segments.
 
     One table of the segments' row counts and durations gives every
-    sample time and segment index (_local_grid). The propagators fill one
+    sample time and segment index and the trajectory's own table of row
+    slices and local times (_local_grid). The propagators fill one
     preallocated array: each segment's rows are its start, then its
     partials times that start, one (cps*dim, dim) @ (dim, dim) product
     written in place.
@@ -474,7 +468,9 @@ def _trajectory(s: SegmentSchedule, walked: list, initial_state) -> Trajectory:
     durations = [seg.duration for seg in s.segments]
     edges = [0, *accumulate(counts)]
     starts = [0.0, *accumulate(durations[:-1])]
-    times = np.repeat(starts, counts) + _local_grid(durations, counts)
+    local = _local_grid(durations, counts)
+    local.setflags(write=False)
+    times = np.repeat(starts, counts) + local
     props = np.empty((edges[-1], dim, dim), dtype=complex)
     cum = np.eye(dim, dtype=complex)
     for (partials, _), a, b in zip(walked, edges, edges[1:]):
@@ -492,6 +488,8 @@ def _trajectory(s: SegmentSchedule, walked: list, initial_state) -> Trajectory:
         initial_state=psi,
         states=states,
         substeps_used=tuple(n for _, n in walked),
+        _rows=tuple(map(slice, edges[:-1], edges[1:])),
+        _local=local,
     )
 
 

@@ -283,8 +283,11 @@ def build_two_qubit_sequence(p: TwoQubitParams, omega_pi: float | None = None) -
 
     pi-I is a y half turn on the driven qubit; pi-II is the combined
     control flip (see FlipParams), both at rate omega_pi, 50*|omega|
-    by default.
+    by default. p must be a TwoQubitParams proper: an ExpLoopParams
+    would build the static-coupling echo under this name.
     """
+    if type(p) is not TwoQubitParams:
+        raise ValueError(f"p must be a TwoQubitParams, the conditional loop record, got {p!r}")
     return _two_qubit_echo(p, _pulse_rate(p, omega_pi))
 
 
@@ -306,7 +309,7 @@ def rotate_schedule(s: SegmentSchedule, angle: float) -> SegmentSchedule:
     """
     if s.dim != 2:
         raise ValueError("rotate_schedule is defined for single-qubit schedules")
-    _check_real("angle", angle)
+    angle = _check_real("angle", angle)
     return SegmentSchedule(tuple(
         dataclasses.replace(seg, rotation=seg.rotation + angle) if isinstance(seg, _Loop) else seg
         for seg in s.segments

@@ -158,22 +158,29 @@ def reference_series(traj, label) -> tuple:
 
 def trajectory(s, walked, initial_state) -> Trajectory:
     """The Trajectory of schedule s from its walked segments, built one
-    segment at a time: its times, indices and propagator block each a
-    fresh array, concatenated at the end."""
-    times, seg_idx, props = [], [], []
+    segment at a time: its local times, times, indices and propagator
+    block each a fresh array, concatenated at the end, and its row slices
+    counted off as it goes."""
+    local, times, seg_idx, props, rows = [], [], [], [], []
     cum = np.eye(s.dim, dtype=complex)
-    t0 = 0.0
+    t0, row0 = 0.0, 0
     for i, (seg, (partials, _)) in enumerate(zip(s.segments, walked)):
         cps = len(partials)
-        times.append(t0 + seg.duration * np.arange(cps + 1) / cps)
+        grid = seg.duration * np.arange(cps + 1) / cps
+        local.append(grid)
+        times.append(t0 + grid)
         seg_idx.append(np.full(cps + 1, i))
+        rows.append(slice(row0, row0 + cps + 1))
         block = np.empty((cps + 1, s.dim, s.dim), dtype=complex)
         block[0] = cum
         block[1:] = (partials.reshape(-1, s.dim) @ cum).reshape(partials.shape)
         props.append(block)
         cum = block[-1]
         t0 += seg.duration
+        row0 += cps + 1
     props = np.concatenate(props)
+    local = np.concatenate(local)
+    local.setflags(write=False)
     psi = states = None
     if initial_state is not None:
         psi, states = _evolved_states(props, initial_state)
@@ -185,6 +192,8 @@ def trajectory(s, walked, initial_state) -> Trajectory:
         initial_state=psi,
         states=states,
         substeps_used=tuple(n for _, n in walked),
+        _rows=tuple(rows),
+        _local=local,
     )
 
 

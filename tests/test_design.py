@@ -146,6 +146,14 @@ def test_no_option_without_a_caller():
         IdleParams(2, 0.0)
 
 
+def test_one_segment_table_per_trajectory():
+    # the builder hands a trajectory its row slices and local times, and
+    # dataclasses.replace carries them over; nothing derives them again
+    # from the segment index
+    assert "__post_init__" not in vars(tqdecho.Trajectory)
+    assert _hits(r"searchsorted", ("propagate.py",)) == []
+
+
 def test_lattice_check_points_only_in_the_package():
     # the package draws no random numbers; check points come from a
     # deterministic lattice (gates._lattice)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho import gates, propagate
-from tqdecho.fields import LoopParams, TwoQubitParams
+from tqdecho.fields import ExpLoopParams, LoopParams, TwoQubitParams
 from tqdecho.gates import (
     SingleGateSpec,
     closed_form_echo_gate,
@@ -98,6 +98,21 @@ def test_single_gate_spec_takes_finite_real_angles(name, value):
     angles = {"axis_angle": 0.3, "gate_angle": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
         SingleGateSpec(**angles)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16], ids=lambda d: d.__name__)
+def test_narrow_numpy_angles_synthesize_in_float64(dtype):
+    # a float32 spec warned on its range test, kept its float32 angles and
+    # computed the cone angle in float32, 4e-8 rad off, which the
+    # second-order gate distance let pass at 1.6e-14
+    narrow = SingleGateSpec(dtype(1.2), dtype(2.3))
+    spec = SingleGateSpec(float(dtype(1.2)), float(dtype(2.3)))
+    assert repr(narrow) == repr(spec) and type(narrow.gate_angle) is float
+    got = synthesize_single_gate(narrow, omega=dtype(0.7))
+    want = synthesize_single_gate(spec, omega=float(dtype(0.7)))
+    assert got.cone_angle.hex() == want.cone_angle.hex()
+    assert got.rotation.hex() == want.rotation.hex()
+    assert got.realized.tobytes() == want.realized.tobytes()
 
 
 @pytest.mark.parametrize("omega", [True, np.array(1.0), "1", None, [1.0], np.nan], ids=repr)
@@ -254,6 +269,21 @@ def test_exp_equivalence_rejects_no_field_draws(draws):
     # no draws would report a field deviation of 0.0: a vacuous pass
     with pytest.raises(ValueError, match="field_draws must be >= 1"):
         verify_exp_equivalence(P2, field_draws=draws)
+
+
+def test_exp_records_are_refused_as_the_conditional_loop(monkeypatch):
+    # an exp record built the exp echo as the conditional one, so the
+    # check compared that echo with itself and read 0.0 at both levels
+    exp = ExpLoopParams(P2.omega_i, P2.coupling, P2.omega)
+    with pytest.raises(ValueError, match="^p must be a TwoQubitParams"):
+        build_two_qubit_sequence(exp)
+
+    def no_draws(*args):
+        raise AssertionError("field draws before the record check")
+
+    monkeypatch.setattr(gates, "_lattice", no_draws)
+    with pytest.raises(ValueError, match="^p must be a TwoQubitParams"):
+        verify_exp_equivalence(exp)
 
 
 # one full propagator per distinct segment ---------------------------------------

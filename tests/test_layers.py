@@ -85,6 +85,30 @@ def test_gathered_layers_keep_the_per_segment_bytes(name, policy, samples):
         assert dynamical_phase(traj, root).hex() == dense.dynamical_phase(traj, root).hex(), root
 
 
+@pytest.mark.parametrize("samples", [2, 3, 257])
+@pytest.mark.parametrize("name", ["gapped", "turned", "two-qubit"])
+def test_replace_keeps_the_segment_table(name, samples):
+    # the builder hands each trajectory its row slices and local times; a
+    # new state or new propagators keep that table, which is the one the
+    # per-segment reference builds
+    sched, label = {
+        "gapped": (gapped_echo(LoopParams(1.0, 0.5), (0.3, 0.0, 0.2)), 0),
+        "turned": (rotate_schedule(build_echo_sequence(LoopParams(1.2, -0.7)), 0.4), 1),
+        "two-qubit": (build_two_qubit_sequence(TwoQubitParams(1.0, 1.0, 0.5)), (0, 1)),
+    }[name]
+    traj = evolve_eigenstate(sched, label, samples=samples)
+    want = dense.trajectory(sched, _segment_propagators([sched], None, samples)[0], None)
+    rows = [traj.segment_rows(i) for i in range(len(sched.segments))]
+    local = traj.local_times().tobytes()
+    assert rows == [want.segment_rows(i) for i in range(len(sched.segments))]
+    assert local == want.local_times().tobytes()
+    for other in (traj.with_initial_state(np.eye(sched.dim)[-1]),
+                  replace(traj, propagators=traj.propagators.copy())):
+        assert [other.segment_rows(i) for i in range(len(sched.segments))] == rows
+        assert other.local_times().tobytes() == local
+        assert not other.local_times().flags.writeable
+
+
 def test_quaternion_kernels_keep_the_written_out_bytes():
     # signed zeros and infinities as well as generic values: the packer
     # forms each entry as the complex expression a - 1j*d does

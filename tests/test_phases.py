@@ -1,5 +1,6 @@
 """Phase decomposition: eigenvector gauges, dynamical and geometric parts,
 echo cancellation, two-qubit conditional phases."""
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -503,6 +504,22 @@ def test_two_qubit_labels_share_one_reference_build(monkeypatch):
     tracking_fidelity(traj, (0, 1))
     echo_phase_decomposition(traj, [0, 1])  # a list names the same label
     assert calls == [(0, 1)]
+
+
+@pytest.mark.parametrize("label", [np.int64(1), (np.int64(0), np.uint8(1))], ids=repr)
+def test_numpy_integer_labels_are_stored_as_python_ints(label, monkeypatch):
+    # a numpy label reached PhaseDecomposition unchanged, and json.dumps
+    # of its to_dict() raised "Object of type int64 is not JSON serializable"
+    calls = _count_reference_builds(monkeypatch)
+    sched = build_echo_sequence(P) if np.ndim(label) == 0 else build_two_qubit_sequence(P2)
+    traj = evolve_eigenstate(sched, label, samples=64)
+    dec = echo_phase_decomposition(traj, label)
+    plain = int(label) if np.ndim(label) == 0 else tuple(map(int, label))
+    assert json.loads(json.dumps(dec.to_dict()))["label"] == json.loads(json.dumps(plain))
+    tracking_fidelity(traj, plain)
+    assert calls == [plain]
+    for key in (dec.label, calls[0]):
+        assert all(type(k) is int for k in (key if isinstance(key, tuple) else (key,)))
 
 
 def _bad_control_pulse_trajectory():

@@ -265,14 +265,14 @@ def test_initial_state_with_a_non_finite_norm_is_rejected(bad):
 def test_evolve_eigenstate_builds_one_trajectory(monkeypatch):
     import tqdecho.propagate as prop
 
-    real = prop.Trajectory.__post_init__
+    real = prop.Trajectory.__init__
     calls = []
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         calls.append(self)
-        real(self)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(prop.Trajectory, "__post_init__", counting)
+    monkeypatch.setattr(prop.Trajectory, "__init__", counting)
     traj = evolve_eigenstate(build_echo_sequence(P), 0)
     assert len(calls) == 1 and calls[0] is traj
     with pytest.raises(ValueError, match="normalized"):

@@ -71,6 +71,22 @@ def test_segment_rejects_missing_param():
                 record(**rest)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16], ids=lambda d: d.__name__)
+def test_narrow_numpy_floats_are_used_as_python_floats(dtype):
+    # the range test cast its float64 bound to float32 or float16 and
+    # warned "overflow encountered in cast", and a turn by a float32 angle
+    # was added in float32 (3.6e-8 rad off)
+    for record, values in RECORD_FIELDS:
+        scaled = {k: 1.1 * v if type(v) is float else v for k, v in values.items()}
+        got = record(**{k: dtype(v) if type(v) is float else v for k, v in scaled.items()})
+        want = record(**{k: float(dtype(v)) if type(v) is float else v for k, v in scaled.items()})
+        assert repr(got) == repr(want)
+        assert all(type(getattr(got, f.name)) is type(values[f.name]) for f in fields(record))
+    echo = build_echo_sequence(replace(P, rotation=0.4))
+    got, want = rotate_schedule(echo, dtype(0.3)), rotate_schedule(echo, float(dtype(0.3)))
+    assert repr(got.segments) == repr(want.segments)
+
+
 @pytest.mark.parametrize(
     "seg, kind, label",
     [

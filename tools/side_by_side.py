@@ -31,10 +31,14 @@ properties are paid inside every timed pass that reads them. The rows:
   comoving reference series and the dynamical phase of a fresh
   trajectory);
 * magnus: the walk of the 14 echoes under StepPolicy(substeps=256) at
-  16 checkpoints per loop, the oracle path of acceptance criterion 8.
+  16 checkpoints per loop, the oracle path of acceptance criterion 8;
+* re-attach: with_initial_state of the label-1 eigenstate on each of
+  the 14 echoes' fresh trajectories, as acceptance criteria 1-3 move a
+  loop's trajectory to its second label.
 
-The rows call the package's private layer functions by name, so both
-trees must have them with their present signatures. `. .` times the
+The layer rows call the package's private layer functions by name, so
+both trees must have them with their present signatures; the echo op,
+gate op and re-attach rows read public names only. `. .` times the
 tree against itself, which reads ratios near 1.
 """
 from __future__ import annotations
@@ -142,6 +146,14 @@ def _row_magnus(tq):
     return [lambda s=_echo(tq, inp): walk([s], policy, ORACLE_CHECKPOINTS) for inp in ECHOES]
 
 
+def _row_reattach(tq):
+    calls = []
+    for traj, _ in _fresh_trajectories(tq):
+        psi = tq.evolve_eigenstate(traj.schedule, 1, samples=2).initial_state
+        calls.append(lambda t=traj, psi=psi: t.with_initial_state(psi))
+    return calls
+
+
 ROWS = {
     "echo op": _row_echo_op,
     "gate op": _row_gate_op,
@@ -150,6 +162,7 @@ ROWS = {
     "reference": _row_reference,
     "dynamical phase": _row_dynamical_phase,
     "magnus": _row_magnus,
+    "re-attach": _row_reattach,
 }
 
 
