@@ -3,7 +3,9 @@
 Splits the total phase acquired by a tracked eigenstate into its
 dynamical and geometric parts and compares both against closed forms:
 dynamical -(1-2p) * omega0 T / 2, geometric (2p-1) * pi * (1 - cos theta)
-up to whole turns. Reversing the traversal flips the geometric part only.
+up to whole turns: the geometric part is read in (-pi, pi], and the
+dynamical part carries the whole turns. Reversing the traversal flips
+the geometric part only, modulo 2 pi (at theta = pi/2 it is pi either way).
 """
 import numpy as np
 

@@ -29,7 +29,9 @@ sched = build_echo_sequence(p)
 traj = evolve_eigenstate(sched, 0, pol, samples=256)
 dec = echo_phase_decomposition(traj, 0)
 print(f"residual dynamical phase {dec.dynamical:+.2e} (cancels exactly)")
-print(f"geometric survivor       {dec.geometric:+.6f}")
+# the survivor is 2 pi cos(theta) = pi here, which is -pi modulo 2 pi
+print(f"geometric survivor       {dec.geometric:+.6f} (closed form {dec.expected_geometric:+.6f})")
+print(f"|survivor - closed form| mod 2pi {dec.geometric_deviation:.2e}")
 dist = gate_distance(traj.final_propagator, closed_form_echo_gate(p))
 print(f"distance to closed-form echo gate {dist:.2e}")
 

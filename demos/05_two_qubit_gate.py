@@ -19,6 +19,7 @@ from tqdecho import (
     gate_distance,
     propagate_schedule,
     synthesize_two_qubit_gate,
+    wrap_angle,
 )
 from tqdecho.phases import eigenbasis_matrix
 from tqdecho.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -111,9 +112,10 @@ if __name__ == "__main__":
     for p_lbl, q_lbl in ((0, 0), (1, 0), (0, 1), (1, 1)):
         traj = evolve_eigenstate(sched, (p_lbl, q_lbl), pol, samples=256)
         dec = echo_phase_decomposition(traj, (p_lbl, q_lbl))
+        expected = (1 if (p_lbl + q_lbl) % 2 == 0 else -1) * 2 * delta_omega(p)
         print(
             f"  (p,q)=({p_lbl},{q_lbl})  total={dec.total:+10.6f}"
-            f"  expected={(1 if (p_lbl + q_lbl) % 2 == 0 else -1) * 2 * delta_omega(p):+10.6f}"
+            f"  |total - expected| mod 2pi = {abs(wrap_angle(dec.total - expected)):.1e}"
             f"  residual dyn={dec.dynamical:+.1e}"
         )
 

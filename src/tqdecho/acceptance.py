@@ -204,7 +204,7 @@ def criterion_2():
         for label, t in _both_labels(p, traj):
             dec = loop_phase_decomposition(t, label)
             worst = max(worst, dec.geometric_deviation)
-    return [Check("geometric_phase_deviation_mod_2pi", worst, 1e-11)], _EXACT
+    return [Check("geometric_phase_deviation_mod_2pi", worst, 1e-13)], _EXACT
 
 
 @_criterion(3, "correction leaves dynamical phase alone")
@@ -221,7 +221,7 @@ def criterion_3():
         worst = max(worst, abs(d_full - d_root))
     checks = [
         Check("dynamical_phase_shift_from_correction", worst, 1e-12),
-        Check("correction_diagonal_energy", correction_energy_check(p), 1e-10),
+        Check("correction_diagonal_energy", correction_energy_check(p), 1e-13),
     ]
     return checks, _EXACT
 

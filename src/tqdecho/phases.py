@@ -14,15 +14,19 @@ exponential is computed here.
 
 The overlap series <ref(t)|psi(t)> is built once per trajectory and label
 and shared by every function here: tracking fidelity is its squared
-magnitude, and total phase is its unwrapped argument accumulated over the
-schedule. The dynamical part is minus the time integral of the
-uncorrected-generator expectation; the geometric part is their difference.
-The trapezoid rule over the samples integrates it exactly to rounding
-only where the integrand is constant on a segment: on a loop tracking an
-eigenstate (its eigenenergy) and on a pulse (which conserves its own
-expectation). Elsewhere it converges as samples^-2: on an uncorrected
-loop at theta = pi/4, omega = 0.3, omega0 = 1 it is off by 1.5e-5 at 256
-samples and 9.4e-7 at 1024 (ROADMAP item 12 states a closed form).
+magnitude. The dynamical phase is minus the time integral of the
+uncorrected-generator expectation and carries the whole turns; the
+geometric phase is the overlap's turn between the schedule's ends,
+arg(ov[-1] conj(ov[0])), less it, wrapped to (-pi, pi] (Aharonov and
+Anandan's cyclic phase); the total is their sum. No sample between the
+ends is unwrapped, so the phases hold at any sample count where the
+integral is exact. The trapezoid rule over the samples integrates it
+exactly to rounding only where the integrand is constant on a segment:
+on a loop tracking an eigenstate (its eigenenergy) and on a pulse (which
+conserves its own expectation). Elsewhere it converges as samples^-2:
+on an uncorrected loop at theta = pi/4, omega = 0.3, omega0 = 1 it is
+off by 1.5e-5 at 256 samples and 9.4e-7 at 1024 (ROADMAP item 12 states
+a closed form).
 Every expectation is read from the record's real 2x2 block fields
 (_Loop.block_fields; a pulse is a frame turn at its own rate, with
 K = 0), the control flip's in its control's y basis, so no dense
@@ -302,44 +306,37 @@ def dynamical_phase(traj: Trajectory, root="root") -> float:
     return float(-total)
 
 
-def _unwrapped_overlap_phase(traj: Trajectory, label) -> np.ndarray:
+def total_phase(traj: Trajectory, label) -> float:
+    """Dynamical plus geometric phase against the comoving reference."""
+    return _phases(traj, label)[0]
+
+
+def _phases(traj: Trajectory, label) -> tuple:
+    """(total, dynamical, geometric) for `label`, read at the schedule's
+    ends (module docstring)."""
+    if traj.states is None:
+        raise ValueError("attach an initial state before computing phases")
     ov = _overlap(traj, label, strict=True)
     mag = np.abs(ov)
-    # both tests are written so that a NaN fails them
+    # written so that a NaN fails it
     if not mag.min() >= 0.99:
         raise ValueError(
             f"state does not track the labelled eigenstate (min overlap "
             f"{mag.min():.4f}); total phase against it is not defined"
         )
-    # np.angle and np.diff, as the ufuncs they call
-    raw = np.arctan2(ov.imag, ov.real)
-    steps = raw[1:] - raw[:-1]
-    wrapped = np.pi - np.mod(np.pi - steps, 2.0 * np.pi)
-    if wrapped.size and not np.abs(wrapped).max() <= 0.25 * np.pi:
-        raise ValueError(
-            "phase steps between samples exceed pi/4; raise `samples` to "
-            "unwrap the overlap phase reliably"
-        )
-    out = np.empty_like(raw)
-    out[0] = raw[0]
-    out[1:] = raw[0] + np.cumsum(wrapped)
-    return out
-
-
-def total_phase(traj: Trajectory, label) -> float:
-    """Unwrapped overlap phase accumulated against the comoving reference."""
-    if traj.states is None:
-        raise ValueError("attach an initial state before computing phases")
-    f = _unwrapped_overlap_phase(traj, label)
-    return float(f[-1] - f[0])
+    turn = np.angle(ov[-1] * ov[0].conj())
+    dyn = dynamical_phase(traj)
+    geo = wrap_angle(turn - dyn)
+    return dyn + geo, dyn, geo
 
 
 @dataclass(frozen=True)
 class PhaseDecomposition:
     """total = dynamical + geometric, with closed-form targets.
 
-    Geometric parts are angles and are compared modulo 2*pi; dynamical
-    parts are genuine integrals and are compared as-is.
+    Geometric parts are angles in (-pi, pi] and are compared modulo 2*pi;
+    dynamical parts are genuine integrals, carry the total's whole turns
+    and are compared as-is.
     """
 
     label: object
@@ -418,12 +415,11 @@ def echo_phase_decomposition(traj: Trajectory, label) -> PhaseDecomposition:
 
 
 def _decomposition(traj, label, expected_geo, expected_dyn) -> PhaseDecomposition:
-    """The trajectory's total phase for `label`, split into its dynamical
-    phase and the geometric rest, beside their closed-form values."""
-    total, dyn = total_phase(traj, label), dynamical_phase(traj)
-    return PhaseDecomposition(
-        label, total, dyn, total - dyn, float(expected_geo), float(expected_dyn)
-    )
+    """The trajectory's phases for `label` (_phases): its dynamical phase,
+    the geometric rest in (-pi, pi] and their sum, the total, beside their
+    closed-form values."""
+    total, dyn, geo = _phases(traj, label)
+    return PhaseDecomposition(label, total, dyn, geo, float(expected_geo), float(expected_dyn))
 
 
 def correction_energy_check(p: LoopParams) -> float:
@@ -431,6 +427,8 @@ def correction_energy_check(p: LoopParams) -> float:
     period, for both labels, with H_correction the corrected minus the
     root generator. The correction never shifts the tracked level's
     energy, so this should vanish to rounding."""
+    if not isinstance(p, LoopParams):
+        raise ValueError(f"expects a LoopParams, got {p!r}")
     ts = np.linspace(0.0, p.period, 128)
     v = p.block_fields(ts)[1] - p.block_fields(ts, corrected=False)[1]
     hc = np.einsum("kn,kij->nij", v[:, 0], PAULI)

@@ -97,14 +97,40 @@ def test_evolve_fails_at_coarse_resolution(tmp_path):
     assert "substeps" not in summary["params"]  # the flag is no config key
 
 
+@pytest.mark.parametrize("omega", [0.007, 0.003])
+@pytest.mark.parametrize("kind", ["echo", "evolve"])
+def test_slow_loops_decompose(tmp_path, kind, omega):
+    # at 256 samples these slow loops turn more than pi/4 between samples;
+    # the phase unwrap that read every sample raised there, and the run
+    # exited 1 without phases.json
+    cfg = write_config(
+        tmp_path, "c.json", {"kind": kind, "theta": np.pi / 4, "omega": omega, "omega0": 1.0}
+    )
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [c["name"] for c in summary["checks"] if not c["passed"]] == []
+    assert "phases.json" in summary["artifacts"]
+    assert "error" not in summary["notes"]
+    phases = json.loads((out / "phases.json").read_text())
+    assert phases["geometric_deviation"] <= 1e-6
+
+
 @pytest.mark.parametrize(
     "kind, omega, passing",
     [("echo", 0.007, "echo_gate_distance"), ("evolve", 0.003, "tracking_infidelity")],
 )
-def test_a_raising_phase_decomposition_is_a_failed_check(tmp_path, kind, omega, passing):
-    # at 256 samples these slow loops turn more than pi/4 between
-    # samples, so the phase unwrap raises; the run exited 2, as for a bad
+def test_a_raising_phase_decomposition_is_a_failed_check(
+    tmp_path, monkeypatch, kind, omega, passing
+):
+    # no built echo or loop raises any more, so the decomposition the CLI
+    # imported raises in its place; such a run exited 2, as for a bad
     # config, and wrote no summary.json
+    def raising(traj, label):
+        raise ValueError("state does not track the labelled eigenstate")
+
+    name = "echo_phase_decomposition" if kind == "echo" else "loop_phase_decomposition"
+    monkeypatch.setattr(tqdecho.cli, name, raising)
     cfg = write_config(
         tmp_path, "c.json", {"kind": kind, "theta": np.pi / 4, "omega": omega, "omega0": 1.0}
     )
@@ -117,7 +143,7 @@ def test_a_raising_phase_decomposition_is_a_failed_check(tmp_path, kind, omega, 
         "name": "phase_decomposition_raised", "value": 1.0, "bound": 0.5, "passed": False
     }
     assert kept["name"] == passing and kept["passed"] is True
-    assert summary["notes"]["error"].startswith("ValueError: phase steps between samples")
+    assert summary["notes"]["error"] == "ValueError: state does not track the labelled eigenstate"
     assert "phases.json" not in summary["artifacts"]
     assert not (out / "phases.json").exists()
 

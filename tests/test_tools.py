@@ -5,8 +5,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ("echo op", "gate op", "walk", "trajectory", "reference", "dynamical phase", "magnus",
-        "re-attach")
+ROWS = ("echo op", "gate op", "walk", "trajectory", "reference", "dynamical phase",
+        "decomposition", "magnus", "re-attach")
 
 
 def _side_by_side(*args) -> subprocess.CompletedProcess:

@@ -30,6 +30,10 @@ properties are paid inside every timed pass that reads them. The rows:
   trajectory from the walked segments with the eigenstate attached, the
   comoving reference series and the dynamical phase of a fresh
   trajectory);
+* decomposition: echo_phase_decomposition of the 14 echoes' fresh
+  trajectories, which builds the comoving reference series, reads the
+  overlap's turn between the schedule's ends and integrates the
+  dynamical phase;
 * magnus: the walk of the 14 echoes under StepPolicy(substeps=256) at
   16 checkpoints per loop, the oracle path of acceptance criterion 8;
 * re-attach: with_initial_state of the label-1 eigenstate on each of
@@ -38,8 +42,8 @@ properties are paid inside every timed pass that reads them. The rows:
 
 The layer rows call the package's private layer functions by name, so
 both trees must have them with their present signatures; the echo op,
-gate op and re-attach rows read public names only. `. .` times the
-tree against itself, which reads ratios near 1.
+gate op, decomposition and re-attach rows read public names only.
+`. .` times the tree against itself, which reads ratios near 1.
 """
 from __future__ import annotations
 
@@ -141,6 +145,11 @@ def _row_dynamical_phase(tq):
     return [lambda t=traj: tq.dynamical_phase(t) for traj, _ in _fresh_trajectories(tq)]
 
 
+def _row_decomposition(tq):
+    decompose = tq.echo_phase_decomposition
+    return [lambda t=traj, k=label: decompose(t, k) for traj, label in _fresh_trajectories(tq)]
+
+
 def _row_magnus(tq):
     walk, policy = tq.propagate._segment_propagators, tq.StepPolicy(substeps=ORACLE_SUBSTEPS)
     return [lambda s=_echo(tq, inp): walk([s], policy, ORACLE_CHECKPOINTS) for inp in ECHOES]
@@ -161,6 +170,7 @@ ROWS = {
     "trajectory": _row_trajectory,
     "reference": _row_reference,
     "dynamical phase": _row_dynamical_phase,
+    "decomposition": _row_decomposition,
     "magnus": _row_magnus,
     "re-attach": _row_reattach,
 }
