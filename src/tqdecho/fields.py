@@ -150,18 +150,19 @@ def _period_unit(omega: float) -> float:
 
 def _rotating_frame(record) -> np.ndarray:
     """The rotating-frame row of a block-form record (a loop or a pulse),
-    read from its block_fields at t = 0, as the exact propagator's table
-    holds it: the period unit s of its `_frame_rate` omega, omega/2, its
-    `axis` n, then per block c0, |w| and w = s*(v(0) - omega*n/2), the
-    x components of w first, block by block, then y, then z. Read-only:
-    the record caches it as `_frame_row`. The few values are Python
-    floats, each operation rounded once as numpy rounds it."""
-    c0, v = record.block_fields(0.0)
+    stated from its block at wt = 0 (its `_frame_block()`, the values of
+    block_fields(0.0)), as the exact propagator's table holds it: the
+    period unit s of its `_frame_rate` omega, omega/2, its `axis` n, then
+    per block c0, |w| and w = s*(v(0) - omega*n/2), the x components of
+    w first, block by block, then y, then z. Read-only: the record caches
+    it as `_frame_row`. The few values are Python floats, each operation
+    rounded once as numpy rounds it."""
+    c0, v = record._frame_block()
     rate, axis = record._frame_rate, record.axis
     scale, half = _period_unit(rate), 0.5 * rate
-    x, y, z = ([scale * (vj - half * n) for vj in comp] for comp, n in zip(v[..., 0].tolist(), axis))
+    x, y, z = ([scale * (vj - half * n) for vj in comp] for comp, n in zip(v, axis))
     r = [math.sqrt(wx * wx + wy * wy + wz * wz) for wx, wy, wz in zip(x, y, z)]
-    row = np.array([scale, half, *axis, *c0[:, 0].tolist(), *r, *x, *y, *z])
+    row = np.array([scale, half, *axis, *c0, *r, *x, *y, *z])
     row.flags.writeable = False
     return row
 
@@ -177,8 +178,10 @@ class _Loop:
     frame (None for none); `axis`, the direction its field precesses
     about on the driven qubit, is the orientation's image of z, and
     `_frame_rate`, the rate it precesses at, is omega, and `_frame_row`
-    is its rotating frame (_rotating_frame). Its blocks need no turn of
-    the control, so its `_control_frame` is None."""
+    is its rotating frame (_rotating_frame), stated from its corrected
+    fields, `frame` terms and `orientation` by `_frame_block()`. Its
+    blocks need no turn of the control, so its `_control_frame` is
+    None."""
 
     frame = (-0.0, -0.0)
     orientation = None
@@ -207,6 +210,22 @@ class _Loop:
     def corrected(self) -> list:
         """The root fields plus their Berry correction."""
         return [_berry_corrected(transverse, bz, self.omega) for transverse, bz in self.root()]
+
+    def _frame_block(self) -> tuple:
+        """(c0, v) of block_fields(0.0) as lists, without its arrays: c0
+        per block, and v's x, y and z components per block. At wt = 0 the
+        cosine is 1 and the sine the zero of omega's sign, by which v_y
+        is still multiplied; a turned loop keeps block_fields' product
+        with the orientation matrix, the same (3, 3) @ (3, blocks) call,
+        as another BLAS call shape may round otherwise."""
+        fields = self.corrected()
+        sin = math.sin(self.omega * 0.0)
+        v = [[0.5 * transverse for transverse, _ in fields],
+             [0.5 * transverse * sin for transverse, _ in fields],
+             [0.5 * bz for _, bz in fields]]
+        if self.orientation is not None:
+            v = (self.orientation.matrix @ np.array(v)).tolist()
+        return [c for _, c in zip(fields, self.frame)], v
 
     def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
         """Real 2x2 block form of the loop generator at the given local times.
@@ -344,10 +363,14 @@ class ExpLoopParams(TwoQubitParams):
     def frame(self) -> tuple:
         return (0.5 * self.omega, -0.5 * self.omega)
 
+    @functools.cached_property
+    def _experimental(self) -> ExpParams:
+        return experimental_params(self)  # frozen, so one per record serves every read
+
     def corrected(self) -> list:
         """The field of experimental_params, the realization criterion 7
         checks against the corrected two-qubit loop."""
-        e = experimental_params(self)
+        e = self._experimental
         return [
             (e.omega_i_prime * np.sin(e.theta_prime) + g * e.j_xz,
              e.omega_i_prime * np.cos(e.theta_prime) + self.omega + g * e.j_zz)

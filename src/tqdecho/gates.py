@@ -13,11 +13,12 @@ the conditional eigenbasis with phases (-1)^(p+q) * 2*delta_omega.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ExpLoopParams, LoopParams, TwoQubitParams, _check_real, _real_fields
+from .fields import LoopParams, TwoQubitParams, _check_real, _real_fields
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
 from .propagate import StepPolicy, _final_propagators
 from .qcore import SIGMA_X, SIGMA_Z, gate_distance, wrap_angle
@@ -156,11 +157,18 @@ def _lattice(count: int, dim: int) -> np.ndarray:
     (Niederreiter, Random Number Generation and Quasi-Monte Carlo
     Methods, SIAM 1992).
     """
+    k = np.arange(1, count + 1)
+    return (0.5 + np.multiply.outer(k, _golden(dim) ** -np.arange(1.0, dim + 1))) % 1.0
+
+
+@functools.cache
+def _golden(dim: int) -> float:
+    """The generalized golden ratio of _lattice, the positive root of
+    x**(dim+1) = x + 1."""
     phi = 2.0
     for _ in range(64):  # a contraction: converged to rounding long before
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
-    k = np.arange(1, count + 1)
-    return (0.5 + np.multiply.outer(k, phi ** -np.arange(1.0, dim + 1))) % 1.0
+    return phi
 
 
 # a pair generates SU(2) when |w| exceeds this; below it, w is rounding
@@ -297,13 +305,15 @@ def verify_exp_equivalence(
     k = 1, 2, ... takes orientation k % 2 and control (k // 2) % 2, so
     any four consecutive draws cover all four sectors, at the time
     period * x_k of the one-dimensional golden-ratio lattice x_k
-    (_lattice).
+    (_lattice). The fields are read from the two echoes' own loop
+    records: orientation 0 is the loop at p's omega, orientation 1 the
+    one at -omega.
     field_draws must be at least 1: with no draws the field check would
     pass vacuously, and it must be an integer. p must be a TwoQubitParams
     proper: an ExpLoopParams would compare the exp echo with itself.
     """
     _check_count("field_draws", field_draws, 1)
-    cond = build_two_qubit_sequence(p)
+    cond, exp = build_two_qubit_sequence(p), build_exp_two_qubit_sequence(p)
     k = np.arange(1, field_draws + 1)
     orientation = k % 2
     control = (k // 2) % 2
@@ -312,17 +322,16 @@ def verify_exp_equivalence(
     for reverse in (False, True):
         pick = orientation == reverse
         ts = times[pick]
-        q = p.reversed() if reverse else p
-        got = ExpLoopParams(q.omega_i, q.coupling, q.omega).block_fields(ts)[1]
-        want = q.block_fields(ts)[1]
+        # segments 0 and 2 of an echo are its loops at omega > 0 and < 0
+        loop = 2 * ((p.omega > 0) == reverse)
+        got = exp.segments[loop].block_fields(ts)[1]
+        want = cond.segments[loop].block_fields(ts)[1]
         at = (slice(None), control[pick], np.arange(ts.size))
         # block fields are half the field
         dev = 2.0 * np.abs(got[at] - want[at])
         worst = max(worst, float(np.max(dev, initial=0.0)))
 
-    (u_cond, _), (u_exp, _) = _final_propagators(
-        [cond, build_exp_two_qubit_sequence(p)], policy
-    )
+    (u_cond, _), (u_exp, _) = _final_propagators([cond, exp], policy)
     return ExpEquivalenceReport(
         params=p,
         max_field_deviation=worst,

@@ -336,7 +336,10 @@ class PhaseDecomposition:
 
     Geometric parts are angles in (-pi, pi] and are compared modulo 2*pi;
     dynamical parts are genuine integrals, carry the total's whole turns
-    and are compared as-is.
+    and are compared as-is. Where the geometric part sits on +-pi, its
+    sign is a rounding decision (demo 04's echo reads -3.141593 against
+    the closed form +pi), so `geometric` and `total` are compared modulo
+    2*pi: at +-pi they may differ by 2*pi between numpy/BLAS builds.
     """
 
     label: object

@@ -23,8 +23,8 @@ block both factors are rotations, evaluated at every sample time in
 closed form: K = c0 + (v(0) - omega*n/2) . sigma gives the scalar phase
 exp(-i*c0*t) times a Rodrigues quaternion, and one Hamilton product per
 sample joins it to the frame rotation. Each record states these values
-once, as its cached rotating-frame row (`_frame_row`, read from its
-block fields at t = 0), so the kernel reads no block fields. The
+once, as its cached rotating-frame row (`_frame_row`, stated from its
+own fields at t = 0), so the kernel reads no block fields. The
 exp-loop frame term is the scalar c0 of each sector. A pulse is a frame
 turn: its block field 0.5*omega_pi*n, turning about its `axis` n at its
 own rate omega_pi, gives K = 0, so the inner factor is exactly 1. The
@@ -258,7 +258,8 @@ def _loop_propagators(segs, ts) -> list:
     (cos(omega*t/2), sin(omega*t/2) n) and (cos(|w|t), sin(|w|t) w/|w|)
     multiplied, times the phase exp(-i*c0*t); a pulse has w = 0, so its
     inner factor is exactly 1. Each record states these values once, in
-    its rescaled units, as its cached `_frame_row`
+    its rescaled units and from its own fields at t = 0 (the values of
+    its block_fields there), as its cached `_frame_row`
     (fields._rotating_frame), so the kernel reads no block fields. The
     rows form one small table that one np.repeat gathers to the samples
     of all records, so one pass of each elementwise operation, one

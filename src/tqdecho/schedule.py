@@ -87,11 +87,11 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _steady_fields(dim: int, ts, corrected: bool, v: tuple, c0=-0.0) -> tuple:
-    """_Loop.block_fields of a constant generator: c0 (one value, or one
-    per block) plus v . sigma in each of dim // 2 blocks."""
+def _steady_fields(ts, corrected: bool, c0: tuple, v: tuple) -> tuple:
+    """_Loop.block_fields of a constant generator: c0[j] + v . sigma in
+    block j, one block per entry of c0."""
     _check_flag("corrected", corrected)
-    c = np.empty((dim // 2, np.atleast_1d(ts).size))
+    c = np.empty((len(c0), np.atleast_1d(ts).size))
     field = np.empty((3,) + c.shape)
     c.T[:] = c0
     field.T[:] = v
@@ -107,7 +107,9 @@ class _HalfTurn:
     """What the pulse records share: a half turn at rate omega_pi > 0,
     lasting pi/omega_pi. In block form each is a frame turning about its
     `axis` at its own rate omega_pi: K = 0 in the loop kernel, which
-    reads its `_frame_row` (fields._rotating_frame)."""
+    reads its `_frame_row` (fields._rotating_frame). Each class states
+    its one constant block, `_block`: c0 per block and the block field
+    v, which block_fields and the frame row both read."""
 
     omega_pi: float
     _control_frame = None
@@ -124,6 +126,16 @@ class _HalfTurn:
     @functools.cached_property
     def duration(self) -> float:
         return np.pi / self.omega_pi
+
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of the pulse generator at the given local
+        times, as _Loop.block_fields; a pulse has no correction."""
+        return _steady_fields(ts, corrected, *self._block)
+
+    def _frame_block(self) -> tuple:
+        """(c0, v) of block_fields(0.0) as lists, as _Loop._frame_block."""
+        c0, v = self._block
+        return list(c0), [[vk] * len(c0) for vk in v]
 
 
 # 1 x C with C = exp(i*pi*sigma_x/4) on the control, by its entries:
@@ -156,11 +168,10 @@ class FlipParams(_HalfTurn):
     axis = (1.0, 0.0, 0.0)
     _control_frame = _CONTROL_FRAME
 
-    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
-        """Real 2x2 block form of the flip generator in its control's y
-        basis, as _Loop.block_fields; a pulse has no correction."""
+    @property
+    def _block(self) -> tuple:
         half = 0.5 * self.omega_pi
-        return _steady_fields(4, ts, corrected, (half, 0.0, 0.0), (half, -half))
+        return (half, -half), (half, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -180,10 +191,9 @@ class PulseParams(_HalfTurn):
             raise ValueError(f'pulse target must be "single" or "I", got {self.target!r}')
         super().__post_init__()
 
-    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
-        """Real 2x2 block form of the pulse generator at the given local
-        times, as _Loop.block_fields; a pulse has no correction."""
-        return _steady_fields(self.dim, ts, corrected, (0.0, 0.5 * self.omega_pi, 0.0))
+    @property
+    def _block(self) -> tuple:
+        return (-0.0,) * (self.dim // 2), (0.0, 0.5 * self.omega_pi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +215,7 @@ class IdleParams:
 
     def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
         """Real 2x2 block form of the zero generator, as _Loop.block_fields."""
-        return _steady_fields(self.dim, ts, corrected, (0.0, 0.0, 0.0))
+        return _steady_fields(ts, corrected, (-0.0,) * (self.dim // 2), (0.0, 0.0, 0.0))
 
 
 _SEGMENTS = (_Loop, _HalfTurn, IdleParams)

@@ -13,13 +13,16 @@ back); here each is a plain operator.
 The module also keeps the per-segment forms of the layers the package
 now runs in one pass over all segments: the trapezoid dynamical phase,
 the comoving reference series, the trajectory, the Hamilton product and
-the quaternion packer. The package's forms must match them byte for
-byte.
+the quaternion packer; and the rotating-frame row as read from a
+record's block_fields at t = 0, which the records state from their own
+fields. The package's forms must match them byte for byte.
 """
+import math
+
 import numpy as np
 
 from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y
-from tqdecho.fields import _Loop
+from tqdecho.fields import _Loop, _period_unit
 from tqdecho.phases import LABELS4, _ALIGNMENT_FLOOR, _eigvecs
 from tqdecho.propagate import Trajectory, _evolved_states
 from tqdecho.schedule import IdleParams, _HalfTurn
@@ -154,6 +157,19 @@ def reference_series(traj, label) -> tuple:
             refs[rows] = ref_in
         ref_in = refs[rows.stop - 1]
     return refs, misaligned
+
+
+def rotating_frame(record) -> np.ndarray:
+    """The rotating-frame row of a block-form record read from its
+    block_fields at t = 0, the derivation fields._rotating_frame must
+    match byte for byte: scale, omega/2, axis, then per block c0, |w|
+    and the x, y and z of w = s*(v(0) - omega*n/2)."""
+    c0, v = record.block_fields(0.0)
+    rate, axis = record._frame_rate, record.axis
+    scale, half = _period_unit(rate), 0.5 * rate
+    x, y, z = ([scale * (vj - half * n) for vj in comp] for comp, n in zip(v[..., 0].tolist(), axis))
+    r = [math.sqrt(wx * wx + wy * wy + wz * wz) for wx, wy, wz in zip(x, y, z)]
+    return np.array([scale, half, *axis, *c0[:, 0].tolist(), *r, *x, *y, *z])
 
 
 def trajectory(s, walked, initial_state) -> Trajectory:

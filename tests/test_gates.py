@@ -240,26 +240,20 @@ def test_exp_equivalence_draws_cover_every_sector(draws, monkeypatch):
     states: a unit error planted in any one of the four exp-loop field
     sectors shows up in the field deviation."""
     assert verify_exp_equivalence(P2, field_draws=draws).max_field_deviation <= 1e-10
-    real = gates.ExpLoopParams
-
-    class Planted:
-        def __init__(self, record, block):
-            self.record, self.block = record, block
-
-        def block_fields(self, ts):
-            c0, v = self.record.block_fields(ts)
-            v = v.copy()
-            v[0, self.block] += 0.5  # block units: a unit field error
-            return c0, v
+    real = ExpLoopParams.block_fields
 
     for reverse in (False, True):
         for control in (0, 1):
-            def planted(*fields, reverse=reverse, control=control):
-                record = real(*fields)
-                # P2 turns forward, so its reversed loop has omega < 0
-                return Planted(record, control) if (record.omega < 0) == reverse else record
+            # the draws read the exp echo's own loop records; P2 turns
+            # forward, so its reversed loop has omega < 0
+            def planted(self, ts, corrected=True, reverse=reverse, control=control):
+                c0, v = real(self, ts, corrected)
+                if (self.omega < 0) == reverse:
+                    v = v.copy()
+                    v[0, control] += 0.5  # block units: a unit field error
+                return c0, v
 
-            monkeypatch.setattr(gates, "ExpLoopParams", planted)
+            monkeypatch.setattr(ExpLoopParams, "block_fields", planted)
             rep = verify_exp_equivalence(P2, field_draws=draws)
             assert rep.max_field_deviation >= 0.5, (reverse, control)
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tqdecho.fields import LoopParams, RootLoopParams, TwoQubitParams
+from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
 from tqdecho.phases import (
     _reference_series,
     dynamical_phase,
@@ -24,6 +24,7 @@ from tqdecho.propagate import (
     propagate_schedule,
 )
 from tqdecho.schedule import (
+    FlipParams,
     PulseParams,
     SegmentSchedule,
     build_echo_sequence,
@@ -148,21 +149,56 @@ def test_dynamical_phase_reads_each_distinct_record_once(monkeypatch, sched, rea
         read.clear()
 
 
-@pytest.mark.parametrize("build, distinct", [
-    (lambda: rotate_schedule(build_echo_sequence(replace(P)), 0.4), 3),
-    (lambda: build_two_qubit_sequence(replace(P2)), 4),
+@pytest.mark.parametrize("build", [
+    lambda: rotate_schedule(build_echo_sequence(replace(P)), 0.4),
+    lambda: build_two_qubit_sequence(replace(P2)),
 ], ids=["one-qubit", "two-qubit"])
-def test_exact_kernel_reads_fields_only_through_the_frame_row(monkeypatch, build, distinct):
-    # fresh records: each states its rotating frame once, from one read
-    # at t = 0; the kernel itself reads no block fields
+def test_exact_kernel_reads_fields_only_through_the_frame_row(monkeypatch, build):
+    # fresh records: each states its rotating frame once, from its own
+    # fields (tests/dense.py keeps the block_fields(0.0) reference), so
+    # neither the first walk nor the kernel reads block fields
     sched = build()
     read = count_field_reads(monkeypatch)
     first = propagate_schedule(sched, samples=32)
-    assert len(read) == len({id(seg) for seg in read}) == distinct
-    read.clear()
+    assert read == []
     again = propagate_schedule(sched, samples=32)
     assert read == []
     assert again.propagators.tobytes() == first.propagators.tobytes()
+
+
+def _frame_records() -> list:
+    """Seeded draws of every block-form class, with the row's signed
+    zeros: turned and unturned loops and root loops (rotation 0.0, -0.0
+    or drawn), both signs of omega for the two-qubit and exp loops, both
+    pulse targets and the flip, and a loop whose corrected transverse
+    field is below 0."""
+    rng = np.random.default_rng(45)
+    records = []
+    for _ in range(100):
+        omega = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-2, 2)
+        loop = LoopParams(rng.uniform(0.0, np.pi), omega, 10 ** rng.uniform(-1, 1),
+                          rng.choice((0.0, -0.0, rng.uniform(-4, 4))))
+        q = TwoQubitParams(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2), omega)
+        rate = 10 ** rng.uniform(-2, 2)
+        records += [loop, RootLoopParams.of(loop), q, q.reversed(),
+                    ExpLoopParams(q.omega_i, q.coupling, q.omega),
+                    ExpLoopParams(q.omega_i, q.coupling, -q.omega),
+                    PulseParams(rate, "single"), PulseParams(rate, "I"), FlipParams(rate)]
+    below = LoopParams(np.pi / 3, 5.0)
+    assert below.corrected()[0][0] < 0.0
+    return records + [below, below.reversed(), replace(below, rotation=-0.0),
+                      replace(below, rotation=0.4)]
+
+
+def test_frame_row_keeps_the_block_fields_bytes():
+    # each record states its row from its own fields; the row read from
+    # its block_fields at t = 0 is the reference, signed zeros included
+    records = _frame_records()
+    assert {type(r) for r in records} == {LoopParams, RootLoopParams, TwoQubitParams,
+                                          ExpLoopParams, PulseParams, FlipParams}
+    assert any(r.rotation == 0.0 and np.signbit(r.rotation) for r in records[::9])
+    for record in records:
+        assert record._frame_row.tobytes() == dense.rotating_frame(record).tobytes(), record
 
 
 def test_a_replaced_pulse_states_its_own_frame():

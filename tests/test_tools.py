@@ -6,7 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ROWS = ("echo op", "gate op", "walk", "trajectory", "reference", "dynamical phase",
-        "decomposition", "magnus", "re-attach")
+        "decomposition", "magnus", "re-attach", "frame rows")
 
 
 def _side_by_side(*args) -> subprocess.CompletedProcess:

@@ -38,11 +38,16 @@ properties are paid inside every timed pass that reads them. The rows:
   16 checkpoints per loop, the oracle path of acceptance criterion 8;
 * re-attach: with_initial_state of the label-1 eigenstate on each of
   the 14 echoes' fresh trajectories, as acceptance criteria 1-3 move a
-  loop's trajectory to its second label.
+  loop's trajectory to its second label;
+* frame rows: the cached rotating-frame row (`_frame_row`) of each
+  distinct fresh record of the 14 echoes and of the conditional and
+  exp echoes of the gate op's three drives, what a fresh record pays
+  on its first walk.
 
-The layer rows call the package's private layer functions by name, so
-both trees must have them with their present signatures; the echo op,
-gate op, decomposition and re-attach rows read public names only.
+The layer rows call the package's private layer functions by name, and
+the frame rows row reads a private attribute, so both trees must have
+them with their present signatures; the echo op, gate op,
+decomposition and re-attach rows read public names only.
 `. .` times the tree against itself, which reads ratios near 1.
 """
 from __future__ import annotations
@@ -163,6 +168,15 @@ def _row_reattach(tq):
     return calls
 
 
+def _row_frame_rows(tq):
+    scheds = [_echo(tq, inp) for inp in ECHOES]
+    for w in GATE_DRIVES:
+        p = tq.TwoQubitParams(omega_i=w, coupling=1.0, omega=GATE_OMEGA)
+        scheds += [tq.build_two_qubit_sequence(p), tq.build_exp_two_qubit_sequence(p)]
+    records = {id(seg): seg for s in scheds for seg in s.segments}.values()
+    return [lambda seg=seg: seg._frame_row for seg in records]
+
+
 ROWS = {
     "echo op": _row_echo_op,
     "gate op": _row_gate_op,
@@ -173,6 +187,7 @@ ROWS = {
     "decomposition": _row_decomposition,
     "magnus": _row_magnus,
     "re-attach": _row_reattach,
+    "frame rows": _row_frame_rows,
 }
 
 
