@@ -15,7 +15,7 @@ from tqdecho import (
     tqd_field_magnitude,
     write_field_timeline_csv,
 )
-from tqdecho.schedule import IdleParams
+from tqdecho.fields import IdleParams
 
 p = LoopParams(theta=np.pi / 3, omega=1.0, omega0=1.0)
 

@@ -1,19 +1,41 @@
-"""Loop records and the static-coupling parameter map.
+"""Segment records and the static-coupling parameter map.
 
 Fields are gamma*B in angular-frequency units, real 3-vectors (x, y, z);
-the spin couples through H = field . S with S = sigma/2. Each loop's
-parameter class is itself a schedule segment (LoopParams,
-RootLoopParams, TwoQubitParams, ExpLoopParams): frozen and validated, it
-states per block a root field at wt = 0 on the cone of `cones()` in a
-local frame where the field precesses about z, and the `orientation`
-that turns that frame into the lab frame, so a turned loop is one value.
-The drive fields are defined once, as the real 2x2 block form of each
-loop generator (_Loop.block_fields), which derives every transitionless
-correction from the record's root drive (_berry_corrected). A record
-holds its loop only: the echo builders in schedule take the pulse rate.
-This module also holds the conditional cone angle theta_tilde, the map
-to the static-coupling realization, and the closed-form magnitude of
-the corrected single-qubit field.
+the spin couples through H = field . S with S = sigma/2. Every segment
+of a schedule is a frozen, validated drive record defined here (listed
+below); its dimension, duration, `kind`, `label` and generator follow
+from its fields. Each generator is defined once, in real 2x2 block form
+(_Record.block_fields), filled from the blocks the record states; none
+is built as a dense matrix. A loop states per block a root field at
+wt = 0 on the cone of `cones()` in a local frame where it precesses
+about z, corrected with Berry's formula (_berry_corrected; the exp-loop
+takes its field from the static-coupling map), and the `orientation`
+that turns the frame into the lab frame, so a turned loop is one value.
+A pulse or an idle states one constant block, the control flip's in its
+control's y basis, to which its `_control_frame` turns it.
+
+Segment records, their kinds and labels:
+
+* LoopParams ``tqd-loop`` / RootLoopParams ``root-loop``: one full
+  conical precession period of the corrected / uncorrected single-qubit
+  drive, turned by the record's `rotation` about y.
+* PulseParams ``pi-pulse``: constant half-turn pulse about y, on a
+  single qubit (label pi) or on the driven qubit of a pair (pi-I).
+* FlipParams ``control-flip``: simultaneous half turn, x on the driven
+  qubit and y on the control, labelled pi-II. This is the refocusing
+  pulse of the two-qubit echo.
+* IdleParams ``idle``: zero generator for the record's `duration`.
+* TwoQubitParams ``two-qubit-loop``: control-conditioned corrected loop
+  on the driven qubit (block-diagonal in the control basis).
+* ExpLoopParams ``exp-loop``: the same conditional loop expressed
+  through static couplings plus a rotating transverse drive, including
+  the control-frame term omega * (1 x Sz) while the drive is on.
+
+A loop is labelled loop-C for omega > 0 and loop-Cbar for omega < 0. A
+loop record holds its loop only: the echo builders in schedule take the
+pulse rate. This module also holds the conditional cone angle
+theta_tilde, the map to the static-coupling realization, and the
+closed-form magnitude of the corrected single-qubit field.
 """
 from __future__ import annotations
 
@@ -31,6 +53,9 @@ __all__ = [
     "RootLoopParams",
     "TwoQubitParams",
     "ExpLoopParams",
+    "PulseParams",
+    "FlipParams",
+    "IdleParams",
     "ExpParams",
     "tqd_field_magnitude",
     "theta_tilde",
@@ -74,6 +99,14 @@ def _check_flag(name: str, value) -> None:
     parameter: a truthy string or number must not pick a branch."""
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be a boolean, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Accept a Python or numpy integer >= least; reject bools and floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _check_rates(**rates) -> None:
@@ -150,14 +183,26 @@ def _period_unit(omega: float) -> float:
 
 def _rotating_frame(record) -> np.ndarray:
     """The rotating-frame row of a block-form record (a loop or a pulse),
-    stated from its block at wt = 0 (its `_frame_block()`, the values of
+    stated from the blocks it states, at wt = 0 (the values of
     block_fields(0.0)), as the exact propagator's table holds it: the
     period unit s of its `_frame_rate` omega, omega/2, its `axis` n, then
     per block c0, |w| and w = s*(v(0) - omega*n/2), the x components of
     w first, block by block, then y, then z. Read-only: the record caches
     it as `_frame_row`. The few values are Python floats, each operation
-    rounded once as numpy rounds it."""
-    c0, v = record._frame_block()
+    rounded once as numpy rounds it. A loop's v(0) is (h, h*sin(omega*0),
+    g) per block, the sine the zero of omega's sign, turned by a
+    (3, 3) @ (3, blocks) product as in block_fields, since another BLAS
+    call shape may round otherwise."""
+    constant = record._constant
+    if constant is None:
+        c0, h, g = zip(*record._local_blocks(True))
+        sin = math.sin(record._frame_rate * 0.0)
+        v = [h, [hj * sin for hj in h], g]
+        if record.orientation is not None:
+            v = (record.orientation.matrix @ np.array(v)).tolist()
+    else:
+        c0, field = constant
+        v = [[vk] * len(c0) for vk in field]
     rate, axis = record._frame_rate, record.axis
     scale, half = _period_unit(rate), 0.5 * rate
     x, y, z = ([scale * (vj - half * n) for vj in comp] for comp, n in zip(v, axis))
@@ -167,30 +212,78 @@ def _rotating_frame(record) -> np.ndarray:
     return row
 
 
-class _Loop:
+class _Record:
+    """What every segment record shares: its generator in real 2x2 block
+    form, `block_fields`, filled from the blocks the record states. A
+    loop states per block (c0, h, g) in its local frame
+    (`_local_blocks`), its field (h cos wt, h sin wt, g) turned into the
+    lab frame by its `orientation`; a pulse, the flip and an idle state
+    one constant block (`_constant`: c0 per block and the block field v)
+    and no orientation. `axis` is the orientation's image of z, the
+    direction a loop's field precesses about on the driven qubit (a
+    pulse states its own), and `_frame_row` its rotating frame
+    (_rotating_frame), read from the same statement at wt = 0. A record
+    with a `_control_frame` F (the flip) is in block form in the basis F
+    turns its control into; every other record's is None."""
+
+    orientation = None
+    _control_frame = None
+    _constant = None
+    axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
+                    else tuple(self.orientation.matrix[:, 2].tolist()))
+    _frame_row = functools.cached_property(_rotating_frame)
+
+    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
+        """Real 2x2 block form of the generator at the given local times.
+
+        Returns (c0, v), c0 of shape (blocks, len(ts)) and v of shape
+        (3, blocks, len(ts)): block j of the generator is
+        c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
+        dim-2 record is one block; two-qubit records are block-diagonal
+        in the control basis, sector q on the index pair (q, q + 2). A
+        loop's v[:, j] is half the field of block j, `corrected()` or
+        with corrected=False (a bool) `root()`, turned from its local
+        frame by the `orientation`, and c0[j] its `frame` term, -0.0 (the
+        exact additive identity) for none. A pulse or an idle has no
+        correction: its one constant block at every time.
+        """
+        _check_flag("corrected", corrected)
+        constant = self._constant
+        if constant is not None:
+            c0s, field = constant
+            c0 = np.empty((len(c0s), np.atleast_1d(ts).size))
+            v = np.empty((3,) + c0.shape)
+            c0.T[:] = c0s
+            v.T[:] = field
+            return c0, v
+        blocks = self._local_blocks(corrected)
+        wt = self.omega * np.atleast_1d(np.asarray(ts, dtype=float))
+        cos, sin = np.cos(wt), np.sin(wt)
+        c0 = np.empty((len(blocks), wt.size))
+        v = np.empty((3,) + c0.shape)
+        for j, (c, h, g) in enumerate(blocks):
+            np.multiply(h, cos, out=v[0, j])
+            np.multiply(h, sin, out=v[1, j])
+            v[2, j] = g
+            c0[j] = c
+        if self.orientation is not None:
+            v = (self.orientation.matrix @ v.reshape(3, -1)).reshape(v.shape)
+        return c0, v
+
+
+class _Loop(_Record):
     """What the loop records share: float fields checked (and stored as
     floats) before the loop's own checks, a period 2*pi/|omega| that is
     also the duration, reversal, a label loop-C (omega > 0) or loop-Cbar
     naming the traversal orientation, and per block, in the loop's local
     frame, a root field (transverse, bz) at wt = 0 (each record's
     `root()`) on the cone of `cones()`, its correction and a scalar
-    term. The record's `orientation` turns the local frame into the lab
-    frame (None for none); `axis`, the direction its field precesses
-    about on the driven qubit, is the orientation's image of z, and
-    `_frame_rate`, the rate it precesses at, is omega, and `_frame_row`
-    is its rotating frame (_rotating_frame), stated from its corrected
-    fields, `frame` terms and `orientation` by `_frame_block()`. Its
-    blocks need no turn of the control, so its `_control_frame` is
-    None."""
+    `frame` term. Its `_frame_rate`, the rate its field precesses at, is
+    omega."""
 
     frame = (-0.0, -0.0)
-    orientation = None
-    _control_frame = None
     label = property(lambda self: "loop-C" if self.omega > 0 else "loop-Cbar")
-    axis = property(lambda self: (0.0, 0.0, 1.0) if self.orientation is None
-                    else tuple(self.orientation.matrix[:, 2].tolist()))
     _frame_rate = property(lambda self: self.omega)
-    _frame_row = functools.cached_property(_rotating_frame)
 
     def __post_init__(self):
         _real_fields(self)
@@ -211,50 +304,12 @@ class _Loop:
         """The root fields plus their Berry correction."""
         return [_berry_corrected(transverse, bz, self.omega) for transverse, bz in self.root()]
 
-    def _frame_block(self) -> tuple:
-        """(c0, v) of block_fields(0.0) as lists, without its arrays: c0
-        per block, and v's x, y and z components per block. At wt = 0 the
-        cosine is 1 and the sine the zero of omega's sign, by which v_y
-        is still multiplied; a turned loop keeps block_fields' product
-        with the orientation matrix, the same (3, 3) @ (3, blocks) call,
-        as another BLAS call shape may round otherwise."""
-        fields = self.corrected()
-        sin = math.sin(self.omega * 0.0)
-        v = [[0.5 * transverse for transverse, _ in fields],
-             [0.5 * transverse * sin for transverse, _ in fields],
-             [0.5 * bz for _, bz in fields]]
-        if self.orientation is not None:
-            v = (self.orientation.matrix @ np.array(v)).tolist()
-        return [c for _, c in zip(fields, self.frame)], v
-
-    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
-        """Real 2x2 block form of the loop generator at the given local times.
-
-        Returns (c0, v), c0 of shape (blocks, len(ts)) and v of shape
-        (3, blocks, len(ts)): block j of the generator is
-        c0[j] + v[:, j] . sigma on rows and columns j and j + blocks. A
-        dim-2 loop is one block; two-qubit loops are block-diagonal in the
-        control basis, sector q on the index pair (q, q + 2). v[:, j] is
-        half the field of block j, `corrected()` or with corrected=False
-        (a bool) `root()`, turned from its local frame by the
-        `orientation`, and c0[j] its `frame` term, -0.0 (the exact
-        additive identity) for none.
-        """
-        _check_flag("corrected", corrected)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    def _local_blocks(self, corrected: bool) -> list:
+        """(c0, h, g) per block: its `frame` term, and half the
+        transverse and the z component of its field at wt = 0 in the
+        local frame, `corrected()` or else `root()`."""
         fields = self.corrected() if corrected else self.root()
-        wt = self.omega * ts
-        cos, sin = np.cos(wt), np.sin(wt)
-        c0 = np.empty((len(fields), ts.size))
-        v = np.empty((3,) + c0.shape)
-        for j, ((transverse, bz), c) in enumerate(zip(fields, self.frame)):
-            np.multiply(0.5 * transverse, cos, out=v[0, j])
-            np.multiply(0.5 * transverse, sin, out=v[1, j])
-            v[2, j] = 0.5 * bz
-            c0[j] = c
-        if self.orientation is not None:
-            v = (self.orientation.matrix @ v.reshape(3, -1)).reshape(v.shape)
-        return c0, v
+        return [(c, 0.5 * transverse, 0.5 * bz) for (transverse, bz), c in zip(fields, self.frame)]
 
 
 @dataclass(frozen=True)
@@ -376,6 +431,113 @@ class ExpLoopParams(TwoQubitParams):
              e.omega_i_prime * np.cos(e.theta_prime) + self.omega + g * e.j_zz)
             for g in (1, -1)
         ]
+
+
+# ---------------------------------------------------------------------------
+# pulse and idle records
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _HalfTurn(_Record):
+    """What the pulse records share: a half turn at rate omega_pi > 0,
+    lasting pi/omega_pi. In block form each is a frame turning about its
+    `axis` at its own rate omega_pi: K = 0 in the loop kernel, which
+    reads its `_frame_row`. Each class states its one constant block,
+    `_constant`."""
+
+    omega_pi: float
+    _frame_rate = property(lambda self: self.omega_pi)
+
+    def __post_init__(self):
+        _real_fields(self, positive=True)
+        if not math.isfinite(self.duration):
+            raise ValueError(
+                f"omega_pi = {self.omega_pi:g} is too slow: its half turn pi/omega_pi overflows"
+            )
+
+    @functools.cached_property
+    def duration(self) -> float:
+        return np.pi / self.omega_pi
+
+
+# 1 x C with C = exp(i*pi*sigma_x/4) on the control, by its entries:
+# C sigma_z C^dag = sigma_y, so it turns the control's z basis into its y
+# basis.
+_CONTROL_FRAME = math.sqrt(0.5) * np.array([[1, 1j, 0, 0], [1j, 1, 0, 0],
+                                            [0, 0, 1, 1j], [0, 0, 1j, 1]])
+_CONTROL_FRAME.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class FlipParams(_HalfTurn):
+    """The control flip: x on the driven qubit, y on the control, with
+    generator 0.5*omega_pi*(sx x 1 + 1 x sy).
+
+    In the conditional eigenbasis this swaps the control sectors while
+    preserving the energy label of the driven qubit, which is what lets
+    the second half of the two-qubit echo undo the sector-dependent
+    dynamical phases. A y half turn on the control alone does not do
+    this; it scrambles sectors when the drive and coupling are comparable.
+    Its generator is F (0.5*omega_pi*(sx x 1 + 1 x sz)) F^dag with F its
+    `_control_frame` 1 x C, so its block form is the middle factor's:
+    c0 = +-0.5*omega_pi on the control sectors and v = 0.5*omega_pi*x, a
+    frame turning about its `axis` x.
+    """
+
+    kind = "control-flip"
+    label = "pi-II"
+    dim = 4
+    axis = (1.0, 0.0, 0.0)
+    _control_frame = _CONTROL_FRAME
+
+    @property
+    def _constant(self) -> tuple:
+        half = 0.5 * self.omega_pi
+        return (half, -half), (half, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class PulseParams(_HalfTurn):
+    """A half turn about y, generator 0.5*omega_pi*sigma_y, on a lone
+    qubit (target "single", label pi) or on the driven qubit "I" of a
+    pair (label pi-I). Its block field is 0.5*omega_pi*y."""
+
+    target: str
+    kind = "pi-pulse"
+    axis = (0.0, 1.0, 0.0)
+    dim = property(lambda self: 2 if self.target == "single" else 4)
+    label = property(lambda self: "pi" if self.target == "single" else "pi-I")
+
+    def __post_init__(self):
+        if not isinstance(self.target, str) or self.target not in ("single", "I"):
+            raise ValueError(f'pulse target must be "single" or "I", got {self.target!r}')
+        super().__post_init__()
+
+    @property
+    def _constant(self) -> tuple:
+        return (-0.0,) * (self.dim // 2), (0.0, 0.5 * self.omega_pi, 0.0)
+
+
+@dataclass(frozen=True)
+class IdleParams(_Record):
+    """An idle: a dimension, the integer 2 or 4, and a duration > 0. Its
+    one constant block is the zero generator."""
+
+    dim: int
+    duration: float
+    kind = "idle"
+    label = "idle"
+
+    def __post_init__(self):
+        _check_count("idle dim", self.dim, 2)
+        if self.dim not in (2, 4):
+            raise ValueError(f"idle dim must be 2 or 4, got {self.dim}")
+        object.__setattr__(self, "dim", int(self.dim))
+        _real_fields(self, positive=True)
+
+    @property
+    def _constant(self) -> tuple:
+        return (-0.0,) * (self.dim // 2), (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, _check_real, _real_fields
+from .fields import LoopParams, TwoQubitParams, _check_count, _check_real, _real_fields
 from .phases import LABELS4, delta_omega, eigenbasis_matrix, solid_angle
 from .propagate import StepPolicy, _final_propagators
 from .qcore import SIGMA_X, SIGMA_Z, gate_distance, wrap_angle
 from .schedule import (
     SegmentSchedule,
-    _check_count,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
     build_two_qubit_sequence,

@@ -28,7 +28,7 @@ on an uncorrected loop at theta = pi/4, omega = 0.3, omega0 = 1 it is
 off by 1.5e-5 at 256 samples and 9.4e-7 at 1024 (ROADMAP item 12 states
 a closed form).
 Every expectation is read from the record's real 2x2 block fields
-(_Loop.block_fields; a pulse is a frame turn at its own rate, with
+(_Record.block_fields; a pulse is a frame turn at its own rate, with
 K = 0), the control flip's in its control's y basis, so no dense
 generator is built; dynamical_phase reads each distinct record once and
 integrates all samples in one pass, keeping the bytes of a sum taken
@@ -40,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LoopParams, TwoQubitParams, _Loop, _check_real
+from .fields import LoopParams, TwoQubitParams, _HalfTurn, _Loop, _check_real
 from .propagate import StepPolicy, Trajectory, _propagate_schedules
 from .qcore import PAULI, wrap_angle
-from .schedule import SegmentSchedule, _HalfTurn
+from .schedule import SegmentSchedule
 
 __all__ = [
     "LABELS4",

@@ -1,7 +1,7 @@
 """Time evolution of piecewise schedules.
 
 Two propagators share one interface; `policy` selects between them. Both
-work on the real 2x2 block form of the generators (_Loop.block_fields)
+work on the real 2x2 block form of the generators (_Record.block_fields)
 and store each SU(2) factor as a real quaternion; no generator is built
 as a dense matrix, and complex matrices are built only at the sample
 times, by one packer.
@@ -76,8 +76,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .fields import _Loop, _period_unit
-from .schedule import IdleParams, SegmentSchedule, _check_count, _write_csv
+from .fields import IdleParams, _Loop, _check_count, _period_unit
+from .schedule import SegmentSchedule, _write_csv
 
 __all__ = [
     "StepPolicy",

@@ -1,46 +1,15 @@
 """Piecewise drive schedules.
 
 A schedule is an ordered list of segments, and each segment is a frozen,
-validated drive record: a loop record from fields (LoopParams,
-RootLoopParams, TwoQubitParams, ExpLoopParams), a pulse (PulseParams,
-FlipParams) or an idle (IdleParams). Its dimension, duration, `kind`,
-`label` and generator (the Hamiltonian, in angular-frequency units)
-follow from its fields; no generator is ever built as a dense matrix. A
-loop record states its frame: its root fields precess about z on its
-`cones()` in a local frame, which its `orientation` turns into the lab
-frame. Every loop generator is defined once, in its real 2x2 block form
-(_Loop.block_fields), which both propagators and the phase layer read.
-So is a pulse, a frame turning about its `axis` at its own rate
-omega_pi with rotating-frame generator K = 0, and an idle, with zero
-fields. The control flip is in block form in its control's y basis, to
-which its `_control_frame` turns it; every other record's is None. A
-corrected loop is its root drive plus the transitionless correction
-b x db/dt, derived in the local frame with Berry's formula
-(fields._berry_corrected); the exp-loop takes its field from the
-static-coupling map instead. Keeping segments parametric rather than
-storing bare callables makes geometric operations (axis rotation,
-traversal reversal) exact parameter updates.
-
-Segment records, their kinds and labels:
-
-* LoopParams ``tqd-loop`` / RootLoopParams ``root-loop``: one full
-  conical precession period of the corrected / uncorrected single-qubit
-  drive, turned by the record's `rotation` about y.
-* PulseParams ``pi-pulse``: constant half-turn pulse about y, on a
-  single qubit (label pi) or on the driven qubit of a pair (pi-I).
-* FlipParams ``control-flip``: simultaneous half turn, x on the driven
-  qubit and y on the control, labelled pi-II. This is the refocusing
-  pulse of the two-qubit echo.
-* IdleParams ``idle``: zero generator for the record's `duration`.
-* TwoQubitParams ``two-qubit-loop``: control-conditioned corrected loop
-  on the driven qubit (block-diagonal in the control basis).
-* ExpLoopParams ``exp-loop``: the same conditional loop expressed
-  through static couplings plus a rotating transverse drive, including
-  the control-frame term omega * (1 x Sz) while the drive is on.
-
-A loop is labelled loop-C for omega > 0 and loop-Cbar for omega < 0. The
-echo builders take the rate of their pulses, 50*|omega| by default
-(_pulse_rate); no loop record holds it.
+validated drive record from fields: a loop (LoopParams, RootLoopParams,
+TwoQubitParams, ExpLoopParams), a pulse (PulseParams, FlipParams) or an
+idle (IdleParams), each with its generator in one real 2x2 block form
+(_Record.block_fields), which both propagators and the phase layer read.
+Keeping segments parametric rather than storing bare callables makes
+geometric operations (axis rotation, traversal reversal) exact parameter
+updates. This module holds the schedules, their builders, the field
+timeline and the CSV writer. The echo builders take the rate of their
+pulses, 50*|omega| by default (_pulse_rate); no loop record holds it.
 """
 from __future__ import annotations
 
@@ -54,21 +23,20 @@ import numpy as np
 
 from .fields import (
     ExpLoopParams,
+    FlipParams,
     LoopParams,
+    PulseParams,
     RootLoopParams,
     TwoQubitParams,
     _Loop,
+    _Record,
+    _check_count,
     _check_flag,
     _check_real,
-    _real_fields,
-    _rotating_frame,
 )
 
 __all__ = [
     "SegmentSchedule",
-    "PulseParams",
-    "FlipParams",
-    "IdleParams",
     "single_loop_schedule",
     "build_echo_sequence",
     "build_two_qubit_sequence",
@@ -77,148 +45,6 @@ __all__ = [
     "field_timeline",
     "write_field_timeline_csv",
 ]
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Accept a Python or numpy integer >= least; reject bools and floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
-def _steady_fields(ts, corrected: bool, c0: tuple, v: tuple) -> tuple:
-    """_Loop.block_fields of a constant generator: c0[j] + v . sigma in
-    block j, one block per entry of c0."""
-    _check_flag("corrected", corrected)
-    c = np.empty((len(c0), np.atleast_1d(ts).size))
-    field = np.empty((3,) + c.shape)
-    c.T[:] = c0
-    field.T[:] = v
-    return c, field
-
-
-# ---------------------------------------------------------------------------
-# pulse and idle records; the loop records live in fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _HalfTurn:
-    """What the pulse records share: a half turn at rate omega_pi > 0,
-    lasting pi/omega_pi. In block form each is a frame turning about its
-    `axis` at its own rate omega_pi: K = 0 in the loop kernel, which
-    reads its `_frame_row` (fields._rotating_frame). Each class states
-    its one constant block, `_block`: c0 per block and the block field
-    v, which block_fields and the frame row both read."""
-
-    omega_pi: float
-    _control_frame = None
-    _frame_rate = property(lambda self: self.omega_pi)
-    _frame_row = functools.cached_property(_rotating_frame)
-
-    def __post_init__(self):
-        _real_fields(self, positive=True)
-        if not math.isfinite(self.duration):
-            raise ValueError(
-                f"omega_pi = {self.omega_pi:g} is too slow: its half turn pi/omega_pi overflows"
-            )
-
-    @functools.cached_property
-    def duration(self) -> float:
-        return np.pi / self.omega_pi
-
-    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
-        """Real 2x2 block form of the pulse generator at the given local
-        times, as _Loop.block_fields; a pulse has no correction."""
-        return _steady_fields(ts, corrected, *self._block)
-
-    def _frame_block(self) -> tuple:
-        """(c0, v) of block_fields(0.0) as lists, as _Loop._frame_block."""
-        c0, v = self._block
-        return list(c0), [[vk] * len(c0) for vk in v]
-
-
-# 1 x C with C = exp(i*pi*sigma_x/4) on the control, by its entries:
-# C sigma_z C^dag = sigma_y, so it turns the control's z basis into its y
-# basis.
-_CONTROL_FRAME = math.sqrt(0.5) * np.array([[1, 1j, 0, 0], [1j, 1, 0, 0],
-                                            [0, 0, 1, 1j], [0, 0, 1j, 1]])
-_CONTROL_FRAME.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class FlipParams(_HalfTurn):
-    """The control flip: x on the driven qubit, y on the control, with
-    generator 0.5*omega_pi*(sx x 1 + 1 x sy).
-
-    In the conditional eigenbasis this swaps the control sectors while
-    preserving the energy label of the driven qubit, which is what lets
-    the second half of the two-qubit echo undo the sector-dependent
-    dynamical phases. A y half turn on the control alone does not do
-    this; it scrambles sectors when the drive and coupling are comparable.
-    Its generator is F (0.5*omega_pi*(sx x 1 + 1 x sz)) F^dag with F its
-    `_control_frame` 1 x C, so its block form is the middle factor's:
-    c0 = +-0.5*omega_pi on the control sectors and v = 0.5*omega_pi*x, a
-    frame turning about its `axis` x.
-    """
-
-    kind = "control-flip"
-    label = "pi-II"
-    dim = 4
-    axis = (1.0, 0.0, 0.0)
-    _control_frame = _CONTROL_FRAME
-
-    @property
-    def _block(self) -> tuple:
-        half = 0.5 * self.omega_pi
-        return (half, -half), (half, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PulseParams(_HalfTurn):
-    """A half turn about y, generator 0.5*omega_pi*sigma_y, on a lone
-    qubit (target "single", label pi) or on the driven qubit "I" of a
-    pair (label pi-I). Its block field is 0.5*omega_pi*y."""
-
-    target: str
-    kind = "pi-pulse"
-    axis = (0.0, 1.0, 0.0)
-    dim = property(lambda self: 2 if self.target == "single" else 4)
-    label = property(lambda self: "pi" if self.target == "single" else "pi-I")
-
-    def __post_init__(self):
-        if not isinstance(self.target, str) or self.target not in ("single", "I"):
-            raise ValueError(f'pulse target must be "single" or "I", got {self.target!r}')
-        super().__post_init__()
-
-    @property
-    def _block(self) -> tuple:
-        return (-0.0,) * (self.dim // 2), (0.0, 0.5 * self.omega_pi, 0.0)
-
-
-@dataclass(frozen=True)
-class IdleParams:
-    """An idle: a dimension, the integer 2 or 4, and a duration > 0."""
-
-    dim: int
-    duration: float
-    kind = "idle"
-    label = "idle"
-    _control_frame = None
-
-    def __post_init__(self):
-        _check_count("idle dim", self.dim, 2)
-        if self.dim not in (2, 4):
-            raise ValueError(f"idle dim must be 2 or 4, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        _real_fields(self, positive=True)
-
-    def block_fields(self, ts: np.ndarray, corrected: bool = True) -> tuple:
-        """Real 2x2 block form of the zero generator, as _Loop.block_fields."""
-        return _steady_fields(ts, corrected, (-0.0,) * (self.dim // 2), (0.0, 0.0, 0.0))
-
-
-_SEGMENTS = (_Loop, _HalfTurn, IdleParams)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +63,7 @@ class SegmentSchedule:
         if not segs:
             raise ValueError("schedule needs at least one segment")
         for s in segs:
-            if not isinstance(s, _SEGMENTS):
+            if not isinstance(s, _Record):
                 raise ValueError(f"schedule takes segments only, got {s!r}")
         dims = {s.dim for s in segs}
         if len(dims) != 1:
@@ -272,7 +98,7 @@ def _pulse_rate(p, omega_pi: float | None) -> float:
 def build_echo_sequence(p: LoopParams, omega_pi: float | None = None) -> SegmentSchedule:
     """Single-qubit echo, four driven segments: loop-C, pi, loop-Cbar, pi,
     the pulses at rate omega_pi, 50*|omega| by default. A schedule with
-    idles between them is built from the records (IdleParams)."""
+    idles between them is built from the records (fields.IdleParams)."""
     fwd = p if p.omega > 0 else p.reversed()
     pulse = PulseParams(_pulse_rate(p, omega_pi), "single")
     return SegmentSchedule((fwd, pulse, fwd.reversed(), pulse))

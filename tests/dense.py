@@ -13,19 +13,20 @@ back); here each is a plain operator.
 The module also keeps the per-segment forms of the layers the package
 now runs in one pass over all segments: the trapezoid dynamical phase,
 the comoving reference series, the trajectory, the Hamilton product and
-the quaternion packer; and the rotating-frame row as read from a
-record's block_fields at t = 0, which the records state from their own
-fields. The package's forms must match them byte for byte.
+the quaternion packer; the rotating-frame row as read from a record's
+block_fields at t = 0, which the records state from their own fields;
+and the block fields as each record class once filled them, which the
+records now fill in one method from the blocks they state. The
+package's forms must match them byte for byte.
 """
 import math
 
 import numpy as np
 
 from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y
-from tqdecho.fields import _Loop, _period_unit
+from tqdecho.fields import IdleParams, _HalfTurn, _Loop, _period_unit
 from tqdecho.phases import LABELS4, _ALIGNMENT_FLOOR, _eigvecs
 from tqdecho.propagate import Trajectory, _evolved_states
-from tqdecho.schedule import IdleParams, _HalfTurn
 
 # half-turn axes of each pulse, as the operator they turn about
 _PULSE_OPERATORS = {
@@ -90,6 +91,56 @@ def field_rows(seg, ts, corrected: bool = True) -> np.ndarray:
     """Field rows (Bx, By, Bz) of a single-qubit record at local times
     ts: twice the vector v of its one block_fields block."""
     return 2.0 * seg.block_fields(ts, corrected)[1][:, 0].T
+
+
+# ---------------------------------------------------------------------------
+# per-class block fields
+# ---------------------------------------------------------------------------
+
+def _loop_block_fields(seg, ts, corrected: bool) -> tuple:
+    """A loop's block fields, block by block: c0[j] its frame term and
+    v[:, j] half its field (transverse cos wt, transverse sin wt, bz),
+    then turned by its orientation."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    fields = seg.corrected() if corrected else seg.root()
+    wt = seg.omega * ts
+    cos, sin = np.cos(wt), np.sin(wt)
+    c0 = np.empty((len(fields), ts.size))
+    v = np.empty((3,) + c0.shape)
+    for j, ((transverse, bz), c) in enumerate(zip(fields, seg.frame)):
+        np.multiply(0.5 * transverse, cos, out=v[0, j])
+        np.multiply(0.5 * transverse, sin, out=v[1, j])
+        v[2, j] = 0.5 * bz
+        c0[j] = c
+    if seg.orientation is not None:
+        v = (seg.orientation.matrix @ v.reshape(3, -1)).reshape(v.shape)
+    return c0, v
+
+
+def _steady_block_fields(ts, c0: tuple, v: tuple) -> tuple:
+    """The block fields of a constant generator: c0[j] + v . sigma in
+    block j, one block per entry of c0."""
+    c = np.empty((len(c0), np.atleast_1d(ts).size))
+    field = np.empty((3,) + c.shape)
+    c.T[:] = c0
+    field.T[:] = v
+    return c, field
+
+
+def block_fields(seg, ts, corrected: bool = True) -> tuple:
+    """The block fields of any record as its class once filled them: a
+    loop's per block, and the one constant block of a pulse (its field
+    0.5*omega_pi along y, or for the flip along x with c0 = +-omega_pi/2)
+    or an idle (zero), each written out here."""
+    if isinstance(seg, _Loop):
+        return _loop_block_fields(seg, ts, corrected)
+    blocks = seg.dim // 2
+    if isinstance(seg, IdleParams):
+        return _steady_block_fields(ts, (-0.0,) * blocks, (0.0, 0.0, 0.0))
+    half = 0.5 * seg.omega_pi
+    if seg.kind == "control-flip":
+        return _steady_block_fields(ts, (half, -half), (half, 0.0, 0.0))
+    return _steady_block_fields(ts, (-0.0,) * blocks, (0.0, half, 0.0))
 
 
 # ---------------------------------------------------------------------------

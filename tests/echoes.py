@@ -1,7 +1,8 @@
 """Gapped echoes for the tests, built from the drive records: the echo
 is its four driven segments, and an idle between two of them is a
 record of its own."""
-from tqdecho.schedule import IdleParams, SegmentSchedule, build_echo_sequence
+from tqdecho.fields import IdleParams
+from tqdecho.schedule import SegmentSchedule, build_echo_sequence
 
 
 def gapped_echo(p, gaps, omega_pi=None) -> SegmentSchedule:

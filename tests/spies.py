@@ -4,8 +4,7 @@ is propagated or read."""
 from dataclasses import replace
 
 import tqdecho.propagate as prop
-from tqdecho.fields import _Loop
-from tqdecho.schedule import FlipParams, IdleParams, PulseParams, _HalfTurn
+from tqdecho.fields import _HalfTurn, _Record
 
 
 def count_handed_segments(monkeypatch) -> tuple:
@@ -49,16 +48,15 @@ def over_rotate_pulses(monkeypatch, factor: float) -> None:
 
 
 def count_field_reads(monkeypatch) -> list:
-    """Spy on block_fields of every record class: each read appends the
-    record it read to the returned list."""
+    """Spy on block_fields, the one method every record class reads its
+    fields through: each read appends the record it read to the returned
+    list."""
     reads = []
+    real = _Record.block_fields
 
-    def spy(real):
-        def read(self, ts, corrected=True):
-            reads.append(self)
-            return real(self, ts, corrected)
-        return read
+    def read(self, ts, corrected=True):
+        reads.append(self)
+        return real(self, ts, corrected)
 
-    for record in (_Loop, PulseParams, FlipParams, IdleParams):
-        monkeypatch.setattr(record, "block_fields", spy(record.block_fields))
+    monkeypatch.setattr(_Record, "block_fields", read)
     return reads

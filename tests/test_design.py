@@ -11,8 +11,7 @@ import pytest
 
 import tqdecho
 import tqdecho.cli
-from tqdecho.fields import _Loop
-from tqdecho.schedule import IdleParams, _HalfTurn
+from tqdecho.fields import IdleParams, _Loop, _Record
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tqdecho"
@@ -67,17 +66,33 @@ def test_every_driven_record_is_in_block_form():
     # test_block_fields_only_in_the_package)
     assert _hits(r"_flip_propagators|_pulse_expectation") == []
     assert _hits(r"\bFlipParams\b", ("propagate.py", "phases.py")) == []
-    records = _subclasses(_Loop) + _subclasses(_HalfTurn)
-    assert {c.__name__ for c in records} == {
-        "LoopParams", "RootLoopParams", "TwoQubitParams", "ExpLoopParams",
-        "PulseParams", "FlipParams",
-    }
+    records = [c for c in _subclasses(_Record) if c is not IdleParams]
     for record in records:
         for name in ("block_fields", "axis", "_frame_rate", "_control_frame"):
             assert hasattr(record, name), (record.__name__, name)
     assert [c.__name__ for c in records + [IdleParams] if c._control_frame is not None] == [
         "FlipParams"
     ]
+
+
+def test_one_block_fields_for_every_record():
+    # every segment record is a _Record in fields, stating its blocks;
+    # the one block_fields fills them, and no class spells its own
+    records = _subclasses(_Record)
+    assert {c.__name__ for c in records if not c.__name__.startswith("_")} == {
+        "LoopParams", "RootLoopParams", "TwoQubitParams", "ExpLoopParams",
+        "PulseParams", "FlipParams", "IdleParams",
+    }
+    assert {c.__name__ for c in records if c.__name__.startswith("_")} == {"_Loop", "_HalfTurn"}
+    assert {c.__module__ for c in records} == {"tqdecho.fields"}
+    modules = [importlib.import_module(f"tqdecho.{m.name}")
+               for m in pkgutil.iter_modules(tqdecho.__path__)]
+    assert [f"{m.__name__}.{name}" for m in modules for name, c in vars(m).items()
+            if inspect.isclass(c) and c.__module__ == m.__name__
+            and "block_fields" in vars(c) and c is not _Record] == []
+    assert _hits(r"_steady_fields|_frame_block") == []
+    assert _hits(r"^class \w*Params\b|^class \w+\((_Record|_Loop|_HalfTurn)\)",
+                 ("schedule.py",)) == []
 
 
 def test_no_pulse_axis_tables():
@@ -107,7 +122,8 @@ def test_one_class_per_two_qubit_loop():
     # TwoQubitParams is the two-qubit record, and the echo builders, not
     # the record, take the pulse rate omega_pi
     assert _hits(r"ConditionalLoopParams") == []
-    assert _hits(r"omega_pi", ("fields.py",)) == []
+    loops = [_Loop] + _subclasses(_Loop)
+    assert [c.__name__ for c in loops if "omega_pi" in inspect.getsource(c)] == []
 
 
 def test_one_segment_per_record():

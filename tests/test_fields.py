@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from tqdecho.fields import (
     ExpLoopParams,
     ExpParams,
+    FlipParams,
     LoopParams,
+    PulseParams,
     TwoQubitParams,
     experimental_params,
     theta_tilde,
@@ -23,7 +25,7 @@ from tqdecho.fields import (
 )
 from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import LABELS4, evolve_eigenstate, tracking_fidelity
-from tqdecho.schedule import FlipParams, PulseParams, SegmentSchedule, build_two_qubit_sequence
+from tqdecho.schedule import SegmentSchedule, build_two_qubit_sequence
 
 from dense import field_rows
 

@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
+from tqdecho.fields import (
+    ExpLoopParams,
+    FlipParams,
+    IdleParams,
+    LoopParams,
+    PulseParams,
+    RootLoopParams,
+    TwoQubitParams,
+)
 from tqdecho.phases import (
     _reference_series,
     dynamical_phase,
@@ -24,8 +32,6 @@ from tqdecho.propagate import (
     propagate_schedule,
 )
 from tqdecho.schedule import (
-    FlipParams,
-    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,
@@ -166,18 +172,25 @@ def test_exact_kernel_reads_fields_only_through_the_frame_row(monkeypatch, build
     assert again.propagators.tobytes() == first.propagators.tobytes()
 
 
+def _edge_loop(rng, omega: float, omega0: float) -> LoopParams:
+    """A loop at rate omega with theta 0, pi/2, pi or drawn and rotation
+    0.0, -0.0, pi or drawn, the edges where a signed zero or a rounded
+    sine can move a byte."""
+    return LoopParams(rng.choice((0.0, np.pi / 2, np.pi, rng.uniform(0.0, np.pi))), omega,
+                      omega0, rng.choice((0.0, -0.0, np.pi, rng.uniform(-4, 4))))
+
+
 def _frame_records() -> list:
     """Seeded draws of every block-form class, with the row's signed
-    zeros: turned and unturned loops and root loops (rotation 0.0, -0.0
-    or drawn), both signs of omega for the two-qubit and exp loops, both
-    pulse targets and the flip, and a loop whose corrected transverse
-    field is below 0."""
+    zeros: turned and unturned loops and root loops (_edge_loop), both
+    signs of omega for the two-qubit and exp loops, both pulse targets
+    and the flip, and a loop whose corrected transverse field is below
+    0."""
     rng = np.random.default_rng(45)
     records = []
     for _ in range(100):
         omega = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-2, 2)
-        loop = LoopParams(rng.uniform(0.0, np.pi), omega, 10 ** rng.uniform(-1, 1),
-                          rng.choice((0.0, -0.0, rng.uniform(-4, 4))))
+        loop = _edge_loop(rng, omega, 10 ** rng.uniform(-1, 1))
         q = TwoQubitParams(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2), omega)
         rate = 10 ** rng.uniform(-2, 2)
         records += [loop, RootLoopParams.of(loop), q, q.reversed(),
@@ -196,9 +209,41 @@ def test_frame_row_keeps_the_block_fields_bytes():
     records = _frame_records()
     assert {type(r) for r in records} == {LoopParams, RootLoopParams, TwoQubitParams,
                                           ExpLoopParams, PulseParams, FlipParams}
-    assert any(r.rotation == 0.0 and np.signbit(r.rotation) for r in records[::9])
+    loops = records[:-4:9]
+    assert {0.0, np.pi / 2, np.pi} <= {r.theta for r in loops}
+    assert any(r.rotation == 0.0 and np.signbit(r.rotation) for r in loops)
+    assert any(r.rotation == np.pi for r in loops)
     for record in records:
         assert record._frame_row.tobytes() == dense.rotating_frame(record).tobytes(), record
+
+
+def test_one_block_fields_keeps_the_per_class_bytes():
+    # every record fills its block fields in one method from the blocks
+    # it states; the per-class forms (tests/dense.py) are the reference,
+    # signed zeros included, at 33 samples from t = 0 and at the scalar 0
+    rng = np.random.default_rng(47)
+    records = []
+    for _ in range(100):
+        omega = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-3, 3)
+        loop = _edge_loop(rng, omega, 10 ** rng.uniform(-3, 3))
+        q = TwoQubitParams(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3), omega)
+        rate = 10 ** rng.uniform(-3, 3)
+        records += [loop, RootLoopParams.of(loop), q, ExpLoopParams(q.omega_i, q.coupling, omega),
+                    PulseParams(rate, "single"), PulseParams(rate, "I"), FlipParams(rate),
+                    IdleParams(2, rate), IdleParams(4, rate)]
+    assert {type(r) for r in records} == {LoopParams, RootLoopParams, TwoQubitParams,
+                                          ExpLoopParams, PulseParams, FlipParams, IdleParams}
+    loops = records[::9]
+    assert {0.0, np.pi / 2, np.pi} <= {r.theta for r in loops}
+    assert any(r.rotation == 0.0 and np.signbit(r.rotation) for r in loops)
+    assert any(r.rotation == np.pi for r in loops)
+    assert {np.sign(r.omega) for r in loops} == {-1.0, 1.0}
+    for record in records:
+        for ts in (np.linspace(0.0, record.duration, 33), 0.0):
+            for corrected in (True, False):
+                got = record.block_fields(ts, corrected)
+                want = dense.block_fields(record, ts, corrected)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], record
 
 
 def test_a_replaced_pulse_states_its_own_frame():

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdecho import phases
-from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
+from tqdecho.fields import (
+    ExpLoopParams,
+    IdleParams,
+    LoopParams,
+    PulseParams,
+    RootLoopParams,
+    TwoQubitParams,
+)
 from tqdecho.gates import closed_form_echo_gate
 from tqdecho.phases import (
     LABELS4,
@@ -29,8 +36,6 @@ from tqdecho.phases import (
 from tqdecho.propagate import StepPolicy, propagate_schedule
 from tqdecho.qcore import gate_distance, unitarity_defect, wrap_angle
 from tqdecho.schedule import (
-    IdleParams,
-    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,

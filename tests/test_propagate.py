@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
+from tqdecho.fields import (
+    ExpLoopParams,
+    FlipParams,
+    IdleParams,
+    LoopParams,
+    PulseParams,
+    RootLoopParams,
+    TwoQubitParams,
+)
 from tqdecho.gates import verify_exp_equivalence
 from tqdecho.phases import echo_phase_decomposition, evolve_eigenstate
 from tqdecho.propagate import (
@@ -25,9 +33,6 @@ from tqdecho.propagate import (
 )
 from tqdecho.qcore import PAULI, SIGMA_Y, SIGMA_Z, unitarity_defect
 from tqdecho.schedule import (
-    FlipParams,
-    IdleParams,
-    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdecho.fields import ExpLoopParams, LoopParams, RootLoopParams, TwoQubitParams
+from tqdecho.fields import (
+    ExpLoopParams,
+    FlipParams,
+    IdleParams,
+    LoopParams,
+    PulseParams,
+    RootLoopParams,
+    TwoQubitParams,
+)
 from tqdecho.gates import closed_form_echo_gate
 from tqdecho.propagate import StepPolicy, _segment_propagators, propagate_schedule
 from tqdecho.qcore import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, gate_distance
 from tqdecho.schedule import (
-    FlipParams,
-    IdleParams,
-    PulseParams,
     SegmentSchedule,
     build_echo_sequence,
     build_exp_two_qubit_sequence,

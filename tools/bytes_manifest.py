@@ -137,7 +137,10 @@ def _family() -> dict:
     import numpy as np
 
     import tqdecho as tq
-    from tqdecho.schedule import IdleParams
+    try:
+        from tqdecho.fields import IdleParams
+    except ImportError:  # a checkout from before the records moved to fields
+        from tqdecho.schedule import IdleParams
 
     rng = np.random.default_rng(FAMILY_SEED)
     members = {}
