@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import Check, _error, run_all
+from .csvfile import _write_csv
 from .fields import LoopParams, TwoQubitParams, experimental_params, tqd_field_magnitude
 from .gates import (
     SingleGateSpec,
@@ -42,7 +43,6 @@ from .phases import (
 from .propagate import StepPolicy, trajectory_to_csv
 from .qcore import gate_distance
 from .schedule import (
-    _write_csv,
     build_echo_sequence,
     field_timeline,
     single_loop_schedule,

@@ -76,8 +76,9 @@ from itertools import accumulate
 
 import numpy as np
 
+from .csvfile import _write_csv
 from .fields import IdleParams, _Loop, _check_count, _period_unit
-from .schedule import SegmentSchedule, _write_csv
+from .schedule import SegmentSchedule
 
 __all__ = [
     "StepPolicy",

@@ -12,18 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tqdecho.schedule
+import tqdecho.csvfile
 from tqdecho.cli import main
 from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.phases import evolve_eigenstate, tracking_fidelity
+from tqdecho.csvfile import _CSV_CHUNK, _KERNEL_MIN, _g17_cells, _scaled, _write_csv
 from tqdecho.propagate import propagate_schedule, trajectory_to_csv
 from tqdecho.schedule import (
-    _CSV_CHUNK,
-    _KERNEL_MIN,
     SegmentSchedule,
-    _g17_cells,
-    _scaled,
-    _write_csv,
     build_echo_sequence,
     build_two_qubit_sequence,
     field_timeline,
@@ -190,14 +186,14 @@ def _assert_kernel_matches(values, declines=None):
     x = np.asarray(values, dtype=np.float64)
     assert x.size >= _KERNEL_MIN  # the vectorized path, not the per-cell one
     declined = []
-    real = tqdecho.schedule._one_by_one
+    real = tqdecho.csvfile._one_by_one
 
     def recording(v):
         declined.extend(v.tolist())
         return real(v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tqdecho.schedule, "_one_by_one", recording)
+        mp.setattr(tqdecho.csvfile, "_one_by_one", recording)
         got = _cell_texts(_g17_cells(x))
     expected = [_fmt(v) for v in x.tolist()]
     wrong = [(v, g, e) for v, g, e in zip(x.tolist(), got, expected) if g != e]
