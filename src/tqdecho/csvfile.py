@@ -26,7 +26,8 @@ def _check_csv_text(name: str, value) -> None:
         )
 
 
-_CSV_CHUNK = 512  # rows formatted and written at a time
+_CHUNK_FLOATS = 3072  # floats per kernel call; sets the rows of a chunk
+_FEW = 64  # a column of at most this many distinct values is formatted once
 _KERNEL_MIN = 128  # below this many floats, per-cell '%.17g' is cheaper
 _CELL = 25  # the longest '%.17g' of a float64 plus its comma: "-2.2250738585072014e-308,"
 # decimal exponents the power table covers: those of 1e-250 <= |x| < 1e250,
@@ -98,7 +99,7 @@ def _g17_tables() -> _G17Tables:
     gather[0][np.arange(_CELL) < width[:, None] - 1] = [b for r in rows for b in r]
     gather[1, :, 0] = _MINUS  # the signed layouts
     gather[1, :, 1:] = gather[0, :, :-1]
-    gather, width = gather.reshape(-1, _CELL), np.concatenate([width, width + 1])
+    gather, width = gather.reshape(-1, _CELL).T.copy(), np.concatenate([width, width + 1])
 
     X = np.arange(_X_LO, _X_HI + 1)[:, None]
     nd = np.arange(1, 18)
@@ -119,7 +120,7 @@ def _scaled(a: np.ndarray, X: np.ndarray) -> tuple:
     """(N, f) with a * 10**(16 - X) = N + f, N the nearest int64 and
     |f| <= 1/2, to about 1e-14: Dekker's exact product of a with the
     hi part of the power, plus a times its lo part, summed by two-sum."""
-    hi, lo, hh, hl = _g17_tables().pow10[:, X - _X_LO]
+    hi, lo, hh, hl = _g17_tables().pow10.take(X - _X_LO, axis=1)
     p = a * hi
     c = _SPLIT * a
     ah = c - (c - a)
@@ -222,56 +223,103 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     layout[declined] = t.layout[0, -1, 0]  # zero's layout, the narrowest
     text = _one_by_one(x[declined])
     width = max([t.width.take(layout).max(), *map(len, text)])
-    index = np.ascontiguousarray(t.gather[:, :width]).take(layout, axis=0)
-    index += np.arange(0, 32 * n, 32)[:, None]
-    cells = t.words.take(words).view(np.uint8).ravel().take(index, mode="clip")
+    index = t.gather[:width].take(layout, axis=1)
+    index += np.arange(0, 32 * n, 32)
+    cells = t.words.take(words).view(np.uint8).ravel().take(index, mode="clip").T
     if text:
         cells[declined] = _padded(text, width)
     return cells
 
 
-def _text_cells(col: np.ndarray) -> np.ndarray:
-    """An integer or string column as cells like _g17_cells's: each run
-    of equal values is formatted once and gathered."""
+def _text_cells(values) -> np.ndarray:
+    """Integers or strings as cells like _g17_cells's."""
+    return _padded([str(v).encode("utf-8") + b"," for v in values])
+
+
+def _runs(col: np.ndarray) -> tuple:
+    """(table, ids) of an integer or string column: the cells of its
+    runs of equal values and each row's run."""
     new = np.ones(len(col), bool)
     np.not_equal(col[1:], col[:-1], out=new[1:])
-    text = [str(v).encode("utf-8") + b"," for v in col[new].tolist()]
-    return _padded(text)[np.cumsum(new) - 1]
+    return _text_cells(col[new].tolist()), np.cumsum(new) - 1
 
 
-def _csv_rows(cols: list) -> bytes:
-    """The CSV lines of equal-length columns: the cells of each row side
-    by side, the last comma made a newline, the NUL padding dropped."""
-    floats = [c for c in cols if c.dtype.kind == "f"]
+def _once(col: np.ndarray):
+    """(table, ids) of a column of at most _FEW distinct values, floats
+    told apart by their bit pattern (0.0 and -0.0 print apart, and nans
+    of two payloads count twice): the cells of the distinct values and
+    each row's index among them. None for any other column, as soon as
+    a strided sample of the rows or the column itself shows more than
+    _FEW values."""
+    keys = col.view(np.int64) if col.dtype.kind == "f" else col
+    if len(set(keys[:: max(1, len(keys) // (_FEW + 1))].tolist())) > _FEW:
+        return None
+    ids = np.zeros(len(keys), np.intp)
+    values = [keys[0]]
+    rest = keys[keys != values[0]]
+    while rest.size:
+        if len(values) == _FEW:
+            return None
+        ids[keys == rest[0]] = len(values)
+        values.append(rest[0])
+        rest = rest[rest != rest[0]]
+    if col.dtype.kind == "f":
+        return _g17_cells(np.array(values).view(np.float64)), ids
+    return _text_cells(values), ids
+
+
+def _chunk_rows(kernel_columns: int) -> int:
+    """Rows per chunk: _CHUNK_FLOATS floats per kernel call over the
+    float columns the kernel formats."""
+    return _CHUNK_FLOATS // max(1, kernel_columns)
+
+
+def _csv_rows(cols: list, once: list, rows: slice) -> np.ndarray:
+    """The CSV lines of `rows` of the columns, as a uint8 array: the
+    cells of each row side by side, the last comma made a newline, the
+    NUL padding dropped. A column with a table in `once` gathers its
+    cells from it; the kernel formats the other float columns in one
+    call, and each run of an integer or string column is formatted
+    once."""
+    floats = [c[rows] for c, o in zip(cols, once) if o is None and c.dtype.kind == "f"]
     if floats:
-        cells = _g17_cells(np.stack(floats, axis=1).astype(np.float64, copy=False).ravel())
-        cells = cells.reshape(len(cols[0]), len(floats), -1)
+        cells = _g17_cells(np.stack(floats, axis=1).ravel()).reshape(len(floats[0]), len(floats), -1)
     parts, k = [], 0
-    for c in cols:
-        if c.dtype.kind == "f":
+    for c, o in zip(cols, once):
+        if o is not None:
+            parts.append(o[0].take(o[1][rows], axis=0))
+        elif c.dtype.kind == "f":
             parts.append(cells[:, k])
             k += 1
         else:
-            parts.append(_text_cells(c))
+            table, ids = _runs(c[rows])
+            parts.append(table.take(ids, axis=0))
     out = np.concatenate(parts, axis=1)
     # the last cell of a row ends in its comma, then NULs or nothing
     last = out[:, -parts[-1].shape[1]:]
     last[last == ord(",")] = ord("\n")
     out = out.ravel()
-    return out[out != 0].tobytes()
+    return out[out != 0]
 
 
 def _write_csv(path, header: Sequence[str], columns) -> None:
     """Write equal-length columns as UTF-8 CSV rows below `header`.
 
     Float columns print as '%.17g' % x (the routine behind
-    format(x, ".17g")) through the vectorized kernel _g17_cells,
-    integer columns as %d and string columns as they are, each run of
-    equal values formatted once. A header name holding a comma, quote,
-    line break or NUL, or one named twice, is rejected; string cells are
-    segment labels, fixed strings of the records that hold none of these.
-    The file is streamed _CSV_CHUNK rows at a time, so no string holds the
-    whole file.
+    format(x, ".17g")), integer columns as %d and string columns as they
+    are. A column of at most _FEW distinct values (floats by bit
+    pattern) is formatted once per value for the whole file and its
+    cells gathered. Of the others, the float columns go through the
+    vectorized kernel _g17_cells, _CHUNK_FLOATS floats per call, which
+    sets the rows per chunk (_chunk_rows), and each run of equal values
+    of an integer or string column is formatted once per chunk. Each
+    chunk is written as it is made, so no string holds the whole file.
+
+    Before the file is opened, the input is checked: a header name
+    holding a comma, quote, line break or NUL, or one named twice, a
+    header of another length than the columns, and columns that are not
+    1-d of one length raise ValueError. String cells are segment labels,
+    fixed strings of the records that hold none of these characters.
     """
     for k, name in enumerate(header):
         _check_csv_text("CSV column name", name)
@@ -281,8 +329,15 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
     for c in cols:
         if c.dtype.kind not in "fiU":
             raise ValueError(f"cannot write a CSV column of dtype {c.dtype}")
+    if len(cols) != len(header) or not cols:
+        raise ValueError(f"CSV header names {len(header)} columns, but {len(cols)} are given")
+    shapes = [c.shape for c in cols]
+    if any(len(s) != 1 for s in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"CSV columns must be 1-d and of one length, got shapes {shapes}")
+    cols = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c for c in cols]
+    once = [_once(c) if len(c) else None for c in cols]
+    step = _chunk_rows(sum(o is None and c.dtype.kind == "f" for c, o in zip(cols, once)))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for i in range(0, len(cols[0]), _CSV_CHUNK):
-            fh.write(_csv_rows([c[i : i + _CSV_CHUNK] for c in cols]))
-
+        for i in range(0, len(cols[0]), step):
+            fh.write(_csv_rows(cols, once, slice(i, i + step)))

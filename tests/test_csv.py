@@ -14,9 +14,17 @@ from hypothesis import strategies as st
 
 import tqdecho.csvfile
 from tqdecho.cli import main
+from tqdecho.csvfile import (
+    _FEW,
+    _KERNEL_MIN,
+    _chunk_rows,
+    _g17_cells,
+    _once,
+    _scaled,
+    _write_csv,
+)
 from tqdecho.fields import LoopParams, TwoQubitParams
 from tqdecho.phases import evolve_eigenstate, tracking_fidelity
-from tqdecho.csvfile import _CSV_CHUNK, _KERNEL_MIN, _g17_cells, _scaled, _write_csv
 from tqdecho.propagate import propagate_schedule, trajectory_to_csv
 from tqdecho.schedule import (
     SegmentSchedule,
@@ -103,16 +111,31 @@ def test_trajectory_csv_bytes(tmp_path, case, with_extra):
     assert path.read_bytes() == _reference_trajectory(traj, extra)
 
 
-def test_trajectory_csv_bytes_across_chunks(tmp_path):
+def _chunks(monkeypatch) -> list:
+    """The row slices the writer formats, recorded as it calls _csv_rows."""
+    seen, real = [], tqdecho.csvfile._csv_rows
+
+    def recording(cols, once, rows):
+        seen.append(range(*rows.indices(len(cols[0]))))
+        return real(cols, once, rows)
+
+    monkeypatch.setattr(tqdecho.csvfile, "_csv_rows", recording)
+    return seen
+
+
+def test_trajectory_csv_bytes_across_chunks(tmp_path, monkeypatch):
+    # the kernel formats t, the four amplitude parts and `count`; the
+    # segment, the label and the few-valued extras are formatted once
+    step = _chunk_rows(6)
     traj = propagate_schedule(
-        single_loop_schedule(P), initial_state=np.array([1.0, 0.0]),
-        samples=2 * _CSV_CHUNK + 37,
+        single_loop_schedule(P), initial_state=np.array([1.0, 0.0]), samples=2 * step + 37,
     )
     n = len(traj.times)
-    assert n > _CSV_CHUNK and n % _CSV_CHUNK != 0
     extra = _extras(n)
+    chunks = _chunks(monkeypatch)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path, extra)
+    assert [len(c) for c in chunks] == [step, step, n - 2 * step] and n - 2 * step < step
     assert path.read_bytes() == _reference_trajectory(traj, extra)
 
 
@@ -283,11 +306,13 @@ def test_kernel_rounds_exact_ties_half_to_even():
 
 # the writer: chunks and column mixes ---------------------------------------
 
-@pytest.mark.parametrize("rows", [1, 5, _KERNEL_MIN, _CSV_CHUNK, 2 * _CSV_CHUNK + 37])
+@pytest.mark.parametrize("rows", [1, 5, _KERNEL_MIN, _chunk_rows(2), 2 * _chunk_rows(2) + 37])
 def test_mixed_columns_across_chunks(tmp_path, rows):
     # float, integer and label columns in one file, in rows that end a
     # chunk exactly, cross chunk boundaries and leave a last chunk below
-    # the kernel's block size
+    # the kernel's block size; the kernel formats the two ramps, the
+    # labels and the 14 special values are formatted once, and the
+    # integer column once per file up to 7 * _FEW rows, per chunk past it
     special = np.resize(np.array(SPECIAL + [np.inf, -np.inf, np.nan, 1e-280, 3e300]), rows)
     ramp = np.linspace(-3.0, 7.0, rows)
     index = np.arange(rows) // 7 - 2
@@ -300,6 +325,76 @@ def test_mixed_columns_across_chunks(tmp_path, rows):
         for t, i, lab, v in zip(ramp, index, labels, special)
     ]
     assert path.read_bytes() == _reference(header, rows_text)
+
+
+def _bits(*patterns) -> list:
+    return np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+def test_few_valued_columns_across_chunks(tmp_path, monkeypatch):
+    # columns formatted once per file, each distinct bit pattern once,
+    # beside kernel columns, in rows that cross two chunk boundaries
+    step = _chunk_rows(3)  # the kernel formats t, `above` and `spread`
+    n = 2 * step + 37
+    k = np.arange(n)
+    nans = _bits(0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000002)
+    declined = _exact_ties()[:8] + [1e-300, -5e-324, 9e-251]
+    cols = {
+        "t": np.linspace(0.0, 9.0, n),
+        "constant": np.full(n, 1.0 / 3.0),
+        "zeros": np.array([0.0, -0.0, 0.0, 1.0, -0.0])[k % 5],
+        "nans": np.array(nans + [np.inf, -np.inf])[k * 7 % 6],
+        "declined": np.array(declined)[k % len(declined)],
+        "at": 0.1 * (k * 5 % _FEW) - 2.0,  # _FEW distinct values
+        "above": 0.1 * (k * 7 % (_FEW + 1)) - 2.0,  # one more
+        "spread": np.where(k % 4 == 0, np.array(declined)[k % len(declined)], k / 7.0),
+        "label": np.array(["loop-C", "pi", "idle"])[k // 100 % 3],
+        "segment": k // 3,  # more runs than _FEW: per chunk
+    }
+    assert [_once(c) is None for c in cols.values()] == [
+        True, False, False, False, False, False, True, True, False, True,
+    ]
+    chunks = _chunks(monkeypatch)
+    path = tmp_path / "few.csv"
+    _write_csv(path, list(cols), list(cols.values()))
+    assert [len(c) for c in chunks] == [step, step, 37]
+    rows = [
+        [str(v) if c.dtype.kind in "iU" else _fmt(v) for c, v in zip(cols.values(), row)]
+        for row in zip(*[c.tolist() for c in cols.values()])
+    ]
+    assert path.read_bytes() == _reference(list(cols), rows)
+
+
+def test_once_keys_floats_by_bit_pattern():
+    # 0.0 and -0.0 compare equal but print apart, as do nans of different
+    # payloads (which '%.17g' prints alike)
+    table, ids = _once(np.array([0.0, -0.0, 0.0, np.nan, -np.nan, 2.5]))
+    assert _cell_texts(table) == ["0", "-0", "nan", "nan", "2.5"]
+    assert ids.tolist() == [0, 1, 0, 2, 3, 4]
+    table, ids = _once(np.array(["pi", "loop-C", "pi"]))
+    assert table.tobytes().replace(b"\0", b"") == b"pi,loop-C," and ids.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "header, columns, match",
+    [
+        (["a", "b", "c"], [np.zeros(2), np.ones(2)], "header names 3 columns, but 2 are given"),
+        (["a", "b"], [np.zeros(2), np.ones(2), np.ones(2)], "header names 2 columns, but 3"),
+        ([], [], "header names 0 columns, but 0 are given"),
+        (["a", "b"], [np.zeros(2), np.ones(3)], r"of one length, got shapes \[\(2,\), \(3,\)\]"),
+        (["a"], [np.zeros((2, 2))], r"must be 1-d"),
+        (["a"], [np.float64(1.0)], r"must be 1-d"),
+    ],
+    ids=["short-header", "long-header", "empty", "unequal", "two-d", "scalar"],
+)
+def test_csv_checks_its_columns_before_it_opens_the_file(tmp_path, header, columns, match):
+    # a header of 3 names over 2 columns wrote a,b,c then rows of two
+    # cells, and columns of unequal length raised numpy's shape error
+    # after the header line was written
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=match):
+        _write_csv(path, header, columns)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad", [",", '"', "\r", "\n", "\0"])

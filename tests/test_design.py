@@ -184,3 +184,14 @@ def test_one_spelling_per_capability():
     restated = r"\b(field_batch|formula_consistent|two_qubit_eigenvector|final_state)\b"
     assert _hits(restated) + _hits(restated, root=ROOT / "demos") == []
     assert [kind for kind, schema in tqdecho.cli._SCHEMAS.items() if "substeps" in schema] == []
+
+
+def test_one_csv_writer():
+    # every CSV goes through csvfile's one writer and its '%.17g' kernel;
+    # no other module formats or writes rows of its own
+    defined = r"\bdef (_write_csv|_g17_cells)\b"
+    assert [(hit.split(":")[0], re.search(defined, hit)[1]) for hit in _hits(defined)] == [
+        ("csvfile.py", "_g17_cells"), ("csvfile.py", "_write_csv"),
+    ]
+    assert _hits(r"^\s*(import csv\b|from csv import)|\b(savetxt|tofile|writelines)\b",
+                 exclude=("csvfile.py",)) == []

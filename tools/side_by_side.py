@@ -42,12 +42,17 @@ properties are paid inside every timed pass that reads them. The rows:
 * frame rows: the cached rotating-frame row (`_frame_row`) of each
   distinct fresh record of the 14 echoes and of the conditional and
   exp echoes of the gate op's three drives, what a fresh record pays
-  on its first walk.
+  on its first walk;
+* csv: the CSV files of the CLI's echo, evolve and fields runs, for
+  the first three echoes at 2048, 3072 and 4096 samples:
+  trajectory_to_csv of the echo's and of its loop's eigenstate
+  trajectory with their tracking fidelity as a column, and
+  write_field_timeline_csv of the loop, into a temporary directory.
 
 The layer rows call the package's private layer functions by name, and
 the frame rows row reads a private attribute, so both trees must have
 them with their present signatures; the echo op, gate op,
-decomposition and re-attach rows read public names only.
+decomposition, re-attach and csv rows read public names only.
 `. .` times the tree against itself, which reads ratios near 1.
 """
 from __future__ import annotations
@@ -56,6 +61,7 @@ import argparse
 import importlib.util
 import math
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -69,6 +75,7 @@ ORACLE_CHECKPOINTS = 16
 GATE_DRIVES = (0.3, 1.0, 3.0)  # omega_i of the two-qubit rows, coupling 1
 GATE_OMEGA = 0.5
 PASSES = 3
+CSV_SAMPLES = (2048, 3072, 4096)  # samples per loop, over the range perfbench's cli-export draws
 
 
 def load(tree: Path, name: str):
@@ -177,6 +184,23 @@ def _row_frame_rows(tq):
     return [lambda seg=seg: seg._frame_row for seg in records]
 
 
+_CSV_DIR = tempfile.TemporaryDirectory(prefix="side_by_side_csv_")
+
+
+def _row_csv(tq):
+    out = Path(_CSV_DIR.name)
+    calls = []
+    for inp, samples in zip(ECHOES, CSV_SAMPLES):
+        p = tq.LoopParams(theta=inp["theta"], omega=inp["omega"], omega0=1.0)
+        loop = tq.single_loop_schedule(p)
+        for sched in (tq.build_echo_sequence(p), loop):
+            traj = tq.evolve_eigenstate(sched, inp["label"], samples=samples)
+            fid = {"fidelity": tq.tracking_fidelity(traj, inp["label"])}
+            calls.append(lambda t=traj, f=fid: tq.trajectory_to_csv(t, out / "trajectory.csv", f))
+        calls.append(lambda s=loop, n=samples: tq.write_field_timeline_csv(out / "fields.csv", s, n))
+    return calls
+
+
 ROWS = {
     "echo op": _row_echo_op,
     "gate op": _row_gate_op,
@@ -188,6 +212,7 @@ ROWS = {
     "magnus": _row_magnus,
     "re-attach": _row_reattach,
     "frame rows": _row_frame_rows,
+    "csv": _row_csv,
 }
 
 
