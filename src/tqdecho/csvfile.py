@@ -48,7 +48,9 @@ class _G17Tables(NamedTuple):
     words: np.ndarray  # uint32 "%04d" of 0..9999, then ".-e," and "+"
     tz4: np.ndarray  # trailing zeros of a 4-digit group, 4 for 0
     layout: np.ndarray  # (sign, X - _X_LO, digits - 1) -> layout; X past _X_HI: zero
-    gather: np.ndarray  # layout -> source bytes of the cell, comma, NUL padding
+    # (byte, layout) -> source of that byte of the cell, comma, NUL padding;
+    # byte-major, so a cell's first w bytes for every layout are one block
+    gather: np.ndarray
     width: np.ndarray  # layout -> bytes up to and with the comma
 
 
@@ -209,7 +211,7 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     np.divmod(high, 10**4, out=(words[:, 1], words[:, 2]))
     np.divmod(low, 10**4, out=(words[:, 3], words[:, 4]))
     words[:, 5] = _PUNCT
-    np.minimum(np.abs(X), 9999, out=words[:, 6])
+    np.abs(X, out=words[:, 6])  # |X| <= _X_HI + 1
     words[:, 7] = _PLUS_WORD
     tz = t.tz4[words[:, 4]]
     for k in (3, 2, 1):  # a zero last group is rare: extend those cells only
@@ -254,15 +256,16 @@ def _once(col: np.ndarray):
     keys = col.view(np.int64) if col.dtype.kind == "f" else col
     if len(set(keys[:: max(1, len(keys) // (_FEW + 1))].tolist())) > _FEW:
         return None
-    ids = np.zeros(len(keys), np.intp)
+    ids = np.zeros(len(keys), np.uint8)  # _FEW < 256
     values = [keys[0]]
-    rest = keys[keys != values[0]]
+    rest = np.flatnonzero(keys != values[0])  # the rows of no value yet
     while rest.size:
         if len(values) == _FEW:
             return None
-        ids[keys == rest[0]] = len(values)
-        values.append(rest[0])
-        rest = rest[rest != rest[0]]
+        same = keys[rest] == keys[rest[0]]
+        ids[rest[same]] = len(values)
+        values.append(keys[rest[0]])
+        rest = rest[~same]
     if col.dtype.kind == "f":
         return _g17_cells(np.array(values).view(np.float64)), ids
     return _text_cells(values), ids
