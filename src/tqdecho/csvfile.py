@@ -289,13 +289,11 @@ def _csv_rows(cols: list, once: list, rows: slice) -> np.ndarray:
         cells = _g17_cells(np.stack(floats, axis=1).ravel()).reshape(len(floats[0]), len(floats), -1)
     parts, k = [], 0
     for c, o in zip(cols, once):
-        if o is not None:
-            parts.append(o[0].take(o[1][rows], axis=0))
-        elif c.dtype.kind == "f":
+        if o is None and c.dtype.kind == "f":
             parts.append(cells[:, k])
             k += 1
         else:
-            table, ids = _runs(c[rows])
+            table, ids = _runs(c[rows]) if o is None else (o[0], o[1][rows])
             parts.append(table.take(ids, axis=0))
     out = np.concatenate(parts, axis=1)
     # the last cell of a row ends in its comma, then NULs or nothing
@@ -310,13 +308,12 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
 
     Float columns print as '%.17g' % x (the routine behind
     format(x, ".17g")), integer columns as %d and string columns as they
-    are. A column of at most _FEW distinct values (floats by bit
-    pattern) is formatted once per value for the whole file and its
-    cells gathered. Of the others, the float columns go through the
-    vectorized kernel _g17_cells, _CHUNK_FLOATS floats per call, which
-    sets the rows per chunk (_chunk_rows), and each run of equal values
-    of an integer or string column is formatted once per chunk. Each
-    chunk is written as it is made, so no string holds the whole file.
+    are. A column of at most _FEW distinct values is formatted once per
+    value for the whole file (_once). The other float columns go through
+    the vectorized kernel _g17_cells, _CHUNK_FLOATS floats per call,
+    which sets the rows of a chunk (_chunk_rows), and the other integer
+    and string columns by runs of equal values. Each chunk is written as
+    it is made, so no string holds the whole file.
 
     Before the file is opened, the input is checked: a header name
     holding a comma, quote, line break or NUL, or one named twice, a
