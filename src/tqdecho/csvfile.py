@@ -316,9 +316,9 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
     it is made, so no string holds the whole file.
 
     Before the file is opened, the input is checked: a header name
-    holding a comma, quote, line break or NUL, or one named twice, a
-    header of another length than the columns, and columns that are not
-    1-d of one length raise ValueError. String cells are segment labels,
+    holding a comma, quote, line break or NUL, or one named twice, no
+    column, a header of another length than the columns, and columns
+    that are not 1-d of one length raise ValueError. String cells are segment labels,
     fixed strings of the records that hold none of these characters.
     """
     for k, name in enumerate(header):
@@ -329,7 +329,9 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
     for c in cols:
         if c.dtype.kind not in "fiU":
             raise ValueError(f"cannot write a CSV column of dtype {c.dtype}")
-    if len(cols) != len(header) or not cols:
+    if not cols:
+        raise ValueError("CSV needs at least one column")
+    if len(cols) != len(header):
         raise ValueError(f"CSV header names {len(header)} columns, but {len(cols)} are given")
     shapes = [c.shape for c in cols]
     if any(len(s) != 1 for s in shapes) or len(set(shapes)) > 1:

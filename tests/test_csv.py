@@ -370,7 +370,7 @@ def test_few_valued_columns_across_chunks(tmp_path, monkeypatch):
     [
         (["a", "b", "c"], [np.zeros(2), np.ones(2)], "header names 3 columns, but 2 are given"),
         (["a", "b"], [np.zeros(2), np.ones(2), np.ones(2)], "header names 2 columns, but 3"),
-        ([], [], "header names 0 columns, but 0 are given"),
+        ([], [], "needs at least one column"),
         (["a", "b"], [np.zeros(2), np.ones(3)], r"of one length, got shapes \[\(2,\), \(3,\)\]"),
         (["a"], [np.zeros((2, 2))], r"must be 1-d"),
         (["a"], [np.float64(1.0)], r"must be 1-d"),
