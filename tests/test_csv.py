@@ -306,13 +306,16 @@ def test_kernel_rounds_exact_ties_half_to_even():
 
 # the writer: chunks and column mixes ---------------------------------------
 
-@pytest.mark.parametrize("rows", [1, 5, _KERNEL_MIN, _chunk_rows(2), 2 * _chunk_rows(2) + 37])
+@pytest.mark.parametrize(
+    "rows", [1, 5, _KERNEL_MIN, 512, 1061, _chunk_rows(2), 2 * _chunk_rows(2) + 37]
+)
 def test_mixed_columns_across_chunks(tmp_path, rows):
-    # float, integer and label columns in one file, in rows that end a
-    # chunk exactly, cross chunk boundaries and leave a last chunk below
-    # the kernel's block size; the kernel formats the two ramps, the
-    # labels and the 14 special values are formatted once, and the
-    # integer column once per file up to 7 * _FEW rows, per chunk past it
+    # float, integer and label columns in one file, in rows that fill
+    # part of a chunk, end a chunk exactly, cross chunk boundaries and
+    # leave a last chunk below the kernel's block size; the kernel
+    # formats the two ramps, the labels and the 14 special values are
+    # formatted once, and the integer column once per file up to
+    # 7 * _FEW rows, per chunk past it
     special = np.resize(np.array(SPECIAL + [np.inf, -np.inf, np.nan, 1e-280, 3e300]), rows)
     ramp = np.linspace(-3.0, 7.0, rows)
     index = np.arange(rows) // 7 - 2
