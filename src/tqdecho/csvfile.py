@@ -1,12 +1,16 @@
 """The CSV writer and its '%.17g' kernel.
 
-Every CSV the package writes goes through _write_csv: float columns
-through the vectorized kernel _g17_cells, integer and string columns
-as text, below a checked header.
+Every CSV the package writes goes through _write_csv, below a checked
+header. Integer and string columns, and float columns of few distinct
+values, are tabled once per file (by runs of equal values, or by
+value); the other float columns go through the vectorized kernel
+_g17_cells, a chunk of rows at a time. Each chunk's cells are copied
+once into a row buffer, the last column's made with the newline.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +30,8 @@ def _check_csv_text(name: str, value) -> None:
         )
 
 
-_CHUNK_FLOATS = 3072  # floats per kernel call; sets the rows of a chunk
+_CHUNK_FLOATS = 6144  # floats per kernel call; sets the rows of a chunk
+_GATHER_CELLS = 512  # cells per gather; its index takes 8 bytes per byte of a cell
 _FEW = 64  # a column of at most this many distinct values is formatted once
 _KERNEL_MIN = 128  # below this many floats, per-cell '%.17g' is cheaper
 _CELL = 25  # the longest '%.17g' of a float64 plus its comma: "-2.2250738585072014e-308,"
@@ -37,21 +42,21 @@ _TIE = 0.5 - 1e-6  # roundings closer than 1e-6 to a tie are declined
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # A cell's source row is 8 words from _G17Tables.words, 32 bytes: the
 # 17 digits as "000d" and four 4-digit groups (digit i is byte 3 + i,
-# bytes 0-2 are "0"), then ".-e,", the exponent's digits as "0hto", and
-# "+" with NULs. The byte offsets the layouts use:
-_ZERO, _DOT, _MINUS, _E, _COMMA, _HUNDREDS, _PLUS, _NUL = 0, 20, 21, 22, 23, 25, 28, 29
-_PUNCT, _PLUS_WORD = 10000, 10001  # word indices of ".-e," and "+"
+# bytes 0-2 are "0"), then ".-e" and the cell's end (a comma, or a
+# newline for the last cell of a line), the exponent's digits as
+# "0hto", and "+" with NULs. The byte offsets the layouts use:
+_ZERO, _DOT, _MINUS, _E, _END, _HUNDREDS, _PLUS, _NUL = 0, 20, 21, 22, 23, 25, 28, 29
+_PUNCT, _PUNCT_NL, _PLUS_WORD = 10000, 10001, 10002  # ".-e,", ".-e\n" and "+"
 
 
 class _G17Tables(NamedTuple):
     pow10: np.ndarray  # (4, X): hi, lo and hi's Veltkamp halves of 10**(16 - X)
-    words: np.ndarray  # uint32 "%04d" of 0..9999, then ".-e," and "+"
+    words: np.ndarray  # uint32 "%04d" of 0..9999, then ".-e,", ".-e\n" and "+"
     tz4: np.ndarray  # trailing zeros of a 4-digit group, 4 for 0
     layout: np.ndarray  # (sign, X - _X_LO, digits - 1) -> layout; X past _X_HI: zero
-    # (byte, layout) -> source of that byte of the cell, comma, NUL padding;
-    # byte-major, so a cell's first w bytes for every layout are one block
-    gather: np.ndarray
-    width: np.ndarray  # layout -> bytes up to and with the comma
+    gather: np.ndarray  # (layout, byte) -> source of that byte of the cell, its end, NULs
+    # (cell, byte) -> 32 * cell: where the source row of each of _GATHER_CELLS starts
+    offsets: np.ndarray
 
 
 @functools.cache
@@ -75,9 +80,9 @@ def _g17_tables() -> _G17Tables:
     digits = np.indices((10, 10, 10, 10)).reshape(4, -1)  # of 0..9999, thousands first
     words = np.concatenate([
         (digits.T + ord("0")).astype(np.uint8).ravel(),
-        np.frombuffer(b".-e,+\0\0\0", np.uint8),
+        np.frombuffer(b".-e,.-e\n+\0\0\0", np.uint8),
     ]).view(np.uint32)
-    tz4 = np.cumprod(digits[::-1] == 0, axis=0).sum(axis=0)
+    tz4 = np.cumprod(digits[::-1] == 0, axis=0).sum(axis=0).astype(np.uint8)
 
     def run(i, j):  # source bytes of digits i..j-1
         return list(range(3 + i, 3 + j))
@@ -97,11 +102,11 @@ def _g17_tables() -> _G17Tables:
     rows.append([_ZERO])
     width = np.array([len(r) + 1 for r in rows])
     gather = np.full((2, len(rows), _CELL), _NUL, dtype=np.intp)
-    gather[0, np.arange(len(rows)), width - 1] = _COMMA
+    gather[0, np.arange(len(rows)), width - 1] = _END
     gather[0][np.arange(_CELL) < width[:, None] - 1] = [b for r in rows for b in r]
     gather[1, :, 0] = _MINUS  # the signed layouts
     gather[1, :, 1:] = gather[0, :, :-1]
-    gather, width = gather.reshape(-1, _CELL).T.copy(), np.concatenate([width, width + 1])
+    offsets = np.repeat(np.arange(0, 32 * _GATHER_CELLS, 32), _CELL).reshape(-1, _CELL)
 
     X = np.arange(_X_LO, _X_HI + 1)[:, None]
     nd = np.arange(1, 18)
@@ -111,8 +116,10 @@ def _g17_tables() -> _G17Tables:
         357 + (nd - 1) * 4 + 2 * (X < 0) + (np.abs(X) >= 100),
     )
     layout = np.vstack([layout, np.full(17, len(rows) - 1)])
-    layout = np.stack([layout, layout + len(rows)])
-    tables = _G17Tables(np.stack([hi, lo, hh, hi - hh]), words, tz4, layout, gather, width)
+    layout = np.stack([layout, layout + len(rows)]).astype(np.int16)
+    tables = _G17Tables(
+        np.stack([hi, lo, hh, hi - hh]), words, tz4, layout, gather.reshape(-1, _CELL), offsets
+    )
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
@@ -124,16 +131,26 @@ def _scaled(a: np.ndarray, X: np.ndarray) -> tuple:
     hi part of the power, plus a times its lo part, summed by two-sum."""
     hi, lo, hh, hl = _g17_tables().pow10.take(X - _X_LO, axis=1)
     p = a * hi
-    c = _SPLIT * a
-    ah = c - (c - a)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # a * hi - p, exactly
-    low = err + a * lo
+    # err = ((ah * hh - p) + ah * hl + al * hh) + al * hl = a * hi - p, exactly,
+    # and low = err + a * lo, in place
+    err = ah * hh
+    err -= p
+    err += np.multiply(ah, hl, out=ah)
+    err += np.multiply(al, hh, out=hh)
+    err += np.multiply(al, hl, out=hl)
+    low = np.add(err, np.multiply(a, lo, out=lo), out=err)
+    del hi, lo, hh, hl, ah, al
     s = p + low
     r = np.rint(s)
-    f = (s - r) + (low - (s - p))
+    low -= np.subtract(s, p, out=p)  # f = (s - r) + (low - (s - p)), in place
+    f = np.add(np.subtract(s, r, out=s), low, out=s)
     r2 = np.rint(f)
-    return r.astype(np.int64) + r2.astype(np.int64), f - r2
+    N = r.astype(np.int64)
+    N += r2.astype(np.int64)
+    return N, np.subtract(f, r2, out=f)
 
 
 def _misplaced(N: np.ndarray, f: np.ndarray) -> tuple:
@@ -156,6 +173,15 @@ def _padded(text: list, width: int = 0) -> np.ndarray:
 def _one_by_one(x: np.ndarray) -> list:
     """'%.17g' % v plus a comma for each value, formatted on its own."""
     return [b"%.17g," % v for v in x.tolist()]
+
+
+def _split(a: np.ndarray, d: int, out=None) -> np.ndarray:
+    """a // d, returned, and a % d, left in a, for a >= 0: a floor
+    division by a constant is a multiply and shift in numpy, where
+    np.divmod divides."""
+    q = np.floor_divide(a, d, out=out)
+    a -= q * d
+    return q
 
 
 def _decimal(x: np.ndarray) -> tuple:
@@ -184,76 +210,105 @@ def _decimal(x: np.ndarray) -> tuple:
     return X, N, placed | zero
 
 
-def _g17_cells(x: np.ndarray) -> np.ndarray:
+def _ended(x: np.ndarray, at: np.ndarray, lines: int) -> list:
+    """_one_by_one of the values x[at], the cell of each that ends a
+    line of `lines` cells (at % lines == lines - 1) ending in a newline
+    instead of its comma."""
+    text = _one_by_one(x[at])
+    if lines:
+        for i in np.flatnonzero(at % lines == lines - 1).tolist():
+            text[i] = text[i][:-1] + b"\n"
+    return text
+
+
+def _g17_cells(x: np.ndarray, lines: int = 0) -> np.ndarray:
     """Each float64 of x as '%.17g' % v plus a comma, NUL-padded: a
-    uint8 array with one row per value.
+    uint8 array with one row per value. With lines = k > 0, x holds lines
+    of k values, and the last cell of each line ends in a newline in
+    place of its comma.
 
     Per cell: the decimal exponent X = floor(log10|v|), corrected by
     one where it missed, and the 17 significant digits N, the nearest
     integer to |v| * 10**(16 - X) (_decimal); N split into a leading
     digit and four 4-digit groups, whose trailing zeros give the digit
-    count; and one gather of the cell's bytes by a layout chosen from
-    the sign, X and the digit count (%g's rules: fixed notation for
-    -4 <= X < 17, else d.ddde+XX). Zeros have a layout of their own.
-    The kernel declines non-finite values, |v| outside [1e-250, 1e250)
-    and roundings within 1e-6 of a tie, so exactness never rests on its
-    error estimate: a declined cell, like every cell of a block under
-    _KERNEL_MIN, is formatted on its own by '%.17g'.
+    count, and written as the cell's 32 source bytes; and one gather of
+    the cell's bytes from them by a layout chosen from the sign, X and
+    the digit count (%g's rules: fixed notation for -4 <= X < 17, else
+    d.ddde+XX). Zeros have a layout of their own. The kernel declines
+    non-finite values, |v| outside [1e-250, 1e250) and roundings within
+    1e-6 of a tie, so exactness never rests on its error estimate: a
+    declined cell, like every cell of a block under _KERNEL_MIN, is
+    formatted on its own by '%.17g'.
     """
     n = x.size
     if n < _KERNEL_MIN:
-        return _padded(_one_by_one(x))
+        return _padded(_ended(x, np.arange(n), lines))
     t = _g17_tables()
     X, N, placed = _decimal(x)
-    words = np.empty((n, 8), np.intp)  # the source row, as indices into t.words
-    words[:, 0], rest = np.divmod(N, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    np.divmod(high, 10**4, out=(words[:, 1], words[:, 2]))
-    np.divmod(low, 10**4, out=(words[:, 3], words[:, 4]))
-    words[:, 5] = _PUNCT
-    np.abs(X, out=words[:, 6])  # |X| <= _X_HI + 1
-    words[:, 7] = _PLUS_WORD
-    tz = t.tz4[words[:, 4]]
-    for k in (3, 2, 1):  # a zero last group is rare: extend those cells only
-        z = np.flatnonzero(tz == 4 * (4 - k))
+    source = np.empty((n, 8), np.uint32)  # each cell's source row, as words
+    source[:, 5] = t.words[_PUNCT]
+    if lines:
+        source[lines - 1 :: lines, 5] = t.words[_PUNCT_NL]
+    source[:, 6] = t.words.take(np.abs(X))  # |X| <= _X_HI + 1
+    source[:, 7] = t.words[_PLUS_WORD]
+    # the digits, in place: N's leading digit, then its 4-digit groups
+    first = _split(N, 10**16)
+    source[:, 0] = t.words.take(first)
+    _split(N, 10**8, out=first)
+    groups = [_split(first, 10**4), first, _split(N, 10**4), N]
+    for k, group in enumerate(groups, 1):
+        source[:, k] = t.words.take(group)
+    tz = t.tz4[groups[3]]
+    for k in (2, 1, 0):  # a zero last group is rare: extend those cells only
+        z = np.flatnonzero(tz == 4 * (3 - k))
         if not z.size:
             break
-        tz[z] += t.tz4[words[z, k]]
+        tz[z] += t.tz4[groups[k][z]]
+    del N, first, groups
 
     layout = t.layout[np.signbit(x).view(np.uint8), X - _X_LO, 16 - tz]
+    del X, tz
     declined = np.flatnonzero(~placed)
     layout[declined] = t.layout[0, -1, 0]  # zero's layout, the narrowest
-    text = _one_by_one(x[declined])
-    width = max([t.width.take(layout).max(), *map(len, text)])
-    index = t.gather[:width].take(layout, axis=1)
-    index += np.arange(0, 32 * n, 32)
-    cells = t.words.take(words).view(np.uint8).ravel().take(index, mode="clip").T
+    text = _ended(x, declined, lines)
+    cells = np.empty((n, _CELL), np.uint8)
+    source = source.view(np.uint8).ravel()
+    index = np.empty((min(n, _GATHER_CELLS), _CELL), np.intp)
+    for i in range(0, n, _GATHER_CELLS):  # each cell's source bytes, then its bytes
+        part = layout[i : i + _GATHER_CELLS]
+        at = index[: len(part)]
+        t.gather.take(part, axis=0, out=at, mode="clip")
+        at += t.offsets[: len(part)]
+        source[32 * i :].take(at, mode="clip", out=cells[i : i + _GATHER_CELLS])
     if text:
-        cells[declined] = _padded(text, width)
+        cells[declined] = _padded(text, _CELL)
     return cells
 
 
-def _text_cells(values) -> np.ndarray:
-    """Integers or strings as cells like _g17_cells's."""
-    return _padded([str(v).encode("utf-8") + b"," for v in values])
+def _text_cells(values, end: bytes = b",") -> np.ndarray:
+    """Integers or strings as cells like _g17_cells's, each ending in
+    `end`."""
+    return _padded([str(v).encode("utf-8") + end for v in values])
 
 
-def _runs(col: np.ndarray) -> tuple:
+def _runs(col: np.ndarray, last: bool = False) -> tuple:
     """(table, ids) of an integer or string column: the cells of its
-    runs of equal values and each row's run."""
-    new = np.ones(len(col), bool)
+    runs of equal values and each row's run. The cells of the last
+    column end in a newline."""
+    new = np.empty(len(col), bool)
+    new[0] = True
     np.not_equal(col[1:], col[:-1], out=new[1:])
-    return _text_cells(col[new].tolist()), np.cumsum(new) - 1
+    return _text_cells(col[new].tolist(), b"\n" if last else b","), np.cumsum(new) - 1
 
 
-def _once(col: np.ndarray):
-    """(table, ids) of a column of at most _FEW distinct values, floats
+def _once(col: np.ndarray, last: bool = False):
+    """(table, ids) of a float column of at most _FEW distinct values,
     told apart by their bit pattern (0.0 and -0.0 print apart, and nans
-    of two payloads count twice): the cells of the distinct values and
-    each row's index among them. None for any other column, as soon as
-    a strided sample of the rows or the column itself shows more than
-    _FEW values."""
-    keys = col.view(np.int64) if col.dtype.kind == "f" else col
+    of two payloads count twice): the cells of the distinct values, each
+    ending in a newline if the column is the last, and each row's index
+    among them. None for any other column, as soon as a strided sample
+    of the rows or the column itself shows more than _FEW values."""
+    keys = col.view(np.int64)
     if len(set(keys[:: max(1, len(keys) // (_FEW + 1))].tolist())) > _FEW:
         return None
     ids = np.zeros(len(keys), np.uint8)  # _FEW < 256
@@ -266,9 +321,7 @@ def _once(col: np.ndarray):
         ids[rest[same]] = len(values)
         values.append(keys[rest[0]])
         rest = rest[~same]
-    if col.dtype.kind == "f":
-        return _g17_cells(np.array(values).view(np.float64)), ids
-    return _text_cells(values), ids
+    return _g17_cells(np.array(values).view(np.float64), int(last)), ids
 
 
 def _chunk_rows(kernel_columns: int) -> int:
@@ -277,28 +330,32 @@ def _chunk_rows(kernel_columns: int) -> int:
     return _CHUNK_FLOATS // max(1, kernel_columns)
 
 
-def _csv_rows(cols: list, once: list, rows: slice) -> np.ndarray:
-    """The CSV lines of `rows` of the columns, as a uint8 array: the
-    cells of each row side by side, the last comma made a newline, the
-    NUL padding dropped. A column with a table in `once` gathers its
-    cells from it; the kernel formats the other float columns in one
-    call, and each run of an integer or string column is formatted
-    once."""
-    floats = [c[rows] for c, o in zip(cols, once) if o is None and c.dtype.kind == "f"]
-    if floats:
-        cells = _g17_cells(np.stack(floats, axis=1).ravel()).reshape(len(floats[0]), len(floats), -1)
-    parts, k = [], 0
-    for c, o in zip(cols, once):
-        if o is None and c.dtype.kind == "f":
-            parts.append(cells[:, k])
-            k += 1
-        else:
-            table, ids = _runs(c[rows]) if o is None else (o[0], o[1][rows])
-            parts.append(table.take(ids, axis=0))
-    out = np.concatenate(parts, axis=1)
-    # the last cell of a row ends in its comma, then NULs or nothing
-    last = out[:, -parts[-1].shape[1]:]
-    last[last == ord(",")] = ord("\n")
+def _csv_rows(cols: list, tables: list, rows: slice) -> np.ndarray:
+    """The CSV lines of `rows` of the columns, as a uint8 array. The
+    kernel formats the float columns without a table in one call; its
+    cells, a block of adjacent kernel columns at a time, and the table
+    cells of each other column, taken by the rows' ids, are copied once
+    into a row buffer. The last column's cells end in a newline already,
+    so only the NUL padding is dropped."""
+    kernel = [k for k, tab in enumerate(tables) if tab is None]
+    if kernel:
+        x = np.stack([cols[k][rows] for k in kernel], axis=1).ravel()
+        lines = len(kernel) if kernel[-1] == len(cols) - 1 else 0
+        cells = _g17_cells(x, lines).reshape(x.size // len(kernel), -1)
+        width = cells.shape[1] // len(kernel)
+    widths = [width if tab is None else tab[0].shape[1] for tab in tables]
+    out = np.empty((len(cols[0][rows]), sum(widths)), np.uint8)
+    start = done = 0  # the bytes of a row filled and of the kernel's cells copied
+    for in_kernel, group in itertools.groupby(zip(tables, widths), key=lambda tw: tw[0] is None):
+        group = list(group)
+        if in_kernel:
+            w = len(group) * width
+            out[:, start : start + w] = cells[:, done : done + w]
+            start, done = start + w, done + w
+            continue
+        for (table, ids), w in group:
+            out[:, start : start + w] = table.take(ids[rows], axis=0)
+            start += w
     out = out.ravel()
     return out[out != 0]
 
@@ -308,12 +365,15 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
 
     Float columns print as '%.17g' % x (the routine behind
     format(x, ".17g")), integer columns as %d and string columns as they
-    are. A column of at most _FEW distinct values is formatted once per
-    value for the whole file (_once). The other float columns go through
-    the vectorized kernel _g17_cells, _CHUNK_FLOATS floats per call,
-    which sets the rows of a chunk (_chunk_rows), and the other integer
-    and string columns by runs of equal values. Each chunk is written as
-    it is made, so no string holds the whole file.
+    are. Each column but the kernel's gets a table once per file: a
+    float column of at most _FEW distinct values has the cells of its
+    values (_once), an integer or string column the cells of its runs
+    of equal values (_runs), and a row takes its cell from the table.
+    The other float columns go through the vectorized kernel
+    _g17_cells, _CHUNK_FLOATS floats per call, which sets the rows of a
+    chunk (_chunk_rows). The last column's cells end in a newline as
+    they are made. Each chunk is written as it is made, so no string
+    holds the whole file.
 
     Before the file is opened, the input is checked: a header name
     holding a comma, quote, line break or NUL, or one named twice, no
@@ -337,9 +397,13 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
     if any(len(s) != 1 for s in shapes) or len(set(shapes)) > 1:
         raise ValueError(f"CSV columns must be 1-d and of one length, got shapes {shapes}")
     cols = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c for c in cols]
-    once = [_once(c) if len(c) else None for c in cols]
-    step = _chunk_rows(sum(o is None and c.dtype.kind == "f" for c, o in zip(cols, once)))
+    last = len(cols) - 1
+    tables = [
+        (_once if c.dtype.kind == "f" else _runs)(c, k == last) if len(c) else None
+        for k, c in enumerate(cols)
+    ]
+    step = _chunk_rows(tables.count(None))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for i in range(0, len(cols[0]), step):
-            fh.write(_csv_rows(cols, once, slice(i, i + step)))
+            fh.write(_csv_rows(cols, tables, slice(i, i + step)))

@@ -20,6 +20,7 @@ from tqdecho.csvfile import (
     _chunk_rows,
     _g17_cells,
     _once,
+    _runs,
     _scaled,
     _write_csv,
 )
@@ -115,9 +116,9 @@ def _chunks(monkeypatch) -> list:
     """The row slices the writer formats, recorded as it calls _csv_rows."""
     seen, real = [], tqdecho.csvfile._csv_rows
 
-    def recording(cols, once, rows):
+    def recording(cols, tables, rows):
         seen.append(range(*rows.indices(len(cols[0]))))
-        return real(cols, once, rows)
+        return real(cols, tables, rows)
 
     monkeypatch.setattr(tqdecho.csvfile, "_csv_rows", recording)
     return seen
@@ -125,7 +126,8 @@ def _chunks(monkeypatch) -> list:
 
 def test_trajectory_csv_bytes_across_chunks(tmp_path, monkeypatch):
     # the kernel formats t, the four amplitude parts and `count`; the
-    # segment, the label and the few-valued extras are formatted once
+    # segment and the label are tabled by their runs and the few-valued
+    # extras by their values, once per file
     step = _chunk_rows(6)
     traj = propagate_schedule(
         single_loop_schedule(P), initial_state=np.array([1.0, 0.0]), samples=2 * step + 37,
@@ -313,9 +315,9 @@ def test_mixed_columns_across_chunks(tmp_path, rows):
     # float, integer and label columns in one file, in rows that fill
     # part of a chunk, end a chunk exactly, cross chunk boundaries and
     # leave a last chunk below the kernel's block size; the kernel
-    # formats the two ramps, the labels and the 14 special values are
-    # formatted once, and the integer column once per file up to
-    # 7 * _FEW rows, per chunk past it
+    # formats the two ramps, the last of them with its newline, the 14
+    # special values are formatted once, and the integer and label
+    # columns by their runs, once per file
     special = np.resize(np.array(SPECIAL + [np.inf, -np.inf, np.nan, 1e-280, 3e300]), rows)
     ramp = np.linspace(-3.0, 7.0, rows)
     index = np.arange(rows) // 7 - 2
@@ -352,11 +354,12 @@ def test_few_valued_columns_across_chunks(tmp_path, monkeypatch):
         "above": 0.1 * (k * 7 % (_FEW + 1)) - 2.0,  # one more
         "spread": np.where(k % 4 == 0, np.array(declined)[k % len(declined)], k / 7.0),
         "label": np.array(["loop-C", "pi", "idle"])[k // 100 % 3],
-        "segment": k // 3,  # more than _FEW values: by runs, per chunk
+        "segment": k // 3,  # tabled by its runs, like the label
     }
-    assert [_once(c) is None for c in cols.values()] == [
-        True, False, False, False, False, False, True, True, False, True,
-    ]
+    assert {name: _once(c) is None for name, c in cols.items() if c.dtype.kind == "f"} == {
+        "t": True, "constant": False, "zeros": False, "nans": False, "declined": False,
+        "at": False, "above": True, "spread": True,
+    }
     chunks = _chunks(monkeypatch)
     path = tmp_path / "few.csv"
     _write_csv(path, list(cols), list(cols.values()))
@@ -366,6 +369,86 @@ def test_few_valued_columns_across_chunks(tmp_path, monkeypatch):
         for row in zip(*[c.tolist() for c in cols.values()])
     ]
     assert path.read_bytes() == _reference(list(cols), rows)
+
+
+@pytest.mark.parametrize("others", [["t"], []], ids=["t-and-last", "last-alone"])
+@pytest.mark.parametrize("tail", [37, 200], ids=["per-cell-tail", "kernel-tail"])
+def test_kernel_last_column_across_chunks(tmp_path, monkeypatch, others, tail):
+    # the last column is one the kernel formats: each of its cells ends
+    # in the newline, those the kernel declines and formats one by one
+    # too, in chunks before and after two boundaries and in a last chunk
+    # below the kernel's block (37 rows) or above it (200 rows)
+    step = _chunk_rows(len(others) + 1)
+    n = 2 * step + tail
+    k = np.arange(n)
+    declined = _exact_ties()[:6] + [np.nan, np.inf, -np.inf, 1e-300, -5e-324, 0.0, -0.0]
+    cols = {
+        "label": np.array(["loop-C", "pi", "idle"])[k // 1000 % 3],
+        **{name: np.linspace(0.0, 9.0, n) for name in others},
+        "last": np.where(k % 5 == 0, np.array(declined)[k % len(declined)], np.sin(k) * 3e-5),
+    }
+    chunks = _chunks(monkeypatch)
+    path = tmp_path / "last.csv"
+    _write_csv(path, list(cols), list(cols.values()))
+    assert [len(c) for c in chunks] == [step, step, tail]
+    rows = [
+        [v if c.dtype.kind == "U" else _fmt(v) for c, v in zip(cols.values(), row)]
+        for row in zip(*[c.tolist() for c in cols.values()])
+    ]
+    assert path.read_bytes() == _reference(list(cols), rows)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["integer-last", "string-last"])
+def test_integer_and_string_columns_by_runs(tmp_path, monkeypatch, reverse):
+    # each integer and string column is tabled once per file by its runs
+    # of equal values: one run, four, more than _FEW and one per row,
+    # across two chunk boundaries, with the last column's cells ending
+    # in the newline
+    step = _chunk_rows(1)
+    n = 2 * step + 37
+    k = np.arange(n)
+    names = np.array(["loop-C", "pi", "Schleife-Ω", "idle", "pi-II"])
+    text = {
+        "one": np.full(n, 7),
+        "four_labels": names[np.minimum(k * 4 // n, 3)],
+        "many": k // 9 - 50,
+        "many_labels": names[k // 11 % 5],
+        "per_row_labels": names[k % 5],
+        "per_row": k * 1000003 - 10**9,
+    }
+    runs = {"one": 1, "four_labels": 4, "many": -(-n // 9), "many_labels": -(-n // 11),
+            "per_row_labels": n, "per_row": n}
+    assert {name: len(_runs(c)[0]) for name, c in text.items()} == runs
+    assert min(runs["many"], runs["many_labels"]) > _FEW
+    names_order = list(text)[::-1] if reverse else list(text)
+    cols = {"t": np.linspace(-1.0, 1.0, n), **{name: text[name] for name in names_order}}
+    chunks = _chunks(monkeypatch)
+    path = tmp_path / "runs.csv"
+    _write_csv(path, list(cols), list(cols.values()))
+    assert [len(c) for c in chunks] == [step, step, 37]
+    rows = [
+        [_fmt(v) if c.dtype.kind == "f" else str(v) for c, v in zip(cols.values(), row)]
+        for row in zip(*[c.tolist() for c in cols.values()])
+    ]
+    assert path.read_bytes() == _reference(list(cols), rows)
+
+
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_trajectory_rows_at_a_chunk_boundary(tmp_path, monkeypatch, extra_rows):
+    # a trajectory of the CLI's columns: the kernel formats t and the four
+    # amplitude parts, so a chunk is _chunk_rows(5) rows; one row short of
+    # it, exactly it and one row past it
+    step = _chunk_rows(5)
+    traj = propagate_schedule(  # a loop sampled at s points has s + 1 rows
+        single_loop_schedule(P), initial_state=np.array([0.6, 0.8j]), samples=step + extra_rows - 1,
+    )
+    assert len(traj.times) == step + extra_rows
+    extra = {"fidelity": np.resize([1.0, 0.9999999999999999, 0.99999999999999978], len(traj.times))}
+    chunks = _chunks(monkeypatch)
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path, extra)
+    assert [len(c) for c in chunks] == ([step, 1] if extra_rows > 0 else [step + extra_rows])
+    assert path.read_bytes() == _reference_trajectory(traj, extra)
 
 
 @pytest.mark.parametrize(

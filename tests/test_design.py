@@ -1,12 +1,15 @@
 """Design guards: each test keeps one removed structure out of the
 package, by a regex over the text of its *.py files or by inspecting
-what it exports. A failure names the lines that brought it back."""
+what it exports, or holds a measured bound, such as the CSV writer's
+peak memory. A failure names the lines that brought it back."""
 import importlib
 import inspect
 import pkgutil
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tqdecho
@@ -195,3 +198,28 @@ def test_one_csv_writer():
     ]
     assert _hits(r"^\s*(import csv\b|from csv import)|\b(savetxt|tofile|writelines)\b",
                  exclude=("csvfile.py",)) == []
+
+
+# tracemalloc peak of _write_csv with 3072-float chunks, on the trajectory
+# of test_csv_writer_peak_memory (Python 3.11, numpy 2.4, which reports
+# its buffers to tracemalloc); 6144-float chunks peak at 1 188 088 bytes
+CSV_PEAK_BYTES = 1_488_509
+
+
+def test_csv_writer_peak_memory(tmp_path):
+    # a larger chunk is faster but holds more of the kernel's per-float
+    # arrays at once; a chunk-size change must not raise the writer's
+    # peak over the 3072-float chunks' on a 4096-sample echo (8228 rows)
+    p = tqdecho.LoopParams(theta=np.pi / 3, omega=0.7, omega0=1.0)
+    traj = tqdecho.evolve_eigenstate(tqdecho.build_echo_sequence(p), 1, samples=4096)
+    extra = {"fidelity": tqdecho.tracking_fidelity(traj, 1)}
+    path = tmp_path / "trajectory.csv"
+    tqdecho.trajectory_to_csv(traj, path, extra)  # builds the kernel's tables
+    tracemalloc.start()
+    try:
+        tqdecho.trajectory_to_csv(traj, path, extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 8228
+    assert peak <= CSV_PEAK_BYTES, peak

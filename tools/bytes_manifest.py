@@ -11,7 +11,9 @@ PYTHONPATH, and records a digest for each item:
   `runtime_seconds` check dropped;
 * cli: every artifact and summary.json of one config per scenario,
   each with the exact propagator and, but for fields, which propagates
-  nothing, with --substeps 1024;
+  nothing, with --substeps 1024; and of evolve, echo and fields again at
+  4096 samples with the exact propagator, whose CSVs span several of the
+  writer's chunks;
 * demo: the stdout of each demo under -W error, and the CSV demo 01
   writes;
 * family: for each member of a seeded family of rotated gapped echoes,
@@ -56,6 +58,7 @@ CONFIGS = {
     "expmap": {"omega_i": 1.0, "coupling": 1.0, "omega": 0.5},
 }
 ORACLE_SUBSTEPS = 1024
+MULTI_CHUNK_SAMPLES = 4096  # evolve, echo and fields CSVs of several chunks
 FAMILY_SEED = 20211
 FAMILY_SIZE = 4  # members per family
 FAMILY_SUBSTEPS = 64
@@ -100,21 +103,30 @@ def _acceptance_items(tmp: Path) -> dict:
     return items
 
 
+def _cli_runs() -> list:
+    """(name, kind, config, extra argv) of each CLI run."""
+    runs = []
+    for kind, config in CONFIGS.items():
+        runs.append((f"{kind}-exact", kind, config, []))
+        if kind != "fields":  # fields propagates nothing and takes no --substeps
+            runs.append((f"{kind}-oracle", kind, config, ["--substeps", str(ORACLE_SUBSTEPS)]))
+    for kind in ("evolve", "echo", "fields"):
+        config = {**CONFIGS[kind], "samples": MULTI_CHUNK_SAMPLES}
+        runs.append((f"{kind}-{MULTI_CHUNK_SAMPLES}-exact", kind, config, []))
+    return runs
+
+
 def _cli_items(tmp: Path) -> dict:
     items = {}
-    for kind, config in CONFIGS.items():
-        path = tmp / f"{kind}.json"
+    for name, kind, config, extra in _cli_runs():
+        path = tmp / f"{name}.json"
         path.write_text(json.dumps({"kind": kind, **config}))
-        runs = {"exact": []}
-        if kind != "fields":  # fields propagates nothing and takes no --substeps
-            runs["oracle"] = ["--substeps", str(ORACLE_SUBSTEPS)]
-        for name, extra in runs.items():
-            out = tmp / f"{kind}-{name}"
-            done = _run(["-m", "tqdecho.cli", kind, "--config", str(path), "--out", str(out),
-                         *extra], tmp)
-            items[f"cli/{kind}-{name}/exit"] = _sha(str(done.returncode).encode())
-            for artifact in sorted(out.iterdir()) if out.exists() else []:
-                items[f"cli/{kind}-{name}/{artifact.name}"] = _sha(artifact.read_bytes())
+        out = tmp / name
+        done = _run(["-m", "tqdecho.cli", kind, "--config", str(path), "--out", str(out),
+                     *extra], tmp)
+        items[f"cli/{name}/exit"] = _sha(str(done.returncode).encode())
+        for artifact in sorted(out.iterdir()) if out.exists() else []:
+            items[f"cli/{name}/{artifact.name}"] = _sha(artifact.read_bytes())
     return items
 
 
