@@ -55,8 +55,7 @@ class _G17Tables(NamedTuple):
     tz4: np.ndarray  # trailing zeros of a 4-digit group, 4 for 0
     layout: np.ndarray  # (sign, X - _X_LO, digits - 1) -> layout; X past _X_HI: zero
     gather: np.ndarray  # (layout, byte) -> source of that byte of the cell, its end, NULs
-    # (cell, byte) -> 32 * cell: where the source row of each of _GATHER_CELLS starts
-    offsets: np.ndarray
+    offsets: np.ndarray  # (cell, byte) -> 32 * cell: its source row's start in a gather
 
 
 @functools.cache
@@ -131,7 +130,7 @@ def _scaled(a: np.ndarray, X: np.ndarray) -> tuple:
     hi part of the power, plus a times its lo part, summed by two-sum."""
     hi, lo, hh, hl = _g17_tables().pow10.take(X - _X_LO, axis=1)
     p = a * hi
-    ah = _SPLIT * a
+    ah = _SPLIT * a  # Veltkamp's split of a: ah = c - (c - a) with c = _SPLIT * a
     ah -= ah - a
     al = a - ah
     # err = ((ah * hh - p) + ah * hl + al * hh) + al * hl = a * hi - p, exactly,
@@ -306,8 +305,8 @@ def _once(col: np.ndarray, last: bool = False):
     told apart by their bit pattern (0.0 and -0.0 print apart, and nans
     of two payloads count twice): the cells of the distinct values, each
     ending in a newline if the column is the last, and each row's index
-    among them. None for any other column, as soon as a strided sample
-    of the rows or the column itself shows more than _FEW values."""
+    among them. None as soon as a strided sample of the rows or the
+    column itself shows more than _FEW values."""
     keys = col.view(np.int64)
     if len(set(keys[:: max(1, len(keys) // (_FEW + 1))].tolist())) > _FEW:
         return None
@@ -365,15 +364,14 @@ def _write_csv(path, header: Sequence[str], columns) -> None:
 
     Float columns print as '%.17g' % x (the routine behind
     format(x, ".17g")), integer columns as %d and string columns as they
-    are. Each column but the kernel's gets a table once per file: a
-    float column of at most _FEW distinct values has the cells of its
-    values (_once), an integer or string column the cells of its runs
-    of equal values (_runs), and a row takes its cell from the table.
-    The other float columns go through the vectorized kernel
-    _g17_cells, _CHUNK_FLOATS floats per call, which sets the rows of a
-    chunk (_chunk_rows). The last column's cells end in a newline as
-    they are made. Each chunk is written as it is made, so no string
-    holds the whole file.
+    are. Every integer and string column gets a table of the cells of
+    its runs of equal values (_runs), and every float column of at most
+    _FEW distinct values one of the cells of its values (_once), once
+    per file; a row takes its cell from the table. The other float
+    columns go through the vectorized kernel _g17_cells, _CHUNK_FLOATS
+    floats per call, which sets the rows of a chunk (_chunk_rows). The
+    last column's cells end in a newline as they are made. Each chunk is
+    written as it is made, so no string holds the whole file.
 
     Before the file is opened, the input is checked: a header name
     holding a comma, quote, line break or NUL, or one named twice, no
