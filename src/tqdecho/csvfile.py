@@ -265,7 +265,12 @@ def _g17_cells(x: np.ndarray, lines: int = 0) -> np.ndarray:
         tz[z] += t.tz4[groups[k][z]]
     del N, first, groups
 
-    layout = t.layout[np.signbit(x).view(np.uint8), X - _X_LO, 16 - tz]
+    # layout = t.layout[sign, X - _X_LO, 16 - tz], by its flat index, in X
+    layout = np.multiply(X, 17, out=X)
+    layout += 16 - 17 * _X_LO
+    layout -= tz
+    layout += np.signbit(x) * t.layout[0].size
+    layout = t.layout.ravel().take(layout)
     del X, tz
     declined = np.flatnonzero(~placed)
     layout[declined] = t.layout[0, -1, 0]  # zero's layout, the narrowest
