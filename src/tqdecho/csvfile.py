@@ -128,7 +128,7 @@ def _scaled(a: np.ndarray, X: np.ndarray) -> tuple:
     """(N, f) with a * 10**(16 - X) = N + f, N the nearest int64 and
     |f| <= 1/2, to about 1e-14: Dekker's exact product of a with the
     hi part of the power, plus a times its lo part, summed by two-sum."""
-    hi, lo, hh, hl = _g17_tables().pow10.take(X - _X_LO, axis=1)
+    hi, lo, hh, hl = _g17_tables().pow10.take(X - _X_LO, axis=1, mode="clip")
     p = a * hi
     ah = _SPLIT * a  # Veltkamp's split of a: ah = c - (c - a) with c = _SPLIT * a
     ah -= ah - a
