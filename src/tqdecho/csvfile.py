@@ -31,7 +31,7 @@ def _check_csv_text(name: str, value) -> None:
 
 
 _CHUNK_FLOATS = 6144  # floats per kernel call; sets the rows of a chunk
-_GATHER_CELLS = 1024  # cells per gather; its index takes 8 bytes per byte of a cell
+_GATHER_CELLS = 512  # cells per gather; its index takes 8 bytes per byte of a cell
 _FEW = 64  # a column of at most this many distinct values is formatted once
 _KERNEL_MIN = 128  # below this many floats, per-cell '%.17g' is cheaper
 _CELL = 25  # the longest '%.17g' of a float64 plus its comma: "-2.2250738585072014e-308,"
