@@ -141,7 +141,7 @@ def _scaled(a: np.ndarray, X: np.ndarray) -> tuple:
     err += np.multiply(al, hh, out=hh)
     err += np.multiply(al, hl, out=hl)
     low = np.add(err, np.multiply(a, lo, out=lo), out=err)
-    del hi, lo, hh, hl, ah, al
+    del hi, lo, hh, hl, ah, al  # freed early: the largest arrays a chunk holds
     s = p + low
     r = np.rint(s)
     low -= np.subtract(s, p, out=p)  # f = (s - r) + (low - (s - p)), in place
