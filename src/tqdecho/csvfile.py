@@ -10,7 +10,6 @@ once into a row buffer, the last column's made with the newline.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -289,20 +288,15 @@ def _g17_cells(x: np.ndarray, lines: int = 0) -> np.ndarray:
     return cells
 
 
-def _text_cells(values, end: bytes = b",") -> np.ndarray:
-    """Integers or strings as cells like _g17_cells's, each ending in
-    `end`."""
-    return _padded([str(v).encode("utf-8") + end for v in values])
-
-
 def _runs(col: np.ndarray, last: bool = False) -> tuple:
     """(table, ids) of an integer or string column: the cells of its
-    runs of equal values and each row's run. The cells of the last
-    column end in a newline."""
+    runs of equal values, like _g17_cells's, and each row's run. The
+    cells of the last column end in a newline."""
     new = np.empty(len(col), bool)
     new[0] = True
     np.not_equal(col[1:], col[:-1], out=new[1:])
-    return _text_cells(col[new].tolist(), b"\n" if last else b","), np.cumsum(new) - 1
+    end = b"\n" if last else b","
+    return _padded([str(v).encode("utf-8") + end for v in col[new].tolist()]), np.cumsum(new) - 1
 
 
 def _once(col: np.ndarray, last: bool = False):
@@ -337,10 +331,9 @@ def _chunk_rows(kernel_columns: int) -> int:
 def _csv_rows(cols: list, tables: list, rows: slice) -> np.ndarray:
     """The CSV lines of `rows` of the columns, as a uint8 array. The
     kernel formats the float columns without a table in one call; its
-    cells, a block of adjacent kernel columns at a time, and the table
-    cells of each other column, taken by the rows' ids, are copied once
-    into a row buffer. The last column's cells end in a newline already,
-    so only the NUL padding is dropped."""
+    cells and the table cells of each other column, taken by the rows'
+    ids, are copied once into a row buffer. The last column's cells end
+    in a newline already, so only the NUL padding is dropped."""
     kernel = [k for k, tab in enumerate(tables) if tab is None]
     if kernel:
         x = np.stack([cols[k][rows] for k in kernel], axis=1).ravel()
@@ -349,17 +342,15 @@ def _csv_rows(cols: list, tables: list, rows: slice) -> np.ndarray:
         width = cells.shape[1] // len(kernel)
     widths = [width if tab is None else tab[0].shape[1] for tab in tables]
     out = np.empty((len(cols[0][rows]), sum(widths)), np.uint8)
-    start = done = 0  # the bytes of a row filled and of the kernel's cells copied
-    for in_kernel, group in itertools.groupby(zip(tables, widths), key=lambda tw: tw[0] is None):
-        group = list(group)
-        if in_kernel:
-            w = len(group) * width
-            out[:, start : start + w] = cells[:, done : done + w]
-            start, done = start + w, done + w
-            continue
-        for (table, ids), w in group:
+    start = k = 0  # the bytes of a row filled and the kernel columns copied
+    for tab, w in zip(tables, widths):
+        if tab is None:
+            out[:, start : start + w] = cells[:, k * w : (k + 1) * w]
+            k += 1
+        else:
+            table, ids = tab
             out[:, start : start + w] = table.take(ids[rows], axis=0)
-            start += w
+        start += w
     out = out.ravel()
     return out[out != 0]
 
