@@ -202,7 +202,7 @@ def test_one_csv_writer():
 
 # tracemalloc peak of trajectory_to_csv with 3072-float chunks, on the trajectory
 # of test_csv_writer_peak_memory (Python 3.11, numpy 2.4, which reports
-# its buffers to tracemalloc); 6144-float chunks peak at 1 188 088 bytes
+# its buffers to tracemalloc); 6144-float chunks peak at 1 187 552 bytes
 CSV_PEAK_BYTES = 1_488_509
 
 
