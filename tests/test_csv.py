@@ -309,7 +309,10 @@ def test_kernel_rounds_exact_ties_half_to_even():
 # the writer: chunks and column mixes ---------------------------------------
 
 @pytest.mark.parametrize(
-    "rows", [1, 5, _KERNEL_MIN, 512, 1061, _chunk_rows(2), 2 * _chunk_rows(2) + 37]
+    "rows",
+    # 1536 and 3109 are one chunk and two chunks plus 37 rows at 3072
+    # floats a chunk, kept beside the rows of the current chunk size
+    sorted({1, 5, _KERNEL_MIN, 512, 1061, 1536, 3109, _chunk_rows(2), 2 * _chunk_rows(2) + 37}),
 )
 def test_mixed_columns_across_chunks(tmp_path, rows):
     # float, integer and label columns in one file, in rows that fill
